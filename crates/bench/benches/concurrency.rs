@@ -1,5 +1,5 @@
-//! Concurrency benchmarks: the lock-striped [`ShardedBuffer`] against the
-//! coarse-mutex [`SharedBuffer`] on the same skewed page-access trace.
+//! Concurrency benchmarks: the lock-striped [`ShardedBuffer`] against its
+//! own coarse one-shard configuration on the same skewed page-access trace.
 //!
 //! Two views of the same experiment:
 //!
@@ -7,13 +7,13 @@
 //!   wall-clock to drain a fixed trace split evenly across threads;
 //! * criterion timings for the headline configurations.
 //!
-//! The number that matters: at 4 threads the sharded pool must out-serve
-//! the single mutex, which serializes even buffer hits. Whether that
+//! The number that matters: at 4 threads the striped pool must out-serve
+//! the one-shard pool, whose single mutex serializes even buffer hits. Whether that
 //! claim is actually asserted is decided by [`asb_bench::scaling_gate`]:
 //! on machines that cannot overlap 4 threads (or on `--test` smoke runs)
 //! it prints an explicit `skipped: ...` line instead of silently passing.
 
-use asb_core::{PolicyKind, ShardedBuffer, SharedBuffer};
+use asb_core::{PolicyKind, ShardedBuffer};
 use asb_geom::{Rect, SpatialStats};
 use asb_storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
@@ -97,49 +97,32 @@ fn scaling_table(c: &mut Criterion) {
         "configuration", "threads", "reads/s", "speedup"
     );
 
-    let mut shared_4t = 0.0f64;
+    let mut coarse_4t = 0.0f64;
     let mut sharded_4t = 0.0f64;
-    for policy in [PolicyKind::Lru, PolicyKind::Asb] {
+    for (shards, policy) in [
+        (SHARDS, PolicyKind::Lru),
+        (SHARDS, PolicyKind::Asb),
+        (1, PolicyKind::Lru),
+    ] {
         let mut base = None;
         for threads in [1usize, 2, 4, 8] {
             let (disk, _) = fresh_disk();
-            let pool = ShardedBuffer::new(disk, policy, CAPACITY, SHARDS);
+            let pool = ShardedBuffer::new(disk, policy, CAPACITY, shards);
             let elapsed = drain(&accesses, threads, |id, ctx| {
                 std::hint::black_box(pool.fetch(id, ctx).expect("read"));
             });
             let rate = throughput(len, elapsed);
             let base = *base.get_or_insert(rate);
             if policy == PolicyKind::Lru && threads == 4 {
-                sharded_4t = rate;
+                if shards == 1 {
+                    coarse_4t = rate;
+                } else {
+                    sharded_4t = rate;
+                }
             }
             println!(
                 "{:<26} {:>8} {:>14.0} {:>9.2}x",
-                format!("sharded/{}", policy.label()),
-                threads,
-                rate,
-                rate / base
-            );
-        }
-    }
-    {
-        let mut base = None;
-        for threads in [1usize, 2, 4, 8] {
-            let (disk, _) = fresh_disk();
-            let pool = SharedBuffer::new(
-                disk,
-                asb_core::BufferManager::with_policy(PolicyKind::Lru, CAPACITY),
-            );
-            let elapsed = drain(&accesses, threads, |id, ctx| {
-                std::hint::black_box(pool.fetch(id, ctx).expect("read"));
-            });
-            let rate = throughput(len, elapsed);
-            let base = *base.get_or_insert(rate);
-            if threads == 4 {
-                shared_4t = rate;
-            }
-            println!(
-                "{:<26} {:>8} {:>14.0} {:>9.2}x",
-                "shared-mutex/LRU",
+                format!("sharded/{shards}/{}", policy.label()),
                 threads,
                 rate,
                 rate / base
@@ -148,9 +131,9 @@ fn scaling_table(c: &mut Criterion) {
     }
 
     println!(
-        "4-thread LRU throughput: sharded {sharded_4t:.0}/s vs shared-mutex {shared_4t:.0}/s \
+        "4-thread LRU throughput: sharded/{SHARDS} {sharded_4t:.0}/s vs sharded/1 {coarse_4t:.0}/s \
          ({:.2}x)",
-        sharded_4t / shared_4t
+        sharded_4t / coarse_4t
     );
 
     // Miss-path dedup: 8 threads hammer one cold page; the I/O scheduler
@@ -184,8 +167,8 @@ fn scaling_table(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     match asb_bench::scaling_gate(smoke, cores) {
         asb_bench::ScalingGate::Assert => assert!(
-            sharded_4t > shared_4t,
-            "sharded pool must out-serve the coarse mutex at 4 threads"
+            sharded_4t > coarse_4t,
+            "striped pool must out-serve the one-shard pool at 4 threads"
         ),
         asb_bench::ScalingGate::Skip(reason) => {
             println!("4-thread scaling assertion {reason}");
@@ -195,23 +178,14 @@ fn scaling_table(c: &mut Criterion) {
     // Headline configurations under criterion's timing loop.
     let mut group = c.benchmark_group("concurrency");
     group.sample_size(10);
-    for (name, threads) in [("sharded_lru_1t", 1usize), ("sharded_lru_4t", 4)] {
+    for (name, shards, threads) in [
+        ("sharded_lru_1t", SHARDS, 1usize),
+        ("sharded_lru_4t", SHARDS, 4),
+        ("sharded1_lru_1t", 1, 1),
+        ("sharded1_lru_4t", 1, 4),
+    ] {
         let (disk, _) = fresh_disk();
-        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, CAPACITY, SHARDS);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                drain(&accesses, threads, |id, ctx| {
-                    std::hint::black_box(pool.fetch(id, ctx).expect("read"));
-                })
-            })
-        });
-    }
-    for (name, threads) in [("shared_mutex_lru_1t", 1usize), ("shared_mutex_lru_4t", 4)] {
-        let (disk, _) = fresh_disk();
-        let pool = SharedBuffer::new(
-            disk,
-            asb_core::BufferManager::with_policy(PolicyKind::Lru, CAPACITY),
-        );
+        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, CAPACITY, shards);
         group.bench_function(name, |b| {
             b.iter(|| {
                 drain(&accesses, threads, |id, ctx| {

@@ -54,7 +54,7 @@ pub enum ScalingGate {
 }
 
 /// Decides whether the concurrency bench's headline claim — the sharded
-/// pool out-serves the coarse mutex at 4 threads — can be asserted.
+/// pool out-serves its one-shard configuration at 4 threads — can be asserted.
 ///
 /// It cannot when fewer than 4 cores are available (threads never truly
 /// overlap, so the striped pool has no parallelism to win with) or on a

@@ -24,28 +24,30 @@
 //! [`BufferManager`] owns the page table and statistics and delegates every
 //! ordering decision to a [`ReplacementPolicy`]. It does not talk to a disk
 //! itself; [`BufferManager::fetch`] composes it with any
-//! [`PageStore`](asb_storage::PageStore), and [`BufferedStore`] packages the
-//! pair back up as a `PageStore`, so index structures are oblivious to
-//! buffering. Reads hand out RAII [`PageReadGuard`]s — the guard pins the
-//! frame until dropped, and no raw `Page`-by-value read path exists.
+//! [`PageStore`](asb_storage::PageStore), and [`PageFile`] holds a store
+//! with an optional buffer in front of it, so index structures are
+//! oblivious to buffering. Buffered reads hand out RAII [`PageReadGuard`]s —
+//! the guard pins the frame until dropped — and `PageFile::read` lends the
+//! page to a closure; neither returns a raw `Page` by value.
 //! Writes come in write-through and write-back (buffered) flavours; with a
 //! write-ahead log attached, buffered writes are crash-durable and dirty
 //! evictions perform write-backs.
 //!
 //! ## Concurrency
 //!
-//! Two thread-safe pools wrap the same `BufferManager` machinery and share
-//! one trait surface, [`BufferPool`]:
-//!
-//! * [`concurrent::SharedBuffer`] — one coarse mutex around store + buffer;
-//!   simplest, exactly serialized.
-//! * [`ShardedBuffer`] — the pool is striped over independently locked
-//!   shards (deterministic page-id hashing), the store sits behind a
-//!   reader-writer lock and is only read-locked on misses; concurrent
-//!   misses on the same page are coalesced into one store read
-//!   (single-flight). With one shard and one thread it reproduces the
-//!   sequential buffer's counts exactly; with many shards, hits and misses
-//!   in different shards proceed in parallel.
+//! One thread-safe pool, [`ShardedBuffer`], wraps the same `BufferManager`
+//! machinery behind the [`BufferPool`] trait. The pool is striped over
+//! independently locked shards (deterministic page-id hashing), the store
+//! sits behind a reader-writer lock and is only read-locked on misses;
+//! concurrent misses on the same page are coalesced into one store read
+//! (single-flight). With one shard it is the coarse pool: one mutex
+//! serializes every probe and every admission, but not whole fetches —
+//! the lock is released during the store read. Readers that ask for the
+//! same cold page at once share one physical read, and only the one that
+//! brought it in counts a miss (the rest count as hits once they find it
+//! resident). Only a single-threaded replay is count-exact: it reproduces
+//! the sequential buffer's counts bit for bit. With many shards, hits and
+//! misses in different shards proceed in parallel.
 //!
 //! A watermark-driven background [`Flusher`] drains dirty frames ahead of
 //! eviction pressure, keeping the next checkpoint's redo horizon short.
@@ -53,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 mod flusher;
 mod guard;
 mod manager;
@@ -64,10 +65,9 @@ mod pool;
 pub mod sharded;
 pub mod sync;
 
-pub use concurrent::SharedBuffer;
 pub use flusher::{Flusher, FlusherConfig, FlusherHandle, FlusherStats};
 pub use guard::{PageReadGuard, PageWriteGuard};
-pub use manager::{BufferManager, BufferStats, BufferedStore, StoreIo};
+pub use manager::{BufferManager, BufferStats, PageFile, StoreIo};
 pub use policies::{
     ArenaParams, ArenaPolicy, ArenaState, AsbParams, AsbPolicy, ClockPolicy, ExpertState,
     FifoPolicy, LruKPolicy, LruPolicy, LruPriorityPolicy, LruTypePolicy, RandomPolicy, Roster,

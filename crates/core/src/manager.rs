@@ -122,10 +122,7 @@ impl std::iter::Sum for BufferStats {
 /// page on a miss, write a page back on a dirty eviction or flush.
 ///
 /// Every [`PageStore`] is a `StoreIo`; the sharded pool supplies an adapter
-/// that takes its store lock per operation, and closure-based read paths
-/// (see [`BufferManager::fetch_with`]) use a fetch-only adapter whose
-/// write-backs fail with
-/// [`StorageError::WritebackUnavailable`].
+/// that takes its store lock per operation.
 pub trait StoreIo {
     /// Fetches a page from the backing store.
     fn fetch(&mut self, id: PageId, ctx: AccessContext) -> Result<Page>;
@@ -141,19 +138,6 @@ impl<S: PageStore> StoreIo for S {
 
     fn store(&mut self, page: &Page) -> Result<()> {
         self.write(page.clone())
-    }
-}
-
-/// Fetch-only [`StoreIo`] over a closure; write-backs are unavailable.
-struct FetchIo<F>(F);
-
-impl<F: FnMut(PageId, AccessContext) -> Result<Page>> StoreIo for FetchIo<F> {
-    fn fetch(&mut self, id: PageId, ctx: AccessContext) -> Result<Page> {
-        (self.0)(id, ctx)
-    }
-
-    fn store(&mut self, page: &Page) -> Result<()> {
-        Err(StorageError::WritebackUnavailable(page.id))
     }
 }
 
@@ -213,20 +197,6 @@ pub(crate) fn fetch_page_with_retry<IO: StoreIo + ?Sized>(
     }
 }
 
-/// A [`StoreIo`] with no store at all, for admitting pages that already
-/// exist in the backing store (two-phase allocation).
-struct NoWriteback;
-
-impl StoreIo for NoWriteback {
-    fn fetch(&mut self, id: PageId, _ctx: AccessContext) -> Result<Page> {
-        Err(StorageError::PageNotFound(id))
-    }
-
-    fn store(&mut self, page: &Page) -> Result<()> {
-        Err(StorageError::WritebackUnavailable(page.id))
-    }
-}
-
 struct Frame {
     page: Page,
     /// Pin count, shared with every live [`PageReadGuard`] on this frame.
@@ -248,8 +218,8 @@ struct Frame {
 ///
 /// The manager does not own a disk; compose it with any
 /// [`PageStore`] via [`fetch`](BufferManager::fetch) /
-/// [`write_through`](BufferManager::write_through), or wrap the pair in a
-/// [`BufferedStore`]. Reads hand out RAII [`PageReadGuard`]s: the guard
+/// [`write_through`](BufferManager::write_through), or hold the pair as a
+/// [`PageFile`]. Reads hand out RAII [`PageReadGuard`]s: the guard
 /// pins the frame (excluding it from eviction) until dropped, and derefs
 /// to the page. Writes come in two flavours:
 /// [`write_through`](BufferManager::write_through) updates the store
@@ -589,20 +559,6 @@ impl BufferManager {
         self.admit_fetched(page, ctx, io)
     }
 
-    /// [`fetch`](BufferManager::fetch) for callers that only have a fetch
-    /// closure. A transient closure failure is retried (the closure may be
-    /// called several times), but dirty evictions fail with
-    /// [`StorageError::WritebackUnavailable`] on this path because there
-    /// is nowhere to write to.
-    pub fn fetch_with(
-        &mut self,
-        id: PageId,
-        ctx: AccessContext,
-        fetch: impl FnMut(PageId, AccessContext) -> Result<Page>,
-    ) -> Result<PageReadGuard> {
-        self.fetch(&mut FetchIo(fetch), id, ctx)
-    }
-
     /// First half of a read: records the access and serves a hit from the
     /// resident frame, or counts the miss and returns `None` (a corrupt
     /// resident copy is discarded and becomes a counted miss). The sharded
@@ -651,12 +607,15 @@ impl BufferManager {
         }
     }
 
-    /// Pins the resident copy of `id` and records the access's recency
-    /// with the policy, without touching the hit/miss counters — the
-    /// sharded pool uses this when a page it already counted a miss for
-    /// turns out to have been admitted by a concurrent flight. Returns
-    /// `None` when the page is not resident or its resident copy fails its
-    /// checksum (which discards the copy, as on the probe path).
+    /// Serves a request whose [`probe`](BufferManager::probe) counted a
+    /// miss from the resident copy a concurrent flight admitted in the
+    /// meantime. The request is then a hit in every respect — the policy
+    /// sees `on_hit` and the miss is recounted as a hit — exactly as if it
+    /// had arrived after that admission, so a page misses once per
+    /// residency however many threads ask for it at the same moment.
+    /// Returns `None`, leaving the miss counted, when the page is not
+    /// resident or its resident copy fails its checksum (which discards
+    /// the copy, as on the probe path).
     pub(crate) fn pin_resident(&mut self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
         let frame = self.frames.get(&id)?;
         if !frame.page.verify_checksum() {
@@ -666,23 +625,14 @@ impl BufferManager {
             return None;
         }
         let page = frame.page.clone();
+        // A `reset_stats` racing between probe and here already dropped
+        // the miss; leave the fresh counters balanced.
+        if let Some(misses) = self.stats.misses.checked_sub(1) {
+            self.stats.misses = misses;
+            self.stats.hits += 1;
+        }
         self.policy.on_hit(&page, ctx, self.tick);
         Some(self.guard_for(id, page))
-    }
-
-    /// Admits a prefetched page without recording a logical access (the
-    /// page was not requested — it is being staged ahead of demand).
-    /// Skips pages already resident; eviction accounting runs normally.
-    pub(crate) fn admit_prefetched<IO: StoreIo + ?Sized>(
-        &mut self,
-        page: Page,
-        io: &mut IO,
-    ) -> Result<bool> {
-        if self.frames.contains_key(&page.id) || !page.verify_checksum() {
-            return Ok(false);
-        }
-        self.tick += 1;
-        self.admit_or_overflow(page, AccessContext::default(), false, None, io)
     }
 
     /// A guard over a page served without admission (every frame pinned):
@@ -726,22 +676,6 @@ impl BufferManager {
     /// have accrued sequentially.
     pub(crate) fn note_give_up(&mut self) {
         self.stats.give_ups += 1;
-    }
-
-    /// The post-probe miss path of [`fetch`](BufferManager::fetch): the
-    /// retrying store read plus admission, with the miss itself already
-    /// counted by [`probe`](BufferManager::probe). Batched pools probe a
-    /// whole batch under one lock acquisition and then resolve the misses
-    /// through this, so batched accounting is indistinguishable from the
-    /// sequential path's.
-    pub(crate) fn fetch_missed<IO: StoreIo + ?Sized>(
-        &mut self,
-        io: &mut IO,
-        id: PageId,
-        ctx: AccessContext,
-    ) -> Result<PageReadGuard> {
-        let page = self.fetch_with_retry(io, id, ctx)?;
-        self.admit_fetched(page, ctx, io)
     }
 
     /// Fetches `id`, retrying transient failures (including checksum
@@ -789,14 +723,9 @@ impl BufferManager {
     /// Writes a page through the buffer: the underlying store is updated,
     /// and a resident copy (if any) is refreshed along with the policy's
     /// view of the page's metadata. Transient write faults are retried.
-    pub fn write_through<S: PageStore>(&mut self, inner: &mut S, page: Page) -> Result<()> {
-        self.write_via(inner, page)
-    }
-
-    /// [`write_through`](BufferManager::write_through) via an explicit
-    /// [`StoreIo`]. With a WAL attached the page image is logged before
-    /// the store write, so a torn store write is repairable by redo.
-    pub fn write_via<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: Page) -> Result<()> {
+    /// With a WAL attached the page image is logged before the store
+    /// write, so a torn store write is repairable by redo.
+    pub fn write_through<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: Page) -> Result<()> {
         self.wal_append(&page)?;
         self.store_with_retry(io, &page)?;
         if let Some(frame) = self.frames.get_mut(&page.id) {
@@ -813,21 +742,11 @@ impl BufferManager {
     ///
     /// The frame is marked dirty; evicting it later performs the write-back,
     /// and a failed write-back leaves the page resident (see
-    /// [`BufferStats::failed_evictions`]).
-    pub fn write_buffered<S: PageStore>(&mut self, inner: &mut S, page: Page) -> Result<()> {
-        self.write_buffered_via(inner, page)
-    }
-
-    /// [`write_buffered`](BufferManager::write_buffered) via an explicit
-    /// [`StoreIo`] (only used if admission must evict). With a WAL
-    /// attached the page image is appended *before* the frame is dirtied
-    /// (WAL-before-write-back): the append is the commit point, and a
-    /// crash any time after it cannot lose the update.
-    pub fn write_buffered_via<IO: StoreIo + ?Sized>(
-        &mut self,
-        io: &mut IO,
-        page: Page,
-    ) -> Result<()> {
+    /// [`BufferStats::failed_evictions`]); `io` is only used if admission
+    /// must evict. With a WAL attached the page image is appended *before*
+    /// the frame is dirtied (WAL-before-write-back): the append is the
+    /// commit point, and a crash any time after it cannot lose the update.
+    pub fn write_buffered<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: Page) -> Result<()> {
         let lsn = self.wal_append(&page)?;
         if let Some(frame) = self.frames.get_mut(&page.id) {
             frame.page = page.clone();
@@ -855,12 +774,7 @@ impl BufferManager {
     /// dirty frame is attempted, failed ones stay resident and dirty, and
     /// the failures surface as one aggregated
     /// [`StorageError::FlushIncomplete`] naming every failed page.
-    pub fn flush<S: PageStore>(&mut self, inner: &mut S) -> Result<()> {
-        self.flush_via(inner)
-    }
-
-    /// [`flush`](BufferManager::flush) via an explicit [`StoreIo`].
-    pub fn flush_via<IO: StoreIo + ?Sized>(&mut self, io: &mut IO) -> Result<()> {
+    pub fn flush<IO: StoreIo + ?Sized>(&mut self, io: &mut IO) -> Result<()> {
         let mut dirty: Vec<PageId> = self
             .frames
             .iter()
@@ -868,27 +782,7 @@ impl BufferManager {
             .map(|(&id, _)| id)
             .collect();
         dirty.sort_unstable();
-        let mut failures = Vec::new();
-        for id in dirty {
-            let Some(page) = self.frames.get(&id).map(|f| f.page.clone()) else {
-                continue;
-            };
-            match self.store_with_retry(io, &page) {
-                Ok(()) => {
-                    self.stats.writebacks += 1;
-                    if let Some(frame) = self.frames.get_mut(&id) {
-                        frame.dirty = false;
-                        frame.rec_lsn = None;
-                    }
-                }
-                Err(e) => failures.push((id, Box::new(e))),
-            }
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(StorageError::FlushIncomplete { failures })
-        }
+        self.write_back(io, dirty).map(|_| ())
     }
 
     /// Writes back at most `max` dirty frames, oldest redo horizon first
@@ -899,11 +793,7 @@ impl BufferManager {
     /// back; failures aggregate to [`StorageError::FlushIncomplete`] after
     /// every selected frame was attempted, like
     /// [`flush`](BufferManager::flush).
-    pub fn flush_some_via<IO: StoreIo + ?Sized>(
-        &mut self,
-        io: &mut IO,
-        max: usize,
-    ) -> Result<usize> {
+    pub fn flush_some<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, max: usize) -> Result<usize> {
         let mut dirty: Vec<(bool, Option<Lsn>, PageId)> = self
             .frames
             .iter()
@@ -912,9 +802,15 @@ impl BufferManager {
             .collect();
         dirty.sort_unstable();
         dirty.truncate(max);
+        self.write_back(io, dirty.into_iter().map(|(_, _, id)| id).collect())
+    }
+
+    /// Writes the frames of `ids` back in the given order, attempting
+    /// every one; returns how many succeeded, or the aggregated failures.
+    fn write_back<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, ids: Vec<PageId>) -> Result<usize> {
         let mut flushed = 0usize;
         let mut failures = Vec::new();
-        for (_, _, id) in dirty {
+        for id in ids {
             let Some(page) = self.frames.get(&id).map(|f| f.page.clone()) else {
                 continue;
             };
@@ -946,11 +842,7 @@ impl BufferManager {
         payload: Bytes,
     ) -> Result<PageId> {
         let id = inner.allocate(meta, payload.clone())?;
-        let page = Page::new(id, meta, payload)?;
-        self.tick += 1;
-        // The page is already durable in the store; if every frame is
-        // pinned it simply is not cached.
-        self.admit_or_overflow(page, AccessContext::default(), false, None, inner)?;
+        self.admit_new(Page::new(id, meta, payload)?, inner)?;
         Ok(id)
     }
 
@@ -958,27 +850,18 @@ impl BufferManager {
     ///
     /// The sharded pool allocates under the store lock, releases it, and
     /// then admits under the owning shard's lock — this is the second phase,
-    /// with accounting identical to [`allocate_through`]. If admission must
-    /// evict a *dirty* victim, this path fails with
-    /// [`StorageError::WritebackUnavailable`]; use
-    /// [`admit_allocated_via`](BufferManager::admit_allocated_via) when a
-    /// store is reachable.
+    /// of which [`allocate_through`] is the one-call form; `io` serves a
+    /// dirty victim's write-back.
     ///
     /// [`allocate_through`]: BufferManager::allocate_through
-    pub fn admit_allocated(&mut self, page: Page) -> Result<()> {
-        self.admit_allocated_via(page, &mut NoWriteback)
-    }
-
-    /// [`admit_allocated`](BufferManager::admit_allocated) via an explicit
-    /// [`StoreIo`] for dirty-victim write-backs.
-    pub fn admit_allocated_via<IO: StoreIo + ?Sized>(
+    pub(crate) fn admit_new<IO: StoreIo + ?Sized>(
         &mut self,
         page: Page,
         io: &mut IO,
     ) -> Result<()> {
         self.tick += 1;
-        // As in `allocate_through`: the store already holds the page, so a
-        // pin-saturated buffer skips caching rather than failing.
+        // The page is already durable in the store; if every frame is
+        // pinned it simply is not cached.
         self.admit_or_overflow(page, AccessContext::default(), false, None, io)?;
         Ok(())
     }
@@ -1104,71 +987,99 @@ impl BufferManager {
     }
 }
 
-/// A [`PageStore`] that transparently routes reads and writes of an inner
-/// store through a [`BufferManager`].
+/// A page store with an optional [`BufferManager`] in front of it.
 ///
-/// This is what index structures hold: swapping buffering on or off (or
-/// swapping policies) never changes index code.
+/// This is what index structures hold: every node access goes through the
+/// one `match` on the buffer below, so attaching, detaching or swapping a
+/// buffer (or its policy) never changes index code.
 #[derive(Debug)]
-pub struct BufferedStore<S: PageStore> {
-    inner: S,
-    buffer: BufferManager,
+pub struct PageFile<S> {
+    store: S,
+    buffer: Option<BufferManager>,
 }
 
-impl<S: PageStore> BufferedStore<S> {
-    /// Wraps `inner` with the given buffer.
-    pub fn new(inner: S, buffer: BufferManager) -> Self {
-        BufferedStore { inner, buffer }
+impl<S: PageStore> PageFile<S> {
+    /// Wraps `store`, unbuffered.
+    pub fn new(store: S) -> Self {
+        PageFile {
+            store,
+            buffer: None,
+        }
     }
 
-    /// The buffer manager.
-    pub fn buffer(&self) -> &BufferManager {
-        &self.buffer
+    /// Reads page `id` and hands it to `f`. With a buffer attached the
+    /// frame stays pinned exactly as long as `f` runs; without one `f`
+    /// sees the store's copy. Neither path clones the page for the caller.
+    pub fn read<R>(
+        &mut self,
+        id: PageId,
+        ctx: AccessContext,
+        f: impl FnOnce(&Page) -> Result<R>,
+    ) -> Result<R> {
+        match &mut self.buffer {
+            Some(buf) => f(&*buf.fetch(&mut self.store, id, ctx)?),
+            None => f(&self.store.read(id, ctx)?),
+        }
     }
 
-    /// Mutable access to the buffer manager.
-    pub fn buffer_mut(&mut self) -> &mut BufferManager {
-        &mut self.buffer
+    /// Writes `page` (write-through when buffered).
+    pub fn write(&mut self, page: Page) -> Result<()> {
+        match &mut self.buffer {
+            Some(buf) => buf.write_through(&mut self.store, page),
+            None => self.store.write(page),
+        }
     }
 
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
+    /// Allocates a page (admitting it to the buffer, if any).
+    pub fn allocate(&mut self, meta: PageMeta, payload: Bytes) -> Result<PageId> {
+        match &mut self.buffer {
+            Some(buf) => buf.allocate_through(&mut self.store, meta, payload),
+            None => self.store.allocate(meta, payload),
+        }
     }
 
-    /// Mutable access to the wrapped store (bypasses the buffer — callers
+    /// Frees a page (dropping any buffered copy).
+    pub fn free(&mut self, id: PageId) -> Result<()> {
+        match &mut self.buffer {
+            Some(buf) => buf.free_through(&mut self.store, id),
+            None => self.store.free(id),
+        }
+    }
+
+    /// Attaches (or replaces) the buffer.
+    pub fn set_buffer(&mut self, buffer: BufferManager) {
+        self.buffer = Some(buffer);
+    }
+
+    /// Detaches and returns the buffer, if any.
+    pub fn take_buffer(&mut self) -> Option<BufferManager> {
+        self.buffer.take()
+    }
+
+    /// The attached buffer.
+    pub fn buffer(&self) -> Option<&BufferManager> {
+        self.buffer.as_ref()
+    }
+
+    /// Mutable access to the attached buffer.
+    pub fn buffer_mut(&mut self) -> Option<&mut BufferManager> {
+        self.buffer.as_mut()
+    }
+
+    /// The backing store.
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
+    /// Mutable access to the backing store (bypasses the buffer — callers
     /// must [`BufferManager::invalidate`] any page they mutate this way).
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
+    pub fn store_mut(&mut self) -> &mut S {
+        &mut self.store
     }
 
-    /// Unwraps into the inner store and buffer.
-    pub fn into_parts(self) -> (S, BufferManager) {
-        (self.inner, self.buffer)
-    }
-}
-
-impl<S: PageStore> PageStore for BufferedStore<S> {
-    fn read(&mut self, id: PageId, ctx: AccessContext) -> Result<Page> {
-        self.buffer
-            .fetch(&mut self.inner, id, ctx)
-            .map(PageReadGuard::into_page)
-    }
-
-    fn write(&mut self, page: Page) -> Result<()> {
-        self.buffer.write_through(&mut self.inner, page)
-    }
-
-    fn allocate(&mut self, meta: PageMeta, payload: Bytes) -> Result<PageId> {
-        self.buffer.allocate_through(&mut self.inner, meta, payload)
-    }
-
-    fn free(&mut self, id: PageId) -> Result<()> {
-        self.buffer.free_through(&mut self.inner, id)
-    }
-
-    fn page_count(&self) -> usize {
-        self.inner.page_count()
+    /// Unwraps into the backing store, dropping the buffer.
+    pub fn into_store(self) -> S {
+        self.store
     }
 }
 
@@ -1330,18 +1241,24 @@ mod tests {
     }
 
     #[test]
-    fn buffered_store_is_transparent() {
+    fn page_file_is_transparent() {
         let (mut disk, _, ids) = setup(1, 3);
         let raw: Vec<Page> = ids
             .iter()
             .map(|&id| disk.read(id, ctx()).unwrap())
             .collect();
-        let mut store = BufferedStore::new(disk, BufferManager::with_policy(PolicyKind::Lru, 2));
-        for (i, &id) in ids.iter().enumerate() {
-            let got = store.read(id, ctx()).unwrap();
-            assert_eq!(got, raw[i]);
+        let mut file = PageFile::new(disk);
+        for buffered in [false, true] {
+            if buffered {
+                file.set_buffer(BufferManager::with_policy(PolicyKind::Lru, 2));
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                let got = file.read(id, ctx(), |p| Ok(p.clone())).unwrap();
+                assert_eq!(got, raw[i]);
+            }
         }
-        assert_eq!(store.page_count(), 3);
+        assert_eq!(file.buffer().unwrap().stats().misses, 3);
+        assert_eq!(file.store().page_count(), 3);
     }
 
     #[test]
@@ -1418,62 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_retries_are_transparent() {
-        let (mut disk, mut buf, ids) = setup(2, 1);
-        let mut attempts = 0;
-        let page = buf
-            .fetch_with(ids[0], ctx(), |id, ctx| {
-                attempts += 1;
-                if attempts < 3 {
-                    Err(StorageError::TransientRead(id))
-                } else {
-                    disk.read(id, ctx)
-                }
-            })
-            .unwrap();
-        assert_eq!(page.id, ids[0]);
-        assert_eq!(attempts, 3);
-        assert_eq!(buf.stats().retries, 2);
-        assert!(buf.simulated_backoff_ms() > 0.0);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_typed_give_up() {
-        let (_, mut buf, ids) = setup(2, 1);
-        buf.set_retry_policy(asb_storage::RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 0.0,
-            backoff_multiplier: 1.0,
-        });
-        let err = buf
-            .fetch_with(ids[0], ctx(), |id, _| Err(StorageError::TransientRead(id)))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            StorageError::RetriesExhausted {
-                id: ids[0],
-                attempts: 3,
-                last: Box::new(StorageError::TransientRead(ids[0])),
-            }
-        );
-    }
-
-    #[test]
-    fn non_transient_fetch_errors_are_not_retried() {
-        let (_, mut buf, ids) = setup(2, 1);
-        let mut attempts = 0;
-        let err = buf
-            .fetch_with(ids[0], ctx(), |id, _| {
-                attempts += 1;
-                Err(StorageError::PageNotFound(id))
-            })
-            .unwrap_err();
-        assert_eq!(err, StorageError::PageNotFound(ids[0]));
-        assert_eq!(attempts, 1);
-        assert_eq!(buf.stats().retries, 0);
-    }
-
-    #[test]
     fn non_transient_write_back_errors_are_not_retried() {
         use asb_storage::{FaultConfig, FaultyStore};
         let (disk, mut buf, ids) = setup(2, 1);
@@ -1493,26 +1354,6 @@ mod tests {
             "the permanent failure passes through unwrapped and unretried"
         );
         assert_eq!(buf.stats().retries, 0);
-    }
-
-    #[test]
-    fn zero_attempt_retry_policy_behaves_like_single_attempt() {
-        let (_, mut buf, ids) = setup(2, 1);
-        buf.set_retry_policy(asb_storage::RetryPolicy {
-            max_attempts: 0,
-            base_backoff_ms: 1.0,
-            backoff_multiplier: 2.0,
-        });
-        let mut attempts = 0;
-        let err = buf
-            .fetch_with(ids[0], ctx(), |id, _| {
-                attempts += 1;
-                Err(StorageError::TransientRead(id))
-            })
-            .unwrap_err();
-        assert_eq!(attempts, 1, "budget of zero still makes the one attempt");
-        assert_eq!(buf.stats().retries, 0);
-        assert!(matches!(err, StorageError::RetriesExhausted { .. }));
     }
 
     #[test]

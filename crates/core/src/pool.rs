@@ -1,10 +1,10 @@
-//! The shared trait surface of the thread-safe buffer pools.
+//! The trait surface of the thread-safe buffer pool.
 //!
-//! [`SharedBuffer`](crate::SharedBuffer) (one coarse mutex) and
-//! [`ShardedBuffer`](crate::ShardedBuffer) (lock-striped) expose the same
-//! guard-based access API; [`BufferPool`] captures it so experiment
-//! drivers, examples and replay harnesses can be written once and run
-//! against either pool.
+//! [`ShardedBuffer`](crate::ShardedBuffer) is the one pool; [`BufferPool`]
+//! captures its guard-based access API as an object-safe trait so
+//! experiment drivers, the serving engine and replay harnesses take
+//! `&dyn BufferPool` and a decorator (a tracing or timing wrapper) can
+//! stand in for the pool.
 
 use crate::guard::{PageReadGuard, PageWriteGuard};
 use crate::manager::BufferStats;
@@ -21,9 +21,10 @@ pub struct FetchOutcome {
     // guard-send-ok: by-value return wrapper — the guard's pin lifetime is
     // the caller's stack frame, exactly as if fetch() had returned it bare.
     pub guard: PageReadGuard,
-    /// `true` when the first residency probe served the page; `false`
-    /// when the backing store was read (including when the read was
-    /// coalesced into another request's in-flight fetch).
+    /// `true` when the page was served from a resident frame — by the
+    /// first residency probe, or after a concurrent request's in-flight
+    /// fetch admitted it while this one waited; `false` when this
+    /// request's own fetch brought the page in.
     pub hit: bool,
 }
 
@@ -53,19 +54,18 @@ pub trait BufferPool {
 
     /// Reads a batch of pages, returning one *independent* result per id
     /// in input order: a failing page fails its own slot with a typed
-    /// [`PageError`] and never aborts its siblings. Implementations may
-    /// amortize locking across the batch (e.g. one shard-lock acquisition
-    /// for all resident pages of a shard), but the per-request accounting
-    /// must be indistinguishable from issuing the same `fetch_classified`
-    /// calls in input order.
-    fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
-        ids.iter()
-            .map(|&id| {
-                self.fetch_classified(id, ctx)
-                    .map_err(|e| PageError::new(id, e))
-            })
-            .collect()
-    }
+    /// [`PageError`] and never aborts its siblings.
+    ///
+    /// The batch probes the first occurrence of every id (pinning the
+    /// resident ones as hits), then resolves the misses and the repeated
+    /// ids in input order. Per-request accounting equals issuing the same
+    /// `fetch_classified` calls in input order whenever no admission in
+    /// the batch evicts a later batch member; under eviction pressure a
+    /// probe-phase hit is pinned before an earlier sibling's admission
+    /// could have evicted it, so the batch can count a hit where the
+    /// sequential order counts a miss (see
+    /// [`ShardedBuffer::fetch_batch`](crate::ShardedBuffer::fetch_batch)).
+    fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult>;
 
     /// Serves `id` from buffer-resident state only: a hit pins and
     /// returns the frame; a miss is counted in the pool's statistics and
@@ -74,18 +74,13 @@ pub trait BufferPool {
     /// circuit breaker has declared the backing store unhealthy.
     fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard>;
 
-    /// Number of independently locked shards (1 for coarse-locked pools).
-    fn shard_count(&self) -> usize {
-        1
-    }
+    /// Number of independently locked shards.
+    fn shard_count(&self) -> usize;
 
-    /// The shard that serves `id` (always 0 for coarse-locked pools).
-    /// Batching front ends group page requests by shard so each group's
-    /// store latency can be charged to one simulated I/O channel.
-    fn shard_of(&self, id: PageId) -> usize {
-        let _ = id;
-        0
-    }
+    /// The shard that serves `id`. Batching front ends group page requests
+    /// by shard so each group's store latency can be charged to one
+    /// simulated I/O channel.
+    fn shard_of(&self, id: PageId) -> usize;
 
     /// Physical I/O statistics of the backing store, including its
     /// simulated-time clock (`IoStats::simulated_ms`). Latency harnesses
@@ -115,69 +110,10 @@ pub trait BufferPool {
     /// Drops every buffered page and resets buffer statistics.
     fn clear(&self);
 
-    /// Expert-arena snapshots, one per independently mixing unit: a
-    /// single entry for a coarse-locked pool, one entry per shard for a
-    /// striped pool. Entries are `None` for non-arena policies, so the
+    /// Expert-arena snapshots, one per shard (each shard mixes
+    /// independently). Entries are `None` for non-arena policies, so the
     /// result doubles as a "which shards mix?" probe.
     fn arena_states(&self) -> Vec<Option<ArenaState>>;
-}
-
-impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::SharedBuffer<S> {
-    fn fetch(&self, id: PageId, ctx: AccessContext) -> Result<PageReadGuard> {
-        crate::SharedBuffer::fetch(self, id, ctx)
-    }
-
-    fn fetch_classified(&self, id: PageId, ctx: AccessContext) -> Result<FetchOutcome> {
-        crate::SharedBuffer::fetch_classified(self, id, ctx)
-            .map(|(guard, hit)| FetchOutcome { guard, hit })
-    }
-
-    fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
-        crate::SharedBuffer::fetch_batch(self, ids, ctx)
-            .into_iter()
-            .map(|slot| slot.map(|(guard, hit)| FetchOutcome { guard, hit }))
-            .collect()
-    }
-
-    fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
-        crate::SharedBuffer::fetch_resident(self, id, ctx)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        crate::SharedBuffer::io_stats(self)
-    }
-
-    fn fetch_mut(&self, id: PageId, ctx: AccessContext) -> Result<PageWriteGuard> {
-        crate::SharedBuffer::fetch_mut(self, id, ctx)
-    }
-
-    fn flush(&self) -> Result<()> {
-        crate::SharedBuffer::flush(self)
-    }
-
-    fn stats(&self) -> BufferStats {
-        crate::SharedBuffer::stats(self)
-    }
-
-    fn dirty_count(&self) -> usize {
-        crate::SharedBuffer::dirty_count(self)
-    }
-
-    fn live_guards(&self) -> u64 {
-        crate::SharedBuffer::live_guards(self)
-    }
-
-    fn capacity(&self) -> usize {
-        crate::SharedBuffer::capacity(self)
-    }
-
-    fn clear(&self) {
-        crate::SharedBuffer::clear(self)
-    }
-
-    fn arena_states(&self) -> Vec<Option<ArenaState>> {
-        vec![crate::SharedBuffer::arena_state(self)]
-    }
 }
 
 impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::ShardedBuffer<S> {
@@ -249,14 +185,14 @@ impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::Sharde
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::BufferManager;
     use crate::policy::PolicyKind;
-    use crate::{ShardedBuffer, SharedBuffer};
+    use crate::ShardedBuffer;
     use asb_geom::SpatialStats;
     use asb_storage::{DiskManager, PageMeta, PageStore};
     use bytes::Bytes;
 
-    /// A driver written once against the trait, exercised over both pools.
+    /// A driver written once against the trait, exercised over the coarse
+    /// (1-shard) and the striped pool.
     fn drive(pool: &dyn BufferPool, ids: &[PageId]) {
         for &id in ids {
             let guard = pool.fetch(id, AccessContext::default()).unwrap();
@@ -342,13 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn both_pools_serve_the_same_trait_driver() {
-        let (disk, ids) = disk_with_pages(8);
-        let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Lru, 8));
-        drive(&shared, &ids);
-
-        let (disk, ids) = disk_with_pages(8);
-        let sharded = ShardedBuffer::new(disk, PolicyKind::Lru, 8, 2);
-        drive(&sharded, &ids);
+    fn coarse_and_striped_pools_serve_the_same_trait_driver() {
+        for shards in [1, 2] {
+            let (disk, ids) = disk_with_pages(8);
+            let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 8, shards);
+            assert_eq!(BufferPool::shard_count(&pool), shards);
+            drive(&pool, &ids);
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! Lock-striped, parallel-serving buffer pool.
 //!
-//! [`SharedBuffer`](crate::concurrent::SharedBuffer) serializes every page
-//! request behind one mutex — correct, but a single hot lock. This module
-//! stripes the buffer across `N` independent *shards*: each shard owns its
-//! own frame table, replacement policy and statistics, and a page id is
-//! deterministically routed to exactly one shard. Requests for pages in
-//! different shards proceed in parallel; the backing store sits behind a
-//! reader-writer lock and is only read-locked on a miss (via
-//! [`ConcurrentPageStore::read_shared`]), so misses from different shards
-//! also overlap.
+//! This is the one thread-safe pool. The buffer is striped across `N`
+//! independent *shards*: each shard owns its own frame table, replacement
+//! policy and statistics, and a page id is deterministically routed to
+//! exactly one shard. `N = 1` is the coarse pool: its one mutex
+//! serializes probe and admit steps, not whole fetches (see below).
+//! Requests for pages in different shards proceed in parallel; the
+//! backing store sits behind a reader-writer lock and is only read-locked
+//! on a miss (via [`ConcurrentPageStore::read_shared`]), so misses from
+//! different shards also overlap.
 //!
 //! Reads hand out RAII [`PageReadGuard`]s: the shard lock is taken only to
 //! probe or admit, and is released before the caller ever touches the page
@@ -16,7 +16,14 @@
 //! resident. Concurrent misses on the *same* page are coalesced by a
 //! [`SingleFlight`] scheduler: one leader performs the store read and
 //! admission, every concurrent reader of that page shares the result, so
-//! N simultaneous misses cost exactly one physical read.
+//! N simultaneous misses cost exactly one physical read. The statistics
+//! follow suit: the leader keeps its miss, and a reader that finds the
+//! page resident once it re-takes the shard lock is recounted as the hit
+//! it would have been had it arrived after the admission. A page thus
+//! misses once per residency; a waiting reader counts a second miss (with
+//! no second read) only if the leader's admission was already evicted
+//! again. Hit and miss totals under concurrency still depend on the
+//! schedule — only a single-threaded trace is count-exact.
 //!
 //! # Reproduction guarantee
 //!
@@ -103,7 +110,7 @@ struct ShardSink<S: ConcurrentPageStore> {
 impl<S: ConcurrentPageStore> WriteSink for ShardSink<S> {
     fn commit(&self, page: Page) -> Result<()> {
         let mut buf = self.inner.shards[self.shard].lock();
-        buf.write_buffered_via(&mut PoolIo(&self.inner.store), page)
+        buf.write_buffered(&mut PoolIo(&self.inner.store), page)
     }
 }
 
@@ -230,10 +237,12 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     }
 
     /// [`fetch`](ShardedBuffer::fetch), additionally reporting whether the
-    /// request was a buffer hit. `hit` is `true` exactly when the first
-    /// residency probe served the page — a read coalesced into another
-    /// request's in-flight fetch still reports `false`, matching the miss
-    /// its probe recorded in the shard's statistics.
+    /// request was a buffer hit. The flag mirrors what the shard's
+    /// statistics recorded for this request: `true` when the page was
+    /// served from a resident frame — by the first probe, or after a
+    /// concurrent request's flight admitted it while this one waited — and
+    /// `false` when this request's own fetch brought the page in (or
+    /// failed to).
     pub fn fetch_classified(
         &self,
         id: PageId,
@@ -247,14 +256,19 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             }
         }
         self.resolve_miss(shard, id, ctx)
-            .map(|guard| (guard, false))
     }
 
     /// The post-probe miss path shared by [`fetch_classified`] and
     /// [`fetch_batch`]: the miss is already counted, the shard lock is
     /// released so the flight (ours or another thread's) can take it from
-    /// the closure.
-    fn resolve_miss(&self, shard: usize, id: PageId, ctx: AccessContext) -> Result<PageReadGuard> {
+    /// the closure. The flag is `true` when the page turned out resident
+    /// after all and the miss was recounted as a hit.
+    fn resolve_miss(
+        &self,
+        shard: usize,
+        id: PageId,
+        ctx: AccessContext,
+    ) -> Result<(PageReadGuard, bool)> {
         match self
             .inner
             .scheduler
@@ -278,11 +292,13 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
                 // returns; the Joined arm holds nothing over this lock.
                 let mut buf = self.inner.shards[shard].lock();
                 match buf.pin_resident(id, ctx) {
-                    Some(guard) => Ok(guard),
+                    Some(guard) => Ok((guard, true)),
                     // The leader's admission was evicted (or corrupted)
                     // before we got the shard lock; re-admit the copy the
                     // flight delivered instead of re-reading the store.
-                    None => buf.admit_fetched(page, ctx, &mut PoolIo(&self.inner.store)),
+                    None => buf
+                        .admit_fetched(page, ctx, &mut PoolIo(&self.inner.store))
+                        .map(|guard| (guard, false)),
                 }
             }
         }
@@ -293,15 +309,27 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// [`PageError`] and never aborts its siblings (the partial-failure
     /// contract the serving layer's graceful degradation is built on).
     ///
-    /// Resident pages of a shard are probed under a single shard-lock
-    /// acquisition; the misses then run through the normal single-flight
-    /// path. Accounting is indistinguishable from issuing the same
-    /// [`fetch_classified`](ShardedBuffer::fetch_classified) calls in
-    /// input order: each id is probed exactly once, and an id repeated
-    /// within the batch is deferred until its first occurrence has
-    /// resolved (so the repeat classifies as the hit it would have been
-    /// sequentially; a repeat of a failed id re-attempts and accrues its
-    /// own accounting, exactly as back-to-back sequential fetches would).
+    /// The batch runs in two phases. *Probe:* the first occurrence of every
+    /// id is probed, shard by shard under a single shard-lock acquisition
+    /// each; a resident page is pinned and classified a hit there and
+    /// then. *Resolve:* the remaining slots are served in input order — a
+    /// first occurrence that missed goes through the single-flight miss
+    /// path, and an id repeated within the batch runs a full
+    /// [`fetch_classified`](ShardedBuffer::fetch_classified) after its
+    /// first occurrence has resolved (so the repeat classifies as the hit
+    /// it would have been sequentially; a repeat of a failed id
+    /// re-attempts and accrues its own accounting).
+    ///
+    /// Accounting equals issuing the same `fetch_classified` calls in
+    /// input order **whenever no admission in the batch evicts a later
+    /// batch member**. Under eviction pressure it can differ: a
+    /// probe-phase hit is pinned before an earlier sibling's admission
+    /// could have evicted it, so the batch may count a hit (and choose a
+    /// different victim) where the sequential order counts a miss. The
+    /// shard's logical clock also runs ahead: every probe advances it
+    /// before the first miss is admitted, so a policy that ranks by
+    /// timestamp (LRU-K, ASB's overflow comparison) sees the batch's
+    /// admissions tie where one-at-a-time fetches would order them.
     pub fn fetch_batch(
         &self,
         ids: &[PageId],
@@ -340,9 +368,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             let slot = if deferred[i] {
                 self.fetch_classified(id, ctx)
             } else {
-                let shard = self.shard_of(id);
-                self.resolve_miss(shard, id, ctx)
-                    .map(|guard| (guard, false))
+                self.resolve_miss(self.shard_of(id), id, ctx)
             };
             out[i] = Some(slot.map_err(|e| PageError::new(id, e)));
         }
@@ -365,20 +391,21 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// The miss path run by a flight leader: re-check residency, read the
     /// store without holding the shard lock, then admit. Returns the
-    /// leader's own outcome plus the page published to followers.
+    /// leader's own outcome (guard and hit flag) plus the page published
+    /// to followers.
     fn lead_fetch(
         &self,
         shard: usize,
         id: PageId,
         ctx: AccessContext,
-    ) -> (Result<PageReadGuard>, Result<Page>) {
+    ) -> (Result<(PageReadGuard, bool)>, Result<Page>) {
         let retry = {
             let mut buf = self.inner.shards[shard].lock();
             // A flight that retired between our probe and our leadership
             // already admitted the page — serve it without a store read.
             if let Some(guard) = buf.pin_resident(id, ctx) {
                 let page = guard.page().clone();
-                return (Ok(guard), Ok(page));
+                return (Ok((guard, true)), Ok(page));
             }
             buf.retry_policy()
         };
@@ -391,7 +418,8 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         buf.apply_fetch_effort(effort);
         match result {
             Ok(page) => (
-                buf.admit_fetched(page.clone(), ctx, &mut PoolIo(&self.inner.store)),
+                buf.admit_fetched(page.clone(), ctx, &mut PoolIo(&self.inner.store))
+                    .map(|guard| (guard, false)),
                 Ok(page),
             ),
             Err(e) => {
@@ -425,63 +453,18 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         ))
     }
 
-    /// Stages pages ahead of demand: reads every non-resident `id` in one
-    /// batched store pass per shard (a single shared-lock acquisition,
-    /// ascending page-id order — sequential-friendly) and admits the
-    /// copies without recording logical accesses. Pages that fail to read
-    /// are skipped (prefetching is best-effort); returns how many pages
-    /// were actually admitted. Errors surface only from admission itself
-    /// (an eviction write-back failing).
-    pub fn prefetch(&self, ids: &[PageId]) -> Result<usize> {
-        let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); self.inner.shards.len()];
-        for &id in ids {
-            by_shard[self.shard_of(id)].push(id);
-        }
-        let mut admitted = 0usize;
-        for (shard, mut wanted) in by_shard.into_iter().enumerate() {
-            if wanted.is_empty() {
-                continue;
-            }
-            wanted.sort_unstable();
-            wanted.dedup();
-            let missing: Vec<PageId> = {
-                let buf = self.inner.shards[shard].lock();
-                wanted.into_iter().filter(|&id| !buf.contains(id)).collect()
-            };
-            if missing.is_empty() {
-                continue;
-            }
-            let pages: Vec<Page> = {
-                let store = self.inner.store.read();
-                missing
-                    .iter()
-                    .filter_map(|&id| store.read_shared(id, AccessContext::default()).ok())
-                    .collect()
-            };
-            // lock-order-ok: the store read lock above lives in its own
-            // block and is released before the shard lock is taken.
-            let mut buf = self.inner.shards[shard].lock();
-            for page in pages {
-                if buf.admit_prefetched(page, &mut PoolIo(&self.inner.store))? {
-                    admitted += 1;
-                }
-            }
-        }
-        Ok(admitted)
-    }
-
     /// Writes a page through its shard (write-through: the store is updated
     /// under the exclusive lock, any resident copy is refreshed).
     pub fn write(&self, page: Page) -> Result<()> {
         let mut shard = self.inner.shards[self.shard_of(page.id)].lock();
-        shard.write_via(&mut PoolIo(&self.inner.store), page)
+        shard.write_through(&mut PoolIo(&self.inner.store), page)
     }
 
     /// Writes a page into its shard only, deferring the store write to
     /// eviction or [`flush`](ShardedBuffer::flush) (write-back caching).
     pub fn write_buffered(&self, page: Page) -> Result<()> {
         let mut shard = self.inner.shards[self.shard_of(page.id)].lock();
-        shard.write_buffered_via(&mut PoolIo(&self.inner.store), page)
+        shard.write_buffered(&mut PoolIo(&self.inner.store), page)
     }
 
     /// Writes every dirty frame in every shard back to the store. Every
@@ -492,7 +475,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     pub fn flush(&self) -> Result<()> {
         let mut failures = Vec::new();
         for shard in &self.inner.shards {
-            match shard.lock().flush_via(&mut PoolIo(&self.inner.store)) {
+            match shard.lock().flush(&mut PoolIo(&self.inner.store)) {
                 Ok(()) => {}
                 Err(StorageError::FlushIncomplete { failures: f }) => failures.extend(f),
                 Err(e) => return Err(e),
@@ -507,7 +490,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Writes back at most `max` dirty frames pool-wide, visiting shards
     /// in index order and draining each shard's oldest redo horizons first
-    /// (see `BufferManager::flush_some_via`). The background
+    /// (see `BufferManager::flush_some`). The background
     /// [`Flusher`](crate::Flusher) calls this in bounded batches so no
     /// shard lock is held for a long scan. Returns the number written
     /// back; per-page failures aggregate into
@@ -522,7 +505,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             }
             match shard
                 .lock()
-                .flush_some_via(&mut PoolIo(&self.inner.store), remaining)
+                .flush_some(&mut PoolIo(&self.inner.store), remaining)
             {
                 Ok(n) => {
                     flushed += n;
@@ -624,7 +607,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         // lock-order-ok: the store write lock is a temporary released at
         // the end of the allocate statement; see the two-phase doc above.
         let mut shard = self.inner.shards[self.shard_of(id)].lock();
-        shard.admit_allocated_via(page, &mut PoolIo(&self.inner.store))?;
+        shard.admit_new(page, &mut PoolIo(&self.inner.store))?;
         Ok(id)
     }
 
@@ -873,6 +856,48 @@ mod tests {
         assert_eq!(pool.io_stats().reads, disk_a.stats().reads);
     }
 
+    /// The clock-exact form of the `fetch_batch` contract, over the
+    /// manager's own primitives: probe every first occurrence, then per
+    /// remaining slot read + admit (a first-occurrence miss) or fetch (a
+    /// repeat). The timestamp-ranking policies (ASB, LRU-K) cannot be
+    /// pinned through `BufferManager`'s public API — `tests/sharded.rs`
+    /// covers the others that way — so they are pinned here.
+    #[test]
+    fn single_shard_batches_match_probe_then_resolve_exactly() {
+        for kind in [PolicyKind::Asb, PolicyKind::LruK { k: 2 }] {
+            let (mut disk, ids) = disk_with_pages(128);
+            let mut seq = BufferManager::with_policy(kind, 24);
+            let (pool_disk, _) = disk_with_pages(128);
+            let pool = ShardedBuffer::new(pool_disk, kind, 24, 1);
+            for (b, chunk) in trace(&ids, 3_000).chunks(10).enumerate() {
+                let ctx = AccessContext::query(QueryId::new(b as u64));
+                let batch: Vec<PageId> = chunk.iter().map(|&(id, _)| id).collect();
+                let first = |i: usize| !batch[..i].contains(&batch[i]);
+                let mut slots: Vec<_> = (0..batch.len())
+                    .map(|i| first(i).then(|| seq.probe(batch[i], ctx)).flatten())
+                    .collect();
+                let mut hits: Vec<bool> = slots.iter().map(Option::is_some).collect();
+                for i in 0..batch.len() {
+                    if slots[i].is_none() && first(i) {
+                        let page = disk.read(batch[i], ctx).unwrap();
+                        slots[i] = Some(seq.admit_fetched(page, ctx, &mut disk).unwrap());
+                    } else if slots[i].is_none() {
+                        let before = seq.stats().hits;
+                        slots[i] = Some(seq.fetch(&mut disk, batch[i], ctx).unwrap());
+                        hits[i] = seq.stats().hits > before;
+                    }
+                }
+                let served = pool.fetch_batch(&batch, ctx);
+                let flags: Vec<bool> = served.iter().map(|s| s.as_ref().unwrap().1).collect();
+                assert_eq!(flags, hits, "{kind:?}: hit flags of batch {b}");
+                drop((slots, served));
+                assert_eq!(pool.stats(), seq.stats(), "{kind:?}: after batch {b}");
+            }
+            assert!(seq.stats().evictions > 0 && seq.stats().hits > 0);
+            assert_eq!(pool.io_stats().reads, disk.stats().reads);
+        }
+    }
+
     #[test]
     fn parallel_reads_preserve_accounting_invariants() {
         let (disk, ids) = disk_with_pages(96);
@@ -896,8 +921,9 @@ mod tests {
         assert_eq!(stats.logical_reads, 2_000);
         assert_eq!(stats.hits + stats.misses, stats.logical_reads);
         assert!(pool.resident() <= pool.capacity());
-        // Single-flight coalescing can serve several counted misses from
-        // one physical read, so reads bound misses from below.
+        // Under eviction pressure a reader that waited on a flight can
+        // find the admission already evicted and re-admit the shared copy:
+        // a counted miss with no read, so reads bound misses from below.
         assert!(pool.io_stats().reads <= stats.misses);
         assert_eq!(pool.live_guards(), 0);
     }
@@ -923,7 +949,10 @@ mod tests {
              into exactly one physical read"
         );
         assert_eq!(pool.stats().logical_reads, 8);
-        assert_eq!(pool.stats().hits + pool.stats().misses, 8);
+        // The reader that brought the page in is the one miss; the seven
+        // that waited on its flight (or arrived after it) are hits.
+        assert_eq!(pool.stats().misses, 1);
+        assert_eq!(pool.stats().hits, 7);
     }
 
     #[test]
@@ -990,24 +1019,40 @@ mod tests {
         assert_eq!(read.payload.as_ref(), &[0]);
     }
 
+    /// The `fetch_batch` contract, both sides: equal to the sequential
+    /// order when no admission in the batch evicts a later batch member,
+    /// and the minimal case where it is not.
     #[test]
-    fn prefetch_batches_one_store_pass_per_shard() {
-        let (disk, ids) = disk_with_pages(16);
-        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 16, 2);
-        let admitted = pool.prefetch(&ids).unwrap();
-        assert_eq!(admitted, 16);
-        assert_eq!(pool.resident(), 16);
-        // Prefetching records no logical accesses; subsequent fetches are
-        // all hits.
-        assert_eq!(pool.stats().logical_reads, 0);
-        let before = pool.io_stats().reads;
-        for &id in &ids {
-            pool.fetch(id, AccessContext::default()).unwrap();
-        }
-        assert_eq!(pool.io_stats().reads, before);
-        assert_eq!(pool.stats().hits, 16);
-        // Re-prefetching resident pages is free.
-        assert_eq!(pool.prefetch(&ids).unwrap(), 0);
+    fn batch_equals_sequential_unless_an_admission_evicts_a_later_member() {
+        // LRU, 2 frames, resident {x, y} with x the least recently used.
+        let run = |order: [usize; 2], batched: bool| {
+            let (disk, ids) = disk_with_pages(3);
+            let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 2, 1);
+            let ctx = AccessContext::default();
+            for &id in &ids[..2] {
+                pool.fetch(id, ctx).unwrap();
+            }
+            let before = pool.stats();
+            let batch = order.map(|i| ids[i]);
+            let hits: Vec<bool> = if batched {
+                let slots = pool.fetch_batch(&batch, ctx);
+                slots.into_iter().map(|slot| slot.unwrap().1).collect()
+            } else {
+                let one = |&id| pool.fetch_classified(id, ctx).unwrap().1;
+                batch.iter().map(one).collect()
+            };
+            let after = pool.stats();
+            (hits, after.hits - before.hits, after.evictions)
+        };
+        let (x, z) = (0, 2);
+        // [x, z]: z's admission evicts y, not a batch member — equal.
+        assert_eq!(run([x, z], true), (vec![true, false], 1, 1));
+        assert_eq!(run([x, z], true), run([x, z], false));
+        // [z, x]: sequentially z's admission evicts x (the LRU frame), so
+        // x misses; batched, x was probed — hit and pinned — before z was
+        // admitted, so y is evicted instead.
+        assert_eq!(run([z, x], true), (vec![false, true], 1, 1));
+        assert_eq!(run([z, x], false), (vec![false, false], 0, 2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The disk-based bucket MX-CIF quadtree.
 
 use crate::node::{containing_quadrant, quadrants, QuadEntry, QuadNode, CHILDREN, PAGE_CAPACITY};
-use asb_core::{BufferManager, BufferStats};
+use asb_core::{BufferManager, BufferStats, PageFile};
 use asb_geom::{Query, Rect, SpatialItem};
 use asb_storage::{
     AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
@@ -78,8 +78,7 @@ impl QuadTreeStats {
 /// assert_eq!(hits, vec![1]);
 /// ```
 pub struct QuadTree<S: PageStore = DiskManager> {
-    store: S,
-    buffer: Option<BufferManager>,
+    file: PageFile<S>,
     config: QuadConfig,
     bounds: Rect,
     root: PageId,
@@ -118,8 +117,7 @@ impl<S: PageStore> QuadTree<S> {
         let root_node = QuadNode::new_leaf(0);
         let root = store.allocate(root_node.page_meta(config.max_depth), root_node.encode())?;
         Ok(QuadTree {
-            store,
-            buffer: None,
+            file: PageFile::new(store),
             config,
             bounds,
             root,
@@ -140,32 +138,32 @@ impl<S: PageStore> QuadTree<S> {
 
     /// Attaches (or replaces) the buffer.
     pub fn set_buffer(&mut self, buffer: BufferManager) {
-        self.buffer = Some(buffer);
+        self.file.set_buffer(buffer);
     }
 
     /// Detaches and returns the buffer.
     pub fn take_buffer(&mut self) -> Option<BufferManager> {
-        self.buffer.take()
+        self.file.take_buffer()
     }
 
     /// Buffer statistics, if attached.
     pub fn buffer_stats(&self) -> Option<BufferStats> {
-        self.buffer.as_ref().map(|b| b.stats())
+        self.file.buffer().map(|b| b.stats())
     }
 
     /// The backing store.
     pub fn store(&self) -> &S {
-        &self.store
+        self.file.store()
     }
 
     /// Mutable access to the backing store.
     pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
+        self.file.store_mut()
     }
 
     /// Live pages in the backing store.
     pub fn page_count(&self) -> usize {
-        self.store.page_count()
+        self.file.store().page_count()
     }
 
     /// Stored objects.
@@ -191,43 +189,21 @@ impl<S: PageStore> QuadTree<S> {
 
     fn read_node(&mut self, id: PageId) -> Result<QuadNode> {
         let ctx = self.ctx();
-        match &mut self.buffer {
-            Some(buf) => {
-                // The guard pins the frame only for the decode; it derefs
-                // to the page.
-                let page = buf.fetch(&mut self.store, id, ctx)?;
-                QuadNode::decode(&page)
-            }
-            None => QuadNode::decode(&self.store.read(id, ctx)?),
-        }
+        self.file.read(id, ctx, QuadNode::decode)
     }
 
     fn write_node(&mut self, id: PageId, node: &QuadNode) -> Result<()> {
         let page = Page::new(id, node.page_meta(self.config.max_depth), node.encode())?;
-        match &mut self.buffer {
-            Some(buf) => buf.write_through(&mut self.store, page),
-            None => self.store.write(page),
-        }
+        self.file.write(page)
     }
 
     fn alloc_node(&mut self, node: &QuadNode) -> Result<PageId> {
-        match &mut self.buffer {
-            Some(buf) => buf.allocate_through(
-                &mut self.store,
-                node.page_meta(self.config.max_depth),
-                node.encode(),
-            ),
-            None => self
-                .store
-                .allocate(node.page_meta(self.config.max_depth), node.encode()),
-        }
+        self.file
+            .allocate(node.page_meta(self.config.max_depth), node.encode())
     }
 
     fn free_node(&mut self, id: PageId) -> Result<()> {
-        match &mut self.buffer {
-            Some(buf) => buf.free_through(&mut self.store, id),
-            None => self.store.free(id),
-        }
+        self.file.free(id)
     }
 
     /// Reads a node's full entry list (primary + continuation pages) and

@@ -5,7 +5,7 @@ use crate::node::{DirEntry, LeafEntry, Node, NodeKind};
 use crate::split::{
     choose_least_enlargement, choose_least_overlap, rstar_split, take_reinsert_victims,
 };
-use asb_core::{BufferManager, BufferStats};
+use asb_core::{BufferManager, BufferStats, PageFile};
 use asb_geom::{HasMbr, Point, Query, Rect};
 use asb_storage::{
     AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
@@ -138,8 +138,7 @@ impl AnyEntry {
 /// tree.validate().unwrap();
 /// ```
 pub struct RTree<S: PageStore = DiskManager> {
-    store: S,
-    buffer: Option<BufferManager>,
+    file: PageFile<S>,
     config: RTreeConfig,
     root: PageId,
     height: u8,
@@ -153,7 +152,7 @@ impl<S: PageStore> std::fmt::Debug for RTree<S> {
             .field("root", &self.root)
             .field("height", &self.height)
             .field("len", &self.len)
-            .field("buffered", &self.buffer.is_some())
+            .field("buffered", &self.file.buffer().is_some())
             .finish()
     }
 }
@@ -173,8 +172,7 @@ impl<S: PageStore> RTree<S> {
         let root_node = Node::new_leaf();
         let root = store.allocate(root_node.page_meta(), root_node.encode())?;
         Ok(RTree {
-            store,
-            buffer: None,
+            file: PageFile::new(store),
             config,
             root,
             height: 1,
@@ -254,8 +252,7 @@ impl<S: PageStore> RTree<S> {
 
         let root = level_entries[0].child;
         Ok(RTree {
-            store,
-            buffer: None,
+            file: PageFile::new(store),
             config,
             root,
             height: level,
@@ -267,45 +264,45 @@ impl<S: PageStore> RTree<S> {
     /// Attaches (or replaces) a buffer through which all node reads and
     /// writes are routed.
     pub fn set_buffer(&mut self, buffer: BufferManager) {
-        self.buffer = Some(buffer);
+        self.file.set_buffer(buffer);
     }
 
     /// Detaches and returns the buffer, if any.
     pub fn take_buffer(&mut self) -> Option<BufferManager> {
-        self.buffer.take()
+        self.file.take_buffer()
     }
 
     /// The attached buffer.
     pub fn buffer(&self) -> Option<&BufferManager> {
-        self.buffer.as_ref()
+        self.file.buffer()
     }
 
     /// Mutable access to the attached buffer.
     pub fn buffer_mut(&mut self) -> Option<&mut BufferManager> {
-        self.buffer.as_mut()
+        self.file.buffer_mut()
     }
 
     /// Buffer statistics, if a buffer is attached.
     pub fn buffer_stats(&self) -> Option<BufferStats> {
-        self.buffer.as_ref().map(|b| b.stats())
+        self.file.buffer().map(|b| b.stats())
     }
 
     /// The backing store.
     pub fn store(&self) -> &S {
-        &self.store
+        self.file.store()
     }
 
     /// Mutable access to the backing store (e.g. to reset
     /// [`DiskManager`] I/O statistics between experiments).
     pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
+        self.file.store_mut()
     }
 
     /// Number of live pages in the backing store (for a store dedicated to
     /// this tree: the tree's page count, the quantity the paper sizes
     /// buffers against).
     pub fn page_count(&self) -> usize {
-        self.store.page_count()
+        self.file.store().page_count()
     }
 
     /// Number of indexed objects.
@@ -343,7 +340,7 @@ impl<S: PageStore> RTree<S> {
     /// Consumes the tree and returns its backing store (e.g. to move a
     /// bulk-loaded disk into a shared buffer pool).
     pub fn into_store(self) -> S {
-        self.store
+        self.file.into_store()
     }
 
     /// Reconstructs a tree view over `store` from a [`TreeSnapshot`].
@@ -355,8 +352,7 @@ impl<S: PageStore> RTree<S> {
     /// [`seed_query_counter`](RTree::seed_query_counter).
     pub fn attach(store: S, snapshot: TreeSnapshot) -> Self {
         RTree {
-            store,
-            buffer: None,
+            file: PageFile::new(store),
             config: snapshot.config,
             root: snapshot.root,
             height: snapshot.height,
@@ -387,37 +383,20 @@ impl<S: PageStore> RTree<S> {
 
     fn read_node(&mut self, id: PageId) -> Result<Node> {
         let ctx = self.ctx();
-        match &mut self.buffer {
-            Some(buf) => {
-                // The guard pins the frame only for the decode; it derefs
-                // to the page.
-                let page = buf.fetch(&mut self.store, id, ctx)?;
-                Node::decode(&page)
-            }
-            None => Node::decode(&self.store.read(id, ctx)?),
-        }
+        self.file.read(id, ctx, Node::decode)
     }
 
     fn write_node(&mut self, id: PageId, node: &Node) -> Result<()> {
-        let page = Page::new(id, node.page_meta(), node.encode())?;
-        match &mut self.buffer {
-            Some(buf) => buf.write_through(&mut self.store, page),
-            None => self.store.write(page),
-        }
+        self.file
+            .write(Page::new(id, node.page_meta(), node.encode())?)
     }
 
     fn alloc_node(&mut self, node: &Node) -> Result<PageId> {
-        match &mut self.buffer {
-            Some(buf) => buf.allocate_through(&mut self.store, node.page_meta(), node.encode()),
-            None => self.store.allocate(node.page_meta(), node.encode()),
-        }
+        self.file.allocate(node.page_meta(), node.encode())
     }
 
     fn free_node(&mut self, id: PageId) -> Result<()> {
-        match &mut self.buffer {
-            Some(buf) => buf.free_through(&mut self.store, id),
-            None => self.store.free(id),
-        }
+        self.file.free(id)
     }
 
     // ---- queries ---------------------------------------------------------
@@ -1003,11 +982,7 @@ impl<S: PageStore> RTree<S> {
         object_pages.dedup();
         let ctx = self.ctx();
         for raw in object_pages {
-            let page_id = PageId::new(raw);
-            match &mut self.buffer {
-                Some(buf) => drop(buf.fetch(&mut self.store, page_id, ctx)?),
-                None => drop(self.store.read(page_id, ctx)?),
-            };
+            self.file.read(PageId::new(raw), ctx, |_| Ok(()))?;
         }
         Ok(results)
     }

@@ -53,9 +53,6 @@ pub enum StorageError {
         /// The error of the last attempt.
         last: Box<StorageError>,
     },
-    /// A dirty page had to be evicted on a path with no write access to the
-    /// backing store (e.g. a fetch-only read path).
-    WritebackUnavailable(PageId),
     /// The simulated process was killed at an injected crash point. Every
     /// subsequent operation on the crashed store (or its write-ahead log)
     /// reports this error; only durable state — the disk image and the log
@@ -129,10 +126,6 @@ impl std::fmt::Display for StorageError {
             StorageError::RetriesExhausted { id, attempts, last } => write!(
                 f,
                 "gave up on page {id} after {attempts} attempt(s); last error: {last}"
-            ),
-            StorageError::WritebackUnavailable(id) => write!(
-                f,
-                "dirty page {id} needs a write-back but this path has no store write access"
             ),
             StorageError::Crashed => {
                 write!(
@@ -255,7 +248,6 @@ mod tests {
             last: Box::new(StorageError::TransientRead(id)),
         }
         .is_transient());
-        assert!(!StorageError::WritebackUnavailable(id).is_transient());
         assert!(!StorageError::Crashed.is_transient());
         assert!(!StorageError::WalUnavailable.is_transient());
         assert!(!StorageError::FlushIncomplete {

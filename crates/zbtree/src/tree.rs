@@ -2,7 +2,7 @@
 
 use crate::node::{InnerEntry, Key, ZLeafEntry, ZNode, INNER_CAPACITY, LEAF_CAPACITY};
 use crate::ranges::z_ranges;
-use asb_core::{BufferManager, BufferStats};
+use asb_core::{BufferManager, BufferStats, PageFile};
 use asb_geom::curve::{z_order_inverse, CurveGrid};
 use asb_geom::{mbr_of, Point, Query, Rect};
 use asb_storage::{
@@ -105,8 +105,7 @@ enum DeleteOutcome {
 /// tree.validate().unwrap();
 /// ```
 pub struct ZBTree<S: PageStore = DiskManager> {
-    store: S,
-    buffer: Option<BufferManager>,
+    file: PageFile<S>,
     config: ZConfig,
     grid: CurveGrid,
     root: PageId,
@@ -144,8 +143,7 @@ impl<S: PageStore> ZBTree<S> {
         };
         let root = store.allocate(root_node.page_meta(&[]), root_node.encode())?;
         Ok(ZBTree {
-            store,
-            buffer: None,
+            file: PageFile::new(store),
             config,
             grid,
             root,
@@ -184,7 +182,7 @@ impl<S: PageStore> ZBTree<S> {
         // Free the placeholder root; build leaves then inner levels.
         // Chunk sizes are evened out so the tail chunk never falls below
         // the minimum fill the validator (and deletion) relies on.
-        tree.store.free(tree.root)?;
+        tree.free_node(tree.root)?;
         let leaf_chunks = even_chunks(
             entries.len(),
             config.bulk_leaf_fill,
@@ -256,32 +254,32 @@ impl<S: PageStore> ZBTree<S> {
 
     /// Attaches (or replaces) the buffer.
     pub fn set_buffer(&mut self, buffer: BufferManager) {
-        self.buffer = Some(buffer);
+        self.file.set_buffer(buffer);
     }
 
     /// Detaches and returns the buffer.
     pub fn take_buffer(&mut self) -> Option<BufferManager> {
-        self.buffer.take()
+        self.file.take_buffer()
     }
 
     /// Buffer statistics, if attached.
     pub fn buffer_stats(&self) -> Option<BufferStats> {
-        self.buffer.as_ref().map(|b| b.stats())
+        self.file.buffer().map(|b| b.stats())
     }
 
     /// The backing store.
     pub fn store(&self) -> &S {
-        &self.store
+        self.file.store()
     }
 
     /// Mutable access to the backing store.
     pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
+        self.file.store_mut()
     }
 
     /// Live pages in the backing store.
     pub fn page_count(&self) -> usize {
-        self.store.page_count()
+        self.file.store().page_count()
     }
 
     /// Stored entries.
@@ -339,15 +337,7 @@ impl<S: PageStore> ZBTree<S> {
 
     fn read_node(&mut self, id: PageId) -> Result<ZNode> {
         let ctx = self.ctx();
-        match &mut self.buffer {
-            Some(buf) => {
-                // The guard pins the frame only for the decode; it derefs
-                // to the page.
-                let page = buf.fetch(&mut self.store, id, ctx)?;
-                ZNode::decode(&page)
-            }
-            None => ZNode::decode(&self.store.read(id, ctx)?),
-        }
+        self.file.read(id, ctx, ZNode::decode)
     }
 
     fn entry_rects(&self, node: &ZNode) -> Vec<Rect> {
@@ -369,27 +359,16 @@ impl<S: PageStore> ZBTree<S> {
     fn write_node(&mut self, id: PageId, node: &ZNode) -> Result<()> {
         let rects = self.entry_rects(node);
         let page = Page::new(id, node.page_meta(&rects), node.encode())?;
-        match &mut self.buffer {
-            Some(buf) => buf.write_through(&mut self.store, page),
-            None => self.store.write(page),
-        }
+        self.file.write(page)
     }
 
     fn alloc_node(&mut self, node: &ZNode) -> Result<PageId> {
         let rects = self.entry_rects(node);
-        match &mut self.buffer {
-            Some(buf) => {
-                buf.allocate_through(&mut self.store, node.page_meta(&rects), node.encode())
-            }
-            None => self.store.allocate(node.page_meta(&rects), node.encode()),
-        }
+        self.file.allocate(node.page_meta(&rects), node.encode())
     }
 
     fn free_node(&mut self, id: PageId) -> Result<()> {
-        match &mut self.buffer {
-            Some(buf) => buf.free_through(&mut self.store, id),
-            None => self.store.free(id),
-        }
+        self.file.free(id)
     }
 
     // ---- insertion -------------------------------------------------------

@@ -1,13 +1,13 @@
 //! The RAII page-access API in one tour: read guards pin frames, write
 //! guards stage mutations, and the [`BufferPool`] trait lets the same code
-//! drive the single-threaded [`SharedBuffer`] and the lock-striped
-//! [`ShardedBuffer`] interchangeably.
+//! drive a coarse one-shard [`ShardedBuffer`] and a lock-striped one
+//! interchangeably.
 //!
 //! ```text
 //! cargo run --release --example page_guards
 //! ```
 
-use asb::buffer::{BufferManager, BufferPool, PolicyKind, ShardedBuffer, SharedBuffer};
+use asb::buffer::{BufferPool, PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
@@ -26,8 +26,8 @@ fn build_disk(pages: u64) -> (DiskManager, Vec<PageId>) {
     (disk, ids)
 }
 
-/// Generic over the pool: the same access pattern works against either
-/// implementation, which is the point of the [`BufferPool`] trait.
+/// Written against the [`BufferPool`] trait: the same access pattern works
+/// at any shard count (and against any decorator of the pool).
 fn tour(pool: &dyn BufferPool, ids: &[PageId], label: &str) {
     // A read guard pins its frame for exactly as long as it lives; the
     // page bytes are reached through Deref, no copy handed out.
@@ -71,12 +71,12 @@ fn tour(pool: &dyn BufferPool, ids: &[PageId], label: &str) {
 
 fn main() {
     let (disk, ids) = build_disk(16);
-    let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Lru, 8));
-    tour(&shared, &ids, "shared  ");
+    let coarse = ShardedBuffer::new(disk, PolicyKind::Lru, 8, 1);
+    tour(&coarse, &ids, "1 shard ");
 
     let (disk, ids) = build_disk(16);
     let sharded = ShardedBuffer::new(disk, PolicyKind::Asb, 8, 4);
-    tour(&sharded, &ids, "sharded ");
+    tour(&sharded, &ids, "4 shards");
 
     // Direct store access is gated on guard quiescence: while any guard is
     // live the pool refuses to hand out the store, with a typed error.

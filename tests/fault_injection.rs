@@ -68,6 +68,7 @@ fn transient_faults_are_transparent_to_readers() {
         stats.retries > 0,
         "a 30% fault rate over 200 reads must trigger retries"
     );
+    assert!(buf.simulated_backoff_ms() > 0.0, "retries accrue backoff");
     assert!(store.fault_stats().read_faults > 0);
 }
 
@@ -140,6 +141,21 @@ fn hopeless_faults_surface_a_typed_give_up() {
         2,
         "two re-attempts after the first try"
     );
+
+    // A budget of zero still makes the one attempt, and never a retry.
+    buf.set_retry_policy(RetryPolicy {
+        max_attempts: 0,
+        base_backoff_ms: 1.0,
+        backoff_multiplier: 2.0,
+    });
+    let reads_before = store.fault_stats().read_faults;
+    let err = buf.fetch(&mut store, ids[1], ctx(1)).unwrap_err();
+    assert!(matches!(
+        err,
+        StorageError::RetriesExhausted { attempts: 1, .. }
+    ));
+    assert_eq!(store.fault_stats().read_faults, reads_before + 1);
+    assert_eq!(buf.stats().retries, 2, "no further re-attempt");
 }
 
 /// Permanently failed pages report `DeviceFailed` immediately — no retry

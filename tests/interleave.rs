@@ -18,7 +18,7 @@
 //! failure printed by CI is reproducible locally, and the failing pick
 //! sequence is written to `target/schedule-artifacts/`.
 
-use asb::buffer::{BufferManager, Flusher, FlusherConfig, PolicyKind, ShardedBuffer, SharedBuffer};
+use asb::buffer::{Flusher, FlusherConfig, PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::serve::{BreakerConfig, BreakerState, CircuitBreaker};
 use asb::storage::{
@@ -133,7 +133,9 @@ fn stats_scenario() {
         "hit/miss accounting diverged from logical reads"
     );
     // Two threads can miss on the same page concurrently; the single-flight
-    // scheduler then serves both misses with one physical read.
+    // scheduler then serves both with one physical read, and the one that
+    // waited keeps its miss only if the admission was evicted before it
+    // could pin it.
     assert!(
         pool.io_stats().reads <= stats.misses,
         "physical reads ({}) must never exceed misses ({})",
@@ -162,7 +164,7 @@ fn guard_balance_scenario() {
     let id = disk
         .allocate(meta(), Bytes::from_static(b"pinned"))
         .unwrap();
-    let shared = SharedBuffer::new(disk, BufferManager::with_policy(PolicyKind::Lru, 4));
+    let shared = ShardedBuffer::new(disk, PolicyKind::Lru, 4, 1);
     drop(shared.fetch(id, AccessContext::default()).unwrap()); // make the frame resident
 
     let handles: Vec<_> = (0..3)
@@ -174,7 +176,7 @@ fn guard_balance_scenario() {
                     assert_eq!(guard.payload.as_ref(), b"pinned");
                     // This thread's own guard is live, so the count the
                     // gate reports can never be below one.
-                    let err = s.with_parts(|_, _| ()).unwrap_err();
+                    let err = s.with_store(|_| ()).unwrap_err();
                     assert!(
                         matches!(err, StorageError::GuardsOutstanding(n) if n >= 1),
                         "direct store access must be refused while guards live: {err:?}"
@@ -193,7 +195,7 @@ fn guard_balance_scenario() {
         0,
         "guard count must return to exactly zero after balanced use"
     );
-    shared.with_parts(|_, _| ()).unwrap();
+    shared.with_store(|_| ()).unwrap();
 }
 
 #[test]
@@ -287,6 +289,11 @@ fn single_flight_scenario() {
         pool.io_stats().reads,
         1,
         "concurrent misses on one page must cost exactly one store read"
+    );
+    assert_eq!(
+        (stats.misses, stats.hits),
+        (1, 2),
+        "the page misses once; readers that shared the flight count as hits"
     );
     assert_eq!(pool.live_guards(), 0);
 }

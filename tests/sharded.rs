@@ -6,8 +6,9 @@
 //! * a stress test over **every** replacement policy — invariants that must
 //!   hold for any interleaving (bounded residency, consistent accounting,
 //!   no lost writes);
-//! * a determinism test — with one shard and one thread the pool reproduces
-//!   the sequential [`BufferManager`]'s counts bit for bit.
+//! * determinism tests — with one shard and one thread the pool reproduces
+//!   the sequential [`BufferManager`]'s counts bit for bit, request by
+//!   request and batch by batch.
 
 use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb::geom::{Rect, SpatialStats};
@@ -168,5 +169,95 @@ fn single_shard_replays_identically_to_sequential_buffer() {
             seq_io.reads,
             "{policy:?}: physical reads must match"
         );
+    }
+}
+
+/// With one shard, `fetch_batch` is its documented contract and nothing
+/// more. The contract is written out here over a bare [`BufferManager`]
+/// through public API only: first occurrences that `contains()` reports
+/// resident are fetched first and their guards held, then the remaining
+/// ids are fetched in input order. Hit flags, statistics and store reads
+/// must agree batch by batch on a trace with repeats and evictions.
+///
+/// LRU-K and ASB are left out: they rank by the buffer's logical clock,
+/// which the pool advances once per probe before admitting any miss, so a
+/// batch's admissions tie where the one-at-a-time fetches below order them
+/// (the caveat `fetch_batch` documents). Their batched path is pinned
+/// clock-exactly by a unit test next to the pool, where the manager's
+/// probe/admit primitives are reachable.
+#[test]
+fn single_shard_batches_replay_identically_to_the_written_out_contract() {
+    let by_arrival = |p: &PolicyKind| !matches!(p, PolicyKind::LruK { .. } | PolicyKind::Asb);
+    for policy in all_policies().into_iter().filter(by_arrival) {
+        let (mut disk, ids) = build_disk();
+        let mut seq = BufferManager::with_policy(policy, CAPACITY);
+        let (pool_disk, _) = build_disk();
+        let pool = ShardedBuffer::new(pool_disk, policy, CAPACITY, 1);
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |span: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % span) as usize
+        };
+        let mut repeat_hits = 0u64;
+        for b in 0..300u64 {
+            // Eight skewed picks (a hot eighth of the pages gets 70 % of
+            // them) plus two forced repeats of earlier slots.
+            let mut batch: Vec<PageId> = (0..8)
+                .map(|_| {
+                    let span = if next(10) < 7 { PAGES / 8 } else { PAGES };
+                    ids[next(span)]
+                })
+                .collect();
+            batch.push(batch[0]);
+            batch.push(batch[3]);
+            let ctx = AccessContext::query(QueryId::new(b));
+
+            let mut expected: Vec<Option<bool>> = vec![None; batch.len()];
+            let mut guards = Vec::with_capacity(batch.len());
+            let mut seen = std::collections::HashSet::new();
+            for (i, &id) in batch.iter().enumerate() {
+                if seen.insert(id) && seq.contains(id) {
+                    guards.push(seq.fetch(&mut disk, id, ctx).expect("read"));
+                    expected[i] = Some(true);
+                }
+            }
+            for (i, &id) in batch.iter().enumerate() {
+                if expected[i].is_none() {
+                    let hits = seq.stats().hits;
+                    guards.push(seq.fetch(&mut disk, id, ctx).expect("read"));
+                    expected[i] = Some(seq.stats().hits > hits);
+                }
+            }
+            repeat_hits += u64::from(expected[8] == Some(true));
+
+            let served = pool.fetch_batch(&batch, ctx);
+            let flags: Vec<Option<bool>> = served
+                .iter()
+                .map(|slot| slot.as_ref().ok().map(|(_, hit)| *hit))
+                .collect();
+            assert_eq!(flags, expected, "{policy:?}: hit flags of batch {b}");
+            for (slot, &id) in served.iter().zip(&batch) {
+                assert_eq!(slot.as_ref().expect("read").0.id, id);
+            }
+            drop((guards, served));
+            assert_eq!(
+                pool.stats(),
+                seq.stats(),
+                "{policy:?}: buffer statistics after batch {b}"
+            );
+        }
+        assert_eq!(
+            pool.io_stats().reads,
+            disk.stats().reads,
+            "{policy:?}: physical reads must match"
+        );
+        let stats = seq.stats();
+        assert!(stats.evictions > 0, "{policy:?}: the trace must evict");
+        assert!(repeat_hits > 0, "{policy:?}: repeats must classify as hits");
+        assert_eq!(stats.pin_overflows, 0, "{policy:?}: batches fit the pool");
+        assert_eq!(pool.live_guards(), 0);
     }
 }
