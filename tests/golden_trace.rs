@@ -14,8 +14,9 @@
 //!
 //! and commit the regenerated files with a note on why the numbers moved.
 
-use asb::buffer::{PolicyKind, SpatialCriterion};
+use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, SpatialCriterion};
 use asb::exp::Trace;
+use asb::storage::{AccessContext, PageId, QueryId, RecordingStore};
 use asb::workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -37,8 +38,11 @@ fn databases() -> [(&'static str, DatasetKind); 2] {
     ]
 }
 
-fn policies() -> [(&'static str, PolicyKind); 5] {
-    [
+/// One row per [`PolicyKind`] variant and parameterisation the study uses.
+/// The first five rows predate the others; new rows are appended so the
+/// old ones keep their relative order in `expected.json`.
+fn policies() -> Vec<(&'static str, PolicyKind)> {
+    let mut rows = vec![
         ("lru", PolicyKind::Lru),
         ("lru-2", PolicyKind::LruK { k: 2 }),
         (
@@ -50,7 +54,41 @@ fn policies() -> [(&'static str, PolicyKind); 5] {
         ),
         ("asb", PolicyKind::Asb),
         ("arena", PolicyKind::Arena),
-    ]
+        ("fifo", PolicyKind::Fifo),
+        ("clock", PolicyKind::Clock),
+        ("random", PolicyKind::Random { seed: 7 }),
+        ("lru-t", PolicyKind::LruT),
+        ("lru-p", PolicyKind::LruP),
+        ("2q", PolicyKind::TwoQ),
+        ("lru-3", PolicyKind::LruK { k: 3 }),
+    ];
+    rows.extend(SpatialCriterion::ALL.map(|c| (c.short_name(), PolicyKind::Spatial(c))));
+    rows.extend([
+        (
+            "slru-50",
+            PolicyKind::Slru {
+                candidate_fraction: 0.5,
+                criterion: SpatialCriterion::Area,
+            },
+        ),
+        (
+            "asb-margin",
+            PolicyKind::AsbWith(AsbParams {
+                overflow_fraction: 0.3,
+                initial_candidate_fraction: 0.5,
+                step_fraction: 0.1,
+                criterion: SpatialCriterion::Margin,
+            }),
+        ),
+        (
+            "arena-lean",
+            PolicyKind::ArenaWith(ArenaParams {
+                roster: Roster::Lean,
+                ..ArenaParams::default()
+            }),
+        ),
+    ]);
+    rows
 }
 
 /// One expected replay outcome, flattened for stable JSON.
@@ -67,6 +105,28 @@ struct GoldenRecord {
     sequential_reads: u64,
     /// Final ASB candidate-set size (0 for non-ASB policies).
     candidate_final: u64,
+    /// FNV-1a over the page ids of the physical reads, in order: pins the
+    /// *identity* of every victim, not just how many there were.
+    read_digest: u64,
+}
+
+/// Replays `trace` over a recorder placed below the buffer (where it sees
+/// exactly the misses) and folds the physical-read sequence into one word.
+fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
+    let mut store = RecordingStore::new(trace.build_disk().expect("golden disk"));
+    let mut mgr = BufferManager::with_policy(policy, CAPACITY);
+    for &(p, q) in &trace.accesses {
+        let ctx = AccessContext::query(QueryId::new(q));
+        mgr.fetch(&mut store, PageId::new(p), ctx)
+            .expect("golden replay");
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (id, _) in store.take_log() {
+        for byte in id.raw().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 fn record_of(
@@ -89,6 +149,7 @@ fn record_of(
         random_reads: out.io.random_reads,
         sequential_reads: out.io.sequential_reads,
         candidate_final: out.candidate_trajectory.last().copied().unwrap_or(0) as u64,
+        read_digest: read_digest(trace, policy),
     }
 }
 
@@ -144,10 +205,12 @@ fn recording_reproduces_the_committed_traces() {
 fn replays_match_expected_json() {
     let expected_path = golden_dir().join("expected.json");
     let mut actual = Vec::new();
-    for (name, db) in databases() {
-        let trace = load_trace(name, db);
+    let uniform = databases().map(|(name, db)| (name.to_string(), load_trace(name, db)));
+    let phased =
+        databases().map(|(name, db)| (format!("phase_{name}"), load_phase_trace(name, db)));
+    for (name, trace) in uniform.iter().chain(&phased) {
         for (pname, policy) in policies() {
-            let rec = record_of(name, pname, &trace, policy);
+            let rec = record_of(name, pname, trace, policy);
 
             // Sequential and one-shard sharded replays must agree exactly.
             let seq = trace.replay_sequential(policy, CAPACITY).expect("replay");

@@ -111,6 +111,97 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The paper's identities between policies (§2.1, §4.1): one policy is
+// another at a parameter's end point.
+// ---------------------------------------------------------------------------
+
+/// Indices of the accesses of `trace` that missed.
+fn miss_sequence(
+    policy: PolicyKind,
+    capacity: usize,
+    trace: &[(usize, u64)],
+    mut disk: DiskManager,
+    ids: &[PageId],
+) -> Vec<usize> {
+    let mut buf = BufferManager::with_policy(policy, capacity);
+    let mut missed = Vec::new();
+    for (i, &(slot, q)) in trace.iter().enumerate() {
+        let before = buf.stats().misses;
+        buf.fetch(&mut disk, ids[slot], AccessContext::query(QueryId::new(q)))
+            .expect("read");
+        if buf.stats().misses > before {
+            missed.push(i);
+        }
+    }
+    missed
+}
+
+/// A disk whose pages are object, data and level-2 directory pages in
+/// turn, so every page's LRU-P priority equals its LRU-T type rank.
+fn build_typed_disk(pages: u64) -> (DiskManager, Vec<PageId>) {
+    let mut disk = DiskManager::new();
+    let ids = (0..pages)
+        .map(|i| {
+            let meta = match i % 3 {
+                0 => PageMeta::object(SpatialStats::EMPTY),
+                1 => PageMeta::data(SpatialStats::EMPTY),
+                _ => PageMeta::directory(2, SpatialStats::EMPTY),
+            };
+            assert_eq!(meta.priority(), meta.page_type.type_rank());
+            disk.allocate(meta, Bytes::new()).expect("allocate")
+        })
+        .collect();
+    (disk, ids)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// §4.1: "the larger the candidate set, the larger is the influence of
+    /// the spatial page-replacement algorithm" — at 100 % SLRU *is* the
+    /// pure spatial policy, for every criterion.
+    #[test]
+    fn slru_with_a_full_candidate_set_is_the_spatial_policy(
+        trace in prop::collection::vec((0usize..40, 0u64..10), 1..400),
+        capacity in 1usize..30,
+    ) {
+        for criterion in SpatialCriterion::ALL {
+            let (disk, ids) = build_disk(40);
+            let spatial = miss_sequence(PolicyKind::Spatial(criterion), capacity, &trace, disk, &ids);
+            let (disk, ids) = build_disk(40);
+            let slru = PolicyKind::Slru { candidate_fraction: 1.0, criterion };
+            let slru = miss_sequence(slru, capacity, &trace, disk, &ids);
+            prop_assert_eq!(spatial, slru, "criterion {}", criterion);
+        }
+    }
+
+    /// §2.1: LRU-P generalises LRU-T — where priorities equal type ranks
+    /// the two make the same decisions.
+    #[test]
+    fn lru_p_is_lru_t_when_priorities_equal_type_ranks(
+        trace in prop::collection::vec((0usize..40, 0u64..10), 1..400),
+        capacity in 1usize..30,
+    ) {
+        let (disk, ids) = build_typed_disk(40);
+        let by_type = miss_sequence(PolicyKind::LruT, capacity, &trace, disk, &ids);
+        let (disk, ids) = build_typed_disk(40);
+        let by_priority = miss_sequence(PolicyKind::LruP, capacity, &trace, disk, &ids);
+        prop_assert_eq!(by_type, by_priority);
+    }
+}
+
+/// The pure spatial policy reports as itself, not as an SLRU: its label is
+/// the criterion's short name and it has no candidate-set size.
+#[test]
+fn spatial_policies_report_their_criterion_and_no_candidate_set() {
+    for criterion in SpatialCriterion::ALL {
+        let buf = BufferManager::with_policy(PolicyKind::Spatial(criterion), 8);
+        assert_eq!(buf.policy_name(), criterion.short_name());
+        assert_eq!(buf.candidate_size(), None);
+    }
+}
+
 #[test]
 fn policy_kinds_serialize_roundtrip() {
     let kinds = [
