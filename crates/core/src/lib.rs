@@ -19,6 +19,21 @@
 //! | [`Asb`](PolicyKind::Asb) | §4.2 | SLRU plus a FIFO *overflow buffer* (20 % of the buffer) whose hits self-tune the candidate-set size |
 //! | [`Arena`](PolicyKind::Arena) | extension | multiplicative-weights mixer over an expert roster; per-expert ghost caches count counterfactual misses, the weight leader owns eviction |
 //!
+//! Every policy implements the one trait [`ReplacementPolicy`] — four
+//! event callbacks plus `select_victim` — and is named from outside only by
+//! its [`PolicyKind`]. The paper defines its policies by reduction, and so
+//! does the code; three shared mechanisms carry all of them:
+//!
+//! * one ordered page table (`order::LinkedOrder<K, V>`): recency/FIFO
+//!   order and the per-page value (a reference bit, a criterion) behind a
+//!   single hash lookup;
+//! * one candidate scan (`spatial_victim`): the smallest criterion among
+//!   the first `c` evictable pages in LRU order. `c` fixed is SLRU, `c`
+//!   unbounded is the pure spatial policy (§4.1), `c` self-tuned is ASB's
+//!   main part (§4.2);
+//! * one class-ordered LRU: LRU-T and LRU-P differ only in the function
+//!   that maps a page's metadata to its class (§2.1).
+//!
 //! ## Architecture
 //!
 //! [`BufferManager`] owns the page table and statistics and delegates every
@@ -68,12 +83,8 @@ pub mod sync;
 pub use flusher::{Flusher, FlusherConfig, FlusherHandle, FlusherStats};
 pub use guard::{PageReadGuard, PageWriteGuard};
 pub use manager::{BufferManager, BufferStats, PageFile, StoreIo};
-pub use policies::{
-    ArenaParams, ArenaPolicy, ArenaState, AsbParams, AsbPolicy, ClockPolicy, ExpertState,
-    FifoPolicy, LruKPolicy, LruPolicy, LruPriorityPolicy, LruTypePolicy, RandomPolicy, Roster,
-    SlruPolicy, SpatialPolicy, TwoQPolicy,
-};
-pub use policy::{PolicyEvents, PolicyKind, ReplacementPolicy, VictimRanker};
+pub use policies::{ArenaParams, ArenaState, AsbParams, ExpertState, Roster};
+pub use policy::{PolicyKind, ReplacementPolicy};
 pub use pool::{BufferPool, FetchOutcome, PageFetchResult};
 pub use sharded::ShardedBuffer;
 

@@ -278,7 +278,7 @@ pub struct BufferManager {
 impl std::fmt::Debug for BufferManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferManager")
-            .field("policy", &self.policy.name())
+            .field("policy", &self.kind.label())
             .field("capacity", &self.capacity)
             .field("resident", &self.frames.len())
             .field("stats", &self.stats)
@@ -323,7 +323,7 @@ impl BufferManager {
 
     /// The policy's display name (e.g. `"ASB"`).
     pub fn policy_name(&self) -> String {
-        self.policy.name()
+        self.kind.label()
     }
 
     /// Buffer capacity in pages.

@@ -1,44 +1,40 @@
 //! A doubly-linked recency/insertion order over hashable keys.
 //!
-//! All replacement policies need the same primitive: an ordered set of page
-//! ids supporting O(1) insert-at-back, remove, move-to-back and
-//! pop-from-front. `LinkedOrder` implements it as an intrusive doubly-linked
-//! list over a slab (`Vec` of nodes with a free list) plus a
-//! `HashMap<K, slot>` index — no per-operation allocation after warm-up.
+//! All replacement policies need the same primitive: an ordered page table
+//! supporting O(1) insert-at-back, remove, move-to-back and pop-from-front,
+//! with whatever the policy remembers per page (a reference bit, a
+//! criterion value) stored in the entry itself. `LinkedOrder` implements it
+//! as an intrusive doubly-linked list over a slab (`Vec` of nodes with a
+//! free list) plus a `HashMap<K, slot>` index — no per-operation allocation
+//! after warm-up, and one hash lookup reaches both position and value.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
-struct Node<K> {
+struct Node<K, V> {
     key: K,
+    value: V,
     prev: usize,
     next: usize,
 }
 
-/// An ordered set with O(1) queue/recency operations.
+/// An ordered map with O(1) queue/recency operations.
 ///
 /// Front = oldest (LRU / FIFO victim side), back = newest (MRU side).
 #[derive(Debug, Clone)]
-pub(crate) struct LinkedOrder<K: Eq + Hash + Copy> {
-    nodes: Vec<Node<K>>,
+pub(crate) struct LinkedOrder<K, V = ()> {
+    nodes: Vec<Node<K, V>>,
     index: HashMap<K, usize>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
 }
 
-impl<K: Eq + Hash + Copy> Default for LinkedOrder<K> {
+impl<K, V> Default for LinkedOrder<K, V> {
     fn default() -> Self {
-        LinkedOrder::new()
-    }
-}
-
-impl<K: Eq + Hash + Copy> LinkedOrder<K> {
-    /// Creates an empty order.
-    pub fn new() -> Self {
         LinkedOrder {
             nodes: Vec::new(),
             index: HashMap::new(),
@@ -47,7 +43,9 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
             tail: NIL,
         }
     }
+}
 
+impl<K: Eq + Hash + Copy, V: Copy> LinkedOrder<K, V> {
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -63,29 +61,41 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
         self.index.contains_key(key)
     }
 
+    /// The value stored with `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.index.get(key).map(|&slot| &self.nodes[slot].value)
+    }
+
+    /// The value stored with `key`, mutably; the position is unchanged.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.index.get(key).map(|&slot| &mut self.nodes[slot].value)
+    }
+
     /// Appends `key` at the back (newest). Returns `false` (and does
     /// nothing) if the key is already present.
-    pub fn push_back(&mut self, key: K) -> bool {
-        if self.index.contains_key(&key) {
+    pub fn push_back(&mut self, key: K, value: V) -> bool {
+        let Entry::Vacant(entry) = self.index.entry(key) else {
             return false;
-        }
-        let slot = self.alloc(Node {
+        };
+        let node = Node {
             key,
-            prev: self.tail,
+            value,
+            prev: NIL,
             next: NIL,
-        });
-        if self.tail != NIL {
-            self.nodes[self.tail].next = slot;
+        };
+        let slot = if let Some(slot) = self.free.pop() {
+            self.nodes[slot] = node;
+            slot
         } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-        self.index.insert(key, slot);
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        };
+        entry.insert(slot);
+        self.link_back(slot);
         true
     }
 
     /// Removes and returns the front (oldest) key.
-    #[allow(dead_code)] // part of the complete queue API; used by tests
     pub fn pop_front(&mut self) -> Option<K> {
         let key = self.front()?;
         self.remove(&key);
@@ -97,31 +107,39 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
         (self.head != NIL).then(|| self.nodes[self.head].key)
     }
 
-    /// The back (newest) key without removing it.
-    #[allow(dead_code)] // part of the complete queue API; used by tests
-    pub fn back(&self) -> Option<K> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].key)
-    }
-
-    /// Removes `key`. Returns `true` if it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        let Some(slot) = self.index.remove(key) else {
-            return false;
-        };
+    /// Removes `key`, returning its value if it was present.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let slot = self.index.remove(key)?;
         self.unlink(slot);
         self.free.push(slot);
-        true
+        Some(self.nodes[slot].value)
     }
 
-    /// Moves `key` to the back (newest). Returns `false` if absent.
-    pub fn move_to_back(&mut self, key: &K) -> bool {
-        let Some(&slot) = self.index.get(key) else {
-            return false;
-        };
-        if slot == self.tail {
-            return true;
+    /// Moves `key` to the back (newest) and returns its value, or `None`
+    /// if absent.
+    pub fn move_to_back(&mut self, key: &K) -> Option<&mut V> {
+        let slot = *self.index.get(key)?;
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_back(slot);
         }
-        self.unlink(slot);
+        Some(&mut self.nodes[slot].value)
+    }
+
+    /// Iterates `(key, value)` from front (oldest) to back (newest).
+    pub fn iter(&self) -> Iter<'_, K, V> {
+        Iter {
+            order: self,
+            cursor: self.head,
+        }
+    }
+
+    /// Iterates keys from front (oldest) to back (newest).
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.iter().map(|(key, _)| key)
+    }
+
+    fn link_back(&mut self, slot: usize) {
         let node = &mut self.nodes[slot];
         node.prev = self.tail;
         node.next = NIL;
@@ -131,25 +149,6 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
             self.head = slot;
         }
         self.tail = slot;
-        true
-    }
-
-    /// Iterates keys from front (oldest) to back (newest).
-    pub fn iter(&self) -> Iter<'_, K> {
-        Iter {
-            order: self,
-            cursor: self.head,
-        }
-    }
-
-    fn alloc(&mut self, node: Node<K>) -> usize {
-        if let Some(slot) = self.free.pop() {
-            self.nodes[slot] = node;
-            slot
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -168,21 +167,21 @@ impl<K: Eq + Hash + Copy> LinkedOrder<K> {
 }
 
 /// Front-to-back iterator over a [`LinkedOrder`].
-pub(crate) struct Iter<'a, K: Eq + Hash + Copy> {
-    order: &'a LinkedOrder<K>,
+pub(crate) struct Iter<'a, K, V> {
+    order: &'a LinkedOrder<K, V>,
     cursor: usize,
 }
 
-impl<'a, K: Eq + Hash + Copy> Iterator for Iter<'a, K> {
-    type Item = &'a K;
+impl<'a, K: Copy, V> Iterator for Iter<'a, K, V> {
+    type Item = (K, &'a V);
 
-    fn next(&mut self) -> Option<&'a K> {
+    fn next(&mut self) -> Option<(K, &'a V)> {
         if self.cursor == NIL {
             return None;
         }
         let node = &self.order.nodes[self.cursor];
         self.cursor = node.next;
-        Some(&node.key)
+        Some((node.key, &node.value))
     }
 }
 
@@ -190,35 +189,55 @@ impl<'a, K: Eq + Hash + Copy> Iterator for Iter<'a, K> {
 mod tests {
     use super::*;
 
-    fn keys(order: &LinkedOrder<u32>) -> Vec<u32> {
-        order.iter().copied().collect()
+    fn keys<V: Copy>(order: &LinkedOrder<u32, V>) -> Vec<u32> {
+        order.keys().collect()
     }
 
     #[test]
     fn push_and_iterate_in_order() {
-        let mut o = LinkedOrder::new();
+        let mut o = LinkedOrder::default();
         for k in [1u32, 2, 3] {
-            assert!(o.push_back(k));
+            assert!(o.push_back(k, ()));
         }
         assert_eq!(keys(&o), vec![1, 2, 3]);
         assert_eq!(o.front(), Some(1));
-        assert_eq!(o.back(), Some(3));
+        assert_eq!(keys(&o).last(), Some(&3));
         assert_eq!(o.len(), 3);
     }
 
     #[test]
+    fn values_travel_with_their_keys() {
+        let mut o = LinkedOrder::default();
+        for k in [1u32, 2, 3] {
+            o.push_back(k, k * 10);
+        }
+        assert_eq!(o.get(&2), Some(&20));
+        *o.get_mut(&2).unwrap() += 1;
+        assert_eq!(keys(&o), vec![1, 2, 3], "get_mut does not reorder");
+        assert_eq!(o.move_to_back(&2), Some(&mut 21));
+        assert_eq!(o.iter().collect::<Vec<_>>(), [(1, &10), (3, &30), (2, &21)]);
+        assert_eq!(o.remove(&3), Some(30));
+        assert_eq!(o.get(&3), None);
+        // The freed slot is reused without leaking the old value.
+        o.push_back(4, 40);
+        assert_eq!(o.get(&4), Some(&40));
+        assert!(!o.push_back(4, 99), "a duplicate push keeps the old value");
+        assert_eq!(o.get(&4), Some(&40));
+    }
+
+    #[test]
     fn duplicate_push_is_rejected() {
-        let mut o = LinkedOrder::new();
-        assert!(o.push_back(1u32));
-        assert!(!o.push_back(1));
+        let mut o = LinkedOrder::default();
+        assert!(o.push_back(1u32, ()));
+        assert!(!o.push_back(1, ()));
         assert_eq!(o.len(), 1);
     }
 
     #[test]
     fn pop_front_is_fifo() {
-        let mut o = LinkedOrder::new();
+        let mut o = LinkedOrder::default();
         for k in [1u32, 2, 3] {
-            o.push_back(k);
+            o.push_back(k, ());
         }
         assert_eq!(o.pop_front(), Some(1));
         assert_eq!(o.pop_front(), Some(2));
@@ -229,45 +248,45 @@ mod tests {
 
     #[test]
     fn move_to_back_models_lru_touch() {
-        let mut o = LinkedOrder::new();
+        let mut o = LinkedOrder::default();
         for k in [1u32, 2, 3] {
-            o.push_back(k);
+            o.push_back(k, ());
         }
-        assert!(o.move_to_back(&1));
+        assert!(o.move_to_back(&1).is_some());
         assert_eq!(keys(&o), vec![2, 3, 1]);
         // Moving the tail is a no-op but succeeds.
-        assert!(o.move_to_back(&1));
+        assert!(o.move_to_back(&1).is_some());
         assert_eq!(keys(&o), vec![2, 3, 1]);
-        assert!(!o.move_to_back(&99));
+        assert!(o.move_to_back(&99).is_none());
     }
 
     #[test]
     fn remove_middle_front_back() {
-        let mut o = LinkedOrder::new();
+        let mut o = LinkedOrder::default();
         for k in [1u32, 2, 3, 4] {
-            o.push_back(k);
+            o.push_back(k, ());
         }
-        assert!(o.remove(&2));
+        assert!(o.remove(&2).is_some());
         assert_eq!(keys(&o), vec![1, 3, 4]);
-        assert!(o.remove(&1));
+        assert!(o.remove(&1).is_some());
         assert_eq!(keys(&o), vec![3, 4]);
-        assert!(o.remove(&4));
+        assert!(o.remove(&4).is_some());
         assert_eq!(keys(&o), vec![3]);
-        assert!(!o.remove(&4));
+        assert!(o.remove(&4).is_none());
     }
 
     #[test]
     fn slots_are_recycled() {
-        let mut o = LinkedOrder::new();
+        let mut o = LinkedOrder::default();
         for k in 0..100u32 {
-            o.push_back(k);
+            o.push_back(k, ());
         }
         for k in 0..100u32 {
             o.remove(&k);
         }
         let slab_size = o.nodes.len();
         for k in 100..200u32 {
-            o.push_back(k);
+            o.push_back(k, ());
         }
         assert_eq!(o.nodes.len(), slab_size, "free slots must be reused");
     }
@@ -276,7 +295,7 @@ mod tests {
     fn stress_against_vec_model() {
         // Deterministic pseudo-random op sequence validated against a
         // Vec-based reference model.
-        let mut o = LinkedOrder::new();
+        let mut o = LinkedOrder::default();
         let mut model: Vec<u32> = Vec::new();
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rng = move || {
@@ -289,12 +308,12 @@ mod tests {
             let k = (rng() % 50) as u32;
             match rng() % 4 {
                 0 => {
-                    if o.push_back(k) {
+                    if o.push_back(k, ()) {
                         model.push(k);
                     }
                 }
                 1 => {
-                    let removed = o.remove(&k);
+                    let removed = o.remove(&k).is_some();
                     let pos = model.iter().position(|&x| x == k);
                     assert_eq!(removed, pos.is_some());
                     if let Some(p) = pos {
@@ -302,7 +321,7 @@ mod tests {
                     }
                 }
                 2 => {
-                    let moved = o.move_to_back(&k);
+                    let moved = o.move_to_back(&k).is_some();
                     let pos = model.iter().position(|&x| x == k);
                     assert_eq!(moved, pos.is_some());
                     if let Some(p) = pos {

@@ -4,8 +4,8 @@
 //! — which adapts slowly when the workload phase-changes. The arena goes
 //! further, in the spirit of expert-based replacement (EEvA) and adaptive
 //! weight ranking (AWRP): every [`ReplacementPolicy`] becomes an observable
-//! *expert* that sees the full event stream ([`PolicyEvents`]) and may
-//! *nominate* a victim ([`VictimRanker`]) without owning eviction authority.
+//! *expert* that sees the full event stream and is asked which victim it
+//! would select, without owning eviction authority.
 //!
 //! Each expert is instantiated twice:
 //!
@@ -26,7 +26,7 @@
 //! switches are reported through [`ArenaState`].
 
 use crate::order::LinkedOrder;
-use crate::policy::{PolicyEvents, PolicyKind, ReplacementPolicy, VictimRanker};
+use crate::policy::{PolicyKind, ReplacementPolicy};
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId};
 use serde::{Deserialize, Serialize};
@@ -83,23 +83,10 @@ impl Roster {
             ],
         }
     }
-
-    /// Number of experts in this roster.
-    pub fn len(&self) -> usize {
-        match self {
-            Roster::Full => 9 + 1,
-            Roster::Lean => 5,
-        }
-    }
-
-    /// Rosters are never empty; present for clippy's `len`-without-
-    /// `is_empty` convention.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
-/// Tuning parameters of the [`ArenaPolicy`].
+/// Tuning parameters of the expert arena
+/// ([`PolicyKind::ArenaWith`](crate::PolicyKind::ArenaWith)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArenaParams {
     /// Multiplicative penalty per ghost-cache miss: a charged expert's
@@ -208,14 +195,14 @@ impl Expert {
             let ghost = &self.ghost;
             let victim = self
                 .sim
-                .nominate(ctx, &|p| ghost.contains(&p))
+                .select_victim(ctx, &|p| ghost.contains(&p))
                 .or_else(|| self.ghost.front());
             let Some(victim) = victim else { break };
             self.sim.on_remove(victim);
             self.ghost.remove(&victim);
         }
         self.sim.on_insert(page, ctx, now);
-        self.ghost.push_back(id);
+        self.ghost.push_back(id, ());
         true
     }
 }
@@ -226,7 +213,7 @@ impl Expert {
 /// a regular [`ReplacementPolicy`]: the buffer manager drives it exactly
 /// like any other policy, and all mixing happens inside the event handlers,
 /// which keeps replay bit-for-bit deterministic.
-pub struct ArenaPolicy {
+pub(crate) struct ArenaPolicy {
     params: ArenaParams,
     capacity: usize,
     experts: Vec<Expert>,
@@ -266,7 +253,7 @@ impl ArenaPolicy {
                 label: kind.label(),
                 mirror: kind.build(capacity),
                 sim: kind.build(capacity),
-                ghost: LinkedOrder::new(),
+                ghost: LinkedOrder::default(),
                 ghost_misses: 0,
                 weight: uniform,
             })
@@ -279,27 +266,17 @@ impl ArenaPolicy {
             switches: 0,
             accesses: 0,
             misses: 0,
-            resident: LinkedOrder::new(),
-            recent: LinkedOrder::new(),
+            resident: LinkedOrder::default(),
+            recent: LinkedOrder::default(),
         }
-    }
-
-    /// The parameters the arena was built with.
-    pub fn params(&self) -> ArenaParams {
-        self.params
-    }
-
-    /// Roster index of the current leader.
-    pub fn leader(&self) -> usize {
-        self.leader
     }
 
     /// One access (insert or hit): run every ghost simulation, update the
     /// mixer weights, and re-elect the leader.
     fn observe(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.accesses += 1;
-        if !self.recent.move_to_back(&page.id) {
-            self.recent.push_back(page.id);
+        if self.recent.move_to_back(&page.id).is_none() {
+            self.recent.push_back(page.id, ());
         }
         while self.recent.len() > self.capacity {
             self.recent.pop_front();
@@ -385,10 +362,10 @@ impl ArenaPolicy {
     }
 }
 
-impl PolicyEvents for ArenaPolicy {
+impl ReplacementPolicy for ArenaPolicy {
     fn on_insert(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.misses += 1;
-        self.resident.push_back(page.id);
+        self.resident.push_back(page.id, ());
         for expert in &mut self.experts {
             expert.mirror.on_insert(page, ctx, now);
         }
@@ -420,10 +397,8 @@ impl PolicyEvents for ArenaPolicy {
             expert.mirror.on_remove(id);
         }
     }
-}
 
-impl VictimRanker for ArenaPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
@@ -432,24 +407,18 @@ impl VictimRanker for ArenaPolicy {
         // everything it tracks is pinned), poll the rest of the roster in
         // order, then fall back to the arena's own recency order.
         let leader = self.leader;
-        if let Some(victim) = self.experts[leader].mirror.nominate(ctx, evictable) {
+        if let Some(victim) = self.experts[leader].mirror.select_victim(ctx, evictable) {
             return Some(victim);
         }
         for (i, expert) in self.experts.iter_mut().enumerate() {
             if i == leader {
                 continue;
             }
-            if let Some(victim) = expert.mirror.nominate(ctx, evictable) {
+            if let Some(victim) = expert.mirror.select_victim(ctx, evictable) {
                 return Some(victim);
             }
         }
-        self.resident.iter().copied().find(|&id| evictable(id))
-    }
-}
-
-impl ReplacementPolicy for ArenaPolicy {
-    fn name(&self) -> String {
-        "ARENA".into()
+        self.resident.keys().find(|&id| evictable(id))
     }
 
     fn retained_history(&self) -> usize {
@@ -460,7 +429,7 @@ impl ReplacementPolicy for ArenaPolicy {
         self.experts
             .iter()
             .map(|e| {
-                let ghosts = e.ghost.iter().filter(|p| !resident.contains(p)).count();
+                let ghosts = e.ghost.keys().filter(|p| !resident.contains(p)).count();
                 ghosts + e.mirror.retained_history() + e.sim.retained_history()
             })
             .sum()
@@ -530,7 +499,10 @@ mod tests {
         let sum: f64 = state.weights().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "weights sum to {sum}");
         assert!(state.weights().iter().all(|&w| w > 0.0));
-        assert_eq!(state.experts.len(), ArenaParams::default().roster.len());
+        assert_eq!(
+            state.experts.len(),
+            ArenaParams::default().roster.kinds().len()
+        );
     }
 
     #[test]
@@ -559,11 +531,11 @@ mod tests {
         let mut arena = ArenaPolicy::new(6, params);
         let arena_evictions = drive(&mut arena, 6, &trace);
         assert_eq!(arena.arena_state().unwrap().switches, 0);
-        assert_eq!(arena.leader(), 0);
+        assert_eq!(arena.leader, 0);
 
         // Expert 0 of every roster is plain LRU: the frozen arena must make
         // bit-identical eviction decisions.
-        let mut plain = crate::policies::LruPolicy::new();
+        let mut plain = PolicyKind::Lru.build(6);
         let mut resident = Vec::new();
         let mut evictions = Vec::new();
         for (now, &raw) in trace.iter().enumerate() {

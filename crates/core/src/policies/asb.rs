@@ -1,14 +1,15 @@
 //! The adaptable spatial buffer (Section 4.2 of the paper) — the paper's
 //! headline contribution.
 
+use super::slru::spatial_victim;
 use crate::order::LinkedOrder;
-use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
+use crate::policy::ReplacementPolicy;
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// Tuning parameters of the [`AsbPolicy`].
+/// Tuning parameters of the adaptable spatial buffer
+/// ([`PolicyKind::AsbWith`](crate::PolicyKind::AsbWith)).
 ///
 /// The defaults are the paper's experimental settings: "the size of the
 /// overflow buffer has been 20 % of the complete buffer. The initial size of
@@ -46,12 +47,12 @@ struct PageInfo {
 
 /// The **adaptable spatial buffer (ASB)**.
 ///
-/// The buffer is split into a *main part* (managed like
-/// [`SlruPolicy`](crate::SlruPolicy): LRU proposes a candidate set, the
-/// spatial criterion picks from it) and a FIFO *overflow buffer* holding
-/// pages that the main part has already dropped. Because the overflow
-/// buffer is carved out of the configured capacity, memory requirements do
-/// not grow — the paper's counterpoint to LRU-K's unbounded history.
+/// The buffer is split into a *main part* (managed like SLRU: LRU proposes
+/// a candidate set, the spatial criterion picks from it) and a FIFO
+/// *overflow buffer* holding pages that the main part has already dropped.
+/// Because the overflow buffer is carved out of the configured capacity,
+/// memory requirements do not grow — the paper's counterpoint to LRU-K's
+/// unbounded history.
 ///
 /// Self-tuning happens on overflow hits. When a requested page `p` is found
 /// in the overflow buffer it is promoted back into the main part, and the
@@ -67,17 +68,17 @@ struct PageInfo {
 /// `c` is clamped to `[1, main buffer size]`; with `c = 1` the buffer
 /// behaves like LRU, with `c =` main size like the pure spatial policy.
 #[derive(Debug)]
-pub struct AsbPolicy {
-    params: AsbParams,
+pub(crate) struct AsbPolicy {
+    criterion: SpatialCriterion,
     main_cap: usize,
     overflow_cap: usize,
     candidate: usize,
     step: usize,
     /// LRU order of the main part (front = least recently used).
-    main: LinkedOrder<PageId>,
+    main: LinkedOrder<PageId, PageInfo>,
     /// FIFO order of the overflow buffer (front = first in, next victim).
-    overflow: LinkedOrder<PageId>,
-    info: HashMap<PageId, PageInfo>,
+    /// A page's entry moves between the two parts with the page.
+    overflow: LinkedOrder<PageId, PageInfo>,
 }
 
 impl AsbPolicy {
@@ -108,73 +109,44 @@ impl AsbPolicy {
             .clamp(1, main_cap);
         let step = ((main_cap as f64 * params.step_fraction).round() as usize).max(1);
         AsbPolicy {
-            params,
+            criterion: params.criterion,
             main_cap,
             overflow_cap,
             candidate,
             step,
-            main: LinkedOrder::new(),
-            overflow: LinkedOrder::new(),
-            info: HashMap::new(),
+            main: LinkedOrder::default(),
+            overflow: LinkedOrder::default(),
         }
     }
 
-    /// The parameters the policy was built with.
-    pub fn params(&self) -> AsbParams {
-        self.params
+    /// The SLRU rule on the main part: the spatially worst of the first
+    /// `candidate` evictable pages in LRU order.
+    fn main_victim(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        spatial_victim(&self.main, |info| info.crit, self.candidate, evictable)
     }
 
-    /// Capacity of the main part in pages.
-    pub fn main_capacity(&self) -> usize {
-        self.main_cap
-    }
-
-    /// Capacity of the overflow buffer in pages.
-    pub fn overflow_capacity(&self) -> usize {
-        self.overflow_cap
-    }
-
-    /// Number of pages currently in the overflow buffer.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
-    /// Moves the spatially worst page of the candidate set from the main
-    /// part into the overflow buffer. Called whenever the main part exceeds
-    /// its capacity.
-    fn demote(&mut self) {
-        let mut victim: Option<(PageId, f64)> = None;
-        for (seen, &id) in self.main.iter().enumerate() {
-            if seen >= self.candidate {
-                break;
+    /// Files `id` at the MRU end of the main part; if that overfills it,
+    /// the main part's victim moves into the overflow buffer.
+    fn enter_main(&mut self, id: PageId, info: PageInfo) {
+        self.main.push_back(id, info);
+        if self.main.len() > self.main_cap {
+            if let Some(id) = self.main_victim(&|_| true) {
+                if let Some(info) = self.main.remove(&id) {
+                    self.overflow.push_back(id, info);
+                }
             }
-            let c = self.info[&id].crit;
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-        }
-        if let Some((id, _)) = victim {
-            self.main.remove(&id);
-            self.overflow.push_back(id);
         }
     }
 
     /// Applies the self-tuning rule for a hit on overflow page `p`.
     fn adapt(&mut self, p: PageId) {
-        let me = self.info[&p];
-        let mut better_spatial = 0usize;
-        let mut better_lru = 0usize;
-        for &id in self.overflow.iter() {
-            if id == p {
-                continue;
-            }
-            let other = self.info[&id];
-            if other.crit > me.crit {
-                better_spatial += 1;
-            }
-            if other.last_access > me.last_access {
-                better_lru += 1;
-            }
+        let Some(&me) = self.overflow.get(&p) else {
+            return;
+        };
+        let (mut better_spatial, mut better_lru) = (0usize, 0usize);
+        for (_, other) in self.overflow.iter().filter(|&(id, _)| id != p) {
+            better_spatial += usize::from(other.crit > me.crit);
+            better_lru += usize::from(other.last_access > me.last_access);
         }
         if better_spatial > better_lru {
             // LRU seems more suitable: shrink the candidate set.
@@ -186,94 +158,55 @@ impl AsbPolicy {
     }
 }
 
-impl PolicyEvents for AsbPolicy {
+impl ReplacementPolicy for AsbPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, now: u64) {
-        self.info.insert(
-            page.id,
-            PageInfo {
-                crit: page.meta.stats.criterion(self.params.criterion),
-                last_access: now,
-            },
-        );
-        self.main.push_back(page.id);
-        if self.main.len() > self.main_cap {
-            self.demote();
-        }
+        let info = PageInfo {
+            crit: page.meta.stats.criterion(self.criterion),
+            last_access: now,
+        };
+        self.enter_main(page.id, info);
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, now: u64) {
         let id = page.id;
-        if self.main.contains(&id) {
-            self.main.move_to_back(&id);
-            if let Some(info) = self.info.get_mut(&id) {
-                info.last_access = now;
-            }
+        if let Some(info) = self.main.move_to_back(&id) {
+            info.last_access = now;
             return;
         }
-        if self.overflow.contains(&id) {
-            // Self-tuning happens *before* the promotion, while p's recorded
-            // recency still reflects its history in the overflow buffer.
-            self.adapt(id);
-            self.overflow.remove(&id);
-            self.main.push_back(id);
-            if let Some(info) = self.info.get_mut(&id) {
-                info.last_access = now;
-            }
-            if self.main.len() > self.main_cap {
-                self.demote();
-            }
+        // Self-tuning happens *before* the promotion, while p's recorded
+        // recency still reflects its history in the overflow buffer.
+        self.adapt(id);
+        if let Some(info) = self.overflow.remove(&id) {
+            let info = PageInfo {
+                last_access: now,
+                ..info
+            };
+            self.enter_main(id, info);
         }
     }
 
     fn on_update(&mut self, page: &Page) {
-        if let Some(info) = self.info.get_mut(&page.id) {
-            info.crit = page.meta.stats.criterion(self.params.criterion);
+        let info = (self.main.get_mut(&page.id)).or_else(|| self.overflow.get_mut(&page.id));
+        if let Some(info) = info {
+            info.crit = page.meta.stats.criterion(self.criterion);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.info.remove(&id);
-        if !self.overflow.remove(&id) {
+        if self.overflow.remove(&id).is_none() {
             self.main.remove(&id);
         }
     }
-}
 
-impl VictimRanker for AsbPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        // Regular case: FIFO from the overflow buffer.
-        if let Some(id) = self.overflow.iter().copied().find(|&id| evictable(id)) {
-            return Some(id);
-        }
-        // Degenerate case (overflow empty or fully pinned, e.g. a tiny
-        // buffer before warm-up finished): fall back to the SLRU rule on
-        // the main part.
-        let mut seen = 0usize;
-        let mut victim: Option<(PageId, f64)> = None;
-        for &id in self.main.iter() {
-            if !evictable(id) {
-                continue;
-            }
-            seen += 1;
-            let c = self.info[&id].crit;
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-            if seen >= self.candidate {
-                break;
-            }
-        }
-        victim.map(|(id, _)| id)
-    }
-}
-
-impl ReplacementPolicy for AsbPolicy {
-    fn name(&self) -> String {
-        "ASB".into()
+        // Regular case: FIFO from the overflow buffer. Degenerate case
+        // (overflow empty or fully pinned, e.g. a tiny buffer before
+        // warm-up finished): the SLRU rule on the main part.
+        (self.overflow.keys().find(|&id| evictable(id))).or_else(|| self.main_victim(evictable))
     }
 
     fn candidate_size(&self) -> Option<usize> {
@@ -281,7 +214,7 @@ impl ReplacementPolicy for AsbPolicy {
     }
 
     fn overflow_state(&self) -> Option<(Vec<PageId>, usize)> {
-        Some((self.overflow.iter().copied().collect(), self.overflow_cap))
+        Some((self.overflow.keys().collect(), self.overflow_cap))
     }
 }
 
@@ -312,16 +245,16 @@ mod tests {
     #[test]
     fn paper_defaults_partition_the_buffer() {
         let p = asb(100);
-        assert_eq!(p.overflow_capacity(), 20);
-        assert_eq!(p.main_capacity(), 80);
+        assert_eq!(p.overflow_cap, 20);
+        assert_eq!(p.main_cap, 80);
         assert_eq!(p.candidate_size(), Some(20)); // 25% of 80
     }
 
     #[test]
     fn tiny_buffers_keep_a_main_page() {
         let p = asb(1);
-        assert_eq!(p.overflow_capacity(), 0);
-        assert_eq!(p.main_capacity(), 1);
+        assert_eq!(p.overflow_cap, 0);
+        assert_eq!(p.main_cap, 1);
         assert_eq!(p.candidate_size(), Some(1));
     }
 
@@ -332,11 +265,11 @@ mod tests {
         for (i, side) in [(1u64, 3.0), (2, 9.0), (3, 5.0), (4, 7.0)] {
             p.on_insert(&page_area(i, side), ctx(), i);
         }
-        assert_eq!(p.overflow_len(), 0);
+        assert_eq!(p.overflow.len(), 0);
         // Fifth insert overflows main; candidate set = {page 1} (LRU end),
         // so page 1 is demoted regardless of criteria of others.
         p.on_insert(&page_area(5, 1.0), ctx(), 5);
-        assert_eq!(p.overflow_len(), 1);
+        assert_eq!(p.overflow.len(), 1);
         assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));
     }
 
@@ -360,20 +293,18 @@ mod tests {
         for i in 1..=5u64 {
             p.on_insert(&page_area(i, i as f64), ctx(), i);
         }
-        assert_eq!(p.overflow_len(), 1); // page 1
+        assert_eq!(p.overflow.len(), 1); // page 1
         p.on_hit(&page_area(1, 1.0), ctx(), 10);
         // Page 1 back in main; a demotion refilled the overflow buffer.
         assert!(p.main.contains(&PageId::new(1)));
-        assert_eq!(p.overflow_len(), 1);
+        assert_eq!(p.overflow.len(), 1);
         assert_ne!(p.overflow.front(), Some(PageId::new(1)));
     }
 
     /// Plants a page directly in the overflow buffer with the given
     /// criterion value and last-access tick.
     fn plant_overflow(p: &mut AsbPolicy, raw: u64, crit: f64, last_access: u64) {
-        p.info
-            .insert(PageId::new(raw), PageInfo { crit, last_access });
-        p.overflow.push_back(PageId::new(raw));
+        (p.overflow).push_back(PageId::new(raw), PageInfo { crit, last_access });
     }
 
     #[test]
@@ -490,8 +421,8 @@ mod tests {
         }
         let in_overflow = p.overflow.front().unwrap();
         p.on_remove(in_overflow);
-        assert_eq!(p.overflow_len(), 0);
-        assert!(!p.info.contains_key(&in_overflow));
+        assert_eq!(p.overflow.len(), 0);
+        assert!(!p.overflow.contains(&in_overflow) && !p.main.contains(&in_overflow));
         p.on_remove(PageId::new(3));
         assert!(!p.main.contains(&PageId::new(3)));
     }

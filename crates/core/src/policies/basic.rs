@@ -1,136 +1,88 @@
 //! Classic history-only baselines: LRU, FIFO, CLOCK and RANDOM.
 
 use crate::order::LinkedOrder;
-use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
+use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId};
 use std::collections::HashMap;
 
 /// Least-recently-used replacement — the paper's baseline against which all
 /// gains are reported.
 #[derive(Debug, Default)]
-pub struct LruPolicy {
+pub(crate) struct LruPolicy {
     order: LinkedOrder<PageId>,
 }
 
-impl LruPolicy {
-    /// Creates an empty LRU policy.
-    pub fn new() -> Self {
-        LruPolicy::default()
-    }
-}
-
-impl PolicyEvents for LruPolicy {
+impl ReplacementPolicy for LruPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.order.push_back(page.id);
+        self.order.push_back(page.id, ());
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
         self.order.move_to_back(&page.id);
     }
 
-    fn on_update(&mut self, _page: &Page) {}
-
     fn on_remove(&mut self, id: PageId) {
         self.order.remove(&id);
     }
-}
 
-impl VictimRanker for LruPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        self.order.iter().copied().find(|&id| evictable(id))
-    }
-}
-
-impl ReplacementPolicy for LruPolicy {
-    fn name(&self) -> String {
-        "LRU".into()
+        self.order.keys().find(|&id| evictable(id))
     }
 }
 
 /// First-in-first-out replacement: hits do not refresh a page's position.
 #[derive(Debug, Default)]
-pub struct FifoPolicy {
+pub(crate) struct FifoPolicy {
     order: LinkedOrder<PageId>,
 }
 
-impl FifoPolicy {
-    /// Creates an empty FIFO policy.
-    pub fn new() -> Self {
-        FifoPolicy::default()
-    }
-}
-
-impl PolicyEvents for FifoPolicy {
+impl ReplacementPolicy for FifoPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.order.push_back(page.id);
+        self.order.push_back(page.id, ());
     }
 
     fn on_hit(&mut self, _page: &Page, _ctx: AccessContext, _now: u64) {}
 
-    fn on_update(&mut self, _page: &Page) {}
-
     fn on_remove(&mut self, id: PageId) {
         self.order.remove(&id);
     }
-}
 
-impl VictimRanker for FifoPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        self.order.iter().copied().find(|&id| evictable(id))
-    }
-}
-
-impl ReplacementPolicy for FifoPolicy {
-    fn name(&self) -> String {
-        "FIFO".into()
+        self.order.keys().find(|&id| evictable(id))
     }
 }
 
 /// Second-chance (CLOCK) replacement: an approximation of LRU with one
-/// reference bit per page.
+/// reference bit per page, kept in the page's entry of the clock order.
 #[derive(Debug, Default)]
-pub struct ClockPolicy {
-    order: LinkedOrder<PageId>,
-    referenced: HashMap<PageId, bool>,
+pub(crate) struct ClockPolicy {
+    order: LinkedOrder<PageId, bool>,
 }
 
-impl ClockPolicy {
-    /// Creates an empty CLOCK policy.
-    pub fn new() -> Self {
-        ClockPolicy::default()
-    }
-}
-
-impl PolicyEvents for ClockPolicy {
+impl ReplacementPolicy for ClockPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.order.push_back(page.id);
-        self.referenced.insert(page.id, false);
+        self.order.push_back(page.id, false);
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        if let Some(bit) = self.referenced.get_mut(&page.id) {
-            *bit = true;
+        if let Some(referenced) = self.order.get_mut(&page.id) {
+            *referenced = true;
         }
     }
 
-    fn on_update(&mut self, _page: &Page) {}
-
     fn on_remove(&mut self, id: PageId) {
         self.order.remove(&id);
-        self.referenced.remove(&id);
     }
-}
 
-impl VictimRanker for ClockPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
@@ -140,34 +92,23 @@ impl VictimRanker for ClockPolicy {
         let limit = self.order.len() * 2 + 1;
         for _ in 0..limit {
             let hand = self.order.front()?;
-            if !evictable(hand) {
-                self.order.move_to_back(&hand);
-                continue;
+            if evictable(hand) {
+                let referenced = self.order.get_mut(&hand)?;
+                if !*referenced {
+                    return Some(hand);
+                }
+                *referenced = false;
             }
-            // invariant: `referenced` and `order` are updated together in
-            // on_admit/on_remove, so every page in the clock order has a bit.
-            let bit = (self.referenced.get_mut(&hand)).expect("tracked page has a ref bit");
-            if *bit {
-                *bit = false;
-                self.order.move_to_back(&hand);
-            } else {
-                return Some(hand);
-            }
+            self.order.move_to_back(&hand);
         }
         None
-    }
-}
-
-impl ReplacementPolicy for ClockPolicy {
-    fn name(&self) -> String {
-        "CLOCK".into()
     }
 }
 
 /// Uniformly random replacement, driven by a deterministic xorshift64* RNG
 /// so experiments stay reproducible.
 #[derive(Debug)]
-pub struct RandomPolicy {
+pub(crate) struct RandomPolicy {
     pages: Vec<PageId>,
     index: HashMap<PageId, usize>,
     state: u64,
@@ -194,7 +135,7 @@ impl RandomPolicy {
     }
 }
 
-impl PolicyEvents for RandomPolicy {
+impl ReplacementPolicy for RandomPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
         if self.index.contains_key(&page.id) {
             return;
@@ -205,8 +146,6 @@ impl PolicyEvents for RandomPolicy {
 
     fn on_hit(&mut self, _page: &Page, _ctx: AccessContext, _now: u64) {}
 
-    fn on_update(&mut self, _page: &Page) {}
-
     fn on_remove(&mut self, id: PageId) {
         if let Some(pos) = self.index.remove(&id) {
             self.pages.swap_remove(pos);
@@ -215,10 +154,8 @@ impl PolicyEvents for RandomPolicy {
             }
         }
     }
-}
 
-impl VictimRanker for RandomPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
@@ -232,12 +169,6 @@ impl VictimRanker for RandomPolicy {
         (0..self.pages.len())
             .map(|i| self.pages[(start + i) % self.pages.len()])
             .find(|&id| evictable(id))
-    }
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn name(&self) -> String {
-        "RANDOM".into()
     }
 }
 
@@ -267,7 +198,7 @@ mod tests {
 
     #[test]
     fn lru_victim_is_least_recent() {
-        let mut p = LruPolicy::new();
+        let mut p = LruPolicy::default();
         for i in 0..3 {
             p.on_insert(&page(i), ctx(), i);
         }
@@ -277,7 +208,7 @@ mod tests {
 
     #[test]
     fn lru_skips_unevictable() {
-        let mut p = LruPolicy::new();
+        let mut p = LruPolicy::default();
         for i in 0..3 {
             p.on_insert(&page(i), ctx(), i);
         }
@@ -287,7 +218,7 @@ mod tests {
 
     #[test]
     fn fifo_ignores_hits() {
-        let mut p = FifoPolicy::new();
+        let mut p = FifoPolicy::default();
         for i in 0..3 {
             p.on_insert(&page(i), ctx(), i);
         }
@@ -297,7 +228,7 @@ mod tests {
 
     #[test]
     fn clock_gives_second_chance() {
-        let mut p = ClockPolicy::new();
+        let mut p = ClockPolicy::default();
         for i in 0..3 {
             p.on_insert(&page(i), ctx(), i);
         }
@@ -345,7 +276,7 @@ mod tests {
 
     #[test]
     fn remove_unknown_is_noop() {
-        let mut p = LruPolicy::new();
+        let mut p = LruPolicy::default();
         p.on_insert(&page(1), ctx(), 1);
         p.on_remove(PageId::new(99));
         assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));

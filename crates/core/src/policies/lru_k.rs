@@ -1,7 +1,7 @@
 //! The LRU-K page-replacement algorithm of O'Neil, O'Neil and Weikum
 //! (SIGMOD 1993), as recapped in Section 2.2 of the EDBT 2002 paper.
 
-use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
+use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId, QueryId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -31,7 +31,7 @@ struct Hist {
 /// reports how many such ghost records exist; this is the memory overhead
 /// that the adaptable spatial buffer avoids.
 #[derive(Debug)]
-pub struct LruKPolicy {
+pub(crate) struct LruKPolicy {
     k: usize,
     history: HashMap<PageId, Hist>,
     /// Resident pages in page-id order: the victim scan iterates this set,
@@ -54,11 +54,6 @@ impl LruKPolicy {
             history: HashMap::new(),
             resident: BTreeSet::new(),
         }
-    }
-
-    /// The configured K.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     fn record(&mut self, id: PageId, ctx: AccessContext, now: u64) {
@@ -93,7 +88,7 @@ impl LruKPolicy {
     }
 }
 
-impl PolicyEvents for LruKPolicy {
+impl ReplacementPolicy for LruKPolicy {
     fn on_insert(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.resident.insert(page.id);
         self.record(page.id, ctx, now);
@@ -103,16 +98,12 @@ impl PolicyEvents for LruKPolicy {
         self.record(page.id, ctx, now);
     }
 
-    fn on_update(&mut self, _page: &Page) {}
-
     fn on_remove(&mut self, id: PageId) {
         // The page leaves the buffer but its history is retained.
         self.resident.remove(&id);
     }
-}
 
-impl VictimRanker for LruKPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
@@ -155,12 +146,6 @@ impl VictimRanker for LruKPolicy {
         // back to ignoring the correlation filter (one of the "special
         // cases" footnote 2 of the paper waves at).
         best(true).or_else(|| best(false))
-    }
-}
-
-impl ReplacementPolicy for LruKPolicy {
-    fn name(&self) -> String {
-        format!("LRU-{}", self.k)
     }
 
     fn retained_history(&self) -> usize {

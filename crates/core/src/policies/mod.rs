@@ -1,4 +1,8 @@
 //! Concrete page-replacement policies.
+//!
+//! The structs are crate-private: the outside world names a policy by its
+//! [`PolicyKind`](crate::PolicyKind) and drives it through
+//! [`ReplacementPolicy`](crate::ReplacementPolicy).
 
 mod arena;
 mod asb;
@@ -6,14 +10,15 @@ mod basic;
 mod lru_k;
 mod priority;
 mod slru;
-mod spatial;
 mod two_q;
 
-pub use arena::{ArenaParams, ArenaPolicy, ArenaState, ExpertState, Roster};
-pub use asb::{AsbParams, AsbPolicy};
-pub use basic::{ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy};
-pub use lru_k::LruKPolicy;
-pub use priority::{LruPriorityPolicy, LruTypePolicy};
-pub use slru::SlruPolicy;
-pub use spatial::SpatialPolicy;
-pub use two_q::TwoQPolicy;
+pub use arena::{ArenaParams, ArenaState, ExpertState, Roster};
+pub use asb::AsbParams;
+
+pub(crate) use arena::ArenaPolicy;
+pub(crate) use asb::AsbPolicy;
+pub(crate) use basic::{ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy};
+pub(crate) use lru_k::LruKPolicy;
+pub(crate) use priority::ClassLru;
+pub(crate) use slru::SlruPolicy;
+pub(crate) use two_q::TwoQPolicy;

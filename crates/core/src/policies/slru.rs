@@ -1,10 +1,36 @@
-//! Static combination of LRU and spatial replacement (Section 4.1).
+//! Spatial page replacement (Section 2.3 of the paper) and its static
+//! combination with LRU (Section 4.1).
 
 use crate::order::LinkedOrder;
-use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
+use crate::policy::ReplacementPolicy;
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId};
-use std::collections::HashMap;
+
+/// The one victim rule of every spatial policy: among the first `limit`
+/// evictable pages of `order` (front = least recently used) — the
+/// *candidate set* — the page with the **smallest** criterion. Strict `<`
+/// keeps the earliest page on ties, which is the paper's LRU tie-break:
+///
+/// 1. `C := { p | p ∈ candidates ∧ (q ∈ candidates ⇒ spatialCrit(p) ≤ spatialCrit(q)) }`
+/// 2. if `|C| > 1`, the victim is determined from `C` by LRU.
+///
+/// Pinned pages do not consume candidate slots.
+pub(super) fn spatial_victim<V: Copy>(
+    order: &LinkedOrder<PageId, V>,
+    crit: impl Fn(&V) -> f64,
+    limit: usize,
+    evictable: &dyn Fn(PageId) -> bool,
+) -> Option<PageId> {
+    let mut victim: Option<(PageId, f64)> = None;
+    let candidates = order.iter().filter(|&(id, _)| evictable(id)).take(limit);
+    for (id, value) in candidates {
+        let c = crit(value);
+        if victim.is_none_or(|(_, best)| c < best) {
+            victim = Some((id, c));
+        }
+    }
+    victim.map(|(id, _)| id)
+}
 
 /// **SLRU**: "1.) compute a set of candidates by using LRU and 2.) select
 /// the page to be dropped out of the buffer from the candidate set by using
@@ -12,16 +38,18 @@ use std::collections::HashMap;
 ///
 /// The candidate set consists of the `candidate_fraction * capacity`
 /// least-recently-used pages; the page with the smallest spatial criterion
-/// among them is evicted. "The larger the candidate set, the larger is the
-/// influence of the spatial page-replacement algorithm" — a fraction of 1.0
-/// degenerates to the pure spatial policy, a fraction of ~0 to plain LRU.
+/// (A, EA, M, EM or EO) among them is evicted. "The larger the candidate
+/// set, the larger is the influence of the spatial page-replacement
+/// algorithm": a fraction of ~0 is plain LRU, and with *every* page a
+/// candidate this is the pure spatial policy of §2.3 — which is how
+/// [`PolicyKind::Spatial`](crate::PolicyKind::Spatial) is built.
 #[derive(Debug)]
-pub struct SlruPolicy {
+pub(crate) struct SlruPolicy {
     criterion: SpatialCriterion,
-    candidate_count: usize,
-    crit: HashMap<PageId, f64>,
-    order: LinkedOrder<PageId>,
-    label: String,
+    /// Size of the static candidate set; `None` is the whole buffer.
+    candidates: Option<usize>,
+    /// LRU order; each entry carries the page's criterion value.
+    order: LinkedOrder<PageId, f64>,
 }
 
 impl SlruPolicy {
@@ -35,27 +63,27 @@ impl SlruPolicy {
             candidate_fraction > 0.0 && candidate_fraction <= 1.0,
             "candidate fraction must be in (0, 1]"
         );
-        let candidate_count = ((capacity as f64 * candidate_fraction).round() as usize).max(1);
+        let count = ((capacity as f64 * candidate_fraction).round() as usize).max(1);
         SlruPolicy {
-            criterion,
-            candidate_count,
-            crit: HashMap::new(),
-            order: LinkedOrder::new(),
-            label: format!("SLRU {:.0}%", candidate_fraction * 100.0),
+            candidates: Some(count),
+            ..SlruPolicy::spatial(criterion)
         }
     }
 
-    /// Size of the (static) candidate set in pages.
-    pub fn candidate_count(&self) -> usize {
-        self.candidate_count
+    /// Creates the pure spatial policy: every page is a candidate.
+    pub fn spatial(criterion: SpatialCriterion) -> Self {
+        SlruPolicy {
+            criterion,
+            candidates: None,
+            order: LinkedOrder::default(),
+        }
     }
 }
 
-impl PolicyEvents for SlruPolicy {
+impl ReplacementPolicy for SlruPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.crit
-            .insert(page.id, page.meta.stats.criterion(self.criterion));
-        self.order.push_back(page.id);
+        let crit = page.meta.stats.criterion(self.criterion);
+        self.order.push_back(page.id, crit);
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
@@ -63,59 +91,33 @@ impl PolicyEvents for SlruPolicy {
     }
 
     fn on_update(&mut self, page: &Page) {
-        if self.crit.contains_key(&page.id) {
-            self.crit
-                .insert(page.id, page.meta.stats.criterion(self.criterion));
+        if let Some(crit) = self.order.get_mut(&page.id) {
+            *crit = page.meta.stats.criterion(self.criterion);
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.crit.remove(&id);
         self.order.remove(&id);
     }
-}
 
-impl VictimRanker for SlruPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        // Walk from the LRU end, gathering up to `candidate_count`
-        // evictable candidates; pick the smallest criterion among them
-        // (first-found wins ties, i.e. LRU tie-break).
-        let mut seen = 0usize;
-        let mut victim: Option<(PageId, f64)> = None;
-        for &id in self.order.iter() {
-            if !evictable(id) {
-                continue;
-            }
-            seen += 1;
-            let c = self.crit[&id];
-            if victim.is_none_or(|(_, best)| c < best) {
-                victim = Some((id, c));
-            }
-            if seen >= self.candidate_count {
-                break;
-            }
-        }
-        victim.map(|(id, _)| id)
-    }
-}
-
-impl ReplacementPolicy for SlruPolicy {
-    fn name(&self) -> String {
-        self.label.clone()
+        let limit = self.candidates.unwrap_or(usize::MAX);
+        spatial_victim(&self.order, |&crit| crit, limit, evictable)
     }
 
     fn candidate_size(&self) -> Option<usize> {
-        Some(self.candidate_count)
+        self.candidates
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyKind;
     use asb_geom::{Rect, SpatialStats};
     use asb_storage::PageMeta;
     use bytes::Bytes;
@@ -135,18 +137,12 @@ mod tests {
 
     #[test]
     fn candidate_count_is_rounded_and_clamped() {
-        assert_eq!(
-            SlruPolicy::new(100, 0.25, SpatialCriterion::Area).candidate_count(),
-            25
-        );
-        assert_eq!(
-            SlruPolicy::new(100, 0.5, SpatialCriterion::Area).candidate_count(),
-            50
-        );
-        assert_eq!(
-            SlruPolicy::new(2, 0.25, SpatialCriterion::Area).candidate_count(),
-            1
-        );
+        let size = |capacity, fraction| {
+            SlruPolicy::new(capacity, fraction, SpatialCriterion::Area).candidate_size()
+        };
+        assert_eq!(size(100, 0.25), Some(25));
+        assert_eq!(size(100, 0.5), Some(50));
+        assert_eq!(size(2, 0.25), Some(1));
     }
 
     #[test]
@@ -196,5 +192,81 @@ mod tests {
         // Pages 1 and 2 pinned: candidates become {3}, the next evictable.
         let v = p.select_victim(ctx(), &|id| id.raw() > 2);
         assert_eq!(v, Some(PageId::new(3)));
+    }
+
+    // The pure spatial policy (§2.3), as `PolicyKind::Spatial` builds it.
+
+    fn page_rect(raw: u64, rect: Rect) -> Page {
+        let meta = PageMeta::data(SpatialStats::from_rects(&[rect]));
+        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
+    }
+
+    fn spatial(criterion: SpatialCriterion) -> Box<dyn ReplacementPolicy + Send> {
+        PolicyKind::Spatial(criterion).build(8)
+    }
+
+    #[test]
+    fn smallest_area_is_evicted_first() {
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, Rect::new(0.0, 0.0, 10.0, 10.0)), ctx(), 1);
+        p.on_insert(&page_rect(2, Rect::new(0.0, 0.0, 1.0, 1.0)), ctx(), 2);
+        p.on_insert(&page_rect(3, Rect::new(0.0, 0.0, 5.0, 5.0)), ctx(), 3);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn recency_does_not_override_criterion() {
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, Rect::new(0.0, 0.0, 1.0, 1.0)), ctx(), 1);
+        p.on_insert(&page_rect(2, Rect::new(0.0, 0.0, 9.0, 9.0)), ctx(), 2);
+        // Touching the small page does not save it.
+        p.on_hit(&page_rect(1, Rect::new(0.0, 0.0, 1.0, 1.0)), ctx(), 3);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));
+    }
+
+    #[test]
+    fn ties_break_by_lru() {
+        let same = Rect::new(0.0, 0.0, 2.0, 2.0);
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, same), ctx(), 1);
+        p.on_insert(&page_rect(2, same), ctx(), 2);
+        p.on_insert(&page_rect(3, same), ctx(), 3);
+        p.on_hit(&page_rect(1, same), ctx(), 4);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn update_refreshes_criterion() {
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, Rect::new(0.0, 0.0, 1.0, 1.0)), ctx(), 1);
+        p.on_insert(&page_rect(2, Rect::new(0.0, 0.0, 5.0, 5.0)), ctx(), 2);
+        // Page 1 grows (e.g. an insertion enlarged its MBR).
+        p.on_update(&page_rect(1, Rect::new(0.0, 0.0, 20.0, 20.0)));
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn respects_evictable_filter() {
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, Rect::new(0.0, 0.0, 1.0, 1.0)), ctx(), 1);
+        p.on_insert(&page_rect(2, Rect::new(0.0, 0.0, 5.0, 5.0)), ctx(), 2);
+        let v = p.select_victim(ctx(), &|id| id != PageId::new(1));
+        assert_eq!(v, Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn margin_criterion_prefers_thin_pages_to_stay() {
+        // A long thin page: area 1 but margin 20.2 > square's 8.
+        let thin = Rect::new(0.0, 0.0, 10.0, 0.1);
+        let square = Rect::new(0.0, 0.0, 2.0, 2.0);
+        let mut p = spatial(SpatialCriterion::Margin);
+        p.on_insert(&page_rect(1, thin), ctx(), 1);
+        p.on_insert(&page_rect(2, square), ctx(), 2);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+        // Under the area criterion the thin page would be the victim.
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, thin), ctx(), 1);
+        p.on_insert(&page_rect(2, square), ctx(), 2);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));
     }
 }

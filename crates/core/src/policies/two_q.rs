@@ -9,13 +9,13 @@
 //! middle ground between LRU-K and the history-free ASB.
 
 use crate::order::LinkedOrder;
-use crate::policy::{PolicyEvents, ReplacementPolicy, VictimRanker};
+use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId};
 
 /// 2Q with the paper-recommended sizing: `Kin` = 25 % of the buffer,
 /// `Kout` = 50 % of the buffer (ghost ids).
 #[derive(Debug)]
-pub struct TwoQPolicy {
+pub(crate) struct TwoQPolicy {
     kin: usize,
     kout: usize,
     /// FIFO probation queue (resident).
@@ -32,47 +32,33 @@ impl TwoQPolicy {
         TwoQPolicy {
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
-            a1in: LinkedOrder::new(),
-            a1out: LinkedOrder::new(),
-            am: LinkedOrder::new(),
+            a1in: LinkedOrder::default(),
+            a1out: LinkedOrder::default(),
+            am: LinkedOrder::default(),
         }
-    }
-
-    /// Size of the probation queue target.
-    pub fn kin(&self) -> usize {
-        self.kin
-    }
-
-    /// Capacity of the ghost queue.
-    pub fn kout(&self) -> usize {
-        self.kout
     }
 }
 
-impl PolicyEvents for TwoQPolicy {
+impl ReplacementPolicy for TwoQPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        if self.a1out.remove(&page.id) {
+        if self.a1out.remove(&page.id).is_some() {
             // Remembered ghost: the page proved re-use, protect it.
-            self.am.push_back(page.id);
+            self.am.push_back(page.id, ());
         } else {
-            self.a1in.push_back(page.id);
+            self.a1in.push_back(page.id, ());
         }
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        if self.am.contains(&page.id) {
-            self.am.move_to_back(&page.id);
-        }
         // Hits inside A1in do not move the page: correlated references to a
         // fresh page should not promote it (same intuition as LRU-K).
+        self.am.move_to_back(&page.id);
     }
 
-    fn on_update(&mut self, _page: &Page) {}
-
     fn on_remove(&mut self, id: PageId) {
-        if self.a1in.remove(&id) {
+        if self.a1in.remove(&id).is_some() {
             // Leaving probation: remember the ghost.
-            self.a1out.push_back(id);
+            self.a1out.push_back(id, ());
             while self.a1out.len() > self.kout {
                 self.a1out.pop_front();
             }
@@ -80,10 +66,8 @@ impl PolicyEvents for TwoQPolicy {
             self.am.remove(&id);
         }
     }
-}
 
-impl VictimRanker for TwoQPolicy {
-    fn nominate(
+    fn select_victim(
         &mut self,
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
@@ -91,22 +75,13 @@ impl VictimRanker for TwoQPolicy {
         // Prefer shrinking an oversized probation queue; otherwise evict
         // from the protected queue, falling back to probation if the
         // protected queue is empty or fully pinned.
+        let first = |queue: &LinkedOrder<PageId>| queue.keys().find(|&id| evictable(id));
         if self.a1in.len() > self.kin {
-            if let Some(id) = self.a1in.iter().copied().find(|&id| evictable(id)) {
+            if let Some(id) = first(&self.a1in) {
                 return Some(id);
             }
         }
-        self.am
-            .iter()
-            .copied()
-            .find(|&id| evictable(id))
-            .or_else(|| self.a1in.iter().copied().find(|&id| evictable(id)))
-    }
-}
-
-impl ReplacementPolicy for TwoQPolicy {
-    fn name(&self) -> String {
-        "2Q".into()
+        first(&self.am).or_else(|| first(&self.a1in))
     }
 
     fn retained_history(&self) -> usize {

@@ -1,30 +1,42 @@
 use crate::policies::{
-    ArenaParams, ArenaPolicy, AsbParams, AsbPolicy, ClockPolicy, FifoPolicy, LruKPolicy, LruPolicy,
-    LruPriorityPolicy, LruTypePolicy, RandomPolicy, SlruPolicy, SpatialPolicy, TwoQPolicy,
+    ArenaParams, ArenaPolicy, ArenaState, AsbParams, AsbPolicy, ClassLru, ClockPolicy, FifoPolicy,
+    LruKPolicy, LruPolicy, RandomPolicy, SlruPolicy, TwoQPolicy,
 };
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId};
+use asb_storage::{AccessContext, Page, PageId, PageMeta};
 use serde::{Deserialize, Serialize};
 
-use crate::policies::ArenaState;
-
-/// The event surface of a replacement policy: everything a policy needs to
-/// *observe* the buffer without owning eviction authority.
+/// A page-replacement policy: it observes the buffer's event stream and
+/// ranks eviction victims, without owning eviction authority.
 ///
 /// The [`BufferManager`](crate::BufferManager) owns the page table; a policy
-/// only maintains the ordering state needed to rank eviction victims. The
-/// manager guarantees the following protocol:
+/// only maintains the ordering state needed to pick victims. The manager
+/// guarantees the following protocol:
 ///
 /// 1. every page currently in the buffer has been announced by exactly one
-///    [`on_insert`](PolicyEvents::on_insert) and not yet retracted by
-///    [`on_remove`](PolicyEvents::on_remove);
-/// 2. [`on_hit`](PolicyEvents::on_hit) is only called for resident pages;
-/// 3. `now` ticks are strictly increasing across calls.
+///    [`on_insert`](ReplacementPolicy::on_insert) and not yet retracted by
+///    [`on_remove`](ReplacementPolicy::on_remove);
+/// 2. [`on_hit`](ReplacementPolicy::on_hit) is only called for resident
+///    pages;
+/// 3. `now` ticks are **non-decreasing** across calls, not strictly
+///    increasing. Two sources of ties exist: a request that counted a miss
+///    but then finds the page admitted by a concurrent flight reports its
+///    `on_hit` at the tick of the probe that counted it, and a batched
+///    fetch probes every page before it admits the first miss, so all
+///    admissions of one batch carry the tick of the batch's last probe. A
+///    policy that orders by time stamp must break such ties
+///    deterministically (LRU-K falls back to page-id order).
 ///
-/// Splitting observation from authority is what makes policies *experts*:
-/// the [`ArenaPolicy`] feeds the same event stream to a whole roster of
-/// policies and lets each one nominate victims counterfactually.
-pub trait PolicyEvents {
+/// Because observing commits to nothing, policies double as *experts*: the
+/// arena ([`PolicyKind::Arena`]) feeds the same event stream to a whole
+/// roster of policies and asks each for the victim it *would* choose; only
+/// the current leader's choice is carried out. `select_victim` therefore
+/// does not imply that the page leaves the buffer — that is what
+/// `on_remove` announces.
+///
+/// Policies must be [`Send`]: the sharded buffer pool moves each shard's
+/// policy behind a mutex shared across serving threads.
+pub trait ReplacementPolicy: Send {
     /// A page has been loaded into the buffer (after a miss) or admitted on
     /// allocation.
     fn on_insert(&mut self, page: &Page, ctx: AccessContext, now: u64);
@@ -33,64 +45,30 @@ pub trait PolicyEvents {
     fn on_hit(&mut self, page: &Page, ctx: AccessContext, now: u64);
 
     /// A resident page has been rewritten; `page` carries the fresh
-    /// metadata (spatial criteria may have changed).
-    fn on_update(&mut self, page: &Page);
+    /// metadata (spatial criteria may have changed). Policies that rank by
+    /// reference history alone ignore it.
+    fn on_update(&mut self, page: &Page) {
+        let _ = page;
+    }
 
     /// A page has left the buffer (either as the selected victim or through
     /// explicit invalidation).
     fn on_remove(&mut self, id: PageId);
-}
 
-/// The victim-ranking surface of a replacement policy.
-///
-/// `nominate` answers "which page would *you* evict right now?" without any
-/// commitment that the nomination is acted upon — the arena polls every
-/// expert's nomination but only the current leader's is executed. For a
-/// standalone policy the manager's `select_victim` call simply delegates
-/// here.
-pub trait VictimRanker {
-    /// Nominates the page this policy would drop. `ctx` is the access
-    /// context of the request that triggered the eviction (LRU-K excludes
-    /// pages whose most recent reference is correlated with it, i.e. belongs
-    /// to the same query). `evictable(id)` reports whether the page may be
-    /// evicted (it is resident and unpinned). Returns `None` only if no
-    /// tracked page is evictable.
-    fn nominate(
-        &mut self,
-        ctx: AccessContext,
-        evictable: &dyn Fn(PageId) -> bool,
-    ) -> Option<PageId>;
-}
-
-/// A page-replacement policy: an observable expert combining the event
-/// surface ([`PolicyEvents`]) with the victim-ranking surface
-/// ([`VictimRanker`]).
-///
-/// [`select_victim`](ReplacementPolicy::select_victim) is only called while
-/// at least one resident page satisfies `evictable` (i.e. is not pinned),
-/// and its return value is always a resident, evictable page. By default it
-/// delegates to [`nominate`](VictimRanker::nominate); only policies whose
-/// *execution* differs from their *nomination* (none today) would override.
-///
-/// Policies must be [`Send`]: the sharded buffer pool moves each shard's
-/// policy behind a mutex shared across serving threads.
-pub trait ReplacementPolicy: PolicyEvents + VictimRanker + Send {
-    /// Human-readable policy name, as used in the paper's figures
-    /// (e.g. `"LRU"`, `"LRU-2"`, `"A"`, `"SLRU 25%"`, `"ASB"`).
-    fn name(&self) -> String;
-
-    /// Chooses the page to drop and commits to that choice. See
-    /// [`VictimRanker::nominate`] for the contract on `ctx` and `evictable`.
+    /// Names the page this policy would drop. `ctx` is the access context
+    /// of the request that triggered the eviction (LRU-K excludes pages
+    /// whose most recent reference is correlated with it, i.e. belongs to
+    /// the same query). `evictable(id)` reports whether the page may be
+    /// evicted (it is resident and unpinned); the result always satisfies
+    /// it. Returns `None` only if no tracked page is evictable.
     fn select_victim(
         &mut self,
         ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
-    ) -> Option<PageId> {
-        self.nominate(ctx, evictable)
-    }
+    ) -> Option<PageId>;
 
-    /// For the adaptable spatial buffer: the current candidate-set size.
-    /// `None` for policies without that notion.
+    /// For SLRU and the adaptable spatial buffer: the current candidate-set
+    /// size. `None` for policies without that notion.
     fn candidate_size(&self) -> Option<usize> {
         None
     }
@@ -185,17 +163,21 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Instantiates the policy for a buffer of `capacity` pages.
+    ///
+    /// The paper's reductions are taken literally: the pure spatial policy
+    /// is SLRU with an unbounded candidate set (§4.1), and LRU-T and LRU-P
+    /// are one class-ordered LRU under two class functions (§2.1).
     pub fn build(&self, capacity: usize) -> Box<dyn ReplacementPolicy + Send> {
         match *self {
-            PolicyKind::Lru => Box::new(LruPolicy::new()),
-            PolicyKind::Fifo => Box::new(FifoPolicy::new()),
-            PolicyKind::Clock => Box::new(ClockPolicy::new()),
+            PolicyKind::Lru => Box::new(LruPolicy::default()),
+            PolicyKind::Fifo => Box::new(FifoPolicy::default()),
+            PolicyKind::Clock => Box::new(ClockPolicy::default()),
             PolicyKind::Random { seed } => Box::new(RandomPolicy::new(seed)),
-            PolicyKind::LruT => Box::new(LruTypePolicy::new()),
-            PolicyKind::LruP => Box::new(LruPriorityPolicy::new()),
+            PolicyKind::LruT => Box::new(ClassLru::new(|meta| meta.page_type.type_rank())),
+            PolicyKind::LruP => Box::new(ClassLru::new(PageMeta::priority)),
             PolicyKind::TwoQ => Box::new(TwoQPolicy::new(capacity)),
             PolicyKind::LruK { k } => Box::new(LruKPolicy::new(k)),
-            PolicyKind::Spatial(criterion) => Box::new(SpatialPolicy::new(criterion)),
+            PolicyKind::Spatial(criterion) => Box::new(SlruPolicy::spatial(criterion)),
             PolicyKind::Slru {
                 candidate_fraction,
                 criterion,
@@ -258,7 +240,13 @@ mod tests {
     }
 
     #[test]
-    fn build_produces_matching_names() {
+    fn every_kind_builds_and_tracks_a_page() {
+        let page = Page::new(
+            PageId::new(1),
+            PageMeta::data(asb_geom::SpatialStats::EMPTY),
+            bytes::Bytes::new(),
+        )
+        .unwrap();
         for kind in [
             PolicyKind::Lru,
             PolicyKind::Fifo,
@@ -276,8 +264,10 @@ mod tests {
             PolicyKind::Asb,
             PolicyKind::Arena,
         ] {
-            let policy = kind.build(100);
-            assert_eq!(policy.name(), kind.label(), "{kind:?}");
+            let mut policy = kind.build(100);
+            policy.on_insert(&page, AccessContext::default(), 1);
+            let victim = policy.select_victim(AccessContext::default(), &|_| true);
+            assert_eq!(victim, Some(page.id), "{kind:?}");
         }
     }
 }

@@ -15,7 +15,7 @@
 //! and commit the regenerated files with a note on why the numbers moved.
 
 use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, SpatialCriterion};
-use asb::exp::Trace;
+use asb::exp::{ReplayOutcome, Trace};
 use asb::storage::{AccessContext, PageId, QueryId, RecordingStore};
 use asb::workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use serde::{Deserialize, Serialize};
@@ -132,12 +132,9 @@ fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
 fn record_of(
     trace_name: &str,
     policy_name: &str,
-    trace: &Trace,
-    policy: PolicyKind,
+    out: &ReplayOutcome,
+    read_digest: u64,
 ) -> GoldenRecord {
-    let out = trace
-        .replay_sequential(policy, CAPACITY)
-        .expect("golden replay");
     GoldenRecord {
         trace: trace_name.to_string(),
         policy: policy_name.to_string(),
@@ -149,7 +146,7 @@ fn record_of(
         random_reads: out.io.random_reads,
         sequential_reads: out.io.sequential_reads,
         candidate_final: out.candidate_trajectory.last().copied().unwrap_or(0) as u64,
-        read_digest: read_digest(trace, policy),
+        read_digest,
     }
 }
 
@@ -210,10 +207,10 @@ fn replays_match_expected_json() {
         databases().map(|(name, db)| (format!("phase_{name}"), load_phase_trace(name, db)));
     for (name, trace) in uniform.iter().chain(&phased) {
         for (pname, policy) in policies() {
-            let rec = record_of(name, pname, trace, policy);
+            let seq = trace.replay_sequential(policy, CAPACITY).expect("replay");
+            let rec = record_of(name, pname, &seq, read_digest(trace, policy));
 
             // Sequential and one-shard sharded replays must agree exactly.
-            let seq = trace.replay_sequential(policy, CAPACITY).expect("replay");
             let sharded = trace.replay_sharded(policy, CAPACITY, 1).expect("replay");
             assert_eq!(sharded.stats, seq.stats, "{name}/{pname}: shard drift");
             assert_eq!(
