@@ -34,32 +34,8 @@ use asb_exp::{
 };
 use asb_rtree::RTree;
 use asb_storage::DiskManager;
-use asb_workload::{Dataset, DatasetKind, Distribution, QueryKind, QuerySetSpec, Scale};
+use asb_workload::{Dataset, DatasetKind, QuerySetSpec, Scale};
 use std::process::ExitCode;
-
-fn spec_by_name(name: &str) -> Option<QuerySetSpec> {
-    let (dist, rest) = if let Some(r) = name.strip_prefix("IND-") {
-        (Distribution::Independent, r)
-    } else if let Some(r) = name.strip_prefix("INT-") {
-        (Distribution::Intensified, r)
-    } else if let Some(r) = name.strip_prefix("ID-") {
-        (Distribution::Identical, r)
-    } else if let Some(r) = name.strip_prefix("U-") {
-        (Distribution::Uniform, r)
-    } else if let Some(r) = name.strip_prefix("S-") {
-        (Distribution::Similar, r)
-    } else {
-        return None;
-    };
-    let kind = match rest {
-        "P" => QueryKind::Point,
-        "W" => QueryKind::ObjectWindow,
-        w => QueryKind::Window {
-            ex: w.strip_prefix("W-")?.parse().ok()?,
-        },
-    };
-    Some(QuerySetSpec { dist, kind })
-}
 
 fn main() -> ExitCode {
     let mut scale = Scale::Medium;
@@ -98,7 +74,7 @@ fn main() -> ExitCode {
                 "--set" => {
                     let v = next()?;
                     set = v.clone();
-                    spec_by_name(&v).ok_or(format!("unknown query set {v}"))?;
+                    QuerySetSpec::from_name(&v).ok_or(format!("unknown query set {v}"))?;
                 }
                 "--threads" => {
                     threads = next()?.parse().map_err(|e| format!("{e}"))?;
@@ -138,7 +114,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let spec = spec_by_name(&set).expect("validated above");
+    let spec = QuerySetSpec::from_name(&set).expect("validated above");
 
     if let Some(path) = bench_json {
         let bench = match replacement_bench(BENCH_SEED, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE) {

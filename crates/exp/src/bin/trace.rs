@@ -33,32 +33,8 @@ use asb_core::PolicyKind;
 use asb_exp::{crash_sweep, CrashConfig, Trace};
 use asb_geom::SpatialCriterion;
 use asb_storage::{FaultConfig, RetryPolicy};
-use asb_workload::{DatasetKind, Distribution, PhasedWorkload, QueryKind, QuerySetSpec, Scale};
+use asb_workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use std::process::ExitCode;
-
-fn spec_by_name(name: &str) -> Option<QuerySetSpec> {
-    let (dist, rest) = if let Some(r) = name.strip_prefix("IND-") {
-        (Distribution::Independent, r)
-    } else if let Some(r) = name.strip_prefix("INT-") {
-        (Distribution::Intensified, r)
-    } else if let Some(r) = name.strip_prefix("ID-") {
-        (Distribution::Identical, r)
-    } else if let Some(r) = name.strip_prefix("U-") {
-        (Distribution::Uniform, r)
-    } else if let Some(r) = name.strip_prefix("S-") {
-        (Distribution::Similar, r)
-    } else {
-        return None;
-    };
-    let kind = match rest {
-        "P" => QueryKind::Point,
-        "W" => QueryKind::ObjectWindow,
-        w => QueryKind::Window {
-            ex: w.strip_prefix("W-")?.parse().ok()?,
-        },
-    };
-    Some(QuerySetSpec { dist, kind })
-}
 
 fn policy_by_name(name: &str) -> Option<PolicyKind> {
     Some(match name {
@@ -147,7 +123,7 @@ fn record(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         let workload = PhasedWorkload::adversarial(per_phase);
         Trace::record_phased(db, scale, seed, &workload).map_err(|e| e.to_string())?
     } else {
-        let spec = spec_by_name(&set).ok_or(format!("unknown query set {set}"))?;
+        let spec = QuerySetSpec::from_name(&set).ok_or(format!("unknown query set {set}"))?;
         Trace::record(db, scale, seed, spec, queries).map_err(|e| e.to_string())?
     };
     trace.save(&out).map_err(|e| format!("{out}: {e}"))?;

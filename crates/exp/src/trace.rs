@@ -28,7 +28,7 @@
 //! parse–print cycle is lossless.
 
 use asb_core::{ArenaState, BufferManager, BufferStats, PolicyKind, ShardedBuffer};
-use asb_geom::{Rect, SpatialStats};
+use asb_geom::{Query, Rect, SpatialStats};
 use asb_rtree::RTree;
 use asb_storage::{
     AccessContext, DiskManager, FaultConfig, FaultStats, FaultyStore, IoStats, PageId, PageMeta,
@@ -96,28 +96,8 @@ impl Trace {
         spec: QuerySetSpec,
         queries: usize,
     ) -> Result<Trace> {
-        let dataset = Dataset::generate(db, scale, seed);
-        let store = RecordingStore::new(DiskManager::new());
-        store.set_recording(false); // bulk-load reads are not workload
-        let mut tree = RTree::bulk_load(store, dataset.items())?;
-        let qs = spec.generate(&dataset, queries, seed ^ 0x0051_5e75);
-        tree.store().set_recording(true);
-        for q in &qs {
-            tree.execute(q)?;
-        }
-        let log = tree.store().take_log();
-        let disk = tree.into_store().into_inner();
-        let mut pages: Vec<(u64, PageMeta)> =
-            disk.iter_pages().map(|p| (p.id.raw(), p.meta)).collect();
-        pages.sort_unstable_by_key(|&(raw, _)| raw);
-        Ok(Trace {
-            label: format!(
-                "{db:?} {scale:?} seed={seed} set={} queries={}",
-                spec.name(),
-                qs.len()
-            ),
-            pages,
-            accesses: log.iter().map(|(p, q)| (p.raw(), q.raw())).collect(),
+        Trace::record_with(db, scale, seed, &spec.name(), |dataset, qseed| {
+            spec.generate(dataset, queries, qseed)
         })
     }
 
@@ -131,11 +111,25 @@ impl Trace {
         seed: u64,
         workload: &PhasedWorkload,
     ) -> Result<Trace> {
+        Trace::record_with(db, scale, seed, &workload.label(), |dataset, qseed| {
+            workload.generate(dataset, qseed)
+        })
+    }
+
+    /// The recorder behind both entry points: `queries` turns the dataset
+    /// and the derived query seed into the query list, `set` names it.
+    fn record_with(
+        db: DatasetKind,
+        scale: Scale,
+        seed: u64,
+        set: &str,
+        queries: impl FnOnce(&Dataset, u64) -> Vec<Query>,
+    ) -> Result<Trace> {
         let dataset = Dataset::generate(db, scale, seed);
         let store = RecordingStore::new(DiskManager::new());
         store.set_recording(false); // bulk-load reads are not workload
         let mut tree = RTree::bulk_load(store, dataset.items())?;
-        let qs = workload.generate(&dataset, seed ^ 0x0051_5e75);
+        let qs = queries(&dataset, seed ^ 0x0051_5e75);
         tree.store().set_recording(true);
         for q in &qs {
             tree.execute(q)?;
@@ -147,8 +141,7 @@ impl Trace {
         pages.sort_unstable_by_key(|&(raw, _)| raw);
         Ok(Trace {
             label: format!(
-                "{db:?} {scale:?} seed={seed} set={} queries={}",
-                workload.label(),
+                "{db:?} {scale:?} seed={seed} set={set} queries={}",
                 qs.len()
             ),
             pages,

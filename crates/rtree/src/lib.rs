@@ -15,7 +15,9 @@
 //!   their entries reinsert).
 //! * **Queries**: point, window, and k-nearest-neighbour, each tagged with
 //!   a fresh [`QueryId`](asb_storage::QueryId) so LRU-K can detect
-//!   correlated references.
+//!   correlated references. All of them are one resumable traversal,
+//!   [`Search`], which [`RTree`] runs to completion a page at a time and
+//!   a serving front end can run in batched slices.
 //! * **STR bulk loading** (sort-tile-recursive) with a configurable fill
 //!   factor — the paper's trees are ~69 % full, which the defaults match.
 //! * **Spatial join** between two trees (synchronized traversal), used by
@@ -32,10 +34,12 @@
 mod config;
 mod join;
 mod node;
+mod search;
 mod split;
 mod tree;
 
 pub use config::RTreeConfig;
 pub use join::spatial_join;
 pub use node::{DirEntry, LeafEntry, Node, NodeKind};
+pub use search::Search;
 pub use tree::{RTree, RTreeItem, TreeSnapshot, TreeStats};

@@ -2,6 +2,7 @@
 
 use crate::config::RTreeConfig;
 use crate::node::{DirEntry, LeafEntry, Node, NodeKind};
+use crate::search::Search;
 use crate::split::{
     choose_least_enlargement, choose_least_overlap, rstar_split, take_reinsert_victims,
 };
@@ -10,7 +11,6 @@ use asb_geom::{HasMbr, Point, Query, Rect};
 use asb_storage::{
     AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
 };
-use std::collections::BinaryHeap;
 
 impl HasMbr for DirEntry {
     fn mbr(&self) -> Rect {
@@ -401,32 +401,20 @@ impl<S: PageStore> RTree<S> {
 
     // ---- queries ---------------------------------------------------------
 
+    /// Runs `search` to completion, one page at a time: the query's
+    /// page-reference string is the sequence of its `wants(1)` answers.
+    fn run(&mut self, mut search: Search) -> Result<Search> {
+        self.next_query += 1;
+        while let Some(&id) = search.wants(1).first() {
+            let node = self.read_node(id)?;
+            search.feed(|_| Some(&node));
+        }
+        Ok(search)
+    }
+
     /// Executes a point or window query, returning the matching object ids.
     pub fn execute(&mut self, query: &Query) -> Result<Vec<u64>> {
-        self.next_query += 1;
-        let region = query.region();
-        let mut results = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            match &node.kind {
-                NodeKind::Dir(entries) => {
-                    for e in entries {
-                        if e.mbr.intersects(&region) {
-                            stack.push(e.child);
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    for e in entries {
-                        if query.matches(&e.mbr) {
-                            results.push(e.object_id);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(results)
+        Ok(self.run(Search::window(self.root, *query))?.into_results())
     }
 
     /// Point query: all objects whose MBR contains `p`.
@@ -442,70 +430,7 @@ impl<S: PageStore> RTree<S> {
     /// The `k` nearest objects to `p` by MBR distance (best-first search).
     /// Returns `(object_id, distance)` pairs ordered by ascending distance.
     pub fn nearest_neighbors(&mut self, p: Point, k: usize) -> Result<Vec<(u64, f64)>> {
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        self.next_query += 1;
-
-        #[derive(PartialEq)]
-        struct Candidate {
-            dist: f64,
-            target: std::result::Result<PageId, (u64, Rect)>, // node or object
-        }
-        impl Eq for Candidate {}
-        impl Ord for Candidate {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Reverse: BinaryHeap is a max-heap, we need the minimum.
-                other
-                    .dist
-                    .partial_cmp(&self.dist)
-                    .expect("finite distances")
-            }
-        }
-        impl PartialOrd for Candidate {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut heap = BinaryHeap::new();
-        heap.push(Candidate {
-            dist: 0.0,
-            target: Ok(self.root),
-        });
-        let mut out = Vec::with_capacity(k);
-        while let Some(c) = heap.pop() {
-            match c.target {
-                Err((id, _)) => {
-                    out.push((id, c.dist));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Ok(page) => {
-                    let node = self.read_node(page)?;
-                    match &node.kind {
-                        NodeKind::Dir(entries) => {
-                            for e in entries {
-                                heap.push(Candidate {
-                                    dist: e.mbr.min_dist(&p),
-                                    target: Ok(e.child),
-                                });
-                            }
-                        }
-                        NodeKind::Leaf(entries) => {
-                            for e in entries {
-                                heap.push(Candidate {
-                                    dist: e.mbr.min_dist(&p),
-                                    target: Err((e.object_id, e.mbr)),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.run(Search::nearest(self.root, p, k))?.into_neighbors())
     }
 
     // ---- insertion -------------------------------------------------------
@@ -795,35 +720,45 @@ impl<S: PageStore> RTree<S> {
 
     // ---- introspection ----------------------------------------------------
 
+    /// Visits every node of the tree depth-first, in one query scope.
+    fn for_each_node(
+        &mut self,
+        mut visit: impl FnMut(&mut Self, PageId, Node) -> Result<()>,
+    ) -> Result<()> {
+        self.next_query += 1;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = self.read_node(id)?;
+            if let NodeKind::Dir(entries) = &node.kind {
+                stack.extend(entries.iter().map(|e| e.child));
+            }
+            visit(self, id, node)?;
+        }
+        Ok(())
+    }
+
     /// Traverses the tree and returns structural statistics.
     ///
     /// Reads go through the normal access path (and are therefore counted);
     /// call this outside measurement windows.
     pub fn stats(&mut self) -> Result<TreeStats> {
-        self.next_query += 1;
-        let mut dir_pages = 0usize;
-        let mut data_pages = 0usize;
-        let mut objects = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
+        let mut stats = TreeStats {
+            directory_pages: 0,
+            data_pages: 0,
+            height: self.height,
+            objects: 0,
+        };
+        self.for_each_node(|_, _, node| {
             match &node.kind {
-                NodeKind::Dir(entries) => {
-                    dir_pages += 1;
-                    stack.extend(entries.iter().map(|e| e.child));
-                }
+                NodeKind::Dir(_) => stats.directory_pages += 1,
                 NodeKind::Leaf(entries) => {
-                    data_pages += 1;
-                    objects += entries.len();
+                    stats.data_pages += 1;
+                    stats.objects += entries.len();
                 }
             }
-        }
-        Ok(TreeStats {
-            directory_pages: dir_pages,
-            data_pages,
-            height: self.height,
-            objects,
-        })
+            Ok(())
+        })?;
+        Ok(stats)
     }
 
     /// Checks every structural invariant of the tree:
@@ -926,21 +861,15 @@ impl<S: PageStore> RTree<S> {
     where
         F: Fn(u64) -> Option<PageId>,
     {
-        self.next_query += 1;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let mut node = self.read_node(id)?;
-            match &mut node.kind {
-                NodeKind::Dir(entries) => stack.extend(entries.iter().map(|e| e.child)),
-                NodeKind::Leaf(entries) => {
-                    for e in entries.iter_mut() {
-                        e.object_page = resolver(e.object_id).map_or(0, |p| p.raw());
-                    }
-                    self.write_node(id, &node)?;
-                }
+        self.for_each_node(|tree, id, mut node| {
+            let NodeKind::Leaf(entries) = &mut node.kind else {
+                return Ok(());
+            };
+            for e in entries.iter_mut() {
+                e.object_page = resolver(e.object_id).map_or(0, |p| p.raw());
             }
-        }
-        Ok(())
+            tree.write_node(id, &node)
+        })
     }
 
     /// Executes a query and additionally reads the object page of every
@@ -951,57 +880,29 @@ impl<S: PageStore> RTree<S> {
     /// Each distinct object page is read at most once per query. Returns
     /// the matching object ids.
     pub fn execute_fetching_objects(&mut self, query: &Query) -> Result<Vec<u64>> {
-        self.next_query += 1;
-        let region = query.region();
-        let mut results = Vec::new();
-        let mut object_pages: Vec<u64> = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            match &node.kind {
-                NodeKind::Dir(entries) => {
-                    for e in entries {
-                        if e.mbr.intersects(&region) {
-                            stack.push(e.child);
-                        }
-                    }
-                }
-                NodeKind::Leaf(entries) => {
-                    for e in entries {
-                        if query.matches(&e.mbr) {
-                            results.push(e.object_id);
-                            if e.object_page != 0 {
-                                object_pages.push(e.object_page);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut search = self.run(Search::window(self.root, *query))?;
+        let mut object_pages = search.take_object_pages();
         object_pages.sort_unstable();
         object_pages.dedup();
         let ctx = self.ctx();
         for raw in object_pages {
             self.file.read(PageId::new(raw), ctx, |_| Ok(()))?;
         }
-        Ok(results)
+        Ok(search.into_results())
     }
 
     /// All indexed items, by full scan (test helper; counts accesses).
     pub fn scan_all(&mut self) -> Result<Vec<RTreeItem>> {
-        self.next_query += 1;
         let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            match &node.kind {
-                NodeKind::Dir(entries) => stack.extend(entries.iter().map(|e| e.child)),
-                NodeKind::Leaf(entries) => out.extend(entries.iter().map(|e| RTreeItem {
+        self.for_each_node(|_, _, node| {
+            if let NodeKind::Leaf(entries) = &node.kind {
+                out.extend(entries.iter().map(|e| RTreeItem {
                     mbr: e.mbr,
                     id: e.object_id,
-                })),
+                }));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 

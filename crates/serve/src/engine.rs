@@ -3,13 +3,16 @@
 //! The engine is a discrete-event simulation of a spatial map server: many
 //! closed-loop sessions each keep one request outstanding (window, k-NN or
 //! join, from [`asb_workload::session_requests`]), and the server answers
-//! them in *rounds*. Each round gathers the page frontier of every active
-//! request, dedupes it, groups it by buffer-pool shard
-//! ([`BufferPool::shard_of`]) and fetches each shard's group as one batch
-//! ([`BufferPool::fetch_batch`]). Shards are modelled as parallel I/O
-//! channels: the round costs the *maximum* shard service time, where a
-//! shard's time is the store's simulated clock advance
-//! ([`BufferPool::io_stats`]) plus a fixed in-memory cost per page served.
+//! them in *rounds*. The engine walks no tree itself: every request is an
+//! [`asb_rtree::Search`] — the traversal `RTree::execute` runs a page at a
+//! time — and a round asks each active search for its next slice of pages
+//! ([`ServeConfig::frontier_limit`]), dedupes them, groups them by
+//! buffer-pool shard ([`BufferPool::shard_of`]), fetches each shard's
+//! group as one batch ([`BufferPool::fetch_batch`]) and feeds the searches
+//! what arrived. Shards are modelled as parallel I/O channels: the round
+//! costs the *maximum* shard service time, where a shard's time is the
+//! store's simulated clock advance ([`BufferPool::io_stats`]) plus a fixed
+//! in-memory cost per page served.
 //! A request's latency is its completion tick minus its arrival tick, so
 //! queueing delay — arriving while a long round is in flight — is part of
 //! the measurement, exactly as a client would see it.
@@ -22,14 +25,14 @@
 use crate::degrade::{BreakerConfig, CircuitBreaker, Outcome, Quarantine};
 use crate::histogram::LatencyHistogram;
 use asb_core::BufferPool;
-use asb_geom::{Point, Rect};
-use asb_rtree::{Node, NodeKind, TreeSnapshot};
+use asb_geom::Query;
+use asb_rtree::{Node, Search, TreeSnapshot};
 use asb_storage::{AccessContext, PageId, QueryId, Result};
 use asb_workload::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Simulated in-memory service cost per page delivered from the buffer,
 /// in ticks (1 tick = 1 simulated microsecond).
@@ -52,8 +55,8 @@ pub struct ServeConfig {
     /// Mean think time between a session's requests, in ticks; each gap
     /// is drawn uniformly from `[think/2, 3·think/2]`.
     pub think_ticks: u64,
-    /// Maximum pages one request may ask for per round (its frontier is
-    /// consumed in slices of this size).
+    /// Maximum pages one request may ask for per round (the `limit` of
+    /// [`Search::wants`]).
     pub frontier_limit: usize,
     /// Per-request tick budget. A request still incomplete when a round
     /// ends past `arrival + deadline_ticks` is force-completed as
@@ -185,55 +188,8 @@ pub struct ServeOutcome {
     pub responses: Vec<Response>,
 }
 
-/// A k-NN search candidate: a tree node to expand or an object to emit.
-/// Mirrors `RTree::nearest_neighbors` exactly, so the engine's best-first
-/// traversal visits the same pages in the same order.
-#[derive(PartialEq)]
-struct Candidate {
-    dist: f64,
-    /// `Ok`: a node page to expand; `Err`: an object id to emit.
-    target: std::result::Result<PageId, u64>,
-}
-
-impl Eq for Candidate {}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need the minimum.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .expect("finite distances")
-    }
-}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The incremental traversal state of one in-flight request.
-enum Work {
-    /// Breadth-first window scan: unexpanded pages plus matches so far.
-    Window {
-        region: Rect,
-        frontier: Vec<PageId>,
-        results: Vec<u64>,
-    },
-    /// Best-first k-NN: the candidate heap plus emitted neighbours.
-    Nearest {
-        point: Point,
-        k: usize,
-        heap: BinaryHeap<Candidate>,
-        best: Vec<u64>,
-    },
-    /// Window-restricted spatial self-join over node pairs.
-    Join {
-        region: Rect,
-        pairs: Vec<(PageId, PageId)>,
-        count: u64,
-    },
-}
-
+/// One in-flight request: the client-side bookkeeping around its
+/// [`Search`], which owns the whole traversal.
 struct Active {
     session: usize,
     seq: usize,
@@ -242,16 +198,10 @@ struct Active {
     /// Tick past which the request is force-completed
     /// ([`Outcome::DeadlineExceeded`]).
     deadline: u64,
-    /// Set when any wanted page went undelivered and its subtree was
-    /// pruned: the eventual answer is a subset of the exact one.
-    degraded: bool,
     ctx: AccessContext,
     hits: u64,
     misses: u64,
-    /// Pages requested this round (the slice of the frontier the next
-    /// `advance` call consumes).
-    asked: Vec<PageId>,
-    work: Work,
+    search: Search,
 }
 
 impl Active {
@@ -265,30 +215,10 @@ impl Active {
         snapshot: &TreeSnapshot,
     ) -> Active {
         let root = snapshot.root();
-        let work = match request {
-            Request::Window(region) => Work::Window {
-                region: *region,
-                frontier: vec![root],
-                results: Vec::new(),
-            },
-            Request::Nearest(point, k) => {
-                let mut heap = BinaryHeap::new();
-                heap.push(Candidate {
-                    dist: 0.0,
-                    target: Ok(root),
-                });
-                Work::Nearest {
-                    point: *point,
-                    k: (*k).max(1),
-                    heap,
-                    best: Vec::new(),
-                }
-            }
-            Request::Join(region) => Work::Join {
-                region: *region,
-                pairs: vec![(root, root)],
-                count: 0,
-            },
+        let search = match *request {
+            Request::Window(region) => Search::window(root, Query::Window(region)),
+            Request::Nearest(point, k) => Search::nearest(root, point, k.max(1)),
+            Request::Join(region) => Search::join(root, region),
         };
         Active {
             session,
@@ -296,215 +226,21 @@ impl Active {
             kind: request.kind(),
             arrival,
             deadline: arrival.saturating_add(deadline_ticks.max(1)),
-            degraded: false,
             ctx: AccessContext::query(QueryId::new(qid)),
             hits: 0,
             misses: 0,
-            asked: Vec::new(),
-            work,
+            search,
         }
     }
 
-    /// The distinct pages this request needs next round, capped at
-    /// `limit`. Never empty unless the request is done.
-    fn wants(&mut self, limit: usize) -> &[PageId] {
-        let limit = limit.max(1);
-        self.asked.clear();
-        match &mut self.work {
-            Work::Window { frontier, .. } => {
-                self.asked.extend(frontier.iter().take(limit).copied());
-            }
-            Work::Nearest { heap, .. } => {
-                // `settle` already drained leading object candidates, so
-                // the top (if any) is a node page.
-                if let Some(c) = heap.peek() {
-                    if let Ok(page) = c.target {
-                        self.asked.push(page);
-                    }
-                }
-            }
-            Work::Join { pairs, .. } => {
-                let take = (limit / 2).max(1);
-                for &(a, b) in pairs.iter().take(take) {
-                    if !self.asked.contains(&a) {
-                        self.asked.push(a);
-                    }
-                    if !self.asked.contains(&b) {
-                        self.asked.push(b);
-                    }
-                }
-            }
-        }
-        &self.asked
-    }
-
-    /// Consumes the pages asked for this round and advances the
-    /// traversal. `delivered` holds every page the round fetched; an
-    /// asked page that went *undelivered* (failed slot, open breaker,
-    /// quarantine) prunes its subtree and marks the request degraded —
-    /// the traversal keeps making progress, and the eventual answer
-    /// stays a subset of the exact one (never a fabrication).
-    fn advance(&mut self, delivered: &BTreeMap<PageId, Node>) {
-        let mut pruned = false;
-        match &mut self.work {
-            Work::Window {
-                region,
-                frontier,
-                results,
-            } => {
-                let taken: Vec<PageId> = frontier.drain(..self.asked.len()).collect();
-                for id in taken {
-                    let Some(node) = delivered.get(&id) else {
-                        pruned = true;
-                        continue;
-                    };
-                    match &node.kind {
-                        NodeKind::Dir(entries) => {
-                            for e in entries {
-                                if e.mbr.intersects(region) {
-                                    frontier.push(e.child);
-                                }
-                            }
-                        }
-                        NodeKind::Leaf(entries) => {
-                            for e in entries {
-                                if e.mbr.intersects(region) {
-                                    results.push(e.object_id);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Work::Nearest { point, heap, .. } => {
-                if let Some(&page) = self.asked.first() {
-                    match delivered.get(&page) {
-                        Some(node) => {
-                            heap.pop();
-                            match &node.kind {
-                                NodeKind::Dir(entries) => {
-                                    for e in entries {
-                                        heap.push(Candidate {
-                                            dist: e.mbr.min_dist(point),
-                                            target: Ok(e.child),
-                                        });
-                                    }
-                                }
-                                NodeKind::Leaf(entries) => {
-                                    for e in entries {
-                                        heap.push(Candidate {
-                                            dist: e.mbr.min_dist(point),
-                                            target: Err(e.object_id),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            // The best candidate's page is unreachable:
-                            // abandon that subtree and continue best-first
-                            // over the reachable remainder.
-                            heap.pop();
-                            pruned = true;
-                        }
-                    }
-                }
-                self.settle();
-            }
-            Work::Join {
-                region,
-                pairs,
-                count,
-            } => {
-                let take = pairs
-                    .iter()
-                    .take_while({
-                        let asked = &self.asked;
-                        move |(a, b)| asked.contains(a) && asked.contains(b)
-                    })
-                    .count();
-                let taken: Vec<(PageId, PageId)> = pairs.drain(..take).collect();
-                for (a, b) in taken {
-                    let (Some(na), Some(nb)) = (delivered.get(&a), delivered.get(&b)) else {
-                        pruned = true;
-                        continue;
-                    };
-                    match (&na.kind, &nb.kind) {
-                        (NodeKind::Dir(ea), NodeKind::Dir(eb)) => {
-                            for (i, x) in ea.iter().enumerate() {
-                                if !x.mbr.intersects(region) {
-                                    continue;
-                                }
-                                let j0 = if a == b { i } else { 0 };
-                                for y in &eb[j0..] {
-                                    if y.mbr.intersects(region) && x.mbr.intersects(&y.mbr) {
-                                        let (lo, hi) = if x.child.raw() <= y.child.raw() {
-                                            (x.child, y.child)
-                                        } else {
-                                            (y.child, x.child)
-                                        };
-                                        pairs.push((lo, hi));
-                                    }
-                                }
-                            }
-                        }
-                        (NodeKind::Leaf(ea), NodeKind::Leaf(eb)) => {
-                            for (i, x) in ea.iter().enumerate() {
-                                if !x.mbr.intersects(region) {
-                                    continue;
-                                }
-                                let j0 = if a == b { i + 1 } else { 0 };
-                                for y in &eb[j0..] {
-                                    if y.mbr.intersects(region) && x.mbr.intersects(&y.mbr) {
-                                        *count += 1;
-                                    }
-                                }
-                            }
-                        }
-                        // A bulk-loaded R*-tree is balanced, so synchronized
-                        // descent only ever pairs equal levels.
-                        _ => unreachable!("join pairs stay level-synchronized"),
-                    }
-                }
-            }
-        }
-        self.degraded |= pruned;
-        self.asked.clear();
-    }
-
-    /// Drains leading object candidates off the k-NN heap into the
-    /// result list (they need no page access).
-    fn settle(&mut self) {
-        if let Work::Nearest { k, heap, best, .. } = &mut self.work {
-            while best.len() < *k {
-                match heap.peek() {
-                    Some(c) if c.target.is_err() => {
-                        let c = heap.pop().expect("peeked");
-                        best.push(c.target.unwrap_err());
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        match &self.work {
-            Work::Window { frontier, .. } => frontier.is_empty(),
-            Work::Nearest { k, heap, best, .. } => best.len() == *k || heap.is_empty(),
-            Work::Join { pairs, .. } => pairs.is_empty(),
-        }
-    }
-
+    /// The response payload: window matches sorted, k-NN neighbours by
+    /// ascending distance, the join's single pair count.
     fn into_results(self) -> Vec<u64> {
-        match self.work {
-            Work::Window { mut results, .. } => {
-                results.sort_unstable();
-                results
-            }
-            Work::Nearest { best, .. } => best,
-            Work::Join { count, .. } => vec![count],
+        let mut results = self.search.into_results();
+        if self.kind == "window" {
+            results.sort_unstable();
         }
+        results
     }
 }
 
@@ -594,7 +330,7 @@ pub fn serve(
         rounds += 1;
         let mut wanted: BTreeMap<PageId, Vec<usize>> = BTreeMap::new();
         for (idx, a) in active.iter_mut().enumerate() {
-            for &id in a.wants(cfg.frontier_limit) {
+            for &id in a.search.wants(cfg.frontier_limit) {
                 wanted.entry(id).or_default().push(idx);
             }
         }
@@ -614,8 +350,8 @@ pub fn serve(
         // shard's service time plus the fixed dispatch overhead. A shard
         // whose breaker is open never touches the store: its pages are
         // answered from buffer-resident state only, and whatever is not
-        // resident simply goes undelivered (the wanting requests degrade
-        // in `advance`). A page's failed slot feeds its shard's breaker;
+        // resident simply goes undelivered (the wanting searches prune
+        // it when fed). A page's failed slot feeds its shard's breaker;
         // a *give-up* failure additionally quarantines the page so later
         // rounds stop asking for it until its heal probe is due.
         let mut round_cost = 0u64;
@@ -695,22 +431,26 @@ pub fn serve(
         }
         now += round_cost + ROUND_OVERHEAD_TICKS;
 
-        // Advance every active request; completed ones respond and their
-        // session starts thinking about its next request. A request that
-        // is still incomplete past its deadline is force-completed with
-        // its partial answer (round-granularity deadline enforcement).
+        // Feed every active request its round; completed ones respond and
+        // their session starts thinking about its next request. An asked
+        // page that went undelivered (failed slot, open breaker,
+        // quarantine) prunes its subtree: the traversal keeps making
+        // progress and the answer stays a subset of the exact one, never a
+        // fabrication. A request still incomplete past its deadline is
+        // force-completed with its partial answer (round-granularity
+        // deadline enforcement).
         let mut still = Vec::new();
         for mut a in std::mem::take(&mut active) {
-            a.advance(&delivered);
-            let timed_out = !a.done() && now >= a.deadline;
-            if !a.done() && !timed_out {
+            a.search.feed(|id| delivered.get(&id));
+            let timed_out = !a.search.done() && now >= a.deadline;
+            if !a.search.done() && !timed_out {
                 still.push(a);
                 continue;
             }
             let outcome = if timed_out {
                 deadline_exceeded += 1;
                 Outcome::DeadlineExceeded
-            } else if a.degraded {
+            } else if a.search.pruned() {
                 degraded_requests += 1;
                 Outcome::Degraded
             } else {

@@ -132,6 +132,29 @@ impl QuerySetSpec {
         }
     }
 
+    /// Parses a paper name back into its spec: the inverse of
+    /// [`name`](QuerySetSpec::name).
+    pub fn from_name(name: &str) -> Option<Self> {
+        let (prefix, rest) = name.split_once('-')?;
+        let dist = [
+            Distribution::Uniform,
+            Distribution::Identical,
+            Distribution::Similar,
+            Distribution::Intensified,
+            Distribution::Independent,
+        ]
+        .into_iter()
+        .find(|d| d.prefix() == prefix)?;
+        let kind = match rest {
+            "P" => QueryKind::Point,
+            "W" => QueryKind::ObjectWindow,
+            w => QueryKind::Window {
+                ex: w.strip_prefix("W-")?.parse().ok()?,
+            },
+        };
+        Some(QuerySetSpec { dist, kind })
+    }
+
     /// Generates `count` queries against `dataset`, deterministically from
     /// `seed`.
     pub fn generate(&self, dataset: &Dataset, count: usize, seed: u64) -> Vec<Query> {
@@ -226,6 +249,32 @@ mod tests {
             "INT-W-1000"
         );
         assert_eq!(QuerySetSpec::independent(QueryKind::Point).name(), "IND-P");
+    }
+
+    #[test]
+    fn names_parse_back_to_their_spec() {
+        // Every distribution x every kind the figures, benches and phase
+        // workloads draw from (a superset of the sets they actually use).
+        let kinds = [QueryKind::Point, QueryKind::ObjectWindow]
+            .into_iter()
+            .chain([1000, 333, 100, 33].map(|ex| QueryKind::Window { ex }));
+        for kind in kinds {
+            for make in [
+                QuerySetSpec::similar,
+                QuerySetSpec::intensified,
+                QuerySetSpec::independent,
+            ] {
+                let s = make(kind);
+                assert_eq!(QuerySetSpec::from_name(&s.name()), Some(s));
+            }
+            for dist in [Distribution::Uniform, Distribution::Identical] {
+                let s = QuerySetSpec { dist, kind };
+                assert_eq!(QuerySetSpec::from_name(&s.name()), Some(s));
+            }
+        }
+        for bad in ["", "U", "X-P", "U-Q", "U-W-", "U-W-x", "INT-W33"] {
+            assert_eq!(QuerySetSpec::from_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl<'c> BenchmarkGroup<'c> {
         self
     }
 
-    /// Sets the target measurement time; accepted and ignored.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Runs one benchmark and prints its mean time per iteration.
     pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
     where

@@ -43,15 +43,6 @@ impl<T: ?Sized> Mutex<T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
@@ -106,7 +97,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
     }
 

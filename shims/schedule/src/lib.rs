@@ -774,8 +774,7 @@ pub mod sync {
     //! primitives.
 
     use super::{
-        current_ctx, fresh_lock_id, note_acquire, register_lock, yield_point, Blocker, Ctx,
-        LockKind, Status,
+        current_ctx, fresh_lock_id, register_lock, yield_point, Blocker, Ctx, LockKind, Status,
     };
     use std::sync::PoisonError;
 
@@ -878,46 +877,6 @@ pub mod sync {
                     id: self.id,
                     shared_mode: false,
                 },
-            }
-        }
-
-        /// Attempts to acquire without blocking (a scheduling point, but
-        /// never a blocking one, on controlled threads).
-        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            let ctx = current_ctx();
-            if let Some(c) = &ctx {
-                c.park(Status::Ready, true);
-                let mut st = c.shared.m.lock().unwrap_or_else(PoisonError::into_inner);
-                let l = st.locks.entry(self.id).or_default();
-                if l.writer || l.readers > 0 {
-                    return None;
-                }
-                l.writer = true;
-                note_acquire(&mut st, c.tid, self.id, LockKind::Mutex);
-            }
-            let guard = match self.inner.try_lock() {
-                Ok(g) => Some(g),
-                Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                Err(std::sync::TryLockError::WouldBlock) => None,
-            };
-            match guard {
-                Some(guard) => Some(MutexGuard {
-                    guard,
-                    _release: Release {
-                        ctx,
-                        id: self.id,
-                        shared_mode: false,
-                    },
-                }),
-                None => {
-                    // Model said free but the real lock is held: only
-                    // possible with uncontrolled threads in the mix; undo
-                    // the model claim.
-                    if let Some(c) = &ctx {
-                        c.release_write(self.id);
-                    }
-                    None
-                }
             }
         }
 
@@ -1229,7 +1188,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
         let l = RwLock::new(vec![1]);
         l.write().push(2);
