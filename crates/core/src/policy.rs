@@ -210,6 +210,43 @@ impl PolicyKind {
             PolicyKind::Arena | PolicyKind::ArenaWith(_) => "ARENA".into(),
         }
     }
+
+    /// Parses a policy name as the command lines spell it: the
+    /// case-insensitive inverse of [`label`](PolicyKind::label) for every
+    /// kind without parameters (`lru`, `fifo`, `clock`, `lru-t`, `lru-p`,
+    /// `2q`, the five spatial criteria `a` … `eo`, `asb`, `arena`), plus
+    /// `lru-<k>` for LRU-K and `slru` for the paper's SLRU 25 % under
+    /// criterion A.
+    pub fn from_name(name: &str) -> Option<Self> {
+        let name = name.to_ascii_uppercase();
+        if name == "SLRU" {
+            return Some(PolicyKind::Slru {
+                candidate_fraction: 0.25,
+                criterion: SpatialCriterion::Area,
+            });
+        }
+        let fixed = [
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::Clock,
+            PolicyKind::LruT,
+            PolicyKind::LruP,
+            PolicyKind::TwoQ,
+            PolicyKind::Asb,
+            PolicyKind::Arena,
+        ]
+        .into_iter()
+        .chain(SpatialCriterion::ALL.map(PolicyKind::Spatial))
+        .find(|kind| kind.label() == name);
+        fixed.or_else(|| {
+            // K sizes a per-page history allocation, so it is bounded
+            // here, where it enters; K = 0 is not a policy.
+            let k: std::num::NonZeroU8 = name.strip_prefix("LRU-")?.parse().ok()?;
+            Some(PolicyKind::LruK {
+                k: usize::from(k.get()),
+            })
+        })
+    }
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -237,6 +274,41 @@ mod tests {
         );
         assert_eq!(PolicyKind::Asb.label(), "ASB");
         assert_eq!(PolicyKind::Arena.label(), "ARENA");
+    }
+
+    #[test]
+    fn names_round_trip_through_labels() {
+        let mut kinds = vec![
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::Clock,
+            PolicyKind::LruT,
+            PolicyKind::LruP,
+            PolicyKind::TwoQ,
+            PolicyKind::LruK { k: 2 },
+            PolicyKind::LruK { k: 5 },
+            PolicyKind::Asb,
+            PolicyKind::Arena,
+        ];
+        kinds.extend(SpatialCriterion::ALL.map(PolicyKind::Spatial));
+        for kind in kinds {
+            let label = kind.label();
+            assert_eq!(PolicyKind::from_name(&label), Some(kind), "{label}");
+            assert_eq!(
+                PolicyKind::from_name(&label.to_lowercase()),
+                Some(kind),
+                "{label}"
+            );
+        }
+        assert_eq!(
+            PolicyKind::from_name("slru").map(|k| k.label()),
+            Some("SLRU 25%".into())
+        );
+        for bad in [
+            "", "lru-", "lru-0", "lru-x", "lru-999", "random", "SLRU 25%",
+        ] {
+            assert_eq!(PolicyKind::from_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

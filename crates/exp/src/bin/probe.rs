@@ -53,14 +53,8 @@ fn main() -> ExitCode {
         let r: Result<(), String> = (|| {
             match arg.as_str() {
                 "--scale" => {
-                    scale = match next()?.as_str() {
-                        "tiny" => Scale::Tiny,
-                        "small" => Scale::Small,
-                        "medium" => Scale::Medium,
-                        "large" => Scale::Large,
-                        "paper" => Scale::Paper,
-                        o => return Err(format!("unknown scale {o}")),
-                    }
+                    let v = next()?;
+                    scale = Scale::from_name(&v).ok_or(format!("unknown scale {v}"))?;
                 }
                 "--seed" => seed = next()?.parse().map_err(|e| format!("{e}"))?,
                 "--db" => {

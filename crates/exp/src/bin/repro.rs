@@ -26,6 +26,7 @@ fn parse_args() -> Result<Args, String> {
     let mut scale = Scale::Medium;
     let mut seed = 42u64;
     let mut json = None;
+    let ext_names: Vec<&str> = EXTENSIONS.iter().map(|(name, _)| *name).collect();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -42,23 +43,16 @@ fn parse_args() -> Result<Args, String> {
             }
             "--ext" | "-e" => {
                 let v = it.next().ok_or("--ext needs a name")?;
-                if v != "all" && !EXTENSIONS.contains(&v.as_str()) {
+                if v != "all" && !ext_names.contains(&v.as_str()) {
                     return Err(format!(
-                        "unknown extension {v}; available: {EXTENSIONS:?} or 'all'"
+                        "unknown extension {v}; available: {ext_names:?} or 'all'"
                     ));
                 }
                 extensions.push(v);
             }
             "--scale" | "-s" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "medium" => Scale::Medium,
-                    "large" => Scale::Large,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale: {other}")),
-                };
+                scale = Scale::from_name(&v).ok_or(format!("unknown scale: {v}"))?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -73,7 +67,7 @@ fn parse_args() -> Result<Args, String> {
                      Usage: repro [--figure N]... [--ext NAME]... \
                      [--scale tiny|small|medium|large|paper] [--seed S] [--json PATH]\n\n\
                      Data figures: {FIGURE_IDS:?}\n\
-                     Extensions: {EXTENSIONS:?} or 'all'"
+                     Extensions: {ext_names:?} or 'all'"
                 );
                 std::process::exit(0);
             }

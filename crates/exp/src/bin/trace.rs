@@ -3,12 +3,16 @@
 //! ```text
 //! trace record --out PATH [--db 1|2] [--scale tiny|small|medium|large|paper]
 //!              [--seed S] [--set NAME] [--queries N] [--phased N]
-//! trace replay PATH [--policy lru|fifo|clock|lru-2|slru|asb|arena] [--capacity N]
+//! trace replay PATH [--policy NAME] [--capacity N]
 //!              [--shards M] [--fault-seed S] [--fault-rate R] [--weights PATH]
 //! trace crash PATH [--policy NAME] [--capacity N] [--seed S]
 //!             [--update-every K] [--checkpoint-interval N]
 //!             [--max-accesses N] [--artifacts DIR]
 //! ```
+//!
+//! `--policy NAME` is anything `PolicyKind::from_name` accepts: a figure
+//! label in any case (`lru`, `lru-t`, `2q`, `a`, `asb`, `arena`, …),
+//! `lru-<k>`, or `slru` for SLRU 25 %.
 //!
 //! `record` runs one workload unbuffered and writes its logical access
 //! sequence; `--phased N` records the adversarial phase-change workload
@@ -31,26 +35,9 @@
 
 use asb_core::PolicyKind;
 use asb_exp::{crash_sweep, CrashConfig, Trace};
-use asb_geom::SpatialCriterion;
 use asb_storage::{FaultConfig, RetryPolicy};
 use asb_workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use std::process::ExitCode;
-
-fn policy_by_name(name: &str) -> Option<PolicyKind> {
-    Some(match name {
-        "lru" => PolicyKind::Lru,
-        "fifo" => PolicyKind::Fifo,
-        "clock" => PolicyKind::Clock,
-        "lru-2" => PolicyKind::LruK { k: 2 },
-        "slru" => PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        },
-        "asb" => PolicyKind::Asb,
-        "arena" => PolicyKind::Arena,
-        _ => return None,
-    })
-}
 
 fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
@@ -101,14 +88,8 @@ fn record(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 }
             }
             "--scale" => {
-                scale = match next()?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "medium" => Scale::Medium,
-                    "large" => Scale::Large,
-                    "paper" => Scale::Paper,
-                    o => return Err(format!("unknown scale {o}")),
-                }
+                let v = next()?;
+                scale = Scale::from_name(&v).ok_or(format!("unknown scale {v}"))?;
             }
             "--seed" => seed = next()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--set" => set = next()?,
@@ -150,7 +131,7 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             "--weights" => weights_out = Some(next()?),
             "--policy" => {
                 let v = next()?;
-                policy = policy_by_name(&v).ok_or(format!("unknown policy {v}"))?;
+                policy = PolicyKind::from_name(&v).ok_or(format!("unknown policy {v}"))?;
             }
             "--capacity" => {
                 capacity = next()?.parse().map_err(|e| format!("bad capacity: {e}"))?;
@@ -273,7 +254,7 @@ fn crash(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         match arg.as_str() {
             "--policy" => {
                 let v = next()?;
-                config.policy = policy_by_name(&v).ok_or(format!("unknown policy {v}"))?;
+                config.policy = PolicyKind::from_name(&v).ok_or(format!("unknown policy {v}"))?;
             }
             "--capacity" => {
                 config.capacity = next()?.parse().map_err(|e| format!("bad capacity: {e}"))?;

@@ -9,27 +9,52 @@
 //!   which is where the *type-based* LRU's third category finally matters;
 //! * [`ext_cross_sam`] — the same replacement policies on the quadtree and
 //!   the z-order B⁺-tree, testing the paper's implicit claim that spatial
-//!   replacement criteria generalize across spatial access methods.
+//!   replacement criteria generalize across spatial access methods;
+//! * [`ext_moving_objects`] — continuously moving objects.
+//!
+//! The `ablate-*` experiments cover what the paper names as future work:
+//! the influence of ASB's two fixed parameters ([`ablate_overflow`],
+//! [`ablate_step`]), random against sequential I/O ([`ablate_io`]), and the
+//! influence of the strategies on spatial joins and updates
+//! ([`ablate_join`], [`ablate_updates`]).
+//!
+//! Every experiment is a function of `(scale, seed)` alone and is reached
+//! through [`EXTENSIONS`] — `repro --ext NAME --scale S --seed N`.
 
+use crate::lab::{Lab, LARGEST_BUFFER_FRAC};
 use crate::report::{FigureTable, Series};
-use asb_core::{BufferManager, PolicyKind, SpatialCriterion};
-use asb_geom::Point;
+use asb_core::{AsbParams, BufferManager, PolicyKind, SpatialCriterion};
+use asb_geom::{Point, Query, SpatialItem};
 use asb_quadtree::{QuadConfig, QuadTree};
-use asb_rtree::RTree;
+use asb_rtree::{spatial_join, RTree};
 use asb_storage::{DiskManager, ObjectRecord, ObjectStore, Result};
 use asb_workload::{Dataset, DatasetKind, QueryKind, QuerySetSpec, Scale};
 use asb_zbtree::ZBTree;
 use bytes::Bytes;
 
-fn policies() -> Vec<(PolicyKind, &'static str)> {
-    vec![
-        (PolicyKind::Lru, "LRU"),
-        (PolicyKind::LruT, "LRU-T"),
-        (PolicyKind::LruP, "LRU-P"),
-        (PolicyKind::LruK { k: 2 }, "LRU-2"),
-        (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
-        (PolicyKind::Asb, "ASB"),
-    ]
+/// LRU (always first: it is the baseline) and the three informed policies
+/// the extensions compare against it.
+const CONTENDERS: [PolicyKind; 4] = [
+    PolicyKind::Lru,
+    PolicyKind::LruK { k: 2 },
+    PolicyKind::Spatial(SpatialCriterion::Area),
+    PolicyKind::Asb,
+];
+
+/// [`CONTENDERS`] plus the two structural LRUs, which differ from each
+/// other only once object pages are in the access stream.
+const OBJECT_PAGE_POLICIES: [PolicyKind; 6] = [
+    PolicyKind::Lru,
+    PolicyKind::LruT,
+    PolicyKind::LruP,
+    PolicyKind::LruK { k: 2 },
+    PolicyKind::Spatial(SpatialCriterion::Area),
+    PolicyKind::Asb,
+];
+
+/// The paper's gain of a run over LRU's, from their disk reads, in percent.
+fn gain_vs_lru(lru_reads: u64, reads: u64) -> f64 {
+    (lru_reads as f64 / reads as f64 - 1.0) * 100.0
 }
 
 fn query_sets() -> Vec<QuerySetSpec> {
@@ -47,7 +72,7 @@ fn query_sets() -> Vec<QuerySetSpec> {
 /// With object pages in the access stream, LRU-T's "drop object pages
 /// first" rule becomes observable (in the tree-only figures LRU-T degrades
 /// to LRU-P).
-pub fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
+fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
     // Build object pages in item (≈ spatial) order, then the tree on top of
     // the same simulated disk, then connect the leaf entries.
@@ -75,7 +100,7 @@ pub fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
 
     let mut base: Vec<u64> = Vec::new();
     let mut series = Vec::new();
-    for (policy, name) in policies() {
+    for policy in OBJECT_PAGE_POLICIES {
         let mut points = Vec::new();
         for (spec, queries) in sets.iter().zip(&queries_per_set) {
             tree.set_buffer(BufferManager::with_policy(policy, buffer_pages));
@@ -90,11 +115,11 @@ pub fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
                 points.push((spec.name(), 0.0));
             } else {
                 let lru = base[points.len()];
-                points.push((spec.name(), (lru as f64 / reads as f64 - 1.0) * 100.0));
+                points.push((spec.name(), gain_vs_lru(lru, reads)));
             }
         }
         series.push(Series {
-            name: name.into(),
+            name: policy.label(),
             points,
         });
     }
@@ -111,7 +136,7 @@ pub fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
 
 /// Gain vs LRU of the spatial policy A, LRU-2 and ASB on three different
 /// spatial access methods over the same dataset and uniform window queries.
-pub fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
+fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
     let queries = QuerySetSpec::uniform_windows(33).generate(&dataset, 1500, seed ^ 0x5A11);
     let centers: Vec<(u64, Point)> = dataset
@@ -120,44 +145,33 @@ pub fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
         .map(|it| (it.id, it.mbr.center()))
         .collect();
 
-    let contenders = [
-        (PolicyKind::LruK { k: 2 }, "LRU-2"),
-        (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
-        (PolicyKind::Asb, "ASB"),
-    ];
+    let contenders = &CONTENDERS[1..];
 
-    // One closure per SAM: build, then return per-policy disk accesses.
+    // One closure per SAM: build, then return per-policy disk accesses;
+    // `run_all` turns them into one gain per contender.
     type PolicyRun<'a> = Box<dyn FnMut(PolicyKind) -> Result<u64> + 'a>;
-    let run_all = |label: &str, mut run: PolicyRun| -> Result<(String, Vec<(String, f64)>)> {
+    let run_all = |mut run: PolicyRun| -> Result<Vec<f64>> {
         let lru = run(PolicyKind::Lru)?;
-        let mut points = vec![];
-        for (p, name) in contenders {
-            let reads = run(p)?;
-            points.push((
-                format!("{label}/{name}"),
-                (lru as f64 / reads as f64 - 1.0) * 100.0,
-            ));
-        }
-        Ok((label.to_string(), points))
+        contenders
+            .iter()
+            .map(|&p| Ok(gain_vs_lru(lru, run(p)?)))
+            .collect()
     };
 
     // R*-tree.
     let mut rtree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
     let rtree_buffer = ((rtree.page_count() as f64) * 0.047).round().max(8.0) as usize;
     let queries_r = queries.clone();
-    let (_, rtree_points) = run_all(
-        "R*-tree",
-        Box::new(move |policy| {
-            rtree.set_buffer(BufferManager::with_policy(policy, rtree_buffer));
-            rtree.store_mut().reset_stats();
-            for q in &queries_r {
-                rtree.execute(q)?;
-            }
-            let reads = rtree.store().stats().reads;
-            rtree.take_buffer();
-            Ok(reads)
-        }),
-    )?;
+    let rtree_points = run_all(Box::new(move |policy| {
+        rtree.set_buffer(BufferManager::with_policy(policy, rtree_buffer));
+        rtree.store_mut().reset_stats();
+        for q in &queries_r {
+            rtree.execute(q)?;
+        }
+        let reads = rtree.store().stats().reads;
+        rtree.take_buffer();
+        Ok(reads)
+    }))?;
 
     // Quadtree (same MBR data).
     let mut quad =
@@ -167,49 +181,43 @@ pub fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
     }
     let quad_buffer = ((quad.page_count() as f64) * 0.047).round().max(8.0) as usize;
     let queries_q = queries.clone();
-    let (_, quad_points) = run_all(
-        "Quadtree",
-        Box::new(move |policy| {
-            quad.set_buffer(BufferManager::with_policy(policy, quad_buffer));
-            quad.store_mut().reset_stats();
-            for q in &queries_q {
-                quad.execute(q)?;
-            }
-            let reads = quad.store().stats().reads;
-            quad.take_buffer();
-            Ok(reads)
-        }),
-    )?;
+    let quad_points = run_all(Box::new(move |policy| {
+        quad.set_buffer(BufferManager::with_policy(policy, quad_buffer));
+        quad.store_mut().reset_stats();
+        for q in &queries_q {
+            quad.execute(q)?;
+        }
+        let reads = quad.store().stats().reads;
+        quad.take_buffer();
+        Ok(reads)
+    }))?;
 
     // Z-order B+-tree (indexes object centers; same windows,
     // point-in-window semantics).
     let mut zb = ZBTree::bulk_load(DiskManager::new(), dataset.bounds(), &centers)?;
     let zb_buffer = ((zb.page_count() as f64) * 0.047).round().max(8.0) as usize;
     let queries_z = queries;
-    let (_, zb_points) = run_all(
-        "Z-B+tree",
-        Box::new(move |policy| {
-            zb.set_buffer(BufferManager::with_policy(policy, zb_buffer));
-            zb.store_mut().reset_stats();
-            for q in &queries_z {
-                zb.execute(q)?;
-            }
-            let reads = zb.store().stats().reads;
-            zb.take_buffer();
-            Ok(reads)
-        }),
-    )?;
+    let zb_points = run_all(Box::new(move |policy| {
+        zb.set_buffer(BufferManager::with_policy(policy, zb_buffer));
+        zb.store_mut().reset_stats();
+        for q in &queries_z {
+            zb.execute(q)?;
+        }
+        let reads = zb.store().stats().reads;
+        zb.take_buffer();
+        Ok(reads)
+    }))?;
 
     // One series per contender, one x-position per SAM.
     let mut series = Vec::new();
-    for (i, (_, name)) in contenders.iter().enumerate() {
+    for (i, policy) in contenders.iter().enumerate() {
         let points = vec![
-            ("R*-tree".to_string(), rtree_points[i].1),
-            ("Quadtree".to_string(), quad_points[i].1),
-            ("Z-B+tree".to_string(), zb_points[i].1),
+            ("R*-tree".to_string(), rtree_points[i]),
+            ("Quadtree".to_string(), quad_points[i]),
+            ("Z-B+tree".to_string(), zb_points[i]),
         ];
         series.push(Series {
-            name: (*name).into(),
+            name: policy.label(),
             points,
         });
     }
@@ -227,19 +235,14 @@ pub fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
 /// Future work 3: continuously moving objects. A fraction of the objects
 /// moves every round (delete + re-insert at the new location) while window
 /// queries keep arriving; policies are compared on total disk reads.
-pub fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
+fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
     let items = dataset.items();
     let queries = QuerySetSpec::uniform_windows(100).generate(&dataset, 400, seed ^ 0x30B1);
 
     let mut series = Vec::new();
-    let mut base = 0u64;
-    for (policy, name) in [
-        (PolicyKind::Lru, "LRU"),
-        (PolicyKind::LruK { k: 2 }, "LRU-2"),
-        (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
-        (PolicyKind::Asb, "ASB"),
-    ] {
+    let mut lru_reads = None;
+    for policy in CONTENDERS {
         let mut tree = RTree::bulk_load(DiskManager::new(), items)?;
         let buffer_pages = ((tree.page_count() as f64) * 0.047).round().max(8.0) as usize;
         tree.set_buffer(BufferManager::with_policy(policy, buffer_pages));
@@ -272,14 +275,9 @@ pub fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
             tree.execute(q)?;
         }
         let reads = tree.store().stats().reads;
-        let gain = if policy == PolicyKind::Lru {
-            base = reads;
-            0.0
-        } else {
-            (base as f64 / reads as f64 - 1.0) * 100.0
-        };
+        let gain = gain_vs_lru(*lru_reads.get_or_insert(reads), reads);
         series.push(Series {
-            name: name.into(),
+            name: policy.label(),
             points: vec![("moving".into(), gain), ("reads".into(), reads as f64)],
         });
     }
@@ -294,32 +292,277 @@ pub fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
     })
 }
 
-/// Runs an extension experiment by name. `Ok(None)` means the name is
-/// unknown; a storage or query failure during a known experiment is an
-/// `Err`.
-pub fn extension(name: &str, scale: Scale, seed: u64) -> Result<Option<Vec<FigureTable>>> {
-    Ok(match name {
-        "object-pages" => Some(vec![ext_object_pages(scale, seed)?]),
-        "cross-sam" => Some(vec![ext_cross_sam(scale, seed)?]),
-        "moving" => Some(vec![ext_moving_objects(scale, seed)?]),
-        "all" => Some(vec![
-            ext_object_pages(scale, seed)?,
-            ext_cross_sam(scale, seed)?,
-            ext_moving_objects(scale, seed)?,
-        ]),
-        _ => None,
+/// Gain of ASB over LRU on database 1 at the 4.7 % buffer: one row per
+/// parameter setting, one column per query set.
+fn asb_sweep(
+    scale: Scale,
+    seed: u64,
+    id: &str,
+    knob: &str,
+    sets: &[QuerySetSpec],
+    settings: &[(String, AsbParams)],
+) -> Result<FigureTable> {
+    let mut lab = Lab::new(scale, seed);
+    let mut series = Vec::new();
+    for &spec in sets {
+        let mut points = Vec::new();
+        for (label, params) in settings {
+            let gain = lab.gain(
+                DatasetKind::Mainland,
+                PolicyKind::AsbWith(*params),
+                LARGEST_BUFFER_FRAC,
+                spec,
+            )?;
+            points.push((label.clone(), gain));
+        }
+        series.push(Series {
+            name: spec.name(),
+            points,
+        });
+    }
+    Ok(FigureTable {
+        id: id.into(),
+        title: format!("ASB {knob}, database 1, 4.7% buffer, scale {scale:?}"),
+        x_label: knob.into(),
+        y_label: "gain vs LRU [%]".into(),
+        series,
     })
 }
 
-/// Names accepted by [`extension`].
-pub const EXTENSIONS: [&str; 3] = ["object-pages", "cross-sam", "moving"];
+/// Future work 1: the size of ASB's overflow buffer, which the paper fixes
+/// at 20 % of the buffer. 5 settings (5 – 40 %) × 3 query sets.
+fn ablate_overflow(scale: Scale, seed: u64) -> Result<FigureTable> {
+    let settings = [0.05, 0.1, 0.2, 0.3, 0.4].map(|overflow_fraction| {
+        (
+            format!("{:.0}%", overflow_fraction * 100.0),
+            AsbParams {
+                overflow_fraction,
+                ..AsbParams::default()
+            },
+        )
+    });
+    asb_sweep(
+        scale,
+        seed,
+        "ablate-overflow",
+        "overflow share",
+        &[
+            QuerySetSpec::uniform_windows(33),
+            QuerySetSpec::intensified(QueryKind::Point),
+            QuerySetSpec::similar(QueryKind::Window { ex: 33 }),
+        ],
+        &settings,
+    )
+}
 
-#[allow(unused_imports)]
-use asb_geom::Rect;
+/// Future work 1, continued: ASB's adaptation step, which the paper fixes
+/// at 1 % of the main buffer. 5 settings (0.5 – 10 %) × 2 query sets. A
+/// step is at least one frame, so every setting that rounds to one frame
+/// or less is the same policy — 0.5 % to 5 % of Small's 27 main frames.
+fn ablate_step(scale: Scale, seed: u64) -> Result<FigureTable> {
+    let settings = [0.005, 0.01, 0.02, 0.05, 0.1].map(|step_fraction| {
+        (
+            format!("{:.1}%", step_fraction * 100.0),
+            AsbParams {
+                step_fraction,
+                ..AsbParams::default()
+            },
+        )
+    });
+    asb_sweep(
+        scale,
+        seed,
+        "ablate-step",
+        "adaptation step",
+        &[
+            QuerySetSpec::uniform_windows(33),
+            QuerySetSpec::intensified(QueryKind::Point),
+        ],
+        &settings,
+    )
+}
+
+/// Random against sequential physical reads, and the simulated disk time
+/// they add up to, on U-W-33 at the 4.7 % buffer. 4 metrics × 4 policies.
+fn ablate_io(scale: Scale, seed: u64) -> Result<FigureTable> {
+    let mut lab = Lab::new(scale, seed);
+    let mut series = Vec::new();
+    for policy in CONTENDERS {
+        let io = lab
+            .run(
+                DatasetKind::Mainland,
+                policy,
+                LARGEST_BUFFER_FRAC,
+                QuerySetSpec::uniform_windows(33),
+            )?
+            .io;
+        let seq_share = 100.0 * io.sequential_reads as f64 / io.reads.max(1) as f64;
+        series.push(Series {
+            name: policy.label(),
+            points: vec![
+                ("random".into(), io.random_reads as f64),
+                ("sequential".into(), io.sequential_reads as f64),
+                ("seq share [%]".into(), seq_share),
+                ("sim I/O [ms]".into(), io.simulated_ms),
+            ],
+        });
+    }
+    Ok(FigureTable {
+        id: "ablate-io".into(),
+        title: format!(
+            "Random vs sequential I/O, database 1, U-W-33, 4.7% buffer, scale {scale:?}"
+        ),
+        x_label: "metric".into(),
+        y_label: "page reads / share of reads / simulated disk time".into(),
+        series,
+    })
+}
+
+/// A bulk-loaded tree over `items` behind a `policy` buffer of 2 % of its
+/// pages, counters zeroed — the fixture of the join and update ablations.
+fn tree_with_2pct_buffer(items: &[SpatialItem], policy: PolicyKind) -> Result<RTree<DiskManager>> {
+    let mut tree = RTree::bulk_load(DiskManager::new(), items)?;
+    let frames = (tree.page_count() / 50).max(8);
+    tree.set_buffer(BufferManager::with_policy(policy, frames));
+    tree.store_mut().reset_stats();
+    Ok(tree)
+}
+
+/// Future work 2a: a spatial join of database 1 with database 2, each tree
+/// behind its own 2 % buffer: disk reads per tree and the number of result
+/// pairs, which no policy may change. 3 metrics × 4 policies.
+fn ablate_join(scale: Scale, seed: u64) -> Result<FigureTable> {
+    let layer_a = Dataset::generate(DatasetKind::Mainland, scale, seed);
+    let layer_b = Dataset::generate(DatasetKind::World, scale, seed);
+    let mut series = Vec::new();
+    for policy in CONTENDERS {
+        let mut a = tree_with_2pct_buffer(layer_a.items(), policy)?;
+        let mut b = tree_with_2pct_buffer(layer_b.items(), policy)?;
+        let pairs = spatial_join(&mut a, &mut b)?;
+        series.push(Series {
+            name: policy.label(),
+            points: vec![
+                ("reads A".into(), a.store().stats().reads as f64),
+                ("reads B".into(), b.store().stats().reads as f64),
+                ("pairs".into(), pairs.len() as f64),
+            ],
+        });
+    }
+    Ok(FigureTable {
+        id: "ablate-join".into(),
+        title: format!("Spatial join, database 1 x database 2, 2% buffers, scale {scale:?}"),
+        x_label: "metric".into(),
+        y_label: "disk reads per tree / result pairs".into(),
+        series,
+    })
+}
+
+/// The update workload of [`ablate_updates`]: a tree over the first half of
+/// `items` behind a 2 % `policy` buffer, then 400 rounds of delete, insert,
+/// window query, and the two inverse updates.
+fn update_churn(
+    items: &[SpatialItem],
+    queries: &[Query],
+    policy: PolicyKind,
+) -> Result<RTree<DiskManager>> {
+    let half = items.len() / 2;
+    let mut tree = tree_with_2pct_buffer(&items[..half], policy)?;
+    for i in 0..400usize {
+        let old = items[i * 3 % half];
+        let fresh = items[half + i];
+        tree.delete(old.id, &old.mbr)?;
+        tree.insert(fresh)?;
+        tree.execute(&queries[i % queries.len()])?;
+        tree.insert(old)?;
+        tree.delete(fresh.id, &fresh.mbr)?;
+    }
+    Ok(tree)
+}
+
+/// Future work 2b: insert/delete churn interleaved with U-W-100 queries on
+/// database 1 behind a 2 % write-through buffer, so no policy may change
+/// the writes. 3 metrics × 4 policies. Dataset and query stream are those
+/// of [`ext_moving_objects`]: the two update experiments differ in their
+/// update pattern and buffer size only.
+fn ablate_updates(scale: Scale, seed: u64) -> Result<FigureTable> {
+    let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
+    let queries = QuerySetSpec::uniform_windows(100).generate(&dataset, 400, seed ^ 0x30B1);
+    let mut series = Vec::new();
+    let mut lru_reads = None;
+    for policy in CONTENDERS {
+        let io = update_churn(dataset.items(), &queries, policy)?
+            .store()
+            .stats();
+        let gain = gain_vs_lru(*lru_reads.get_or_insert(io.reads), io.reads);
+        series.push(Series {
+            name: policy.label(),
+            points: vec![
+                ("gain [%]".into(), gain),
+                ("reads".into(), io.reads as f64),
+                ("writes".into(), io.writes as f64),
+            ],
+        });
+    }
+    Ok(FigureTable {
+        id: "ablate-updates".into(),
+        title: format!("Update churn + U-W-100 queries, database 1, 2% buffer, scale {scale:?}"),
+        x_label: "metric".into(),
+        y_label: "gain vs LRU [%] / disk reads / disk writes".into(),
+        series,
+    })
+}
+
+type Extension = fn(Scale, u64) -> Result<FigureTable>;
+
+/// Every extension experiment — one table from `(scale, seed)` — under the
+/// name `repro --ext` takes for it.
+pub const EXTENSIONS: [(&str, Extension); 8] = [
+    ("object-pages", ext_object_pages),
+    ("cross-sam", ext_cross_sam),
+    ("moving", ext_moving_objects),
+    ("ablate-overflow", ablate_overflow),
+    ("ablate-step", ablate_step),
+    ("ablate-io", ablate_io),
+    ("ablate-join", ablate_join),
+    ("ablate-updates", ablate_updates),
+];
+
+/// Runs the extension experiment registered as `name`, or all of them for
+/// `"all"`. `Ok(None)` means the name is unknown; a storage or query
+/// failure during a known experiment is an `Err`.
+pub fn extension(name: &str, scale: Scale, seed: u64) -> Result<Option<Vec<FigureTable>>> {
+    let tables = EXTENSIONS
+        .iter()
+        .filter(|(known, _)| name == "all" || name == *known)
+        .map(|(_, run)| run(scale, seed))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((!tables.is_empty()).then_some(tables))
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The values of the row labelled `x`, one per series.
+    fn row(table: &FigureTable, x: &str) -> Vec<f64> {
+        table
+            .series
+            .iter()
+            .map(|s| {
+                let point = s.points.iter().find(|(label, _)| label == x);
+                point
+                    .unwrap_or_else(|| panic!("{} has no row {x}", table.id))
+                    .1
+            })
+            .collect()
+    }
+
+    fn assert_shape(table: &FigureTable, rows: usize, columns: usize) {
+        assert_eq!(table.series.len(), columns, "{} columns", table.id);
+        for s in &table.series {
+            assert_eq!(s.points.len(), rows, "{} rows of {}", table.id, s.name);
+        }
+    }
 
     #[test]
     fn object_pages_experiment_runs() {
@@ -334,21 +577,95 @@ mod tests {
     #[test]
     fn cross_sam_experiment_runs() {
         let table = ext_cross_sam(Scale::Tiny, 5).unwrap();
-        assert_eq!(table.series.len(), 3);
-        for s in &table.series {
-            assert_eq!(s.points.len(), 3, "one point per SAM");
-        }
+        assert_shape(&table, 3, 3);
     }
 
     #[test]
     fn moving_objects_experiment_runs() {
         let table = ext_moving_objects(Scale::Tiny, 5).unwrap();
-        assert_eq!(table.series.len(), 4);
+        assert_shape(&table, 2, 4);
+    }
+
+    #[test]
+    fn default_parameter_rows_are_plain_asb() {
+        let overflow = ablate_overflow(Scale::Tiny, 5).unwrap();
+        let step = ablate_step(Scale::Tiny, 5).unwrap();
+        assert_shape(&overflow, 5, 3);
+        assert_shape(&step, 5, 2);
+
+        let mut lab = Lab::new(Scale::Tiny, 5);
+        let mut asb = |name: &str| {
+            lab.gain(
+                DatasetKind::Mainland,
+                PolicyKind::Asb,
+                LARGEST_BUFFER_FRAC,
+                QuerySetSpec::from_name(name).unwrap(),
+            )
+            .unwrap()
+        };
+        let plain = [asb("U-W-33"), asb("INT-P"), asb("S-W-33")];
+        assert_eq!(row(&overflow, "20%"), plain);
+        assert_eq!(row(&step, "1.0%"), plain[..2]);
+    }
+
+    #[test]
+    fn io_mix_splits_every_read_into_random_or_sequential() {
+        let table = ablate_io(Scale::Tiny, 5).unwrap();
+        assert_shape(&table, 4, 4);
+        let mut lab = Lab::new(Scale::Tiny, 5);
+        let reads = CONTENDERS.map(|policy| {
+            let spec = QuerySetSpec::uniform_windows(33);
+            lab.run(DatasetKind::Mainland, policy, LARGEST_BUFFER_FRAC, spec)
+                .unwrap()
+                .disk_accesses as f64
+        });
+        let split: Vec<f64> = std::iter::zip(row(&table, "random"), row(&table, "sequential"))
+            .map(|(random, sequential)| random + sequential)
+            .collect();
+        assert_eq!(split, reads);
+    }
+
+    #[test]
+    fn join_pairs_are_policy_independent_and_match_the_unbuffered_join() {
+        let table = ablate_join(Scale::Tiny, 5).unwrap();
+        assert_shape(&table, 3, 4);
+        let layer = |kind| {
+            let dataset = Dataset::generate(kind, Scale::Tiny, 5);
+            RTree::bulk_load(DiskManager::new(), dataset.items()).unwrap()
+        };
+        let unbuffered = spatial_join(
+            &mut layer(DatasetKind::Mainland),
+            &mut layer(DatasetKind::World),
+        )
+        .unwrap();
+        assert!(!unbuffered.is_empty());
+        assert_eq!(row(&table, "pairs"), [unbuffered.len() as f64; 4]);
+    }
+
+    #[test]
+    fn update_churn_writes_are_policy_independent_and_leave_a_valid_tree() {
+        let table = ablate_updates(Scale::Tiny, 5).unwrap();
+        assert_shape(&table, 3, 4);
+        let writes = row(&table, "writes");
+        assert!(writes[0] > 0.0);
+        assert_eq!(writes, [writes[0]; 4], "write-through: policy-blind");
+        assert_eq!(row(&table, "gain [%]")[0], 0.0, "LRU is the baseline");
+
+        let dataset = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, 5);
+        let queries = QuerySetSpec::uniform_windows(100).generate(&dataset, 400, 5 ^ 0x30B1);
+        let mut tree = update_churn(dataset.items(), &queries, PolicyKind::Asb).unwrap();
+        tree.validate().unwrap();
+        assert_eq!(tree.len(), dataset.items().len() / 2, "churn is net zero");
+        assert_eq!(tree.store().stats().writes as f64, writes[3]);
     }
 
     #[test]
     fn extension_dispatch() {
-        assert!(extension("cross-sam", Scale::Tiny, 1).unwrap().is_some());
+        let one = extension("ablate-io", Scale::Tiny, 1).unwrap().unwrap();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].id, "ablate-io");
         assert!(extension("nope", Scale::Tiny, 1).unwrap().is_none());
+        let all = extension("all", Scale::Tiny, 1).unwrap().unwrap();
+        assert_eq!(all.len(), EXTENSIONS.len());
     }
 }

@@ -39,7 +39,7 @@ pub use bench::{
     BENCH_SEED, GOLDEN_DBS,
 };
 pub use crash::{crash_sweep, CrashConfig, CrashDivergence, CrashSweepReport};
-pub use ext::{ext_cross_sam, ext_moving_objects, ext_object_pages, extension, EXTENSIONS};
+pub use ext::{extension, EXTENSIONS};
 pub use figures::{all_figures, figure, FigureConfig, FIGURE_IDS};
 pub use lab::{Lab, RunResult, BUFFER_FRACS, LARGEST_BUFFER_FRAC};
 pub use parallel::{run_cells, ExperimentCell};

@@ -2,7 +2,7 @@
 //!
 //! The EDBT 2002 paper lists "the influence of the strategies on updates and
 //! spatial joins" as future work; this module supplies the join operator the
-//! ablation experiments in `asb-bench` use. The algorithm is the classic
+//! `ablate-join` experiment of `asb-exp` uses. The algorithm is the classic
 //! synchronized depth-first traversal: a pair of nodes is expanded only if
 //! their MBRs intersect, and trees of different heights are handled by
 //! descending the taller tree alone until levels align.

@@ -1,7 +1,7 @@
 //! `serve` — the batched multi-session serving front end.
 //!
 //! ```text
-//! serve run   [--db 1|2] [--policy lru|asb|arena] [--sessions N]
+//! serve run   [--db 1|2] [--policy NAME] [--sessions N]
 //!             [--requests N] [--capacity N] [--shards N] [--seed N]
 //! serve bench --json PATH [--check BASELINE]
 //! serve chaos --json PATH [--check BASELINE]
@@ -9,7 +9,8 @@
 //!
 //! `run` serves one seeded multi-session workload and prints the latency
 //! percentiles, throughput and hit rate — the interactive way to poke at
-//! a configuration.
+//! a configuration. `--policy NAME` takes what `PolicyKind::from_name`
+//! accepts (`lru`, `lru-2`, `a`, `slru`, `asb`, `arena`, …).
 //!
 //! `bench --json PATH` runs the full deterministic serving benchmark
 //! (LRU/ASB/ARENA on both golden databases) and writes it as JSON — this
@@ -112,12 +113,8 @@ fn run(mut it: impl Iterator<Item = String>) -> ExitCode {
                     }
                 }
                 "--policy" => {
-                    policy = match next()?.as_str() {
-                        "lru" => PolicyKind::Lru,
-                        "asb" => PolicyKind::Asb,
-                        "arena" => PolicyKind::Arena,
-                        o => return Err(format!("unknown policy {o}")),
-                    }
+                    let v = next()?;
+                    policy = PolicyKind::from_name(&v).ok_or(format!("unknown policy {v}"))?;
                 }
                 "--sessions" => sessions = next()?.parse().map_err(|e| format!("{e}"))?,
                 "--requests" => requests = next()?.parse().map_err(|e| format!("{e}"))?,

@@ -37,6 +37,19 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses a preset name as the command lines spell it: the variant
+    /// name in lower case (`"tiny"` … `"paper"`).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "tiny" => Scale::Tiny,
+            "small" => Scale::Small,
+            "medium" => Scale::Medium,
+            "large" => Scale::Large,
+            "paper" => Scale::Paper,
+            _ => return None,
+        })
+    }
+
     /// Number of objects for the given dataset kind (database 2 has ~35 %
     /// of database 1's objects, mirroring the paper).
     pub fn objects(&self, kind: DatasetKind) -> usize {
@@ -529,6 +542,21 @@ mod tests {
         let a = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, 1);
         let b = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, 2);
         assert_ne!(a.items(), b.items());
+    }
+
+    #[test]
+    fn scale_names_are_the_lower_case_variant_names() {
+        for scale in [
+            Scale::Tiny,
+            Scale::Small,
+            Scale::Medium,
+            Scale::Large,
+            Scale::Paper,
+        ] {
+            let name = format!("{scale:?}").to_lowercase();
+            assert_eq!(Scale::from_name(&name), Some(scale));
+        }
+        assert_eq!(Scale::from_name("huge"), None);
     }
 
     #[test]

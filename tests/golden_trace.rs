@@ -15,7 +15,9 @@
 //! and commit the regenerated files with a note on why the numbers moved.
 
 use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, SpatialCriterion};
-use asb::exp::{ReplayOutcome, Trace};
+use asb::exp::{
+    replacement_bench, ReplayOutcome, Trace, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE, BENCH_SEED,
+};
 use asb::storage::{AccessContext, PageId, QueryId, RecordingStore};
 use asb::workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use serde::{Deserialize, Serialize};
@@ -354,6 +356,23 @@ fn arena_matrix_holds_at_the_env_seed() {
             state.regret()
         );
     }
+}
+
+/// The committed `BENCH_replacement.json` is what the code produces today,
+/// byte for byte. After an intentional policy change regenerate it with
+/// `cargo run --release -p asb-exp --bin probe -- --bench-json BENCH_replacement.json`
+/// and commit it with the reason the numbers moved.
+#[test]
+fn committed_replacement_bench_is_current() {
+    let bench = replacement_bench(BENCH_SEED, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE)
+        .expect("replacement bench");
+    let fresh = serde_json::to_string_pretty(&bench).expect("serialize") + "\n";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_replacement.json");
+    let committed = std::fs::read_to_string(&path).expect("read BENCH_replacement.json");
+    assert!(
+        fresh == committed,
+        "BENCH_replacement.json is stale; a fresh run gives:\n{fresh}"
+    );
 }
 
 /// The golden traces replay identically across repeated runs (no hidden
