@@ -18,8 +18,16 @@ use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, Spa
 use asb::exp::{
     replacement_bench, ReplayOutcome, Trace, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE, BENCH_SEED,
 };
-use asb::storage::{AccessContext, PageId, QueryId, RecordingStore};
-use asb::workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
+use asb::geom::Point;
+use asb::quadtree::QuadTree;
+use asb::rtree::RTree;
+use asb::storage::{
+    AccessContext, DiskManager, ObjectRecord, ObjectStore, PageId, PageMeta, QueryId,
+    RecordingStore,
+};
+use asb::workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
+use asb::zbtree::ZBTree;
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -386,4 +394,110 @@ fn replay_is_idempotent() {
         let b = trace.replay_sequential(policy, CAPACITY).expect("replay");
         assert_eq!(a, b);
     }
+}
+
+/// Captures what `store` logged as a [`Trace`] over the disk below it.
+fn capture(label: &str, store: &RecordingStore<DiskManager>) -> Trace {
+    let mut pages: Vec<(u64, PageMeta)> = store
+        .inner()
+        .iter_pages()
+        .map(|p| (p.id.raw(), p.meta))
+        .collect();
+    pages.sort_unstable_by_key(|&(raw, _)| raw);
+    let log = store.take_log();
+    Trace {
+        label: label.to_string(),
+        pages,
+        accesses: log.iter().map(|(p, q)| (p.raw(), q.raw())).collect(),
+    }
+}
+
+/// Records `$run` once against `$tree` (an index over a silent
+/// `RecordingStore<DiskManager>`), then asserts for every policy that
+/// replaying the recording yields the complete `BufferStats` and `IoStats`
+/// of running `$run` again on the live tree behind a buffer of that policy.
+macro_rules! assert_replay_equals_live {
+    ($name:expr, $tree:expr, $run:expr) => {{
+        let (name, tree, run) = ($name, &mut $tree, $run);
+        tree.store().set_recording(true);
+        run(&mut *tree);
+        let trace = capture(name, tree.store());
+        tree.store().set_recording(false);
+        assert!(!trace.accesses.is_empty(), "{name}: nothing recorded");
+        for (pname, policy) in policies() {
+            tree.set_buffer(BufferManager::with_policy(policy, CAPACITY));
+            tree.store().inner().reset_stats();
+            run(&mut *tree);
+            let live_io = tree.store().inner().stats();
+            let live_stats = tree.take_buffer().expect("buffer attached").stats();
+
+            let replay = trace.replay_sequential(policy, CAPACITY).expect("replay");
+            assert_eq!(replay.stats, live_stats, "{name}/{pname}: buffer stats");
+            assert_eq!(replay.io, live_io, "{name}/{pname}: physical I/O");
+        }
+    }};
+}
+
+/// The law every read-only experiment rests on: an index's page-reference
+/// string does not depend on the buffer above it, so one recording replayed
+/// through a policy *is* the live buffered run — same hits, misses and
+/// evictions, same random/sequential split, same simulated disk time. Held
+/// for every golden policy on all three access methods and on the R\*-tree's
+/// full access path down to the object pages.
+#[test]
+fn replay_equals_a_live_buffered_run_on_every_access_method() {
+    let dataset = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, SEED);
+    let queries = QuerySetSpec::uniform_windows(33).generate(&dataset, QUERIES, SEED);
+    let silent_store = |disk| {
+        let store = RecordingStore::new(disk);
+        store.set_recording(false); // building the index is not workload
+        store
+    };
+
+    let mut rtree = RTree::bulk_load(silent_store(DiskManager::new()), dataset.items()).unwrap();
+    assert_replay_equals_live!("rtree", rtree, |t: &mut RTree<_>| for q in &queries {
+        t.execute(q).unwrap();
+    });
+
+    let mut disk = DiskManager::new();
+    let records: Vec<ObjectRecord> = dataset
+        .items()
+        .iter()
+        .map(|it| ObjectRecord {
+            id: it.id,
+            mbr: it.mbr,
+            payload: Bytes::from(vec![0u8; dataset.payload_len(it.id)]),
+        })
+        .collect();
+    let objects = ObjectStore::build(&mut disk, &records).unwrap();
+    let mut with_objects = RTree::bulk_load(silent_store(disk), dataset.items()).unwrap();
+    with_objects
+        .assign_object_pages(|id| objects.page_of(id))
+        .unwrap();
+    assert_replay_equals_live!("rtree+objects", with_objects, |t: &mut RTree<_>| {
+        for q in &queries {
+            t.execute_fetching_objects(q).unwrap();
+        }
+    });
+
+    let mut quad = QuadTree::build(
+        silent_store(DiskManager::new()),
+        dataset.bounds(),
+        dataset.items(),
+    )
+    .unwrap();
+    assert_replay_equals_live!("quadtree", quad, |t: &mut QuadTree<_>| for q in &queries {
+        t.execute(q).unwrap();
+    });
+
+    let centers: Vec<(u64, Point)> = dataset
+        .items()
+        .iter()
+        .map(|it| (it.id, it.mbr.center()))
+        .collect();
+    let mut zb =
+        ZBTree::bulk_load(silent_store(DiskManager::new()), dataset.bounds(), &centers).unwrap();
+    assert_replay_equals_live!("zbtree", zb, |t: &mut ZBTree<_>| for q in &queries {
+        t.execute(q).unwrap();
+    });
 }
