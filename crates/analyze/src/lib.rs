@@ -1432,12 +1432,6 @@ pub fn check_workspace_full(root: &Path) -> Result<CheckOutcome, String> {
     })
 }
 
-/// Lints the workspace at `root`. Returns all violations (allowed ones
-/// marked), or an IO/parse error message.
-pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
-    check_workspace_full(root).map(|o| o.violations)
-}
-
 /// Allowlist entries whose rule/path-prefix no longer matches any
 /// violation — entries that would silence nothing and should be pruned
 /// before they hide a future regression at the same path.

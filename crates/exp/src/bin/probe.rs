@@ -11,10 +11,11 @@
 //! calibrating the synthetic workloads against the paper's described
 //! behaviour.
 //!
-//! `--threads N` computes the per-policy cells on N worker threads (same
-//! numbers, less wall-clock). `--shards M` additionally replays the query
-//! set against a sharded buffer pool with M shards served by N threads and
-//! reports the pool-wide statistics.
+//! `--threads N` replays the per-policy cells — one recording of the query
+//! set, made once — on N worker threads (same numbers, less wall-clock).
+//! `--shards M` additionally runs the query set against a sharded buffer
+//! pool with M shards served by N threads and reports the pool-wide
+//! statistics.
 //!
 //! `--flusher HIGH,LOW,BATCH` runs a synthetic write-heavy demo with a
 //! background flusher at the given watermark fractions and drain batch
@@ -29,7 +30,7 @@
 
 use asb_core::{PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb_exp::{
-    replacement_bench, run_cells, ExperimentCell, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE,
+    replacement_bench, run_cells, ExperimentCell, Lab, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE,
     BENCH_SEED,
 };
 use asb_rtree::RTree;
@@ -138,10 +139,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let dataset = Dataset::generate(db, scale, seed);
-    let pages = RTree::bulk_load(DiskManager::new(), dataset.items())
-        .expect("bulk load")
-        .page_count();
+    let mut lab = Lab::new(scale, seed);
+    let pages = match lab.tree_pages(db) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: bulk load failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let buffer_pages = ((pages as f64 * frac).round() as usize).max(4);
     println!(
         "# db={db:?} scale={scale:?} pages={pages} buffer={frac} (= {buffer_pages} pages) \
@@ -176,7 +181,7 @@ fn main() -> ExitCode {
             spec,
         })
         .collect();
-    let results = match run_cells(scale, seed, threads, &cells) {
+    let results = match run_cells(&mut lab, threads, &cells) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: experiment failed: {e}");
@@ -199,8 +204,9 @@ fn main() -> ExitCode {
     }
 
     if shards > 0 {
+        drop(lab); // the live pool below loads trees of its own
         if let Err(e) = sharded_replay(
-            &dataset,
+            &Dataset::generate(db, scale, seed),
             spec,
             seed,
             buffer_pages.max(shards),

@@ -505,7 +505,7 @@ mod tests {
         let golden = run_workload(&t, &config, CrashClock::recording()).unwrap();
         // Before any event: every page holds its initial payload.
         let initial = expected_state(&t, &events, &golden.updates, 0);
-        for &(raw, _) in &t.pages {
+        for &(raw, _) in t.pages.iter() {
             assert_eq!(initial[&raw].as_ref(), raw.to_le_bytes());
         }
         // After all events: every updated page holds its last update.

@@ -20,14 +20,17 @@
 //!
 //! Every experiment is a function of `(scale, seed)` alone and is reached
 //! through [`EXTENSIONS`] — `repro --ext NAME --scale S --seed N`.
+//! Whatever only reads records its reference string once and replays it per
+//! policy ([`Trace`]); the two update workloads run live.
 
 use crate::lab::{Lab, LARGEST_BUFFER_FRAC};
 use crate::report::{FigureTable, Series};
+use crate::trace::Trace;
 use asb_core::{AsbParams, BufferManager, PolicyKind, SpatialCriterion};
 use asb_geom::{Point, Query, SpatialItem};
-use asb_quadtree::{QuadConfig, QuadTree};
+use asb_quadtree::QuadTree;
 use asb_rtree::{spatial_join, RTree};
-use asb_storage::{DiskManager, ObjectRecord, ObjectStore, Result};
+use asb_storage::{DiskManager, ObjectRecord, ObjectStore, PageStore, RecordingStore, Result};
 use asb_workload::{Dataset, DatasetKind, QueryKind, QuerySetSpec, Scale};
 use asb_zbtree::ZBTree;
 use bytes::Bytes;
@@ -55,6 +58,17 @@ const OBJECT_PAGE_POLICIES: [PolicyKind; 6] = [
 /// The paper's gain of a run over LRU's, from their disk reads, in percent.
 fn gain_vs_lru(lru_reads: u64, reads: u64) -> f64 {
     (lru_reads as f64 / reads as f64 - 1.0) * 100.0
+}
+
+/// Replays `trace` through each of `policies` — LRU first — at `capacity`
+/// frames: one gain over LRU per policy.
+fn gains_vs_lru(trace: &Trace, capacity: usize, policies: &[PolicyKind]) -> Result<Vec<f64>> {
+    let mut lru = None;
+    let gain = |&policy| {
+        let reads = trace.replay_sequential(policy, capacity)?.physical_reads;
+        Ok(gain_vs_lru(*lru.get_or_insert(reads), reads))
+    };
+    policies.iter().map(gain).collect()
 }
 
 fn query_sets() -> Vec<QuerySetSpec> {
@@ -87,41 +101,28 @@ fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
         })
         .collect();
     let objects = ObjectStore::build(&mut disk, &records)?;
-    let mut tree = RTree::bulk_load(disk, dataset.items())?;
+    let mut tree = RTree::bulk_load(Trace::recorder(disk), dataset.items())?;
     tree.assign_object_pages(|id| objects.page_of(id))?;
 
     let pages = tree.page_count();
     let buffer_pages = ((pages as f64) * 0.047).round() as usize;
-    let sets = query_sets();
-    let mut queries_per_set = Vec::new();
-    for spec in &sets {
-        queries_per_set.push(spec.generate(&dataset, 1200, seed ^ 0xB0B0));
-    }
-
-    let mut base: Vec<u64> = Vec::new();
-    let mut series = Vec::new();
-    for policy in OBJECT_PAGE_POLICIES {
-        let mut points = Vec::new();
-        for (spec, queries) in sets.iter().zip(&queries_per_set) {
-            tree.set_buffer(BufferManager::with_policy(policy, buffer_pages));
-            tree.store_mut().reset_stats();
-            for q in queries {
-                tree.execute_fetching_objects(q)?;
-            }
-            let reads = tree.store().stats().reads;
-            tree.take_buffer();
-            if policy == PolicyKind::Lru {
-                base.push(reads);
-                points.push((spec.name(), 0.0));
-            } else {
-                let lru = base[points.len()];
-                points.push((spec.name(), gain_vs_lru(lru, reads)));
-            }
+    let mut series = OBJECT_PAGE_POLICIES.map(|policy| Series {
+        name: policy.label(),
+        points: Vec::new(),
+    });
+    for spec in query_sets() {
+        let queries = spec.generate(&dataset, 1200, seed ^ 0xB0B0);
+        let trace = Trace::record_on(
+            spec.name(),
+            &mut tree,
+            RTree::store,
+            RTree::execute_fetching_objects,
+            &queries,
+        )?;
+        let gains = gains_vs_lru(&trace, buffer_pages, &OBJECT_PAGE_POLICIES)?;
+        for (s, gain) in series.iter_mut().zip(gains) {
+            s.points.push((spec.name(), gain));
         }
-        series.push(Series {
-            name: policy.label(),
-            points,
-        });
     }
     Ok(FigureTable {
         id: "ext-object-pages".into(),
@@ -130,8 +131,21 @@ fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
         ),
         x_label: "query set".into(),
         y_label: "gain vs LRU [%]".into(),
-        series,
+        series: series.into(),
     })
+}
+
+/// Records U-W-33 on `sam` once and replays it through the [`CONTENDERS`]
+/// at a buffer of 4.7 % of its pages: one gain over LRU per contender.
+fn sam_gains<T>(
+    mut sam: T,
+    store: fn(&T) -> &RecordingStore<DiskManager>,
+    execute: fn(&mut T, &Query) -> Result<Vec<u64>>,
+    queries: &[Query],
+) -> Result<Vec<f64>> {
+    let buffer = ((store(&sam).page_count() as f64) * 0.047).round().max(8.0) as usize;
+    let trace = Trace::record_on("U-W-33".into(), &mut sam, store, execute, queries)?;
+    gains_vs_lru(&trace, buffer, &CONTENDERS)
 }
 
 /// Gain vs LRU of the spatial policy A, LRU-2 and ASB on three different
@@ -144,73 +158,21 @@ fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
         .iter()
         .map(|it| (it.id, it.mbr.center()))
         .collect();
+    let disk = || Trace::recorder(DiskManager::new());
 
-    let contenders = &CONTENDERS[1..];
-
-    // One closure per SAM: build, then return per-policy disk accesses;
-    // `run_all` turns them into one gain per contender.
-    type PolicyRun<'a> = Box<dyn FnMut(PolicyKind) -> Result<u64> + 'a>;
-    let run_all = |mut run: PolicyRun| -> Result<Vec<f64>> {
-        let lru = run(PolicyKind::Lru)?;
-        contenders
-            .iter()
-            .map(|&p| Ok(gain_vs_lru(lru, run(p)?)))
-            .collect()
-    };
-
-    // R*-tree.
-    let mut rtree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
-    let rtree_buffer = ((rtree.page_count() as f64) * 0.047).round().max(8.0) as usize;
-    let queries_r = queries.clone();
-    let rtree_points = run_all(Box::new(move |policy| {
-        rtree.set_buffer(BufferManager::with_policy(policy, rtree_buffer));
-        rtree.store_mut().reset_stats();
-        for q in &queries_r {
-            rtree.execute(q)?;
-        }
-        let reads = rtree.store().stats().reads;
-        rtree.take_buffer();
-        Ok(reads)
-    }))?;
-
+    let rtree = RTree::bulk_load(disk(), dataset.items())?;
+    let rtree_points = sam_gains(rtree, RTree::store, RTree::execute, &queries)?;
     // Quadtree (same MBR data).
-    let mut quad =
-        QuadTree::with_config(DiskManager::new(), dataset.bounds(), QuadConfig::default())?;
-    for it in dataset.items() {
-        quad.insert(*it)?;
-    }
-    let quad_buffer = ((quad.page_count() as f64) * 0.047).round().max(8.0) as usize;
-    let queries_q = queries.clone();
-    let quad_points = run_all(Box::new(move |policy| {
-        quad.set_buffer(BufferManager::with_policy(policy, quad_buffer));
-        quad.store_mut().reset_stats();
-        for q in &queries_q {
-            quad.execute(q)?;
-        }
-        let reads = quad.store().stats().reads;
-        quad.take_buffer();
-        Ok(reads)
-    }))?;
-
+    let quad = QuadTree::build(disk(), dataset.bounds(), dataset.items())?;
+    let quad_points = sam_gains(quad, QuadTree::store, QuadTree::execute, &queries)?;
     // Z-order B+-tree (indexes object centers; same windows,
     // point-in-window semantics).
-    let mut zb = ZBTree::bulk_load(DiskManager::new(), dataset.bounds(), &centers)?;
-    let zb_buffer = ((zb.page_count() as f64) * 0.047).round().max(8.0) as usize;
-    let queries_z = queries;
-    let zb_points = run_all(Box::new(move |policy| {
-        zb.set_buffer(BufferManager::with_policy(policy, zb_buffer));
-        zb.store_mut().reset_stats();
-        for q in &queries_z {
-            zb.execute(q)?;
-        }
-        let reads = zb.store().stats().reads;
-        zb.take_buffer();
-        Ok(reads)
-    }))?;
+    let zb = ZBTree::bulk_load(disk(), dataset.bounds(), &centers)?;
+    let zb_points = sam_gains(zb, ZBTree::store, ZBTree::execute, &queries)?;
 
-    // One series per contender, one x-position per SAM.
+    // One series per contender but the baseline, one x-position per SAM.
     let mut series = Vec::new();
-    for (i, policy) in contenders.iter().enumerate() {
+    for (i, policy) in CONTENDERS.iter().enumerate().skip(1) {
         let points = vec![
             ("R*-tree".to_string(), rtree_points[i]),
             ("Quadtree".to_string(), quad_points[i]),
@@ -235,6 +197,8 @@ fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
 /// Future work 3: continuously moving objects. A fraction of the objects
 /// moves every round (delete + re-insert at the new location) while window
 /// queries keep arriving; policies are compared on total disk reads.
+/// Runs live, one tree and attached buffer per policy: a write changes the
+/// page catalogue mid-stream, which a [`Trace`] does not model.
 fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
     let items = dataset.items();
@@ -418,34 +382,40 @@ fn ablate_io(scale: Scale, seed: u64) -> Result<FigureTable> {
     })
 }
 
-/// A bulk-loaded tree over `items` behind a `policy` buffer of 2 % of its
-/// pages, counters zeroed — the fixture of the join and update ablations.
-fn tree_with_2pct_buffer(items: &[SpatialItem], policy: PolicyKind) -> Result<RTree<DiskManager>> {
-    let mut tree = RTree::bulk_load(DiskManager::new(), items)?;
-    let frames = (tree.page_count() / 50).max(8);
-    tree.set_buffer(BufferManager::with_policy(policy, frames));
-    tree.store_mut().reset_stats();
-    Ok(tree)
+/// The 2 % buffer of the join and update ablations, in frames.
+fn two_percent_of(pages: usize) -> usize {
+    (pages / 50).max(8)
 }
 
 /// Future work 2a: a spatial join of database 1 with database 2, each tree
 /// behind its own 2 % buffer: disk reads per tree and the number of result
-/// pairs, which no policy may change. 3 metrics × 4 policies.
+/// pairs, which no policy may change. 3 metrics × 4 policies. The join is
+/// run once, unbuffered; each tree's share of it is a reference string of
+/// its own.
 fn ablate_join(scale: Scale, seed: u64) -> Result<FigureTable> {
-    let layer_a = Dataset::generate(DatasetKind::Mainland, scale, seed);
-    let layer_b = Dataset::generate(DatasetKind::World, scale, seed);
+    let layer = |kind| -> Result<RTree<RecordingStore<DiskManager>>> {
+        let dataset = Dataset::generate(kind, scale, seed);
+        let tree = RTree::bulk_load(Trace::recorder(DiskManager::new()), dataset.items())?;
+        tree.store().set_recording(true);
+        Ok(tree)
+    };
+    let (mut a, mut b) = (layer(DatasetKind::Mainland)?, layer(DatasetKind::World)?);
+    let pairs = spatial_join(&mut a, &mut b)?.len();
+    let sides = [("reads A", a), ("reads B", b)].map(|(name, tree)| {
+        let frames = two_percent_of(tree.page_count());
+        (name, Trace::capture("join".into(), tree.store()), frames)
+    });
     let mut series = Vec::new();
     for policy in CONTENDERS {
-        let mut a = tree_with_2pct_buffer(layer_a.items(), policy)?;
-        let mut b = tree_with_2pct_buffer(layer_b.items(), policy)?;
-        let pairs = spatial_join(&mut a, &mut b)?;
+        let mut points = Vec::new();
+        for (name, trace, frames) in &sides {
+            let reads = trace.replay_sequential(policy, *frames)?.physical_reads;
+            points.push((name.to_string(), reads as f64));
+        }
+        points.push(("pairs".into(), pairs as f64));
         series.push(Series {
             name: policy.label(),
-            points: vec![
-                ("reads A".into(), a.store().stats().reads as f64),
-                ("reads B".into(), b.store().stats().reads as f64),
-                ("pairs".into(), pairs.len() as f64),
-            ],
+            points,
         });
     }
     Ok(FigureTable {
@@ -459,14 +429,18 @@ fn ablate_join(scale: Scale, seed: u64) -> Result<FigureTable> {
 
 /// The update workload of [`ablate_updates`]: a tree over the first half of
 /// `items` behind a 2 % `policy` buffer, then 400 rounds of delete, insert,
-/// window query, and the two inverse updates.
+/// window query, and the two inverse updates. Live, like
+/// [`ext_moving_objects`]: writes are not something a [`Trace`] replays.
 fn update_churn(
     items: &[SpatialItem],
     queries: &[Query],
     policy: PolicyKind,
 ) -> Result<RTree<DiskManager>> {
     let half = items.len() / 2;
-    let mut tree = tree_with_2pct_buffer(&items[..half], policy)?;
+    let mut tree = RTree::bulk_load(DiskManager::new(), &items[..half])?;
+    let frames = two_percent_of(tree.page_count());
+    tree.set_buffer(BufferManager::with_policy(policy, frames));
+    tree.store_mut().reset_stats();
     for i in 0..400usize {
         let old = items[i * 3 % half];
         let fresh = items[half + i];
@@ -626,20 +600,26 @@ mod tests {
     }
 
     #[test]
-    fn join_pairs_are_policy_independent_and_match_the_unbuffered_join() {
+    fn join_replay_matches_the_live_buffered_join() {
         let table = ablate_join(Scale::Tiny, 5).unwrap();
         assert_shape(&table, 3, 4);
-        let layer = |kind| {
+        let layer = |kind, policy| {
             let dataset = Dataset::generate(kind, Scale::Tiny, 5);
-            RTree::bulk_load(DiskManager::new(), dataset.items()).unwrap()
+            let mut tree = RTree::bulk_load(DiskManager::new(), dataset.items()).unwrap();
+            let frames = two_percent_of(tree.page_count());
+            tree.set_buffer(BufferManager::with_policy(policy, frames));
+            tree.store_mut().reset_stats();
+            tree
         };
-        let unbuffered = spatial_join(
-            &mut layer(DatasetKind::Mainland),
-            &mut layer(DatasetKind::World),
-        )
-        .unwrap();
-        assert!(!unbuffered.is_empty());
-        assert_eq!(row(&table, "pairs"), [unbuffered.len() as f64; 4]);
+        for (series, policy) in table.series.iter().zip(CONTENDERS) {
+            let mut a = layer(DatasetKind::Mainland, policy);
+            let mut b = layer(DatasetKind::World, policy);
+            let pairs = spatial_join(&mut a, &mut b).unwrap();
+            assert!(!pairs.is_empty());
+            let live = [a.store().stats().reads, b.store().stats().reads].map(|r| r as f64);
+            let row: Vec<f64> = series.points.iter().map(|(_, v)| *v).collect();
+            assert_eq!(row, [live[0], live[1], pairs.len() as f64], "{policy:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! The experiment laboratory: tree harnesses, run cache, measurement rules.
+//! The experiment laboratory: tree harnesses, recordings, run cache,
+//! measurement rules. No buffer is ever put above a tree here: each
+//! `(database, query set)` is walked once over a recording disk, and every
+//! `(policy, buffer size)` cell replays that reference string ([`Trace`]).
 
-use asb_core::{BufferManager, PolicyKind};
+use crate::trace::Trace;
+use asb_core::PolicyKind;
 use asb_geom::Query;
 use asb_rtree::RTree;
-use asb_storage::{DiskManager, IoStats, Result};
+use asb_storage::{DiskManager, IoStats, PageMeta, RecordingStore, Result};
 use asb_workload::{Dataset, DatasetKind, QuerySetSpec, Scale};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The relative buffer sizes of the paper's experiments (0.3 %–4.7 %,
 /// roughly doubling).
@@ -15,7 +20,7 @@ pub const BUFFER_FRACS: [f64; 5] = [0.003, 0.006, 0.012, 0.024, 0.047];
 /// The largest investigated buffer, which calibrates query-set sizes.
 pub const LARGEST_BUFFER_FRAC: f64 = 0.047;
 
-/// Result of running one query set against one buffered tree.
+/// Result of running one query set through one buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Physical page reads — the paper's "number of disk accesses".
@@ -24,19 +29,26 @@ pub struct RunResult {
     pub logical_reads: u64,
     /// Buffer hits.
     pub hits: u64,
-    /// Number of queries executed.
-    pub queries: usize,
-    /// Total result objects reported (sanity: identical across policies).
-    pub result_objects: u64,
     /// Physical I/O classified by the simulated disk.
     pub io: IoStats,
-    /// History records retained for evicted pages (nonzero only for LRU-K).
-    pub retained_history: usize,
     /// Buffer capacity used, in pages.
     pub buffer_pages: usize,
 }
 
 impl RunResult {
+    /// One experiment cell — a pure function of the query set's reference
+    /// string, the policy and the buffer capacity.
+    pub(crate) fn of(trace: &Trace, policy: PolicyKind, buffer_pages: usize) -> Result<Self> {
+        let out = trace.replay_sequential(policy, buffer_pages)?;
+        Ok(RunResult {
+            disk_accesses: out.physical_reads,
+            logical_reads: out.stats.logical_reads,
+            hits: out.stats.hits,
+            io: out.io,
+            buffer_pages,
+        })
+    }
+
     /// The paper's performance gain of this run over a baseline:
     /// `|accesses(base)| / |accesses(self)| − 1`, in percent.
     pub fn gain_over(&self, base: &RunResult) -> f64 {
@@ -50,36 +62,36 @@ impl RunResult {
 }
 
 struct TreeHarness {
-    tree: RTree<DiskManager>,
+    tree: RTree<RecordingStore<DiskManager>>,
     dataset: Dataset,
-    pages: usize,
+    /// The tree is never written after its bulk load, so all its recordings
+    /// share one page catalogue.
+    catalogue: Arc<[(u64, PageMeta)]>,
 }
 
 impl TreeHarness {
     fn build(kind: DatasetKind, scale: Scale, seed: u64) -> Result<Self> {
         let dataset = Dataset::generate(kind, scale, seed);
-        let tree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
-        let pages = tree.page_count();
+        let tree = RTree::bulk_load(Trace::recorder(DiskManager::new()), dataset.items())?;
+        let catalogue = Trace::capture(String::new(), tree.store()).pages;
         Ok(TreeHarness {
             tree,
             dataset,
-            pages,
+            catalogue,
         })
-    }
-
-    fn buffer_pages(&self, frac: f64) -> usize {
-        ((self.pages as f64 * frac).round() as usize).max(4)
     }
 }
 
 /// A laboratory bound to one `(scale, seed)`: builds trees lazily, caches
-/// query sets and run results, and implements the paper's measurement
-/// protocol.
+/// query sets, recordings and run results, and implements the paper's
+/// measurement protocol.
 pub struct Lab {
     scale: Scale,
     seed: u64,
     harnesses: HashMap<DatasetKind, TreeHarness>,
     query_sets: HashMap<(DatasetKind, String), Vec<Query>>,
+    /// Recordings of the database recorded last; see [`Lab::recording`].
+    recordings: HashMap<(DatasetKind, String), Arc<Trace>>,
     runs: HashMap<String, RunResult>,
 }
 
@@ -91,6 +103,7 @@ impl Lab {
             seed,
             harnesses: HashMap::new(),
             query_sets: HashMap::new(),
+            recordings: HashMap::new(),
             runs: HashMap::new(),
         }
     }
@@ -102,7 +115,7 @@ impl Lab {
 
     /// Page count of the (lazily built) tree for `kind`.
     pub fn tree_pages(&mut self, kind: DatasetKind) -> Result<usize> {
-        Ok(self.harness(kind)?.pages)
+        Ok(self.harness(kind)?.catalogue.len())
     }
 
     fn harness(&mut self, kind: DatasetKind) -> Result<&mut TreeHarness> {
@@ -136,18 +149,55 @@ impl Lab {
     /// of 32 queries against the unbuffered tree.
     fn calibrate_count(&mut self, kind: DatasetKind, spec: QuerySetSpec) -> Result<usize> {
         let seed = self.seed;
+        let target = 15.0 * self.tree_pages(kind)? as f64 * LARGEST_BUFFER_FRAC;
         let h = self.harness(kind)?;
-        let target = 15.0 * h.pages as f64 * LARGEST_BUFFER_FRAC;
         let probe = spec.generate(&h.dataset, 32, seed ^ 0xCA11_B0B0);
-        h.tree.store_mut().reset_stats();
+        h.tree.store().inner().reset_stats();
         for q in &probe {
             h.tree.execute(q)?;
         }
-        let per_query = h.tree.store().stats().reads as f64 / probe.len() as f64;
+        let per_query = h.tree.store().inner().stats().reads as f64 / probe.len() as f64;
         // A buffer absorbs roughly half the accesses of the unbuffered run;
         // aim a bit high rather than low.
         let count = (target / (per_query.max(1.0) * 0.4)).ceil() as usize;
         Ok(count.clamp(300, 30_000))
+    }
+
+    /// Buffer capacity in pages for a relative buffer size on `kind`'s tree.
+    pub(crate) fn buffer_pages(&mut self, kind: DatasetKind, frac: f64) -> Result<usize> {
+        Ok(((self.tree_pages(kind)? as f64 * frac).round() as usize).max(4))
+    }
+
+    /// The reference string of one query set: recorded on first use by
+    /// walking the unbuffered tree once. Recordings are kept for one database
+    /// at a time (figures finish one database before they start the other),
+    /// which bounds what a paper-scale lab holds beside its two trees.
+    pub(crate) fn recording(
+        &mut self,
+        kind: DatasetKind,
+        spec: QuerySetSpec,
+    ) -> Result<Arc<Trace>> {
+        let key = (kind, spec.name());
+        if let Some(r) = self.recordings.get(&key) {
+            return Ok(Arc::clone(r));
+        }
+        let queries = self.queries(kind, spec)?;
+        let label = format!(
+            "{kind:?} {:?} seed={} set={} queries={}",
+            self.scale,
+            self.seed,
+            key.1,
+            queries.len()
+        );
+        let h = self.harness(kind)?;
+        let mut trace =
+            Trace::record_on(label, &mut h.tree, RTree::store, RTree::execute, &queries)?;
+        debug_assert_eq!(trace.pages, h.catalogue, "the lab's trees are read-only");
+        trace.pages = Arc::clone(&h.catalogue);
+        let trace = Arc::new(trace);
+        self.recordings.retain(|(db, _), _| *db == kind);
+        self.recordings.insert(key, Arc::clone(&trace));
+        Ok(trace)
     }
 
     /// Runs (or returns the cached result of) one experiment cell.
@@ -162,29 +212,9 @@ impl Lab {
         if let Some(r) = self.runs.get(&key) {
             return Ok(*r);
         }
-        let queries = self.queries(kind, spec)?;
-        let h = self.harness(kind)?;
-        let buffer_pages = h.buffer_pages(frac);
-        h.tree
-            .set_buffer(BufferManager::with_policy(policy, buffer_pages));
-        h.tree.store_mut().reset_stats();
-        let mut result_objects = 0u64;
-        for q in &queries {
-            result_objects += h.tree.execute(q)?.len() as u64;
-        }
-        let io = h.tree.store().stats();
-        let buf = h.tree.take_buffer().expect("buffer was just attached");
-        let stats = buf.stats();
-        let result = RunResult {
-            disk_accesses: io.reads,
-            logical_reads: stats.logical_reads,
-            hits: stats.hits,
-            queries: queries.len(),
-            result_objects,
-            io,
-            retained_history: buf.retained_history(),
-            buffer_pages,
-        };
+        let buffer_pages = self.buffer_pages(kind, frac)?;
+        let trace = self.recording(kind, spec)?;
+        let result = RunResult::of(&trace, policy, buffer_pages)?;
         self.runs.insert(key, result);
         Ok(result)
     }
@@ -200,10 +230,6 @@ impl Lab {
     ) -> Result<f64> {
         let base = self.run(kind, PolicyKind::Lru, frac, spec)?;
         let run = self.run(kind, policy, frac, spec)?;
-        debug_assert_eq!(
-            run.result_objects, base.result_objects,
-            "buffering must not change query answers"
-        );
         Ok(run.gain_over(&base))
     }
 
@@ -231,31 +257,28 @@ impl Lab {
         frac: f64,
         specs: &[QuerySetSpec],
     ) -> Result<Vec<(usize, usize)>> {
-        let all_queries: Vec<(usize, Query)> = {
-            let mut qs = Vec::new();
-            for (phase, spec) in specs.iter().enumerate() {
-                for q in self.queries(kind, *spec)? {
-                    qs.push((phase, q));
-                }
-            }
-            qs
-        };
-        let h = self.harness(kind)?;
-        let buffer_pages = h.buffer_pages(frac);
-        h.tree
-            .set_buffer(BufferManager::with_policy(PolicyKind::Asb, buffer_pages));
-        let mut trace = Vec::with_capacity(all_queries.len());
-        for (i, (_phase, q)) in all_queries.iter().enumerate() {
-            h.tree.execute(q)?;
-            let size = h
-                .tree
-                .buffer()
-                .and_then(|b| b.candidate_size())
-                .expect("ASB exposes its candidate size");
-            trace.push((i, size));
+        let mut accesses = Vec::new();
+        for spec in specs {
+            accesses.extend_from_slice(&self.recording(kind, *spec)?.accesses);
         }
-        h.tree.take_buffer();
-        Ok(trace)
+        let buffer_pages = self.buffer_pages(kind, frac)?;
+        let phases = Trace {
+            label: format!("{kind:?} {:?} candidate trace", self.scale),
+            pages: Arc::clone(&self.harness(kind)?.catalogue),
+            accesses,
+        };
+        let sizes = phases
+            .replay_sequential(PolicyKind::Asb, buffer_pages)?
+            .candidate_trajectory;
+        // A query ends where the next access carries another query id.
+        let mut ends = phases.accesses.iter().map(|&(_, q)| q).peekable();
+        let mut samples = Vec::new();
+        for size in sizes {
+            if ends.next() != ends.peek().copied() {
+                samples.push((samples.len(), size));
+            }
+        }
+        Ok(samples)
     }
 
     /// Phase boundaries (query indices) for a concatenated trace.
@@ -277,7 +300,6 @@ impl Lab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_geom::SpatialCriterion;
 
     fn lab() -> Lab {
         Lab::new(Scale::Tiny, 42)
@@ -295,26 +317,6 @@ mod tests {
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(lab.runs.len(), 1);
-    }
-
-    #[test]
-    fn answers_are_policy_independent() {
-        let mut lab = lab();
-        let spec = QuerySetSpec::uniform_windows(100);
-        let base = lab
-            .run(DatasetKind::Mainland, PolicyKind::Lru, 0.02, spec)
-            .unwrap();
-        for policy in [
-            PolicyKind::Fifo,
-            PolicyKind::LruP,
-            PolicyKind::LruK { k: 2 },
-            PolicyKind::Spatial(SpatialCriterion::Area),
-            PolicyKind::Asb,
-        ] {
-            let r = lab.run(DatasetKind::Mainland, policy, 0.02, spec).unwrap();
-            assert_eq!(r.result_objects, base.result_objects, "{policy:?}");
-            assert_eq!(r.logical_reads, base.logical_reads, "{policy:?}");
-        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Parallel experiment runner.
 //!
 //! Every experiment cell — one `(database, policy, buffer fraction, query
-//! set)` combination — is an independent computation: each worker thread
-//! owns a private [`Lab`], so cells never share mutable state and the
-//! result of a cell is a pure function of `(scale, seed, cell)`. Fanning
-//! cells across threads therefore changes wall-clock time only; the figures
-//! produced are identical to a sequential run (asserted by the tests).
+//! set)` combination — is a pure function of its query set's recorded
+//! reference string, the policy and the buffer capacity. The one [`Lab`]
+//! records each `(database, query set)` first; worker threads then replay
+//! the shared recordings, so fanning cells across threads changes wall-clock
+//! time only: the figures produced are identical to a sequential run
+//! (asserted by the tests), and no worker builds a tree of its own.
 //!
 //! Work is distributed by an atomic cursor over the cell list, so slow
 //! cells (large buffers, window queries) do not leave threads idle behind a
@@ -15,7 +16,7 @@ use crate::lab::{Lab, RunResult};
 use asb_core::PolicyKind;
 use asb_storage::sync::{AtomicUsize, Mutex, Ordering};
 use asb_storage::Result;
-use asb_workload::{DatasetKind, QuerySetSpec, Scale};
+use asb_workload::{DatasetKind, QuerySetSpec};
 
 /// One experiment cell: the coordinates of a single figure data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,51 +31,48 @@ pub struct ExperimentCell {
     pub spec: QuerySetSpec,
 }
 
-/// Runs every cell and returns results in cell order.
+/// Runs every cell on `lab` and returns results in cell order.
 ///
-/// With `threads == 1` this is a plain sequential loop over one [`Lab`]
-/// (and benefits from its run cache); with more threads, each worker builds
-/// its own `Lab` for the same `(scale, seed)` and pulls cells from a shared
-/// queue. Results are deterministic either way.
+/// The query sets are recorded on the calling thread (once each, unless
+/// `lab` already holds them); `threads` workers then replay them, pulling
+/// cells from a shared queue. Results are deterministic whatever `threads`
+/// is.
 ///
 /// # Errors
-/// Returns the first storage error raised by any cell (in cell order);
-/// remaining cells may or may not have run.
+/// Returns the first storage error raised while recording, else the first
+/// raised by any cell (in cell order); remaining cells may or may not have
+/// run.
 ///
 /// # Panics
 /// Panics if `threads == 0`, or if a worker thread panics (experiment
 /// failures propagate rather than producing partial figures).
 pub fn run_cells(
-    scale: Scale,
-    seed: u64,
+    lab: &mut Lab,
     threads: usize,
     cells: &[ExperimentCell],
 ) -> Result<Vec<RunResult>> {
     assert!(threads >= 1, "need at least one worker thread");
-    if threads == 1 || cells.len() <= 1 {
-        let mut lab = Lab::new(scale, seed);
-        let mut out = Vec::with_capacity(cells.len());
-        for c in cells {
-            out.push(lab.run(c.db, c.policy, c.frac, c.spec)?);
-        }
-        return Ok(out);
-    }
+    let jobs = cells
+        .iter()
+        .map(|c| {
+            let trace = lab.recording(c.db, c.spec)?;
+            Ok((trace, c.policy, lab.buffer_pages(c.db, c.frac)?))
+        })
+        .collect::<Result<Vec<_>>>()?;
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<RunResult>>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
+        jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        for _ in 0..threads.min(cells.len()) {
-            s.spawn(|| {
-                let mut lab = Lab::new(scale, seed);
-                loop {
-                    // relaxed-ok: the cursor only hands out unique indices;
-                    // the scope join (not the counter) publishes results.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let result = lab.run(cell.db, cell.policy, cell.frac, cell.spec);
-                    *slots[i].lock() = Some(result);
-                }
+        for _ in 0..threads.min(jobs.len()) {
+            s.spawn(|| loop {
+                // relaxed-ok: the cursor only hands out unique indices;
+                // the scope join (not the counter) publishes results.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((trace, policy, buffer_pages)) = jobs.get(i) else {
+                    break;
+                };
+                *slots[i].lock() = Some(RunResult::of(trace, *policy, *buffer_pages));
             });
         }
     });
@@ -87,7 +85,7 @@ pub fn run_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_workload::QuerySetSpec;
+    use asb_workload::Scale;
 
     fn cells() -> Vec<ExperimentCell> {
         use asb_workload::QueryKind;
@@ -113,15 +111,20 @@ mod tests {
     #[test]
     fn parallel_results_equal_sequential_results() {
         let cells = cells();
-        let sequential = run_cells(Scale::Tiny, 42, 1, &cells).unwrap();
-        let parallel = run_cells(Scale::Tiny, 42, 3, &cells).unwrap();
+        let mut lab = Lab::new(Scale::Tiny, 42);
+        let sequential = run_cells(&mut lab, 1, &cells).unwrap();
+        let parallel = run_cells(&mut lab, 3, &cells).unwrap();
         assert_eq!(parallel, sequential);
+        // And a cell run by a worker is the cell the lab itself runs.
+        for (c, r) in cells.iter().zip(&parallel) {
+            assert_eq!(lab.run(c.db, c.policy, c.frac, c.spec).unwrap(), *r);
+        }
     }
 
     #[test]
     fn results_come_back_in_cell_order() {
         let cells = cells();
-        let results = run_cells(Scale::Tiny, 42, 2, &cells).unwrap();
+        let results = run_cells(&mut Lab::new(Scale::Tiny, 42), 2, &cells).unwrap();
         assert_eq!(results.len(), cells.len());
         // LRU is its own baseline: gain over itself is zero.
         let lru = results[0];

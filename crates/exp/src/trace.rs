@@ -2,13 +2,17 @@
 //!
 //! A [`Trace`] is the *logical* page-access sequence of one experiment
 //! run: the disk image's page metadata plus every `(page, query)` read the
-//! index issued. Because query answers — and therefore the logical access
-//! sequence — are independent of the replacement policy (asserted by the
-//! lab's `answers_are_policy_independent` test), one recorded run can be
-//! replayed bit-for-bit through *any* policy, buffer size or shard count:
-//! the same hits, misses, physical I/O and ASB candidate-set trajectory
-//! come back every time. That makes committed traces a regression harness
-//! for the whole buffer stack.
+//! index issued. A read-only index asks for the same pages in the same
+//! order whatever buffer sits above it, so one recorded run can be replayed
+//! bit-for-bit through *any* policy, buffer size or shard count: the same
+//! hits, misses, physical I/O and ASB candidate-set trajectory come back
+//! as from the live buffered run (`tests/golden_trace.rs`,
+//! `replay_equals_a_live_buffered_run_on_every_access_method`: every policy,
+//! all three access methods, whole `BufferStats` and `IoStats`). Every
+//! read-only experiment of this crate therefore records once and replays
+//! per policy, and committed traces are a regression harness for the whole
+//! buffer stack. A write changes the page catalogue mid-stream, which a
+//! trace does not model: update workloads run live.
 //!
 //! Traces serialize to a line-oriented text format (stable, diffable,
 //! dependency-free):
@@ -36,14 +40,16 @@ use asb_storage::{
 };
 use asb_workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// A recorded access trace: page catalogue plus logical read sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Free-form provenance line (database, scale, seed, query set).
     pub label: String,
-    /// `(raw page id, metadata)` of every live page, sorted by id.
-    pub pages: Vec<(u64, PageMeta)>,
+    /// `(raw page id, metadata)` of every live page, sorted by id. Shared:
+    /// every trace recorded over one read-only index has the same catalogue.
+    pub pages: Arc<[(u64, PageMeta)]>,
     /// `(raw page id, raw query id)` of every logical read, in order.
     pub accesses: Vec<(u64, u64)>,
 }
@@ -116,8 +122,51 @@ impl Trace {
         })
     }
 
-    /// The recorder behind both entry points: `queries` turns the dataset
-    /// and the derived query seed into the query list, `set` names it.
+    /// A recording disk that logs nothing until it is switched on: building
+    /// an index is not workload.
+    pub fn recorder(disk: DiskManager) -> RecordingStore<DiskManager> {
+        let store = RecordingStore::new(disk);
+        store.set_recording(false);
+        store
+    }
+
+    /// The one recorder: drains the reads `store` has logged into a trace
+    /// over the page catalogue of the disk below it.
+    pub fn capture(label: String, store: &RecordingStore<DiskManager>) -> Trace {
+        let mut pages: Vec<(u64, PageMeta)> = store
+            .inner()
+            .iter_pages()
+            .map(|p| (p.id.raw(), p.meta))
+            .collect();
+        pages.sort_unstable_by_key(|&(raw, _)| raw);
+        let log = store.take_log();
+        Trace {
+            label,
+            pages: pages.into(),
+            accesses: log.iter().map(|(p, q)| (p.raw(), q.raw())).collect(),
+        }
+    }
+
+    /// Runs `queries` through `execute` on `index` with the recorder below
+    /// it (`store`) switched on for exactly that long, and returns the
+    /// reference string.
+    pub(crate) fn record_on<T>(
+        label: String,
+        index: &mut T,
+        store: fn(&T) -> &RecordingStore<DiskManager>,
+        execute: fn(&mut T, &Query) -> Result<Vec<u64>>,
+        queries: &[Query],
+    ) -> Result<Trace> {
+        store(index).set_recording(true);
+        for q in queries {
+            execute(index, q)?;
+        }
+        store(index).set_recording(false);
+        Ok(Trace::capture(label, store(index)))
+    }
+
+    /// Behind both `record` entry points: `queries` turns the dataset and
+    /// the derived query seed into the query list, `set` names it.
     fn record_with(
         db: DatasetKind,
         scale: Scale,
@@ -126,27 +175,13 @@ impl Trace {
         queries: impl FnOnce(&Dataset, u64) -> Vec<Query>,
     ) -> Result<Trace> {
         let dataset = Dataset::generate(db, scale, seed);
-        let store = RecordingStore::new(DiskManager::new());
-        store.set_recording(false); // bulk-load reads are not workload
-        let mut tree = RTree::bulk_load(store, dataset.items())?;
+        let mut tree = RTree::bulk_load(Trace::recorder(DiskManager::new()), dataset.items())?;
         let qs = queries(&dataset, seed ^ 0x0051_5e75);
-        tree.store().set_recording(true);
-        for q in &qs {
-            tree.execute(q)?;
-        }
-        let log = tree.store().take_log();
-        let disk = tree.into_store().into_inner();
-        let mut pages: Vec<(u64, PageMeta)> =
-            disk.iter_pages().map(|p| (p.id.raw(), p.meta)).collect();
-        pages.sort_unstable_by_key(|&(raw, _)| raw);
-        Ok(Trace {
-            label: format!(
-                "{db:?} {scale:?} seed={seed} set={set} queries={}",
-                qs.len()
-            ),
-            pages,
-            accesses: log.iter().map(|(p, q)| (p.raw(), q.raw())).collect(),
-        })
+        let label = format!(
+            "{db:?} {scale:?} seed={seed} set={set} queries={}",
+            qs.len()
+        );
+        Trace::record_on(label, &mut tree, RTree::store, RTree::execute, &qs)
     }
 
     /// Rebuilds a simulated disk holding exactly the traced pages (same
@@ -157,7 +192,7 @@ impl Trace {
         let mut disk = DiskManager::new();
         let mut next = 0u64;
         let mut gaps = Vec::new();
-        for &(raw, meta) in &self.pages {
+        for &(raw, meta) in self.pages.iter() {
             while next < raw {
                 gaps.push(disk.allocate(PageMeta::data(SpatialStats::EMPTY), Bytes::new())?);
                 next += 1;
@@ -289,7 +324,7 @@ impl Trace {
         out.push_str(&format!("label {}\n", self.label));
         out.push_str(&format!("pages {}\n", self.pages.len()));
         out.push_str(&format!("accesses {}\n", self.accesses.len()));
-        for &(raw, meta) in &self.pages {
+        for &(raw, meta) in self.pages.iter() {
             out.push_str(&format!(
                 "p {raw} {} {} {} {} {} {}",
                 meta.page_type.tag(),
@@ -421,7 +456,7 @@ impl Trace {
         }
         Ok(Trace {
             label,
-            pages,
+            pages: pages.into(),
             accesses,
         })
     }
@@ -479,37 +514,10 @@ mod tests {
         let t = tiny_trace();
         let disk = t.build_disk().unwrap();
         assert_eq!(disk.page_count(), t.pages.len());
-        for &(raw, meta) in &t.pages {
+        for &(raw, meta) in t.pages.iter() {
             let page = disk.peek(PageId::new(raw)).unwrap();
             assert_eq!(page.meta, meta);
             assert!(page.verify_checksum());
-        }
-    }
-
-    #[test]
-    fn replay_matches_a_live_buffered_run() {
-        let db = DatasetKind::Mainland;
-        let (scale, seed) = (Scale::Tiny, 7);
-        let spec = QuerySetSpec::uniform_windows(33);
-        let trace = tiny_trace();
-        let capacity = 8;
-
-        for policy in [PolicyKind::Lru, PolicyKind::Asb] {
-            // Live run: fresh tree, buffered, same query derivation.
-            let dataset = Dataset::generate(db, scale, seed);
-            let mut tree = RTree::bulk_load(DiskManager::new(), dataset.items()).unwrap();
-            let queries = spec.generate(&dataset, 60, seed ^ 0x0051_5e75);
-            tree.set_buffer(BufferManager::with_policy(policy, capacity));
-            tree.store_mut().reset_stats();
-            for q in &queries {
-                tree.execute(q).unwrap();
-            }
-            let live_reads = tree.store().stats().reads;
-            let live_stats = tree.take_buffer().unwrap().stats();
-
-            let replay = trace.replay_sequential(policy, capacity).unwrap();
-            assert_eq!(replay.stats, live_stats, "{policy:?}");
-            assert_eq!(replay.physical_reads, live_reads, "{policy:?}");
         }
     }
 

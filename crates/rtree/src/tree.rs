@@ -891,21 +891,6 @@ impl<S: PageStore> RTree<S> {
         Ok(search.into_results())
     }
 
-    /// All indexed items, by full scan (test helper; counts accesses).
-    pub fn scan_all(&mut self) -> Result<Vec<RTreeItem>> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each_node(|_, _, node| {
-            if let NodeKind::Leaf(entries) = &node.kind {
-                out.extend(entries.iter().map(|e| RTreeItem {
-                    mbr: e.mbr,
-                    id: e.object_id,
-                }));
-            }
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
     /// The root page id (used by the spatial join).
     pub(crate) fn root_id(&self) -> PageId {
         self.root

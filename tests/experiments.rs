@@ -6,14 +6,15 @@
 
 use asb::buffer::{PolicyKind, SpatialCriterion};
 use asb::exp::Lab;
-use asb::workload::{DatasetKind, QueryKind, QuerySetSpec, Scale};
+use asb::workload::{DatasetKind, Distribution, QueryKind, QuerySetSpec, Scale};
 
 fn small_lab() -> Lab {
     Lab::new(Scale::Small, 42)
 }
 
 /// The headline claim: ASB never loses to LRU ("the I/O cost increases for
-/// none of the investigated query distributions").
+/// none of the investigated query distributions"). The fast smoke; the
+/// claim is tested where the paper stated it by `asb_vs_lru_at_paper_scale`.
 #[test]
 fn asb_never_loses_to_lru() {
     let mut lab = small_lab();
@@ -36,6 +37,58 @@ fn asb_never_loses_to_lru() {
             );
         }
     }
+}
+
+/// The headline where the paper stated it: trees of 58 336 and 20 478 pages,
+/// buffers of 0.6 % and 4.7 %, the twelve query sets of Figure 13. ASB beats
+/// LRU on every set outside the intensified family; inside it, it stays
+/// within 7 % and loses in exactly the [`KNOWN_LOSSES`] — so a fix and a
+/// regression both show here (EXPERIMENTS.md § Paper-scale spot check).
+#[test]
+#[ignore = "paper scale (minutes): cargo test --release --test experiments -- --ignored"]
+fn asb_vs_lru_at_paper_scale() {
+    /// The open gap of ROADMAP item 2: database 1's intensified cells, where
+    /// LRU-2 gains 15–17 %. (ASB: −4.5 %, −0.8 % and −6.1 %.)
+    const KNOWN_LOSSES: [(DatasetKind, &str, f64); 3] = [
+        (DatasetKind::Mainland, "INT-P", 0.006),
+        (DatasetKind::Mainland, "INT-P", 0.047),
+        (DatasetKind::Mainland, "INT-W-33", 0.047),
+    ];
+    let w = |ex| QueryKind::Window { ex };
+    let sets = [
+        QuerySetSpec::uniform_points(),
+        QuerySetSpec::uniform_windows(333),
+        QuerySetSpec::uniform_windows(33),
+        QuerySetSpec::identical_points(),
+        QuerySetSpec::identical_windows(),
+        QuerySetSpec::similar(QueryKind::Point),
+        QuerySetSpec::similar(w(333)),
+        QuerySetSpec::similar(w(33)),
+        QuerySetSpec::intensified(QueryKind::Point),
+        QuerySetSpec::intensified(w(33)),
+        QuerySetSpec::independent(QueryKind::Point),
+        QuerySetSpec::independent(w(33)),
+    ];
+    let mut lab = Lab::new(Scale::Paper, 42);
+    let mut losses = Vec::new();
+    for db in [DatasetKind::Mainland, DatasetKind::World] {
+        for frac in [0.006, 0.047] {
+            for spec in sets {
+                let gain = lab.gain(db, PolicyKind::Asb, frac, spec).unwrap();
+                let cell = format!("{db:?}/{} @ {frac}", spec.name());
+                if spec.dist != Distribution::Intensified {
+                    assert!(gain > 0.0, "ASB lost to LRU on {cell} ({gain:.1}%)");
+                    continue;
+                }
+                assert!(gain > -7.0, "ASB lost to LRU on {cell} by {gain:.1}%");
+                if gain <= 0.0 {
+                    losses.push((db, spec.name(), frac));
+                }
+            }
+        }
+    }
+    let known = KNOWN_LOSSES.map(|(db, set, frac)| (db, set.to_string(), frac));
+    assert_eq!(losses, known, "the intensified cells ASB loses to LRU");
 }
 
 /// Figure 7's claim: the spatial policy A is the clear winner for uniform

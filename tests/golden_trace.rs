@@ -22,8 +22,7 @@ use asb::geom::Point;
 use asb::quadtree::QuadTree;
 use asb::rtree::RTree;
 use asb::storage::{
-    AccessContext, DiskManager, ObjectRecord, ObjectStore, PageId, PageMeta, QueryId,
-    RecordingStore,
+    AccessContext, DiskManager, ObjectRecord, ObjectStore, PageId, QueryId, RecordingStore,
 };
 use asb::workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use asb::zbtree::ZBTree;
@@ -396,24 +395,8 @@ fn replay_is_idempotent() {
     }
 }
 
-/// Captures what `store` logged as a [`Trace`] over the disk below it.
-fn capture(label: &str, store: &RecordingStore<DiskManager>) -> Trace {
-    let mut pages: Vec<(u64, PageMeta)> = store
-        .inner()
-        .iter_pages()
-        .map(|p| (p.id.raw(), p.meta))
-        .collect();
-    pages.sort_unstable_by_key(|&(raw, _)| raw);
-    let log = store.take_log();
-    Trace {
-        label: label.to_string(),
-        pages,
-        accesses: log.iter().map(|(p, q)| (p.raw(), q.raw())).collect(),
-    }
-}
-
-/// Records `$run` once against `$tree` (an index over a silent
-/// `RecordingStore<DiskManager>`), then asserts for every policy that
+/// Records `$run` once against `$tree` (an index over a
+/// [`Trace::recorder`]), then asserts for every policy that
 /// replaying the recording yields the complete `BufferStats` and `IoStats`
 /// of running `$run` again on the live tree behind a buffer of that policy.
 macro_rules! assert_replay_equals_live {
@@ -421,7 +404,7 @@ macro_rules! assert_replay_equals_live {
         let (name, tree, run) = ($name, &mut $tree, $run);
         tree.store().set_recording(true);
         run(&mut *tree);
-        let trace = capture(name, tree.store());
+        let trace = Trace::capture(name.to_string(), tree.store());
         tree.store().set_recording(false);
         assert!(!trace.accesses.is_empty(), "{name}: nothing recorded");
         for (pname, policy) in policies() {
@@ -448,13 +431,8 @@ macro_rules! assert_replay_equals_live {
 fn replay_equals_a_live_buffered_run_on_every_access_method() {
     let dataset = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, SEED);
     let queries = QuerySetSpec::uniform_windows(33).generate(&dataset, QUERIES, SEED);
-    let silent_store = |disk| {
-        let store = RecordingStore::new(disk);
-        store.set_recording(false); // building the index is not workload
-        store
-    };
 
-    let mut rtree = RTree::bulk_load(silent_store(DiskManager::new()), dataset.items()).unwrap();
+    let mut rtree = RTree::bulk_load(Trace::recorder(DiskManager::new()), dataset.items()).unwrap();
     assert_replay_equals_live!("rtree", rtree, |t: &mut RTree<_>| for q in &queries {
         t.execute(q).unwrap();
     });
@@ -470,7 +448,7 @@ fn replay_equals_a_live_buffered_run_on_every_access_method() {
         })
         .collect();
     let objects = ObjectStore::build(&mut disk, &records).unwrap();
-    let mut with_objects = RTree::bulk_load(silent_store(disk), dataset.items()).unwrap();
+    let mut with_objects = RTree::bulk_load(Trace::recorder(disk), dataset.items()).unwrap();
     with_objects
         .assign_object_pages(|id| objects.page_of(id))
         .unwrap();
@@ -481,7 +459,7 @@ fn replay_equals_a_live_buffered_run_on_every_access_method() {
     });
 
     let mut quad = QuadTree::build(
-        silent_store(DiskManager::new()),
+        Trace::recorder(DiskManager::new()),
         dataset.bounds(),
         dataset.items(),
     )
@@ -495,8 +473,12 @@ fn replay_equals_a_live_buffered_run_on_every_access_method() {
         .iter()
         .map(|it| (it.id, it.mbr.center()))
         .collect();
-    let mut zb =
-        ZBTree::bulk_load(silent_store(DiskManager::new()), dataset.bounds(), &centers).unwrap();
+    let mut zb = ZBTree::bulk_load(
+        Trace::recorder(DiskManager::new()),
+        dataset.bounds(),
+        &centers,
+    )
+    .unwrap();
     assert_replay_equals_live!("zbtree", zb, |t: &mut ZBTree<_>| for q in &queries {
         t.execute(q).unwrap();
     });
