@@ -197,6 +197,16 @@ pub(crate) fn fetch_page_with_retry<IO: StoreIo + ?Sized>(
     }
 }
 
+/// The error for a dirty frame whose payload no longer matches its
+/// recorded checksum.
+fn dirty_rot(page: &Page) -> StorageError {
+    StorageError::DirtyFrameCorrupt {
+        id: page.id,
+        expected: page.checksum(),
+        actual: page_checksum(&page.payload),
+    }
+}
+
 struct Frame {
     page: Page,
     /// Pin count, shared with every live [`PageReadGuard`] on this frame.
@@ -484,8 +494,8 @@ impl BufferManager {
 
     /// Damages the resident copy of `id` (payload altered, recorded checksum
     /// preserved), returning whether a frame was poisoned. Test support for
-    /// the fault-injection suite: a poisoned frame must be detected, evicted
-    /// and re-fetched on its next read instead of being served.
+    /// the fault-injection suite: a poisoned frame must be detected on its
+    /// next access instead of being served.
     pub fn poison_frame(&mut self, id: PageId) -> bool {
         let Some(frame) = self.frames.get_mut(&id) else {
             return false;
@@ -542,7 +552,9 @@ impl BufferManager {
     ///
     /// Robustness semantics:
     /// * a resident frame whose payload no longer matches its checksum is
-    ///   evicted and re-fetched instead of being served,
+    ///   never served: a clean one is discarded and re-fetched, a dirty one
+    ///   (the only copy of its changes) stays put and the read fails with
+    ///   [`StorageError::DirtyFrameCorrupt`],
     /// * a fetched copy failing its checksum, and any transient store
     ///   error, is retried under the buffer's [`RetryPolicy`]; an exhausted
     ///   budget surfaces as [`StorageError::RetriesExhausted`].
@@ -552,7 +564,7 @@ impl BufferManager {
         id: PageId,
         ctx: AccessContext,
     ) -> Result<PageReadGuard> {
-        if let Some(guard) = self.probe(id, ctx) {
+        if let Some(guard) = self.probe(id, ctx)? {
             return Ok(guard);
         }
         let page = self.fetch_with_retry(io, id, ctx)?;
@@ -560,11 +572,17 @@ impl BufferManager {
     }
 
     /// First half of a read: records the access and serves a hit from the
-    /// resident frame, or counts the miss and returns `None` (a corrupt
-    /// resident copy is discarded and becomes a counted miss). The sharded
+    /// resident frame, or counts the miss and returns `Ok(None)` (a corrupt
+    /// *clean* resident copy is discarded and becomes a counted miss; a
+    /// corrupt *dirty* one fails the read, see
+    /// [`discard_rotten`](BufferManager::discard_rotten)). The sharded
     /// pool probes under its shard lock, then runs the miss path through
     /// the single-flight scheduler without the lock.
-    pub(crate) fn probe(&mut self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
+    pub(crate) fn probe(
+        &mut self,
+        id: PageId,
+        ctx: AccessContext,
+    ) -> Result<Option<PageReadGuard>> {
         self.stats.logical_reads += 1;
         self.tick += 1;
         if let Some(frame) = self.frames.get(&id) {
@@ -572,16 +590,35 @@ impl BufferManager {
                 self.stats.hits += 1;
                 let page = frame.page.clone();
                 self.policy.on_hit(&page, ctx, self.tick);
-                return Some(self.guard_for(id, page));
+                return Ok(Some(self.guard_for(id, page)));
             }
-            // The resident copy rotted in memory: discard it and fall
-            // through to a (counted) miss that re-fetches a clean copy.
-            self.stats.corruptions += 1;
-            self.frames.remove(&id);
-            self.policy.on_remove(id);
+            // The resident copy rotted in memory: a counted miss, which
+            // re-fetches a clean copy unless the frame has to stay.
+            self.stats.misses += 1;
+            return self.discard_rotten(id).map(|()| None);
         }
         self.stats.misses += 1;
-        None
+        Ok(None)
+    }
+
+    /// The mismatch branch of [`probe`](BufferManager::probe) and
+    /// [`pin_resident`](BufferManager::pin_resident): the frame of `id`
+    /// failed its checksum. A clean frame is dropped — the store holds the
+    /// same bytes, the caller re-fetches them. A **dirty** frame is the
+    /// only copy of its unwritten changes: dropping it would silently
+    /// serve the stale store copy in its place, so it stays resident and
+    /// dirty and the read fails with the non-transient
+    /// [`StorageError::DirtyFrameCorrupt`] (counted as a give-up).
+    fn discard_rotten(&mut self, id: PageId) -> Result<()> {
+        self.stats.corruptions += 1;
+        if let Some(frame) = self.frames.get(&id).filter(|f| f.dirty) {
+            let err = dirty_rot(&frame.page);
+            self.note_give_up();
+            return Err(err);
+        }
+        self.frames.remove(&id);
+        self.policy.on_remove(id);
+        Ok(())
     }
 
     /// Second half of a read miss: admits the fetched page (evicting if
@@ -613,16 +650,20 @@ impl BufferManager {
     /// sees `on_hit` and the miss is recounted as a hit — exactly as if it
     /// had arrived after that admission, so a page misses once per
     /// residency however many threads ask for it at the same moment.
-    /// Returns `None`, leaving the miss counted, when the page is not
-    /// resident or its resident copy fails its checksum (which discards
-    /// the copy, as on the probe path).
-    pub(crate) fn pin_resident(&mut self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
-        let frame = self.frames.get(&id)?;
+    /// Returns `Ok(None)`, leaving the miss counted, when the page is not
+    /// resident or its clean resident copy fails its checksum (which
+    /// discards the copy, as on the probe path); a corrupt dirty copy fails
+    /// the read, also as on the probe path.
+    pub(crate) fn pin_resident(
+        &mut self,
+        id: PageId,
+        ctx: AccessContext,
+    ) -> Result<Option<PageReadGuard>> {
+        let Some(frame) = self.frames.get(&id) else {
+            return Ok(None);
+        };
         if !frame.page.verify_checksum() {
-            self.stats.corruptions += 1;
-            self.frames.remove(&id);
-            self.policy.on_remove(id);
-            return None;
+            return self.discard_rotten(id).map(|()| None);
         }
         let page = frame.page.clone();
         // A `reset_stats` racing between probe and here already dropped
@@ -632,7 +673,7 @@ impl BufferManager {
             self.stats.hits += 1;
         }
         self.policy.on_hit(&page, ctx, self.tick);
-        Some(self.guard_for(id, page))
+        Ok(Some(self.guard_for(id, page)))
     }
 
     /// A guard over a page served without admission (every frame pinned):
@@ -720,6 +761,23 @@ impl BufferManager {
         }
     }
 
+    /// Writes a dirty frame's page back — after verifying it: a frame that
+    /// rotted while dirty must never reach the store, where its recorded
+    /// checksum would make the damage permanent. A mismatch fails like a
+    /// permanent write-back failure, so the caller keeps the frame
+    /// resident and dirty.
+    fn write_back_verified<IO: StoreIo + ?Sized>(
+        &mut self,
+        io: &mut IO,
+        page: &Page,
+    ) -> Result<()> {
+        if !page.verify_checksum() {
+            self.stats.corruptions += 1;
+            return Err(dirty_rot(page));
+        }
+        self.store_with_retry(io, page)
+    }
+
     /// Writes a page through the buffer: the underlying store is updated,
     /// and a resident copy (if any) is refreshed along with the policy's
     /// view of the page's metadata. Transient write faults are retried.
@@ -769,10 +827,11 @@ impl BufferManager {
     }
 
     /// Writes every dirty frame back to the store (in page-id order, for
-    /// determinism), clearing the dirty marks. Transient faults are
-    /// retried. A permanent failure does **not** abort the flush: every
-    /// dirty frame is attempted, failed ones stay resident and dirty, and
-    /// the failures surface as one aggregated
+    /// determinism), clearing the dirty marks. Every frame is verified
+    /// against its checksum first — a rotted dirty frame is never written.
+    /// Transient faults are retried. A permanent failure does **not**
+    /// abort the flush: every dirty frame is attempted, failed ones stay
+    /// resident and dirty, and the failures surface as one aggregated
     /// [`StorageError::FlushIncomplete`] naming every failed page.
     pub fn flush<IO: StoreIo + ?Sized>(&mut self, io: &mut IO) -> Result<()> {
         let mut dirty: Vec<PageId> = self
@@ -814,7 +873,7 @@ impl BufferManager {
             let Some(page) = self.frames.get(&id).map(|f| f.page.clone()) else {
                 continue;
             };
-            match self.store_with_retry(io, &page) {
+            match self.write_back_verified(io, &page) {
                 Ok(()) => {
                     self.stats.writebacks += 1;
                     flushed += 1;
@@ -943,10 +1002,10 @@ impl BufferManager {
         Ok(())
     }
 
-    /// Evicts one page. A dirty victim is written back first; if that
-    /// write-back fails the victim stays resident, the policy keeps its
-    /// bookkeeping for the page, and the eviction is recorded as *failed*
-    /// rather than completed.
+    /// Evicts one page. A dirty victim is verified and written back first;
+    /// if it fails its checksum or the write-back fails, the victim stays
+    /// resident, the policy keeps its bookkeeping for the page, and the
+    /// eviction is recorded as *failed* rather than completed.
     fn evict_one<IO: StoreIo + ?Sized>(&mut self, ctx: AccessContext, io: &mut IO) -> Result<()> {
         // Pin loads are race-free here: new pins require this same mutable
         // borrow (the shard lock in a pool), and concurrent guard drops
@@ -971,7 +1030,7 @@ impl BufferManager {
             .filter(|f| f.dirty)
             .map(|f| f.page.clone())
         {
-            if let Err(e) = self.store_with_retry(io, &page) {
+            if let Err(e) = self.write_back_verified(io, &page) {
                 self.stats.failed_evictions += 1;
                 return Err(e);
             }
@@ -1305,6 +1364,76 @@ mod tests {
         assert_eq!(s.misses, 2, "the poisoned hit degrades to a miss");
         assert_eq!(s.evictions, 0, "corruption discard is not an eviction");
         assert_eq!(disk.stats().reads, 2);
+    }
+
+    /// The bug this pins: a dirty frame that rotted used to be dropped and
+    /// re-fetched like a clean one — the read came back `Ok` with the
+    /// *old* store payload and the buffered write was gone.
+    #[test]
+    fn poisoned_dirty_frame_fails_the_read_and_keeps_the_write() {
+        let (mut disk, mut buf, ids) = setup(4, 1);
+        buf.fetch(&mut disk, ids[0], ctx()).unwrap();
+        let update = Page::new(ids[0], meta(), Bytes::from_static(b"new")).unwrap();
+        buf.write_buffered(&mut disk, update.clone()).unwrap();
+        assert!(buf.poison_frame(ids[0]));
+        let err = buf.fetch(&mut disk, ids[0], ctx()).unwrap_err();
+        assert!(
+            matches!(err, StorageError::DirtyFrameCorrupt { id, expected, .. }
+                if id == ids[0] && expected == update.checksum()),
+            "got {err:?}"
+        );
+        assert!(!err.is_transient());
+        assert!(buf.contains(ids[0]), "the only copy of the write stays");
+        assert_eq!(buf.dirty_count(), 1, "and stays dirty");
+        let s = buf.stats();
+        assert_eq!((s.logical_reads, s.hits, s.misses), (2, 0, 2));
+        assert_eq!((s.corruptions, s.give_ups), (1, 1));
+        assert_eq!(disk.stats().reads, 1, "the stale store copy is not read");
+        // Rewriting the page replaces the rotten frame: the pool heals.
+        buf.write_buffered(&mut disk, update).unwrap();
+        let healed = buf.fetch(&mut disk, ids[0], ctx()).unwrap();
+        assert_eq!(healed.payload.as_ref(), b"new");
+    }
+
+    /// The other half of the bug: `flush` and dirty eviction used to hand
+    /// a rotted dirty frame to the store, recorded checksum and all — a
+    /// store copy that can never verify again.
+    #[test]
+    fn poisoned_dirty_frame_is_never_written_back() {
+        let (mut disk, mut buf, ids) = setup(1, 2);
+        let update = Page::new(ids[0], meta(), Bytes::from_static(b"new")).unwrap();
+        buf.write_buffered(&mut disk, update).unwrap();
+        assert!(buf.poison_frame(ids[0]));
+
+        let err = buf.flush(&mut disk).unwrap_err();
+        let StorageError::FlushIncomplete { failures } = err else {
+            panic!("expected FlushIncomplete, got {err:?}");
+        };
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, ids[0]);
+        assert!(matches!(
+            *failures[0].1,
+            StorageError::DirtyFrameCorrupt { .. }
+        ));
+        assert!(matches!(
+            buf.flush_some(&mut disk, 8),
+            Err(StorageError::FlushIncomplete { failures }) if failures[0].0 == ids[0]
+        ));
+
+        // Evicting it (capacity 1) fails exactly like a failed write-back.
+        let err = buf.fetch(&mut disk, ids[1], ctx()).unwrap_err();
+        assert!(matches!(err, StorageError::DirtyFrameCorrupt { id, .. } if id == ids[0]));
+        let s = buf.stats();
+        assert_eq!((s.failed_evictions, s.evictions, s.writebacks), (1, 0, 0));
+        assert_eq!(
+            s.corruptions, 3,
+            "flush, flush_some and the eviction each detect it"
+        );
+        assert!(buf.contains(ids[0]) && !buf.contains(ids[1]));
+        assert_eq!(buf.dirty_count(), 1);
+        let stored = disk.peek(ids[0]).unwrap();
+        assert!(stored.verify_checksum(), "the store never saw the rot");
+        assert_eq!(stored.payload.as_ref(), &[0]);
     }
 
     #[test]

@@ -230,8 +230,9 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// admission; every concurrent reader shares the fetched page — N
     /// simultaneous misses on one page cost exactly one physical read.
     /// Transient store faults are retried under each shard's
-    /// [`RetryPolicy`], and a checksum-corrupted frame is evicted and
-    /// re-fetched instead of served.
+    /// [`RetryPolicy`], and a frame that fails its checksum is never
+    /// served: a clean one is discarded and re-fetched, a dirty one fails
+    /// the read (see [`BufferManager::fetch`]).
     pub fn fetch(&self, id: PageId, ctx: AccessContext) -> Result<PageReadGuard> {
         self.fetch_classified(id, ctx).map(|(guard, _)| guard)
     }
@@ -251,7 +252,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         let shard = self.shard_of(id);
         {
             let mut buf = self.inner.shards[shard].lock();
-            if let Some(guard) = buf.probe(id, ctx) {
+            if let Some(guard) = buf.probe(id, ctx)? {
                 return Ok((guard, true));
             }
         }
@@ -291,7 +292,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
                 // lock-order-ok: the flight latch is released when run()
                 // returns; the Joined arm holds nothing over this lock.
                 let mut buf = self.inner.shards[shard].lock();
-                match buf.pin_resident(id, ctx) {
+                match buf.pin_resident(id, ctx)? {
                     Some(guard) => Ok((guard, true)),
                     // The leader's admission was evicted (or corrupted)
                     // before we got the shard lock; re-admit the copy the
@@ -356,8 +357,10 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             }
             let mut buf = self.inner.shards[shard].lock();
             for &i in idxs {
-                if let Some(guard) = buf.probe(ids[i], ctx) {
-                    out[i] = Some(Ok((guard, true)));
+                match buf.probe(ids[i], ctx) {
+                    Ok(Some(guard)) => out[i] = Some(Ok((guard, true))),
+                    Ok(None) => {}
+                    Err(e) => out[i] = Some(Err(PageError::new(ids[i], e))),
                 }
             }
         }
@@ -384,9 +387,12 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// `None` **without touching the backing store** (no retry, no
     /// single-flight). The serving layer uses this behind an open circuit
     /// breaker, where the store is presumed down and a miss must degrade
-    /// instead of burning retry budget.
+    /// instead of burning retry budget. A resident frame that fails its
+    /// checksum is a miss here too: it is never served, whether the probe
+    /// could discard it (clean) or had to keep it (dirty).
     pub fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
-        self.inner.shards[self.shard_of(id)].lock().probe(id, ctx)
+        let probed = self.inner.shards[self.shard_of(id)].lock().probe(id, ctx);
+        probed.ok().flatten()
     }
 
     /// The miss path run by a flight leader: re-check residency, read the
@@ -403,9 +409,13 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             let mut buf = self.inner.shards[shard].lock();
             // A flight that retired between our probe and our leadership
             // already admitted the page — serve it without a store read.
-            if let Some(guard) = buf.pin_resident(id, ctx) {
-                let page = guard.page().clone();
-                return (Ok((guard, true)), Ok(page));
+            match buf.pin_resident(id, ctx) {
+                Ok(Some(guard)) => {
+                    let page = guard.page().clone();
+                    return (Ok((guard, true)), Ok(page));
+                }
+                Ok(None) => {}
+                Err(e) => return (Err(e.clone()), Err(e)),
             }
             buf.retry_policy()
         };
@@ -621,6 +631,13 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// Whether `id` is currently buffered (no access is recorded).
     pub fn contains(&self, id: PageId) -> bool {
         self.inner.shards[self.shard_of(id)].lock().contains(id)
+    }
+
+    /// Damages the resident copy of `id` in its shard, returning whether a
+    /// frame was poisoned — test support, see
+    /// [`BufferManager::poison_frame`].
+    pub fn poison_frame(&self, id: PageId) -> bool {
+        self.inner.shards[self.shard_of(id)].lock().poison_frame(id)
     }
 
     /// Number of currently resident pages across all shards.
@@ -874,7 +891,11 @@ mod tests {
                 let batch: Vec<PageId> = chunk.iter().map(|&(id, _)| id).collect();
                 let first = |i: usize| !batch[..i].contains(&batch[i]);
                 let mut slots: Vec<_> = (0..batch.len())
-                    .map(|i| first(i).then(|| seq.probe(batch[i], ctx)).flatten())
+                    .map(|i| {
+                        first(i)
+                            .then(|| seq.probe(batch[i], ctx).unwrap())
+                            .flatten()
+                    })
                     .collect();
                 let mut hits: Vec<bool> = slots.iter().map(Option::is_some).collect();
                 for i in 0..batch.len() {

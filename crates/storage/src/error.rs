@@ -43,6 +43,20 @@ pub enum StorageError {
         /// Checksum actually computed over the delivered payload.
         actual: u64,
     },
+    /// A buffer frame holding changes not yet written to the store no
+    /// longer matches its checksum. Not retryable: the frame is the only
+    /// copy of those changes, so the buffer neither serves it, nor drops it
+    /// for a re-read of the stale store copy, nor writes it back. It stays
+    /// resident and dirty until the page is rewritten or invalidated (its
+    /// logged image, if a WAL is attached, is what recovery replays).
+    DirtyFrameCorrupt {
+        /// The offending page.
+        id: PageId,
+        /// Checksum recorded when the frame was last written.
+        expected: u64,
+        /// Checksum actually computed over the resident payload.
+        actual: u64,
+    },
     /// A retried operation gave up: the retry policy's attempt budget is
     /// exhausted. `last` is the failure of the final attempt.
     RetriesExhausted {
@@ -123,6 +137,15 @@ impl std::fmt::Display for StorageError {
                 f,
                 "page {id} checksum mismatch: expected {expected:#018x}, got {actual:#018x}"
             ),
+            StorageError::DirtyFrameCorrupt {
+                id,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "dirty frame of page {id} is corrupt (expected {expected:#018x}, \
+                 got {actual:#018x}): its unwritten changes cannot be served or written back"
+            ),
             StorageError::RetriesExhausted { id, attempts, last } => write!(
                 f,
                 "gave up on page {id} after {attempts} attempt(s); last error: {last}"
@@ -182,13 +205,15 @@ impl PageError {
         self.error.is_transient()
     }
 
-    /// Whether the failure is a typed give-up or permanent device failure
-    /// — the signal the serving layer uses to quarantine a page instead of
-    /// spending retry budget on it again.
+    /// Whether the failure is a typed give-up, a permanent device failure
+    /// or a corrupt dirty frame — the signal the serving layer uses to
+    /// quarantine a page instead of spending retry budget on it again.
     pub fn is_give_up(&self) -> bool {
         matches!(
             self.error,
-            StorageError::RetriesExhausted { .. } | StorageError::DeviceFailed(_)
+            StorageError::RetriesExhausted { .. }
+                | StorageError::DeviceFailed(_)
+                | StorageError::DirtyFrameCorrupt { .. }
         )
     }
 }
@@ -235,6 +260,12 @@ mod tests {
         assert!(StorageError::TransientRead(id).is_transient());
         assert!(StorageError::TransientWrite(id).is_transient());
         assert!(StorageError::ChecksumMismatch {
+            id,
+            expected: 1,
+            actual: 2
+        }
+        .is_transient());
+        assert!(!StorageError::DirtyFrameCorrupt {
             id,
             expected: 1,
             actual: 2
@@ -300,6 +331,13 @@ mod tests {
         assert!(gave_up.is_give_up());
         assert!(!gave_up.is_transient());
         assert!(PageError::new(id, StorageError::DeviceFailed(id)).is_give_up());
+        let rot = StorageError::DirtyFrameCorrupt {
+            id,
+            expected: 1,
+            actual: 2,
+        };
+        assert!(rot.to_string().contains("dirty frame of page P5"));
+        assert!(PageError::new(id, rot).is_give_up());
         assert!(gave_up.to_string().contains("page P5 failed"));
     }
 

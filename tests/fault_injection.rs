@@ -7,16 +7,19 @@
 //! test writes the offending trace to `target/fault-artifacts/` so the
 //! run can be replayed offline (`trace replay <file> --fault-rate ...`).
 
-use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer, SpatialCriterion};
+use asb::buffer::{BufferManager, BufferStats, PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb::exp::Trace;
 use asb::geom::{Rect, SpatialStats};
 use asb::storage::{
-    AccessContext, DiskManager, FaultConfig, FaultyStore, PageId, PageMeta, PageStore, QueryId,
-    RetryPolicy, StorageError,
+    AccessContext, DiskManager, FaultConfig, FaultyStore, Page, PageId, PageMeta, PageStore,
+    QueryId, RetryPolicy, StorageError,
 };
 use asb::workload::{DatasetKind, QuerySetSpec, Scale};
 use bytes::Bytes;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::Path;
+
+mod common;
 
 /// Seed of the fault schedule, overridable for the CI matrix.
 fn fault_seed() -> u64 {
@@ -113,6 +116,308 @@ fn poisoned_resident_frame_is_refetched_not_served() {
     let stats = buf.stats();
     assert_eq!(stats.corruptions, 1);
     assert_eq!(stats.misses, 2, "the poisoned hit degrades to a miss");
+}
+
+/// The three read paths a poisoned frame can be reached through:
+/// `BufferManager::fetch`, `ShardedBuffer::fetch` and `fetch_batch`.
+enum FrontEnd {
+    Manager(Box<BufferManager>, DiskManager),
+    Pool(ShardedBuffer<DiskManager>),
+}
+
+impl FrontEnd {
+    /// Reads `ids` — one `fetch` per id, or one `fetch_batch` over all of
+    /// them (pools only) — and returns the payloads that were served.
+    fn read(&mut self, ids: &[PageId], batched: bool) -> Vec<Bytes> {
+        let intact = |page: &Page| {
+            assert!(page.verify_checksum(), "corrupt page served");
+            page.payload.clone()
+        };
+        match self {
+            FrontEnd::Manager(buf, disk) => ids
+                .iter()
+                .map(|&id| intact(&buf.fetch(disk, id, ctx(0)).expect("read")))
+                .collect(),
+            FrontEnd::Pool(pool) if batched => pool
+                .fetch_batch(ids, ctx(0))
+                .iter()
+                .map(|slot| intact(&slot.as_ref().expect("slot").0))
+                .collect(),
+            FrontEnd::Pool(pool) => ids
+                .iter()
+                .map(|&id| intact(&pool.fetch(id, ctx(0)).expect("read")))
+                .collect(),
+        }
+    }
+
+    fn poison(&mut self, id: PageId) -> bool {
+        match self {
+            FrontEnd::Manager(buf, _) => buf.poison_frame(id),
+            FrontEnd::Pool(pool) => pool.poison_frame(id),
+        }
+    }
+
+    fn stats(&self) -> BufferStats {
+        match self {
+            FrontEnd::Manager(buf, _) => buf.stats(),
+            FrontEnd::Pool(pool) => pool.stats(),
+        }
+    }
+
+    fn resident(&self) -> usize {
+        match self {
+            FrontEnd::Manager(buf, _) => buf.resident(),
+            FrontEnd::Pool(pool) => pool.resident(),
+        }
+    }
+
+    fn physical_reads(&self) -> u64 {
+        match self {
+            FrontEnd::Manager(_, disk) => disk.stats().reads,
+            FrontEnd::Pool(pool) => pool.io_stats().reads,
+        }
+    }
+}
+
+/// Pool size and page population of the poisoned-frame matrix; the first
+/// four pages are warmed, so `ids[40]` is cold.
+const POISON_CAPACITY: usize = 16;
+const POISON_PAGES: u64 = 64;
+
+/// One cell of the matrix below: warm the pool, poison `ids[1]`, read
+/// `access`, then churn the pool.
+fn assert_poison_is_detected_at_once(
+    label: &str,
+    mut pool: FrontEnd,
+    access: &[PageId],
+    batched: bool,
+) {
+    let (_, ids) = build_disk(POISON_PAGES);
+    let stored = |id: PageId| Bytes::from(vec![id.raw() as u8; 16]);
+    pool.read(&ids[..4], false);
+    let (warm, warm_reads) = (pool.stats(), pool.physical_reads());
+    assert!(pool.poison(ids[1]), "{label}: target is resident");
+
+    for (&id, payload) in access.iter().zip(pool.read(access, batched)) {
+        assert_eq!(payload, stored(id), "{label}: {id} served wrong bytes");
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.corruptions, 1, "{label}");
+    assert_eq!(stats.hits + stats.misses, stats.logical_reads, "{label}");
+    let reads = warm.logical_reads + access.len() as u64;
+    assert_eq!(stats.logical_reads, reads, "{label}");
+    // Exactly the rotten frame was re-read: its first access after the
+    // poisoning missed, a repeat of it in the same batch hit.
+    let cold = access.iter().filter(|&&id| id == ids[40]).count() as u64;
+    assert_eq!(stats.misses, warm.misses + 1 + cold, "{label}");
+    assert_eq!(pool.physical_reads(), warm_reads + 1 + cold, "{label}");
+
+    // Fill the pool and evict through it: nothing panics, every page is
+    // still served intact, and the frame count balances — every miss
+    // admitted one frame, every eviction and the one discard removed one.
+    // (That the policy also forgot the discarded page is the twin test's
+    // job, below.)
+    for round in 0..2 {
+        for (&id, payload) in ids.iter().zip(pool.read(&ids, false)) {
+            assert_eq!(payload, stored(id), "{label}: round {round}");
+        }
+    }
+    let stats = pool.stats();
+    assert!(stats.evictions > 0, "{label}: the fill must evict");
+    assert_eq!(stats.corruptions, 1, "{label}");
+    assert_eq!(
+        pool.resident() as u64,
+        stats.misses - stats.evictions - stats.corruptions,
+        "{label}: a frame was lost or a phantom victim evicted"
+    );
+    assert_eq!(pool.resident(), POISON_CAPACITY, "{label}");
+}
+
+/// Detection bound = 1 access, for every policy on every front end: the
+/// access right after a frame rots is served the store's bytes, never the
+/// poisoned copy; it costs one counted miss and one physical read; and the
+/// policy's bookkeeping survives the out-of-band removal — the pool is
+/// then filled and churned, and every frame the counters say exists does.
+#[test]
+fn poisoned_frame_is_detected_on_the_next_access_on_every_front_end() {
+    let (_, ids) = build_disk(POISON_PAGES);
+    let (target, warm, cold) = (ids[1], ids[2], ids[40]);
+    for (name, kind) in common::policies() {
+        let manager = Box::new(BufferManager::with_policy(kind, POISON_CAPACITY));
+        assert_poison_is_detected_at_once(
+            &format!("{name} via manager"),
+            FrontEnd::Manager(manager, build_disk(POISON_PAGES).0),
+            &[target],
+            false,
+        );
+        for shards in [1, 4] {
+            let pool = || {
+                let disk = build_disk(POISON_PAGES).0;
+                FrontEnd::Pool(ShardedBuffer::new(disk, kind, POISON_CAPACITY, shards))
+            };
+            let label = format!("{name} via {shards}-shard");
+            assert_poison_is_detected_at_once(&format!("{label} fetch"), pool(), &[target], false);
+            for (place, batch) in [
+                ("first", [target, warm, cold]),
+                ("last", [warm, cold, target]),
+                ("repeated", [target, warm, target]),
+            ] {
+                let label = format!("{label} batch, poisoned page {place}");
+                assert_poison_is_detected_at_once(&label, pool(), &batch, true);
+            }
+        }
+    }
+}
+
+/// What "the bookkeeping survives" means exactly: discarding a rotten frame
+/// leaves every policy where the sanctioned removal, `invalidate`, leaves
+/// it. One pool poisons a warm page and its twin invalidates it; from the
+/// re-fetch on, every access of a stream with reuse classifies the same on
+/// both. (The churn above cannot see a policy that kept the discarded
+/// page's entry — victims pass an `evictable` filter, so a stale entry is
+/// skipped, not evicted — but it ranks the healed page by its old position,
+/// and this stream notices.)
+#[test]
+fn discarding_a_rotten_frame_is_an_invalidate_to_every_policy() {
+    let (_, ids) = build_disk(POISON_PAGES);
+    for (name, kind) in common::policies() {
+        let mut twins: Vec<_> = [true, false]
+            .into_iter()
+            .map(|poison| {
+                let (mut disk, _) = build_disk(POISON_PAGES);
+                let mut buf = BufferManager::with_policy(kind, POISON_CAPACITY);
+                for &id in &ids[..4] {
+                    drop(buf.fetch(&mut disk, id, ctx(0)).expect("warm"));
+                }
+                if poison {
+                    assert!(buf.poison_frame(ids[1]));
+                } else {
+                    buf.invalidate(ids[1]);
+                }
+                (buf, disk)
+            })
+            .collect();
+        // The healed page; 14 cold pages, which fill the pool and evict two
+        // of the warm four; the healed page again; then 600 reads over 24
+        // pages (capacity 16).
+        let mut rng = StdRng::seed_from_u64(fault_seed());
+        let stream = [1]
+            .into_iter()
+            .chain(4..18)
+            .chain([1])
+            .chain((0..600).map(|_| rng.gen_range(0..24usize)));
+        for (step, slot) in stream.enumerate() {
+            let hit: Vec<bool> = twins
+                .iter_mut()
+                .map(|(buf, disk)| {
+                    let hits = buf.stats().hits;
+                    drop(buf.fetch(disk, ids[slot], ctx(step as u64)).expect("read"));
+                    buf.stats().hits > hits
+                })
+                .collect();
+            assert_eq!(hit[0], hit[1], "{name}: step {step}, page {slot}");
+        }
+        let (healed, invalidated) = (twins[0].0.stats(), twins[1].0.stats());
+        assert_eq!(healed.corruptions, 1, "{name}");
+        let healed = BufferStats {
+            corruptions: 0,
+            ..healed
+        };
+        assert_eq!(healed, invalidated, "{name}");
+    }
+}
+
+/// Rot in a *dirty* frame must not be healed by dropping it: the store
+/// copy is stale, so the refetch that heals a clean frame would silently
+/// lose the buffered write. The read fails with a typed, non-transient
+/// error and the frame stays — on the manager and on the pool.
+#[test]
+fn poisoned_dirty_frame_is_kept_and_the_read_fails() {
+    let update = |id| {
+        let meta = PageMeta::data(SpatialStats::EMPTY);
+        Page::new(id, meta, Bytes::from_static(b"buffered write")).expect("page")
+    };
+    let check = |err: StorageError, stats: BufferStats, id: PageId| {
+        assert!(
+            matches!(err, StorageError::DirtyFrameCorrupt { id: rotten, .. } if rotten == id),
+            "got {err:?}"
+        );
+        assert!(!err.is_transient());
+        assert_eq!((stats.corruptions, stats.give_ups), (1, 1));
+        assert_eq!(stats.hits + stats.misses, stats.logical_reads);
+    };
+
+    let (mut disk, ids) = build_disk(8);
+    let mut buf = BufferManager::with_policy(PolicyKind::Lru, 4);
+    drop(buf.fetch(&mut disk, ids[0], ctx(0)).expect("read"));
+    buf.write_buffered(&mut disk, update(ids[0]))
+        .expect("write");
+    assert!(buf.poison_frame(ids[0]));
+    let err = buf.fetch(&mut disk, ids[0], ctx(1)).unwrap_err();
+    check(err, buf.stats(), ids[0]);
+    assert!(buf.contains(ids[0]));
+    assert_eq!(buf.dirty_count(), 1, "the buffered write is still pending");
+
+    let pool = ShardedBuffer::new(build_disk(8).0, PolicyKind::Lru, 8, 2);
+    pool.write_buffered(update(ids[0])).expect("write");
+    assert!(pool.poison_frame(ids[0]));
+    let err = pool.fetch(ids[0], ctx(0)).unwrap_err();
+    check(err, pool.stats(), ids[0]);
+    // In a batch the rotten page fails its own slot only, as a give-up
+    // (so the serving layer quarantines it instead of retrying).
+    let slots = pool.fetch_batch(&[ids[1], ids[0], ids[2]], ctx(1));
+    let err = slots[1].as_ref().expect_err("rotten slot");
+    assert!(err.id == ids[0] && err.is_give_up() && !err.is_transient());
+    assert!(slots[0].is_ok() && slots[2].is_ok());
+    drop(slots);
+    assert!(
+        pool.fetch_resident(ids[0], ctx(2)).is_none(),
+        "never served"
+    );
+    assert!(pool.contains(ids[0]));
+    assert_eq!(pool.dirty_count(), 1);
+    // Rewriting the page replaces the rotten frame.
+    pool.write_buffered(update(ids[0])).expect("rewrite");
+    let healed = pool.fetch(ids[0], ctx(3)).expect("healed");
+    assert_eq!(healed.payload.as_ref(), b"buffered write");
+}
+
+/// Write-back stores no rot: `flush` lists a poisoned dirty frame in
+/// `FlushIncomplete` and evicting it fails like a failed write-back —
+/// either way the store keeps its last good copy.
+#[test]
+fn poisoned_dirty_frame_is_never_written_back() {
+    let (mut disk, ids) = build_disk(8);
+    let mut buf = BufferManager::with_policy(PolicyKind::Lru, 2);
+    for &id in &ids[..2] {
+        let meta = PageMeta::data(SpatialStats::EMPTY);
+        let page = Page::new(id, meta, Bytes::from_static(b"buffered write")).expect("page");
+        buf.write_buffered(&mut disk, page).expect("write");
+    }
+    assert!(buf.poison_frame(ids[0]));
+
+    let err = buf.flush(&mut disk).unwrap_err();
+    let StorageError::FlushIncomplete { failures } = err else {
+        panic!("expected FlushIncomplete, got {err:?}");
+    };
+    let failed: Vec<PageId> = failures.iter().map(|(id, _)| *id).collect();
+    assert_eq!(failed, vec![ids[0]], "only the rotten frame is left behind");
+    assert_eq!(buf.dirty_count(), 1);
+    assert_eq!(
+        disk.peek(ids[1]).expect("peek").payload.as_ref(),
+        b"buffered write",
+        "its healthy sibling was flushed"
+    );
+
+    // ids[0] is also the LRU victim: admitting a third page cannot evict it.
+    let err = buf.fetch(&mut disk, ids[2], ctx(0)).unwrap_err();
+    assert!(matches!(err, StorageError::DirtyFrameCorrupt { id, .. } if id == ids[0]));
+    let stats = buf.stats();
+    assert_eq!((stats.failed_evictions, stats.evictions), (1, 0));
+    assert!(buf.contains(ids[0]) && buf.dirty_count() == 1);
+    let on_disk = disk.peek(ids[0]).expect("peek");
+    assert!(on_disk.verify_checksum(), "the store never saw the rot");
+    assert_eq!(on_disk.payload.as_ref(), &[0u8; 16]);
 }
 
 /// When the store never recovers, the retry loop gives up with a typed

@@ -14,7 +14,7 @@
 //!
 //! and commit the regenerated files with a note on why the numbers moved.
 
-use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, SpatialCriterion};
+use asb::buffer::{BufferManager, PolicyKind};
 use asb::exp::{
     replacement_bench, ReplayOutcome, Trace, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE, BENCH_SEED,
 };
@@ -29,6 +29,9 @@ use asb::zbtree::ZBTree;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+
+mod common;
+use common::policies;
 
 /// Buffer capacity used for every golden replay.
 const CAPACITY: usize = 12;
@@ -45,59 +48,6 @@ fn databases() -> [(&'static str, DatasetKind); 2] {
         ("mainland", DatasetKind::Mainland),
         ("world", DatasetKind::World),
     ]
-}
-
-/// One row per [`PolicyKind`] variant and parameterisation the study uses.
-/// The first five rows predate the others; new rows are appended so the
-/// old ones keep their relative order in `expected.json`.
-fn policies() -> Vec<(&'static str, PolicyKind)> {
-    let mut rows = vec![
-        ("lru", PolicyKind::Lru),
-        ("lru-2", PolicyKind::LruK { k: 2 }),
-        (
-            "slru",
-            PolicyKind::Slru {
-                candidate_fraction: 0.25,
-                criterion: SpatialCriterion::Area,
-            },
-        ),
-        ("asb", PolicyKind::Asb),
-        ("arena", PolicyKind::Arena),
-        ("fifo", PolicyKind::Fifo),
-        ("clock", PolicyKind::Clock),
-        ("random", PolicyKind::Random { seed: 7 }),
-        ("lru-t", PolicyKind::LruT),
-        ("lru-p", PolicyKind::LruP),
-        ("2q", PolicyKind::TwoQ),
-        ("lru-3", PolicyKind::LruK { k: 3 }),
-    ];
-    rows.extend(SpatialCriterion::ALL.map(|c| (c.short_name(), PolicyKind::Spatial(c))));
-    rows.extend([
-        (
-            "slru-50",
-            PolicyKind::Slru {
-                candidate_fraction: 0.5,
-                criterion: SpatialCriterion::Area,
-            },
-        ),
-        (
-            "asb-margin",
-            PolicyKind::AsbWith(AsbParams {
-                overflow_fraction: 0.3,
-                initial_candidate_fraction: 0.5,
-                step_fraction: 0.1,
-                criterion: SpatialCriterion::Margin,
-            }),
-        ),
-        (
-            "arena-lean",
-            PolicyKind::ArenaWith(ArenaParams {
-                roster: Roster::Lean,
-                ..ArenaParams::default()
-            }),
-        ),
-    ]);
-    rows
 }
 
 /// One expected replay outcome, flattened for stable JSON.

@@ -4,10 +4,16 @@
 //! `Vec` for recency, a `HashMap` standing in for the disk; no guards, no
 //! shards, no WAL, no retries — is driven in lockstep with a
 //! [`BufferManager`] and a one-shard [`ShardedBuffer`] under random
-//! fetch / write-through / write-buffered / flush / free sequences. After
-//! every step the three must agree on what a read returned and whether it
-//! hit, on the resident set and dirty count, on the counters, and on the
-//! contents of the backing store.
+//! fetch / write-through / write-buffered / flush / free / poison
+//! sequences. After every step the three must agree on what a read
+//! returned (or how it failed) and whether it hit, on the resident set and
+//! dirty count, on the counters, and on the contents of the backing store.
+//!
+//! `Poison` is in-memory rot (`poison_frame`). The model's rule for it: a
+//! rotten *clean* frame is as good as absent — the next read of it misses
+//! and re-reads the store; a rotten *dirty* frame is stuck — it cannot be
+//! read, flushed or evicted (each attempt is a counted detection and a
+//! typed failure) until the page is rewritten or freed.
 
 use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
@@ -25,14 +31,41 @@ enum Op {
     WriteBuffered(usize, u8),
     Flush,
     Free(usize),
+    Poison(usize),
+}
+
+/// How an operation fails, in the model and (classified) in the pools.
+#[derive(Debug, PartialEq)]
+enum Fault {
+    NotFound(usize),
+    /// The dirty frame of this slot failed its checksum.
+    DirtyRot(usize),
+}
+
+#[derive(Clone, Copy)]
+struct Frame {
+    byte: u8,
+    dirty: bool,
+    rotten: bool,
+}
+
+impl Frame {
+    /// What every write leaves behind: fresh bytes, so no rot.
+    fn written(byte: u8, dirty: bool) -> Frame {
+        Frame {
+            byte,
+            dirty,
+            rotten: false,
+        }
+    }
 }
 
 /// The reference: LRU replacement over a write-back cache, nothing else.
 #[derive(Default)]
 struct Model {
     capacity: usize,
-    /// Resident frames: slot → (payload byte, dirty).
-    frames: HashMap<usize, (u8, bool)>,
+    /// Resident frames by slot.
+    frames: HashMap<usize, Frame>,
     /// Resident slots, least recently used first.
     lru: Vec<usize>,
     /// The backing store: live slots → payload byte.
@@ -41,56 +74,98 @@ struct Model {
     misses: u64,
     evicted: u64,
     writebacks: u64,
+    corruptions: u64,
+    failed_evictions: u64,
+    give_ups: u64,
 }
 
 impl Model {
-    fn admit(&mut self, slot: usize, byte: u8, dirty: bool) {
+    fn admit(&mut self, slot: usize, byte: u8, dirty: bool) -> Result<(), Fault> {
         if self.frames.len() >= self.capacity {
-            let victim = self.lru.remove(0);
-            if let Some((byte, true)) = self.frames.remove(&victim) {
-                self.disk.insert(victim, byte);
+            let victim = self.lru[0];
+            let frame = self.frames[&victim];
+            if frame.dirty && frame.rotten {
+                self.corruptions += 1;
+                // counter-ok: the reference model's own tally, compared
+                // against `BufferStats` after every step, not part of it.
+                self.failed_evictions += 1;
+                return Err(Fault::DirtyRot(victim));
+            }
+            if frame.dirty {
+                self.disk.insert(victim, frame.byte);
                 self.writebacks += 1;
             }
+            self.frames.remove(&victim);
+            self.lru.remove(0);
             self.evicted += 1;
         }
-        self.frames.insert(slot, (byte, dirty));
+        self.frames.insert(slot, Frame::written(byte, dirty));
         self.lru.push(slot);
+        Ok(())
     }
 
-    /// `Some((payload, hit))`, or `None` when the page does not exist.
-    fn fetch(&mut self, slot: usize) -> Option<(u8, bool)> {
-        if let Some(&(byte, _)) = self.frames.get(&slot) {
-            self.hits += 1;
-            self.lru.retain(|&s| s != slot);
-            self.lru.push(slot);
-            return Some((byte, true));
+    /// `Ok((payload, hit))`, or how the read failed.
+    fn fetch(&mut self, slot: usize) -> Result<(u8, bool), Fault> {
+        match self.frames.get(&slot).copied() {
+            Some(frame) if !frame.rotten => {
+                self.hits += 1;
+                self.lru.retain(|&s| s != slot);
+                self.lru.push(slot);
+                return Ok((frame.byte, true));
+            }
+            Some(frame) => {
+                self.corruptions += 1;
+                if frame.dirty {
+                    self.misses += 1;
+                    self.give_ups += 1;
+                    return Err(Fault::DirtyRot(slot));
+                }
+                self.frames.remove(&slot);
+                self.lru.retain(|&s| s != slot);
+            }
+            None => {}
         }
         self.misses += 1;
-        let byte = *self.disk.get(&slot)?;
-        self.admit(slot, byte, false);
-        Some((byte, false))
+        let Some(&byte) = self.disk.get(&slot) else {
+            self.give_ups += 1;
+            return Err(Fault::NotFound(slot));
+        };
+        self.admit(slot, byte, false)?;
+        Ok((byte, false))
     }
 
     fn write_through(&mut self, slot: usize, byte: u8) {
         self.disk.insert(slot, byte);
         if let Some(frame) = self.frames.get_mut(&slot) {
-            *frame = (byte, false);
+            *frame = Frame::written(byte, false);
         }
     }
 
-    fn write_buffered(&mut self, slot: usize, byte: u8) {
+    fn write_buffered(&mut self, slot: usize, byte: u8) -> Result<(), Fault> {
         match self.frames.get_mut(&slot) {
-            Some(frame) => *frame = (byte, true),
+            Some(frame) => {
+                *frame = Frame::written(byte, true);
+                Ok(())
+            }
             None => self.admit(slot, byte, true),
         }
     }
 
-    fn flush(&mut self) {
-        for (&slot, frame) in self.frames.iter_mut().filter(|(_, f)| f.1) {
-            self.disk.insert(slot, frame.0);
-            frame.1 = false;
+    /// The slots left dirty because their frame is rotten, ascending.
+    fn flush(&mut self) -> Vec<usize> {
+        let mut stuck = Vec::new();
+        for (&slot, frame) in self.frames.iter_mut().filter(|(_, f)| f.dirty) {
+            if frame.rotten {
+                self.corruptions += 1;
+                stuck.push(slot);
+                continue;
+            }
+            self.disk.insert(slot, frame.byte);
+            frame.dirty = false;
             self.writebacks += 1;
         }
+        stuck.sort_unstable();
+        stuck
     }
 
     fn free(&mut self, slot: usize) {
@@ -99,8 +174,42 @@ impl Model {
         self.lru.retain(|&s| s != slot);
     }
 
+    /// Whether a frame was there to poison. `poison_frame` flips the
+    /// payload's first byte, so poisoning a rotten frame restores it.
+    fn poison(&mut self, slot: usize) -> bool {
+        self.frames
+            .get_mut(&slot)
+            .map(|frame| frame.rotten ^= true)
+            .is_some()
+    }
+
     fn dirty(&self) -> usize {
-        self.frames.values().filter(|f| f.1).count()
+        self.frames.values().filter(|f| f.dirty).count()
+    }
+}
+
+/// Maps a pool error onto the model's vocabulary.
+fn fault(ids: &[PageId], err: StorageError) -> Fault {
+    let slot = |id| ids.iter().position(|&i| i == id).expect("known page");
+    match err {
+        StorageError::PageNotFound(id) => Fault::NotFound(slot(id)),
+        StorageError::DirtyFrameCorrupt { id, .. } => Fault::DirtyRot(slot(id)),
+        other => panic!("error outside the model: {other:?}"),
+    }
+}
+
+/// The slots a flush left behind, ascending.
+fn stuck(ids: &[PageId], flushed: Result<(), StorageError>) -> Vec<usize> {
+    match flushed {
+        Ok(()) => Vec::new(),
+        Err(StorageError::FlushIncomplete { failures }) => failures
+            .into_iter()
+            .map(|(_, err)| match fault(ids, *err) {
+                Fault::DirtyRot(slot) => slot,
+                other => panic!("flush failure outside the model: {other:?}"),
+            })
+            .collect(),
+        Err(other) => panic!("error outside the model: {other:?}"),
     }
 }
 
@@ -127,7 +236,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (slot.clone(), 100u8..=255).prop_map(|(s, b)| Op::WriteThrough(s, b)),
         3 => (slot.clone(), 100u8..=255).prop_map(|(s, b)| Op::WriteBuffered(s, b)),
         1 => Just(Op::Flush),
-        1 => slot.prop_map(Op::Free),
+        1 => slot.clone().prop_map(Op::Free),
+        2 => slot.prop_map(Op::Poison),
     ]
 }
 
@@ -156,18 +266,15 @@ proptest! {
                     let hits_before = manager.stats().hits;
                     let seq = manager
                         .fetch(&mut disk, id, ctx)
-                        .map(|g| (g.payload[0], manager.stats().hits > hits_before));
-                    let pooled = pool.fetch_classified(id, ctx).map(|(g, hit)| (g.payload[0], hit));
-                    match model.fetch(slot) {
-                        Some(expected) => {
-                            prop_assert_eq!(seq, Ok(expected), "step {}: {:?}", step, op);
-                            prop_assert_eq!(pooled, Ok(expected), "step {}: {:?}", step, op);
-                        }
-                        None => {
-                            prop_assert_eq!(seq, Err(StorageError::PageNotFound(id)));
-                            prop_assert_eq!(pooled, Err(StorageError::PageNotFound(id)));
-                        }
-                    }
+                        .map(|g| (g.payload[0], manager.stats().hits > hits_before))
+                        .map_err(|e| fault(&ids, e));
+                    let pooled = pool
+                        .fetch_classified(id, ctx)
+                        .map(|(g, hit)| (g.payload[0], hit))
+                        .map_err(|e| fault(&ids, e));
+                    let expected = model.fetch(slot);
+                    prop_assert_eq!(&seq, &expected, "step {}: {:?}", step, op);
+                    prop_assert_eq!(&pooled, &expected, "step {}: {:?}", step, op);
                 }
                 // Writes to a freed page are not part of the model.
                 Op::WriteThrough(slot, _) | Op::WriteBuffered(slot, _)
@@ -178,20 +285,27 @@ proptest! {
                     model.write_through(slot, byte);
                 }
                 Op::WriteBuffered(slot, byte) => {
-                    manager.write_buffered(&mut disk, page(ids[slot], byte)).unwrap();
-                    pool.write_buffered(page(ids[slot], byte)).unwrap();
-                    model.write_buffered(slot, byte);
+                    let seq = manager.write_buffered(&mut disk, page(ids[slot], byte));
+                    let pooled = pool.write_buffered(page(ids[slot], byte));
+                    let expected = model.write_buffered(slot, byte);
+                    prop_assert_eq!(&seq.map_err(|e| fault(&ids, e)), &expected, "step {}", step);
+                    prop_assert_eq!(&pooled.map_err(|e| fault(&ids, e)), &expected, "step {}", step);
                 }
                 Op::Flush => {
-                    manager.flush(&mut disk).unwrap();
-                    pool.flush().unwrap();
-                    model.flush();
+                    let expected = model.flush();
+                    prop_assert_eq!(stuck(&ids, manager.flush(&mut disk)), &expected[..]);
+                    prop_assert_eq!(stuck(&ids, pool.flush()), &expected[..], "step {}", step);
                 }
                 Op::Free(slot) if !model.disk.contains_key(&slot) => {}
                 Op::Free(slot) => {
                     manager.free_through(&mut disk, ids[slot]).unwrap();
                     pool.free(ids[slot]).unwrap();
                     model.free(slot);
+                }
+                Op::Poison(slot) => {
+                    let expected = model.poison(slot);
+                    prop_assert_eq!(manager.poison_frame(ids[slot]), expected, "step {}", step);
+                    prop_assert_eq!(pool.poison_frame(ids[slot]), expected, "step {}", step);
                 }
             }
 
@@ -211,6 +325,11 @@ proptest! {
             prop_assert_eq!(
                 (stats.hits, stats.misses, stats.evictions, stats.writebacks),
                 (model.hits, model.misses, model.evicted, model.writebacks),
+                "step {}: {:?}", step, op
+            );
+            prop_assert_eq!(
+                (stats.corruptions, stats.failed_evictions, stats.give_ups),
+                (model.corruptions, model.failed_evictions, model.give_ups),
                 "step {}: {:?}", step, op
             );
         }
