@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! probe [--scale S] [--seed N] [--db 1|2] [--frac F] [--set NAME]
-//!       [--threads N] [--shards M] [--flusher HIGH,LOW,BATCH]
-//!       [--bench-json PATH]
+//!       [--shards M] [--flusher HIGH,LOW,BATCH] [--bench-json PATH]
 //! ```
 //!
 //! Prints, for every policy, the disk accesses, hit ratio and I/O split of
@@ -11,11 +10,10 @@
 //! calibrating the synthetic workloads against the paper's described
 //! behaviour.
 //!
-//! `--threads N` replays the per-policy cells — one recording of the query
-//! set, made once — on N worker threads (same numbers, less wall-clock).
-//! `--shards M` additionally runs the query set against a sharded buffer
-//! pool with M shards served by N threads and reports the pool-wide
-//! statistics.
+//! The per-policy cells are replays of one recording of the query set
+//! (`Lab::eval`). `--shards M` additionally runs the query set live against
+//! a sharded buffer pool with M shards, served by as many threads as the
+//! machine offers (at least two), and reports the pool-wide statistics.
 //!
 //! `--flusher HIGH,LOW,BATCH` runs a synthetic write-heavy demo with a
 //! background flusher at the given watermark fractions and drain batch
@@ -30,8 +28,7 @@
 
 use asb_core::{PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb_exp::{
-    replacement_bench, run_cells, ExperimentCell, Lab, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE,
-    BENCH_SEED,
+    replacement_bench, ExperimentCell, Lab, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE, BENCH_SEED,
 };
 use asb_rtree::RTree;
 use asb_storage::DiskManager;
@@ -44,7 +41,6 @@ fn main() -> ExitCode {
     let mut db = DatasetKind::Mainland;
     let mut frac = 0.047f64;
     let mut set = "INT-P".to_string();
-    let mut threads = 1usize;
     let mut shards = 0usize;
     let mut flusher: Option<(f64, f64, usize)> = None;
     let mut bench_json: Option<String> = None;
@@ -70,12 +66,6 @@ fn main() -> ExitCode {
                     let v = next()?;
                     set = v.clone();
                     QuerySetSpec::from_name(&v).ok_or(format!("unknown query set {v}"))?;
-                }
-                "--threads" => {
-                    threads = next()?.parse().map_err(|e| format!("{e}"))?;
-                    if threads == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
                 }
                 "--shards" => {
                     shards = next()?.parse().map_err(|e| format!("{e}"))?;
@@ -150,7 +140,7 @@ fn main() -> ExitCode {
     let buffer_pages = ((pages as f64 * frac).round() as usize).max(4);
     println!(
         "# db={db:?} scale={scale:?} pages={pages} buffer={frac} (= {buffer_pages} pages) \
-         set={set} threads={threads}"
+         set={set}"
     );
     let policies = [
         PolicyKind::Lru,
@@ -172,16 +162,8 @@ fn main() -> ExitCode {
         "{:<10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8}",
         "policy", "accesses", "logical", "hit%", "random", "seq", "sim[ms]", "gain%"
     );
-    let cells: Vec<ExperimentCell> = policies
-        .iter()
-        .map(|&policy| ExperimentCell {
-            db,
-            policy,
-            frac,
-            spec,
-        })
-        .collect();
-    let results = match run_cells(&mut lab, threads, &cells) {
+    let cells = policies.map(|policy| ExperimentCell::new(db, policy, frac, spec));
+    let results = match lab.eval(&cells) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: experiment failed: {e}");
@@ -211,7 +193,7 @@ fn main() -> ExitCode {
             seed,
             buffer_pages.max(shards),
             shards,
-            threads.max(2),
+            std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
         ) {
             eprintln!("error: sharded replay failed: {e}");
             return ExitCode::FAILURE;

@@ -8,7 +8,7 @@
 //! Without `--figure`, every data figure (4–9, 12–14) is produced. Text
 //! tables go to stdout; `--json` additionally writes the structured tables.
 
-use asb_exp::{extension, figure, FigureConfig, Lab, EXTENSIONS, FIGURE_IDS};
+use asb_exp::{extension, figure, Lab, EXTENSIONS, FIGURE_IDS};
 use asb_workload::Scale;
 use std::process::ExitCode;
 
@@ -94,15 +94,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = FigureConfig {
-        scale: args.scale,
-        seed: args.seed,
-    };
     eprintln!(
         "# reproducing figures {:?} at scale {:?} (seed {})",
-        args.figures, config.scale, config.seed
+        args.figures, args.scale, args.seed
     );
-    let mut lab = Lab::new(config.scale, config.seed);
+    let mut lab = Lab::new(args.scale, args.seed);
     let mut all = Vec::new();
     for &id in &args.figures {
         let started = std::time::Instant::now();
@@ -125,7 +121,7 @@ fn main() -> ExitCode {
     }
     for name in &args.extensions {
         let started = std::time::Instant::now();
-        let tables = match extension(name, config.scale, config.seed) {
+        let tables = match extension(name, args.scale, args.seed) {
             Ok(t) => t.expect("extension names validated during parsing"),
             Err(e) => {
                 eprintln!("error: extension {name} failed: {e}");

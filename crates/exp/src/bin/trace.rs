@@ -17,10 +17,12 @@
 //! `record` runs one workload unbuffered and writes its logical access
 //! sequence; `--phased N` records the adversarial phase-change workload
 //! (N queries per phase) instead of a single query set. `replay` pushes a
-//! recorded trace through a buffer configuration and prints the resulting
-//! statistics; for the arena it also prints the expert scoreboard, and
-//! `--weights PATH` dumps the full per-access weight trajectory as CSV
-//! (replays are deterministic, so the dump is bit-for-bit reproducible).
+//! recorded trace through a pool of M shards (default 1 — the sequential
+//! buffer, bit for bit) and prints the resulting statistics; on one shard
+//! also ASB's candidate-set range and, for the arena, the expert
+//! scoreboard, and `--weights PATH` dumps the full per-access weight
+//! trajectory as CSV (replays are deterministic, so the dump is bit-for-bit
+//! reproducible).
 //! With `--fault-rate` the replay runs against a fault-injecting store
 //! (chaos profile: transient faults, corruption, latency spikes) under
 //! the default retry policy and additionally reports what was injected
@@ -33,7 +35,7 @@
 //! exactly the committed prefix of the crash-free run. Exits non-zero on
 //! any divergence, dumping the trace and surviving WAL to `--artifacts`.
 
-use asb_core::PolicyKind;
+use asb_core::{PolicyKind, ShardedBuffer};
 use asb_exp::{crash_sweep, CrashConfig, Trace};
 use asb_storage::{FaultConfig, RetryPolicy};
 use asb_workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
@@ -121,7 +123,7 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     let mut path = None;
     let mut policy = PolicyKind::Asb;
     let mut capacity = 32usize;
-    let mut shards = 0usize;
+    let mut shards = 1usize;
     let mut fault_seed = 1u64;
     let mut fault_rate = 0.0f64;
     let mut weights_out: Option<String> = None;
@@ -136,7 +138,10 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             "--capacity" => {
                 capacity = next()?.parse().map_err(|e| format!("bad capacity: {e}"))?;
             }
-            "--shards" => shards = next()?.parse().map_err(|e| format!("bad shards: {e}"))?,
+            "--shards" => {
+                let m: usize = next()?.parse().map_err(|e| format!("bad shards: {e}"))?;
+                shards = m.max(1);
+            }
             "--fault-seed" => {
                 fault_seed = next()?.parse().map_err(|e| format!("bad seed: {e}"))?;
             }
@@ -182,32 +187,52 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         );
         return Ok(());
     }
-    let out = if shards > 0 {
-        trace.replay_sharded(policy, capacity, shards)
-    } else {
-        trace.replay_sequential(policy, capacity)
-    }
-    .map_err(|e| e.to_string())?;
+    // One shard is the sequential buffer, bit for bit (`tests/golden_trace.rs`),
+    // and the only pool with *a* trajectory: several shards adapt and mix
+    // each on its own. The trajectories are sampled here, from the replay's
+    // own pool: the candidate-set size after every access, the arena weights
+    // only when a dump was asked for.
+    let disk = trace.build_disk().map_err(|e| e.to_string())?;
+    let pool = ShardedBuffer::new(disk, policy, capacity, shards);
+    let sole_arena = || {
+        pool.shard_arena_states()
+            .pop()
+            .filter(|_| shards == 1)
+            .flatten()
+    };
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut weights: Vec<Vec<f64>> = Vec::new();
+    let step = |_, id, ctx| {
+        drop(pool.fetch(id, ctx)?);
+        if shards == 1 {
+            candidates.extend(pool.shard_candidate_sizes()[0]);
+        }
+        if weights_out.is_some() {
+            weights.extend(sole_arena().map(|a| a.weights()));
+        }
+        Ok(())
+    };
+    trace.drive(step).map_err(|e| e.to_string())?;
+    let (stats, io, arena) = (pool.stats(), pool.io_stats(), sole_arena());
     println!(
         "policy={policy:?} capacity={capacity} shards={}\n\
          logical={} hits={} misses={} hit%={:.2} physical_reads={} random={} sequential={} sim_ms={:.1}",
-        shards.max(1),
-        out.stats.logical_reads,
-        out.stats.hits,
-        out.stats.misses,
-        100.0 * out.stats.hit_ratio(),
-        out.physical_reads,
-        out.io.random_reads,
-        out.io.sequential_reads,
-        out.io.simulated_ms,
+        shards,
+        stats.logical_reads,
+        stats.hits,
+        stats.misses,
+        100.0 * stats.hit_ratio(),
+        io.reads,
+        io.random_reads,
+        io.sequential_reads,
+        io.simulated_ms,
     );
-    if !out.candidate_trajectory.is_empty() {
-        let last = out.candidate_trajectory.last().copied().unwrap_or(0);
-        let max = out.candidate_trajectory.iter().max().copied().unwrap_or(0);
-        let min = out.candidate_trajectory.iter().min().copied().unwrap_or(0);
+    if let Some(&last) = candidates.last() {
+        let max = candidates.iter().max().copied().unwrap_or(0);
+        let min = candidates.iter().min().copied().unwrap_or(0);
         println!("candidate set: final={last} min={min} max={max}");
     }
-    if let Some(arena) = &out.arena {
+    if let Some(arena) = &arena {
         println!(
             "arena: leader={} switches={} regret={} best_expert_misses={}",
             arena.experts[arena.leader].label,
@@ -223,23 +248,19 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     if let Some(path) = weights_out {
-        if out.weight_trajectory.is_empty() {
+        let Some(arena) = arena.filter(|_| !weights.is_empty()) else {
             return Err(format!("--weights needs an arena replay, got {policy:?}"));
-        }
-        let labels: Vec<&str> = out
-            .arena
-            .as_ref()
-            .map(|a| a.experts.iter().map(|e| e.label.as_str()).collect())
-            .unwrap_or_default();
+        };
+        let labels: Vec<&str> = arena.experts.iter().map(|e| e.label.as_str()).collect();
         let mut csv = format!("access,{}\n", labels.join(","));
-        for (i, row) in out.weight_trajectory.iter().enumerate() {
+        for (i, row) in weights.iter().enumerate() {
             let cells: Vec<String> = row.iter().map(|w| format!("{w}")).collect();
             csv.push_str(&format!("{i},{}\n", cells.join(",")));
         }
         std::fs::write(&path, csv).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
             "# wrote {} weight rows ({} experts) to {path}",
-            out.weight_trajectory.len(),
+            weights.len(),
             labels.len()
         );
     }

@@ -29,8 +29,8 @@
 
 use asb_core::{BufferManager, PolicyKind};
 use asb_storage::{
-    AccessContext, CrashClock, CrashEvent, CrashMode, CrashOp, CrashPlan, CrashableStore,
-    DiskManager, Page, PageId, PageMeta, QueryId, Result, SharedWal, StorageError, Wal, WalConfig,
+    CrashClock, CrashEvent, CrashMode, CrashOp, CrashPlan, CrashableStore, DiskManager, Page,
+    PageId, PageMeta, Result, SharedWal, StorageError, Wal, WalConfig,
 };
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -194,45 +194,33 @@ fn run_workload(
     mgr.attach_wal(wal.clone());
     mgr.set_checkpoint_interval(Some(config.checkpoint_interval));
     let mut updates = Vec::new();
-    let mut crashed = false;
-    let limit = config.max_accesses.unwrap_or(trace.accesses.len());
-    'workload: for (i, &(p, q)) in trace.accesses.iter().take(limit).enumerate() {
-        let id = PageId::new(p);
-        let ctx = AccessContext::query(QueryId::new(q));
-        match mgr.fetch(&mut store, id, ctx) {
-            Ok(_) => {}
-            Err(e) if is_crash(&e) => {
-                crashed = true;
-                break 'workload;
-            }
-            Err(e) => return Err(e),
+    let limit = config.max_accesses.unwrap_or(usize::MAX);
+    let workload = trace.drive(|i, id, ctx| {
+        if i >= limit {
+            return Ok(());
         }
+        drop(mgr.fetch(&mut store, id, ctx)?);
         if updates_at(i as u64, config) {
-            let payload = update_payload(p, i as u64, config.seed);
-            let page = Page::new(id, meta_of[&p], payload.clone())?;
-            match mgr.write_buffered(&mut store, page) {
-                Ok(()) => updates.push((p, payload)),
-                Err(e) if is_crash(&e) => {
-                    crashed = true;
-                    break 'workload;
-                }
-                Err(e) => return Err(e),
-            }
+            let payload = update_payload(id.raw(), i as u64, config.seed);
+            let page = Page::new(id, meta_of[&id.raw()], payload.clone())?;
+            mgr.write_buffered(&mut store, page)?;
+            updates.push((id.raw(), payload));
         }
-    }
-    if !crashed {
-        // Graceful shutdown: write everything back, then checkpoint so a
-        // restart has an empty redo window.
-        let end: Result<()> = mgr.flush(&mut store).and_then(|()| {
-            mgr.checkpoint()?;
-            Ok(())
-        });
-        match end {
-            Ok(()) => {}
-            Err(e) if is_crash(&e) => crashed = true,
-            Err(e) => return Err(e),
-        }
-    }
+        Ok(())
+    });
+    // Graceful shutdown: write everything back, then checkpoint so a
+    // restart has an empty redo window.
+    let run = workload.and_then(|()| {
+        mgr.flush(&mut store)?;
+        mgr.checkpoint()?;
+        Ok(())
+    });
+    // The injected kill surfaces as an error of whichever call it hit.
+    let crashed = match run {
+        Ok(()) => false,
+        Err(e) if is_crash(&e) => true,
+        Err(e) => return Err(e),
+    };
     Ok(WorkloadOutcome {
         disk: store.into_inner(),
         wal,

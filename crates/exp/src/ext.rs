@@ -63,12 +63,10 @@ fn gain_vs_lru(lru_reads: u64, reads: u64) -> f64 {
 /// Replays `trace` through each of `policies` — LRU first — at `capacity`
 /// frames: one gain over LRU per policy.
 fn gains_vs_lru(trace: &Trace, capacity: usize, policies: &[PolicyKind]) -> Result<Vec<f64>> {
-    let mut lru = None;
-    let gain = |&policy| {
-        let reads = trace.replay_sequential(policy, capacity)?.physical_reads;
-        Ok(gain_vs_lru(*lru.get_or_insert(reads), reads))
-    };
-    policies.iter().map(gain).collect()
+    let jobs: Vec<_> = policies.iter().map(|&p| (trace, p, capacity)).collect();
+    let outcomes = Trace::replay_all(&jobs)?;
+    let reads: Vec<u64> = outcomes.iter().map(|out| out.io.reads).collect();
+    Ok(reads.iter().map(|&r| gain_vs_lru(reads[0], r)).collect())
 }
 
 fn query_sets() -> Vec<QuerySetSpec> {
@@ -401,17 +399,19 @@ fn ablate_join(scale: Scale, seed: u64) -> Result<FigureTable> {
     };
     let (mut a, mut b) = (layer(DatasetKind::Mainland)?, layer(DatasetKind::World)?);
     let pairs = spatial_join(&mut a, &mut b)?.len();
-    let sides = [("reads A", a), ("reads B", b)].map(|(name, tree)| {
+    let mut sides = Vec::new();
+    for (name, tree) in [("reads A", a), ("reads B", b)] {
         let frames = two_percent_of(tree.page_count());
-        (name, Trace::capture("join".into(), tree.store()), frames)
-    });
+        let trace = Trace::capture("join".into(), tree.store());
+        let jobs = CONTENDERS.map(|policy| (&trace, policy, frames));
+        sides.push((name, Trace::replay_all(&jobs)?));
+    }
     let mut series = Vec::new();
-    for policy in CONTENDERS {
-        let mut points = Vec::new();
-        for (name, trace, frames) in &sides {
-            let reads = trace.replay_sequential(policy, *frames)?.physical_reads;
-            points.push((name.to_string(), reads as f64));
-        }
+    for (i, policy) in CONTENDERS.iter().enumerate() {
+        let mut points: Vec<_> = sides
+            .iter()
+            .map(|(name, outcomes)| (name.to_string(), outcomes[i].io.reads as f64))
+            .collect();
         points.push(("pairs".into(), pairs as f64));
         series.push(Series {
             name: policy.label(),

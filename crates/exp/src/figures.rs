@@ -1,33 +1,14 @@
 //! One function per data figure of the paper.
 
-use crate::lab::{Lab, BUFFER_FRACS};
+use crate::lab::{ExperimentCell, Lab, RunResult, BUFFER_FRACS};
 use crate::report::{FigureTable, Series};
 use asb_core::{PolicyKind, SpatialCriterion};
 use asb_storage::Result;
-use asb_workload::{DatasetKind, QueryKind, QuerySetSpec, Scale};
+use asb_workload::{DatasetKind, QueryKind, QuerySetSpec};
 
 /// The data figures of the paper (4–9 are the policy studies, 12–14 the
 /// combination studies; 1–3 and 10–11 are illustrations with no data).
 pub const FIGURE_IDS: [u8; 9] = [4, 5, 6, 7, 8, 9, 12, 13, 14];
-
-/// Configuration of a reproduction pass.
-#[derive(Debug, Clone, Copy)]
-pub struct FigureConfig {
-    /// Dataset scale (the paper's sizes are `Scale::Paper`; `Medium` is the
-    /// default and preserves all relative effects).
-    pub scale: Scale,
-    /// Master seed for data and query generation.
-    pub seed: u64,
-}
-
-impl Default for FigureConfig {
-    fn default() -> Self {
-        FigureConfig {
-            scale: Scale::Medium,
-            seed: 42,
-        }
-    }
-}
 
 const DB_BOTH: [(DatasetKind, &str); 2] = [
     (DatasetKind::Mainland, "database 1"),
@@ -79,6 +60,25 @@ fn mixed_sets() -> Vec<QuerySetSpec> {
     ]
 }
 
+/// The points of one series: per set, `metric(run, base)` over the cells of
+/// `[base, policy]`, all of them in one `eval`.
+fn versus(
+    lab: &mut Lab,
+    db: DatasetKind,
+    pair: [PolicyKind; 2],
+    frac: f64,
+    sets: &[QuerySetSpec],
+    metric: fn(&RunResult, &RunResult) -> f64,
+) -> Result<Vec<(String, f64)>> {
+    let cells: Vec<_> = sets
+        .iter()
+        .flat_map(|&s| pair.map(|p| ExperimentCell::new(db, p, frac, s)))
+        .collect();
+    Ok(std::iter::zip(sets, lab.eval(&cells)?.chunks(2))
+        .map(|(s, run)| (s.name(), metric(&run[1], &run[0])))
+        .collect())
+}
+
 fn gain_series(
     lab: &mut Lab,
     kind: DatasetKind,
@@ -87,13 +87,10 @@ fn gain_series(
     sets: &[QuerySetSpec],
     name: &str,
 ) -> Result<Series> {
-    let mut points = Vec::with_capacity(sets.len());
-    for s in sets {
-        points.push((s.name(), lab.gain(kind, policy, frac, *s)?));
-    }
+    let pair = [PolicyKind::Lru, policy];
     Ok(Series {
         name: name.to_string(),
-        points,
+        points: versus(lab, kind, pair, frac, sets, RunResult::gain_over)?,
     })
 }
 
@@ -129,31 +126,45 @@ pub fn fig4(lab: &mut Lab) -> Result<Vec<FigureTable>> {
     Ok(tables)
 }
 
-/// Figure 5: gain of LRU-K (K = 2, 3, 5) over LRU on database 1.
-pub fn fig5(lab: &mut Lab) -> Result<Vec<FigureTable>> {
-    let sets = mixed_sets();
+/// One table per database of `dbs` and buffer of [`SMALL_LARGE`], one series
+/// per policy: gains over LRU on `sets` — the shape of Figures 5, 7–9, 12
+/// and 13.
+fn gain_tables(
+    lab: &mut Lab,
+    id: &str,
+    title: &str,
+    dbs: &[(DatasetKind, &str)],
+    policies: &[(PolicyKind, &str)],
+    sets: &[QuerySetSpec],
+) -> Result<Vec<FigureTable>> {
     let mut tables = Vec::new();
-    for &(frac, frac_name) in &SMALL_LARGE {
-        let mut series = Vec::new();
-        for k in [2usize, 3, 5] {
-            series.push(gain_series(
-                lab,
-                DatasetKind::Mainland,
-                PolicyKind::LruK { k },
-                frac,
-                &sets,
-                &format!("LRU-{k}"),
-            )?);
+    for &(db, db_name) in dbs {
+        for (frac, frac_name) in SMALL_LARGE {
+            let mut series = Vec::new();
+            for &(p, name) in policies {
+                series.push(gain_series(lab, db, p, frac, sets, name)?);
+            }
+            tables.push(FigureTable {
+                id: id.into(),
+                title: format!("{title}, {db_name}, {frac_name}"),
+                x_label: "query set".into(),
+                y_label: "gain vs LRU [%]".into(),
+                series,
+            });
         }
-        tables.push(FigureTable {
-            id: "fig5".into(),
-            title: format!("LRU-K gain vs LRU, database 1, {frac_name}"),
-            x_label: "query set".into(),
-            y_label: "gain vs LRU [%]".into(),
-            series,
-        });
     }
     Ok(tables)
+}
+
+/// Figure 5: gain of LRU-K (K = 2, 3, 5) over LRU on database 1.
+pub fn fig5(lab: &mut Lab) -> Result<Vec<FigureTable>> {
+    let policies = [
+        (PolicyKind::LruK { k: 2 }, "LRU-2"),
+        (PolicyKind::LruK { k: 3 }, "LRU-3"),
+        (PolicyKind::LruK { k: 5 }, "LRU-5"),
+    ];
+    let title = "LRU-K gain vs LRU";
+    gain_tables(lab, "fig5", title, &DB_BOTH[..1], &policies, &mixed_sets())
 }
 
 /// Figure 6: the five spatial criteria relative to criterion A (A = 100 %),
@@ -164,17 +175,9 @@ pub fn fig6(lab: &mut Lab) -> Result<Vec<FigureTable>> {
     for &(frac, frac_name) in &[(0.003, "0.3% buffer"), (0.047, "4.7% buffer")] {
         let mut series = Vec::new();
         for &c in SpatialCriterion::ALL.iter() {
-            let mut points = Vec::with_capacity(sets.len());
-            for s in &sets {
-                let v = lab.relative(
-                    DatasetKind::Mainland,
-                    PolicyKind::Spatial(SpatialCriterion::Area),
-                    PolicyKind::Spatial(c),
-                    frac,
-                    *s,
-                )?;
-                points.push((s.name(), v));
-            }
+            let pair = [SpatialCriterion::Area, c].map(PolicyKind::Spatial);
+            let db = DatasetKind::Mainland;
+            let points = versus(lab, db, pair, frac, &sets, RunResult::relative_to)?;
             series.push(Series {
                 name: c.short_name().into(),
                 points,
@@ -200,34 +203,17 @@ fn contenders() -> [(PolicyKind, &'static str); 3] {
     ]
 }
 
-fn comparison_figure(
-    lab: &mut Lab,
-    id: &str,
-    dist_name: &str,
-    sets: &[QuerySetSpec],
-) -> Result<Vec<FigureTable>> {
-    let mut tables = Vec::new();
-    for (db, db_name) in DB_BOTH {
-        for (frac, frac_name) in SMALL_LARGE {
-            let mut series = Vec::new();
-            for &(p, name) in contenders().iter() {
-                series.push(gain_series(lab, db, p, frac, sets, name)?);
-            }
-            tables.push(FigureTable {
-                id: id.into(),
-                title: format!("Gain vs LRU, {dist_name}, {db_name}, {frac_name}"),
-                x_label: "query set".into(),
-                y_label: "gain vs LRU [%]".into(),
-                series,
-            });
-        }
-    }
-    Ok(tables)
-}
-
 /// Figure 7: LRU-P vs A vs LRU-2, uniform distribution.
 pub fn fig7(lab: &mut Lab) -> Result<Vec<FigureTable>> {
-    comparison_figure(lab, "fig7", "uniform distribution", &uniform_family())
+    let title = "Gain vs LRU, uniform distribution";
+    gain_tables(
+        lab,
+        "fig7",
+        title,
+        &DB_BOTH,
+        &contenders(),
+        &uniform_family(),
+    )
 }
 
 /// Figure 8: identical and similar distributions.
@@ -237,24 +223,20 @@ pub fn fig8(lab: &mut Lab) -> Result<Vec<FigureTable>> {
         QuerySetSpec::identical_windows(),
     ];
     sets.extend(family(QuerySetSpec::similar));
-    comparison_figure(lab, "fig8", "identical & similar distributions", &sets)
+    let title = "Gain vs LRU, identical & similar distributions";
+    gain_tables(lab, "fig8", title, &DB_BOTH, &contenders(), &sets)
 }
 
 /// Figure 9: independent and intensified distributions.
 pub fn fig9(lab: &mut Lab) -> Result<Vec<FigureTable>> {
     let mut sets = family(QuerySetSpec::independent);
     sets.extend(intensified_family());
-    comparison_figure(
-        lab,
-        "fig9",
-        "independent & intensified distributions",
-        &sets,
-    )
+    let title = "Gain vs LRU, independent & intensified distributions";
+    gain_tables(lab, "fig9", title, &DB_BOTH, &contenders(), &sets)
 }
 
 /// Figure 12: pure A vs the static combinations SLRU 50 % and SLRU 25 %.
 pub fn fig12(lab: &mut Lab) -> Result<Vec<FigureTable>> {
-    let sets = mixed_sets();
     let policies = [
         (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
         (
@@ -272,33 +254,12 @@ pub fn fig12(lab: &mut Lab) -> Result<Vec<FigureTable>> {
             "SLRU 25%",
         ),
     ];
-    let mut tables = Vec::new();
-    for &(frac, frac_name) in &SMALL_LARGE {
-        let mut series = Vec::new();
-        for &(p, name) in policies.iter() {
-            series.push(gain_series(
-                lab,
-                DatasetKind::Mainland,
-                p,
-                frac,
-                &sets,
-                name,
-            )?);
-        }
-        tables.push(FigureTable {
-            id: "fig12".into(),
-            title: format!("Static candidate sets, database 1, {frac_name}"),
-            x_label: "query set".into(),
-            y_label: "gain vs LRU [%]".into(),
-            series,
-        });
-    }
-    Ok(tables)
+    let title = "Static candidate sets";
+    gain_tables(lab, "fig12", title, &DB_BOTH[..1], &policies, &mixed_sets())
 }
 
 /// Figure 13: A, SLRU 25 %, ASB and LRU-2 against LRU on both databases.
 pub fn fig13(lab: &mut Lab) -> Result<Vec<FigureTable>> {
-    let sets = mixed_sets();
     let policies = [
         (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
         (
@@ -311,23 +272,8 @@ pub fn fig13(lab: &mut Lab) -> Result<Vec<FigureTable>> {
         (PolicyKind::Asb, "ASB"),
         (PolicyKind::LruK { k: 2 }, "LRU-2"),
     ];
-    let mut tables = Vec::new();
-    for (db, db_name) in DB_BOTH {
-        for (frac, frac_name) in SMALL_LARGE {
-            let mut series = Vec::new();
-            for &(p, name) in policies.iter() {
-                series.push(gain_series(lab, db, p, frac, &sets, name)?);
-            }
-            tables.push(FigureTable {
-                id: "fig13".into(),
-                title: format!("A, SLRU, ASB, LRU-2 vs LRU, {db_name}, {frac_name}"),
-                x_label: "query set".into(),
-                y_label: "gain vs LRU [%]".into(),
-                series,
-            });
-        }
-    }
-    Ok(tables)
+    let title = "A, SLRU, ASB, LRU-2 vs LRU";
+    gain_tables(lab, "fig13", title, &DB_BOTH, &policies, &mixed_sets())
 }
 
 /// Figure 14: candidate-set size over a concatenated INT-W-33 ∥ U-W-33 ∥
@@ -385,19 +331,10 @@ pub fn figure(id: u8, lab: &mut Lab) -> Result<Vec<FigureTable>> {
     }
 }
 
-/// Runs every data figure.
-pub fn all_figures(config: FigureConfig) -> Result<Vec<FigureTable>> {
-    let mut lab = Lab::new(config.scale, config.seed);
-    let mut tables = Vec::new();
-    for &id in FIGURE_IDS.iter() {
-        tables.extend(figure(id, &mut lab)?);
-    }
-    Ok(tables)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asb_workload::Scale;
 
     #[test]
     fn family_names_are_ordered() {

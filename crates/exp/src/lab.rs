@@ -2,15 +2,17 @@
 //! measurement rules. No buffer is ever put above a tree here: each
 //! `(database, query set)` is walked once over a recording disk, and every
 //! `(policy, buffer size)` cell replays that reference string ([`Trace`]).
+//! [`Lab::eval`] is the one way a cell is computed: recordings are made on
+//! the calling thread, the replays fan out over [`Trace::replay_all`].
 
 use crate::trace::Trace;
-use asb_core::PolicyKind;
+use asb_core::{BufferManager, PolicyKind};
 use asb_geom::Query;
 use asb_rtree::RTree;
 use asb_storage::{DiskManager, IoStats, PageMeta, RecordingStore, Result};
 use asb_workload::{Dataset, DatasetKind, QuerySetSpec, Scale};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The relative buffer sizes of the paper's experiments (0.3 %–4.7 %,
@@ -19,6 +21,36 @@ pub const BUFFER_FRACS: [f64; 5] = [0.003, 0.006, 0.012, 0.024, 0.047];
 
 /// The largest investigated buffer, which calibrates query-set sizes.
 pub const LARGEST_BUFFER_FRAC: f64 = 0.047;
+
+/// One experiment cell: the coordinates of a single figure data point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExperimentCell {
+    /// Database the tree is built from (paper: DB 1 / DB 2).
+    pub db: DatasetKind,
+    /// Replacement policy under test.
+    pub policy: PolicyKind,
+    /// Buffer size as a fraction of the tree's page count.
+    pub frac: f64,
+    /// Query-set family to replay.
+    pub spec: QuerySetSpec,
+}
+
+impl ExperimentCell {
+    /// The cell of `policy` behind a buffer of `frac` of `db`'s tree, on `spec`.
+    pub fn new(db: DatasetKind, policy: PolicyKind, frac: f64, spec: QuerySetSpec) -> Self {
+        ExperimentCell {
+            db,
+            policy,
+            frac,
+            spec,
+        }
+    }
+
+    fn key(&self) -> String {
+        let (db, policy, frac) = (self.db, self.policy, self.frac);
+        format!("{db:?}|{policy:?}|{frac}|{}", self.spec.name())
+    }
+}
 
 /// Result of running one query set through one buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,19 +68,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// One experiment cell — a pure function of the query set's reference
-    /// string, the policy and the buffer capacity.
-    pub(crate) fn of(trace: &Trace, policy: PolicyKind, buffer_pages: usize) -> Result<Self> {
-        let out = trace.replay_sequential(policy, buffer_pages)?;
-        Ok(RunResult {
-            disk_accesses: out.physical_reads,
-            logical_reads: out.stats.logical_reads,
-            hits: out.stats.hits,
-            io: out.io,
-            buffer_pages,
-        })
-    }
-
     /// The paper's performance gain of this run over a baseline:
     /// `|accesses(base)| / |accesses(self)| − 1`, in percent.
     pub fn gain_over(&self, base: &RunResult) -> f64 {
@@ -200,6 +219,52 @@ impl Lab {
         Ok(trace)
     }
 
+    /// Evaluates `cells`, results in cell order — a pure function of the
+    /// cells, whatever the lab has cached and however many workers replay.
+    /// What is not cached yet is recorded on the calling thread, replayed
+    /// in parallel ([`Trace::replay_all`]) and cached.
+    ///
+    /// # Errors
+    /// The first storage error raised while recording, else the first
+    /// raised by a replay.
+    pub fn eval(&mut self, cells: &[ExperimentCell]) -> Result<Vec<RunResult>> {
+        self.eval_on(crate::trace::workers(), cells)
+    }
+
+    /// [`Lab::eval`] on an explicit number of replay threads.
+    fn eval_on(&mut self, workers: usize, cells: &[ExperimentCell]) -> Result<Vec<RunResult>> {
+        let keys: Vec<String> = cells.iter().map(ExperimentCell::key).collect();
+        let mut seen = HashSet::new();
+        let mut missing: Vec<(&String, &ExperimentCell)> = std::iter::zip(&keys, cells)
+            .filter(|(key, _)| !self.runs.contains_key(*key) && seen.insert(*key))
+            .collect();
+        // The lab holds one database's recordings at a time, so a database
+        // is finished before the next one starts.
+        while let Some(&(_, &ExperimentCell { db, .. })) = missing.first() {
+            let (batch, rest): (Vec<_>, Vec<_>) =
+                missing.into_iter().partition(|(_, c)| c.db == db);
+            missing = rest;
+            let mut jobs = Vec::with_capacity(batch.len());
+            for (_, c) in &batch {
+                let frames = self.buffer_pages(db, c.frac)?;
+                jobs.push((self.recording(db, c.spec)?, c.policy, frames));
+            }
+            let outcomes = Trace::replay_all_on(workers, &jobs)?;
+            for (((key, _), (_, _, buffer_pages)), out) in batch.into_iter().zip(jobs).zip(outcomes)
+            {
+                let result = RunResult {
+                    disk_accesses: out.io.reads,
+                    logical_reads: out.stats.logical_reads,
+                    hits: out.stats.hits,
+                    io: out.io,
+                    buffer_pages,
+                };
+                self.runs.insert(key.clone(), result);
+            }
+        }
+        Ok(keys.iter().map(|key| self.runs[key]).collect())
+    }
+
     /// Runs (or returns the cached result of) one experiment cell.
     pub fn run(
         &mut self,
@@ -208,15 +273,7 @@ impl Lab {
         frac: f64,
         spec: QuerySetSpec,
     ) -> Result<RunResult> {
-        let key = format!("{kind:?}|{policy:?}|{frac}|{}", spec.name());
-        if let Some(r) = self.runs.get(&key) {
-            return Ok(*r);
-        }
-        let buffer_pages = self.buffer_pages(kind, frac)?;
-        let trace = self.recording(kind, spec)?;
-        let result = RunResult::of(&trace, policy, buffer_pages)?;
-        self.runs.insert(key, result);
-        Ok(result)
+        Ok(self.eval(&[ExperimentCell::new(kind, policy, frac, spec)])?[0])
     }
 
     /// Gain of `policy` over plain LRU in percent (positive = fewer disk
@@ -231,21 +288,6 @@ impl Lab {
         let base = self.run(kind, PolicyKind::Lru, frac, spec)?;
         let run = self.run(kind, policy, frac, spec)?;
         Ok(run.gain_over(&base))
-    }
-
-    /// Disk accesses of `policy` relative to `base` in percent
-    /// (`base` = 100 %), the metric of the paper's Figure 6.
-    pub fn relative(
-        &mut self,
-        kind: DatasetKind,
-        base: PolicyKind,
-        policy: PolicyKind,
-        frac: f64,
-        spec: QuerySetSpec,
-    ) -> Result<f64> {
-        let base_run = self.run(kind, base, frac, spec)?;
-        let run = self.run(kind, policy, frac, spec)?;
-        Ok(run.relative_to(&base_run))
     }
 
     /// Runs a concatenation of query sets through one ASB buffer and
@@ -267,17 +309,19 @@ impl Lab {
             pages: Arc::clone(&self.harness(kind)?.catalogue),
             accesses,
         };
-        let sizes = phases
-            .replay_sequential(PolicyKind::Asb, buffer_pages)?
-            .candidate_trajectory;
-        // A query ends where the next access carries another query id.
-        let mut ends = phases.accesses.iter().map(|&(_, q)| q).peekable();
+        let mut disk = phases.build_disk()?;
+        let mut mgr = BufferManager::with_policy(PolicyKind::Asb, buffer_pages);
         let mut samples = Vec::new();
-        for size in sizes {
-            if ends.next() != ends.peek().copied() {
+        phases.drive(|i, id, ctx| {
+            drop(mgr.fetch(&mut disk, id, ctx)?);
+            // A query ends where the next access carries another query id.
+            let next = phases.accesses.get(i + 1).map(|&(_, q)| q);
+            if next != Some(ctx.query.raw()) {
+                let size = mgr.candidate_size().expect("ASB has a candidate set");
                 samples.push((samples.len(), size));
             }
-        }
+            Ok(())
+        })?;
         Ok(samples)
     }
 
@@ -305,18 +349,56 @@ mod tests {
         Lab::new(Scale::Tiny, 42)
     }
 
+    fn cells() -> Vec<ExperimentCell> {
+        use asb_workload::QueryKind;
+        let specs = [
+            QuerySetSpec::intensified(QueryKind::Point),
+            QuerySetSpec::uniform_windows(100),
+        ];
+        let policies = [PolicyKind::Lru, PolicyKind::Asb, PolicyKind::LruK { k: 2 }];
+        let mut out = Vec::new();
+        let buffers = [
+            (DatasetKind::Mainland, 0.03),
+            (DatasetKind::World, 0.2),
+            (DatasetKind::Mainland, 0.3),
+        ];
+        for (db, frac) in buffers {
+            for spec in specs {
+                for policy in policies {
+                    out.push(ExperimentCell::new(db, policy, frac, spec));
+                }
+            }
+        }
+        out
+    }
+
+    /// `eval` is a pure function of the cells: shuffled (databases
+    /// interleaved), with duplicates, on one worker or three, on a cold or
+    /// a warm cache, every cell's result is what cell-by-cell `Lab::run`
+    /// gives.
     #[test]
-    fn runs_are_cached() {
+    fn eval_equals_cell_by_cell_runs_whatever_the_order_workers_and_cache() {
+        let mut cells = cells();
+        let n = cells.len();
+        for i in 0..n {
+            cells.swap(i, (i * 7 + 3) % n);
+        }
+        cells.extend_from_within(2..5);
+        let mut one_by_one = lab();
+        let alone: Vec<RunResult> = cells
+            .iter()
+            .map(|c| one_by_one.run(c.db, c.policy, c.frac, c.spec).unwrap())
+            .collect();
+        for workers in [1, 3] {
+            let mut lab = lab();
+            assert_eq!(lab.eval_on(workers, &cells).unwrap(), alone, "cold");
+            assert_eq!(lab.runs.len(), n, "one cache entry per distinct cell");
+            assert_eq!(lab.eval_on(workers, &cells).unwrap(), alone, "warm");
+            assert_eq!(lab.eval_on(workers, &cells[3..9]).unwrap(), alone[3..9]);
+        }
         let mut lab = lab();
-        let spec = QuerySetSpec::uniform_windows(33);
-        let a = lab
-            .run(DatasetKind::Mainland, PolicyKind::Lru, 0.02, spec)
-            .unwrap();
-        let b = lab
-            .run(DatasetKind::Mainland, PolicyKind::Lru, 0.02, spec)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(lab.runs.len(), 1);
+        assert_eq!(lab.eval(&cells).unwrap(), alone, "the machine's workers");
+        assert!(lab.eval(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! * results are reported as **relative performance**: the gain of policy X
 //!   over LRU is `accesses(LRU) / accesses(X) − 1`.
 //!
+//! Every tabulated number is a cell — a recorded reference string, a policy
+//! and a buffer size — replayed by the one loop ([`Trace::drive`]) under
+//! the one evaluator ([`Lab::eval`], parallel over [`Trace::replay_all`]).
 //! [`Lab`] caches runs so figures sharing a (policy, buffer, query-set)
 //! combination do not recompute it, and exposes the raw [`RunResult`]s for
 //! EXPERIMENTS.md bookkeeping.
@@ -30,7 +33,6 @@ mod crash;
 mod ext;
 mod figures;
 mod lab;
-pub mod parallel;
 mod report;
 mod trace;
 
@@ -40,8 +42,7 @@ pub use bench::{
 };
 pub use crash::{crash_sweep, CrashConfig, CrashDivergence, CrashSweepReport};
 pub use ext::{extension, EXTENSIONS};
-pub use figures::{all_figures, figure, FigureConfig, FIGURE_IDS};
-pub use lab::{Lab, RunResult, BUFFER_FRACS, LARGEST_BUFFER_FRAC};
-pub use parallel::{run_cells, ExperimentCell};
+pub use figures::{figure, FIGURE_IDS};
+pub use lab::{ExperimentCell, Lab, RunResult, BUFFER_FRACS, LARGEST_BUFFER_FRAC};
 pub use report::{FigureTable, Series};
 pub use trace::{FaultReplayOutcome, ReplayOutcome, Trace};

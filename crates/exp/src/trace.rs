@@ -5,14 +5,19 @@
 //! index issued. A read-only index asks for the same pages in the same
 //! order whatever buffer sits above it, so one recorded run can be replayed
 //! bit-for-bit through *any* policy, buffer size or shard count: the same
-//! hits, misses, physical I/O and ASB candidate-set trajectory come back
-//! as from the live buffered run (`tests/golden_trace.rs`,
+//! hits, misses and physical I/O come back as from the live buffered run
+//! (`tests/golden_trace.rs`,
 //! `replay_equals_a_live_buffered_run_on_every_access_method`: every policy,
 //! all three access methods, whole `BufferStats` and `IoStats`). Every
 //! read-only experiment of this crate therefore records once and replays
 //! per policy, and committed traces are a regression harness for the whole
 //! buffer stack. A write changes the page catalogue mid-stream, which a
 //! trace does not model: update workloads run live.
+//!
+//! [`Trace::drive`] is the one loop that issues the recorded reads; every
+//! replay is a pool of the caller's choosing plus a step closure. Whoever
+//! wants more than counters — a candidate-set trajectory, arena weights, a
+//! victim stream — samples its own pool inside that step, at its own rate.
 //!
 //! Traces serialize to a line-oriented text format (stable, diffable,
 //! dependency-free):
@@ -31,9 +36,10 @@
 //! Floats are written with Rust's shortest-roundtrip formatting, so a
 //! parse–print cycle is lossless.
 
-use asb_core::{ArenaState, BufferManager, BufferStats, PolicyKind, ShardedBuffer};
+use asb_core::{BufferManager, BufferStats, PolicyKind, ShardedBuffer};
 use asb_geom::{Query, Rect, SpatialStats};
 use asb_rtree::RTree;
+use asb_storage::sync::{AtomicUsize, Mutex, Ordering};
 use asb_storage::{
     AccessContext, DiskManager, FaultConfig, FaultStats, FaultyStore, IoStats, PageId, PageMeta,
     PageStore, PageType, QueryId, RecordingStore, Result, RetryPolicy, StorageError,
@@ -55,25 +61,13 @@ pub struct Trace {
 }
 
 /// Outcome of replaying a trace through one buffer configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayOutcome {
     /// Buffer statistics of the replay.
     pub stats: BufferStats,
-    /// Physical I/O the simulated disk observed.
+    /// Physical I/O the simulated disk observed; `io.reads` is the paper's
+    /// "disk accesses".
     pub io: IoStats,
-    /// Physical page reads — the paper's "disk accesses".
-    pub physical_reads: u64,
-    /// ASB candidate-set size after every access (empty for non-ASB
-    /// policies; in sharded replays only populated for one shard).
-    pub candidate_trajectory: Vec<usize>,
-    /// Arena expert weights after every access, in roster order (empty
-    /// for non-arena policies; in sharded replays only populated for one
-    /// shard). Replays are deterministic, so two replays of the same
-    /// trace produce bit-identical trajectories.
-    pub weight_trajectory: Vec<Vec<f64>>,
-    /// Final arena snapshot (`None` for non-arena policies; in sharded
-    /// replays only populated for one shard).
-    pub arena: Option<ArenaState>,
 }
 
 /// Outcome of replaying a trace against a fault-injecting store.
@@ -88,6 +82,11 @@ pub struct FaultReplayOutcome {
     /// Successful accesses whose payload did not match the disk image
     /// (must stay zero: corruption may cost retries, never correctness).
     pub wrong_payloads: u64,
+}
+
+/// Replay threads of [`Trace::replay_all`]: what the machine offers.
+pub(crate) fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl Trace {
@@ -208,73 +207,44 @@ impl Trace {
         Ok(disk)
     }
 
-    /// Replays the trace through a sequential [`BufferManager`].
-    pub fn replay_sequential(&self, policy: PolicyKind, capacity: usize) -> Result<ReplayOutcome> {
+    /// The one loop: hands every recorded read to `step`, in order, as
+    /// `(index, page, context)`, and stops at the first error `step` returns.
+    pub fn drive(
+        &self,
+        mut step: impl FnMut(usize, PageId, AccessContext) -> Result<()>,
+    ) -> Result<()> {
+        for (i, &(p, q)) in self.accesses.iter().enumerate() {
+            step(i, PageId::new(p), AccessContext::query(QueryId::new(q)))?;
+        }
+        Ok(())
+    }
+
+    /// Replays the trace through a sequential [`BufferManager`] — one
+    /// experiment cell.
+    pub fn replay(&self, policy: PolicyKind, capacity: usize) -> Result<ReplayOutcome> {
         let mut disk = self.build_disk()?;
         let mut mgr = BufferManager::with_policy(policy, capacity);
-        let mut trajectory = Vec::new();
-        let mut weights = Vec::new();
-        for &(p, q) in &self.accesses {
-            let id = PageId::new(p);
-            let ctx = AccessContext::query(QueryId::new(q));
-            let page = mgr.fetch(&mut disk, id, ctx)?;
-            debug_assert_eq!(page.id, id);
-            if let Some(c) = mgr.candidate_size() {
-                trajectory.push(c);
-            }
-            if let Some(state) = mgr.arena_state() {
-                weights.push(state.weights());
-            }
-        }
-        let io = disk.stats();
+        self.drive(|_, id, ctx| mgr.fetch(&mut disk, id, ctx).map(drop))?;
         Ok(ReplayOutcome {
             stats: mgr.stats(),
-            io,
-            physical_reads: io.reads,
-            candidate_trajectory: trajectory,
-            weight_trajectory: weights,
-            arena: mgr.arena_state(),
+            io: disk.stats(),
         })
     }
 
     /// Replays the trace through a [`ShardedBuffer`] pool (single-threaded,
     /// so the outcome is deterministic; with one shard it must equal
-    /// [`Trace::replay_sequential`] exactly).
+    /// [`Trace::replay`] exactly).
     pub fn replay_sharded(
         &self,
         policy: PolicyKind,
         capacity: usize,
         shards: usize,
     ) -> Result<ReplayOutcome> {
-        let disk = self.build_disk()?;
-        let pool = ShardedBuffer::new(disk, policy, capacity, shards);
-        let mut trajectory = Vec::new();
-        let mut weights = Vec::new();
-        for &(p, q) in &self.accesses {
-            let page = pool.fetch(PageId::new(p), AccessContext::query(QueryId::new(q)))?;
-            debug_assert_eq!(page.id.raw(), p);
-            if shards == 1 {
-                if let Some(Some(c)) = pool.shard_candidate_sizes().first() {
-                    trajectory.push(*c);
-                }
-                if let Some(Some(state)) = pool.shard_arena_states().first() {
-                    weights.push(state.weights());
-                }
-            }
-        }
-        let io = pool.io_stats();
-        let arena = if shards == 1 {
-            pool.shard_arena_states().into_iter().flatten().next()
-        } else {
-            None
-        };
+        let pool = ShardedBuffer::new(self.build_disk()?, policy, capacity, shards);
+        self.drive(|_, id, ctx| pool.fetch(id, ctx).map(drop))?;
         Ok(ReplayOutcome {
             stats: pool.stats(),
-            io,
-            physical_reads: io.reads,
-            candidate_trajectory: trajectory,
-            weight_trajectory: weights,
-            arena,
+            io: pool.io_stats(),
         })
     }
 
@@ -294,9 +264,7 @@ impl Trace {
         mgr.set_retry_policy(retry);
         let mut give_ups = 0u64;
         let mut wrong_payloads = 0u64;
-        for &(p, q) in &self.accesses {
-            let id = PageId::new(p);
-            let ctx = AccessContext::query(QueryId::new(q));
+        self.drive(|_, id, ctx| {
             match mgr.fetch(&mut store, id, ctx) {
                 Ok(page) => {
                     if page.payload != store.inner().peek(id)?.payload {
@@ -308,13 +276,68 @@ impl Trace {
                 }
                 Err(other) => return Err(other),
             }
-        }
+            Ok(())
+        })?;
         Ok(FaultReplayOutcome {
             stats: mgr.stats(),
             fault_stats: store.fault_stats(),
             give_ups,
             wrong_payloads,
         })
+    }
+
+    /// The one evaluator: [`Trace::replay`] of every `(trace, policy,
+    /// capacity)` job, outcomes in job order. A replay is a pure function
+    /// of its job, so the worker count — what the machine offers — moves
+    /// wall-clock time only.
+    ///
+    /// # Errors
+    /// The first storage error in job order; later jobs may or may not
+    /// have run.
+    pub fn replay_all<T>(jobs: &[(T, PolicyKind, usize)]) -> Result<Vec<ReplayOutcome>>
+    where
+        T: std::ops::Deref<Target = Trace> + Sync,
+    {
+        Trace::replay_all_on(workers(), jobs)
+    }
+
+    /// [`Trace::replay_all`] on `workers` threads, the calling one included.
+    /// Jobs are handed out by an atomic cursor, so a slow cell (a large
+    /// buffer, the arena) does not leave threads idle behind a static
+    /// partition.
+    ///
+    /// # Panics
+    /// Panics if a worker panics: a failed experiment propagates rather
+    /// than producing a partial table.
+    pub(crate) fn replay_all_on<T>(
+        workers: usize,
+        jobs: &[(T, PolicyKind, usize)],
+    ) -> Result<Vec<ReplayOutcome>>
+    where
+        T: std::ops::Deref<Target = Trace> + Sync,
+    {
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<ReplayOutcome>>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let work = || loop {
+            // relaxed-ok: the cursor only hands out unique indices; the
+            // scope join (not the counter) publishes results.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((trace, policy, capacity)) = jobs.get(i) else {
+                break;
+            };
+            *slots[i].lock() = Some(trace.replay(*policy, *capacity));
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers.min(jobs.len()) {
+                s.spawn(work);
+            }
+            work();
+        });
+        slots
+            .into_iter()
+            .map(|m| m.into_inner().expect("every job ran"))
+            .collect()
     }
 
     /// Serializes the trace to its text format.
@@ -378,8 +401,10 @@ impl Trace {
         let n_pages = parse_count("pages")?;
         let n_accesses = parse_count("accesses")?;
 
-        let mut pages = Vec::with_capacity(n_pages);
-        let mut accesses = Vec::with_capacity(n_accesses);
+        // The header counts are claims checked at the end, not allocation
+        // sizes: a four-line file may claim 2^64 − 1 pages.
+        let mut pages = Vec::new();
+        let mut accesses = Vec::new();
         for (n, raw_line) in lines {
             let line = raw_line.trim();
             if line.is_empty() {
@@ -490,6 +515,17 @@ mod tests {
         .unwrap()
     }
 
+    fn point_trace() -> Trace {
+        Trace::record(
+            DatasetKind::Mainland,
+            Scale::Tiny,
+            7,
+            QuerySetSpec::intensified(QueryKind::Point),
+            60,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn text_roundtrip_is_lossless() {
         let t = tiny_trace();
@@ -509,6 +545,17 @@ mod tests {
         assert!(Trace::from_text(&text).is_err());
     }
 
+    /// The header is a claim, not an allocation size: these four-line files
+    /// used to abort with `capacity overflow` instead of naming the mismatch.
+    #[test]
+    fn from_text_checks_the_header_counts_instead_of_allocating_them() {
+        for (pages, accesses) in [(u64::MAX, 0), (0, 1u64 << 60)] {
+            let text = format!("asb-trace v1\nlabel x\npages {pages}\naccesses {accesses}\n");
+            let err = Trace::from_text(&text).unwrap_err();
+            assert!(err.contains("header claims"), "{err}");
+        }
+    }
+
     #[test]
     fn build_disk_reconstructs_ids_and_meta() {
         let t = tiny_trace();
@@ -522,63 +569,77 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_one_shard_replays_agree() {
+    fn drive_visits_every_access_once_in_order_and_stops_at_the_first_error() {
         let t = tiny_trace();
-        for policy in [PolicyKind::Lru, PolicyKind::Asb] {
-            let seq = t.replay_sequential(policy, 8).unwrap();
-            let sharded = t.replay_sharded(policy, 8, 1).unwrap();
-            assert_eq!(sharded.stats, seq.stats, "{policy:?}");
-            assert_eq!(sharded.physical_reads, seq.physical_reads, "{policy:?}");
-            assert_eq!(
-                sharded.candidate_trajectory, seq.candidate_trajectory,
-                "{policy:?}"
-            );
-        }
+        let mut seen = Vec::new();
+        t.drive(|i, id, ctx| {
+            assert_eq!(i, seen.len(), "indices count up from zero");
+            seen.push((id.raw(), ctx.query.raw()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, t.accesses);
+
+        let mut steps = 0;
+        let stopped = t.drive(|i, id, _| {
+            steps += 1;
+            if i == 5 {
+                return Err(StorageError::PageNotFound(id));
+            }
+            Ok(())
+        });
+        let fifth = PageId::new(t.accesses[5].0);
+        assert_eq!(stopped, Err(StorageError::PageNotFound(fifth)));
+        assert_eq!(steps, 6, "nothing runs after the failing step");
     }
 
+    /// The arena's two counters in `BufferStats` are its state's, and on a
+    /// fault-free store the arena sees exactly the buffer's misses — so
+    /// `misses − best_expert_misses` is `ArenaState::regret` (what
+    /// `replacement_bench` tabulates).
     #[test]
-    fn asb_replay_reports_a_dense_candidate_trajectory() {
+    fn arena_counters_in_the_stats_are_the_arena_states() {
         let t = tiny_trace();
-        let out = t.replay_sequential(PolicyKind::Asb, 12).unwrap();
-        assert_eq!(out.candidate_trajectory.len(), t.accesses.len());
-        assert!(out.candidate_trajectory.iter().all(|&c| c >= 1));
-        let lru = t.replay_sequential(PolicyKind::Lru, 12).unwrap();
-        assert!(lru.candidate_trajectory.is_empty());
-    }
-
-    #[test]
-    fn arena_replay_is_deterministic_and_shard_agnostic() {
-        let t = tiny_trace();
-        let a = t.replay_sequential(PolicyKind::Arena, 8).unwrap();
-        let b = t.replay_sequential(PolicyKind::Arena, 8).unwrap();
-        assert_eq!(a, b, "arena replay must be bit-for-bit reproducible");
-        assert_eq!(a.weight_trajectory.len(), t.accesses.len());
-
-        let sharded = t.replay_sharded(PolicyKind::Arena, 8, 1).unwrap();
-        assert_eq!(sharded.stats, a.stats, "one-shard arena drifted");
-        assert_eq!(sharded.weight_trajectory, a.weight_trajectory);
-        assert_eq!(sharded.arena, a.arena);
-
-        let arena = a.arena.expect("arena snapshot");
+        let mut disk = t.build_disk().unwrap();
+        let mut mgr = BufferManager::with_policy(PolicyKind::Arena, 8);
+        t.drive(|_, id, ctx| mgr.fetch(&mut disk, id, ctx).map(drop))
+            .unwrap();
+        let (stats, arena) = (mgr.stats(), mgr.arena_state().expect("arena snapshot"));
+        assert_eq!(stats, t.replay(PolicyKind::Arena, 8).unwrap().stats);
         assert!(arena.accesses > 0);
-        assert_eq!(a.stats.authority_switches, arena.switches);
-        assert_eq!(a.stats.best_expert_misses, arena.best_expert_misses());
-        // Non-arena replays report no arena data at all.
-        let lru = t.replay_sequential(PolicyKind::Lru, 8).unwrap();
-        assert!(lru.weight_trajectory.is_empty());
-        assert!(lru.arena.is_none());
+        assert_eq!(stats.authority_switches, arena.switches);
+        assert_eq!(stats.best_expert_misses, arena.best_expert_misses());
+        assert_eq!(stats.misses, arena.misses);
+        let lru = t.replay(PolicyKind::Lru, 8).unwrap().stats;
+        assert_eq!((lru.authority_switches, lru.best_expert_misses), (0, 0));
+    }
+
+    /// Whatever the worker count and however the jobs are ordered or
+    /// repeated, every job's outcome is its own sequential replay.
+    #[test]
+    fn replay_all_is_a_pure_function_of_each_job() {
+        let (a, b) = (tiny_trace(), point_trace());
+        let jobs = [
+            (&a, PolicyKind::Lru, 8),
+            (&b, PolicyKind::Asb, 6),
+            (&a, PolicyKind::Arena, 8),
+            (&a, PolicyKind::Lru, 8),
+            (&b, PolicyKind::LruK { k: 2 }, 12),
+        ];
+        let alone: Vec<_> = jobs
+            .iter()
+            .map(|&(t, policy, capacity)| t.replay(policy, capacity).unwrap())
+            .collect();
+        for workers in [1, 3, 8] {
+            assert_eq!(Trace::replay_all_on(workers, &jobs).unwrap(), alone);
+        }
+        assert_eq!(Trace::replay_all(&jobs).unwrap(), alone);
+        assert!(Trace::replay_all(&jobs[..0]).unwrap().is_empty());
     }
 
     #[test]
     fn faulty_replay_stays_correct() {
-        let t = Trace::record(
-            DatasetKind::Mainland,
-            Scale::Tiny,
-            7,
-            QuerySetSpec::intensified(QueryKind::Point),
-            60,
-        )
-        .unwrap();
+        let t = point_trace();
         let out = t
             .replay_with_faults(
                 PolicyKind::Asb,
@@ -590,7 +651,7 @@ mod tests {
         assert_eq!(out.wrong_payloads, 0, "corruption must never be served");
         assert!(out.stats.retries > 0 || out.fault_stats.read_faults == 0);
         // The clean outcome is unchanged by the detour through faults.
-        let clean = t.replay_sequential(PolicyKind::Asb, 8).unwrap();
+        let clean = t.replay(PolicyKind::Asb, 8).unwrap();
         assert_eq!(out.stats.logical_reads, clean.stats.logical_reads);
     }
 }

@@ -5,8 +5,8 @@
 //! the expert arena on a sharded pool. Latency is simulated ticks, so the
 //! whole benchmark is a pure function of the configuration constants —
 //! `serve bench --json` regenerates the committed file byte-for-byte on
-//! any machine, and CI diffs a fresh run against it with a p99 tolerance
-//! gate ([`check_regression`]).
+//! any machine, and a tier-1 test (`committed_serve_bench_is_current`)
+//! compares a fresh run with it byte for byte.
 
 use crate::engine::{serve, ServeConfig};
 use asb_core::{PolicyKind, ShardedBuffer};
@@ -14,7 +14,7 @@ use asb_exp::GOLDEN_DBS;
 use asb_rtree::RTree;
 use asb_storage::{DiskManager, Result};
 use asb_workload::{session_requests, Dataset, Request, RequestMix, Scale, SessionSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Seed of the benchmark workload and serve loop.
 pub const SERVE_BENCH_SEED: u64 = 42;
@@ -33,12 +33,8 @@ pub const SERVE_BENCH_SHARDS: usize = 4;
 pub const SERVE_BENCH_POLICIES: [PolicyKind; 3] =
     [PolicyKind::Lru, PolicyKind::Asb, PolicyKind::Arena];
 
-/// Default p99 regression tolerance of the CI gate: a fresh run may not
-/// exceed the committed baseline's p99 by more than 5 %.
-pub const P99_TOLERANCE: f64 = 0.05;
-
 /// One `(database, policy)` serving-benchmark row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeBenchEntry {
     /// Database name (`"mainland"` / `"world"`).
     pub db: String,
@@ -74,7 +70,7 @@ pub struct ServeBenchEntry {
 
 /// The full serving benchmark: configuration header plus one row per
 /// `(database, policy)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeBench {
     /// Seed the sessions and serve loop were generated from.
     pub seed: u64,
@@ -182,78 +178,6 @@ pub fn default_serve_bench() -> Result<ServeBench> {
     )
 }
 
-/// Compares a fresh benchmark run against a committed baseline. Returns
-/// one human-readable violation per failed check (empty = gate passes):
-///
-/// * every baseline `(db, policy)` row must exist in the current run;
-/// * a row's p99 may not exceed the baseline p99 by more than
-///   `p99_tolerance` (relative);
-/// * request counts must match exactly (same workload, same seed — a
-///   mismatch means the run is not comparable at all).
-pub fn check_regression(
-    current: &ServeBench,
-    baseline: &ServeBench,
-    p99_tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for base in &baseline.entries {
-        let Some(cur) = current
-            .entries
-            .iter()
-            .find(|e| e.db == base.db && e.policy == base.policy)
-        else {
-            violations.push(format!(
-                "{}/{}: row missing from current run",
-                base.db, base.policy
-            ));
-            continue;
-        };
-        if cur.requests != base.requests {
-            violations.push(format!(
-                "{}/{}: request count changed ({} vs baseline {}) — runs not comparable",
-                base.db, base.policy, cur.requests, base.requests
-            ));
-            continue;
-        }
-        let limit = base.p99_ticks as f64 * (1.0 + p99_tolerance);
-        if cur.p99_ticks as f64 > limit {
-            violations.push(format!(
-                "{}/{}: p99 regressed {} -> {} ticks (> {:.0}% over baseline)",
-                base.db,
-                base.policy,
-                base.p99_ticks,
-                cur.p99_ticks,
-                p99_tolerance * 100.0
-            ));
-        }
-    }
-    violations
-}
-
-/// Names every `(db, policy)` row of the current run that the baseline
-/// lacks. A non-empty result means the committed baseline is *stale*
-/// (e.g. a policy or database was added without regenerating the JSON) —
-/// the CLI reports each missing key by name and exits with status 2,
-/// distinct from a genuine latency regression.
-pub fn missing_baseline_rows(current: &ServeBench, baseline: &ServeBench) -> Vec<String> {
-    current
-        .entries
-        .iter()
-        .filter(|cur| {
-            !baseline
-                .entries
-                .iter()
-                .any(|b| b.db == cur.db && b.policy == cur.policy)
-        })
-        .map(|cur| {
-            format!(
-                "baseline has no row for db={} policy={}",
-                cur.db, cur.policy
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,84 +222,5 @@ mod tests {
                 assert!((0.0..=1.0).contains(&e.hit_rate));
             }
         }
-    }
-
-    #[test]
-    fn regression_gate_flags_p99_growth_and_missing_rows() {
-        let base = ServeBench {
-            seed: 1,
-            sessions: 2,
-            requests_per_session: 2,
-            buffer_frac: 0.5,
-            shards: 2,
-            think_ticks: 100,
-            entries: vec![ServeBenchEntry {
-                db: "mainland".into(),
-                policy: "LRU".into(),
-                tree_pages: 8,
-                capacity: 4,
-                requests: 4,
-                rounds: 8,
-                p50_ticks: 100,
-                p99_ticks: 1000,
-                p999_ticks: 2000,
-                throughput_rps: 10.0,
-                hit_rate: 0.5,
-                degraded_requests: 0,
-                deadline_exceeded: 0,
-                breaker_opens: 0,
-                quarantined_pages: 0,
-            }],
-        };
-        let mut cur = base.clone();
-        assert!(check_regression(&cur, &base, 0.05).is_empty());
-        cur.entries[0].p99_ticks = 1050; // exactly at the 5% limit
-        assert!(check_regression(&cur, &base, 0.05).is_empty());
-        cur.entries[0].p99_ticks = 1051;
-        let v = check_regression(&cur, &base, 0.05);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("p99 regressed"), "{v:?}");
-        cur.entries[0].p99_ticks = 1000;
-        cur.entries[0].requests = 5;
-        let v = check_regression(&cur, &base, 0.05);
-        assert!(v[0].contains("not comparable"), "{v:?}");
-        cur.entries.clear();
-        let v = check_regression(&cur, &base, 0.05);
-        assert!(v[0].contains("row missing"), "{v:?}");
-    }
-
-    #[test]
-    fn missing_baseline_rows_names_each_absent_key() {
-        let base = ServeBench {
-            seed: 1,
-            sessions: 1,
-            requests_per_session: 1,
-            buffer_frac: 0.5,
-            shards: 1,
-            think_ticks: 100,
-            entries: Vec::new(),
-        };
-        let mut cur = base.clone();
-        assert!(missing_baseline_rows(&cur, &base).is_empty());
-        cur.entries.push(ServeBenchEntry {
-            db: "world".into(),
-            policy: "ASB".into(),
-            tree_pages: 8,
-            capacity: 4,
-            requests: 4,
-            rounds: 8,
-            p50_ticks: 1,
-            p99_ticks: 2,
-            p999_ticks: 3,
-            throughput_rps: 1.0,
-            hit_rate: 0.5,
-            degraded_requests: 0,
-            deadline_exceeded: 0,
-            breaker_opens: 0,
-            quarantined_pages: 0,
-        });
-        let v = missing_baseline_rows(&cur, &base);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("db=world policy=ASB"), "{v:?}");
     }
 }

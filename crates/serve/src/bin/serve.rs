@@ -3,8 +3,8 @@
 //! ```text
 //! serve run   [--db 1|2] [--policy NAME] [--sessions N]
 //!             [--requests N] [--capacity N] [--shards N] [--seed N]
-//! serve bench --json PATH [--check BASELINE]
-//! serve chaos --json PATH [--check BASELINE]
+//! serve bench --json PATH
+//! serve chaos --json PATH
 //! ```
 //!
 //! `run` serves one seeded multi-session workload and prints the latency
@@ -15,36 +15,26 @@
 //! `bench --json PATH` runs the full deterministic serving benchmark
 //! (LRU/ASB/ARENA on both golden databases) and writes it as JSON — this
 //! regenerates the repo's committed `BENCH_serve.json` byte-for-byte.
-//! With `--check BASELINE` the fresh run is additionally gated against a
-//! committed baseline: any p99 more than 5 % over the baseline (or any
-//! missing/incomparable row) prints a violation and exits non-zero.
 //!
 //! `chaos --json PATH` runs the chaos matrix (4 seeds × 4 fault profiles
 //! on both golden databases over a `FaultyStore`) and writes
-//! `BENCH_chaos.json` byte-for-byte. With `--check BASELINE` the sweep is
-//! gated: wrong answers, lost determinism, a non-exact rate over the
-//! ceiling or unbounded p999 inflation fail the gate.
+//! `BENCH_chaos.json` byte-for-byte.
 //!
-//! Exit codes for both gates: 0 = pass, 1 = gate violation, 2 = the
-//! baseline itself is unusable (unreadable/malformed JSON, or missing a
-//! row/cell the current run produced — regenerate and commit it).
+//! Both committed files are held current by tier-1 tests
+//! (`committed_serve_bench_is_current`, `committed_chaos_bench_is_current`):
+//! after an intentional change, rerun the writer, commit the file and say
+//! why the numbers moved.
 
 use asb_core::{PolicyKind, ShardedBuffer};
 use asb_rtree::RTree;
 use asb_serve::{
-    bench_sessions, check_chaos, check_regression, default_chaos_bench, default_serve_bench,
-    missing_baseline_rows, missing_chaos_cells, serve, ChaosBench, ServeBench, ServeConfig,
-    P99_TOLERANCE, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED,
-    SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
+    bench_sessions, default_chaos_bench, default_serve_bench, serve, ServeConfig,
+    SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED, SERVE_BENCH_SESSIONS,
+    SERVE_BENCH_SHARDS,
 };
 use asb_storage::DiskManager;
 use asb_workload::{Dataset, DatasetKind, Scale};
 use std::process::ExitCode;
-
-/// Exit status for an unusable baseline (vs 1 for a genuine gate
-/// failure): unreadable or malformed JSON, or a baseline missing keys the
-/// current run produced.
-const EXIT_BAD_BASELINE: u8 = 2;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -58,38 +48,23 @@ fn main() -> ExitCode {
         }
         None => {
             eprintln!(
-                "usage: serve run [options] | serve bench --json PATH [--check BASELINE] \
-                 | serve chaos --json PATH [--check BASELINE]"
+                "usage: serve run [options] | serve bench --json PATH | serve chaos --json PATH"
             );
             ExitCode::FAILURE
         }
     }
 }
 
-/// Parses `--json PATH [--check BASELINE]` for the bench-style commands.
-fn json_check_args(
-    mut it: impl Iterator<Item = String>,
-) -> Result<(String, Option<String>), String> {
+/// Parses `--json PATH` for the bench-style commands.
+fn json_arg(mut it: impl Iterator<Item = String>) -> Result<String, String> {
     let mut json: Option<String> = None;
-    let mut check: Option<String> = None;
     while let Some(arg) = it.next() {
-        let mut next = || it.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "--json" => json = Some(next()?),
-            "--check" => check = Some(next()?),
+            "--json" => json = Some(it.next().ok_or("--json needs a value")?),
             o => return Err(format!("unknown argument {o}")),
         }
     }
-    let json = json.ok_or_else(|| "requires --json PATH".to_string())?;
-    Ok((json, check))
-}
-
-/// Loads and parses a committed baseline, mapping every failure to a
-/// message naming the path (the caller exits with
-/// [`EXIT_BAD_BASELINE`]). A serde error names the missing key.
-fn load_baseline<T: serde::Deserialize>(path: &str) -> Result<T, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
+    json.ok_or_else(|| "requires --json PATH".to_string())
 }
 
 fn run(mut it: impl Iterator<Item = String>) -> ExitCode {
@@ -191,134 +166,68 @@ fn run(mut it: impl Iterator<Item = String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `bench` and `chaos`: runs `run`, writes its result to the `--json` path
+/// as pretty JSON plus a newline — byte for byte what the tier-1 currency
+/// tests regenerate — and prints one summary line per row.
+fn write_json<T: serde::Serialize>(
+    command: &str,
+    it: impl Iterator<Item = String>,
+    run: fn() -> asb_storage::Result<T>,
+    print_rows: fn(&T),
+) -> ExitCode {
+    let written = json_arg(it).and_then(|path| {
+        let result = run().map_err(|e| format!("failed: {e}"))?;
+        let out = serde_json::to_string_pretty(&result).expect("serialize");
+        std::fs::write(&path, out + "\n").map_err(|e| format!("{path}: {e}"))?;
+        print_rows(&result);
+        println!("# wrote {path}");
+        Ok(())
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {command} {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn bench(it: impl Iterator<Item = String>) -> ExitCode {
-    let (path, check) = match json_check_args(it) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: bench {e}");
-            return ExitCode::FAILURE;
+    write_json("bench", it, default_serve_bench, |bench| {
+        for e in &bench.entries {
+            println!(
+                "# serve {}/{:<6} p50={:<6} p99={:<6} p999={:<6} rps={:<8.0} hit%={:.1}",
+                e.db,
+                e.policy,
+                e.p50_ticks,
+                e.p99_ticks,
+                e.p999_ticks,
+                e.throughput_rps,
+                100.0 * e.hit_rate,
+            );
         }
-    };
-
-    let bench = match default_serve_bench() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: benchmark failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out = serde_json::to_string_pretty(&bench).expect("serialize benchmark");
-    if let Err(e) = std::fs::write(&path, out + "\n") {
-        eprintln!("error: {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    for e in &bench.entries {
-        println!(
-            "# serve {}/{:<6} p50={:<6} p99={:<6} p999={:<6} rps={:<8.0} hit%={:.1}",
-            e.db,
-            e.policy,
-            e.p50_ticks,
-            e.p99_ticks,
-            e.p999_ticks,
-            e.throughput_rps,
-            100.0 * e.hit_rate,
-        );
-    }
-    println!("# wrote {path}");
-
-    if let Some(baseline_path) = check {
-        let baseline: ServeBench = match load_baseline(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: baseline unusable: {e}");
-                return ExitCode::from(EXIT_BAD_BASELINE);
-            }
-        };
-        let missing = missing_baseline_rows(&bench, &baseline);
-        if !missing.is_empty() {
-            for m in &missing {
-                eprintln!("stale baseline: {m}");
-            }
-            eprintln!("regenerate with: serve bench --json {baseline_path}");
-            return ExitCode::from(EXIT_BAD_BASELINE);
-        }
-        let violations = check_regression(&bench, &baseline, P99_TOLERANCE);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("regression: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("# regression gate passed against {baseline_path}");
-    }
-    ExitCode::SUCCESS
+    })
 }
 
 fn chaos(it: impl Iterator<Item = String>) -> ExitCode {
-    let (path, check) = match json_check_args(it) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: chaos {e}");
-            return ExitCode::FAILURE;
+    write_json("chaos", it, default_chaos_bench, |sweep| {
+        for c in &sweep.cells {
+            println!(
+                "# chaos {}/{:<10} seed={:<6} exact={:<3} degraded={:<3} deadline={:<3} \
+                 breaker_opens={:<2} quarantined={:<2} p999={} (ref {}) wrong={} det={}",
+                c.db,
+                c.profile,
+                c.seed,
+                c.exact,
+                c.degraded,
+                c.deadline_exceeded,
+                c.breaker_opens,
+                c.quarantined_pages,
+                c.p999_ticks,
+                c.ref_p999_ticks,
+                c.wrong_answers,
+                c.deterministic,
+            );
         }
-    };
-
-    let sweep = match default_chaos_bench() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: chaos sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
-    if let Err(e) = std::fs::write(&path, out + "\n") {
-        eprintln!("error: {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    for c in &sweep.cells {
-        println!(
-            "# chaos {}/{:<10} seed={:<6} exact={:<3} degraded={:<3} deadline={:<3} \
-             breaker_opens={:<2} quarantined={:<2} p999={} (ref {}) wrong={} det={}",
-            c.db,
-            c.profile,
-            c.seed,
-            c.exact,
-            c.degraded,
-            c.deadline_exceeded,
-            c.breaker_opens,
-            c.quarantined_pages,
-            c.p999_ticks,
-            c.ref_p999_ticks,
-            c.wrong_answers,
-            c.deterministic,
-        );
-    }
-    println!("# wrote {path}");
-
-    if let Some(baseline_path) = check {
-        let baseline: ChaosBench = match load_baseline(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: baseline unusable: {e}");
-                return ExitCode::from(EXIT_BAD_BASELINE);
-            }
-        };
-        let missing = missing_chaos_cells(&sweep, &baseline);
-        if !missing.is_empty() {
-            for m in &missing {
-                eprintln!("stale baseline: {m}");
-            }
-            eprintln!("regenerate with: serve chaos --json {baseline_path}");
-            return ExitCode::from(EXIT_BAD_BASELINE);
-        }
-        let violations = check_chaos(&sweep, &baseline);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("chaos gate: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("# chaos gate passed against {baseline_path}");
-    }
-    ExitCode::SUCCESS
+    })
 }

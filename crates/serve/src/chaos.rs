@@ -19,8 +19,9 @@
 //!    fault-free reference p999 by more than [`P999_INFLATION_CEILING`]×.
 //!
 //! Everything runs on the simulated clock, so the committed
-//! `BENCH_chaos.json` regenerates byte-for-byte on any machine and CI can
-//! diff a fresh sweep against it ([`check_chaos`]).
+//! `BENCH_chaos.json` regenerates byte-for-byte on any machine; a tier-1
+//! test (`committed_chaos_bench_is_current`) compares a fresh sweep with it
+//! byte for byte and holds it to these guarantees ([`check_chaos`]).
 
 use crate::bench::{bench_sessions, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_SEED};
 use crate::engine::{serve, ServeConfig, ServeOutcome};
@@ -31,7 +32,7 @@ use asb_storage::{
     AccessContext, DiskManager, FaultConfig, FaultyStore, PageId, PageStore, Result, StorageError,
 };
 use asb_workload::{Dataset, Scale};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Seeds of the committed chaos matrix (one column per seed).
@@ -97,7 +98,7 @@ impl Default for ChaosConfig {
 }
 
 /// One `(database, profile, seed)` cell of the chaos matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChaosCell {
     /// Database name (`"mainland"` / `"world"`).
     pub db: String,
@@ -136,7 +137,7 @@ pub struct ChaosCell {
 
 /// The full chaos sweep: configuration header plus one cell per
 /// `(database, profile, seed)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChaosBench {
     /// Concurrent sessions per cell.
     pub sessions: usize,
@@ -365,46 +366,29 @@ pub fn default_chaos_bench() -> Result<ChaosBench> {
     chaos_sweep(&CHAOS_SEEDS, &CHAOS_FAULT_PROFILES, &ChaosConfig::default())
 }
 
-/// Gates a fresh chaos sweep against the committed baseline. Returns one
-/// human-readable violation per failed check (empty = gate passes):
+/// The sweep's own invariants. Returns one human-readable violation per
+/// failed check (empty = green), for every cell:
 ///
-/// * every baseline cell must exist in the current run with the same
-///   request count (same matrix, same workload);
-/// * zero wrong answers and bit-for-bit determinism in every cell;
+/// * zero wrong answers and bit-for-bit determinism;
 /// * non-exact rate (degraded + deadline-exceeded) at most
 ///   [`DEGRADED_RATE_CEILING`];
 /// * p999 at most [`P999_INFLATION_CEILING`] × the cell's fault-free
 ///   reference p999.
-pub fn check_chaos(current: &ChaosBench, baseline: &ChaosBench) -> Vec<String> {
+pub fn check_chaos(sweep: &ChaosBench) -> Vec<String> {
     let mut violations = Vec::new();
-    for base in &baseline.cells {
-        let key = format!("{}/{}/seed={}", base.db, base.profile, base.seed);
-        let Some(cur) = current
-            .cells
-            .iter()
-            .find(|c| c.db == base.db && c.profile == base.profile && c.seed == base.seed)
-        else {
-            violations.push(format!("{key}: cell missing from current run"));
-            continue;
-        };
-        if cur.requests != base.requests {
-            violations.push(format!(
-                "{key}: request count changed ({} vs baseline {}) — runs not comparable",
-                cur.requests, base.requests
-            ));
-            continue;
-        }
-        if cur.wrong_answers != 0 {
+    for c in &sweep.cells {
+        let key = format!("{}/{}/seed={}", c.db, c.profile, c.seed);
+        if c.wrong_answers != 0 {
             violations.push(format!(
                 "{key}: {} wrong answer(s) — degraded is allowed, incorrect is not",
-                cur.wrong_answers
+                c.wrong_answers
             ));
         }
-        if !cur.deterministic {
+        if !c.deterministic {
             violations.push(format!("{key}: same-seed runs were not bit-for-bit equal"));
         }
-        if cur.requests > 0 {
-            let non_exact = (cur.degraded + cur.deadline_exceeded) as f64 / cur.requests as f64;
+        if c.requests > 0 {
+            let non_exact = (c.degraded + c.deadline_exceeded) as f64 / c.requests as f64;
             if non_exact > DEGRADED_RATE_CEILING {
                 violations.push(format!(
                     "{key}: non-exact rate {:.3} exceeds ceiling {:.3}",
@@ -412,38 +396,15 @@ pub fn check_chaos(current: &ChaosBench, baseline: &ChaosBench) -> Vec<String> {
                 ));
             }
         }
-        let limit = cur.ref_p999_ticks as f64 * P999_INFLATION_CEILING;
-        if cur.p999_ticks as f64 > limit {
+        let limit = c.ref_p999_ticks as f64 * P999_INFLATION_CEILING;
+        if c.p999_ticks as f64 > limit {
             violations.push(format!(
                 "{key}: p999 {} ticks exceeds {}x the fault-free reference ({} ticks)",
-                cur.p999_ticks, P999_INFLATION_CEILING, cur.ref_p999_ticks
+                c.p999_ticks, P999_INFLATION_CEILING, c.ref_p999_ticks
             ));
         }
     }
     violations
-}
-
-/// Names every cell of the current sweep that the baseline lacks — a
-/// stale-baseline signal (matrix axis added without regenerating the
-/// JSON), reported by name with exit status 2, distinct from a genuine
-/// gate failure.
-pub fn missing_chaos_cells(current: &ChaosBench, baseline: &ChaosBench) -> Vec<String> {
-    current
-        .cells
-        .iter()
-        .filter(|cur| {
-            !baseline
-                .cells
-                .iter()
-                .any(|b| b.db == cur.db && b.profile == cur.profile && b.seed == cur.seed)
-        })
-        .map(|cur| {
-            format!(
-                "baseline has no cell for db={} profile={} seed={}",
-                cur.db, cur.profile, cur.seed
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -486,44 +447,27 @@ mod tests {
 
     #[test]
     fn gate_passes_clean_cells_and_flags_each_failure_mode() {
-        let base = bench_with(vec![cell("mainland", "chaos", 7)]);
-        let mut cur = base.clone();
-        assert!(check_chaos(&cur, &base).is_empty());
+        let mut cur = bench_with(vec![cell("mainland", "chaos", 7)]);
+        assert!(check_chaos(&cur).is_empty());
 
         cur.cells[0].wrong_answers = 3;
-        let v = check_chaos(&cur, &base);
+        let v = check_chaos(&cur);
         assert!(v.iter().any(|m| m.contains("wrong answer")), "{v:?}");
 
         cur.cells[0].wrong_answers = 0;
         cur.cells[0].deterministic = false;
-        let v = check_chaos(&cur, &base);
+        let v = check_chaos(&cur);
         assert!(v.iter().any(|m| m.contains("bit-for-bit")), "{v:?}");
 
         cur.cells[0].deterministic = true;
         cur.cells[0].degraded = 60;
-        let v = check_chaos(&cur, &base);
+        let v = check_chaos(&cur);
         assert!(v.iter().any(|m| m.contains("non-exact rate")), "{v:?}");
 
         cur.cells[0].degraded = 8;
         cur.cells[0].p999_ticks = 150_000 * 31;
-        let v = check_chaos(&cur, &base);
+        let v = check_chaos(&cur);
         assert!(v.iter().any(|m| m.contains("p999")), "{v:?}");
-
-        cur.cells.clear();
-        let v = check_chaos(&cur, &base);
-        assert!(v.iter().any(|m| m.contains("cell missing")), "{v:?}");
-    }
-
-    #[test]
-    fn stale_baseline_cells_are_named() {
-        let base = bench_with(Vec::new());
-        let cur = bench_with(vec![cell("world", "brownout", 1337)]);
-        let v = missing_chaos_cells(&cur, &base);
-        assert_eq!(v.len(), 1);
-        assert!(
-            v[0].contains("db=world profile=brownout seed=1337"),
-            "{v:?}"
-        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! [`ServeReport`] (p50/p99/p999 out of a fixed-bucket log-scale
 //! [`LatencyHistogram`]) are bit-for-bit reproducible on any machine,
 //! which is what lets `BENCH_serve.json` live in the repository as a
-//! reviewable benchmark result with a CI regression gate
-//! ([`check_regression`]).
+//! reviewable benchmark result that a tier-1 test regenerates and compares
+//! byte for byte.
 //!
 //! ```text
 //! cargo run --release -p asb-serve --bin serve -- run
@@ -33,14 +33,14 @@ mod engine;
 mod histogram;
 
 pub use bench::{
-    bench_sessions, check_regression, default_serve_bench, missing_baseline_rows, serve_bench,
-    ServeBench, ServeBenchEntry, P99_TOLERANCE, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_POLICIES,
-    SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED, SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
+    bench_sessions, default_serve_bench, serve_bench, ServeBench, ServeBenchEntry,
+    SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_POLICIES, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED,
+    SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
 };
 pub use chaos::{
-    chaos_sweep, check_chaos, default_chaos_bench, last_leaf_ids, missing_chaos_cells, ChaosBench,
-    ChaosCell, ChaosConfig, CHAOS_DEADLINE_TICKS, CHAOS_FAULT_PROFILES, CHAOS_SEEDS,
-    DEGRADED_RATE_CEILING, P999_INFLATION_CEILING,
+    chaos_sweep, check_chaos, default_chaos_bench, last_leaf_ids, ChaosBench, ChaosCell,
+    ChaosConfig, CHAOS_DEADLINE_TICKS, CHAOS_FAULT_PROFILES, CHAOS_SEEDS, DEGRADED_RATE_CEILING,
+    P999_INFLATION_CEILING,
 };
 pub use degrade::{BreakerConfig, BreakerState, CircuitBreaker, Outcome, Quarantine};
 pub use engine::{

@@ -6,32 +6,18 @@ use crate::{
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-/// Timing model of the simulated disk.
-///
-/// The paper's introduction motivates buffering with "the time to access a
-/// randomly chosen page stored on a hard disk requires still about 10 ms";
-/// sequential accesses are roughly an order of magnitude cheaper. The
-/// profile converts access counts into simulated I/O time so experiments can
-/// report the *random vs sequential I/O* distinction the paper lists as
-/// future work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiskProfile {
-    /// Cost of a random page access in milliseconds.
-    pub random_ms: f64,
-    /// Cost of a sequential page access in milliseconds.
-    pub sequential_ms: f64,
-}
+/// Simulated cost of a random page access in milliseconds. The paper's
+/// introduction motivates buffering with "the time to access a randomly
+/// chosen page stored on a hard disk requires still about 10 ms" ([7]):
+/// seek plus rotation.
+const RANDOM_READ_MS: f64 = 10.0;
 
-impl Default for DiskProfile {
-    fn default() -> Self {
-        // ~10 ms seek+rotation for a random access (paper intro, [7]);
-        // ~0.5 ms transfer-dominated cost for the next adjacent page.
-        DiskProfile {
-            random_ms: 10.0,
-            sequential_ms: 0.5,
-        }
-    }
-}
+/// Simulated cost of reading the page adjacent to the previous one, in
+/// milliseconds: transfer-dominated, roughly an order of magnitude cheaper.
+/// Together the two constants turn access counts into the simulated I/O
+/// time behind the *random vs sequential I/O* distinction the paper lists
+/// as future work.
+const SEQUENTIAL_READ_MS: f64 = 0.5;
 
 /// Physical I/O statistics of a [`DiskManager`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -44,7 +30,8 @@ pub struct IoStats {
     pub random_reads: u64,
     /// Total physical page writes.
     pub writes: u64,
-    /// Simulated I/O time in milliseconds under the disk's [`DiskProfile`].
+    /// Simulated I/O time in milliseconds: 10 ms per random read, 0.5 ms
+    /// per sequential one.
     pub simulated_ms: f64,
 }
 
@@ -84,21 +71,12 @@ pub struct DiskManager {
     free: Vec<u64>,
     live: usize,
     io: Mutex<IoState>,
-    profile: DiskProfile,
 }
 
 impl DiskManager {
-    /// Creates an empty disk with the default timing profile.
+    /// Creates an empty disk.
     pub fn new() -> Self {
         DiskManager::default()
-    }
-
-    /// Creates an empty disk with a custom timing profile.
-    pub fn with_profile(profile: DiskProfile) -> Self {
-        DiskManager {
-            profile,
-            ..DiskManager::default()
-        }
     }
 
     /// Current physical I/O statistics.
@@ -111,11 +89,6 @@ impl DiskManager {
     /// results").
     pub fn reset_stats(&self) {
         *self.io.lock() = IoState::default();
-    }
-
-    /// The timing profile in use.
-    pub fn profile(&self) -> DiskProfile {
-        self.profile
     }
 
     /// Reads a page *without* counting a physical access. Test and
@@ -138,10 +111,10 @@ impl DiskManager {
         let sequential = io.last_read.is_some_and(|prev| id.is_successor_of(&prev));
         if sequential {
             io.stats.sequential_reads += 1;
-            io.stats.simulated_ms += self.profile.sequential_ms;
+            io.stats.simulated_ms += SEQUENTIAL_READ_MS;
         } else {
             io.stats.random_reads += 1;
-            io.stats.simulated_ms += self.profile.random_ms;
+            io.stats.simulated_ms += RANDOM_READ_MS;
         }
         io.last_read = Some(id);
     }
@@ -314,19 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn simulated_time_uses_profile() {
-        let profile = DiskProfile {
-            random_ms: 10.0,
-            sequential_ms: 1.0,
-        };
-        let mut d = DiskManager::with_profile(profile);
-        let a = d.allocate(meta(), Bytes::new()).unwrap();
-        let b = d.allocate(meta(), Bytes::new()).unwrap();
-        d.reset_stats();
+    fn simulated_time_charges_random_and_sequential_reads() {
+        let (mut d, ids) = disk_with_pages(2);
         let ctx = AccessContext::default();
-        d.read(a, ctx).unwrap(); // random: 10 ms
-        d.read(b, ctx).unwrap(); // sequential: 1 ms
-        assert_eq!(d.stats().simulated_ms, 11.0);
+        d.read(ids[0], ctx).unwrap(); // random: 10 ms
+        d.read(ids[1], ctx).unwrap(); // sequential: 0.5 ms
+        assert_eq!(d.stats().simulated_ms, 10.5);
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod wal;
 pub use crash::{
     torn_page, CrashClock, CrashEvent, CrashMode, CrashOp, CrashPlan, CrashableStore, WriteFate,
 };
-pub use disk::{DiskManager, DiskProfile, IoStats};
+pub use disk::{DiskManager, IoStats};
 pub use error::{PageError, StorageError};
 pub use fault::{FaultConfig, FaultStats, FaultyStore};
 pub use objects::{decode_object_page, ObjectRecord, ObjectStore};

@@ -178,7 +178,8 @@ pub fn decode_object_page(page: &Page) -> Result<Vec<ObjectRecord>> {
     }
     let count = buf.get_u16_le() as usize;
     buf.advance(6);
-    let mut out = Vec::with_capacity(count);
+    // The count is the page's claim; what is left of it bounds the records.
+    let mut out = Vec::with_capacity(count.min(buf.remaining() / RECORD_HEADER));
     for _ in 0..count {
         if buf.remaining() < RECORD_HEADER {
             return Err(corrupt("truncated object record header"));

@@ -5,7 +5,7 @@
 //! scale, but who-wins-where is the reproduction target.
 
 use asb::buffer::{PolicyKind, SpatialCriterion};
-use asb::exp::Lab;
+use asb::exp::{ExperimentCell, Lab};
 use asb::workload::{DatasetKind, Distribution, QueryKind, QuerySetSpec, Scale};
 
 fn small_lab() -> Lab {
@@ -69,22 +69,30 @@ fn asb_vs_lru_at_paper_scale() {
         QuerySetSpec::independent(QueryKind::Point),
         QuerySetSpec::independent(w(33)),
     ];
-    let mut lab = Lab::new(Scale::Paper, 42);
-    let mut losses = Vec::new();
+    // LRU's cell, then ASB's, per (database, buffer, query set).
+    let mut cells = Vec::new();
     for db in [DatasetKind::Mainland, DatasetKind::World] {
         for frac in [0.006, 0.047] {
             for spec in sets {
-                let gain = lab.gain(db, PolicyKind::Asb, frac, spec).unwrap();
-                let cell = format!("{db:?}/{} @ {frac}", spec.name());
-                if spec.dist != Distribution::Intensified {
-                    assert!(gain > 0.0, "ASB lost to LRU on {cell} ({gain:.1}%)");
-                    continue;
-                }
-                assert!(gain > -7.0, "ASB lost to LRU on {cell} by {gain:.1}%");
-                if gain <= 0.0 {
-                    losses.push((db, spec.name(), frac));
+                for policy in [PolicyKind::Lru, PolicyKind::Asb] {
+                    cells.push(ExperimentCell::new(db, policy, frac, spec));
                 }
             }
+        }
+    }
+    let runs = Lab::new(Scale::Paper, 42).eval(&cells).unwrap();
+    let mut losses = Vec::new();
+    for (pair, run) in cells.chunks(2).zip(runs.chunks(2)) {
+        let ExperimentCell { db, frac, spec, .. } = pair[1];
+        let gain = run[1].gain_over(&run[0]);
+        let cell = format!("{db:?}/{} @ {frac}", spec.name());
+        if spec.dist != Distribution::Intensified {
+            assert!(gain > 0.0, "ASB lost to LRU on {cell} ({gain:.1}%)");
+            continue;
+        }
+        assert!(gain > -7.0, "ASB lost to LRU on {cell} by {gain:.1}%");
+        if gain <= 0.0 {
+            losses.push((db, spec.name(), frac));
         }
     }
     let known = KNOWN_LOSSES.map(|(db, set, frac)| (db, set.to_string(), frac));

@@ -14,16 +14,15 @@
 //!
 //! and commit the regenerated files with a note on why the numbers moved.
 
-use asb::buffer::{BufferManager, PolicyKind};
+use asb::buffer::{ArenaState, BufferManager, PolicyKind, ShardedBuffer};
 use asb::exp::{
     replacement_bench, ReplayOutcome, Trace, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE, BENCH_SEED,
 };
 use asb::geom::Point;
 use asb::quadtree::QuadTree;
 use asb::rtree::RTree;
-use asb::storage::{
-    AccessContext, DiskManager, ObjectRecord, ObjectStore, PageId, QueryId, RecordingStore,
-};
+use asb::serve::{check_chaos, default_chaos_bench, default_serve_bench};
+use asb::storage::{DiskManager, ObjectRecord, ObjectStore, RecordingStore};
 use asb::workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use asb::zbtree::ZBTree;
 use bytes::Bytes;
@@ -74,11 +73,9 @@ struct GoldenRecord {
 fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
     let mut store = RecordingStore::new(trace.build_disk().expect("golden disk"));
     let mut mgr = BufferManager::with_policy(policy, CAPACITY);
-    for &(p, q) in &trace.accesses {
-        let ctx = AccessContext::query(QueryId::new(q));
-        mgr.fetch(&mut store, PageId::new(p), ctx)
-            .expect("golden replay");
-    }
+    trace
+        .drive(|_, id, ctx| mgr.fetch(&mut store, id, ctx).map(drop))
+        .expect("golden replay");
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for (id, _) in store.take_log() {
         for byte in id.raw().to_le_bytes() {
@@ -88,10 +85,64 @@ fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
     hash
 }
 
+/// What a replay's own pool shows after every access, sampled through the
+/// step closure of [`Trace::drive`]: ASB's candidate-set size, the arena's
+/// expert weights — and the arena's final state.
+#[derive(Debug, PartialEq)]
+struct Trajectories {
+    candidates: Vec<usize>,
+    weights: Vec<Vec<f64>>,
+    arena: Option<ArenaState>,
+}
+
+/// [`Trace::replay`] written out with per-access sampling.
+fn sampled_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome, Trajectories) {
+    let mut disk = trace.build_disk().expect("golden disk");
+    let mut mgr = BufferManager::with_policy(policy, CAPACITY);
+    let (mut candidates, mut weights) = (Vec::new(), Vec::new());
+    let step = |_, id, ctx| {
+        drop(mgr.fetch(&mut disk, id, ctx)?);
+        candidates.extend(mgr.candidate_size());
+        weights.extend(mgr.arena_state().map(|a| a.weights()));
+        Ok(())
+    };
+    trace.drive(step).expect("replay");
+    let (stats, io, arena) = (mgr.stats(), disk.stats(), mgr.arena_state());
+    let sampled = Trajectories {
+        candidates,
+        weights,
+        arena,
+    };
+    (ReplayOutcome { stats, io }, sampled)
+}
+
+/// [`Trace::replay_sharded`] on one shard, sampled like [`sampled_replay`].
+fn sampled_one_shard_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome, Trajectories) {
+    let disk = trace.build_disk().expect("golden disk");
+    let pool = ShardedBuffer::new(disk, policy, CAPACITY, 1);
+    let (mut candidates, mut weights) = (Vec::new(), Vec::new());
+    let step = |_, id, ctx| {
+        drop(pool.fetch(id, ctx)?);
+        candidates.extend(pool.shard_candidate_sizes()[0]);
+        let arena = pool.shard_arena_states().pop().flatten();
+        weights.extend(arena.map(|a| a.weights()));
+        Ok(())
+    };
+    trace.drive(step).expect("replay");
+    let (stats, io) = (pool.stats(), pool.io_stats());
+    let sampled = Trajectories {
+        candidates,
+        weights,
+        arena: pool.shard_arena_states().pop().flatten(),
+    };
+    (ReplayOutcome { stats, io }, sampled)
+}
+
 fn record_of(
     trace_name: &str,
     policy_name: &str,
     out: &ReplayOutcome,
+    candidate_final: Option<usize>,
     read_digest: u64,
 ) -> GoldenRecord {
     GoldenRecord {
@@ -101,10 +152,10 @@ fn record_of(
         hits: out.stats.hits,
         misses: out.stats.misses,
         evictions: out.stats.evictions,
-        physical_reads: out.physical_reads,
+        physical_reads: out.io.reads,
         random_reads: out.io.random_reads,
         sequential_reads: out.io.sequential_reads,
-        candidate_final: out.candidate_trajectory.last().copied().unwrap_or(0) as u64,
+        candidate_final: candidate_final.unwrap_or(0) as u64,
         read_digest,
     }
 }
@@ -166,16 +217,24 @@ fn replays_match_expected_json() {
         databases().map(|(name, db)| (format!("phase_{name}"), load_phase_trace(name, db)));
     for (name, trace) in uniform.iter().chain(&phased) {
         for (pname, policy) in policies() {
-            let seq = trace.replay_sequential(policy, CAPACITY).expect("replay");
-            let rec = record_of(name, pname, &seq, read_digest(trace, policy));
+            let seq = trace.replay(policy, CAPACITY).expect("replay");
+            let (sampled_seq, sampled) = sampled_replay(trace, policy);
+            assert_eq!(sampled_seq, seq, "{name}/{pname}: sampling moved it");
+            let sizes = sampled.candidates.len();
+            assert!(sizes == 0 || sizes == trace.accesses.len(), "{pname}");
+            let candidate_final = sampled.candidates.last().copied();
+            let digest = read_digest(trace, policy);
+            let rec = record_of(name, pname, &seq, candidate_final, digest);
 
-            // Sequential and one-shard sharded replays must agree exactly.
+            // Sequential and one-shard sharded replays must agree exactly:
+            // every counter, the physical I/O, and what the pool shows
+            // after every access.
             let sharded = trace.replay_sharded(policy, CAPACITY, 1).expect("replay");
             assert_eq!(sharded.stats, seq.stats, "{name}/{pname}: shard drift");
-            assert_eq!(
-                sharded.physical_reads, seq.physical_reads,
-                "{name}/{pname}: shard I/O drift"
-            );
+            assert_eq!(sharded.io, seq.io, "{name}/{pname}: shard I/O drift");
+            let (sampled_sharded, one_shard) = sampled_one_shard_replay(trace, policy);
+            assert_eq!(sampled_sharded, sharded, "{name}/{pname}: sampled shard");
+            assert_eq!(one_shard, sampled, "{name}/{pname}: trajectory drift");
 
             actual.push(rec);
         }
@@ -238,41 +297,37 @@ fn phase_recording_reproduces_the_committed_traces() {
 /// beat plain ASB (the point of mixing: no fixed policy survives every
 /// regime), stay within the documented regret bound, and replay
 /// bit-for-bit — identical stats *and* weight trajectory — sequentially
-/// and through a one-shard pool.
+/// and through a one-shard pool (trajectories sampled by the test).
 #[test]
 fn arena_beats_asb_on_the_committed_phase_traces() {
     for (name, db) in databases() {
         let trace = load_phase_trace(name, db);
-        let asb = trace
-            .replay_sequential(PolicyKind::Asb, CAPACITY)
-            .expect("asb replay");
-        let arena = trace
-            .replay_sequential(PolicyKind::Arena, CAPACITY)
-            .expect("arena replay");
+        let asb = trace.replay(PolicyKind::Asb, CAPACITY).expect("asb replay");
+        let (arena, sampled) = sampled_replay(&trace, PolicyKind::Arena);
         assert!(
             arena.stats.misses < asb.stats.misses,
             "phase_{name}: arena {} misses vs asb {}",
             arena.stats.misses,
             asb.stats.misses
         );
-        let state = arena.arena.as_ref().expect("arena snapshot");
+        let state = sampled.arena.as_ref().expect("arena snapshot");
         assert!(
             state.regret() <= PHASE_REGRET_BOUND,
             "phase_{name}: regret {} exceeds bound {PHASE_REGRET_BOUND}",
             state.regret()
         );
-        assert_eq!(arena.weight_trajectory.len(), trace.accesses.len());
+        assert_eq!(sampled.weights.len(), trace.accesses.len());
 
-        let again = trace
-            .replay_sequential(PolicyKind::Arena, CAPACITY)
-            .expect("arena replay");
-        assert_eq!(arena, again, "phase_{name}: arena replay not reproducible");
-        let sharded = trace
-            .replay_sharded(PolicyKind::Arena, CAPACITY, 1)
-            .expect("sharded replay");
+        let again = sampled_replay(&trace, PolicyKind::Arena);
+        assert_eq!(
+            (arena, &sampled),
+            (again.0, &again.1),
+            "phase_{name}: arena replay not reproducible"
+        );
+        let (sharded, one_shard) = sampled_one_shard_replay(&trace, PolicyKind::Arena);
         assert_eq!(sharded.stats, arena.stats, "phase_{name}: shard drift");
         assert_eq!(
-            sharded.weight_trajectory, arena.weight_trajectory,
+            one_shard.weights, sampled.weights,
             "phase_{name}: weight trajectory drifted across pool shapes"
         );
     }
@@ -294,19 +349,15 @@ fn arena_matrix_holds_at_the_env_seed() {
     let w = PhasedWorkload::adversarial(PHASE_QUERIES_PER_PHASE);
     for (name, db) in databases() {
         let trace = Trace::record_phased(db, Scale::Tiny, seed, &w).expect("record");
-        let asb = trace
-            .replay_sequential(PolicyKind::Asb, CAPACITY)
-            .expect("asb replay");
-        let arena = trace
-            .replay_sequential(PolicyKind::Arena, CAPACITY)
-            .expect("arena replay");
+        let asb = trace.replay(PolicyKind::Asb, CAPACITY).expect("asb replay");
+        let (arena, sampled) = sampled_replay(&trace, PolicyKind::Arena);
         assert!(
             arena.stats.misses <= asb.stats.misses,
             "{name} seed {seed}: arena {} misses vs asb {}",
             arena.stats.misses,
             asb.stats.misses
         );
-        let state = arena.arena.as_ref().expect("arena snapshot");
+        let state = sampled.arena.as_ref().expect("arena snapshot");
         assert!(
             state.regret() <= PHASE_REGRET_BOUND,
             "{name} seed {seed}: regret {} exceeds bound {PHASE_REGRET_BOUND}",
@@ -315,21 +366,47 @@ fn arena_matrix_holds_at_the_env_seed() {
     }
 }
 
+/// Asserts that the committed `file` is, byte for byte, the pretty-printed
+/// JSON of `bench` plus a newline — what `regenerate` writes today.
+fn assert_committed_is_current(file: &str, bench: &impl Serialize, regenerate: &str) {
+    let fresh = serde_json::to_string_pretty(bench).expect("serialize") + "\n";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
+    assert!(
+        fresh == committed,
+        "{file} is stale; regenerate it with `cargo run --release {regenerate} {file}` and \
+         commit it with the reason the numbers moved. A fresh run gives:\n{fresh}"
+    );
+}
+
 /// The committed `BENCH_replacement.json` is what the code produces today,
-/// byte for byte. After an intentional policy change regenerate it with
-/// `cargo run --release -p asb-exp --bin probe -- --bench-json BENCH_replacement.json`
-/// and commit it with the reason the numbers moved.
+/// byte for byte.
 #[test]
 fn committed_replacement_bench_is_current() {
     let bench = replacement_bench(BENCH_SEED, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE)
         .expect("replacement bench");
-    let fresh = serde_json::to_string_pretty(&bench).expect("serialize") + "\n";
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_replacement.json");
-    let committed = std::fs::read_to_string(&path).expect("read BENCH_replacement.json");
-    assert!(
-        fresh == committed,
-        "BENCH_replacement.json is stale; a fresh run gives:\n{fresh}"
-    );
+    let regenerate = "-p asb-exp --bin probe -- --bench-json";
+    assert_committed_is_current("BENCH_replacement.json", &bench, regenerate);
+}
+
+/// So is `BENCH_serve.json`: simulated ticks, so any moved percentile, row
+/// or counter is a diff here.
+#[test]
+fn committed_serve_bench_is_current() {
+    let bench = default_serve_bench().expect("serve bench");
+    let regenerate = "-p asb-serve --bin serve -- bench --json";
+    assert_committed_is_current("BENCH_serve.json", &bench, regenerate);
+}
+
+/// So is `BENCH_chaos.json` — and the sweep it holds is green by its own
+/// rules: zero wrong answers, same-seed determinism, non-exact rate and
+/// p999 inflation under their ceilings.
+#[test]
+fn committed_chaos_bench_is_current() {
+    let sweep = default_chaos_bench().expect("chaos sweep");
+    assert_eq!(check_chaos(&sweep), Vec::<String>::new());
+    let regenerate = "-p asb-serve --bin serve -- chaos --json";
+    assert_committed_is_current("BENCH_chaos.json", &sweep, regenerate);
 }
 
 /// The golden traces replay identically across repeated runs (no hidden
@@ -339,8 +416,8 @@ fn replay_is_idempotent() {
     let (name, db) = databases()[0];
     let trace = load_trace(name, db);
     for (_, policy) in policies() {
-        let a = trace.replay_sequential(policy, CAPACITY).expect("replay");
-        let b = trace.replay_sequential(policy, CAPACITY).expect("replay");
+        let a = sampled_replay(&trace, policy);
+        let b = sampled_replay(&trace, policy);
         assert_eq!(a, b);
     }
 }
@@ -364,7 +441,7 @@ macro_rules! assert_replay_equals_live {
             let live_io = tree.store().inner().stats();
             let live_stats = tree.take_buffer().expect("buffer attached").stats();
 
-            let replay = trace.replay_sequential(policy, CAPACITY).expect("replay");
+            let replay = trace.replay(policy, CAPACITY).expect("replay");
             assert_eq!(replay.stats, live_stats, "{name}/{pname}: buffer stats");
             assert_eq!(replay.io, live_io, "{name}/{pname}: physical I/O");
         }
