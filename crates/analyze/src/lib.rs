@@ -126,17 +126,16 @@ which is their job). If code needs time, it needs the simulated clock.",
     },
     Rule {
         id: "lock-order",
-        summary: "shard locks acquire first; store/WAL/flight latches below; shard loops ascend",
+        summary: "shard locks acquire first, above store and WAL; shard loops ascend",
         explain: "\
-The pool's deadlock-freedom argument is a total lock order: shard mutex
-above store lock, WAL and single-flight latches below shard, and all-shard
-acquisition strictly in ascending index order. Within any non-test function
-body in crates/core or crates/storage, a shard-lock acquisition
-(`*shard*.lock()`) may not appear after a store-lock (`*store*.read()` /
-`.write()`), WAL (`*wal*.lock()`) or flight-latch (`*flight*/*latch*
-.lock()`, `scheduler.run(`) acquisition in the same body; and iterating
-shards with `.rev()` before locking them inverts the ascending order. This
-is a source-order heuristic over receiver names — the dynamic prong
+The pool's deadlock-freedom argument is a total lock order:
+shard above store and WAL, and all-shard acquisition strictly in ascending
+index order. Within any non-test function body in crates/core or
+crates/storage, a shard-lock acquisition (`*shard*.lock()`) may not appear
+after a store-lock (`*store*.read()` / `.write()`) or WAL (`*wal*.lock()`)
+acquisition in the same body; and iterating shards with `.rev()` before
+locking them inverts the ascending order. This is a source-order heuristic
+over receiver names — the dynamic prong
 (asb_schedule::lock_graph()) checks the runtime property across >=1000
 schedules per scenario; this rule catches the obvious inversion in review.
 A two-phase pattern (store lock released as a temporary before the shard
@@ -164,12 +163,12 @@ the guard's lifetime.",
         summary: "paired BufferStats counters increment together, in one lock scope",
         explain: "\
 Some stats counters are only meaningful as pairs: evictions with
-failed_evictions (crates/core/src/manager.rs) and led with joined
-(crates/storage/src/scheduler.rs). Probes assert relations across a pair,
-so incrementing one member from a function that never touches its sibling
-— or from outside the pair's home file, where the lock scope that makes the
-pair atomic does not exist — silently skews every experiment that reads
-them. Each increment of a paired counter must happen in the pair's home
+failed_evictions, both counted under the shard lock in
+crates/core/src/manager.rs (the lock order is shard above store and WAL).
+Probes assert relations across a pair, so incrementing one member from a
+function that never touches its sibling — or from outside the pair's home
+file, where the lock scope that makes the pair atomic does not exist —
+silently skews every experiment that reads them. Each increment of a paired counter must happen in the pair's home
 file, inside a function body that also increments (or consciously accounts
 for) the sibling; anything else needs a `// counter-ok: ...` marker saying
 why the lone increment keeps the pair's invariant.",
@@ -882,7 +881,6 @@ enum LockClass {
     Shard,
     Store,
     Wal,
-    Flight,
 }
 
 fn class_name(c: LockClass) -> &'static str {
@@ -890,7 +888,6 @@ fn class_name(c: LockClass) -> &'static str {
         LockClass::Shard => "shard-lock",
         LockClass::Store => "store-lock",
         LockClass::Wal => "WAL-lock",
-        LockClass::Flight => "flight-latch",
     }
 }
 
@@ -913,8 +910,6 @@ fn stmt_acquisitions(toks: &[Tok], s: usize, e: usize) -> (Vec<(LockClass, usize
                     acqs.push((LockClass::Shard, k + 1));
                 } else if has("wal") {
                     acqs.push((LockClass::Wal, k + 1));
-                } else if has("flight") || has("latch") {
-                    acqs.push((LockClass::Flight, k + 1));
                 } else if stmt_names(toks, s, e, "shard") {
                     // `.map(|s| s.lock())` over the shard table: the
                     // receiver is a closure variable, but the statement
@@ -930,9 +925,6 @@ fn stmt_acquisitions(toks: &[Tok], s: usize, e: usize) -> (Vec<(LockClass, usize
                     acqs.push((LockClass::Store, k + 1));
                 }
             }
-            "run" if has("scheduler") || has("flight") => {
-                acqs.push((LockClass::Flight, k + 1));
-            }
             "rev" if has("shard") => {
                 rev = Some(k + 1);
             }
@@ -944,8 +936,8 @@ fn stmt_acquisitions(toks: &[Tok], s: usize, e: usize) -> (Vec<(LockClass, usize
 }
 
 /// lock-order: see [`RULES`]. Walks each non-test function body in the
-/// hardened crates statement by statement, tracking the first store/WAL/
-/// flight acquisition; a shard acquisition after one is an inversion, and
+/// hardened crates statement by statement, tracking the first store or
+/// WAL acquisition; a shard acquisition after one is an inversion, and
 /// a `.rev()` over a shard iteration breaks the ascending all-shard order.
 fn rule_lock_order(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>) {
     if !in_hardened_crates(path_str) {
@@ -990,7 +982,7 @@ fn rule_lock_order(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>
                                     rule: "lock-order",
                                     message: format!(
                                         "shard lock acquired after the {} acquisition at line \
-                                         {}; the lock order is shard above store/WAL/flight \
+                                         {}; the lock order is shard above store and WAL \
                                          (justify released two-phase acquisitions with \
                                          `// lock-order-ok:`)",
                                         class_name(bc),
@@ -1214,18 +1206,11 @@ struct CounterPair {
 }
 
 /// The manifest of paired counters the counter-pair rule enforces.
-const COUNTER_PAIRS: &[CounterPair] = &[
-    CounterPair {
-        a: "evictions",
-        b: "failed_evictions",
-        home: "crates/core/src/manager.rs",
-    },
-    CounterPair {
-        a: "led",
-        b: "joined",
-        home: "crates/storage/src/scheduler.rs",
-    },
-];
+const COUNTER_PAIRS: &[CounterPair] = &[CounterPair {
+    a: "evictions",
+    b: "failed_evictions",
+    home: "crates/core/src/manager.rs",
+}];
 
 /// counter-pair: see [`RULES`]. An increment site is an exact identifier
 /// match followed by `+=` or `.fetch_add(`; outside the pair's home file
@@ -1759,16 +1744,12 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_flags_shard_after_wal_and_flight() {
+    fn lock_order_flags_shard_after_wal() {
         let wal = "fn f(&self) {\n let w = self.wal.lock();\n let sh = self.shards[0].lock();\n}\n";
         let v = lint("crates/core/src/a.rs", wal);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("WAL-lock"));
-        let flight =
-            "fn f(&self) {\n let r = self.scheduler.run(id, f);\n let sh = self.shards[0].lock();\n}\n";
-        let v = lint("crates/storage/src/a.rs", flight);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("flight-latch"));
+        assert!(v[0].message.contains("shard above store and WAL"));
     }
 
     #[test]
@@ -1848,14 +1829,12 @@ mod tests {
 
     #[test]
     fn counter_pair_flags_increments_outside_home() {
-        let src = "fn f(s: &Stats) {\n s.led.fetch_add(1, Ordering::SeqCst);\n}\n";
-        let v = lint("crates/core/src/elsewhere.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "counter-pair");
+        let src = "fn f(s: &mut Stats) {\n s.evictions += 1;\n s.failed_evictions += 1;\n}\n";
+        let v = lint("crates/core/src/sharded.rs", src);
+        assert_eq!(v.len(), 2, "both members are outside their home: {v:?}");
+        assert!(v.iter().all(|v| v.rule == "counter-pair"));
         assert!(v[0].message.contains("home file"));
-        let home = "fn f(s: &Stats) {\n s.led.fetch_add(1, O::SeqCst);\n \
-                    s.joined.fetch_add(1, O::SeqCst);\n}\n";
-        assert!(lint("crates/storage/src/scheduler.rs", home).is_empty());
+        assert!(lint("crates/core/src/manager.rs", src).is_empty());
     }
 
     // --- allowlist pruning and the JSON report ---

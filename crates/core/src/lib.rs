@@ -53,16 +53,14 @@
 //! One thread-safe pool, [`ShardedBuffer`], wraps the same `BufferManager`
 //! machinery behind the [`BufferPool`] trait. The pool is striped over
 //! independently locked shards (deterministic page-id hashing), the store
-//! sits behind a reader-writer lock and is only read-locked on misses;
-//! concurrent misses on the same page are coalesced into one store read
-//! (single-flight). With one shard it is the coarse pool: one mutex
-//! serializes every probe and every admission, but not whole fetches —
-//! the lock is released during the store read. Readers that ask for the
-//! same cold page at once share one physical read, and only the one that
-//! brought it in counts a miss (the rest count as hits once they find it
-//! resident). Only a single-threaded replay is count-exact: it reproduces
-//! the sequential buffer's counts bit for bit. With many shards, hits and
-//! misses in different shards proceed in parallel.
+//! sits behind a reader-writer lock and is only read-locked on misses.
+//! Each read holds its shard's lock from probe to admission, so readers
+//! that ask for the same cold page at once cost one physical read: the
+//! first counts the miss, the rest find the page resident and hit. Every
+//! counted miss is one store read. With one shard it is the coarse pool;
+//! with many, reads in different shards proceed in parallel. Only a
+//! single-threaded replay is count-exact: it reproduces the sequential
+//! buffer's counts bit for bit.
 //!
 //! A watermark-driven background [`Flusher`] drains dirty frames ahead of
 //! eviction pressure, keeping the next checkpoint's redo horizon short.

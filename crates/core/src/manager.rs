@@ -17,9 +17,10 @@ use std::sync::Arc;
 /// buffered writes ([`BufferManager::write_buffered`]) only mark a frame
 /// dirty, deferring the store write to eviction or flush. On a fault-free
 /// read-only workload `misses` equals the number of physical disk reads
-/// caused through this buffer — the paper's "number of disk accesses" —
-/// but on faulty stores retried fetches re-read without re-counting a
-/// miss, so physical reads can exceed `misses`. The robustness counters
+/// caused through this buffer — the paper's "number of disk accesses",
+/// under any interleaving of a pool's threads — but on faulty stores
+/// retried fetches re-read without re-counting a miss, so physical reads
+/// can exceed `misses`. The robustness counters
 /// (`retries`, `corruptions`, `failed_evictions`) stay zero on a
 /// fault-free store, and the durability counters (`wal_appends`,
 /// `checkpoints`) stay zero unless a write-ahead log is attached.
@@ -138,62 +139,6 @@ impl<S: PageStore> StoreIo for S {
 
     fn store(&mut self, page: &Page) -> Result<()> {
         self.write(page.clone())
-    }
-}
-
-/// Retry/corruption accounting accumulated by a detached
-/// [`fetch_page_with_retry`]; settled into a buffer's statistics with
-/// [`BufferManager::apply_fetch_effort`].
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FetchEffort {
-    pub(crate) retries: u64,
-    pub(crate) corruptions: u64,
-    pub(crate) backoff_ms: f64,
-}
-
-/// Fetches `id` from `io`, retrying transient failures (including
-/// checksum mismatches of the delivered copy) under `retry`. Free-standing
-/// so the sharded pool can run it without holding a shard lock; the
-/// sequential buffer delegates here too, which is what keeps miss-path
-/// accounting bit-for-bit identical between the two.
-pub(crate) fn fetch_page_with_retry<IO: StoreIo + ?Sized>(
-    io: &mut IO,
-    retry: RetryPolicy,
-    id: PageId,
-    ctx: AccessContext,
-) -> (Result<Page>, FetchEffort) {
-    let budget = retry.attempts();
-    let mut failed = 0u32;
-    let mut effort = FetchEffort::default();
-    loop {
-        let err = match io.fetch(id, ctx) {
-            Ok(page) => {
-                if page.verify_checksum() {
-                    return (Ok(page), effort);
-                }
-                effort.corruptions += 1;
-                StorageError::ChecksumMismatch {
-                    id,
-                    expected: page.checksum(),
-                    actual: page_checksum(&page.payload),
-                }
-            }
-            Err(e) => e,
-        };
-        if !err.is_transient() {
-            return (Err(err), effort);
-        }
-        failed += 1;
-        if failed >= budget {
-            let err = StorageError::RetriesExhausted {
-                id,
-                attempts: failed,
-                last: Box::new(err),
-            };
-            return (Err(err), effort);
-        }
-        effort.retries += 1;
-        effort.backoff_ms += retry.backoff_ms(failed);
     }
 }
 
@@ -545,10 +490,9 @@ impl BufferManager {
     /// from eviction) until the guard drops, and the guard derefs to the
     /// page.
     ///
-    /// This is the single read path of the buffer — the sharded pool's
-    /// miss path funnels into the same probe/admit primitives — so
-    /// hit/miss/eviction accounting is identical no matter how the backing
-    /// store is reached.
+    /// This is the single read path of the buffer — each shard of the
+    /// sharded pool runs it under its shard lock — so hit/miss/eviction
+    /// accounting is identical no matter how the backing store is reached.
     ///
     /// Robustness semantics:
     /// * a resident frame whose payload no longer matches its checksum is
@@ -564,20 +508,29 @@ impl BufferManager {
         id: PageId,
         ctx: AccessContext,
     ) -> Result<PageReadGuard> {
+        self.fetch_classified(io, id, ctx).map(|(guard, _)| guard)
+    }
+
+    /// [`fetch`](BufferManager::fetch), additionally reporting whether the
+    /// request was a hit: [`probe`](BufferManager::probe), then on a miss
+    /// [`read_miss`](BufferManager::read_miss).
+    pub(crate) fn fetch_classified<IO: StoreIo + ?Sized>(
+        &mut self,
+        io: &mut IO,
+        id: PageId,
+        ctx: AccessContext,
+    ) -> Result<(PageReadGuard, bool)> {
         if let Some(guard) = self.probe(id, ctx)? {
-            return Ok(guard);
+            return Ok((guard, true));
         }
-        let page = self.fetch_with_retry(io, id, ctx)?;
-        self.admit_fetched(page, ctx, io)
+        self.read_miss(io, id, ctx).map(|guard| (guard, false))
     }
 
     /// First half of a read: records the access and serves a hit from the
     /// resident frame, or counts the miss and returns `Ok(None)` (a corrupt
     /// *clean* resident copy is discarded and becomes a counted miss; a
     /// corrupt *dirty* one fails the read, see
-    /// [`discard_rotten`](BufferManager::discard_rotten)). The sharded
-    /// pool probes under its shard lock, then runs the miss path through
-    /// the single-flight scheduler without the lock.
+    /// [`discard_rotten`](BufferManager::discard_rotten)).
     pub(crate) fn probe(
         &mut self,
         id: PageId,
@@ -613,7 +566,7 @@ impl BufferManager {
         self.stats.corruptions += 1;
         if let Some(frame) = self.frames.get(&id).filter(|f| f.dirty) {
             let err = dirty_rot(&frame.page);
-            self.note_give_up();
+            self.stats.give_ups += 1;
             return Err(err);
         }
         self.frames.remove(&id);
@@ -621,16 +574,27 @@ impl BufferManager {
         Ok(())
     }
 
-    /// Second half of a read miss: admits the fetched page (evicting if
-    /// needed) and pins it. The access itself was already counted by
-    /// [`probe`](BufferManager::probe).
+    /// Second half of a read whose access [`probe`](BufferManager::probe)
+    /// counted as a miss: fetches the page under the retry policy and
+    /// admits it.
+    pub(crate) fn read_miss<IO: StoreIo + ?Sized>(
+        &mut self,
+        io: &mut IO,
+        id: PageId,
+        ctx: AccessContext,
+    ) -> Result<PageReadGuard> {
+        let page = self.fetch_with_retry(io, id, ctx)?;
+        self.admit_fetched(page, ctx, io)
+    }
+
+    /// Admits a fetched page (evicting if needed) and pins it.
     ///
     /// If every frame is pinned by a live guard, the page is served
     /// *unbuffered* instead of failing: the guard owns a copy of the
     /// fetched page, so correctness does not require residency — the copy
     /// just is not cached for the next reader. Counted in
     /// [`BufferStats::pin_overflows`].
-    pub(crate) fn admit_fetched<IO: StoreIo + ?Sized>(
+    fn admit_fetched<IO: StoreIo + ?Sized>(
         &mut self,
         page: Page,
         ctx: AccessContext,
@@ -645,11 +609,11 @@ impl BufferManager {
     }
 
     /// Serves a request whose [`probe`](BufferManager::probe) counted a
-    /// miss from the resident copy a concurrent flight admitted in the
-    /// meantime. The request is then a hit in every respect — the policy
-    /// sees `on_hit` and the miss is recounted as a hit — exactly as if it
-    /// had arrived after that admission, so a page misses once per
-    /// residency however many threads ask for it at the same moment.
+    /// miss from the resident copy a concurrent request admitted since (the
+    /// sharded pool's `fetch_batch` releases the shard lock between its
+    /// probe and resolve phases). The request is then a hit in every
+    /// respect — the policy sees `on_hit` and the miss is recounted as a
+    /// hit — exactly as if it had arrived after that admission.
     /// Returns `Ok(None)`, leaving the miss counted, when the page is not
     /// resident or its clean resident copy fails its checksum (which
     /// discards the copy, as on the probe path); a corrupt dirty copy fails
@@ -699,50 +663,55 @@ impl BufferManager {
         PageReadGuard::new(page, PinToken::new(pins, Arc::clone(&self.live_guards)))
     }
 
-    /// Applies the retry/corruption counters a detached
-    /// [`fetch_page_with_retry`] accumulated — the sharded pool performs
-    /// the store read without holding the shard lock and settles the
-    /// accounting here, so a pool miss costs exactly what a sequential
-    /// miss costs.
-    pub(crate) fn apply_fetch_effort(&mut self, effort: FetchEffort) {
-        self.stats.retries += effort.retries;
-        self.stats.corruptions += effort.corruptions;
-        self.backoff_ms += effort.backoff_ms;
-    }
-
-    /// Counts one fetch that failed permanently and is being surfaced to
-    /// the caller (see [`BufferStats::give_ups`]). The sharded pool calls
-    /// this for every request a failed flight disappoints — leader and
-    /// joiners alike — so the count matches what the same requests would
-    /// have accrued sequentially.
-    pub(crate) fn note_give_up(&mut self) {
-        self.stats.give_ups += 1;
-    }
-
-    /// Fetches `id`, retrying transient failures (including checksum
-    /// mismatches of the delivered copy) under the retry policy.
+    /// Fetches `id`, retrying transient failures under the retry policy. A
+    /// delivered copy that fails its checksum counts a corruption and is
+    /// retried like a transient fault; a fetch that fails for good counts
+    /// a give-up (see [`BufferStats::give_ups`]).
     fn fetch_with_retry<IO: StoreIo + ?Sized>(
         &mut self,
         io: &mut IO,
         id: PageId,
         ctx: AccessContext,
     ) -> Result<Page> {
-        let (result, effort) = fetch_page_with_retry(io, self.retry, id, ctx);
-        self.apply_fetch_effort(effort);
-        if result.is_err() {
-            self.note_give_up();
+        let fetched = self.with_retry(id, |stats| {
+            let page = io.fetch(id, ctx)?;
+            if page.verify_checksum() {
+                return Ok(page);
+            }
+            stats.corruptions += 1;
+            Err(StorageError::ChecksumMismatch {
+                id,
+                expected: page.checksum(),
+                actual: page_checksum(&page.payload),
+            })
+        });
+        if fetched.is_err() {
+            self.stats.give_ups += 1;
         }
-        result
+        fetched
     }
 
     /// Writes `page` back, retrying transient failures under the retry
     /// policy.
     fn store_with_retry<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: &Page) -> Result<()> {
+        self.with_retry(page.id, |_| io.store(page))
+    }
+
+    /// The one bounded-retry loop of the buffer: runs `op` (handed the
+    /// statistics, to count what it detects) until it succeeds or fails
+    /// non-transiently. Every transient failure but the last of the
+    /// [`RetryPolicy`] budget adds to `retries` and the simulated backoff;
+    /// the last one surfaces as [`StorageError::RetriesExhausted`].
+    fn with_retry<T>(
+        &mut self,
+        id: PageId,
+        mut op: impl FnMut(&mut BufferStats) -> Result<T>,
+    ) -> Result<T> {
         let budget = self.retry.attempts();
         let mut failed = 0u32;
         loop {
-            let err = match io.store(page) {
-                Ok(()) => return Ok(()),
+            let err = match op(&mut self.stats) {
+                Ok(value) => return Ok(value),
                 Err(e) => e,
             };
             if !err.is_transient() {
@@ -751,7 +720,7 @@ impl BufferManager {
             failed += 1;
             if failed >= budget {
                 return Err(StorageError::RetriesExhausted {
-                    id: page.id,
+                    id,
                     attempts: failed,
                     last: Box::new(err),
                 });

@@ -19,13 +19,13 @@ use serde::{Deserialize, Serialize};
 /// 2. [`on_hit`](ReplacementPolicy::on_hit) is only called for resident
 ///    pages;
 /// 3. `now` ticks are **non-decreasing** across calls, not strictly
-///    increasing. Two sources of ties exist: a request that counted a miss
-///    but then finds the page admitted by a concurrent flight reports its
-///    `on_hit` at the tick of the probe that counted it, and a batched
-///    fetch probes every page before it admits the first miss, so all
-///    admissions of one batch carry the tick of the batch's last probe. A
-///    policy that orders by time stamp must break such ties
-///    deterministically (LRU-K falls back to page-id order).
+///    increasing. Both sources of ties are batched fetches: a batch probes
+///    every page before it admits the first miss, so all admissions of
+///    one batch carry the tick of the batch's last probe, and a batch
+///    member that a concurrent request admitted between the batch's two
+///    phases reports its `on_hit` without advancing the tick. A policy that
+///    orders by time stamp must break such ties deterministically (LRU-K
+///    falls back to page-id order).
 ///
 /// Because observing commits to nothing, policies double as *experts*: the
 /// arena ([`PolicyKind::Arena`]) feeds the same event stream to a whole

@@ -21,10 +21,8 @@ pub struct FetchOutcome {
     // guard-send-ok: by-value return wrapper — the guard's pin lifetime is
     // the caller's stack frame, exactly as if fetch() had returned it bare.
     pub guard: PageReadGuard,
-    /// `true` when the page was served from a resident frame — by the
-    /// first residency probe, or after a concurrent request's in-flight
-    /// fetch admitted it while this one waited; `false` when this
-    /// request's own fetch brought the page in.
+    /// `true` when the page was served from a resident frame; `false` when
+    /// this request's own fetch brought the page in.
     pub hit: bool,
 }
 

@@ -3,27 +3,23 @@
 //! This is the one thread-safe pool. The buffer is striped across `N`
 //! independent *shards*: each shard owns its own frame table, replacement
 //! policy and statistics, and a page id is deterministically routed to
-//! exactly one shard. `N = 1` is the coarse pool: its one mutex
-//! serializes probe and admit steps, not whole fetches (see below).
-//! Requests for pages in different shards proceed in parallel; the
-//! backing store sits behind a reader-writer lock and is only read-locked
-//! on a miss (via [`ConcurrentPageStore::read_shared`]), so misses from
-//! different shards also overlap.
+//! exactly one shard. `N = 1` is the coarse pool: one mutex serializes
+//! every fetch. Requests for pages in different shards proceed in
+//! parallel; the backing store sits behind a reader-writer lock and is
+//! only read-locked on a miss (via [`ConcurrentPageStore::read_shared`]),
+//! so misses from different shards also overlap.
 //!
-//! Reads hand out RAII [`PageReadGuard`]s: the shard lock is taken only to
-//! probe or admit, and is released before the caller ever touches the page
-//! bytes — the guard's pin (not the lock) is what keeps the frame
-//! resident. Concurrent misses on the *same* page are coalesced by a
-//! [`SingleFlight`] scheduler: one leader performs the store read and
-//! admission, every concurrent reader of that page shares the result, so
-//! N simultaneous misses cost exactly one physical read. The statistics
-//! follow suit: the leader keeps its miss, and a reader that finds the
-//! page resident once it re-takes the shard lock is recounted as the hit
-//! it would have been had it arrived after the admission. A page thus
-//! misses once per residency; a waiting reader counts a second miss (with
-//! no second read) only if the leader's admission was already evicted
-//! again. Hit and miss totals under concurrency still depend on the
-//! schedule — only a single-threaded trace is count-exact.
+//! Reads hand out RAII [`PageReadGuard`]s. A read is one acquisition of
+//! its shard's lock around [`BufferManager`]'s own read — probe, and on a
+//! miss the store read and admission — and the lock is released before
+//! the caller ever touches the page bytes: the guard's pin (not the lock)
+//! is what keeps the frame resident. Concurrent misses on the *same* page
+//! therefore cost one store read: the shard lock serializes them, and the
+//! second reader finds the frame. Every miss a fetch counts is exactly one
+//! store read (on a fault-free store), under every interleaving; which
+//! requests hit still depends on the schedule — only a single-threaded
+//! trace is count-exact. Holding the lock across the read is cheap because every
+//! store here is in memory.
 //!
 //! # Reproduction guarantee
 //!
@@ -43,19 +39,16 @@
 //! is two-phase (store write lock to obtain the id, release, then shard
 //! lock to admit), so no cycle exists. The shared WAL mutex is only ever
 //! taken while holding a shard lock and is never held across a store
-//! operation. The single-flight map lock and flight latches are below
-//! every shard lock: the miss path releases the shard lock before joining
-//! a flight, and a flight leader takes the shard lock only from inside its
-//! lead closure (never the reverse).
+//! operation.
 
 use crate::guard::{PageReadGuard, PageWriteGuard, WriteSink};
-use crate::manager::{fetch_page_with_retry, BufferManager, BufferStats, StoreIo};
+use crate::manager::{BufferManager, BufferStats, StoreIo};
 use crate::policies::ArenaState;
 use crate::policy::PolicyKind;
 use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
 use asb_storage::{
-    AccessContext, ConcurrentPageStore, FlightOutcome, FlightStats, IoStats, Lsn, Page, PageError,
-    PageId, PageMeta, PageStore, Result, RetryPolicy, SharedWal, SingleFlight, StorageError,
+    AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId, PageMeta, PageStore,
+    Result, RetryPolicy, SharedWal, StorageError,
 };
 use bytes::Bytes;
 use std::sync::Arc;
@@ -75,8 +68,6 @@ fn splitmix64(mut x: u64) -> u64 {
 struct Inner<S> {
     store: RwLock<S>,
     shards: Vec<Mutex<BufferManager>>,
-    /// Coalesces concurrent misses on the same page into one store read.
-    scheduler: SingleFlight,
     /// Commits that failed inside a [`PageWriteGuard`] drop (where no
     /// error can be returned); see
     /// [`write_drop_failures`](ShardedBuffer::write_drop_failures).
@@ -196,7 +187,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             inner: Arc::new(Inner {
                 store: RwLock::new(store),
                 shards,
-                scheduler: SingleFlight::new(),
                 write_drop_failures: Arc::new(AtomicU64::new(0)),
             }),
         }
@@ -223,16 +213,14 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// is released before the guard is handed out, so holding a guard
     /// never blocks other readers.
     ///
-    /// A hit is served under the shard lock alone. A miss goes through the
-    /// pool's single-flight scheduler: concurrent misses on the same page
-    /// elect one leader, which performs the store read (under a *shared*
-    /// store lock, so misses on different pages still overlap) and the
-    /// admission; every concurrent reader shares the fetched page — N
-    /// simultaneous misses on one page cost exactly one physical read.
-    /// Transient store faults are retried under each shard's
-    /// [`RetryPolicy`], and a frame that fails its checksum is never
-    /// served: a clean one is discarded and re-fetched, a dirty one fails
-    /// the read (see [`BufferManager::fetch`]).
+    /// The whole read — probe, and on a miss the store read (under a
+    /// *shared* store lock, so misses in different shards overlap) and the
+    /// admission — runs under the shard lock, so N simultaneous misses on
+    /// one page cost exactly one physical read. Transient store faults are
+    /// retried under each shard's [`RetryPolicy`], and a frame that fails
+    /// its checksum is never served: a clean one is discarded and
+    /// re-fetched, a dirty one fails the read (see
+    /// [`BufferManager::fetch`]).
     pub fn fetch(&self, id: PageId, ctx: AccessContext) -> Result<PageReadGuard> {
         self.fetch_classified(id, ctx).map(|(guard, _)| guard)
     }
@@ -240,69 +228,15 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// [`fetch`](ShardedBuffer::fetch), additionally reporting whether the
     /// request was a buffer hit. The flag mirrors what the shard's
     /// statistics recorded for this request: `true` when the page was
-    /// served from a resident frame — by the first probe, or after a
-    /// concurrent request's flight admitted it while this one waited — and
-    /// `false` when this request's own fetch brought the page in (or
-    /// failed to).
+    /// served from a resident frame, `false` when this request's own fetch
+    /// brought the page in (or failed to).
     pub fn fetch_classified(
         &self,
         id: PageId,
         ctx: AccessContext,
     ) -> Result<(PageReadGuard, bool)> {
-        let shard = self.shard_of(id);
-        {
-            let mut buf = self.inner.shards[shard].lock();
-            if let Some(guard) = buf.probe(id, ctx)? {
-                return Ok((guard, true));
-            }
-        }
-        self.resolve_miss(shard, id, ctx)
-    }
-
-    /// The post-probe miss path shared by [`fetch_classified`] and
-    /// [`fetch_batch`]: the miss is already counted, the shard lock is
-    /// released so the flight (ours or another thread's) can take it from
-    /// the closure. The flag is `true` when the page turned out resident
-    /// after all and the miss was recounted as a hit.
-    fn resolve_miss(
-        &self,
-        shard: usize,
-        id: PageId,
-        ctx: AccessContext,
-    ) -> Result<(PageReadGuard, bool)> {
-        match self
-            .inner
-            .scheduler
-            .run(id, || self.lead_fetch(shard, id, ctx))
-        {
-            FlightOutcome::Led(result) => result,
-            FlightOutcome::Joined(shared) => {
-                let page = match shared {
-                    Ok(page) => page,
-                    Err(e) => {
-                        // The flight we joined gave up; this request fails
-                        // with it and counts its own give-up, as it would
-                        // have sequentially.
-                        // lock-order-ok: the flight latch is released when
-                        // run() returns; nothing is held across this lock.
-                        self.inner.shards[shard].lock().note_give_up();
-                        return Err(e);
-                    }
-                };
-                // lock-order-ok: the flight latch is released when run()
-                // returns; the Joined arm holds nothing over this lock.
-                let mut buf = self.inner.shards[shard].lock();
-                match buf.pin_resident(id, ctx)? {
-                    Some(guard) => Ok((guard, true)),
-                    // The leader's admission was evicted (or corrupted)
-                    // before we got the shard lock; re-admit the copy the
-                    // flight delivered instead of re-reading the store.
-                    None => buf
-                        .admit_fetched(page, ctx, &mut PoolIo(&self.inner.store))
-                        .map(|guard| (guard, false)),
-                }
-            }
-        }
+        let mut buf = self.inner.shards[self.shard_of(id)].lock();
+        buf.fetch_classified(&mut PoolIo(&self.inner.store), id, ctx)
     }
 
     /// Reads a batch of pages, returning one *independent* result per id
@@ -314,8 +248,10 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// id is probed, shard by shard under a single shard-lock acquisition
     /// each; a resident page is pinned and classified a hit there and
     /// then. *Resolve:* the remaining slots are served in input order — a
-    /// first occurrence that missed goes through the single-flight miss
-    /// path, and an id repeated within the batch runs a full
+    /// first occurrence that missed is completed under its shard lock
+    /// (served as a hit if a concurrent request admitted the page since
+    /// the probe, else read and admitted), and an id repeated within the
+    /// batch runs a full
     /// [`fetch_classified`](ShardedBuffer::fetch_classified) after its
     /// first occurrence has resolved (so the repeat classifies as the hit
     /// it would have been sequentially; a repeat of a failed id
@@ -371,7 +307,14 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             let slot = if deferred[i] {
                 self.fetch_classified(id, ctx)
             } else {
-                self.resolve_miss(self.shard_of(id), id, ctx)
+                let mut buf = self.inner.shards[self.shard_of(id)].lock();
+                match buf.pin_resident(id, ctx) {
+                    Ok(Some(guard)) => Ok((guard, true)),
+                    Ok(None) => buf
+                        .read_miss(&mut PoolIo(&self.inner.store), id, ctx)
+                        .map(|guard| (guard, false)),
+                    Err(e) => Err(e),
+                }
             };
             out[i] = Some(slot.map_err(|e| PageError::new(id, e)));
         }
@@ -384,8 +327,8 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Serves `id` from buffer-resident state only: a hit pins and returns
     /// the frame; a miss is counted in the shard's statistics and returns
-    /// `None` **without touching the backing store** (no retry, no
-    /// single-flight). The serving layer uses this behind an open circuit
+    /// `None` **without touching the backing store** (no retry). The
+    /// serving layer uses this behind an open circuit
     /// breaker, where the store is presumed down and a miss must degrade
     /// instead of burning retry budget. A resident frame that fails its
     /// checksum is a miss here too: it is never served, whether the probe
@@ -393,50 +336,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     pub fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
         let probed = self.inner.shards[self.shard_of(id)].lock().probe(id, ctx);
         probed.ok().flatten()
-    }
-
-    /// The miss path run by a flight leader: re-check residency, read the
-    /// store without holding the shard lock, then admit. Returns the
-    /// leader's own outcome (guard and hit flag) plus the page published
-    /// to followers.
-    fn lead_fetch(
-        &self,
-        shard: usize,
-        id: PageId,
-        ctx: AccessContext,
-    ) -> (Result<(PageReadGuard, bool)>, Result<Page>) {
-        let retry = {
-            let mut buf = self.inner.shards[shard].lock();
-            // A flight that retired between our probe and our leadership
-            // already admitted the page — serve it without a store read.
-            match buf.pin_resident(id, ctx) {
-                Ok(Some(guard)) => {
-                    let page = guard.page().clone();
-                    return (Ok((guard, true)), Ok(page));
-                }
-                Ok(None) => {}
-                Err(e) => return (Err(e.clone()), Err(e)),
-            }
-            buf.retry_policy()
-        };
-        // The physical read runs without the shard lock (the store's
-        // reader-writer lock aside): holding it here would serialize hits
-        // in this shard behind a disk access.
-        let (result, effort) =
-            fetch_page_with_retry(&mut PoolIo(&self.inner.store), retry, id, ctx);
-        let mut buf = self.inner.shards[shard].lock();
-        buf.apply_fetch_effort(effort);
-        match result {
-            Ok(page) => (
-                buf.admit_fetched(page.clone(), ctx, &mut PoolIo(&self.inner.store))
-                    .map(|guard| (guard, false)),
-                Ok(page),
-            ),
-            Err(e) => {
-                buf.note_give_up();
-                (Err(e.clone()), Err(e))
-            }
-        }
     }
 
     /// Reads a page for modification, returning a [`PageWriteGuard`].
@@ -582,11 +481,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             .iter()
             .map(|s| s.lock().live_guards())
             .sum()
-    }
-
-    /// How much duplicate miss I/O the single-flight scheduler absorbed.
-    pub fn flight_stats(&self) -> FlightStats {
-        self.inner.scheduler.stats()
     }
 
     /// Commits that failed inside a [`PageWriteGuard`] drop, where no
@@ -900,8 +794,7 @@ mod tests {
                 let mut hits: Vec<bool> = slots.iter().map(Option::is_some).collect();
                 for i in 0..batch.len() {
                     if slots[i].is_none() && first(i) {
-                        let page = disk.read(batch[i], ctx).unwrap();
-                        slots[i] = Some(seq.admit_fetched(page, ctx, &mut disk).unwrap());
+                        slots[i] = Some(seq.read_miss(&mut disk, batch[i], ctx).unwrap());
                     } else if slots[i].is_none() {
                         let before = seq.stats().hits;
                         slots[i] = Some(seq.fetch(&mut disk, batch[i], ctx).unwrap());
@@ -942,10 +835,9 @@ mod tests {
         assert_eq!(stats.logical_reads, 2_000);
         assert_eq!(stats.hits + stats.misses, stats.logical_reads);
         assert!(pool.resident() <= pool.capacity());
-        // Under eviction pressure a reader that waited on a flight can
-        // find the admission already evicted and re-admit the shared copy:
-        // a counted miss with no read, so reads bound misses from below.
-        assert!(pool.io_stats().reads <= stats.misses);
+        // Every miss reads the store under its shard lock, so even under
+        // eviction pressure each counted miss is exactly one read.
+        assert_eq!(pool.io_stats().reads, stats.misses);
         assert_eq!(pool.live_guards(), 0);
     }
 
@@ -971,7 +863,7 @@ mod tests {
         );
         assert_eq!(pool.stats().logical_reads, 8);
         // The reader that brought the page in is the one miss; the seven
-        // that waited on its flight (or arrived after it) are hits.
+        // that took the shard lock after it are hits.
         assert_eq!(pool.stats().misses, 1);
         assert_eq!(pool.stats().hits, 7);
     }

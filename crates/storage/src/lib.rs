@@ -37,7 +37,6 @@ mod objects;
 mod page;
 mod recording;
 mod retry;
-mod scheduler;
 mod store;
 pub mod sync;
 mod wal;
@@ -52,7 +51,6 @@ pub use objects::{decode_object_page, ObjectRecord, ObjectStore};
 pub use page::{page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use recording::RecordingStore;
 pub use retry::RetryPolicy;
-pub use scheduler::{FlightOutcome, FlightStats, SingleFlight};
 pub use store::{AccessContext, ConcurrentPageStore, PageStore, QueryId};
 pub use wal::{Lsn, RecoveryReport, SharedWal, Wal, WalConfig, WalRecord, WalStats};
 

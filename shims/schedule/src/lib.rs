@@ -50,10 +50,7 @@
 //! seed) that first produced it, are written to the artifact directory as
 //! `{name}-seed{seed}-lockcycle.txt`. The per-exploration union is
 //! returned on [`Report::lock_graph`]; [`lock_graph`] exposes the
-//! process-wide union. Locks only ever acquired by their creating thread
-//! contribute no edges — this keeps single-flight latches from
-//! fabricating `map -> latch` orderings that no pair of threads can ever
-//! contend on.
+//! process-wide union.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -223,14 +220,19 @@ pub fn lock_graph() -> LockGraph {
     }
 }
 
-/// Per-lock bookkeeping for the acquisition graph.
-struct LockMeta {
-    node: LockNode,
-    /// Thread that created the lock (None when created off controlled
-    /// threads and first seen at grant time).
-    creator: Option<usize>,
-    /// Whether any thread other than the creator ever acquired it.
-    foreign: bool,
+/// The graph node of lock `id`, assigning the next per-run index if the
+/// lock has none yet.
+fn lock_node(st: &mut State, id: u64, kind: LockKind) -> LockNode {
+    if let Some(&node) = st.lock_nodes.get(&id) {
+        return node;
+    }
+    let node = LockNode {
+        kind,
+        index: st.next_node,
+    };
+    st.next_node += 1;
+    st.lock_nodes.insert(id, node);
+    node
 }
 
 /// Registers a lock created on a controlled thread, assigning its
@@ -239,62 +241,20 @@ struct LockMeta {
 fn register_lock(id: u64, kind: LockKind) {
     if let Some(ctx) = current_ctx() {
         let mut st = ctx.shared.m.lock().unwrap_or_else(PoisonError::into_inner);
-        let node = LockNode {
-            kind,
-            index: st.next_node,
-        };
-        st.next_node += 1;
-        st.lock_meta.insert(
-            id,
-            LockMeta {
-                node,
-                creator: Some(ctx.tid),
-                foreign: false,
-            },
-        );
+        lock_node(&mut st, id, kind);
     }
 }
 
 /// Records a grant of lock `id` to thread `tid` in the acquisition graph:
 /// adds `held -> id` edges for everything the thread holds, then pushes
 /// `id` onto its held stack.
-///
-/// Creator-private skip: while a lock has only ever been acquired by the
-/// thread that created it, its acquisitions record no edges. This is what
-/// keeps single-flight latches honest — the leader creates a latch and
-/// locks it while holding the map lock, but followers only ever take the
-/// latch bare, so `map -> latch` is an ordering that no two threads can
-/// ever contend on and must not close a cycle.
 fn note_acquire(st: &mut State, tid: usize, id: u64, kind: LockKind) {
-    if !st.lock_meta.contains_key(&id) {
-        let node = LockNode {
-            kind,
-            index: st.next_node,
-        };
-        st.next_node += 1;
-        st.lock_meta.insert(
-            id,
-            LockMeta {
-                node,
-                creator: None,
-                foreign: true,
-            },
-        );
-    }
-    let meta = st.lock_meta.get_mut(&id).expect("lock registered above");
-    if meta.creator != Some(tid) {
-        meta.foreign = true;
-    }
-    let private = meta.creator == Some(tid) && !meta.foreign;
-    let node = meta.node;
-    if !private {
-        let held = st.held[tid].clone();
-        for h in held {
-            if h != id {
-                if let Some(hm) = st.lock_meta.get(&h) {
-                    let edge = (hm.node, node);
-                    st.edges.insert(edge);
-                }
+    let node = lock_node(st, id, kind);
+    let held = st.held[tid].clone();
+    for h in held {
+        if h != id {
+            if let Some(&hn) = st.lock_nodes.get(&h) {
+                st.edges.insert((hn, node));
             }
         }
     }
@@ -354,8 +314,8 @@ struct State {
     sync_points: u64,
     /// First panic payload raised by a controlled thread.
     panic: Option<Box<dyn Any + Send>>,
-    /// Graph bookkeeping: per-lock node/creator metadata.
-    lock_meta: HashMap<u64, LockMeta>,
+    /// Graph bookkeeping: each lock's node.
+    lock_nodes: HashMap<u64, LockNode>,
     /// Lock ids each thread currently holds, in acquisition order.
     held: Vec<Vec<u64>>,
     /// Next per-run [`LockNode`] index to hand out.
@@ -379,7 +339,7 @@ impl Shared {
                 trace: Vec::new(),
                 sync_points: 0,
                 panic: None,
-                lock_meta: HashMap::new(),
+                lock_nodes: HashMap::new(),
                 held: Vec::new(),
                 next_node: 0,
                 edges: BTreeSet::new(),
@@ -1391,28 +1351,6 @@ mod tests {
                 "both workers acquire the rwlock while holding the mutex"
             );
         }
-    }
-
-    #[test]
-    fn creator_private_locks_record_no_edges() {
-        // A thread that creates a lock and is the only one to ever take it
-        // (the single-flight latch pattern) must not contribute edges, even
-        // while holding other locks.
-        let report = explore(&quick("private-locks", 13), || {
-            let outer = Arc::new(Mutex::new(()));
-            let o2 = Arc::clone(&outer);
-            thread::spawn(move || {
-                let _g = o2.lock();
-                let latch = Mutex::new(());
-                let _l = latch.lock();
-            })
-            .join();
-        });
-        assert!(
-            report.lock_graph.is_empty(),
-            "creator-private acquisitions leaked edges: {:?}",
-            report.lock_graph
-        );
     }
 
     #[test]
