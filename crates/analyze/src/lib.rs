@@ -11,17 +11,17 @@
 //!
 //! ## Anatomy of a rule
 //!
-//! Each rule implements one check over a [`PreparedFile`]: the file split
-//! into [`Line`]s, each carrying the code text with string/char literals
+//! Each rule implements one check over a `PreparedFile`: the file split
+//! into `Line`s, each carrying the code text with string/char literals
 //! blanked and comments removed, the comment text itself (rules look for
 //! justification markers there), and whether the line sits inside a
-//! `#[cfg(test)]` region — plus the significant token stream ([`Tok`])
+//! `#[cfg(test)]` region — plus the significant token stream (`Tok`)
 //! for the structural rules (lock-order, guard-send, counter-pair).
 //! Violations carry `file:line` and a message; the driver subtracts the
 //! allowlist (`crates/analyze/allowlist.txt`) and the remainder is fatal.
 //!
 //! Adding a rule: add a variant to [`RULES`], implement its check in
-//! [`check_file`], document it in `DESIGN.md` §11/§16, and give it an
+//! `check_file`, document it in `DESIGN.md` §11/§16, and give it an
 //! `explain` entry — the `explain` text is the contract reviewers hold the
 //! rule to.
 

@@ -61,14 +61,10 @@
 //! with many, reads in different shards proceed in parallel. Only a
 //! single-threaded replay is count-exact: it reproduces the sequential
 //! buffer's counts bit for bit.
-//!
-//! A watermark-driven background [`Flusher`] drains dirty frames ahead of
-//! eviction pressure, keeping the next checkpoint's redo horizon short.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod flusher;
 mod guard;
 mod manager;
 mod order;
@@ -78,7 +74,6 @@ mod pool;
 pub mod sharded;
 pub mod sync;
 
-pub use flusher::{Flusher, FlusherConfig, FlusherHandle, FlusherStats};
 pub use guard::{PageReadGuard, PageWriteGuard};
 pub use manager::{BufferManager, BufferStats, PageFile, StoreIo};
 pub use policies::{ArenaParams, ArenaState, AsbParams, ExpertState, Roster};

@@ -810,33 +810,12 @@ impl BufferManager {
             .map(|(&id, _)| id)
             .collect();
         dirty.sort_unstable();
-        self.write_back(io, dirty).map(|_| ())
-    }
-
-    /// Writes back at most `max` dirty frames, oldest redo horizon first
-    /// (frames with a `rec_lsn` in ascending LSN order, then unlogged
-    /// dirty frames in page-id order). This is the background flusher's
-    /// primitive: draining the oldest horizons first is what lets the next
-    /// checkpoint advance furthest. Returns the number of frames written
-    /// back; failures aggregate to [`StorageError::FlushIncomplete`] after
-    /// every selected frame was attempted, like
-    /// [`flush`](BufferManager::flush).
-    pub fn flush_some<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, max: usize) -> Result<usize> {
-        let mut dirty: Vec<(bool, Option<Lsn>, PageId)> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, f)| (f.rec_lsn.is_none(), f.rec_lsn, id))
-            .collect();
-        dirty.sort_unstable();
-        dirty.truncate(max);
-        self.write_back(io, dirty.into_iter().map(|(_, _, id)| id).collect())
+        self.write_back(io, dirty)
     }
 
     /// Writes the frames of `ids` back in the given order, attempting
-    /// every one; returns how many succeeded, or the aggregated failures.
-    fn write_back<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, ids: Vec<PageId>) -> Result<usize> {
-        let mut flushed = 0usize;
+    /// every one, and aggregates the failures.
+    fn write_back<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, ids: Vec<PageId>) -> Result<()> {
         let mut failures = Vec::new();
         for id in ids {
             let Some(page) = self.frames.get(&id).map(|f| f.page.clone()) else {
@@ -845,7 +824,6 @@ impl BufferManager {
             match self.write_back_verified(io, &page) {
                 Ok(()) => {
                     self.stats.writebacks += 1;
-                    flushed += 1;
                     if let Some(frame) = self.frames.get_mut(&id) {
                         frame.dirty = false;
                         frame.rec_lsn = None;
@@ -855,7 +833,7 @@ impl BufferManager {
             }
         }
         if failures.is_empty() {
-            Ok(flushed)
+            Ok(())
         } else {
             Err(StorageError::FlushIncomplete { failures })
         }
@@ -1384,20 +1362,13 @@ mod tests {
             *failures[0].1,
             StorageError::DirtyFrameCorrupt { .. }
         ));
-        assert!(matches!(
-            buf.flush_some(&mut disk, 8),
-            Err(StorageError::FlushIncomplete { failures }) if failures[0].0 == ids[0]
-        ));
 
         // Evicting it (capacity 1) fails exactly like a failed write-back.
         let err = buf.fetch(&mut disk, ids[1], ctx()).unwrap_err();
         assert!(matches!(err, StorageError::DirtyFrameCorrupt { id, .. } if id == ids[0]));
         let s = buf.stats();
         assert_eq!((s.failed_evictions, s.evictions, s.writebacks), (1, 0, 0));
-        assert_eq!(
-            s.corruptions, 3,
-            "flush, flush_some and the eviction each detect it"
-        );
+        assert_eq!(s.corruptions, 2, "flush and the eviction each detect it");
         assert!(buf.contains(ids[0]) && !buf.contains(ids[1]));
         assert_eq!(buf.dirty_count(), 1);
         let stored = disk.peek(ids[0]).unwrap();

@@ -397,40 +397,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         }
     }
 
-    /// Writes back at most `max` dirty frames pool-wide, visiting shards
-    /// in index order and draining each shard's oldest redo horizons first
-    /// (see `BufferManager::flush_some`). The background
-    /// [`Flusher`](crate::Flusher) calls this in bounded batches so no
-    /// shard lock is held for a long scan. Returns the number written
-    /// back; per-page failures aggregate into
-    /// [`StorageError::FlushIncomplete`] after every shard was attempted.
-    pub fn flush_some(&self, max: usize) -> Result<usize> {
-        let mut remaining = max;
-        let mut flushed = 0usize;
-        let mut failures = Vec::new();
-        for shard in &self.inner.shards {
-            if remaining == 0 {
-                break;
-            }
-            match shard
-                .lock()
-                .flush_some(&mut PoolIo(&self.inner.store), remaining)
-            {
-                Ok(n) => {
-                    flushed += n;
-                    remaining -= n;
-                }
-                Err(StorageError::FlushIncomplete { failures: f }) => failures.extend(f),
-                Err(e) => return Err(e),
-            }
-        }
-        if failures.is_empty() {
-            Ok(flushed)
-        } else {
-            Err(StorageError::FlushIncomplete { failures })
-        }
-    }
-
     /// Attaches one shared write-ahead log to every shard: all buffered
     /// writes across the pool append to the same log, forming one global
     /// LSN sequence (see `BufferManager::attach_wal`).
@@ -443,12 +409,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         for shard in &self.inner.shards {
             shard.lock().attach_wal(wal.clone());
         }
-    }
-
-    /// Whether a WAL is attached (probed on shard 0; `attach_wal` attaches
-    /// to every shard together).
-    pub fn has_wal(&self) -> bool {
-        self.inner.shards[0].lock().wal().is_some()
     }
 
     /// Appends one pool-wide fuzzy checkpoint to the shared WAL.
@@ -1085,37 +1045,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_some_respects_the_budget_and_drains_incrementally() {
-        // Twice the page count: skewed shard routing must not force
-        // early dirty evictions, or the counts below drift.
-        let (disk, ids) = disk_with_pages(12);
-        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 24, 3);
-        for (i, &id) in ids.iter().enumerate() {
-            pool.write_buffered(Page::new(id, meta(), Bytes::from(vec![i as u8])).unwrap())
-                .unwrap();
-        }
-        assert_eq!(pool.dirty_count(), 12);
-        let first = pool.flush_some(5).unwrap();
-        assert_eq!(first, 5);
-        assert_eq!(pool.dirty_count(), 7);
-        let mut total = first;
-        while total < 12 {
-            let n = pool.flush_some(5).unwrap();
-            assert!(n > 0, "progress until fully drained");
-            total += n;
-        }
-        assert_eq!(pool.dirty_count(), 0);
-        assert_eq!(pool.flush_some(5).unwrap(), 0);
-    }
-
-    #[test]
     fn pool_checkpoint_covers_every_shards_dirty_frames() {
         use asb_storage::{Wal, WalConfig, WalRecord};
         let (disk, ids) = disk_with_pages(16);
         let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 16, 4);
         let wal = Wal::shared(WalConfig::default());
         pool.attach_wal(wal.clone());
-        assert!(pool.has_wal());
         for (i, &id) in ids.iter().enumerate() {
             pool.write_buffered(Page::new(id, meta(), Bytes::from(vec![i as u8])).unwrap())
                 .unwrap();

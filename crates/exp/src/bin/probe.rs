@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! probe [--scale S] [--seed N] [--db 1|2] [--frac F] [--set NAME]
-//!       [--shards M] [--flusher HIGH,LOW,BATCH] [--bench-json PATH]
+//!       [--shards M] [--bench-json PATH]
 //! ```
 //!
 //! Prints, for every policy, the disk accesses, hit ratio and I/O split of
@@ -14,11 +14,6 @@
 //! (`Lab::eval`). `--shards M` additionally runs the query set live against
 //! a sharded buffer pool with M shards, served by as many threads as the
 //! machine offers (at least two), and reports the pool-wide statistics.
-//!
-//! `--flusher HIGH,LOW,BATCH` runs a synthetic write-heavy demo with a
-//! background flusher at the given watermark fractions and drain batch
-//! size, reporting how much dirty-page draining moved off the eviction
-//! path (e.g. `--flusher 0.5,0.25,16`).
 //!
 //! `--bench-json PATH` runs the deterministic replacement benchmark
 //! (LRU/ASB/ARENA on the phase-change workload over both golden
@@ -42,7 +37,6 @@ fn main() -> ExitCode {
     let mut frac = 0.047f64;
     let mut set = "INT-P".to_string();
     let mut shards = 0usize;
-    let mut flusher: Option<(f64, f64, usize)> = None;
     let mut bench_json: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -72,22 +66,6 @@ fn main() -> ExitCode {
                     if shards == 0 {
                         return Err("--shards must be at least 1".into());
                     }
-                }
-                "--flusher" => {
-                    let v = next()?;
-                    let parts: Vec<&str> = v.split(',').collect();
-                    let [h, l, b] = parts.as_slice() else {
-                        return Err(format!("--flusher expects HIGH,LOW,BATCH, got {v}"));
-                    };
-                    let high: f64 = h.parse().map_err(|e| format!("HIGH: {e}"))?;
-                    let low: f64 = l.parse().map_err(|e| format!("LOW: {e}"))?;
-                    let batch: usize = b.parse().map_err(|e| format!("BATCH: {e}"))?;
-                    if !(0.0..=1.0).contains(&low) || !(low..=1.0).contains(&high) || batch == 0 {
-                        return Err(format!(
-                            "--flusher needs 0 <= LOW <= HIGH <= 1 and BATCH >= 1, got {v}"
-                        ));
-                    }
-                    flusher = Some((high, low, batch));
                 }
                 "--bench-json" => bench_json = Some(next()?),
                 o => return Err(format!("unknown argument {o}")),
@@ -199,107 +177,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some((high, low, batch)) = flusher {
-        if let Err(e) = flusher_demo(high, low, batch, shards.max(2), seed) {
-            eprintln!("error: flusher demo failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
-}
-
-/// Synthetic write-heavy demo for the background flusher: buffered writes
-/// dirty a small sharded pool much faster than reads alone would clean
-/// it; a background [`Flusher`](asb_core::Flusher) drains dirty frames at
-/// the configured watermarks so evictions find clean victims. Prints the
-/// drain accounting next to the counterfactual (no flusher): the
-/// difference is write-back work moved off the eviction path.
-fn flusher_demo(
-    high: f64,
-    low: f64,
-    batch: usize,
-    shards: usize,
-    seed: u64,
-) -> asb_storage::Result<()> {
-    use asb_core::{Flusher, FlusherConfig};
-    use asb_geom::SpatialStats;
-    use asb_storage::{AccessContext, Page, PageMeta, PageStore, QueryId};
-    use bytes::Bytes;
-
-    const PAGES: u64 = 512;
-    const CAPACITY: usize = 64;
-    const WRITES: u64 = 4_000;
-
-    // The flusher runs on its own thread in production (`Flusher::spawn`);
-    // here each run is driven on a deterministic cadence instead, so the
-    // comparison is a pure function of the seed rather than of how often
-    // the OS happens to schedule a background thread.
-    let run = |cfg: Option<FlusherConfig>| -> asb_storage::Result<_> {
-        let mut disk = DiskManager::new();
-        let ids: Vec<_> = (0..PAGES)
-            .map(|i| {
-                disk.allocate(
-                    PageMeta::data(SpatialStats::EMPTY),
-                    Bytes::from(vec![i as u8]),
-                )
-            })
-            .collect::<asb_storage::Result<_>>()?;
-        disk.reset_stats();
-        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, CAPACITY, shards);
-        let mut flusher = cfg.map(|cfg| Flusher::new(pool.clone(), cfg));
-        let mut state = seed | 1;
-        for i in 0..WRITES {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let id = ids[(state % PAGES) as usize];
-            let page = Page::new(
-                id,
-                PageMeta::data(SpatialStats::EMPTY),
-                Bytes::from(vec![i as u8]),
-            )?;
-            pool.write_buffered(page)?;
-            if i % 16 == 0 {
-                drop(pool.fetch(
-                    ids[(i % PAGES) as usize],
-                    AccessContext::query(QueryId::new(i)),
-                )?);
-            }
-            if let Some(f) = flusher.as_mut() {
-                if i % 64 == 63 {
-                    f.run_once()?;
-                }
-            }
-        }
-        Ok((pool.stats(), pool.dirty_count(), flusher.map(|f| f.stats())))
-    };
-
-    let (base_stats, base_dirty, _) = run(None)?;
-    let cfg = FlusherConfig {
-        high_watermark: high,
-        low_watermark: low,
-        max_batch: batch,
-        checkpoint_after_drain: false,
-    };
-    let (stats, dirty, fl) = run(Some(cfg))?;
-    let fl = fl.expect("flusher ran");
-    // `writebacks` counts flush-path and eviction-path write-backs alike;
-    // subtracting the flusher's drains isolates the eviction-time rest.
-    let evict_wb = stats.writebacks - fl.pages_flushed;
-    println!(
-        "# flusher demo: {WRITES} buffered writes over {PAGES} pages, capacity {CAPACITY}, \
-         {shards} shards, watermarks {high}/{low}, batch {batch}"
-    );
-    println!(
-        "#   without flusher: {} eviction-path write-backs, {} dirty at end",
-        base_stats.writebacks, base_dirty
-    );
-    println!(
-        "#   with flusher:    {evict_wb} eviction-path write-backs, {dirty} dirty at end \
-         ({} drained ahead of eviction in {} pass(es))",
-        fl.pages_flushed, fl.passes
-    );
-    Ok(())
 }
 
 /// Replays the query set against one sharded pool served by several

@@ -72,7 +72,9 @@ enum State {
 }
 
 /// One in-flight point, window, k-NN or window-restricted self-join query
-/// over an R\*-tree (see the [module docs](self)).
+/// over an R\*-tree. It names the pages it needs ([`Search::wants`]), is
+/// fed their decoded nodes ([`Search::feed`]), and is done once it wants
+/// nothing more.
 pub struct Search {
     state: State,
     pruned: bool,

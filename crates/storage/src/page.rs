@@ -213,15 +213,15 @@ fn avalanche(mut sum: u64) -> u64 {
 ///
 /// The payload is read as little-endian `u64` words. Each full 32-byte
 /// block feeds its four words to four *independent* lanes through
-/// [`absorb`], so four multiply chains are in flight at once — this is what
+/// `absorb`, so four multiply chains are in flight at once — this is what
 /// makes the check affordable on every buffer hit. The payload length, the
 /// four lanes and the fewer-than-32 remaining bytes (whole words, then one
 /// zero-padded tail word) are then absorbed *sequentially* into one
-/// accumulator, and a bijective [`avalanche`] finishes.
+/// accumulator, and a bijective `avalanche` finishes.
 ///
 /// **Guarantee.** At a fixed length, any change confined to one aligned
 /// 8-byte word — a superset of "any single byte" — changes the sum with
-/// certainty: the damaged word's [`absorb`] is injective in the word, and
+/// certainty: the damaged word's `absorb` is injective in the word, and
 /// every later step (the rest of its lane, the sequential fold, the
 /// finisher) is a bijection of the state it is applied to. Wider damage,
 /// truncation and zero-extension are caught with probability 1 − 2⁻⁶⁴.

@@ -31,59 +31,6 @@ pub use schedule::sync::{
     RwLockWriteGuard,
 };
 
-/// Scheduler-aware thread spawning: plain `std::thread` normally, the
-/// controlled scheduler's threads under `--cfg asb_schedule` (inside an
-/// exploration; outside one they fall back to std behaviour too).
-pub mod thread {
-    #[cfg(not(asb_schedule))]
-    pub use self::fallback::{spawn, JoinHandle};
-
-    #[cfg(asb_schedule)]
-    pub use schedule::thread::{spawn, JoinHandle};
-
-    /// Sleeps `ms` milliseconds on normal builds. Under `--cfg
-    /// asb_schedule` there is no wall clock, so this is a pure scheduling
-    /// yield instead — loops pacing themselves with `sleep_ms` stay
-    /// explorable without hanging the deterministic scheduler.
-    pub fn sleep_ms(ms: u64) {
-        #[cfg(not(asb_schedule))]
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-        #[cfg(asb_schedule)]
-        {
-            let _ = ms;
-            schedule::thread::yield_now();
-        }
-    }
-
-    #[cfg(not(asb_schedule))]
-    mod fallback {
-        /// Handle to a spawned thread; see [`spawn`].
-        pub struct JoinHandle<T>(std::thread::JoinHandle<T>);
-
-        impl<T> JoinHandle<T> {
-            /// Waits for the thread and returns its result.
-            ///
-            /// # Panics
-            /// Panics if the joined thread panicked.
-            pub fn join(self) -> T {
-                // invariant: propagating a worker panic is join()'s
-                // documented contract — the panic, not the expect, is the
-                // failure being reported.
-                self.0.join().expect("joined thread panicked")
-            }
-        }
-
-        /// Spawns `f` on a new OS thread.
-        pub fn spawn<T, F>(f: F) -> JoinHandle<T>
-        where
-            T: Send + 'static,
-            F: FnOnce() -> T + Send + 'static,
-        {
-            JoinHandle(std::thread::spawn(f))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,8 +52,5 @@ mod tests {
         let b = AtomicBool::new(false);
         b.store(true, Ordering::SeqCst);
         assert!(b.load(Ordering::SeqCst));
-
-        let h = thread::spawn(|| 41 + 1);
-        assert_eq!(h.join(), 42);
     }
 }

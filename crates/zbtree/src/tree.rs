@@ -736,30 +736,48 @@ impl<S: PageStore> ZBTree<S> {
 
     // ---- queries ---------------------------------------------------------
 
-    /// Finds the leaf that would hold `key` and returns its page id.
+    /// Finds the leaf that would hold `key` and returns its page id. Every
+    /// step descends at least one level, so a hostile child pointer ends
+    /// the walk as [`StorageError::Corrupt`] instead of a loop.
     fn find_leaf(&mut self, key: Key) -> Result<PageId> {
         let mut node_id = self.root;
+        let mut parent_level = None;
         loop {
-            match self.read_node(node_id)? {
+            let node = self.read_node(node_id)?;
+            if parent_level.is_some_and(|above| node.level() >= above) {
+                return Err(corrupt(node_id, "child level not below its parent's"));
+            }
+            match node {
                 ZNode::Leaf { .. } => return Ok(node_id),
-                ZNode::Inner { entries, .. } => {
+                ZNode::Inner { level, entries } => {
                     let idx = match entries.binary_search_by_key(&key, |e| e.min_key) {
                         Ok(i) => i,
                         Err(0) => 0,
                         Err(i) => i - 1,
                     };
-                    node_id = entries[idx].child;
+                    let Some(entry) = entries.get(idx) else {
+                        return Err(corrupt(node_id, "inner node without entries"));
+                    };
+                    parent_level = Some(level);
+                    node_id = entry.child;
                 }
             }
         }
     }
 
-    /// All entries with keys in `[lo, hi]`, via the leaf chain.
+    /// All entries with keys in `[lo, hi]`, via the leaf chain. A chain
+    /// that reaches a non-leaf, or visits more leaves than the store holds
+    /// pages, is [`StorageError::Corrupt`].
     fn scan_range(&mut self, lo: Key, hi: Key, out: &mut Vec<ZLeafEntry>) -> Result<()> {
         let mut leaf_id = Some(self.find_leaf(lo)?);
+        let mut budget = self.page_count();
         while let Some(id) = leaf_id {
+            if budget == 0 {
+                return Err(corrupt(id, "leaf chain longer than the store"));
+            }
+            budget -= 1;
             let ZNode::Leaf { next, entries } = self.read_node(id)? else {
-                unreachable!("leaf chain only links leaves");
+                return Err(corrupt(id, "leaf chain reached a non-leaf"));
             };
             for e in &entries {
                 if e.key > hi {
@@ -851,14 +869,13 @@ impl<S: PageStore> ZBTree<S> {
     /// fill factors, and the entry count.
     pub fn validate(&mut self) -> Result<()> {
         self.next_query += 1;
-        let corrupt = |id: PageId, reason: String| StorageError::Corrupt { id, reason };
         // Recursive structure check, collecting leaves in key order.
         let mut leaves_in_order = Vec::new();
         let mut total = 0usize;
         let root = self.root;
         let root_node = self.read_node(root)?;
         if root_node.level() != self.height {
-            return Err(corrupt(root, "root level != height".into()));
+            return Err(corrupt(root, "root level != height"));
         }
         self.validate_rec(
             root,
@@ -877,18 +894,22 @@ impl<S: PageStore> ZBTree<S> {
                 ),
             ));
         }
-        // Leaf chain must equal the in-order leaf sequence.
+        // Leaf chain must equal the in-order leaf sequence; one that runs
+        // past it is wrong already, and may be a cycle.
         let mut chained = Vec::new();
         let mut cursor = Some(*leaves_in_order.first().unwrap_or(&root));
         while let Some(id) = cursor {
+            if chained.len() > leaves_in_order.len() {
+                return Err(corrupt(id, "leaf chain longer than the tree's leaves"));
+            }
             chained.push(id);
             match self.read_node(id)? {
                 ZNode::Leaf { next, .. } => cursor = next,
-                _ => return Err(corrupt(id, "leaf chain reached a non-leaf".into())),
+                _ => return Err(corrupt(id, "leaf chain reached a non-leaf")),
             }
         }
         if !leaves_in_order.is_empty() && chained != leaves_in_order {
-            return Err(corrupt(root, "leaf chain disagrees with tree order".into()));
+            return Err(corrupt(root, "leaf chain disagrees with tree order"));
         }
         Ok(())
     }
@@ -902,14 +923,13 @@ impl<S: PageStore> ZBTree<S> {
         leaves: &mut Vec<PageId>,
         total: &mut usize,
     ) -> Result<Option<Rect>> {
-        let corrupt = |id: PageId, reason: String| StorageError::Corrupt { id, reason };
         let node = self.read_node(node_id)?;
         if node.level() != expected_level {
-            return Err(corrupt(node_id, "level mismatch".into()));
+            return Err(corrupt(node_id, "level mismatch"));
         }
         if let (Some(expected), Some(actual)) = (expected_min, node.min_key()) {
             if expected != actual {
-                return Err(corrupt(node_id, "min_key annotation mismatch".into()));
+                return Err(corrupt(node_id, "min_key annotation mismatch"));
             }
         }
         match node {
@@ -921,19 +941,16 @@ impl<S: PageStore> ZBTree<S> {
                     ));
                 }
                 if entries.len() > LEAF_CAPACITY {
-                    return Err(corrupt(node_id, "overfull leaf".into()));
+                    return Err(corrupt(node_id, "overfull leaf"));
                 }
                 for w in entries.windows(2) {
                     if w[0].key >= w[1].key {
-                        return Err(corrupt(node_id, "leaf keys out of order".into()));
+                        return Err(corrupt(node_id, "leaf keys out of order"));
                     }
                 }
                 for e in &entries {
                     if self.grid.z_key(&e.location) != e.key.z {
-                        return Err(corrupt(
-                            node_id,
-                            "entry z-value disagrees with location".into(),
-                        ));
+                        return Err(corrupt(node_id, "entry z-value disagrees with location"));
                     }
                 }
                 *total += entries.len();
@@ -942,14 +959,14 @@ impl<S: PageStore> ZBTree<S> {
             }
             ZNode::Inner { entries, .. } => {
                 if !is_root && entries.len() < INNER_CAPACITY / 2 {
-                    return Err(corrupt(node_id, "underfull inner node".into()));
+                    return Err(corrupt(node_id, "underfull inner node"));
                 }
                 if is_root && entries.len() < 2 {
-                    return Err(corrupt(node_id, "inner root with < 2 children".into()));
+                    return Err(corrupt(node_id, "inner root with < 2 children"));
                 }
                 for w in entries.windows(2) {
                     if w[0].min_key >= w[1].min_key {
-                        return Err(corrupt(node_id, "inner keys out of order".into()));
+                        return Err(corrupt(node_id, "inner keys out of order"));
                     }
                 }
                 let mut whole: Option<Rect> = None;
@@ -966,7 +983,7 @@ impl<S: PageStore> ZBTree<S> {
                         if !e.mbr.contains(&m) {
                             return Err(corrupt(
                                 e.child,
-                                "child MBR annotation does not contain the subtree".into(),
+                                "child MBR annotation does not contain the subtree",
                             ));
                         }
                         whole = Some(whole.map_or(m, |w| w.union(&m)));
@@ -975,6 +992,14 @@ impl<S: PageStore> ZBTree<S> {
                 Ok(whole)
             }
         }
+    }
+}
+
+/// A structural error at page `id`.
+fn corrupt(id: PageId, reason: impl Into<String>) -> StorageError {
+    StorageError::Corrupt {
+        id,
+        reason: reason.into(),
     }
 }
 

@@ -43,7 +43,7 @@ fn tour(pool: &dyn BufferPool, ids: &[PageId], label: &str) {
 
     // A write guard stages a mutation; nothing is visible until commit(),
     // which marks the frame dirty in one step (write-back happens on
-    // eviction, flush, or via the background flusher).
+    // eviction or flush).
     let mut w = pool
         .fetch_mut(ids[1], AccessContext::query(QueryId::new(2)))
         .expect("fetch_mut");

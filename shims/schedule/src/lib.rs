@@ -1066,17 +1066,6 @@ pub mod thread {
         }
     }
 
-    /// Yields the calling thread: a pure scheduling point when controlled
-    /// by an explorer, `std::thread::yield_now` otherwise. The facade's
-    /// `sleep_ms` maps to this under `--cfg asb_schedule`, where there is
-    /// no wall clock to sleep against.
-    pub fn yield_now() {
-        match current_ctx() {
-            Some(ctx) => ctx.park(Status::Ready, true),
-            None => std::thread::yield_now(),
-        }
-    }
-
     /// Spawns `f`. Inside an [`explore`](super::explore) scenario the new
     /// thread is scheduler-controlled (it parks at every scheduling point);
     /// outside one this is a plain `std::thread::spawn`.

@@ -1,4 +1,5 @@
-//! Hostile input: one seeded mutator, five decoders.
+//! Hostile input: one seeded mutator, five decoders, and the z-B⁺-tree's
+//! walkers over pages that decode but lie.
 //!
 //! Whatever arrives from outside the process — a trace file, a page of a
 //! damaged store — is decoded into `Ok` or a typed error: never a panic,
@@ -7,7 +8,9 @@
 //! `scan_of_arbitrary_bytes_never_panics_and_recovers_nothing`); this file
 //! covers `Trace::from_text` and the four page codecs with one mutator:
 //! arbitrary bytes, a valid encoding with k ∈ 1..=8 flipped bytes, and a
-//! valid encoding cut at every length.
+//! valid encoding cut at every length. A page that decodes can still point
+//! anywhere, so the tree walkers get forged pages of their own: each must
+//! end in `StorageError::Corrupt`, never a panic or a loop.
 
 use asb::exp::Trace;
 use asb::geom::{Point, Rect, SpatialStats};
@@ -15,7 +18,7 @@ use asb::quadtree::{QuadNode, QuadTree};
 use asb::rtree::{Node, RTree};
 use asb::storage::{
     decode_object_page, DiskManager, ObjectRecord, ObjectStore, Page, PageId, PageMeta, PageStore,
-    PageType, PAGE_SIZE,
+    PageType, StorageError, PAGE_SIZE,
 };
 use asb::workload::{Dataset, DatasetKind, Scale};
 use asb::zbtree::ZBTree;
@@ -24,6 +27,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 thread_local! {
     /// The largest single allocation this thread has asked for since the
@@ -221,4 +226,108 @@ fn zbtree_pages_are_decoded_or_refused() {
         drop(probe.validate());
     };
     assault("ZNode::decode", 5, &valid, PAGE_SIZE, &decode);
+}
+
+/// An empty z-B⁺-tree leaf page chained to `next`, laid out as
+/// `ZNode::encode` writes it: type tag, level, entry count, four reserved
+/// bytes, then the `next` pointer (all ones for none).
+fn zleaf(next: Option<PageId>) -> Vec<u8> {
+    let mut bytes = vec![PageType::Data.tag(), 1, 0, 0, 0, 0, 0, 0];
+    let next = next.map_or(u64::MAX, |id| id.raw());
+    bytes.extend_from_slice(&next.to_le_bytes());
+    bytes
+}
+
+/// A z-B⁺-tree inner page at `level` over `children`; every entry has key
+/// zero and the unit square as its MBR.
+fn zinner(level: u8, children: &[PageId]) -> Vec<u8> {
+    let mut bytes = vec![PageType::Directory.tag(), level];
+    bytes.extend_from_slice(&(children.len() as u16).to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    for child in children {
+        bytes.extend_from_slice(&[0; 16]); // min key: z, id
+        bytes.extend_from_slice(&child.raw().to_le_bytes());
+        for c in [0.0f64, 0.0, 1.0, 1.0] {
+            bytes.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+fn unit() -> Rect {
+    Rect::new(0.0, 0.0, 1.0, 1.0)
+}
+
+/// An empty z-B⁺-tree over the unit square plus one spare page; `forge`
+/// gets the root's and the spare's ids and returns their new payloads.
+fn forged_zbtree(forge: impl FnOnce(PageId, PageId) -> [Vec<u8>; 2]) -> ZBTree {
+    let mut tree = ZBTree::new(DiskManager::new(), unit()).expect("empty tree");
+    let root = tree.store().iter_pages().next().expect("root page").id;
+    let meta = PageMeta::data(SpatialStats::EMPTY);
+    let store = tree.store_mut();
+    let spare = store.allocate(meta, Bytes::new()).expect("spare page");
+    let [root_bytes, spare_bytes] = forge(root, spare);
+    for (id, bytes) in [(root, root_bytes), (spare, spare_bytes)] {
+        store.write(page_at(id, &bytes)).expect("forge a page");
+    }
+    tree
+}
+
+/// Runs `walk` on its own thread and returns its result, failing the test
+/// if it panics or is still running after five seconds. The thread is
+/// never joined: joining a walk that loops would hang the test with it.
+fn terminates<T: Send + 'static>(walk: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(walk());
+    });
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("the walk did not terminate"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the walk panicked"),
+    }
+}
+
+fn assert_corrupt<T: std::fmt::Debug>(what: &str, got: asb::storage::Result<T>) {
+    assert!(
+        matches!(got, Err(StorageError::Corrupt { .. })),
+        "{what}: expected a Corrupt error, got {got:?}"
+    );
+}
+
+#[test]
+fn zbtree_inner_page_without_entries_is_corrupt() {
+    let got = terminates(|| {
+        let mut tree = forged_zbtree(|_, _| [zinner(2, &[]), zleaf(None)]);
+        tree.window_query(unit())
+    });
+    assert_corrupt("window query", got);
+}
+
+#[test]
+fn zbtree_child_not_below_its_parent_is_corrupt() {
+    let got = terminates(|| {
+        let mut tree = forged_zbtree(|root, _| [zinner(2, &[root]), zleaf(None)]);
+        tree.window_query(unit())
+    });
+    assert_corrupt("window query", got);
+}
+
+#[test]
+fn zbtree_leaf_chain_into_an_inner_page_is_corrupt() {
+    let got = terminates(|| {
+        let mut tree = forged_zbtree(|root, spare| [zleaf(Some(spare)), zinner(2, &[root])]);
+        tree.window_query(unit())
+    });
+    assert_corrupt("window query", got);
+}
+
+#[test]
+fn zbtree_leaf_chain_cycle_is_corrupt() {
+    let (query, validate) = terminates(|| {
+        let mut tree = forged_zbtree(|root, _| [zleaf(Some(root)), zleaf(None)]);
+        (tree.window_query(unit()), tree.validate())
+    });
+    assert_corrupt("window query", query);
+    assert_corrupt("validate", validate);
 }

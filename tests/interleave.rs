@@ -18,7 +18,7 @@
 //! failure printed by CI is reproducible locally, and the failing pick
 //! sequence is written to `target/schedule-artifacts/`.
 
-use asb::buffer::{Flusher, FlusherConfig, PolicyKind, ShardedBuffer};
+use asb::buffer::{PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::serve::{BreakerConfig, BreakerState, CircuitBreaker};
 use asb::storage::{
@@ -573,7 +573,7 @@ fn checkpoint_horizon_never_abandons_a_dirty_frame() {
 /// Replays the WAL onto an as-is snapshot of the store (dirty frames
 /// unflushed — a simulated crash) and checks that every logged page comes
 /// back at its last logged image. Shared tail of the checkpoint and
-/// flusher scenarios: both race write-back against the redo horizon.
+/// eviction scenarios: both race write-back against the redo horizon.
 fn assert_recovery_matches_last_images(
     pool: &ShardedBuffer<WalOrderProbe>,
     wal: &SharedWal,
@@ -600,58 +600,74 @@ fn assert_recovery_matches_last_images(
     }
 }
 
-/// The background flusher races a checkpoint and fresh buffered writes.
-/// The flusher drains dirty frames through the same logged write-back path
-/// as an explicit flush, so in every interleaving (a) the WAL-before-store
-/// probe holds on each drained frame, and (b) a crash replay onto the
-/// as-is store restores every page to its last logged image — the
-/// checkpoint's redo horizon must never run ahead of frames the flusher
-/// has not drained yet.
-fn flusher_scenario() {
-    let (disk, ids) = disk_with_pages(6);
+/// Dirty evictions race a checkpoint and fresh buffered writes. Every
+/// frame of a two-shard, four-frame pool starts dirty, and a reader's cold
+/// fetches must evict them: eviction is the one partial drain of the dirty
+/// set, writing a victim back under its shard lock before the frame leaves
+/// the set the checkpoint's horizon is taken over. So in every
+/// interleaving (a) the WAL-before-store probe holds on each eviction
+/// write-back, (b) a crash replay onto the as-is store restores every page
+/// to its last logged image, and (c) at least one dirty frame was evicted.
+fn eviction_scenario() {
+    let (disk, ids) = disk_with_pages(16);
     let wal = Wal::shared(WalConfig::default());
     let probe = WalOrderProbe {
         disk,
         wal: wal.clone(),
     };
-    let pool = ShardedBuffer::new(probe, PolicyKind::Lru, 6, 2);
+    let pool = ShardedBuffer::new(probe, PolicyKind::Lru, 4, 2);
     pool.attach_wal(wal.clone());
-    for (i, &id) in ids[..4].iter().enumerate() {
-        pool.write_buffered(page(id, 10 + i as u8)).unwrap();
+    // Per shard: two pages start dirty, two more are the reader's cold
+    // fetches (which must evict both), one is the writer's.
+    let mut by_shard = vec![Vec::new(); 2];
+    for &id in &ids {
+        by_shard[pool.shard_of(id)].push(id);
     }
+    assert!(by_shard.iter().all(|s| s.len() >= 5), "skewed routing");
+    for (s, pages) in by_shard.iter().enumerate() {
+        for (i, &id) in pages[..2].iter().enumerate() {
+            pool.write_buffered(page(id, 100 + (2 * s + i) as u8))
+                .unwrap();
+        }
+    }
+    assert_eq!(pool.dirty_count(), pool.capacity(), "every frame dirty");
 
-    let mut flusher = Flusher::new(
-        pool.clone(),
-        FlusherConfig {
-            high_watermark: 0.25,
-            low_watermark: 0.0,
-            max_batch: 2,
-            checkpoint_after_drain: false,
-        },
-    );
-    let tf = thread::spawn(move || {
-        flusher.run_once().unwrap();
+    let reader = pool.clone();
+    let cold: Vec<PageId> = (2..4)
+        .flat_map(|i| [by_shard[0][i], by_shard[1][i]])
+        .collect();
+    let tr = thread::spawn(move || {
+        for (i, &id) in cold.iter().enumerate() {
+            reader
+                .fetch(id, AccessContext::query(QueryId::new(300 + i as u64)))
+                .unwrap();
+        }
     });
     let ck = pool.clone();
-    let tb = thread::spawn(move || {
+    let tc = thread::spawn(move || {
         ck.checkpoint().unwrap();
     });
     let writer = pool.clone();
-    let wids = ids.clone();
+    let fresh = [by_shard[0][4], by_shard[1][4]];
     let tw = thread::spawn(move || {
-        writer.write_buffered(page(wids[4], 50)).unwrap();
-        writer.write_buffered(page(wids[5], 60)).unwrap();
+        writer.write_buffered(page(fresh[0], 150)).unwrap();
+        writer.write_buffered(page(fresh[1], 160)).unwrap();
     });
-    tf.join();
-    tb.join();
+    tr.join();
+    tc.join();
     tw.join();
 
     assert_recovery_matches_last_images(&pool, &wal, &ids);
+    let stats = pool.stats();
+    assert!(
+        stats.writebacks >= 1 && stats.evictions >= 1,
+        "the reader's cold fetches must evict a dirty frame: {stats:?}"
+    );
 }
 
 #[test]
-fn background_flusher_respects_the_checkpoint_horizon() {
-    explore_scenario("flusher-horizon", 0x464c_5553_485f_484e, flusher_scenario);
+fn dirty_evictions_respect_the_checkpoint_horizon() {
+    explore_scenario("eviction-horizon", 0x4556_4943_545f_484e, eviction_scenario);
 }
 
 /// Minimal in-memory [`PageStore`] used as the crash-recovery target: it
