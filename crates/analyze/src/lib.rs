@@ -1,11 +1,14 @@
 //! `asb-analyze` — workspace invariant lints.
 //!
 //! A dependency-free, source-level lint pass enforcing repo-specific rules
-//! that clippy cannot express (see [`RULES`] for the catalog). Sources are
-//! tokenized by a small real lexer ([`lexer`]) — raw strings, nested block
-//! comments and lifetimes are resolved once, correctly — and every rule
-//! then works over either the per-line view or the token stream, whichever
-//! fits. The design stays dependency-free: the rules target *patterns that
+//! that clippy cannot express (see [`RULES`] for the catalog). What clippy
+//! *can* express lives in clippy: no panics in `asb-core`/`asb-storage`
+//! (a crate-level `deny`), no wall clock (`clippy.toml`'s
+//! `disallowed-methods`) and no `mem::forget` (`-D clippy::mem_forget` in
+//! CI). Sources are tokenized by a small real lexer ([`lexer`]) — raw
+//! strings, nested block comments and lifetimes are resolved once,
+//! correctly — and every rule then works over either the per-line view or
+//! the token stream, whichever fits. The rules target *patterns that
 //! should not appear at all* (outside justified spots) rather than deep
 //! syntactic structure, so no type information is needed.
 //!
@@ -16,9 +19,9 @@
 //! blanked and comments removed, the comment text itself (rules look for
 //! justification markers there), and whether the line sits inside a
 //! `#[cfg(test)]` region — plus the significant token stream (`Tok`)
-//! for the structural rules (lock-order, guard-send, counter-pair).
-//! Violations carry `file:line` and a message; the driver subtracts the
-//! allowlist (`crates/analyze/allowlist.txt`) and the remainder is fatal.
+//! for the structural rules (wal-order, lock-order, guard-send,
+//! counter-pair). Violations carry `file:line` and a message, and every
+//! one is fatal: the only exemption is the rule's in-source marker.
 //!
 //! Adding a rule: add a variant to [`RULES`], implement its check in
 //! `check_file`, document it in `DESIGN.md` §11/§16, and give it an
@@ -34,7 +37,7 @@ use lexer::TokenKind;
 
 /// Identifier, summary and rationale of one lint rule.
 pub struct Rule {
-    /// Stable id used in diagnostics and the allowlist (e.g. `no-panic`).
+    /// Stable id used in diagnostics (e.g. `wal-order`).
     pub id: &'static str,
     /// One-line summary shown by `list`.
     pub summary: &'static str,
@@ -44,22 +47,6 @@ pub struct Rule {
 
 /// The rule catalog.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "no-panic",
-        summary: "no unwrap()/expect()/panic! in asb-core and asb-storage non-test code",
-        explain: "\
-Buffer and storage code sits under every index and experiment; a panic
-there takes down the whole process where a typed StorageError would have
-been retried, surfaced, or measured. Non-test code in crates/core and
-crates/storage must return typed errors instead of calling .unwrap(),
-.expect(), panic!, unreachable!, todo! or unimplemented!.
-
-A genuinely unreachable expect is allowed when the invariant that makes it
-unreachable is written down: put a `// invariant: ...` comment on the same
-line or the line above, stating *why* the failure cannot happen (not just
-that it doesn't). assert!/debug_assert! are out of scope: they check caller
-contracts, and turning them into Results would hide caller bugs.",
-    },
     Rule {
         id: "sync-facade",
         summary: "no direct parking_lot/std::sync primitive use outside the sync facade",
@@ -91,38 +78,12 @@ The crash-consistency contract is write-ahead logging: a page image reaches
 the log before the store write that makes it durable, so a crash between
 the two is always recoverable. Within any single non-test function body
 that both appends to the WAL (wal_append/append_image) and writes the
-store (store_with_retry/io.store/store.write), the first WAL call must
-appear before the first store call in source order. This is a source-order
-heuristic, not a data-flow proof — the interleaving suite's WalOrderProbe
-checks the runtime property; this rule catches the obvious regression of
-reordering the calls in a refactor.",
-    },
-    Rule {
-        id: "guard-scope",
-        summary: "page guards must not be forgotten or held across checkpoint/flush",
-        explain: "\
-PageReadGuard/PageWriteGuard pin a frame until dropped: the pin is what
-makes eviction safe, and the drop is what releases it. Two misuses defeat
-the design. (1) `std::mem::forget` on a guard leaks the pin forever — the
-frame can never be evicted and `with_store`/`try_into_store` stay refused;
-guards must always be dropped, never forgotten. (2) Holding a guard across
-a `.checkpoint(`/`.flush(` call in the same function inverts the intended
-scope: flush-class operations want the pool quiescent, and a still-live
-guard from the same function is almost always an overlong scope (drop the
-guard first, or narrow its binding). Both checks are source-order
-heuristics over non-test code; a deliberate exception carries a
-`// guard-scope-ok: ...` comment explaining why the scope is right.",
-    },
-    Rule {
-        id: "wall-clock",
-        summary: "no Instant::now()/SystemTime outside the clock abstraction",
-        explain: "\
-Trace replay and the fault/crash harnesses reproduce runs bit-for-bit only
-if nothing in the measured path reads the wall clock: the disk model keeps
-*simulated* time precisely so results are machine-independent. Instant::now
-and SystemTime are banned outside the explicitly allowlisted measurement
-binaries (repro/probe report real elapsed time alongside simulated time,
-which is their job). If code needs time, it needs the simulated clock.",
+store (store_with_retry/io.store/store.write/inner.write), the first WAL
+call must appear before the first store call in token order. This is a
+source-order heuristic, not a data-flow proof — the interleaving suite's
+WalOrderProbe checks the runtime property; this rule catches the obvious
+regression of reordering the calls in a refactor. A deliberate exception
+carries `// wal-order-ok: ...` on the store call.",
     },
     Rule {
         id: "lock-order",
@@ -191,8 +152,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable description of the finding.
     pub message: String,
-    /// Whether an allowlist entry covered it.
-    pub allowed: bool,
 }
 
 impl fmt::Display for Violation {
@@ -389,23 +348,6 @@ fn is_facade_file(path: &str) -> bool {
     path == "crates/storage/src/sync.rs" || path == "crates/core/src/sync.rs"
 }
 
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!",
-    "unreachable!",
-    "todo!",
-    "unimplemented!",
-];
-
-const WAL_TOKENS: &[&str] = &["wal_append(", "append_image("];
-const STORE_TOKENS: &[&str] = &[
-    "store_with_retry(",
-    "io.store(",
-    "store.write(",
-    "inner.write(",
-];
-
 /// Runs every rule over one file. `rel_path` must use forward slashes.
 fn check_file(rel_path: &Path, source: &str, out: &mut Vec<Violation>) {
     let path_str = rel_path.to_string_lossy().replace('\\', "/");
@@ -416,52 +358,12 @@ fn check_file(rel_path: &Path, source: &str, out: &mut Vec<Violation>) {
         toks,
     };
 
-    rule_no_panic(&file, &path_str, out);
     rule_sync_facade(&file, &path_str, out);
     rule_relaxed_ok(&file, out);
     rule_wal_order(&file, out);
-    rule_guard_scope(&file, out);
-    rule_wall_clock(&file, out);
     rule_lock_order(&file, &path_str, out);
     rule_guard_send(&file, &path_str, out);
     rule_counter_pair(&file, &path_str, out);
-}
-
-fn rule_no_panic(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>) {
-    if !in_hardened_crates(path_str) {
-        return;
-    }
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for tok in PANIC_TOKENS {
-            if let Some(pos) = line.code.find(tok) {
-                // `.expect(` cannot match `.expect_err(` (the token ends at
-                // `(`), but the bang macros need an identifier-boundary
-                // guard so e.g. `debug_assert!` does not contain `assert!`.
-                if !tok.starts_with('.') && pos > 0 {
-                    let before = line.code.as_bytes()[pos - 1];
-                    if before.is_ascii_alphanumeric() || before == b'_' {
-                        continue;
-                    }
-                }
-                if justified(&file.lines, idx, "invariant:") {
-                    continue;
-                }
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: idx + 1,
-                    rule: "no-panic",
-                    message: format!(
-                        "`{tok}` in non-test code; return a typed error or document \
-                         the invariant with a `// invariant:` comment",
-                    ),
-                    allowed: false,
-                });
-            }
-        }
-    }
 }
 
 fn rule_sync_facade(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>) {
@@ -507,7 +409,6 @@ fn rule_sync_facade(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation
                     "direct `{what}` use; import locks/atomics from the sync facade \
                      (asb_storage::sync / asb_core::sync) so the model checker sees them",
                 ),
-                allowed: false,
             });
         }
     }
@@ -526,238 +427,7 @@ fn rule_relaxed_ok(file: &PreparedFile, out: &mut Vec<Violation>) {
                 message: "`Ordering::Relaxed` without a `// relaxed-ok:` justification \
                           comment on this line or the line above"
                     .to_string(),
-                allowed: false,
             });
-        }
-    }
-}
-
-/// Approximate function-body extraction: a line whose code contains `fn `
-/// and ends (possibly later) with `{` opens a body that closes when brace
-/// depth returns to the opening level.
-fn rule_wal_order(file: &PreparedFile, out: &mut Vec<Violation>) {
-    let lines = &file.lines;
-    let mut idx = 0;
-    while idx < lines.len() {
-        let line = &lines[idx];
-        let is_fn = !line.in_test
-            && (line.code.contains("fn ") && !line.code.trim_start().starts_with("//"));
-        if !is_fn {
-            idx += 1;
-            continue;
-        }
-        // Find the opening brace of the body (same line or a following one,
-        // skipping pure signature lines); bail out on `;` (trait method).
-        let mut depth: i64 = 0;
-        let mut body_start = None;
-        let mut j = idx;
-        'find: while j < lines.len() && j < idx + 8 {
-            for c in lines[j].code.chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        if depth == 1 {
-                            body_start = Some(j);
-                            break 'find;
-                        }
-                    }
-                    ';' if depth == 0 => break 'find,
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        let Some(start) = body_start else {
-            idx += 1;
-            continue;
-        };
-        // Walk the body, recording first WAL and first store call.
-        let mut first_wal: Option<usize> = None;
-        let mut first_store: Option<usize> = None;
-        let mut d: i64 = 0;
-        let mut k = start;
-        'body: while k < lines.len() {
-            let code = &lines[k].code;
-            for tok in WAL_TOKENS {
-                if code.contains(tok) && first_wal.is_none() {
-                    first_wal = Some(k);
-                }
-            }
-            for tok in STORE_TOKENS {
-                if code.contains(tok) && first_store.is_none() {
-                    first_store = Some(k);
-                }
-            }
-            for c in code.chars() {
-                match c {
-                    '{' => d += 1,
-                    '}' => {
-                        d -= 1;
-                        if d == 0 {
-                            break 'body;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-        if let (Some(w), Some(s)) = (first_wal, first_store) {
-            if s < w && !lines[idx].in_test && !justified(lines, s, "wal-order-ok:") {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: s + 1,
-                    rule: "wal-order",
-                    message: format!(
-                        "store write at line {} precedes the WAL append at line {} in the \
-                         same function; write-ahead logging requires the append first",
-                        s + 1,
-                        w + 1
-                    ),
-                    allowed: false,
-                });
-            }
-        }
-        idx = k.max(idx) + 1;
-    }
-}
-
-/// Guard-scope hygiene, two checks over non-test code.
-///
-/// *Forget check* (per line): `mem::forget(` whose argument text mentions a
-/// guard leaks the pin forever and is flagged wherever it appears.
-///
-/// *Hold-across check* (per function body, same extraction as
-/// [`rule_wal_order`]): a `let` binding a guard (`.fetch(`/`.fetch_mut(`)
-/// stays "live" until a `drop(` call or until brace depth falls back to the
-/// binding's level; a `.checkpoint(`/`.flush(` reached while a binding is
-/// live is flagged. Like wal-order this is a source-order heuristic — the
-/// interleave suite checks the runtime property; this catches the obvious
-/// overlong scope in a refactor.
-fn rule_guard_scope(file: &PreparedFile, out: &mut Vec<Violation>) {
-    let lines = &file.lines;
-
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if let Some(pos) = line.code.find("mem::forget(") {
-            let arg = line.code[pos..].to_ascii_lowercase();
-            if arg.contains("guard") && !justified(lines, idx, "guard-scope-ok:") {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: idx + 1,
-                    rule: "guard-scope",
-                    message: "`mem::forget` of a page guard leaks its frame pin forever; \
-                              let the guard drop (or justify with `// guard-scope-ok:`)"
-                        .to_string(),
-                    allowed: false,
-                });
-            }
-        }
-    }
-
-    let mut idx = 0;
-    while idx < lines.len() {
-        let line = &lines[idx];
-        let is_fn = !line.in_test
-            && (line.code.contains("fn ") && !line.code.trim_start().starts_with("//"));
-        if !is_fn {
-            idx += 1;
-            continue;
-        }
-        let mut depth: i64 = 0;
-        let mut body_start = None;
-        let mut j = idx;
-        'find: while j < lines.len() && j < idx + 8 {
-            for c in lines[j].code.chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        if depth == 1 {
-                            body_start = Some(j);
-                            break 'find;
-                        }
-                    }
-                    ';' if depth == 0 => break 'find,
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        let Some(start) = body_start else {
-            idx += 1;
-            continue;
-        };
-        // Walk the body: guard bindings enter `live` with the depth they
-        // were bound at and leave on `drop(` or when their scope closes.
-        let mut live: Vec<(usize, i64)> = Vec::new();
-        let mut d: i64 = 0;
-        let mut k = start;
-        'body: while k < lines.len() {
-            let code = &lines[k].code;
-            let binds_guard =
-                code.contains("let ") && (code.contains(".fetch(") || code.contains(".fetch_mut("));
-            if code.contains("drop(") {
-                live.clear();
-            } else if !live.is_empty()
-                && (code.contains(".checkpoint(") || code.contains(".flush("))
-                && !lines[idx].in_test
-                && !justified(lines, k, "guard-scope-ok:")
-            {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: k + 1,
-                    rule: "guard-scope",
-                    message: format!(
-                        "checkpoint/flush with the guard bound at line {} still live; \
-                         drop the guard first or narrow its scope",
-                        live[0].0 + 1
-                    ),
-                    allowed: false,
-                });
-                live.clear(); // one finding per overlong scope
-            }
-            for c in code.chars() {
-                match c {
-                    '{' => d += 1,
-                    '}' => {
-                        d -= 1;
-                        if d == 0 {
-                            break 'body;
-                        }
-                        live.retain(|&(_, bd)| bd <= d);
-                    }
-                    _ => {}
-                }
-            }
-            if binds_guard {
-                live.push((k, d));
-            }
-            k += 1;
-        }
-        idx = k.max(idx) + 1;
-    }
-}
-
-fn rule_wall_clock(file: &PreparedFile, out: &mut Vec<Violation>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for tok in ["Instant::now", "SystemTime"] {
-            if line.code.contains(tok) {
-                out.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: idx + 1,
-                    rule: "wall-clock",
-                    message: format!(
-                        "`{tok}` outside the clock abstraction breaks deterministic \
-                         replay; use simulated time (or allowlist a measurement binary)",
-                    ),
-                    allowed: false,
-                });
-            }
         }
     }
 }
@@ -844,6 +514,48 @@ fn statements(toks: &[Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
         out.push((s, end));
     }
     out
+}
+
+/// WAL appends and store writes as token sequences; [`seq_at`] matches
+/// them at any receiver depth (`self.io.store(` contains `io . store (`).
+const WAL_CALLS: &[&[&str]] = &[&["wal_append", "("], &["append_image", "("]];
+const STORE_CALLS: &[&[&str]] = &[
+    &["store_with_retry", "("],
+    &["io", ".", "store", "("],
+    &["store", ".", "write", "("],
+    &["inner", ".", "write", "("],
+];
+
+/// wal-order: see [`RULES`]. In each non-test function body, the first
+/// store write may not come before the first WAL append.
+fn rule_wal_order(file: &PreparedFile, out: &mut Vec<Violation>) {
+    let toks = &file.toks;
+    let lines = &file.lines;
+    for (fk, open, close) in fn_bodies(toks) {
+        if lines.get(toks[fk].line).is_some_and(|l| l.in_test) {
+            continue;
+        }
+        let first = |calls: &[&[&str]]| {
+            (open + 1..close).find(|&k| calls.iter().any(|c| seq_at(toks, k, c)))
+        };
+        let (Some(wal), Some(store)) = (first(WAL_CALLS), first(STORE_CALLS)) else {
+            continue;
+        };
+        let (wl, sl) = (toks[wal].line, toks[store].line);
+        if store < wal && !justified(lines, sl, "wal-order-ok:") {
+            out.push(Violation {
+                file: file.rel_path.clone(),
+                line: sl + 1,
+                rule: "wal-order",
+                message: format!(
+                    "store write at line {} precedes the WAL append at line {} in the \
+                     same function; write-ahead logging requires the append first",
+                    sl + 1,
+                    wl + 1
+                ),
+            });
+        }
+    }
 }
 
 /// Lowercased identifier texts of the receiver chain ending just before
@@ -966,7 +678,6 @@ fn rule_lock_order(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>
                                   all-shard lock order; iterate shards in ascending index \
                                   order (or justify with `// lock-order-ok:`)"
                             .to_string(),
-                        allowed: false,
                     });
                 }
             }
@@ -988,7 +699,6 @@ fn rule_lock_order(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>
                                         class_name(bc),
                                         bl + 1
                                     ),
-                                    allowed: false,
                                 });
                             }
                         }
@@ -1078,7 +788,6 @@ fn rule_guard_send(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>
                                  `// guard-send-ok:`)",
                                 toks[k].text
                             ),
-                            allowed: false,
                         });
                     }
                 }
@@ -1188,7 +897,6 @@ fn rule_guard_send(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>
                              `// guard-send-ok:`)",
                             toks[x].text
                         ),
-                        allowed: false,
                     });
                 }
             }
@@ -1262,7 +970,6 @@ fn rule_counter_pair(file: &PreparedFile, path_str: &str, out: &mut Vec<Violatio
                      only atomic under the home lock scope (justify with `// counter-ok:`)",
                     pair.home, pair.a, pair.b
                 ),
-                allowed: false,
             });
             continue;
         }
@@ -1280,78 +987,16 @@ fn rule_counter_pair(file: &PreparedFile, path_str: &str, out: &mut Vec<Violatio
                      function body; probes assert the pair moves together (justify with \
                      `// counter-ok:`)"
                 ),
-                allowed: false,
             });
         }
     }
 }
 
-/// One allowlist entry: `rule path-prefix reason...`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    /// Rule id the entry silences.
-    pub rule: String,
-    /// Workspace-relative path prefix the entry covers.
-    pub path_prefix: String,
-    /// Why the violation is acceptable (required).
-    pub reason: String,
-}
-
-/// Parses `allowlist.txt`: one entry per line, `#` comments, blank lines
-/// ignored. Returns an error message for a malformed line.
-pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    let mut entries = Vec::new();
-    for (no, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, char::is_whitespace);
-        let (Some(rule_id), Some(path), Some(reason)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "allowlist line {}: expected `rule path reason...`, got `{raw}`",
-                no + 1
-            ));
-        };
-        if rule(rule_id).is_none() {
-            return Err(format!(
-                "allowlist line {}: unknown rule `{rule_id}`",
-                no + 1
-            ));
-        }
-        entries.push(AllowEntry {
-            rule: rule_id.to_string(),
-            path_prefix: path.to_string(),
-            reason: reason.trim().to_string(),
-        });
-    }
-    Ok(entries)
-}
-
-/// Marks violations covered by the allowlist.
-pub fn apply_allowlist(violations: &mut [Violation], allow: &[AllowEntry]) {
-    for v in violations.iter_mut() {
-        let path = v.file.to_string_lossy().replace('\\', "/");
-        if allow
-            .iter()
-            .any(|a| a.rule == v.rule && path.starts_with(&a.path_prefix))
-        {
-            v.allowed = true;
-        }
-    }
-}
-
-/// Which workspace files the lint pass scans: Rust sources under `crates/`,
-/// the root `src/`, `examples/` and `tests/` — never `shims/` (stand-ins
-/// for external crates play by external rules) or `target/`.
-pub fn scan_roots() -> &'static [&'static str] {
-    &["crates", "src", "examples", "tests"]
-}
-
-/// Recursively collects `.rs` files under `root/<scan roots>`, returning
-/// workspace-relative paths in sorted (deterministic) order.
-pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Recursively collects the `.rs` files the lint pass scans — under
+/// `crates/`, the root `src/`, `examples/` and `tests/`, never `shims/`
+/// (stand-ins for external crates play by external rules) or `target/` —
+/// returning workspace-relative paths in sorted (deterministic) order.
+fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         let mut entries: Vec<_> = std::fs::read_dir(dir)?
             .collect::<std::io::Result<Vec<_>>>()?
@@ -1369,7 +1014,7 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
         Ok(())
     }
     let mut out = Vec::new();
-    for sub in scan_roots() {
+    for sub in ["crates", "src", "examples", "tests"] {
         let dir = root.join(sub);
         if dir.is_dir() {
             walk(&dir, &mut out)?;
@@ -1384,25 +1029,8 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Everything one `check` run produced: the violations (allowed ones
-/// marked) and the parsed allowlist, so the driver can compute staleness.
-pub struct CheckOutcome {
-    /// All findings, in file order.
-    pub violations: Vec<Violation>,
-    /// The parsed allowlist entries (empty when no allowlist file exists).
-    pub allowlist: Vec<AllowEntry>,
-}
-
-/// Lints the workspace at `root`, returning violations and the allowlist.
-pub fn check_workspace_full(root: &Path) -> Result<CheckOutcome, String> {
-    let allow_path = root.join("crates/analyze/allowlist.txt");
-    let allow = if allow_path.is_file() {
-        let text = std::fs::read_to_string(&allow_path)
-            .map_err(|e| format!("reading {}: {e}", allow_path.display()))?;
-        parse_allowlist(&text)?
-    } else {
-        Vec::new()
-    };
+/// Lints the workspace at `root`, returning every violation in file order.
+pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let files = collect_files(root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
     let mut violations = Vec::new();
     for rel in files {
@@ -1410,113 +1038,7 @@ pub fn check_workspace_full(root: &Path) -> Result<CheckOutcome, String> {
             .map_err(|e| format!("reading {}: {e}", rel.display()))?;
         check_file(&rel, &source, &mut violations);
     }
-    apply_allowlist(&mut violations, &allow);
-    Ok(CheckOutcome {
-        violations,
-        allowlist: allow,
-    })
-}
-
-/// Allowlist entries whose rule/path-prefix no longer matches any
-/// violation — entries that would silence nothing and should be pruned
-/// before they hide a future regression at the same path.
-pub fn stale_entries(allow: &[AllowEntry], violations: &[Violation]) -> Vec<AllowEntry> {
-    allow
-        .iter()
-        .filter(|a| {
-            !violations.iter().any(|v| {
-                v.rule == a.rule
-                    && v.file
-                        .to_string_lossy()
-                        .replace('\\', "/")
-                        .starts_with(&a.path_prefix)
-            })
-        })
-        .cloned()
-        .collect()
-}
-
-/// Rewrites allowlist text with the `stale` entries removed, preserving
-/// comments, blank lines and the order of surviving entries byte-for-byte.
-pub fn prune_allowlist_text(text: &str, stale: &[AllowEntry]) -> String {
-    let mut out = String::new();
-    for raw in text.lines() {
-        let line = raw.trim();
-        let keep = if line.is_empty() || line.starts_with('#') {
-            true
-        } else {
-            let mut parts = line.splitn(3, char::is_whitespace);
-            match (parts.next(), parts.next()) {
-                (Some(rule_id), Some(path)) => !stale
-                    .iter()
-                    .any(|s| s.rule == rule_id && s.path_prefix == path),
-                _ => true,
-            }
-        };
-        if keep {
-            out.push_str(raw);
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the machine-readable `check --json` report: every violation
-/// (with its allowlisted flag), the stale allowlist entries, and summary
-/// counts. Hand-rolled — the report shape is small and stable, and the
-/// lint pass stays dependency-free.
-pub fn render_json(violations: &[Violation], stale: &[AllowEntry]) -> String {
-    let mut out = String::from("{\n  \"violations\": [\n");
-    for (i, v) in violations.iter().enumerate() {
-        let path = v.file.to_string_lossy().replace('\\', "/");
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"allowed\": {}, \
-             \"message\": \"{}\"}}{}\n",
-            json_escape(&path),
-            v.line,
-            v.rule,
-            v.allowed,
-            json_escape(&v.message),
-            if i + 1 < violations.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"stale_allowlist\": [\n");
-    for (i, s) in stale.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path_prefix\": \"{}\", \"reason\": \"{}\"}}{}\n",
-            json_escape(&s.rule),
-            json_escape(&s.path_prefix),
-            json_escape(&s.reason),
-            if i + 1 < stale.len() { "," } else { "" }
-        ));
-    }
-    let fatal = violations.iter().filter(|v| !v.allowed).count();
-    let allowed = violations.len() - fatal;
-    out.push_str(&format!(
-        "  ],\n  \"total\": {}, \"allowed\": {}, \"fatal\": {}, \"stale\": {}\n}}\n",
-        violations.len(),
-        allowed,
-        fatal,
-        stale.len()
-    ));
-    out
+    Ok(violations)
 }
 
 #[cfg(test)]
@@ -1529,34 +1051,9 @@ mod tests {
         out
     }
 
-    #[test]
-    fn no_panic_flags_unwrap_in_hardened_crates_only() {
-        let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(lint("crates/core/src/a.rs", src).len(), 1);
-        assert_eq!(lint("crates/storage/src/a.rs", src).len(), 1);
-        assert_eq!(lint("crates/exp/src/a.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn no_panic_accepts_invariant_comments() {
-        let same = "fn f() { x.expect(\"y\"); // invariant: always present\n}\n";
-        assert!(lint("crates/core/src/a.rs", same).is_empty());
-        let above = "fn f() {\n // invariant: seeded in new()\n x.expect(\"y\");\n}\n";
-        assert!(lint("crates/core/src/a.rs", above).is_empty());
-    }
-
-    #[test]
-    fn no_panic_skips_test_code_and_strings_and_expect_err() {
-        let test_mod = "#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); }\n}\n";
-        assert!(lint("crates/core/src/a.rs", test_mod).is_empty());
-        let in_string = "fn f() { let s = \"don't .unwrap() here\"; }\n";
-        assert!(lint("crates/core/src/a.rs", in_string).is_empty());
-        let err_probe = "fn f() { let e = r.expect_err(\"must fail\"); let _ = e; }\n";
-        assert!(
-            lint("crates/core/src/a.rs", err_probe).is_empty(),
-            "expect_err is an error-path probe, not a panic on the happy path"
-        );
-    }
+    /// A load the relaxed-ok rule flags in any file unless justified: the
+    /// probe the lexer regressions below plant in tricky sources.
+    const RELAXED: &str = "n.load(Ordering::Relaxed)";
 
     #[test]
     fn sync_facade_flags_direct_primitives() {
@@ -1593,95 +1090,53 @@ mod tests {
         let v = lint("crates/core/src/m.rs", bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "wal-order");
+        assert_eq!(v[0].line, 2);
         let good = "fn w(&mut self) -> R {\n self.wal_append(&p)?;\n io.store(&p)?;\n Ok(())\n}\n";
         assert!(lint("crates/core/src/m.rs", good).is_empty());
         let only_store = "fn w(&mut self) -> R { io.store(&p) }\n";
         assert!(lint("crates/core/src/m.rs", only_store).is_empty());
-    }
-
-    #[test]
-    fn guard_scope_flags_forgotten_guards() {
-        let bad = "fn f(b: &B) { let guard = b.fetch(id, ctx)?; std::mem::forget(guard); }\n";
-        let v = lint("crates/rtree/src/a.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "guard-scope");
-        let ok = "fn f(x: Widget) { std::mem::forget(x); }\n";
-        assert!(
-            lint("crates/rtree/src/a.rs", ok).is_empty(),
-            "forgetting a non-guard is someone else's problem"
+        let one_line = "fn w(&mut self) { self.inner.write(p)?; self.wal.append_image(&p)?; }\n";
+        assert_eq!(
+            lint("crates/storage/src/m.rs", one_line).len(),
+            1,
+            "order is by token, not by line"
         );
-        let justified =
-            "fn f(b: &B) {\n // guard-scope-ok: leak test fixture\n std::mem::forget(guard);\n}\n";
-        assert!(lint("crates/rtree/src/a.rs", justified).is_empty());
     }
 
     #[test]
-    fn guard_scope_flags_guards_held_across_flush() {
-        let bad = "fn f(p: &P) -> R {\n let g = p.fetch(id, ctx)?;\n p.flush()?;\n Ok(())\n}\n";
-        let v = lint("crates/exp/src/a.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "guard-scope");
-        assert_eq!(v[0].line, 3);
-        let dropped =
-            "fn f(p: &P) -> R {\n let g = p.fetch(id, ctx)?;\n drop(g);\n p.checkpoint()?;\n Ok(())\n}\n";
-        assert!(lint("crates/exp/src/a.rs", dropped).is_empty());
-        let scoped =
-            "fn f(p: &P) -> R {\n {\n let g = p.fetch(id, ctx)?;\n }\n p.flush()?;\n Ok(())\n}\n";
+    fn wal_order_honours_markers_test_code_and_function_bounds() {
+        let ok = "fn w(&mut self) {\n // wal-order-ok: the mutation under test\n \
+                  store.write(p)?;\n wal.append_image(&p)?;\n}\n";
+        assert!(lint("tests/a.rs", ok).is_empty());
+        let test_mod = "#[cfg(test)]\nmod t {\n fn w() { io.store(&p); wal_append(&p); }\n}\n";
+        assert!(lint("crates/core/src/a.rs", test_mod).is_empty());
+        let split = "fn a(&mut self) { io.store(&p)?; }\nfn b(&mut self) { wal_append(&p)?; }\n";
         assert!(
-            lint("crates/exp/src/a.rs", scoped).is_empty(),
-            "a guard whose scope closed is no longer held"
+            lint("crates/core/src/a.rs", split).is_empty(),
+            "a store write and an append in different functions are unordered"
         );
-        let in_test =
-            "#[cfg(test)]\nmod t {\n fn f(p: &P) { let g = p.fetch(id, ctx); p.flush(); }\n}\n";
-        assert!(lint("crates/exp/src/a.rs", in_test).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_flags_instant_and_systemtime() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(lint("crates/exp/src/a.rs", src).len(), 1);
-        let st = "fn f() { let t = std::time::SystemTime::now(); }\n";
-        assert_eq!(lint("examples/x.rs", st).len(), 1);
-        let sim = "fn f() { let t = clock.simulated_ms(); }\n";
-        assert!(lint("crates/exp/src/a.rs", sim).is_empty());
-    }
-
-    #[test]
-    fn allowlist_parses_and_applies() {
-        let text = "# comment\nwall-clock crates/exp/src/bin/repro.rs reports real time\n";
-        let allow = parse_allowlist(text).expect("parse");
-        assert_eq!(allow.len(), 1);
-        let mut v = vec![Violation {
-            file: PathBuf::from("crates/exp/src/bin/repro.rs"),
-            line: 3,
-            rule: "wall-clock",
-            message: String::new(),
-            allowed: false,
-        }];
-        apply_allowlist(&mut v, &allow);
-        assert!(v[0].allowed);
-        assert!(parse_allowlist("bogus-rule x y\n").is_err());
-        assert!(parse_allowlist("no-panic onlytwo\n").is_err());
     }
 
     #[test]
     fn block_comments_and_raw_strings_are_stripped() {
-        let src = "fn f() { /* .unwrap() in comment */ let s = r#\"panic!\"#; }\n";
+        let src = "fn f() { /* n.load(Ordering::Relaxed) */ let s = r#\"Ordering::Relaxed\"#; }\n";
         assert!(lint("crates/core/src/a.rs", src).is_empty());
     }
 
     #[test]
     fn lifetimes_do_not_open_char_literals() {
-        let src = "fn f<'a>(x: &'a str) -> &'a str { x.unwrap() }\n";
-        // The unwrap must still be seen even with lifetimes around.
-        assert_eq!(lint("crates/core/src/a.rs", src).len(), 1);
+        let src = format!("fn f<'a>(x: &'a str) -> &'a str {{ {RELAXED} }}\n");
+        // The load must still be seen even with lifetimes around.
+        assert_eq!(lint("crates/core/src/a.rs", &src).len(), 1);
     }
 
     #[test]
     fn cfg_test_region_ends_with_its_brace() {
-        let src = "#[cfg(test)]\nmod tests { fn f() { x.unwrap(); } }\nfn g() { y.unwrap(); }\n";
-        let v = lint("crates/core/src/a.rs", src);
-        assert_eq!(v.len(), 1, "only the post-module unwrap is flagged");
+        let src = format!(
+            "#[cfg(test)]\nmod tests {{ fn f() {{ {RELAXED}; }} }}\nfn g() {{ {RELAXED}; }}\n"
+        );
+        let v = lint("crates/core/src/a.rs", &src);
+        assert_eq!(v.len(), 1, "only the post-module load is flagged");
         assert_eq!(v[0].line, 3);
     }
 
@@ -1690,19 +1145,20 @@ mod tests {
 
     #[test]
     fn multi_line_raw_strings_keep_line_numbers_honest() {
-        let src = "fn f() {\n let s = r##\"line\ntwo \"# still\nraw\"##;\n x.unwrap();\n}\n";
-        let v = lint("crates/core/src/a.rs", src);
-        assert_eq!(v.len(), 1, "only the unwrap after the raw string fires");
+        let src =
+            format!("fn f() {{\n let s = r##\"line\ntwo \"# still\nraw\"##;\n {RELAXED};\n}}\n");
+        let v = lint("crates/core/src/a.rs", &src);
+        assert_eq!(v.len(), 1, "only the load after the raw string fires");
         assert_eq!(v[0].line, 5, "line attribution must survive the literal");
     }
 
     #[test]
     fn nested_block_comment_tail_is_still_code() {
-        let hidden = "fn f() { /* x.unwrap() /* panic! */ todo! */ }\n";
-        assert!(lint("crates/core/src/a.rs", hidden).is_empty());
-        let after = "fn f() { /* /* inner */ still comment */ x.unwrap(); }\n";
+        let hidden = format!("fn f() {{ /* {RELAXED} /* inner */ {RELAXED} */ }}\n");
+        assert!(lint("crates/core/src/a.rs", &hidden).is_empty());
+        let after = format!("fn f() {{ /* /* inner */ still comment */ {RELAXED}; }}\n");
         assert_eq!(
-            lint("crates/core/src/a.rs", after).len(),
+            lint("crates/core/src/a.rs", &after).len(),
             1,
             "code after a nested comment closes is code again"
         );
@@ -1710,18 +1166,19 @@ mod tests {
 
     #[test]
     fn lifetime_heavy_code_is_not_swallowed_as_char_literals() {
-        let src = "impl<'a, 'b: 'a> F<'a> for G<'b> {\n fn f(&'a self) { s.unwrap(); }\n}\n";
-        let v = lint("crates/core/src/a.rs", src);
+        let src =
+            format!("impl<'a, 'b: 'a> F<'a> for G<'b> {{\n fn f(&'a self) {{ {RELAXED}; }}\n}}\n");
+        let v = lint("crates/core/src/a.rs", &src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 2);
     }
 
     #[test]
     fn cfg_test_inside_literals_opens_no_region() {
-        let plain = "fn f() { let s = \"#[cfg(test)]\"; }\nfn g() { y.unwrap(); }\n";
-        assert_eq!(lint("crates/core/src/a.rs", plain).len(), 1);
-        let raw = "fn f() { let s = r#\"#[cfg(test)]\"#; }\nfn g() { y.unwrap(); }\n";
-        assert_eq!(lint("crates/core/src/a.rs", raw).len(), 1);
+        let plain = format!("fn f() {{ let s = \"#[cfg(test)]\"; }}\nfn g() {{ {RELAXED}; }}\n");
+        assert_eq!(lint("crates/core/src/a.rs", &plain).len(), 1);
+        let raw = format!("fn f() {{ let s = r#\"#[cfg(test)]\"#; }}\nfn g() {{ {RELAXED}; }}\n");
+        assert_eq!(lint("crates/core/src/a.rs", &raw).len(), 1);
     }
 
     // --- lock-order ---
@@ -1835,46 +1292,6 @@ mod tests {
         assert!(v.iter().all(|v| v.rule == "counter-pair"));
         assert!(v[0].message.contains("home file"));
         assert!(lint("crates/core/src/manager.rs", src).is_empty());
-    }
-
-    // --- allowlist pruning and the JSON report ---
-
-    #[test]
-    fn stale_entries_and_prune_preserve_live_entries_and_comments() {
-        let text = "# keep this comment\n\
-                    wall-clock crates/exp/src/bin/repro.rs reports real time\n\
-                    wall-clock crates/gone.rs file was deleted\n";
-        let allow = parse_allowlist(text).expect("parse");
-        let violations = vec![Violation {
-            file: PathBuf::from("crates/exp/src/bin/repro.rs"),
-            line: 1,
-            rule: "wall-clock",
-            message: String::new(),
-            allowed: true,
-        }];
-        let stale = stale_entries(&allow, &violations);
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].path_prefix, "crates/gone.rs");
-        let pruned = prune_allowlist_text(text, &stale);
-        assert!(pruned.contains("# keep this comment"));
-        assert!(pruned.contains("repro.rs"));
-        assert!(!pruned.contains("gone.rs"));
-    }
-
-    #[test]
-    fn json_report_escapes_and_counts() {
-        let v = vec![Violation {
-            file: PathBuf::from("a.rs"),
-            line: 7,
-            rule: "no-panic",
-            message: "quote \" backslash \\ newline \n".to_string(),
-            allowed: false,
-        }];
-        let json = render_json(&v, &[]);
-        assert!(json.contains("\"line\": 7"));
-        assert!(json.contains("quote \\\" backslash \\\\ newline \\n"));
-        assert!(json.contains("\"fatal\": 1"));
-        assert!(json.contains("\"stale\": 0"));
     }
 }
 

@@ -1,34 +1,26 @@
 //! CLI driver for the workspace invariant lints.
 //!
 //! ```text
-//! cargo run -p asb-analyze -- check [--root DIR] [--json PATH]
-//!                                   [--prune-allowlist [--write]]
+//! cargo run -p asb-analyze -- check [--root DIR]   lint the workspace
 //! cargo run -p asb-analyze -- explain <rule>       print a rule's rationale
 //! cargo run -p asb-analyze -- list                 list all rules
 //! ```
 //!
-//! `check` exits 0 when every violation is allowlisted, 1 on fatal
-//! violations, and 2 when `--prune-allowlist` finds stale entries (an
-//! allowlist that silences nothing is rot waiting to hide a regression;
-//! `--write` rewrites the file in place). `--json PATH` writes the full
-//! machine-readable report (violations, stale entries, counts) for CI to
-//! archive. There is deliberately no `--fix` for violations themselves —
-//! each finding needs a human to either restructure the code or write down
-//! the justification.
+//! `check` prints every finding and exits 0 when there are none, 1 when
+//! there are any (2 on a usage or I/O error). There is no allowlist and
+//! deliberately no `--fix`: each finding needs a human to either
+//! restructure the code or write the rule's justification marker beside it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use asb_analyze::{
-    check_workspace_full, prune_allowlist_text, render_json, rule, stale_entries, RULES,
-};
+use asb_analyze::{check_workspace, rule, RULES};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: asb-analyze <command>\n\n\
          commands:\n  \
-         check [--root DIR] [--json PATH] [--prune-allowlist [--write]]\n                       \
-         lint the workspace (exit 1 on violations, 2 on stale allowlist)\n  \
+         check [--root DIR]   lint the workspace (exit 1 on violations)\n  \
          explain <rule>       print a rule's full rationale\n  \
          list                 list all rules"
     );
@@ -39,27 +31,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => {
-            let mut root = PathBuf::from(".");
-            let mut json: Option<PathBuf> = None;
-            let mut prune = false;
-            let mut write = false;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--root" => match it.next() {
-                        Some(dir) => root = PathBuf::from(dir),
-                        None => return usage(),
-                    },
-                    "--json" => match it.next() {
-                        Some(path) => json = Some(PathBuf::from(path)),
-                        None => return usage(),
-                    },
-                    "--prune-allowlist" => prune = true,
-                    "--write" => write = true,
-                    _ => return usage(),
-                }
-            }
-            run_check(&root, json.as_deref(), prune, write)
+            let root = match &args[1..] {
+                [] => PathBuf::from("."),
+                [flag, dir] if flag == "--root" => PathBuf::from(dir),
+                _ => return usage(),
+            };
+            run_check(&root)
         }
         Some("explain") => match args.get(1).and_then(|id| rule(id)) {
             Some(r) => {
@@ -84,83 +61,22 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_check(
-    root: &std::path::Path,
-    json: Option<&std::path::Path>,
-    prune: bool,
-    write: bool,
-) -> ExitCode {
-    let outcome = match check_workspace_full(root) {
-        Ok(o) => o,
+fn run_check(root: &std::path::Path) -> ExitCode {
+    let violations = match check_workspace(root) {
+        Ok(v) => v,
         Err(msg) => {
             eprintln!("asb-analyze: {msg}");
             return ExitCode::from(2);
         }
     };
-    let violations = &outcome.violations;
-    let stale = if prune {
-        stale_entries(&outcome.allowlist, violations)
-    } else {
-        Vec::new()
-    };
-
-    if let Some(path) = json {
-        let report = render_json(violations, &stale);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, report) {
-            eprintln!("asb-analyze: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    let allowed = violations.iter().filter(|v| v.allowed).count();
-    let fatal: Vec<_> = violations.iter().filter(|v| !v.allowed).collect();
-    for v in &fatal {
+    for v in &violations {
         println!("{v}");
     }
-    println!(
-        "asb-analyze: {} violation(s), {} allowlisted, {} fatal",
-        violations.len(),
-        allowed,
-        fatal.len()
-    );
-    if !fatal.is_empty() {
+    println!("asb-analyze: {} violation(s)", violations.len());
+    if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
         println!("run `cargo run -p asb-analyze -- explain <rule>` for rationale");
-        return ExitCode::FAILURE;
+        ExitCode::FAILURE
     }
-
-    if !stale.is_empty() {
-        for s in &stale {
-            println!(
-                "stale allowlist entry: {} {} ({})",
-                s.rule, s.path_prefix, s.reason
-            );
-        }
-        let allow_path = root.join("crates/analyze/allowlist.txt");
-        if write {
-            match std::fs::read_to_string(&allow_path) {
-                Ok(text) => {
-                    let pruned = prune_allowlist_text(&text, &stale);
-                    if let Err(e) = std::fs::write(&allow_path, pruned) {
-                        eprintln!("asb-analyze: writing {}: {e}", allow_path.display());
-                        return ExitCode::from(2);
-                    }
-                    println!("asb-analyze: pruned {} stale entr(y/ies)", stale.len());
-                }
-                Err(e) => {
-                    eprintln!("asb-analyze: reading {}: {e}", allow_path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            println!(
-                "asb-analyze: {} stale allowlist entr(y/ies); rerun with --write to prune",
-                stale.len()
-            );
-            return ExitCode::from(2);
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -22,7 +22,7 @@
 //! pin can appear without the lock.
 
 use crate::sync::{AtomicU64, Ordering};
-use asb_storage::{Page, PageMeta, Result};
+use asb_storage::{Page, Result};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -148,13 +148,6 @@ impl PageWriteGuard {
         Ok(())
     }
 
-    /// Replaces payload and metadata together, recomputing the checksum.
-    pub fn set_page(&mut self, meta: PageMeta, payload: Bytes) -> Result<()> {
-        self.page = Page::new(self.page.id, meta, payload)?;
-        self.touched = true;
-        Ok(())
-    }
-
     /// Publishes the edits through the pool's buffered-write path and
     /// releases the guard. No-op (still releasing) if nothing was edited.
     pub fn commit(mut self) -> Result<()> {
@@ -202,7 +195,7 @@ impl std::fmt::Debug for PageWriteGuard {
 mod tests {
     use super::*;
     use asb_geom::SpatialStats;
-    use asb_storage::PageId;
+    use asb_storage::{PageId, PageMeta};
 
     fn page(raw: u64, tag: u8) -> Page {
         Page::new(

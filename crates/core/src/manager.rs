@@ -321,11 +321,6 @@ impl BufferManager {
         self.retry = retry;
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Simulated milliseconds this buffer has spent backing off before
     /// retries (the disk's own timing model does not include these).
     pub fn simulated_backoff_ms(&self) -> f64 {

@@ -320,6 +320,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         }
         // invariant: the resolve loop above fills every slot the probe
         // pass left empty, so no `None` survives to this point.
+        #[allow(clippy::expect_used)]
         out.into_iter()
             .map(|o| o.expect("outcome filled"))
             .collect()
@@ -1076,6 +1077,43 @@ mod tests {
             panic!("checkpoint record must be last");
         };
         assert_eq!(redo_from.0, ids.len() as u64 + 1);
+    }
+
+    /// Neither `flush` nor `checkpoint` evicts or takes a pin, so a live
+    /// read guard does not stand in their way: the dirty frames reach the
+    /// store and the guard still reads its page.
+    #[test]
+    fn flush_and_checkpoint_run_while_a_guard_is_alive() {
+        use asb_storage::{Wal, WalConfig};
+        let (disk, ids) = disk_with_pages(8);
+        let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 8, 2);
+        pool.attach_wal(Wal::shared(WalConfig::default()));
+        let guard = pool.fetch(ids[0], AccessContext::default()).unwrap();
+        let dirty = &ids[1..];
+        for (i, &id) in dirty.iter().enumerate() {
+            pool.write_buffered(Page::new(id, meta(), Bytes::from(vec![i as u8 + 100])).unwrap())
+                .unwrap();
+        }
+        assert!(
+            (0..2).all(|s| dirty.iter().any(|&id| pool.shard_of(id) == s)),
+            "both shards hold dirty frames"
+        );
+        assert_eq!(pool.dirty_count(), dirty.len());
+        pool.checkpoint().unwrap();
+        pool.flush().unwrap();
+        pool.checkpoint().unwrap();
+        assert_eq!(pool.dirty_count(), 0);
+        assert_eq!(pool.io_stats().writes, dirty.len() as u64);
+        assert_eq!(pool.live_guards(), 1);
+        assert!(pool.contains(ids[0]));
+        assert_eq!((guard.id, guard.payload.as_ref()), (ids[0], &[0u8][..]));
+        drop(guard);
+        pool.with_store(|s| {
+            for (i, &id) in dirty.iter().enumerate() {
+                assert_eq!(s.peek(id).unwrap().payload.as_ref(), &[i as u8 + 100]);
+            }
+        })
+        .unwrap();
     }
 
     #[test]

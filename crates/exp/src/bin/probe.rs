@@ -55,7 +55,12 @@ fn main() -> ExitCode {
                         o => return Err(format!("unknown db {o}")),
                     }
                 }
-                "--frac" => frac = next()?.parse().map_err(|e| format!("{e}"))?,
+                "--frac" => {
+                    frac = next()?.parse().map_err(|e| format!("{e}"))?;
+                    if !(frac > 0.0 && frac <= 1.0) {
+                        return Err(format!("--frac must be in (0, 1], got {frac}"));
+                    }
+                }
                 "--set" => {
                     let v = next()?;
                     set = v.clone();
@@ -196,6 +201,8 @@ fn sharded_replay(
         let snap = tree.snapshot();
         let pool = ShardedBuffer::new(tree.into_store(), policy, capacity, shards);
         pool.reset_io_stats();
+        // A wall-clock throughput probe; the line is labelled `wall=`.
+        #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
         let worker_results = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)

@@ -135,9 +135,7 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 let v = next()?;
                 policy = PolicyKind::from_name(&v).ok_or(format!("unknown policy {v}"))?;
             }
-            "--capacity" => {
-                capacity = next()?.parse().map_err(|e| format!("bad capacity: {e}"))?;
-            }
+            "--capacity" => capacity = parse_capacity(&next()?)?,
             "--shards" => {
                 let m: usize = next()?.parse().map_err(|e| format!("bad shards: {e}"))?;
                 shards = m.max(1);
@@ -151,6 +149,11 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             o if path.is_none() && !o.starts_with('-') => path = Some(arg),
             o => return Err(format!("unknown argument {o}")),
         }
+    }
+    if shards > capacity {
+        return Err(format!(
+            "--shards ({shards}) must not exceed --capacity ({capacity}): every shard needs a page"
+        ));
     }
     let path = path.ok_or("replay needs a trace file path")?;
     let trace = Trace::load(&path)?;
@@ -277,9 +280,7 @@ fn crash(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 let v = next()?;
                 config.policy = PolicyKind::from_name(&v).ok_or(format!("unknown policy {v}"))?;
             }
-            "--capacity" => {
-                config.capacity = next()?.parse().map_err(|e| format!("bad capacity: {e}"))?;
-            }
+            "--capacity" => config.capacity = parse_capacity(&next()?)?,
             "--seed" => config.seed = next()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--update-every" => {
                 config.update_every = next()?.parse().map_err(|e| format!("bad count: {e}"))?;
@@ -332,6 +333,15 @@ fn crash(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             report.divergences.len(),
             report.sweeps_run
         ))
+    }
+}
+
+/// Parses a buffer capacity in pages, which must be at least one.
+fn parse_capacity(v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) => Err("--capacity must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("bad capacity: {e}")),
     }
 }
 

@@ -423,6 +423,10 @@ impl Trace {
                         tok[i].parse::<f64>().map_err(|_| bad(what))
                     };
                     let raw = tok[1].parse::<u64>().map_err(|_| bad("bad page id"))?;
+                    // `build_disk` rebuilds ids densely in this order.
+                    if pages.last().is_some_and(|&(prev, _)| raw <= prev) {
+                        return Err(bad("page ids must be strictly increasing"));
+                    }
                     let tag = tok[2].parse::<u8>().map_err(|_| bad("bad type tag"))?;
                     let level = tok[3].parse::<u8>().map_err(|_| bad("bad level"))?;
                     let entry_count = tok[4].parse::<u32>().map_err(|_| bad("bad entry count"))?;
@@ -543,6 +547,20 @@ mod tests {
         let mut text = t.to_text();
         text.push_str("z 1 2\n");
         assert!(Trace::from_text(&text).is_err());
+        // Page records out of id order: a duplicate used to replay with page
+        // 1 silently given page 0's metadata, a swap to fail as `page P0 not
+        // found`.
+        let page = |raw: u64| format!("p {raw} 1 0 3 0.5 1 0\n");
+        let header = "asb-trace v1\nlabel x\npages 2\naccesses 0\n";
+        for [a, b] in [[0, 0], [1, 0]] {
+            let err = Trace::from_text(&format!("{header}{}{}", page(a), page(b))).unwrap_err();
+            assert!(
+                err.starts_with("line 6: page ids must be strictly increasing"),
+                "{err}"
+            );
+        }
+        let sorted = format!("{header}{}{}", page(0), page(1));
+        assert!(Trace::from_text(&sorted).is_ok());
     }
 
     /// The header is a claim, not an allocation size: these four-line files

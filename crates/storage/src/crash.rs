@@ -195,14 +195,15 @@ impl CrashClock {
 /// write — there were no bytes to lose.)
 pub fn torn_page(page: &Page) -> Page {
     let half = page.payload.len() / 2;
+    // invariant: the torn payload is a prefix of one that already fit in a
+    // page, so the size check cannot fail.
+    #[allow(clippy::expect_used)]
     Page::with_checksum(
         page.id,
         page.meta,
         page.payload.slice(0..half),
         page.checksum(),
     )
-    // invariant: the torn payload is a prefix of one that already fit in a
-    // page, so the size check cannot fail.
     .expect("a truncated payload never exceeds the page size")
 }
 
@@ -235,11 +236,6 @@ impl<S> CrashableStore<S> {
     /// Shared access to the wrapped store.
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Exclusive access to the wrapped store.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
     }
 
     /// Unwraps into the surviving store image (what recovery operates on).

@@ -21,10 +21,6 @@ pub enum StorageError {
     },
     /// An eviction was required but every buffered page is pinned.
     AllPagesPinned,
-    /// An unpin was requested for a page that is not pinned.
-    NotPinned(PageId),
-    /// A buffer was configured with zero capacity.
-    ZeroCapacity,
     /// A read failed transiently (e.g. a simulated device timeout). The
     /// operation is safe to retry.
     TransientRead(PageId),
@@ -118,8 +114,6 @@ impl std::fmt::Display for StorageError {
             StorageError::AllPagesPinned => {
                 write!(f, "cannot evict: all buffered pages are pinned")
             }
-            StorageError::NotPinned(id) => write!(f, "page {id} is not pinned"),
-            StorageError::ZeroCapacity => write!(f, "buffer capacity must be at least one page"),
             StorageError::TransientRead(id) => {
                 write!(f, "transient fault reading page {id} (retryable)")
             }

@@ -228,11 +228,6 @@ impl<S> FaultyStore<S> {
         &self.inner
     }
 
-    /// Exclusive access to the wrapped store.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Unwrap, discarding the fault layer.
     pub fn into_inner(self) -> S {
         self.inner
@@ -300,6 +295,7 @@ impl<S> FaultyStore<S> {
         // invariant: the copy is the original payload with one byte flipped
         // (or a single byte where it was empty), so it cannot exceed the
         // page size the original already satisfied.
+        #[allow(clippy::expect_used)]
         Page::with_checksum(page.id, page.meta, Bytes::from(payload), page.checksum())
             .expect("flipping a byte never grows a page past the page size")
     }

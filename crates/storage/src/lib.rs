@@ -28,6 +28,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::todo, clippy::unimplemented)
+)]
 
 mod crash;
 mod disk;

@@ -560,6 +560,7 @@ mod tests {
         let median_batch = |sum: fn(&[u8]) -> u64| {
             let mut batches: Vec<_> = (0..31)
                 .map(|_| {
+                    #[allow(clippy::disallowed_methods)] // a timing test measures time
                     let start = Instant::now();
                     for _ in 0..200 {
                         black_box(sum(black_box(&page)));

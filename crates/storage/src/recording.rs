@@ -64,11 +64,6 @@ impl<S> RecordingStore<S> {
         &self.inner
     }
 
-    /// Exclusive access to the wrapped store.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Unwrap, discarding the recorder (and any unread log).
     pub fn into_inner(self) -> S {
         self.inner

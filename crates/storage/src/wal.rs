@@ -317,6 +317,7 @@ impl Wal {
         let lsn = Lsn(self.next_lsn);
         // invariant: `segments` is non-empty from construction onward —
         // `Wal::new` seeds the first segment and sealing only ever pushes.
+        #[allow(clippy::expect_used)]
         let active = (self.segments.last()).expect("a WAL always has an active segment");
         if !active.bytes.is_empty() && active.bytes.len() + frame.len() > self.config.segment_bytes
         {
@@ -327,6 +328,7 @@ impl Wal {
             });
         }
         // invariant: still non-empty — the branch above can only have pushed.
+        #[allow(clippy::expect_used)]
         let active = self.segments.last_mut().expect("active segment");
         match fate {
             WriteFate::Intact => {
