@@ -9,7 +9,7 @@
 
 use crate::node::NodeKind;
 use crate::tree::RTree;
-use asb_storage::{PageId, PageStore, Result};
+use asb_storage::{PageStore, Result};
 
 /// Computes all pairs `(id_a, id_b)` of objects from `a` and `b` whose MBRs
 /// intersect.
@@ -17,7 +17,9 @@ use asb_storage::{PageId, PageStore, Result};
 /// Both trees' page accesses go through their respective buffers (if
 /// attached), so the join exercises replacement policies on two page streams
 /// at once. One query scope is opened per tree for the whole join (the join
-/// is a single "query" for correlation purposes).
+/// is a single "query" for correlation purposes). A node without entries, or
+/// not one level below the node that named it (a root: at the tree's
+/// height), is [`Corrupt`](asb_storage::StorageError::Corrupt).
 ///
 /// ```
 /// use asb_geom::{Rect, SpatialItem};
@@ -43,10 +45,11 @@ pub fn spatial_join<S: PageStore, T: PageStore>(
     a.begin_query();
     b.begin_query();
     let mut out = Vec::new();
-    let mut stack: Vec<(PageId, PageId)> = vec![(a.root_id(), b.root_id())];
-    while let Some((pa, pb)) = stack.pop() {
-        let na = a.read_node_for_join(pa)?;
-        let nb = b.read_node_for_join(pb)?;
+    // Pairs of (page, the level its parent or its tree's height implies).
+    let mut stack = vec![((a.root_id(), a.height()), (b.root_id(), b.height()))];
+    while let Some(((pa, la), (pb, lb))) = stack.pop() {
+        let na = a.read_node_for_join(pa, la)?;
+        let nb = b.read_node_for_join(pb, lb)?;
         match (&na.kind, &nb.kind) {
             (NodeKind::Leaf(ea), NodeKind::Leaf(eb)) => {
                 // A nested loop is fine at page granularity (≤ 42 × 42).
@@ -58,20 +61,20 @@ pub fn spatial_join<S: PageStore, T: PageStore>(
                     }
                 }
             }
-            (NodeKind::Dir(ea), _) if na.level > nb.level => {
+            (NodeKind::Dir(ea), _) if la > lb => {
                 // Descend the taller side only.
-                let nb_mbr = nb.mbr().expect("non-empty node");
+                let nb_mbr = nb.mbr().expect("checked non-empty on read");
                 for x in ea {
                     if x.mbr.intersects(&nb_mbr) {
-                        stack.push((x.child, pb));
+                        stack.push(((x.child, la - 1), (pb, lb)));
                     }
                 }
             }
-            (_, NodeKind::Dir(eb)) if nb.level > na.level => {
-                let na_mbr = na.mbr().expect("non-empty node");
+            (_, NodeKind::Dir(eb)) if lb > la => {
+                let na_mbr = na.mbr().expect("checked non-empty on read");
                 for y in eb {
                     if y.mbr.intersects(&na_mbr) {
-                        stack.push((pa, y.child));
+                        stack.push(((pa, la), (y.child, lb - 1)));
                     }
                 }
             }
@@ -79,13 +82,13 @@ pub fn spatial_join<S: PageStore, T: PageStore>(
                 for x in ea {
                     for y in eb {
                         if x.mbr.intersects(&y.mbr) {
-                            stack.push((x.child, y.child));
+                            stack.push(((x.child, la - 1), (y.child, lb - 1)));
                         }
                     }
                 }
             }
-            // Same level but one side is a leaf and the other a directory
-            // can only happen at level 1 vs level >= 2, covered above.
+            // Levels were checked on read and are equal here; level 1 is
+            // exactly the leaf level.
             _ => unreachable!("level bookkeeping guarantees aligned kinds"),
         }
     }

@@ -17,7 +17,9 @@
 //!   a fresh [`QueryId`](asb_storage::QueryId) so LRU-K can detect
 //!   correlated references. All of them are one resumable traversal,
 //!   [`Search`], which [`RTree`] runs to completion a page at a time and
-//!   a serving front end can run in batched slices.
+//!   a serving front end can run in batched slices. A search is fed
+//!   [`NodeView`]s, which read entries in place on the buffered page;
+//!   only the write path and [`spatial_join`] decode owned [`Node`]s.
 //! * **STR bulk loading** (sort-tile-recursive) with a configurable fill
 //!   factor — the paper's trees are ~69 % full, which the defaults match.
 //! * **Spatial join** between two trees (synchronized traversal), used by
@@ -40,6 +42,6 @@ mod tree;
 
 pub use config::RTreeConfig;
 pub use join::spatial_join;
-pub use node::{DirEntry, LeafEntry, Node, NodeKind};
+pub use node::{DirEntry, LeafEntry, Node, NodeKind, NodeView, ViewEntries};
 pub use search::Search;
 pub use tree::{RTree, RTreeItem, TreeSnapshot, TreeStats};

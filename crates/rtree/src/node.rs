@@ -1,9 +1,11 @@
-//! In-memory node representation and the on-page codec.
+//! The on-page codec: [`NodeView`] reads a node in place, [`Node`] is the
+//! owned form the write path edits and encodes.
 
 use crate::config::{DIR_ENTRY_SIZE, LEAF_ENTRY_SIZE};
-use asb_geom::{mbr_of, Rect, SpatialStats};
+use asb_geom::{mbr_of, Point, Rect, SpatialStats};
 use asb_storage::{Page, PageId, PageMeta, PageType, StorageError, PAGE_HEADER_SIZE};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use std::slice::ChunksExact;
 
 /// An entry of a directory (inner) node: the MBR of a child node plus its
 /// page id.
@@ -52,15 +54,6 @@ impl Node {
         Node {
             level: 1,
             kind: NodeKind::Leaf(Vec::new()),
-        }
-    }
-
-    /// Creates an empty directory node at `level >= 2`.
-    pub fn new_dir(level: u8) -> Self {
-        debug_assert!(level >= 2);
-        Node {
-            level,
-            kind: NodeKind::Dir(Vec::new()),
         }
     }
 
@@ -115,22 +108,6 @@ impl Node {
         }
     }
 
-    /// Leaf entries; panics on a directory node.
-    pub fn leaf_entries(&self) -> &[LeafEntry] {
-        match &self.kind {
-            NodeKind::Leaf(v) => v,
-            NodeKind::Dir(_) => panic!("leaf_entries() on a directory node"),
-        }
-    }
-
-    /// Mutable leaf entries; panics on a directory node.
-    pub fn leaf_entries_mut(&mut self) -> &mut Vec<LeafEntry> {
-        match &mut self.kind {
-            NodeKind::Leaf(v) => v,
-            NodeKind::Dir(_) => panic!("leaf_entries_mut() on a directory node"),
-        }
-    }
-
     /// Page metadata for this node: type and level for LRU-T / LRU-P, plus
     /// the spatial statistics the spatial policies evaluate.
     pub fn page_meta(&self) -> PageMeta {
@@ -181,64 +158,10 @@ impl Node {
         buf.freeze()
     }
 
-    /// Decodes a node from a page.
+    /// Decodes an owned copy of a node from a page ([`NodeView::parse`],
+    /// then [`NodeView::to_node`]), for the write path to edit.
     pub fn decode(page: &Page) -> Result<Node, StorageError> {
-        let corrupt = |reason: &str| StorageError::Corrupt {
-            id: page.id,
-            reason: reason.to_string(),
-        };
-        let mut buf = page.payload.clone();
-        if buf.remaining() < PAGE_HEADER_SIZE {
-            return Err(corrupt("payload shorter than the header"));
-        }
-        let tag = buf.get_u8();
-        let level = buf.get_u8();
-        let count = buf.get_u16_le() as usize;
-        let _reserved = buf.get_u32_le();
-        match PageType::from_tag(tag) {
-            Some(PageType::Data) => {
-                if level != 1 {
-                    return Err(corrupt("data page with level != 1"));
-                }
-                if buf.remaining() < count * LEAF_ENTRY_SIZE {
-                    return Err(corrupt("truncated leaf entries"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mbr = get_rect(&mut buf);
-                    let object_id = buf.get_u64_le();
-                    let object_page = buf.get_u64_le();
-                    entries.push(LeafEntry {
-                        mbr,
-                        object_id,
-                        object_page,
-                    });
-                }
-                Ok(Node {
-                    level: 1,
-                    kind: NodeKind::Leaf(entries),
-                })
-            }
-            Some(PageType::Directory) => {
-                if level < 2 {
-                    return Err(corrupt("directory page with level < 2"));
-                }
-                if buf.remaining() < count * DIR_ENTRY_SIZE {
-                    return Err(corrupt("truncated directory entries"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mbr = get_rect(&mut buf);
-                    let child = PageId::new(buf.get_u64_le());
-                    entries.push(DirEntry { mbr, child });
-                }
-                Ok(Node {
-                    level,
-                    kind: NodeKind::Dir(entries),
-                })
-            }
-            _ => Err(corrupt("not an index page")),
-        }
+        NodeView::parse(page).map(|view| view.to_node())
     }
 }
 
@@ -249,14 +172,133 @@ fn put_rect(buf: &mut BytesMut, r: &Rect) {
     buf.put_f64_le(r.max.y);
 }
 
-fn get_rect(buf: &mut Bytes) -> Rect {
-    let x0 = buf.get_f64_le();
-    let y0 = buf.get_f64_le();
-    let x1 = buf.get_f64_le();
-    let y1 = buf.get_f64_le();
+/// A node read in place on its page: the header is checked once, and the
+/// entries are read from the page's bytes as they are iterated. Nothing is
+/// copied or allocated; this is what every query reads.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    level: u8,
+    /// Exactly the header's `count` entries: no header, no trailing bytes.
+    bytes: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    /// Checks `page`'s header: a data page sits at level 1, a directory
+    /// page at level ≥ 2, and the `count` entries fit in the payload
+    /// (bytes past them are ignored). Anything else is
+    /// [`StorageError::Corrupt`].
+    pub fn parse(page: &'a Page) -> Result<NodeView<'a>, StorageError> {
+        let corrupt = |reason: &str| corrupt(page.id, reason);
+        let bytes: &'a [u8] = &page.payload;
+        if bytes.len() < PAGE_HEADER_SIZE {
+            return Err(corrupt("payload shorter than the header"));
+        }
+        let (level, count) = (bytes[1], u16::from_le_bytes([bytes[2], bytes[3]]) as usize);
+        let (entry_size, truncated) = match PageType::from_tag(bytes[0]) {
+            Some(PageType::Data) if level != 1 => return Err(corrupt("data page with level != 1")),
+            Some(PageType::Data) => (LEAF_ENTRY_SIZE, "truncated leaf entries"),
+            Some(PageType::Directory) if level < 2 => {
+                return Err(corrupt("directory page with level < 2"))
+            }
+            Some(PageType::Directory) => (DIR_ENTRY_SIZE, "truncated directory entries"),
+            _ => return Err(corrupt("not an index page")),
+        };
+        match bytes[PAGE_HEADER_SIZE..].get(..count * entry_size) {
+            Some(bytes) => Ok(NodeView { level, bytes }),
+            None => Err(corrupt(truncated)),
+        }
+    }
+
+    /// Level in the tree: 1 exactly for leaves.
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+
+    /// The entries, read from the page at a fixed stride as they are
+    /// iterated.
+    #[inline]
+    pub fn entries(
+        &self,
+    ) -> ViewEntries<
+        impl Iterator<Item = LeafEntry> + Clone + 'a,
+        impl Iterator<Item = DirEntry> + Clone + 'a,
+    > {
+        if self.level == 1 {
+            let leaf = |e: &[u8]| LeafEntry {
+                mbr: rect_at(e),
+                object_id: u64_at(e, 32),
+                object_page: u64_at(e, 40),
+            };
+            ViewEntries::Leaf(Entries(self.bytes.chunks_exact(LEAF_ENTRY_SIZE), leaf))
+        } else {
+            let dir = |e: &[u8]| DirEntry {
+                mbr: rect_at(e),
+                child: PageId::new(u64_at(e, 32)),
+            };
+            ViewEntries::Dir(Entries(self.bytes.chunks_exact(DIR_ENTRY_SIZE), dir))
+        }
+    }
+
+    /// An owned copy of the node.
+    pub fn to_node(&self) -> Node {
+        let kind = match self.entries() {
+            ViewEntries::Leaf(entries) => NodeKind::Leaf(entries.collect()),
+            ViewEntries::Dir(entries) => NodeKind::Dir(entries.collect()),
+        };
+        Node {
+            level: self.level,
+            kind,
+        }
+    }
+}
+
+/// The entries of a [`NodeView`] by the node's kind: an iterator of
+/// [`LeafEntry`] or of [`DirEntry`] values.
+pub enum ViewEntries<L, D> {
+    /// A data page's object entries.
+    Leaf(L),
+    /// A directory page's child entries.
+    Dir(D),
+}
+
+/// Entries read in place by `F`, one fixed-size chunk of the page each.
+#[derive(Clone)]
+struct Entries<'a, F>(ChunksExact<'a, u8>, F);
+
+impl<E, F: Fn(&[u8]) -> E> Iterator for Entries<'_, F> {
+    type Item = E;
+    fn next(&mut self) -> Option<E> {
+        self.0.next().map(&self.1)
+    }
+    fn nth(&mut self, n: usize) -> Option<E> {
+        self.0.nth(n).map(&self.1)
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+/// A [`StorageError::Corrupt`] for page `id`.
+pub(crate) fn corrupt(id: PageId, reason: impl Into<String>) -> StorageError {
+    StorageError::Corrupt {
+        id,
+        reason: reason.into(),
+    }
+}
+
+/// The little-endian `u64` at byte `at` of `bytes`.
+#[inline]
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap_or_default())
+}
+
+/// The rectangle in the first 32 bytes of `bytes`, as `put_rect` wrote it.
+#[inline]
+fn rect_at(bytes: &[u8]) -> Rect {
+    let coord = |i: usize| f64::from_bits(u64_at(bytes, 8 * i));
     Rect {
-        min: asb_geom::Point::new(x0, y0),
-        max: asb_geom::Point::new(x1, y1),
+        min: Point::new(coord(0), coord(1)),
+        max: Point::new(coord(2), coord(3)),
     }
 }
 
@@ -313,7 +355,7 @@ mod tests {
     #[test]
     fn empty_nodes_roundtrip() {
         assert_eq!(roundtrip(&Node::new_leaf()), Node::new_leaf());
-        assert_eq!(roundtrip(&Node::new_dir(3)), Node::new_dir(3));
+        assert_eq!(roundtrip(&dir_with(0)), dir_with(0));
     }
 
     #[test]
@@ -329,8 +371,8 @@ mod tests {
     fn node_mbr_covers_entries() {
         let n = leaf_with(3);
         let mbr = n.mbr().unwrap();
-        for e in n.leaf_entries() {
-            assert!(mbr.contains(&e.mbr));
+        for r in n.entry_mbrs() {
+            assert!(mbr.contains(&r));
         }
         assert_eq!(Node::new_leaf().mbr(), None);
     }

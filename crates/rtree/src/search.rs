@@ -1,29 +1,35 @@
 //! The one R\*-tree query traversal, as a resumable state machine.
 //!
 //! A [`Search`] never touches a page store. It names the pages it needs
-//! next ([`Search::wants`]), is handed the decoded nodes
+//! next ([`Search::wants`]), is handed a [`NodeView`] of each
 //! ([`Search::feed`]) and repeats until it wants nothing. Who fetches the
 //! pages, and how many at a time, is the driver's business:
-//! [`RTree`](crate::RTree) asks for one page, reads it through its buffer
-//! and feeds it, so the page-reference string of a query is the sequence
-//! of `wants(1)` answers; a serving front end asks for a slice per round
-//! and fetches the slices of many searches as one batch.
+//! [`RTree`](crate::RTree) asks for one page and feeds a view of the
+//! buffered frame while it is pinned, so the page-reference string of a
+//! query is the sequence of `wants(1)` answers; a serving front end asks
+//! for a slice per round and fetches the slices of many searches as one
+//! batch.
 //!
 //! An asked page the driver could not deliver prunes that page's subtree:
 //! the search keeps going, its answer is a subset of the exact one, and
-//! [`Search::pruned`] says so.
+//! [`Search::pruned`] says so. So does a node that is not exactly one
+//! level below the node that named it: a forged page cannot loop a search.
 
-use crate::node::{Node, NodeKind};
+use crate::node::{NodeView, ViewEntries};
 use asb_geom::{Point, Query, Rect};
 use asb_storage::PageId;
 use std::collections::BinaryHeap;
+
+/// The expected level of a root, whose level nothing names.
+const ANY_LEVEL: u8 = 0;
 
 /// A best-first candidate: a node page to expand or an object to emit.
 #[derive(PartialEq)]
 struct Candidate {
     dist: f64,
-    /// `Ok`: a node page to expand; `Err`: an object id to emit.
-    target: Result<PageId, u64>,
+    /// `Ok`: a node page to expand, with its expected level; `Err`: an
+    /// object id to emit.
+    target: Result<(PageId, u8), u64>,
 }
 
 impl Eq for Candidate {}
@@ -44,10 +50,11 @@ impl PartialOrd for Candidate {
 
 enum State {
     /// Depth-first point/window scan. The asked slice is the top `asked`
-    /// entries of `stack`.
+    /// entries of `stack`; `levels` holds each entry's expected level.
     Window {
         query: Query,
         stack: Vec<PageId>,
+        levels: Vec<u8>,
         asked: usize,
         results: Vec<u64>,
         /// Non-zero object-page pointers of the matches, in match order.
@@ -62,10 +69,11 @@ enum State {
         heap: BinaryHeap<Candidate>,
         best: Vec<(u64, f64)>,
     },
-    /// Window-restricted self-join over a queue of node pairs.
+    /// Window-restricted self-join over a queue of node pairs, each with
+    /// the expected level of both its nodes.
     Join {
         region: Rect,
-        pairs: Vec<(PageId, PageId)>,
+        pairs: Vec<(PageId, PageId, u8)>,
         asked: Vec<PageId>,
         count: u64,
     },
@@ -73,7 +81,7 @@ enum State {
 
 /// One in-flight point, window, k-NN or window-restricted self-join query
 /// over an R\*-tree. It names the pages it needs ([`Search::wants`]), is
-/// fed their decoded nodes ([`Search::feed`]), and is done once it wants
+/// fed views of their nodes ([`Search::feed`]), and is done once it wants
 /// nothing more.
 pub struct Search {
     state: State,
@@ -86,6 +94,7 @@ impl Search {
         Search::start(State::Window {
             query,
             stack: vec![root],
+            levels: vec![ANY_LEVEL],
             asked: 0,
             results: Vec::new(),
             object_pages: Vec::new(),
@@ -98,7 +107,7 @@ impl Search {
         let mut heap = BinaryHeap::new();
         heap.push(Candidate {
             dist: 0.0,
-            target: Ok(root),
+            target: Ok((root, ANY_LEVEL)),
         });
         Search::start(State::Nearest {
             point,
@@ -113,7 +122,7 @@ impl Search {
     pub fn join(root: PageId, region: Rect) -> Search {
         Search::start(State::Join {
             region,
-            pairs: vec![(root, root)],
+            pairs: vec![(root, root, ANY_LEVEL)],
             asked: Vec::new(),
             count: 0,
         })
@@ -140,13 +149,14 @@ impl Search {
             }
             State::Nearest { k, heap, best, .. } => match heap.peek() {
                 Some(Candidate {
-                    target: Ok(page), ..
+                    target: Ok((page, _)),
+                    ..
                 }) if best.len() < *k => std::slice::from_ref(page),
                 _ => &[],
             },
             State::Join { pairs, asked, .. } => {
                 asked.clear();
-                for &(a, b) in pairs.iter().take((limit / 2).max(1)) {
+                for &(a, b, _) in pairs.iter().take((limit / 2).max(1)) {
                     for id in [a, b] {
                         if !asked.contains(&id) {
                             asked.push(id);
@@ -159,14 +169,19 @@ impl Search {
     }
 
     /// Consumes the pages of the last [`wants`](Search::wants) call:
-    /// `delivered` maps each to its node, or to `None` when the page could
-    /// not be had — its subtree is then skipped and the search is marked
-    /// [`pruned`](Search::pruned).
-    pub fn feed<'n>(&mut self, mut delivered: impl FnMut(PageId) -> Option<&'n Node>) {
+    /// `delivered` maps each to a view of its node, or to `None` when the
+    /// page could not be had — its subtree is then skipped and the search
+    /// is marked [`pruned`](Search::pruned). So is a node that is not one
+    /// level below the node that named it.
+    pub fn feed<'n>(&mut self, mut delivered: impl FnMut(PageId) -> Option<NodeView<'n>>) {
+        let mut delivered = |id, level| {
+            delivered(id).filter(|v: &NodeView| level == ANY_LEVEL || v.level() == level)
+        };
         match &mut self.state {
             State::Window {
                 query,
                 stack,
+                levels,
                 asked,
                 results,
                 object_pages,
@@ -176,16 +191,17 @@ impl Search {
                 // Top first; children land above the asked slice, which
                 // is then cut out from under them.
                 for i in (base..base + *asked).rev() {
-                    match delivered(stack[i]).map(|node| &node.kind) {
+                    match delivered(stack[i], levels[i]).map(|v| (v.level(), v.entries())) {
                         None => self.pruned = true,
-                        Some(NodeKind::Dir(entries)) => {
+                        Some((level, ViewEntries::Dir(entries))) => {
                             for e in entries {
                                 if e.mbr.intersects(&region) {
                                     stack.push(e.child);
+                                    levels.push(level - 1);
                                 }
                             }
                         }
-                        Some(NodeKind::Leaf(entries)) => {
+                        Some((_, ViewEntries::Leaf(entries))) => {
                             for e in entries {
                                 if query.matches(&e.mbr) {
                                     results.push(e.object_id);
@@ -198,6 +214,7 @@ impl Search {
                     }
                 }
                 stack.drain(base..base + *asked);
+                levels.drain(base..base + *asked);
                 *asked = 0;
             }
             State::Nearest {
@@ -210,26 +227,27 @@ impl Search {
                     return;
                 }
                 let Some(Candidate {
-                    target: Ok(page), ..
+                    target: Ok((page, level)),
+                    ..
                 }) = heap.pop()
                 else {
                     return;
                 };
                 // Pushed one by one: the heap's order among equidistant
                 // candidates is part of the answer.
-                match delivered(page).map(|node| &node.kind) {
+                match delivered(page, level).map(|v| (v.level(), v.entries())) {
                     // The best candidate's page is unreachable: abandon
                     // that subtree, stay best-first over the rest.
                     None => self.pruned = true,
-                    Some(NodeKind::Dir(entries)) => {
+                    Some((level, ViewEntries::Dir(entries))) => {
                         for e in entries {
                             heap.push(Candidate {
                                 dist: e.mbr.min_dist(point),
-                                target: Ok(e.child),
+                                target: Ok((e.child, level - 1)),
                             });
                         }
                     }
-                    Some(NodeKind::Leaf(entries)) => {
+                    Some((_, ViewEntries::Leaf(entries))) => {
                         for e in entries {
                             heap.push(Candidate {
                                 dist: e.mbr.min_dist(point),
@@ -260,52 +278,52 @@ impl Search {
             } => {
                 let take = pairs
                     .iter()
-                    .take_while(|(a, b)| asked.contains(a) && asked.contains(b))
+                    .take_while(|(a, b, _)| asked.contains(a) && asked.contains(b))
                     .count();
                 asked.clear();
                 // The taken pairs leave the front of the queue only after
                 // their children joined its back (no second pair list).
                 for p in 0..take {
-                    let (a, b) = pairs[p];
-                    let (Some(na), Some(nb)) = (delivered(a), delivered(b)) else {
+                    let (a, b, level) = pairs[p];
+                    let (Some(na), Some(nb)) = (delivered(a, level), delivered(b, level)) else {
                         self.pruned = true;
                         continue;
                     };
-                    match (&na.kind, &nb.kind) {
-                        (NodeKind::Dir(ea), NodeKind::Dir(eb)) => {
-                            for (i, x) in ea.iter().enumerate() {
+                    match (na.entries(), nb.entries()) {
+                        (ViewEntries::Dir(ea), ViewEntries::Dir(eb)) => {
+                            for (i, x) in ea.enumerate() {
                                 if !x.mbr.intersects(region) {
                                     continue;
                                 }
                                 let j0 = if a == b { i } else { 0 };
-                                for y in &eb[j0..] {
+                                for y in eb.clone().skip(j0) {
                                     if y.mbr.intersects(region) && x.mbr.intersects(&y.mbr) {
                                         let (lo, hi) = if x.child.raw() <= y.child.raw() {
                                             (x.child, y.child)
                                         } else {
                                             (y.child, x.child)
                                         };
-                                        pairs.push((lo, hi));
+                                        pairs.push((lo, hi, na.level() - 1));
                                     }
                                 }
                             }
                         }
-                        (NodeKind::Leaf(ea), NodeKind::Leaf(eb)) => {
-                            for (i, x) in ea.iter().enumerate() {
+                        (ViewEntries::Leaf(ea), ViewEntries::Leaf(eb)) => {
+                            for (i, x) in ea.enumerate() {
                                 if !x.mbr.intersects(region) {
                                     continue;
                                 }
                                 let j0 = if a == b { i + 1 } else { 0 };
-                                for y in &eb[j0..] {
+                                for y in eb.clone().skip(j0) {
                                     if y.mbr.intersects(region) && x.mbr.intersects(&y.mbr) {
                                         *count += 1;
                                     }
                                 }
                             }
                         }
-                        // An R*-tree is balanced, so synchronized descent
-                        // only ever pairs equal levels.
-                        _ => unreachable!("join pairs stay level-synchronized"),
+                        // Levels were checked, so only a root delivered as
+                        // two different nodes gets here: undelivered.
+                        _ => self.pruned = true,
                     }
                 }
                 pairs.drain(..take);

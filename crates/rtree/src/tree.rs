@@ -1,16 +1,14 @@
 //! The disk-based R\*-tree.
 
 use crate::config::RTreeConfig;
-use crate::node::{DirEntry, LeafEntry, Node, NodeKind};
+use crate::node::{corrupt, DirEntry, LeafEntry, Node, NodeKind, NodeView};
 use crate::search::Search;
 use crate::split::{
     choose_least_enlargement, choose_least_overlap, rstar_split, take_reinsert_victims,
 };
 use asb_core::{BufferManager, BufferStats, PageFile};
 use asb_geom::{HasMbr, Point, Query, Rect};
-use asb_storage::{
-    AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
-};
+use asb_storage::{AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result};
 
 impl HasMbr for DirEntry {
     fn mbr(&self) -> Rect {
@@ -165,10 +163,9 @@ impl<S: PageStore> RTree<S> {
 
     /// Creates an empty tree with a custom configuration.
     pub fn with_config(mut store: S, config: RTreeConfig) -> Result<Self> {
-        config.validate().map_err(|reason| StorageError::Corrupt {
-            id: PageId::new(0),
-            reason,
-        })?;
+        config
+            .validate()
+            .map_err(|reason| corrupt(PageId::new(0), reason))?;
         let root_node = Node::new_leaf();
         let root = store.allocate(root_node.page_meta(), root_node.encode())?;
         Ok(RTree {
@@ -189,10 +186,9 @@ impl<S: PageStore> RTree<S> {
 
     /// Bulk-loads with a custom configuration.
     pub fn bulk_load_with(mut store: S, config: RTreeConfig, items: &[RTreeItem]) -> Result<Self> {
-        config.validate().map_err(|reason| StorageError::Corrupt {
-            id: PageId::new(0),
-            reason,
-        })?;
+        config
+            .validate()
+            .map_err(|reason| corrupt(PageId::new(0), reason))?;
         if items.is_empty() {
             return Self::with_config(store, config);
         }
@@ -322,7 +318,7 @@ impl<S: PageStore> RTree<S> {
 
     /// The tree's configuration.
     pub fn config(&self) -> &RTreeConfig {
-        self.config_ref()
+        &self.config
     }
 
     /// Captures the tree's structural identity (root, height, length,
@@ -371,10 +367,6 @@ impl<S: PageStore> RTree<S> {
         self.next_query = base;
     }
 
-    fn config_ref(&self) -> &RTreeConfig {
-        &self.config
-    }
-
     // ---- page I/O ------------------------------------------------------
 
     fn ctx(&self) -> AccessContext {
@@ -403,11 +395,20 @@ impl<S: PageStore> RTree<S> {
 
     /// Runs `search` to completion, one page at a time: the query's
     /// page-reference string is the sequence of its `wants(1)` answers.
+    /// Each page is fed as a view of the pinned frame (or of the store's
+    /// page, unbuffered); a page the search refuses is corrupt.
     fn run(&mut self, mut search: Search) -> Result<Search> {
         self.next_query += 1;
+        let ctx = self.ctx();
         while let Some(&id) = search.wants(1).first() {
-            let node = self.read_node(id)?;
-            search.feed(|_| Some(&node));
+            self.file.read(id, ctx, |page| {
+                let view = NodeView::parse(page)?;
+                search.feed(|_| Some(view));
+                Ok(())
+            })?;
+            if search.pruned() {
+                return Err(corrupt(id, "node is not one level below its parent"));
+            }
         }
         Ok(search)
     }
@@ -495,12 +496,7 @@ impl<S: PageStore> RTree<S> {
             match (entry, &mut node.kind) {
                 (AnyEntry::Leaf(e), NodeKind::Leaf(v)) => v.push(e),
                 (AnyEntry::Dir(e), NodeKind::Dir(v)) => v.push(e),
-                _ => {
-                    return Err(StorageError::Corrupt {
-                        id: node_id,
-                        reason: "entry kind does not match node level".into(),
-                    })
-                }
+                _ => return Err(corrupt(node_id, "entry kind does not match node level")),
             }
         } else {
             let rect = entry.mbr();
@@ -774,17 +770,13 @@ impl<S: PageStore> RTree<S> {
     /// windows (e.g. from tests).
     pub fn validate(&mut self) -> Result<()> {
         self.next_query += 1;
-        let corrupt = |id: PageId, reason: String| StorageError::Corrupt { id, reason };
         let root = self.root;
         let root_node = self.read_node(root)?;
         if root_node.level != self.height {
-            return Err(corrupt(root, "root level != recorded height".into()));
+            return Err(corrupt(root, "root level != recorded height"));
         }
         if self.height > 1 && root_node.len() < 2 {
-            return Err(corrupt(
-                root,
-                "directory root with fewer than 2 entries".into(),
-            ));
+            return Err(corrupt(root, "directory root with fewer than 2 entries"));
         }
         let mut objects = 0usize;
         // (page, expected level, expected exact MBR or None for the root)
@@ -807,23 +799,20 @@ impl<S: PageStore> RTree<S> {
                 }
             }
             if node.len() > self.config.max_for(level) {
-                return Err(corrupt(id, "overfull node".into()));
+                return Err(corrupt(id, "overfull node"));
             }
             if let Some(expected) = expected_mbr {
                 let actual = node
                     .mbr()
-                    .ok_or_else(|| corrupt(id, "non-root node without entries".into()))?;
+                    .ok_or_else(|| corrupt(id, "non-root node without entries"))?;
                 if actual != expected {
-                    return Err(corrupt(
-                        id,
-                        "parent entry MBR differs from child MBR".into(),
-                    ));
+                    return Err(corrupt(id, "parent entry MBR differs from child MBR"));
                 }
             }
             match &node.kind {
                 NodeKind::Dir(entries) => {
                     if level < 2 {
-                        return Err(corrupt(id, "directory node below level 2".into()));
+                        return Err(corrupt(id, "directory node below level 2"));
                     }
                     for e in entries {
                         stack.push((e.child, level - 1, Some(e.mbr)));
@@ -831,7 +820,7 @@ impl<S: PageStore> RTree<S> {
                 }
                 NodeKind::Leaf(entries) => {
                     if level != 1 {
-                        return Err(corrupt(id, "leaf node not at level 1".into()));
+                        return Err(corrupt(id, "leaf node not at level 1"));
                     }
                     objects += entries.len();
                 }
@@ -896,9 +885,14 @@ impl<S: PageStore> RTree<S> {
         self.root
     }
 
-    /// Reads a node for the spatial join (advances no query id).
-    pub(crate) fn read_node_for_join(&mut self, id: PageId) -> Result<Node> {
-        self.read_node(id)
+    /// Reads a node for the spatial join (advances no query id); one not
+    /// at `level`, or without entries, is corrupt.
+    pub(crate) fn read_node_for_join(&mut self, id: PageId, level: u8) -> Result<Node> {
+        let node = self.read_node(id)?;
+        if node.level != level || node.is_empty() {
+            return Err(corrupt(id, format!("empty, or not at level {level}")));
+        }
+        Ok(node)
     }
 
     /// Starts a new query scope (used by multi-tree operations).

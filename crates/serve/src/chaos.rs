@@ -27,7 +27,7 @@ use crate::bench::{bench_sessions, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_SEED};
 use crate::engine::{serve, ServeConfig, ServeOutcome};
 use asb_core::{PolicyKind, ShardedBuffer};
 use asb_exp::GOLDEN_DBS;
-use asb_rtree::{Node, NodeKind, RTree};
+use asb_rtree::{NodeView, RTree, ViewEntries};
 use asb_storage::{
     AccessContext, DiskManager, FaultConfig, FaultyStore, PageId, PageStore, Result, StorageError,
 };
@@ -184,20 +184,16 @@ pub fn last_leaf_ids<S: PageStore>(store: &mut S, root: PageId, n: usize) -> Res
     let mut id = root;
     loop {
         let page = store.read(id, ctx)?;
-        let node = Node::decode(&page)?;
-        match node.kind {
-            // A root that is itself a leaf: nothing below it to poison.
-            NodeKind::Leaf(_) => return Ok(Vec::new()),
-            NodeKind::Dir(entries) => {
-                if node.level == 2 {
-                    return Ok(entries.iter().rev().take(n).map(|e| e.child).collect());
-                }
-                id = entries
-                    .last()
-                    .expect("directory nodes are never empty")
-                    .child;
-            }
+        let view = NodeView::parse(&page)?;
+        // A root that is itself a leaf: nothing below it to poison.
+        let ViewEntries::Dir(entries) = view.entries() else {
+            return Ok(Vec::new());
+        };
+        let children: Vec<PageId> = entries.map(|e| e.child).collect();
+        if view.level() == 2 {
+            return Ok(children.into_iter().rev().take(n).collect());
         }
+        id = *children.last().expect("directory nodes are never empty");
     }
 }
 

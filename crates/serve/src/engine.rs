@@ -26,8 +26,8 @@ use crate::degrade::{BreakerConfig, CircuitBreaker, Outcome, Quarantine};
 use crate::histogram::LatencyHistogram;
 use asb_core::BufferPool;
 use asb_geom::Query;
-use asb_rtree::{Node, Search, TreeSnapshot};
-use asb_storage::{AccessContext, PageId, QueryId, Result};
+use asb_rtree::{NodeView, Search, TreeSnapshot};
+use asb_storage::{AccessContext, Page, PageId, QueryId, Result};
 use asb_workload::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -355,7 +355,9 @@ pub fn serve(
         // a *give-up* failure additionally quarantines the page so later
         // rounds stop asking for it until its heal probe is due.
         let mut round_cost = 0u64;
-        let mut delivered: BTreeMap<PageId, Node> = BTreeMap::new();
+        // Delivered pages are kept whole (a clone is one reference-count
+        // bump) and read through a `NodeView` when fed.
+        let mut delivered: BTreeMap<PageId, Page> = BTreeMap::new();
         for (shard, pages) in by_shard.iter().enumerate() {
             if pages.is_empty() {
                 continue;
@@ -372,23 +374,21 @@ pub fn serve(
                 let mut any_failed = false;
                 for (slot, &id) in outcomes.iter().zip(&askable) {
                     match slot {
-                        Ok(outcome) => match Node::decode(outcome.guard.page()) {
-                            Ok(node) => {
-                                for &idx in &wanted[&id] {
-                                    if outcome.hit {
-                                        active[idx].hits += 1;
-                                    } else {
-                                        active[idx].misses += 1;
-                                    }
+                        Ok(outcome) if NodeView::parse(outcome.guard.page()).is_ok() => {
+                            for &idx in &wanted[&id] {
+                                if outcome.hit {
+                                    active[idx].hits += 1;
+                                } else {
+                                    active[idx].misses += 1;
                                 }
-                                quarantine.release(id);
-                                delivered.insert(id, node);
-                                batched_pages += 1;
                             }
-                            // A page that fetched but will not decode is
-                            // as unusable as a failed slot: undelivered.
-                            Err(_) => any_failed = true,
-                        },
+                            quarantine.release(id);
+                            delivered.insert(id, outcome.guard.page().clone());
+                            batched_pages += 1;
+                        }
+                        // A page that fetched but will not parse is as
+                        // unusable as a failed slot: undelivered.
+                        Ok(_) => any_failed = true,
                         Err(err) => {
                             any_failed = true;
                             if err.is_give_up() {
@@ -416,13 +416,13 @@ pub fn serve(
                     let Some(guard) = pool.fetch_resident(id, ctx) else {
                         continue;
                     };
-                    let Ok(node) = Node::decode(guard.page()) else {
+                    if NodeView::parse(guard.page()).is_err() {
                         continue;
-                    };
+                    }
                     for &idx in &wanted[&id] {
                         active[idx].hits += 1;
                     }
-                    delivered.insert(id, node);
+                    delivered.insert(id, guard.page().clone());
                     batched_pages += 1;
                 }
                 HIT_TICKS * pages.len() as u64
@@ -441,7 +441,8 @@ pub fn serve(
         // deadline enforcement).
         let mut still = Vec::new();
         for mut a in std::mem::take(&mut active) {
-            a.search.feed(|id| delivered.get(&id));
+            a.search
+                .feed(|id| NodeView::parse(delivered.get(&id)?).ok());
             let timed_out = !a.search.done() && now >= a.deadline;
             if !a.search.done() && !timed_out {
                 still.push(a);

@@ -1,5 +1,5 @@
-//! Hostile input: one seeded mutator, five decoders, and the z-B⁺-tree's
-//! walkers over pages that decode but lie.
+//! Hostile input: one seeded mutator, five decoders, and the R\*-tree's and
+//! z-B⁺-tree's walkers over pages that decode but lie.
 //!
 //! Whatever arrives from outside the process — a trace file, a page of a
 //! damaged store — is decoded into `Ok` or a typed error: never a panic,
@@ -10,17 +10,22 @@
 //! arbitrary bytes, a valid encoding with k ∈ 1..=8 flipped bytes, and a
 //! valid encoding cut at every length. A page that decodes can still point
 //! anywhere, so the tree walkers get forged pages of their own: each must
-//! end in `StorageError::Corrupt`, never a panic or a loop.
+//! end in `StorageError::Corrupt` (a served request: `Outcome::Degraded`),
+//! never a panic or a loop.
 
+use asb::buffer::{PolicyKind, ShardedBuffer};
 use asb::exp::Trace;
-use asb::geom::{Point, Rect, SpatialStats};
+use asb::geom::{Point, Rect, SpatialItem, SpatialStats};
 use asb::quadtree::{QuadNode, QuadTree};
-use asb::rtree::{Node, RTree};
+use asb::rtree::{
+    spatial_join, DirEntry, LeafEntry, Node, NodeKind, NodeView, RTree, RTreeConfig, ViewEntries,
+};
+use asb::serve::{serve, Outcome, ServeConfig};
 use asb::storage::{
     decode_object_page, DiskManager, ObjectRecord, ObjectStore, Page, PageId, PageMeta, PageStore,
     PageType, StorageError, PAGE_SIZE,
 };
-use asb::workload::{Dataset, DatasetKind, Scale};
+use asb::workload::{Dataset, DatasetKind, Request, Scale};
 use asb::zbtree::ZBTree;
 use bytes::Bytes;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -157,10 +162,27 @@ fn rtree_pages_are_decoded_or_refused() {
     let tree = RTree::bulk_load(DiskManager::new(), dataset().items()).expect("bulk load");
     let valid = first_payloads(tree.store(), &INDEX_PAGES);
     for payload in &valid {
-        Node::decode(&page_of(payload)).expect("a real R*-tree page");
+        NodeView::parse(&page_of(payload)).expect("a real R*-tree page");
     }
-    let decode = |bytes: &[u8]| drop(Node::decode(&page_of(bytes)));
-    assault("Node::decode", 2, &valid, PAGE_SIZE, &decode);
+    // The view is what queries read, so every entry is walked; the owned
+    // decode must give the same verdict and the same node.
+    let decode = |bytes: &[u8]| {
+        let page = page_of(bytes);
+        let view = NodeView::parse(&page);
+        if let Ok(view) = view {
+            let walked = match view.entries() {
+                ViewEntries::Leaf(entries) => {
+                    entries.map(|e| e.object_id).fold(0, u64::wrapping_add)
+                }
+                ViewEntries::Dir(entries) => {
+                    entries.map(|e| e.child.raw()).fold(0, u64::wrapping_add)
+                }
+            };
+            std::hint::black_box(walked);
+        }
+        assert_eq!(Node::decode(&page), view.map(|v| v.to_node()));
+    };
+    assault("NodeView::parse", 2, &valid, PAGE_SIZE, &decode);
 }
 
 #[test]
@@ -330,4 +352,106 @@ fn zbtree_leaf_chain_cycle_is_corrupt() {
     });
     assert_corrupt("window query", query);
     assert_corrupt("validate", validate);
+}
+
+/// An R\*-tree directory page at `level` over `children`, each entry with
+/// the unit square as its MBR.
+fn rdir(level: u8, children: &[PageId]) -> Vec<u8> {
+    let entries = children
+        .iter()
+        .map(|&child| DirEntry { mbr: unit(), child })
+        .collect();
+    let node = Node {
+        level,
+        kind: NodeKind::Dir(entries),
+    };
+    node.encode().to_vec()
+}
+
+/// An R\*-tree leaf page holding `objects`, each on the unit square.
+fn rleaf(objects: &[u64]) -> Vec<u8> {
+    let entries = objects
+        .iter()
+        .map(|&object_id| LeafEntry {
+            mbr: unit(),
+            object_id,
+            object_page: 0,
+        })
+        .collect();
+    let node = Node {
+        level: 1,
+        kind: NodeKind::Leaf(entries),
+    };
+    node.encode().to_vec()
+}
+
+/// A one-object R\*-tree (height 1) plus `N - 1` spare pages; `forge` gets
+/// the root's and the spares' ids and returns their new payloads.
+fn forged_rtree<const N: usize>(forge: impl FnOnce([PageId; N]) -> [Vec<u8>; N]) -> RTree {
+    let mut tree = RTree::new(DiskManager::new()).expect("empty tree");
+    tree.insert(SpatialItem::new(1, unit()))
+        .expect("one object");
+    let root = tree.snapshot().root();
+    let meta = PageMeta::data(SpatialStats::EMPTY);
+    let store = tree.store_mut();
+    let ids: [PageId; N] = std::array::from_fn(|i| match i {
+        0 => root,
+        _ => store.allocate(meta, Bytes::new()).expect("spare page"),
+    });
+    for (id, bytes) in ids.into_iter().zip(forge(ids)) {
+        store.write(page_at(id, &bytes)).expect("forge a page");
+    }
+    tree
+}
+
+#[test]
+fn rtree_directory_naming_itself_is_corrupt() {
+    let (window, nearest, join) = terminates(|| {
+        let looped = || forged_rtree(|[root]| [rdir(2, &[root])]);
+        let mut tree = looped();
+        let window = tree.window_query(unit());
+        let nearest = tree.nearest_neighbors(Point::new(0.5, 0.5), 1);
+        let join = spatial_join(&mut looped(), &mut looped());
+        (window, nearest, join)
+    });
+    assert_corrupt("window query", window);
+    assert_corrupt("nearest neighbours", nearest);
+    assert_corrupt("spatial join", join);
+}
+
+#[test]
+fn rtree_children_of_mixed_levels_are_corrupt_and_degrade_a_served_join() {
+    // The root's two children sit at levels 1 and 2: a join pairs them.
+    let forged =
+        || forged_rtree(|[_, leaf, dir]| [rdir(2, &[leaf, dir]), rleaf(&[1]), rdir(2, &[leaf])]);
+    let (window, served) = terminates(move || {
+        let window = forged().window_query(unit());
+        let tree = forged();
+        let snapshot = tree.snapshot();
+        let pool = ShardedBuffer::new(tree.into_store(), PolicyKind::Lru, 8, 1);
+        let sessions = [vec![Request::Join(unit())]];
+        (
+            window,
+            serve(&pool, &snapshot, &sessions, &ServeConfig::default()),
+        )
+    });
+    assert_corrupt("window query", window);
+    let responses = served.expect("serve").responses;
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].outcome, Outcome::Degraded);
+}
+
+#[test]
+fn rtree_empty_node_in_a_spatial_join_is_corrupt() {
+    let items: Vec<SpatialItem> = (0..60)
+        .map(|i| SpatialItem::new(i, Rect::new(0.0, 0.0, 1.0, 1.0)))
+        .collect();
+    let got = terminates(move || {
+        let mut tall = RTree::bulk_load_with(DiskManager::new(), RTreeConfig::small(), &items)
+            .expect("bulk load");
+        assert!(tall.height() > 1);
+        let mut emptied = forged_rtree(|[_]| [rleaf(&[])]);
+        spatial_join(&mut tall, &mut emptied)
+    });
+    assert_corrupt("spatial join", got);
 }

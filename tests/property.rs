@@ -2,8 +2,9 @@
 
 use asb::buffer::{BufferManager, PolicyKind, SpatialCriterion};
 use asb::geom::{Point, Query, Rect, SpatialItem, SpatialStats};
-use asb::rtree::{RTree, RTreeConfig};
-use asb::storage::{AccessContext, DiskManager, PageStore, QueryId};
+use asb::rtree::{DirEntry, LeafEntry, Node, NodeKind, NodeView, RTree, RTreeConfig, ViewEntries};
+use asb::storage::{AccessContext, DiskManager, Page, PageId, PageStore, QueryId, PAGE_SIZE};
+use bytes::Bytes;
 use proptest::prelude::*;
 
 fn rect_strategy() -> impl Strategy<Value = Rect> {
@@ -13,6 +14,28 @@ fn rect_strategy() -> impl Strategy<Value = Rect> {
 
 fn point_strategy() -> impl Strategy<Value = Point> {
     (-100.0f64..1100.0, -100.0f64..1100.0).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// Encodes `node`, appends as much of `trailing` as the page holds, and
+/// checks that the view of that page reads back exactly `node`.
+fn view_reads_back(node: &Node, trailing: &[u8]) -> Result<(), TestCaseError> {
+    let mut payload = node.encode().to_vec();
+    let room = PAGE_SIZE - payload.len();
+    payload.extend_from_slice(&trailing[..trailing.len().min(room)]);
+    let page = Page::new(PageId::new(3), node.page_meta(), Bytes::from(payload)).unwrap();
+    let view = NodeView::parse(&page).map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+    prop_assert_eq!(view.level(), node.level);
+    match (view.entries(), &node.kind) {
+        (ViewEntries::Leaf(got), NodeKind::Leaf(want)) => {
+            prop_assert_eq!(&got.collect::<Vec<_>>(), want);
+        }
+        (ViewEntries::Dir(got), NodeKind::Dir(want)) => {
+            prop_assert_eq!(&got.collect::<Vec<_>>(), want);
+        }
+        _ => prop_assert!(false, "the view changed the node's kind"),
+    }
+    prop_assert_eq!(&view.to_node(), node);
+    Ok(())
 }
 
 proptest! {
@@ -94,6 +117,31 @@ proptest! {
         for r in &rects {
             prop_assert!(mbr.contains(r));
         }
+    }
+
+    /// The parser's one law: a view of an encoded node reads back exactly
+    /// its level, kind and entries, from an empty node to full fan-out
+    /// (42 data / 51 directory entries), whatever bytes follow the last
+    /// entry.
+    #[test]
+    fn node_view_reads_back_what_encode_wrote(
+        entries in prop::collection::vec((rect_strategy(), 0u64..u64::MAX), 51),
+        len in prop_oneof![0usize..=51, Just(0usize), Just(51usize)],
+        level in 2u8..=255,
+        trailing in prop::collection::vec(0u8..=255, 0..32),
+    ) {
+        let leaf = entries
+            .iter()
+            .take(len.min(42))
+            .map(|&(mbr, id)| LeafEntry { mbr, object_id: id, object_page: id.rotate_left(17) })
+            .collect();
+        view_reads_back(&Node { level: 1, kind: NodeKind::Leaf(leaf) }, &trailing)?;
+        let dir = entries
+            .iter()
+            .take(len)
+            .map(|&(mbr, id)| DirEntry { mbr, child: PageId::new(id) })
+            .collect();
+        view_reads_back(&Node { level, kind: NodeKind::Dir(dir) }, &trailing)?;
     }
 }
 

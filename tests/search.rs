@@ -10,8 +10,8 @@
 //!   the search says so.
 
 use asb::geom::{Point, Query, Rect, SpatialItem};
-use asb::rtree::{Node, RTree, RTreeConfig, Search};
-use asb::storage::{AccessContext, DiskManager, PageId, PageStore, QueryId, RecordingStore};
+use asb::rtree::{NodeView, RTree, RTreeConfig, Search};
+use asb::storage::{AccessContext, DiskManager, Page, PageId, PageStore, QueryId, RecordingStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -49,8 +49,9 @@ fn bulk_load(items: &[SpatialItem]) -> RTree<Store> {
 }
 
 /// Runs `search` to completion in slices of `width`, reading the asked
-/// pages from `store`; `lost`, if asked for, is never delivered. Returns
-/// the finished search and every page it asked for, in order.
+/// pages from `store` and feeding views of them; `lost`, if asked for, is
+/// never delivered. Returns the finished search and every page it asked
+/// for, in order.
 fn drive(
     store: &mut Store,
     mut search: Search,
@@ -65,15 +66,16 @@ fn drive(
             break;
         }
         assert!(asked.len() <= width.max(2), "slice wider than asked for");
-        let nodes: BTreeMap<PageId, Node> = asked
+        let pages: BTreeMap<PageId, Page> = asked
             .iter()
             .filter(|&&id| Some(id) != lost)
-            .map(|&id| {
-                let page = store.read(id, ctx).expect("read");
-                (id, Node::decode(&page).expect("decode"))
-            })
+            .map(|&id| (id, store.read(id, ctx).expect("read")))
             .collect();
-        search.feed(|id| nodes.get(&id));
+        search.feed(|id| {
+            pages
+                .get(&id)
+                .map(|page| NodeView::parse(page).expect("parse"))
+        });
         asked_log.extend(asked);
     }
     assert!(search.done());
