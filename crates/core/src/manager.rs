@@ -7,7 +7,7 @@ use asb_storage::{
     SharedWal, StorageError,
 };
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// (`retries`, `corruptions`, `failed_evictions`) stay zero on a
 /// fault-free store, and the durability counters (`wal_appends`,
 /// `checkpoints`) stay zero unless a write-ahead log is attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BufferStats {
     /// Total page requests served.
     pub logical_reads: u64,

@@ -113,7 +113,7 @@ impl Default for ArenaParams {
 }
 
 /// Per-expert snapshot reported by [`ArenaState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExpertState {
     /// The expert's display label (its policy name).
     pub label: String,
@@ -128,7 +128,7 @@ pub struct ExpertState {
 
 /// Snapshot of the arena's mixer: per-expert weights and ghost-miss
 /// counts, the current leader, and authority-switch statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArenaState {
     /// One entry per roster expert, in roster order.
     pub experts: Vec<ExpertState>,

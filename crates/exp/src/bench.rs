@@ -2,16 +2,18 @@
 //!
 //! One deterministic phase-change workload per golden database, replayed
 //! through LRU, ASB and the expert arena at a fixed capacity. Everything
-//! is a pure function of the configuration constants, so running
-//! `probe --bench-json` on any machine regenerates the committed file
-//! byte-for-byte — the file is a reviewable benchmark result, not a
-//! snapshot of one developer's run.
+//! is a pure function of the configuration constants, so the file is a
+//! reviewable benchmark result, not a snapshot of one developer's run.
+//! Its one writer is the tier-1 test `committed_replacement_bench_is_current`,
+//! which holds the acceptance bars and byte-compares the committed file;
+//! `ASB_BLESS_GOLDEN=1 cargo test --test golden_trace -- --test-threads 1`
+//! rewrites it.
 
 use crate::trace::Trace;
 use asb_core::PolicyKind;
 use asb_storage::Result;
 use asb_workload::{DatasetKind, PhasedWorkload, Scale};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The two golden databases every committed benchmark trajectory runs on,
 /// as `(label, kind)` pairs — the labels appear verbatim in the committed
@@ -22,14 +24,14 @@ pub const GOLDEN_DBS: [(&str, DatasetKind); 2] = [
 ];
 
 /// Buffer capacity (pages) used for every benchmark replay.
-pub const BENCH_CAPACITY: usize = 12;
+const BENCH_CAPACITY: usize = 12;
 /// Seed of the benchmark workloads.
-pub const BENCH_SEED: u64 = 42;
+const BENCH_SEED: u64 = 42;
 /// Queries per phase of the adversarial workload.
-pub const BENCH_QUERIES_PER_PHASE: usize = 80;
+const BENCH_QUERIES_PER_PHASE: usize = 80;
 
 /// One `(database, policy)` benchmark row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BenchEntry {
     /// Database name (`"mainland"` / `"world"`).
     pub db: String,
@@ -51,7 +53,7 @@ pub struct BenchEntry {
 
 /// The full benchmark: configuration header plus one row per
 /// `(database, policy)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReplacementBench {
     /// Workload label (phases included), e.g.
     /// `"phase-change[U-W-33+INT-P+ID-W+IND-W-100+U-P]"`.
@@ -69,17 +71,13 @@ pub struct ReplacementBench {
 /// Runs the replacement benchmark: the adversarial phase-change workload
 /// on both golden databases, replayed through LRU, ASB and the default
 /// expert arena.
-pub fn replacement_bench(
-    seed: u64,
-    capacity: usize,
-    queries_per_phase: usize,
-) -> Result<ReplacementBench> {
-    let workload = PhasedWorkload::adversarial(queries_per_phase);
+pub fn replacement_bench() -> Result<ReplacementBench> {
+    let workload = PhasedWorkload::adversarial(BENCH_QUERIES_PER_PHASE);
     let policies = [PolicyKind::Lru, PolicyKind::Asb, PolicyKind::Arena];
     let mut entries = Vec::new();
     for (name, db) in GOLDEN_DBS {
-        let trace = Trace::record_phased(db, Scale::Tiny, seed, &workload)?;
-        let outcomes = Trace::replay_all(&policies.map(|policy| (&trace, policy, capacity)))?;
+        let trace = Trace::record_phased(db, Scale::Tiny, BENCH_SEED, &workload)?;
+        let outcomes = Trace::replay_all(&policies.map(|policy| (&trace, policy, BENCH_CAPACITY)))?;
         for (policy, out) in policies.into_iter().zip(outcomes) {
             // `BufferStats` carries the arena's two counters (zero for every
             // other policy): the switches, and the ghost misses of the best
@@ -101,45 +99,9 @@ pub fn replacement_bench(
     }
     Ok(ReplacementBench {
         workload: workload.label(),
-        seed,
-        capacity,
-        queries_per_phase,
+        seed: BENCH_SEED,
+        capacity: BENCH_CAPACITY,
+        queries_per_phase: BENCH_QUERIES_PER_PHASE,
         entries,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_is_reproducible_and_arena_beats_asb() {
-        let a = replacement_bench(BENCH_SEED, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE).unwrap();
-        let b = replacement_bench(BENCH_SEED, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE).unwrap();
-        assert_eq!(a, b, "benchmark must be a pure function of its config");
-        assert_eq!(a.entries.len(), 6);
-        for db in ["mainland", "world"] {
-            let row = |policy: &str| {
-                a.entries
-                    .iter()
-                    .find(|e| e.db == db && e.policy == policy)
-                    .unwrap()
-            };
-            let (lru, asb, arena) = (row("LRU"), row("ASB"), row("ARENA"));
-            assert_eq!(lru.logical_reads, asb.logical_reads);
-            assert_eq!(lru.logical_reads, arena.logical_reads);
-            // The acceptance bar: the arena strictly beats plain ASB on
-            // both committed phase-change workloads.
-            assert!(
-                arena.misses < asb.misses,
-                "{db}: arena {} vs asb {}",
-                arena.misses,
-                asb.misses
-            );
-            assert!(arena.regret.unsigned_abs() <= 32, "{db}: {}", arena.regret);
-            assert!(arena.authority_switches > 0);
-            assert_eq!(lru.regret, 0);
-            assert_eq!(asb.authority_switches, 0);
-        }
-    }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! probe [--scale S] [--seed N] [--db 1|2] [--frac F] [--set NAME]
-//!       [--shards M] [--bench-json PATH]
+//!       [--shards M]
 //! ```
 //!
 //! Prints, for every policy, the disk accesses, hit ratio and I/O split of
@@ -14,17 +14,9 @@
 //! (`Lab::eval`). `--shards M` additionally runs the query set live against
 //! a sharded buffer pool with M shards, served by as many threads as the
 //! machine offers (at least two), and reports the pool-wide statistics.
-//!
-//! `--bench-json PATH` runs the deterministic replacement benchmark
-//! (LRU/ASB/ARENA on the phase-change workload over both golden
-//! databases) and writes it as JSON — this regenerates the repo's
-//! committed `BENCH_replacement.json` byte-for-byte. With this flag the
-//! per-policy table is skipped.
 
 use asb_core::{PolicyKind, ShardedBuffer, SpatialCriterion};
-use asb_exp::{
-    replacement_bench, ExperimentCell, Lab, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE, BENCH_SEED,
-};
+use asb_exp::{ExperimentCell, Lab};
 use asb_rtree::RTree;
 use asb_storage::DiskManager;
 use asb_workload::{Dataset, DatasetKind, QuerySetSpec, Scale};
@@ -37,7 +29,6 @@ fn main() -> ExitCode {
     let mut frac = 0.047f64;
     let mut set = "INT-P".to_string();
     let mut shards = 0usize;
-    let mut bench_json: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut next = || it.next().ok_or_else(|| format!("{arg} needs a value"));
@@ -72,7 +63,6 @@ fn main() -> ExitCode {
                         return Err("--shards must be at least 1".into());
                     }
                 }
-                "--bench-json" => bench_json = Some(next()?),
                 o => return Err(format!("unknown argument {o}")),
             }
             Ok(())
@@ -83,34 +73,6 @@ fn main() -> ExitCode {
         }
     }
     let spec = QuerySetSpec::from_name(&set).expect("validated above");
-
-    if let Some(path) = bench_json {
-        let bench = match replacement_bench(BENCH_SEED, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let json = serde_json::to_string_pretty(&bench).expect("serialize benchmark");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        for e in &bench.entries {
-            println!(
-                "# bench {}/{:<6} misses={:<4} hit%={:<5.1} regret={:<4} switches={}",
-                e.db,
-                e.policy,
-                e.misses,
-                100.0 * e.hit_rate,
-                e.regret,
-                e.authority_switches,
-            );
-        }
-        println!("# wrote {path}");
-        return ExitCode::SUCCESS;
-    }
 
     let mut lab = Lab::new(scale, seed);
     let pages = match lab.tree_pages(db) {

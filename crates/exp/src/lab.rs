@@ -11,7 +11,7 @@ use asb_geom::Query;
 use asb_rtree::RTree;
 use asb_storage::{DiskManager, IoStats, PageMeta, RecordingStore, Result};
 use asb_workload::{Dataset, DatasetKind, QuerySetSpec, Scale};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ impl ExperimentCell {
 }
 
 /// Result of running one query set through one buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RunResult {
     /// Physical page reads — the paper's "number of disk accesses".
     pub disk_accesses: u64,

@@ -36,10 +36,7 @@ mod lab;
 mod report;
 mod trace;
 
-pub use bench::{
-    replacement_bench, BenchEntry, ReplacementBench, BENCH_CAPACITY, BENCH_QUERIES_PER_PHASE,
-    BENCH_SEED, GOLDEN_DBS,
-};
+pub use bench::{replacement_bench, BenchEntry, ReplacementBench, GOLDEN_DBS};
 pub use crash::{crash_sweep, CrashConfig, CrashDivergence, CrashSweepReport};
 pub use ext::{extension, EXTENSIONS};
 pub use figures::{figure, FIGURE_IDS};

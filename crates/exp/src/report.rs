@@ -1,9 +1,9 @@
 //! Typed figure tables with text and JSON rendering.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One plotted series: a name (legend entry) and one value per x-position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     /// Legend label, e.g. `"LRU-2"` or `"buffer 0.6%"`.
     pub name: String,
@@ -13,7 +13,7 @@ pub struct Series {
 
 /// A reproduction of one diagram of the paper: labelled series over a
 /// shared x-axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FigureTable {
     /// Figure identity, e.g. `"fig7"`.
     pub id: String,
@@ -132,8 +132,8 @@ mod tests {
     fn json_roundtrip() {
         let t = table();
         let json = serde_json::to_string(&t).unwrap();
-        let back: FigureTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
+        let back: serde::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t.serialize());
     }
 
     #[test]

@@ -48,3 +48,9 @@ fn probe_refuses_a_buffer_fraction_outside_the_unit_interval() {
         assert_refused(PROBE, &["--scale", "tiny", "--frac", frac]);
     }
 }
+
+/// `BENCH_replacement.json` is written by its tier-1 test alone.
+#[test]
+fn probe_has_no_benchmark_writer() {
+    assert_refused(PROBE, &["--bench-json", "x"]);
+}

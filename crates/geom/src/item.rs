@@ -1,11 +1,11 @@
 use crate::{HasMbr, Rect};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A spatial object reduced to what an index needs: an id and an MBR.
 ///
 /// Datasets (`asb-workload`) produce these and the R\*-tree
 /// (`asb-rtree`) indexes them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpatialItem {
     /// Application-level identifier reported by queries.
     pub id: u64,

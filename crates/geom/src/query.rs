@@ -1,8 +1,8 @@
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A spatial query, as issued by the paper's query sets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Query {
     /// Point query: report all objects whose MBR contains the point.
     Point(Point),

@@ -1,5 +1,5 @@
 use crate::Point;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An axis-aligned rectangle — the *minimum bounding rectangle (MBR)* of the
 /// EDBT 2002 paper.
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// corner ordering, so a `Rect` obtained through the public API always
 /// satisfies it. Degenerate rectangles (zero width and/or height) are legal;
 /// they are the MBRs of points and axis-parallel segments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.criterion(SpatialCriterion::EntryArea), 8.0);
 /// assert_eq!(stats.criterion(SpatialCriterion::EntryOverlap), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpatialStats {
     /// MBR of all entries of the page (`None` for an empty page).
     pub mbr: Option<Rect>,

@@ -206,15 +206,53 @@ impl<S: PageStore> QuadTree<S> {
         self.file.free(id)
     }
 
-    /// Reads a node's full entry list (primary + continuation pages) and
-    /// the chain's page ids after the primary.
-    fn read_chain(&mut self, primary: PageId) -> Result<(QuadNode, Vec<QuadEntry>, Vec<PageId>)> {
-        let head = self.read_node(primary)?;
+    /// Reads the primary page of the node its parent placed at `depth`. A
+    /// page at another depth, or past `max_depth`, is corrupt, so every
+    /// descent moves one level down and ends within `max_depth` levels.
+    fn read_node_at(&mut self, id: PageId, depth: u8) -> Result<QuadNode> {
+        let node = self.read_node(id)?;
+        if node.depth != depth || depth > self.config.max_depth {
+            return Err(StorageError::Corrupt {
+                id,
+                reason: format!(
+                    "node at depth {} where its parent puts depth {depth} (max {})",
+                    node.depth, self.config.max_depth
+                ),
+            });
+        }
+        Ok(node)
+    }
+
+    /// Reads the node at `primary`, which its parent placed at `depth`,
+    /// with its continuation chain: the primary page, the entries of every
+    /// page of the chain, and the chain's page ids after the primary. A
+    /// continuation page with children or at another depth is corrupt, and
+    /// so is a chain longer than the store has pages: a cycle ends there.
+    fn read_chain(
+        &mut self,
+        primary: PageId,
+        depth: u8,
+    ) -> Result<(QuadNode, Vec<QuadEntry>, Vec<PageId>)> {
+        let corrupt = |id, reason: &str| StorageError::Corrupt {
+            id,
+            reason: reason.to_string(),
+        };
+        let head = self.read_node_at(primary, depth)?;
         let mut entries = head.entries.clone();
         let mut chain = Vec::new();
         let mut next = head.next;
         while let Some(id) = next {
+            // The primary, `chain` and `id` itself.
+            if chain.len() + 2 > self.page_count() {
+                return Err(corrupt(primary, "continuation chain longer than the store"));
+            }
             let cont = self.read_node(id)?;
+            if cont.is_internal() {
+                return Err(corrupt(id, "continuation page with children"));
+            }
+            if cont.depth != depth {
+                return Err(corrupt(id, "continuation page at another depth"));
+            }
             entries.extend_from_slice(&cont.entries);
             next = cont.next;
             chain.push(id);
@@ -286,7 +324,7 @@ impl<S: PageStore> QuadTree<S> {
         let mut cell = self.bounds;
         let mut depth = 0u8;
         loop {
-            let node = self.read_node(node_id)?;
+            let node = self.read_node_at(node_id, depth)?;
             if node.is_internal() {
                 match containing_quadrant(&cell, &entry.mbr) {
                     Some(q) => {
@@ -316,7 +354,7 @@ impl<S: PageStore> QuadTree<S> {
                     }
                     None => {
                         // Straddler: stays on this internal node.
-                        let (head, mut entries, chain) = self.read_chain(node_id)?;
+                        let (head, mut entries, chain) = self.read_chain(node_id, depth)?;
                         entries.push(entry);
                         self.write_chain(node_id, depth, head.children, &entries, &chain)?;
                         break;
@@ -324,7 +362,7 @@ impl<S: PageStore> QuadTree<S> {
                 }
             } else {
                 // Leaf: append; split on overflow.
-                let (_, mut entries, chain) = self.read_chain(node_id)?;
+                let (_, mut entries, chain) = self.read_chain(node_id, depth)?;
                 entries.push(entry);
                 if entries.len() > self.config.bucket_capacity && depth < self.config.max_depth {
                     self.split(node_id, cell, depth, entries, &chain)?;
@@ -416,7 +454,7 @@ impl<S: PageStore> QuadTree<S> {
         let mut cell = self.bounds;
         let mut depth = 0u8;
         loop {
-            let node = self.read_node(node_id)?;
+            let node = self.read_node_at(node_id, depth)?;
             let descend = if node.is_internal() {
                 containing_quadrant(&cell, mbr)
             } else {
@@ -432,7 +470,7 @@ impl<S: PageStore> QuadTree<S> {
                     None => return Ok(false),
                 },
                 None => {
-                    let (head, mut entries, chain) = self.read_chain(node_id)?;
+                    let (head, mut entries, chain) = self.read_chain(node_id, depth)?;
                     let Some(pos) = entries
                         .iter()
                         .position(|e| e.object_id == id && e.mbr == *mbr)
@@ -455,32 +493,18 @@ impl<S: PageStore> QuadTree<S> {
         self.next_query += 1;
         let region = query.region();
         let mut results = Vec::new();
-        let mut stack = vec![(self.root, self.bounds)];
-        while let Some((id, cell)) = stack.pop() {
+        let mut stack = vec![(self.root, self.bounds, 0u8)];
+        while let Some((id, cell, depth)) = stack.pop() {
             if !cell.intersects(&region) {
                 continue;
             }
-            // Walk the whole chain of this node.
-            let mut page = Some(id);
-            let mut head_children = [None; CHILDREN];
-            let mut first = true;
-            while let Some(pid) = page {
-                let node = self.read_node(pid)?;
-                for e in &node.entries {
-                    if query.matches(&e.mbr) {
-                        results.push(e.object_id);
-                    }
-                }
-                if first {
-                    head_children = node.children;
-                    first = false;
-                }
-                page = node.next;
-            }
+            let (head, entries, _) = self.read_chain(id, depth)?;
+            let hits = entries.iter().filter(|e| query.matches(&e.mbr));
+            results.extend(hits.map(|e| e.object_id));
             let quads = quadrants(&cell);
-            for (q, child) in head_children.iter().enumerate() {
+            for (q, child) in head.children.iter().enumerate() {
                 if let Some(c) = child {
-                    stack.push((*c, quads[q]));
+                    stack.push((*c, quads[q], depth + 1));
                 }
             }
         }
@@ -502,24 +526,18 @@ impl<S: PageStore> QuadTree<S> {
             max_depth_used: 0,
             objects: 0,
         };
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
-            stats.max_depth_used = stats.max_depth_used.max(node.depth);
-            stats.objects += node.entries.len();
+        let mut stack = vec![(self.root, 0u8)];
+        while let Some((id, depth)) = stack.pop() {
+            let (node, entries, chain) = self.read_chain(id, depth)?;
+            stats.max_depth_used = stats.max_depth_used.max(depth);
+            stats.objects += entries.len();
+            stats.chain_pages += chain.len();
             if node.is_internal() {
                 stats.internal_nodes += 1;
             } else {
                 stats.leaf_nodes += 1;
             }
-            let mut next = node.next;
-            while let Some(cont_id) = next {
-                let cont = self.read_node(cont_id)?;
-                stats.chain_pages += 1;
-                stats.objects += cont.entries.len();
-                next = cont.next;
-            }
-            stack.extend(node.children.iter().flatten().copied());
+            stack.extend(node.children.iter().flatten().map(|&c| (c, depth + 1)));
         }
         Ok(stats)
     }
@@ -533,32 +551,9 @@ impl<S: PageStore> QuadTree<S> {
         let mut objects = 0usize;
         let mut stack = vec![(self.root, self.bounds, 0u8)];
         while let Some((id, cell, depth)) = stack.pop() {
-            let node = self.read_node(id)?;
-            if node.depth != depth {
-                return Err(corrupt(
-                    id,
-                    format!("depth {} != expected {depth}", node.depth),
-                ));
-            }
-            if depth > self.config.max_depth {
-                return Err(corrupt(id, "node below max depth".into()));
-            }
+            let (node, entries, _) = self.read_chain(id, depth)?;
             let internal = node.is_internal();
-            // Gather the whole chain.
-            let mut chain_entries = node.entries.clone();
-            let mut next = node.next;
-            while let Some(cont_id) = next {
-                let cont = self.read_node(cont_id)?;
-                if cont.is_internal() {
-                    return Err(corrupt(cont_id, "continuation page with children".into()));
-                }
-                if cont.entries.len() > PAGE_CAPACITY {
-                    return Err(corrupt(cont_id, "overfull page".into()));
-                }
-                chain_entries.extend_from_slice(&cont.entries);
-                next = cont.next;
-            }
-            for e in &chain_entries {
+            for e in &entries {
                 if !cell.contains(&e.mbr) {
                     return Err(corrupt(
                         id,
@@ -572,7 +567,7 @@ impl<S: PageStore> QuadTree<S> {
                     ));
                 }
             }
-            objects += chain_entries.len();
+            objects += entries.len();
             let quads = quadrants(&cell);
             for (q, child) in node.children.iter().enumerate() {
                 if let Some(c) = child {

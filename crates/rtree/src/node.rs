@@ -224,18 +224,9 @@ impl<'a> NodeView<'a> {
         impl Iterator<Item = DirEntry> + Clone + 'a,
     > {
         if self.level == 1 {
-            let leaf = |e: &[u8]| LeafEntry {
-                mbr: rect_at(e),
-                object_id: u64_at(e, 32),
-                object_page: u64_at(e, 40),
-            };
-            ViewEntries::Leaf(Entries(self.bytes.chunks_exact(LEAF_ENTRY_SIZE), leaf))
+            ViewEntries::Leaf(Entries(self.bytes.chunks_exact(LEAF_ENTRY_SIZE), leaf_at))
         } else {
-            let dir = |e: &[u8]| DirEntry {
-                mbr: rect_at(e),
-                child: PageId::new(u64_at(e, 32)),
-            };
-            ViewEntries::Dir(Entries(self.bytes.chunks_exact(DIR_ENTRY_SIZE), dir))
+            ViewEntries::Dir(Entries(self.bytes.chunks_exact(DIR_ENTRY_SIZE), dir_at))
         }
     }
 
@@ -267,9 +258,11 @@ struct Entries<'a, F>(ChunksExact<'a, u8>, F);
 
 impl<E, F: Fn(&[u8]) -> E> Iterator for Entries<'_, F> {
     type Item = E;
+    #[inline]
     fn next(&mut self) -> Option<E> {
         self.0.next().map(&self.1)
     }
+    #[inline]
     fn nth(&mut self, n: usize) -> Option<E> {
         self.0.nth(n).map(&self.1)
     }
@@ -283,6 +276,32 @@ pub(crate) fn corrupt(id: PageId, reason: impl Into<String>) -> StorageError {
     StorageError::Corrupt {
         id,
         reason: reason.into(),
+    }
+}
+
+// The two entry readers run once per entry of every page a query reads.
+// They are `#[inline]` fn items, not closures in `entries`, so that they
+// inline into a caller in another crate however that crate is split into
+// codegen units: as closures, removing one unused derive from `asb-serve`
+// moved them out of line and cost `serve_browse` 20 % per read (2-core
+// x86-64).
+
+/// The leaf entry in `bytes`, as `Node::encode` wrote it.
+#[inline]
+fn leaf_at(bytes: &[u8]) -> LeafEntry {
+    LeafEntry {
+        mbr: rect_at(bytes),
+        object_id: u64_at(bytes, 32),
+        object_page: u64_at(bytes, 40),
+    }
+}
+
+/// The directory entry in `bytes`, as `Node::encode` wrote it.
+#[inline]
+fn dir_at(bytes: &[u8]) -> DirEntry {
+    DirEntry {
+        mbr: rect_at(bytes),
+        child: PageId::new(u64_at(bytes, 32)),
     }
 }
 

@@ -20,8 +20,9 @@
 //!
 //! Everything runs on the simulated clock, so the committed
 //! `BENCH_chaos.json` regenerates byte-for-byte on any machine; a tier-1
-//! test (`committed_chaos_bench_is_current`) compares a fresh sweep with it
-//! byte for byte and holds it to these guarantees ([`check_chaos`]).
+//! test (`committed_chaos_bench_is_current`) holds a fresh sweep to these
+//! guarantees ([`check_chaos`]) and compares it with the file byte for
+//! byte. That test is the file's only writer, under `ASB_BLESS_GOLDEN=1`.
 
 use crate::bench::{bench_sessions, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_SEED};
 use crate::engine::{serve, ServeConfig, ServeOutcome};

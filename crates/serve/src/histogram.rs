@@ -14,7 +14,7 @@
 //! associatively and commutatively, which the property suite in
 //! `tests/latency.rs` pins down.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// log2 of [`SUB_BUCKETS`].
 const SUB_BITS: u32 = 4;
@@ -34,7 +34,7 @@ pub const RELATIVE_ERROR: f64 = 1.0 / SUB_BUCKETS as f64;
 
 /// A fixed-bucket log-scale histogram over `u64` values (simulated-time
 /// latency ticks in `asb-serve`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,

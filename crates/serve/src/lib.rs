@@ -20,8 +20,13 @@
 //!
 //! ```text
 //! cargo run --release -p asb-serve --bin serve -- run
-//! cargo run --release -p asb-serve --bin serve -- bench --json BENCH_serve.json
+//! ASB_BLESS_GOLDEN=1 cargo test --test golden_trace -- --test-threads 1
 //! ```
+//!
+//! The first command serves one configuration interactively. The second
+//! re-blesses `BENCH_serve.json` and `BENCH_chaos.json` (with every other
+//! committed artifact) after an intentional change: the tier-1 currency
+//! tests are their only writer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +38,9 @@ mod engine;
 mod histogram;
 
 pub use bench::{
-    bench_sessions, default_serve_bench, serve_bench, ServeBench, ServeBenchEntry,
-    SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_POLICIES, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED,
-    SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
+    bench_sessions, serve_bench, ServeBench, ServeBenchEntry, SERVE_BENCH_BUFFER_FRAC,
+    SERVE_BENCH_POLICIES, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED, SERVE_BENCH_SESSIONS,
+    SERVE_BENCH_SHARDS,
 };
 pub use chaos::{
     chaos_sweep, check_chaos, default_chaos_bench, last_leaf_ids, ChaosBench, ChaosCell,

@@ -4,7 +4,7 @@ use crate::{
     PAGE_SIZE,
 };
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Simulated cost of a random page access in milliseconds. The paper's
 /// introduction motivates buffering with "the time to access a randomly
@@ -20,7 +20,7 @@ const RANDOM_READ_MS: f64 = 10.0;
 const SEQUENTIAL_READ_MS: f64 = 0.5;
 
 /// Physical I/O statistics of a [`DiskManager`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct IoStats {
     /// Total physical page reads (the paper's "disk accesses").
     pub reads: u64,

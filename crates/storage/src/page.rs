@@ -1,6 +1,6 @@
 use asb_geom::SpatialStats;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Size of a page in bytes.
 ///
@@ -21,7 +21,7 @@ pub const PAGE_HEADER_SIZE: usize = 8;
 /// Ids are dense and allocated by the [`DiskManager`](crate::DiskManager);
 /// consecutive ids model physically adjacent pages, which is what the
 /// sequential-I/O detection in [`IoStats`](crate::IoStats) keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct PageId(u64);
 
 impl PageId {
@@ -53,7 +53,7 @@ impl std::fmt::Display for PageId {
 /// The three page categories the paper distinguishes (Section 2.1, Fig. 1):
 /// directory pages and data pages of the spatial access method, plus object
 /// pages storing the exact object representations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PageType {
     /// Inner page of the spatial access method.
     Directory,
@@ -106,7 +106,7 @@ impl PageType {
 /// * `page_type` / `level` feed LRU-T and LRU-P (priority = level; object
 ///   pages have priority 0, leaves 1, the root the highest),
 /// * `stats` feeds the five spatial criteria of Section 2.3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PageMeta {
     /// Category of the page.
     pub page_type: PageType,

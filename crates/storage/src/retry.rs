@@ -10,14 +10,14 @@
 //! the waiting time a real deployment would spend is *accounted* (in
 //! simulated milliseconds) alongside the disk's own timing model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Retry schedule for transient storage faults.
 ///
 /// `max_attempts` counts every try including the first, so `1` means "no
 /// retries" and `4` means "one try plus up to three retries". Backoff before
 /// retry `n` (1-based) is `base_backoff_ms * backoff_multiplier^(n-1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Total attempt budget (≥ 1; zero is treated as 1).
     pub max_attempts: u32,

@@ -1,6 +1,6 @@
 use crate::{IoStats, Page, PageId, PageMeta, Result};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of the query a page access belongs to.
 ///
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// belong to the same query"; LRU-K collapses correlated accesses into one
 /// history entry. The experiment harness bumps the query id once per
 /// executed query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct QueryId(u64);
 
 impl QueryId {

@@ -4,10 +4,10 @@ use asb_geom::{Point, Rect, SpatialItem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution as _, Normal};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which of the paper's two databases to emulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DatasetKind {
     /// Database 1: geographic features of a mainland (GNIS-like) —
     /// clustered points and small extended objects inside one irregular
@@ -22,7 +22,7 @@ pub enum DatasetKind {
 /// make results comparable across scales; the paper itself argues "because
 /// of using relative buffer sizes, the results … should hold for the case of
 /// larger databases and buffers".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Scale {
     /// ~2 000 objects — unit tests and doctests.
     Tiny,
@@ -86,7 +86,7 @@ impl Scale {
 
 /// A populated place (city/town), the unit of the similar, intensified and
 /// independent query distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Place {
     /// Location of the place.
     pub location: Point,

@@ -11,7 +11,7 @@
 use crate::dataset::Dataset;
 use crate::queryset::{QueryKind, QuerySetSpec};
 use asb_geom::Query;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A named concatenation of query-set phases.
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// materializes the phases in order against one dataset, deterministically
 /// from a seed, and reports the phase boundaries so evaluations can
 /// attribute misses to regimes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhasedWorkload {
     /// Display name, e.g. `"phase-change"`.
     pub name: String,

@@ -4,10 +4,10 @@ use crate::dataset::Dataset;
 use asb_geom::{Point, Query, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Point queries or window queries of a given relative extent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum QueryKind {
     /// Point queries.
     Point,
@@ -25,7 +25,7 @@ pub enum QueryKind {
 }
 
 /// The five distribution families of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Distribution {
     /// `U-*`: query anchors uniform over the whole data space, including
     /// parts storing no objects.
@@ -58,7 +58,7 @@ impl Distribution {
 /// A query-set specification: distribution × query kind.
 ///
 /// `generate` materializes the set deterministically from a seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct QuerySetSpec {
     /// The anchor distribution.
     pub dist: Distribution,

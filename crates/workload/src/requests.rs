@@ -15,10 +15,10 @@ use crate::trajectory::{session, SessionSpec};
 use asb_geom::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One request a simulated session submits to the serving front end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Request {
     /// All objects intersecting the viewport window.
     Window(Rect),
@@ -41,7 +41,7 @@ impl Request {
 }
 
 /// Relative weights of the request kinds a session issues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RequestMix {
     /// Weight of viewport window queries.
     pub window: u32,

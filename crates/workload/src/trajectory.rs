@@ -11,10 +11,10 @@ use crate::dataset::Dataset;
 use asb_geom::{Point, Query, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a [`session`] trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SessionSpec {
     /// Probability per step of jumping to a random place (search).
     pub jump_probability: f64,

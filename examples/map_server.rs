@@ -6,7 +6,8 @@
 //!
 //! Latency is measured on the storage layer's simulated clock (1 tick =
 //! 1 µs), so the percentiles printed here are bit-for-bit reproducible —
-//! the same numbers `serve bench --json` commits to `BENCH_serve.json`.
+//! the instrument behind the committed `BENCH_serve.json`, which the tier-1
+//! test `committed_serve_bench_is_current` writes and holds current.
 //! The example races several policies over identical session streams and
 //! prints the latency/throughput comparison.
 //!

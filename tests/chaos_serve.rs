@@ -1,10 +1,10 @@
 //! End-to-end degradation tests: the serving path over a faulty store.
 //!
-//! The committed chaos matrix (`BENCH_chaos.json`, regenerated by
-//! `serve chaos`) covers the full seed × profile grid; this suite keeps a
-//! reduced matrix in `cargo test` and exercises the pieces the matrix
-//! only observes in aggregate: outcome labelling on the fault-free path,
-//! the subset guarantee behind "degraded ≠ incorrect", quarantine of
+//! The committed chaos matrix (`BENCH_chaos.json`, held current by
+//! `tests/golden_trace.rs`) covers the full seed × profile grid; this
+//! suite keeps a reduced matrix and exercises the pieces the matrix only
+//! observes in aggregate: outcome labelling on the fault-free path, the
+//! subset guarantee behind "degraded ≠ incorrect", quarantine of
 //! permanently dead pages, and mid-run poison/heal through the
 //! pool-shared store.
 

@@ -1,5 +1,5 @@
-//! Hostile input: one seeded mutator, five decoders, and the R\*-tree's and
-//! z-B⁺-tree's walkers over pages that decode but lie.
+//! Hostile input: one seeded mutator, five decoders, and the walkers of all
+//! three trees over pages that decode but lie.
 //!
 //! Whatever arrives from outside the process — a trace file, a page of a
 //! damaged store — is decoded into `Ok` or a typed error: never a panic,
@@ -454,4 +454,109 @@ fn rtree_empty_node_in_a_spatial_join_is_corrupt() {
         spatial_join(&mut tall, &mut emptied)
     });
     assert_corrupt("spatial join", got);
+}
+
+/// An empty quadtree page at `depth` with these `children` and `next`
+/// continuation pointer.
+fn qnode(depth: u8, children: [Option<PageId>; 4], next: Option<PageId>) -> QuadNode {
+    QuadNode {
+        depth,
+        children,
+        next,
+        entries: Vec::new(),
+    }
+}
+
+/// An empty quadtree over the unit square plus one spare page; `forge`
+/// gets the root's and the spare's ids and returns their new nodes.
+fn forged_quadtree(forge: impl FnOnce(PageId, PageId) -> [QuadNode; 2]) -> QuadTree {
+    let mut tree = QuadTree::new(DiskManager::new(), unit()).expect("empty tree");
+    let root = tree.store().iter_pages().next().expect("root page").id;
+    let meta = PageMeta::data(SpatialStats::EMPTY);
+    let store = tree.store_mut();
+    let spare = store.allocate(meta, Bytes::new()).expect("spare page");
+    for (id, node) in [root, spare].into_iter().zip(forge(root, spare)) {
+        store
+            .write(page_at(id, &node.encode()))
+            .expect("forge a page");
+    }
+    tree
+}
+
+/// Runs a window query over the corner the cells shrink toward, `stats`,
+/// `validate` and an insert into that corner, each on a fresh forgery,
+/// and asserts that each ends in `Corrupt` for the reason `why`.
+fn assert_quad_walks_corrupt(forge: fn(PageId, PageId) -> [QuadNode; 2], why: &str) {
+    let results = terminates(move || {
+        let corner = Rect::new(0.0, 0.0, 0.01, 0.01);
+        let tree = || forged_quadtree(forge);
+        [
+            ("window query", tree().window_query(corner).map(drop)),
+            ("stats", tree().stats().map(drop)),
+            ("validate", tree().validate()),
+            ("insert", tree().insert(SpatialItem::new(1, corner))),
+        ]
+    });
+    for (what, got) in results {
+        assert!(
+            matches!(&got, Err(StorageError::Corrupt { reason, .. }) if reason.contains(why)),
+            "{what}: expected a Corrupt error for {why:?}, got {got:?}"
+        );
+    }
+}
+
+#[test]
+fn quadtree_chain_cycle_is_corrupt() {
+    assert_quad_walks_corrupt(
+        |root, spare| {
+            [
+                qnode(0, [None; 4], Some(spare)),
+                qnode(0, [None; 4], Some(root)),
+            ]
+        },
+        "longer than the store",
+    );
+}
+
+#[test]
+fn quadtree_child_naming_its_parent_is_corrupt() {
+    assert_quad_walks_corrupt(
+        |root, _| {
+            [
+                qnode(0, [Some(root), None, None, None], None),
+                qnode(1, [None; 4], None),
+            ]
+        },
+        "where its parent puts depth 1",
+    );
+}
+
+/// The chain loops back too; the reason pins that the children check, not the
+/// length bound, stops it.
+#[test]
+fn quadtree_continuation_page_with_children_is_corrupt() {
+    assert_quad_walks_corrupt(
+        |root, spare| {
+            [
+                qnode(0, [None; 4], Some(spare)),
+                qnode(0, [Some(root), None, None, None], Some(root)),
+            ]
+        },
+        "continuation page with children",
+    );
+}
+
+/// The chain loops back too; the reason pins that the depth check, not the
+/// length bound, stops it.
+#[test]
+fn quadtree_continuation_page_at_another_depth_is_corrupt() {
+    assert_quad_walks_corrupt(
+        |root, spare| {
+            [
+                qnode(0, [None; 4], Some(spare)),
+                qnode(1, [None; 4], Some(root)),
+            ]
+        },
+        "continuation page at another depth",
+    );
 }
