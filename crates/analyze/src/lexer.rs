@@ -47,15 +47,14 @@ pub enum TokenKind {
     Punct,
 }
 
-/// One token: its kind, exact source text, and 1-based start line.
+/// One token: its kind and exact source text. Line numbers are the
+/// caller's to count (the lint pass derives them while splitting lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token<'s> {
     /// What the token is.
     pub kind: TokenKind,
     /// The token's exact bytes from the source (round-trip property).
     pub text: &'s str,
-    /// 1-based line number of the token's first byte.
-    pub line: usize,
 }
 
 fn is_ident_start(b: u8) -> bool {
@@ -82,10 +81,8 @@ pub fn lex(src: &str) -> Vec<Token<'_>> {
     let b = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
-    let mut line = 1usize;
     while i < b.len() {
         let start = i;
-        let start_line = line;
         let kind = match b[i] {
             c if c.is_ascii_whitespace() => {
                 while i < b.len() && b[i].is_ascii_whitespace() {
@@ -154,12 +151,9 @@ pub fn lex(src: &str) -> Vec<Token<'_>> {
             }
         };
         debug_assert!(i > start, "lexer must always make progress");
-        let text = &src[start..i];
-        line += text.bytes().filter(|&c| c == b'\n').count();
         out.push(Token {
             kind,
-            text,
-            line: start_line,
+            text: &src[start..i],
         });
     }
     out
@@ -333,19 +327,6 @@ mod tests {
             .map(|&(_, t)| t)
             .collect();
         assert_eq!(chars, ["'x'", "'\\n'", "b'z'", "' '"]);
-    }
-
-    #[test]
-    fn line_numbers_point_at_token_starts() {
-        let toks = lex("a\nb\n/* c\nd */ e\n");
-        let find = |name: &str| toks.iter().find(|t| t.text == name).unwrap().line;
-        assert_eq!(find("a"), 1);
-        assert_eq!(find("b"), 2);
-        assert_eq!(find("e"), 4);
-        assert_eq!(
-            toks.iter().find(|t| t.text.starts_with("/*")).unwrap().line,
-            3
-        );
     }
 
     #[test]

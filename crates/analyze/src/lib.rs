@@ -1,16 +1,19 @@
 //! `asb-analyze` — workspace invariant lints.
 //!
 //! A dependency-free, source-level lint pass enforcing repo-specific rules
-//! that clippy cannot express (see [`RULES`] for the catalog). What clippy
-//! *can* express lives in clippy: no panics in `asb-core`/`asb-storage`
-//! (a crate-level `deny`), no wall clock (`clippy.toml`'s
-//! `disallowed-methods`) and no `mem::forget` (`-D clippy::mem_forget` in
-//! CI). Sources are tokenized by a small real lexer ([`lexer`]) — raw
-//! strings, nested block comments and lifetimes are resolved once,
-//! correctly — and every rule then works over either the per-line view or
-//! the token stream, whichever fits. The rules target *patterns that
-//! should not appear at all* (outside justified spots) rather than deep
-//! syntactic structure, so no type information is needed.
+//! that neither clippy nor the type system can express (see [`RULES`] for
+//! the catalog). What clippy *can* express lives in clippy: no panics in
+//! `asb-core`/`asb-storage` (a crate-level `deny`), no wall clock
+//! (`clippy.toml`'s `disallowed-methods`) and no `mem::forget`
+//! (`-D clippy::mem_forget` in CI). What a type can express lives in the
+//! type: page guards are `!Send`, so a pin cannot leave its thread. The
+//! `evictions`/`failed_evictions` pair is held to the reference model in
+//! `tests/pool_model.rs`. Sources are tokenized by a small real lexer
+//! ([`lexer`]) — raw strings, nested block comments and lifetimes are
+//! resolved once, correctly — and every rule then works over either the
+//! per-line view or the token stream, whichever fits. The rules target
+//! *patterns that should not appear at all* (outside justified spots)
+//! rather than deep syntactic structure, so no type information is needed.
 //!
 //! ## Anatomy of a rule
 //!
@@ -19,14 +22,15 @@
 //! blanked and comments removed, the comment text itself (rules look for
 //! justification markers there), and whether the line sits inside a
 //! `#[cfg(test)]` region — plus the significant token stream (`Tok`)
-//! for the structural rules (wal-order, lock-order, guard-send,
-//! counter-pair). Violations carry `file:line` and a message, and every
-//! one is fatal: the only exemption is the rule's in-source marker.
+//! for the structural rules (wal-order, lock-order). Violations carry
+//! `file:line` and a message, and every one is fatal: the only exemption is
+//! the rule's in-source marker.
 //!
 //! Adding a rule: add a variant to [`RULES`], implement its check in
-//! `check_file`, document it in `DESIGN.md` §11/§16, and give it an
+//! [`check_source`], document it in `DESIGN.md` §11/§16, give it an
 //! `explain` entry — the `explain` text is the contract reviewers hold the
-//! rule to.
+//! rule to — and a seeded mutation of real workspace source that it
+//! catches (`tests/seeded_mutations.rs`).
 
 pub mod lexer;
 
@@ -102,37 +106,6 @@ schedules per scenario; this rule catches the obvious inversion in review.
 A two-phase pattern (store lock released as a temporary before the shard
 lock is taken) is legal: justify with `// lock-order-ok: ...` saying why
 the earlier acquisition is not held.",
-    },
-    Rule {
-        id: "guard-send",
-        summary: "no PinToken/page guard captured by thread::spawn or stored in a struct",
-        explain: "\
-PinToken and the page guards (PageReadGuard/PageWriteGuard) are scoped
-capabilities: they pin a frame and are meant to die in the stack frame that
-made them. Capturing one in a `thread::spawn` closure moves the pin to a
-thread whose lifetime nothing bounds, and storing one in a struct field
-lets it cross the sync facade and outlive the pool's reasoning about
-eviction. Both are flagged in non-test code: a spawn whose closure mentions
-a guard binding (or a guard type) from the enclosing function, and any
-struct/enum whose fields name a guard type (the guard definitions
-themselves, in crates/core/src/guard.rs, are exempt by construction). A
-deliberate exception carries `// guard-send-ok: ...` explaining what bounds
-the guard's lifetime.",
-    },
-    Rule {
-        id: "counter-pair",
-        summary: "paired BufferStats counters increment together, in one lock scope",
-        explain: "\
-Some stats counters are only meaningful as pairs: evictions with
-failed_evictions, both counted under the shard lock in
-crates/core/src/manager.rs (the lock order is shard above store and WAL).
-Probes assert relations across a pair, so incrementing one member from a
-function that never touches its sibling — or from outside the pair's home
-file, where the lock scope that makes the pair atomic does not exist —
-silently skews every experiment that reads them. Each increment of a paired counter must happen in the pair's home
-file, inside a function body that also increments (or consciously accounts
-for) the sibling; anything else needs a `// counter-ok: ...` marker saying
-why the lone increment keeps the pair's invariant.",
     },
 ];
 
@@ -348,8 +321,9 @@ fn is_facade_file(path: &str) -> bool {
     path == "crates/storage/src/sync.rs" || path == "crates/core/src/sync.rs"
 }
 
-/// Runs every rule over one file. `rel_path` must use forward slashes.
-fn check_file(rel_path: &Path, source: &str, out: &mut Vec<Violation>) {
+/// Runs every rule over `source`, linted as if it lived at the
+/// workspace-relative `rel_path` (which decides the path-scoped rules).
+pub fn check_source(rel_path: &Path, source: &str) -> Vec<Violation> {
     let path_str = rel_path.to_string_lossy().replace('\\', "/");
     let (lines, toks) = prepare(source);
     let file = PreparedFile {
@@ -357,13 +331,12 @@ fn check_file(rel_path: &Path, source: &str, out: &mut Vec<Violation>) {
         lines,
         toks,
     };
-
-    rule_sync_facade(&file, &path_str, out);
-    rule_relaxed_ok(&file, out);
-    rule_wal_order(&file, out);
-    rule_lock_order(&file, &path_str, out);
-    rule_guard_send(&file, &path_str, out);
-    rule_counter_pair(&file, &path_str, out);
+    let mut out = Vec::new();
+    rule_sync_facade(&file, &path_str, &mut out);
+    rule_relaxed_ok(&file, &mut out);
+    rule_wal_order(&file, &mut out);
+    rule_lock_order(&file, &path_str, &mut out);
+    out
 }
 
 fn rule_sync_facade(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>) {
@@ -714,284 +687,6 @@ fn rule_lock_order(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>
     }
 }
 
-/// Guard types that pin frames; see the guard-send rule.
-const GUARD_TYPES: &[&str] = &["PinToken", "PageReadGuard", "PageWriteGuard"];
-
-/// guard-send: see [`RULES`]. Two checks — guard types in struct/enum
-/// fields (outside the guard definitions themselves), and guard bindings
-/// or guard types inside a `thread::spawn(...)` call's argument.
-fn rule_guard_send(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>) {
-    let toks = &file.toks;
-    let lines = &file.lines;
-
-    if path_str != "crates/core/src/guard.rs" {
-        let mut i = 0;
-        while i < toks.len() {
-            let kw = &toks[i];
-            if !(kw.kind == TokenKind::Ident && (kw.text == "struct" || kw.text == "enum"))
-                || lines.get(kw.line).is_some_and(|l| l.in_test)
-            {
-                i += 1;
-                continue;
-            }
-            // Body starts at `{` or `(` outside the generics (`->` in
-            // Fn-trait bounds guards its `>`); `;` means a unit struct.
-            let mut j = i + 1;
-            let mut angle: i64 = 0;
-            let mut body = None;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "<" => angle += 1,
-                    ">" if j > 0 && toks[j - 1].text != "-" => angle -= 1,
-                    "{" | "(" if angle <= 0 => {
-                        body = Some(j);
-                        break;
-                    }
-                    ";" if angle <= 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(open) = body else {
-                i = j + 1;
-                continue;
-            };
-            let (oc, cc) = if toks[open].text == "{" {
-                ("{", "}")
-            } else {
-                ("(", ")")
-            };
-            let mut depth: i64 = 0;
-            let mut k = open;
-            while k < toks.len() {
-                if toks[k].text == oc {
-                    depth += 1;
-                } else if toks[k].text == cc {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if toks[k].kind == TokenKind::Ident
-                    && GUARD_TYPES.contains(&toks[k].text.as_str())
-                {
-                    let li = toks[k].line;
-                    if !lines.get(li).is_some_and(|l| l.in_test)
-                        && !justified(lines, li, "guard-send-ok:")
-                    {
-                        out.push(Violation {
-                            file: file.rel_path.clone(),
-                            line: li + 1,
-                            rule: "guard-send",
-                            message: format!(
-                                "guard type `{}` stored in a struct/enum field escapes its \
-                                 pin scope; hold guards on the stack (or justify with \
-                                 `// guard-send-ok:`)",
-                                toks[k].text
-                            ),
-                        });
-                    }
-                }
-                k += 1;
-            }
-            i = k + 1;
-        }
-    }
-
-    for (fk, open, close) in fn_bodies(toks) {
-        if lines.get(toks[fk].line).is_some_and(|l| l.in_test) {
-            continue;
-        }
-        // Guard bindings: a `let` whose name says guard, or whose
-        // initializer calls `.fetch(`/`.fetch_mut(` at the statement's own
-        // bracket depth (a fetch inside a nested closure is that closure's
-        // binding, not this statement's).
-        let mut bindings: Vec<(String, usize)> = Vec::new();
-        let mut k = open + 1;
-        while k < close {
-            if !(toks[k].kind == TokenKind::Ident && toks[k].text == "let") {
-                k += 1;
-                continue;
-            }
-            let mut depth: i64 = 0;
-            let mut e = k + 1;
-            while e < close {
-                match toks[e].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth <= 0 => break,
-                    _ => {}
-                }
-                e += 1;
-            }
-            let name = (k + 1..e)
-                .find(|&x| toks[x].kind == TokenKind::Ident && toks[x].text != "mut")
-                .map(|x| toks[x].text.clone());
-            let mut is_guard = name
-                .as_deref()
-                .is_some_and(|n| n.to_ascii_lowercase().contains("guard"));
-            let mut depth: i64 = 0;
-            for x in k + 1..e {
-                match toks[x].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "." if depth == 0
-                        && x + 2 < e
-                        && matches!(toks[x + 1].text.as_str(), "fetch" | "fetch_mut")
-                        && toks[x + 2].text == "(" =>
-                    {
-                        is_guard = true;
-                    }
-                    _ => {}
-                }
-            }
-            if is_guard {
-                if let Some(n) = name {
-                    bindings.push((n, k));
-                }
-            }
-            k = e;
-        }
-        // Spawn sites whose argument mentions a guard binding or type.
-        let mut k = open + 1;
-        while k < close {
-            let is_spawn = toks[k].kind == TokenKind::Ident
-                && toks[k].text == "spawn"
-                && toks.get(k + 1).is_some_and(|t| t.text == "(")
-                && (k.saturating_sub(3)..k).any(|x| toks[x].text == "thread");
-            if !is_spawn {
-                k += 1;
-                continue;
-            }
-            let mut depth: i64 = 0;
-            let mut e = k + 1;
-            while e < close {
-                match toks[e].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                e += 1;
-            }
-            let captured = (k + 2..e).find(|&x| {
-                toks[x].kind == TokenKind::Ident
-                    && (GUARD_TYPES.contains(&toks[x].text.as_str())
-                        || bindings.iter().any(|(n, at)| *at < k && *n == toks[x].text))
-            });
-            if let Some(x) = captured {
-                let li = toks[k].line;
-                if !lines.get(li).is_some_and(|l| l.in_test)
-                    && !justified(lines, li, "guard-send-ok:")
-                {
-                    out.push(Violation {
-                        file: file.rel_path.clone(),
-                        line: li + 1,
-                        rule: "guard-send",
-                        message: format!(
-                            "`thread::spawn` closure captures guard `{}`; a frame pin must \
-                             not cross to an unbounded thread (justify with \
-                             `// guard-send-ok:`)",
-                            toks[x].text
-                        ),
-                    });
-                }
-            }
-            k = e + 1;
-        }
-    }
-}
-
-/// A pair of stats counters that must move together, and the one file
-/// whose lock scope makes the pair atomic.
-struct CounterPair {
-    a: &'static str,
-    b: &'static str,
-    home: &'static str,
-}
-
-/// The manifest of paired counters the counter-pair rule enforces.
-const COUNTER_PAIRS: &[CounterPair] = &[CounterPair {
-    a: "evictions",
-    b: "failed_evictions",
-    home: "crates/core/src/manager.rs",
-}];
-
-/// counter-pair: see [`RULES`]. An increment site is an exact identifier
-/// match followed by `+=` or `.fetch_add(`; outside the pair's home file
-/// it is flagged outright, inside it the sibling must be incremented in
-/// the same function body.
-fn rule_counter_pair(file: &PreparedFile, path_str: &str, out: &mut Vec<Violation>) {
-    let toks = &file.toks;
-    let lines = &file.lines;
-    let mut sites: Vec<(usize, &'static str, usize)> = Vec::new();
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let Some((pi, member)) = COUNTER_PAIRS.iter().enumerate().find_map(|(pi, p)| {
-            if t.text == p.a {
-                Some((pi, p.a))
-            } else if t.text == p.b {
-                Some((pi, p.b))
-            } else {
-                None
-            }
-        }) else {
-            continue;
-        };
-        let inc = seq_at(toks, k + 1, &["+", "="]) || seq_at(toks, k + 1, &[".", "fetch_add", "("]);
-        if inc && !lines.get(t.line).is_some_and(|l| l.in_test) {
-            sites.push((pi, member, k));
-        }
-    }
-    if sites.is_empty() {
-        return;
-    }
-    let bodies = fn_bodies(toks);
-    let body_of = |k: usize| bodies.iter().position(|&(_, o, c)| o < k && k < c);
-    for &(pi, member, k) in &sites {
-        let pair = &COUNTER_PAIRS[pi];
-        let li = toks[k].line;
-        if justified(lines, li, "counter-ok:") {
-            continue;
-        }
-        let sibling = if member == pair.a { pair.b } else { pair.a };
-        if path_str != pair.home {
-            out.push(Violation {
-                file: file.rel_path.clone(),
-                line: li + 1,
-                rule: "counter-pair",
-                message: format!(
-                    "`{member}` incremented outside its home file {}; the {}/{} pair is \
-                     only atomic under the home lock scope (justify with `// counter-ok:`)",
-                    pair.home, pair.a, pair.b
-                ),
-            });
-            continue;
-        }
-        let body = body_of(k);
-        let sibling_here = sites
-            .iter()
-            .any(|&(pi2, m2, k2)| pi2 == pi && m2 == sibling && body_of(k2) == body);
-        if !sibling_here {
-            out.push(Violation {
-                file: file.rel_path.clone(),
-                line: li + 1,
-                rule: "counter-pair",
-                message: format!(
-                    "`{member}` incremented without its paired `{sibling}` in the same \
-                     function body; probes assert the pair moves together (justify with \
-                     `// counter-ok:`)"
-                ),
-            });
-        }
-    }
-}
-
 /// Recursively collects the `.rs` files the lint pass scans — under
 /// `crates/`, the root `src/`, `examples/` and `tests/`, never `shims/`
 /// (stand-ins for external crates play by external rules) or `target/` —
@@ -1036,7 +731,7 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     for rel in files {
         let source = std::fs::read_to_string(root.join(&rel))
             .map_err(|e| format!("reading {}: {e}", rel.display()))?;
-        check_file(&rel, &source, &mut violations);
+        violations.extend(check_source(&rel, &source));
     }
     Ok(violations)
 }
@@ -1046,9 +741,7 @@ mod tests {
     use super::*;
 
     fn lint(path: &str, src: &str) -> Vec<Violation> {
-        let mut out = Vec::new();
-        check_file(Path::new(path), src, &mut out);
-        out
+        check_source(Path::new(path), src)
     }
 
     /// A load the relaxed-ok rule flags in any file unless justified: the
@@ -1230,68 +923,6 @@ mod tests {
         let test_mod = "#[cfg(test)]\nmod t {\n fn f(&self) { let s = self.store.read(); \
                         let sh = self.shards[0].lock(); }\n}\n";
         assert!(lint("crates/core/src/a.rs", test_mod).is_empty());
-    }
-
-    // --- guard-send ---
-
-    #[test]
-    fn guard_send_flags_guard_fields_outside_guard_rs() {
-        let bad = "struct Held {\n token: PinToken,\n}\n";
-        let v = lint("crates/rtree/src/a.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "guard-send");
-        assert!(
-            lint("crates/core/src/guard.rs", bad).is_empty(),
-            "the guard definitions themselves are exempt"
-        );
-        let ok = "struct Held {\n // guard-send-ok: bounded by the session; dropped in close()\n \
-                  guard: PageReadGuard,\n}\n";
-        assert!(lint("crates/rtree/src/a.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn guard_send_flags_guards_crossing_spawn() {
-        let bad = "fn f(p: &P) {\n let g = p.fetch(id, ctx)?;\n \
-                   let h = thread::spawn(move || use_it(g));\n}\n";
-        let v = lint("crates/exp/src/a.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "guard-send");
-        assert_eq!(v[0].line, 3);
-        let fine = "fn f(p: &P) {\n let g = p.fetch(id, ctx)?;\n \
-                    let h = thread::spawn(move || other());\n drop(g);\n}\n";
-        assert!(lint("crates/exp/src/a.rs", fine).is_empty());
-        let inside =
-            "fn f(p: &P) {\n let h = thread::spawn(move || { let g = p.fetch(id, ctx); g.id() });\n}\n";
-        assert!(
-            lint("crates/exp/src/a.rs", inside).is_empty(),
-            "a guard born on the spawned thread stays there"
-        );
-    }
-
-    // --- counter-pair ---
-
-    #[test]
-    fn counter_pair_requires_sibling_in_same_body() {
-        let lone = "fn f(&mut self) {\n self.stats.evictions += 1;\n}\n";
-        let v = lint("crates/core/src/manager.rs", lone);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "counter-pair");
-        let both = "fn f(&mut self) {\n if bad {\n self.stats.failed_evictions += 1;\n } \
-                    else {\n self.stats.evictions += 1;\n }\n}\n";
-        assert!(lint("crates/core/src/manager.rs", both).is_empty());
-        let ok = "fn f(&mut self) {\n // counter-ok: failure path counted by the caller\n \
-                  self.stats.evictions += 1;\n}\n";
-        assert!(lint("crates/core/src/manager.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn counter_pair_flags_increments_outside_home() {
-        let src = "fn f(s: &mut Stats) {\n s.evictions += 1;\n s.failed_evictions += 1;\n}\n";
-        let v = lint("crates/core/src/sharded.rs", src);
-        assert_eq!(v.len(), 2, "both members are outside their home: {v:?}");
-        assert!(v.iter().all(|v| v.rule == "counter-pair"));
-        assert!(v[0].message.contains("home file"));
-        assert!(lint("crates/core/src/manager.rs", src).is_empty());
     }
 }
 

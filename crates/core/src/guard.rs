@@ -20,10 +20,17 @@
 //! lock-free. The eviction scan reads the pin count under the same shard
 //! lock, so a frame observed unpinned there is genuinely evictable: no new
 //! pin can appear without the lock.
+//!
+//! A pin belongs to the thread that fetched it: [`PinToken`] is `!Send`
+//! and `!Sync`, and so are both guards and every type holding one
+//! (`FetchOutcome`, `PageFetchResult`). Handing a guard to another thread
+//! — `thread::spawn`, a scoped thread, a channel, a `JoinHandle` — is a
+//! compile error (see [`PageReadGuard`]).
 
 use crate::sync::{AtomicU64, Ordering};
 use asb_storage::{Page, Result};
 use bytes::Bytes;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// One pin on a buffered frame plus one tick of the pool's live-guard
@@ -35,6 +42,8 @@ use std::sync::Arc;
 pub(crate) struct PinToken {
     pins: Arc<AtomicU64>,
     live: Arc<AtomicU64>,
+    /// Zero-sized `!Send + !Sync` marker: the pin stays on its thread.
+    _local: PhantomData<*const ()>,
 }
 
 impl PinToken {
@@ -44,7 +53,11 @@ impl PinToken {
     pub(crate) fn new(pins: Arc<AtomicU64>, live: Arc<AtomicU64>) -> Self {
         pins.fetch_add(1, Ordering::SeqCst);
         live.fetch_add(1, Ordering::SeqCst);
-        PinToken { pins, live }
+        PinToken {
+            pins,
+            live,
+            _local: PhantomData,
+        }
     }
 }
 
@@ -61,6 +74,38 @@ impl Drop for PinToken {
 /// The guard owns a copy of the page (payloads are cheaply-cloned
 /// [`Bytes`]), so it stays valid even across pool operations that touch
 /// the frame; the pin's job is residency, not aliasing.
+///
+/// The guard is `!Send`: the pin stays on the thread that fetched it. The
+/// page itself may travel:
+///
+/// ```
+/// use asb_core::{PolicyKind, ShardedBuffer};
+/// use asb_geom::SpatialStats;
+/// use asb_storage::{AccessContext, DiskManager, PageMeta, PageStore};
+///
+/// let mut disk = DiskManager::new();
+/// let id = disk.allocate(PageMeta::data(SpatialStats::EMPTY), bytes::Bytes::new())?;
+/// let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 2, 1);
+/// let guard = pool.fetch(id, AccessContext::default())?;
+/// let page = guard.into_page(); // unpins
+/// std::thread::spawn(move || drop(page)).join().unwrap();
+/// # Ok::<(), asb_storage::StorageError>(())
+/// ```
+///
+/// The guard may not:
+///
+/// ```compile_fail
+/// use asb_core::{PolicyKind, ShardedBuffer};
+/// use asb_geom::SpatialStats;
+/// use asb_storage::{AccessContext, DiskManager, PageMeta, PageStore};
+///
+/// let mut disk = DiskManager::new();
+/// let id = disk.allocate(PageMeta::data(SpatialStats::EMPTY), bytes::Bytes::new())?;
+/// let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 2, 1);
+/// let guard = pool.fetch(id, AccessContext::default())?;
+/// std::thread::spawn(move || drop(guard)).join().unwrap(); // `*const ()` cannot be sent
+/// # Ok::<(), asb_storage::StorageError>(())
+/// ```
 #[derive(Debug)]
 pub struct PageReadGuard {
     page: Page,

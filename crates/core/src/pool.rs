@@ -17,9 +17,8 @@ use asb_storage::{AccessContext, IoStats, PageError, PageId, Result};
 /// rates without reverse-engineering them from pool-wide statistics.
 #[derive(Debug)]
 pub struct FetchOutcome {
-    /// The pinned read guard, exactly as [`BufferPool::fetch`] returns it.
-    // guard-send-ok: by-value return wrapper — the guard's pin lifetime is
-    // the caller's stack frame, exactly as if fetch() had returned it bare.
+    /// The pinned read guard, exactly as [`BufferPool::fetch`] returns it
+    /// (and, like it, `!Send`).
     pub guard: PageReadGuard,
     /// `true` when the page was served from a resident frame; `false` when
     /// this request's own fetch brought the page in.

@@ -47,23 +47,11 @@ use crate::policies::ArenaState;
 use crate::policy::PolicyKind;
 use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
 use asb_storage::{
-    AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId, PageMeta, PageStore,
-    Result, RetryPolicy, SharedWal, StorageError,
+    splitmix64, AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId,
+    PageMeta, PageStore, Result, RetryPolicy, SharedWal, StorageError,
 };
 use bytes::Bytes;
 use std::sync::Arc;
-
-/// SplitMix64 finalizer: a fast, well-mixing hash of a page id.
-///
-/// Deterministic by construction (never a seeded `RandomState`), so shard
-/// assignment — and therefore every per-shard statistic — is reproducible
-/// across runs and platforms.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 struct Inner<S> {
     store: RwLock<S>,

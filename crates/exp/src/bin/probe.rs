@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! probe [--scale S] [--seed N] [--db 1|2] [--frac F] [--set NAME]
-//!       [--shards M]
 //! ```
 //!
 //! Prints, for every policy, the disk accesses, hit ratio and I/O split of
@@ -11,15 +10,11 @@
 //! behaviour.
 //!
 //! The per-policy cells are replays of one recording of the query set
-//! (`Lab::eval`). `--shards M` additionally runs the query set live against
-//! a sharded buffer pool with M shards, served by as many threads as the
-//! machine offers (at least two), and reports the pool-wide statistics.
+//! (`Lab::eval`).
 
-use asb_core::{PolicyKind, ShardedBuffer, SpatialCriterion};
+use asb_core::{PolicyKind, SpatialCriterion};
 use asb_exp::{ExperimentCell, Lab};
-use asb_rtree::RTree;
-use asb_storage::DiskManager;
-use asb_workload::{Dataset, DatasetKind, QuerySetSpec, Scale};
+use asb_workload::{DatasetKind, QuerySetSpec, Scale};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -28,7 +23,6 @@ fn main() -> ExitCode {
     let mut db = DatasetKind::Mainland;
     let mut frac = 0.047f64;
     let mut set = "INT-P".to_string();
-    let mut shards = 0usize;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut next = || it.next().ok_or_else(|| format!("{arg} needs a value"));
@@ -56,12 +50,6 @@ fn main() -> ExitCode {
                     let v = next()?;
                     set = v.clone();
                     QuerySetSpec::from_name(&v).ok_or(format!("unknown query set {v}"))?;
-                }
-                "--shards" => {
-                    shards = next()?.parse().map_err(|e| format!("{e}"))?;
-                    if shards == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
                 }
                 o => return Err(format!("unknown argument {o}")),
             }
@@ -129,80 +117,5 @@ fn main() -> ExitCode {
             r.gain_over(&base),
         );
     }
-
-    if shards > 0 {
-        drop(lab); // the live pool below loads trees of its own
-        if let Err(e) = sharded_replay(
-            &Dataset::generate(db, scale, seed),
-            spec,
-            seed,
-            buffer_pages.max(shards),
-            shards,
-            std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
-        ) {
-            eprintln!("error: sharded replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
-}
-
-/// Replays the query set against one sharded pool served by several
-/// threads and prints the pool-wide statistics.
-fn sharded_replay(
-    dataset: &Dataset,
-    spec: QuerySetSpec,
-    seed: u64,
-    capacity: usize,
-    shards: usize,
-    threads: usize,
-) -> asb_storage::Result<()> {
-    let queries = spec.generate(dataset, 2_000, seed ^ 0x0051_5e75);
-    for policy in [PolicyKind::Lru, PolicyKind::Asb] {
-        let tree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
-        let snap = tree.snapshot();
-        let pool = ShardedBuffer::new(tree.into_store(), policy, capacity, shards);
-        pool.reset_io_stats();
-        // A wall-clock throughput probe; the line is labelled `wall=`.
-        #[allow(clippy::disallowed_methods)]
-        let started = std::time::Instant::now();
-        let worker_results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let pool = pool.clone();
-                    let queries = &queries;
-                    s.spawn(move || -> asb_storage::Result<()> {
-                        let mut view = RTree::attach(pool, snap);
-                        view.seed_query_counter((t as u64) << 32);
-                        for q in queries.iter().skip(t).step_by(threads) {
-                            view.execute(q)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        for r in worker_results {
-            r?;
-        }
-        let elapsed = started.elapsed();
-        let stats = pool.stats();
-        let io = pool.io_stats();
-        println!(
-            "# sharded replay: policy={} shards={shards} threads={threads} capacity={capacity} \
-             logical={} hit%={:.1} disk={} wall={elapsed:.1?}",
-            policy.label(),
-            stats.logical_reads,
-            100.0 * stats.hit_ratio(),
-            io.reads,
-        );
-    }
-    Ok(())
 }

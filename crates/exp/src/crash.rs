@@ -29,8 +29,8 @@
 
 use asb_core::{BufferManager, PolicyKind};
 use asb_storage::{
-    CrashClock, CrashEvent, CrashMode, CrashOp, CrashPlan, CrashableStore, DiskManager, Page,
-    PageId, PageMeta, Result, SharedWal, StorageError, Wal, WalConfig,
+    splitmix64, CrashClock, CrashEvent, CrashMode, CrashOp, CrashPlan, CrashableStore, DiskManager,
+    Page, PageId, PageMeta, Result, SharedWal, StorageError, Wal, WalConfig,
 };
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -124,14 +124,6 @@ impl CrashSweepReport {
     pub fn holds(&self) -> bool {
         self.divergences.is_empty()
     }
-}
-
-/// SplitMix64 finalizer (same mixer the sharded pool routes with).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Whether access `i` of the workload issues an update.

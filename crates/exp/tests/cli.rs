@@ -54,3 +54,17 @@ fn probe_refuses_a_buffer_fraction_outside_the_unit_interval() {
 fn probe_has_no_benchmark_writer() {
     assert_refused(PROBE, &["--bench-json", "x"]);
 }
+
+/// `probe` prints replays only; it runs no live multi-threaded pool.
+#[test]
+fn probe_has_no_sharded_live_run() {
+    let out = Command::new(PROBE)
+        .args(["--shards", "2"])
+        .output()
+        .expect("spawn binary");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "error: unknown argument --shards"
+    );
+}

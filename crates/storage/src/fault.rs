@@ -28,12 +28,18 @@ const SALT_WRITE: u64 = 2;
 const SALT_CORRUPT: u64 = 3;
 const SALT_SPIKE: u64 = 4;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// SplitMix64 finalizer: a fast, well-mixing, stateless 64-bit hash.
+///
+/// The workspace's one deterministic mixer (never a seeded `RandomState`):
+/// it draws the fault schedule here, routes page ids to shards in
+/// `asb-core`, and picks the crash workload's updates in `asb-exp`, so all
+/// three are reproducible across runs and platforms.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Map a 64-bit hash onto a float in `[0, 1)`.

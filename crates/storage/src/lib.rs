@@ -54,7 +54,7 @@ pub use crash::{
 };
 pub use disk::{DiskManager, IoStats};
 pub use error::{PageError, StorageError};
-pub use fault::{FaultConfig, FaultStats, FaultyStore};
+pub use fault::{splitmix64, FaultConfig, FaultStats, FaultyStore};
 pub use objects::{decode_object_page, ObjectRecord, ObjectStore};
 pub use page::{page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use recording::RecordingStore;

@@ -2,7 +2,8 @@
 //!
 //! Instead of serde's visitor-based zero-copy architecture, this shim uses a
 //! concrete [`Value`] tree as the data model: `Serialize` renders a value
-//! into a `Value`, `Deserialize` rebuilds it from one. Formats (here only
+//! into a `Value`, `Deserialize` rebuilds it from one (implemented only
+//! for what the workspace reads back). Formats (here only
 //! `serde_json`) convert between `Value` and text. The derive macros are
 //! re-exported from `serde_derive` and generate code against this model.
 
@@ -128,7 +129,15 @@ macro_rules! serialize_unsigned {
                 Value::U64(*self as u64)
             }
         }
+    )*};
+}
 
+serialize_unsigned!(u8, u16, u32, u64, usize);
+
+// `Deserialize` covers exactly what the workspace reads back: the field
+// types of its derived configurations (`u64`, `usize`, `f64`) and `Value`.
+macro_rules! deserialize_unsigned {
+    ($($t:ty),*) => {$(
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, DeError> {
                 let n = match *value {
@@ -146,7 +155,7 @@ macro_rules! serialize_unsigned {
     )*};
 }
 
-serialize_unsigned!(u8, u16, u32, u64, usize);
+deserialize_unsigned!(u64, usize);
 
 macro_rules! serialize_signed {
     ($($t:ty),*) => {$(
@@ -154,20 +163,6 @@ macro_rules! serialize_signed {
             fn serialize(&self) -> Value {
                 let v = *self as i64;
                 if v >= 0 { Value::U64(v as u64) } else { Value::I64(v) }
-            }
-        }
-
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, DeError> {
-                let n = match *value {
-                    Value::I64(n) => n,
-                    Value::U64(n) => i64::try_from(n)
-                        .map_err(|_| DeError::custom(format!("integer {n} out of range")))?,
-                    Value::F64(f) if f.fract() == 0.0 => f as i64,
-                    ref other => return Err(DeError::invalid_type("integer", other)),
-                };
-                <$t>::try_from(n)
-                    .map_err(|_| DeError::custom(format!("integer {n} out of range")))
             }
         }
     )*};
@@ -198,39 +193,15 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        f64::deserialize(value).map(|f| f as f32)
-    }
-}
-
 impl Serialize for bool {
     fn serialize(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
-impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::invalid_type("bool", other)),
-        }
-    }
-}
-
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::invalid_type("string", other)),
-        }
     }
 }
 
@@ -243,15 +214,6 @@ impl Serialize for str {
 impl Serialize for char {
     fn serialize(&self) -> Value {
         Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::invalid_type("single-char string", other)),
-        }
     }
 }
 
@@ -270,27 +232,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(DeError::invalid_type("array", other)),
-        }
     }
 }
 
@@ -305,18 +249,6 @@ macro_rules! serialize_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn serialize(&self) -> Value {
                 Value::Array(vec![$(self.$idx.serialize()),+])
-            }
-        }
-
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(value: &Value) -> Result<Self, DeError> {
-                const ARITY: usize = [$($idx),+].len();
-                match value {
-                    Value::Array(items) if items.len() == ARITY => {
-                        Ok(($($name::deserialize(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::invalid_type("tuple array", other)),
-                }
             }
         }
     )*};
@@ -348,22 +280,18 @@ mod tests {
     #[test]
     fn primitives_roundtrip() {
         assert_eq!(u64::deserialize(&42u64.serialize()).unwrap(), 42);
-        assert_eq!(i64::deserialize(&(-5i64).serialize()).unwrap(), -5);
+        assert_eq!(usize::deserialize(&7usize.serialize()).unwrap(), 7);
         assert_eq!(f64::deserialize(&1.5f64.serialize()).unwrap(), 1.5);
-        assert_eq!(
-            String::deserialize(&"hi".to_string().serialize()).unwrap(),
-            "hi"
-        );
-        assert_eq!(Option::<u32>::deserialize(&Value::Null).unwrap(), None);
-        let pair = ("x".to_string(), 2.5f64);
-        let back: (String, f64) = Deserialize::deserialize(&pair.serialize()).unwrap();
-        assert_eq!(back, pair);
+        assert_eq!(f64::deserialize(&Value::U64(2)).unwrap(), 2.0);
+        let pair = ("x".to_string(), 2.5f64).serialize();
+        assert_eq!(Value::deserialize(&pair).unwrap(), pair);
     }
 
     #[test]
     fn type_errors_are_reported() {
         assert!(u64::deserialize(&Value::Str("no".into())).is_err());
-        assert!(bool::deserialize(&Value::U64(1)).is_err());
-        assert!(<(u64, u64)>::deserialize(&Value::Array(vec![Value::U64(1)])).is_err());
+        assert!(u64::deserialize(&Value::I64(-1)).is_err());
+        assert!(usize::deserialize(&Value::F64(0.5)).is_err());
+        assert!(f64::deserialize(&Value::Bool(true)).is_err());
     }
 }

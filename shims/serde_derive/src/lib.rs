@@ -7,6 +7,9 @@
 //! `serde::Deserialize::deserialize`. Supports non-generic structs (named,
 //! tuple, unit) and enums (unit, newtype, tuple, struct variants) with
 //! externally-tagged representation, matching real serde's default.
+//! `Deserialize` is narrower, covering only the shapes the workspace reads
+//! back: named-field structs and enums of unit, newtype and struct
+//! variants. Any other shape is a compile-time error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -318,41 +321,16 @@ fn deserialize_fields_named(owner: &str, names: &[String]) -> String {
 }
 
 fn deserialize_struct(name: &str, fields: &Fields) -> String {
-    let body = match fields {
-        Fields::Unit => format!(
-            "match value {{\n\
-                 ::serde::Value::Null => Ok({name}),\n\
-                 other => Err(::serde::DeError::invalid_type(\"null for unit struct {name}\", other)),\n\
-             }}"
-        ),
-        Fields::Named(names) => {
-            let inits = deserialize_fields_named(name, names);
-            format!(
-                "let fields = ::serde::expect_object(value, \"{name}\")?;\n\
-                 Ok({name} {{ {inits} }})"
-            )
-        }
-        Fields::Tuple(1) => {
-            format!("Ok({name}(::serde::Deserialize::deserialize(value)?))")
-        }
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::deserialize(&items[{i}])?"))
-                .collect();
-            format!(
-                "match value {{\n\
-                     ::serde::Value::Array(items) if items.len() == {n} => Ok({name}({})),\n\
-                     other => Err(::serde::DeError::invalid_type(\"array of {n} for {name}\", other)),\n\
-                 }}",
-                items.join(", ")
-            )
-        }
+    let Fields::Named(names) = fields else {
+        panic!("serde shim derive: Deserialize for unit or tuple struct {name} is not supported");
     };
+    let inits = deserialize_fields_named(name, names);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
              fn deserialize(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 {body}\n\
+                 let fields = ::serde::expect_object(value, \"{name}\")?;\n\
+                 Ok({name} {{ {inits} }})\n\
              }}\n\
          }}"
     )
@@ -371,18 +349,10 @@ fn deserialize_enum(name: &str, variants: &[(String, Fields)]) -> String {
             Fields::Tuple(1) => Some(format!(
                 "\"{v}\" => Ok({name}::{v}(::serde::Deserialize::deserialize(inner)?)),"
             )),
-            Fields::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::deserialize(&items[{i}])?"))
-                    .collect();
-                Some(format!(
-                    "\"{v}\" => match inner {{\n\
-                         ::serde::Value::Array(items) if items.len() == {n} => Ok({name}::{v}({})),\n\
-                         other => Err(::serde::DeError::invalid_type(\"array of {n} for {name}::{v}\", other)),\n\
-                     }},",
-                    items.join(", ")
-                ))
-            }
+            Fields::Tuple(_) => panic!(
+                "serde shim derive: Deserialize for multi-field tuple variant {name}::{v} \
+                 is not supported"
+            ),
             Fields::Named(field_names) => {
                 let owner = format!("{name}::{v}");
                 let inits = deserialize_fields_named(&owner, field_names);

@@ -207,7 +207,9 @@ fn balanced_guard_use_never_leaks_pins() {
 /// One thread holds a read guard on a frame while another churns enough
 /// pages through a one-shard, two-frame pool that every admission needs a
 /// victim. The pinned frame must never be evicted out from under the
-/// guard: its payload stays intact in every interleaving.
+/// guard: its payload stays intact in every interleaving. Guards are
+/// `!Send`, so the holder fetches, waits out the churn and checks the
+/// page all on its own stack.
 fn guard_eviction_scenario() {
     let (disk, ids) = disk_with_pages(8);
     // One shard, two frames: the churn constantly needs a victim and the
@@ -215,12 +217,6 @@ fn guard_eviction_scenario() {
     let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 2, 1);
     let pinned = ids[0];
 
-    let holder = pool.clone();
-    let th = thread::spawn(move || {
-        let guard = holder.fetch(pinned, AccessContext::default()).unwrap();
-        assert_eq!(guard.payload.as_ref(), &[0u8]);
-        guard
-    });
     let churn = pool.clone();
     let cids = ids.clone();
     let tc = thread::spawn(move || {
@@ -230,15 +226,21 @@ fn guard_eviction_scenario() {
                 .unwrap();
         }
     });
-    let guard = th.join();
-    tc.join();
+    let holder = pool.clone();
+    let th = thread::spawn(move || {
+        let guard = holder.fetch(pinned, AccessContext::default()).unwrap();
+        assert_eq!(guard.payload.as_ref(), &[0u8]);
+        assert!(holder.contains(pinned), "a pinned frame was evicted");
+        tc.join();
+        assert!(holder.contains(pinned), "a pinned frame was evicted");
+        assert_eq!(
+            guard.payload.as_ref(),
+            &[0u8],
+            "the pinned frame must survive eviction churn"
+        );
+    });
+    th.join();
 
-    assert_eq!(
-        guard.payload.as_ref(),
-        &[0u8],
-        "the pinned frame must survive eviction churn"
-    );
-    drop(guard);
     assert_eq!(pool.live_guards(), 0);
     assert!(pool.resident() <= pool.capacity());
 }
@@ -418,8 +420,9 @@ impl ConcurrentPageStore for WalOrderProbe {
 
 /// Two threads issue buffered writes into a pool whose shards hold a single
 /// frame each, so nearly every write evicts a dirty predecessor and
-/// write-back races with logging. The probe asserts WAL-before-store on
-/// each of those write-backs, plus the explicit flushes.
+/// write-back races with logging; each thread then writes one of its pages
+/// through with a fresh payload. The probe asserts WAL-before-store on
+/// each of those write-backs, the write-throughs and the explicit flushes.
 fn wal_order_scenario() {
     let (disk, ids) = disk_with_pages(8);
     let wal = Wal::shared(WalConfig::default());
@@ -437,6 +440,7 @@ fn wal_order_scenario() {
         for (i, &id) in ids_a[..4].iter().enumerate() {
             wa.write_buffered(page(id, 10 + i as u8)).unwrap();
         }
+        wa.write(page(ids_a[0], 30)).unwrap();
     });
     let wb = pool.clone();
     let ids_b = ids.clone();
@@ -444,6 +448,7 @@ fn wal_order_scenario() {
         for (i, &id) in ids_b[4..].iter().enumerate() {
             wb.write_buffered(page(id, 20 + i as u8)).unwrap();
         }
+        wb.write(page(ids_b[4], 40)).unwrap();
         wb.flush().unwrap();
     });
     ta.join();
@@ -452,15 +457,16 @@ fn wal_order_scenario() {
     pool.flush().unwrap();
     pool.with_store(|probe| {
         for (i, &id) in ids.iter().enumerate() {
-            let tag = if i < 4 {
-                10 + i as u8
-            } else {
-                20 + (i - 4) as u8
+            let tag = match i {
+                0 => 30,
+                4 => 40,
+                1..4 => 10 + i as u8,
+                _ => 20 + (i - 4) as u8,
             };
             assert_eq!(
                 probe.disk.peek(id).unwrap().payload.as_ref(),
                 &[tag],
-                "buffered write to {id:?} was lost"
+                "write to {id:?} was lost"
             );
         }
     })

@@ -86,8 +86,6 @@ impl Model {
             let frame = self.frames[&victim];
             if frame.dirty && frame.rotten {
                 self.corruptions += 1;
-                // counter-ok: the reference model's own tally, compared
-                // against `BufferStats` after every step, not part of it.
                 self.failed_evictions += 1;
                 return Err(Fault::DirtyRot(victim));
             }
