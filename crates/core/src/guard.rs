@@ -63,6 +63,10 @@ impl PinToken {
 
 impl Drop for PinToken {
     fn drop(&mut self) {
+        // Pin first, live count second. An eviction that reads a live count
+        // of zero under the shard lock skips the per-frame pin check, which
+        // is sound only if every pin is already gone by then; the reverse
+        // order would open a window where a pinned frame looks free.
         self.pins.fetch_sub(1, Ordering::SeqCst);
         self.live.fetch_sub(1, Ordering::SeqCst);
     }

@@ -27,10 +27,11 @@
 //! * one ordered page table (`order::LinkedOrder<K, V>`): recency/FIFO
 //!   order and the per-page value (a reference bit, a criterion) behind a
 //!   single hash lookup;
-//! * one candidate scan (`spatial_victim`): the smallest criterion among
-//!   the first `c` evictable pages in LRU order. `c` fixed is SLRU, `c`
-//!   unbounded is the pure spatial policy (§4.1), `c` self-tuned is ASB's
-//!   main part (§4.2);
+//! * one ranked candidate set (`RankedPrefix`): pages in LRU order, the
+//!   first `c` of them also filed by `(criterion, recency)`, so the
+//!   smallest criterion among them, LRU on ties, is the first entry and no
+//!   eviction walks the set. `c` fixed is SLRU, `c` unbounded is the pure
+//!   spatial policy (§4.1), `c` self-tuned is ASB's main part (§4.2);
 //! * one class-ordered LRU: LRU-T and LRU-P differ only in the function
 //!   that maps a page's metadata to its class (§2.1).
 //!

@@ -952,16 +952,18 @@ impl BufferManager {
         // Pin loads are race-free here: new pins require this same mutable
         // borrow (the shard lock in a pool), and concurrent guard drops
         // only ever *decrease* a count — a frame observed unpinned stays
-        // evictable.
+        // evictable. For the same reason no live guard means no pinned
+        // frame: a guard releases its pin before its live-guard tick.
         let unpinned = |f: &Frame| f.pins.load(Ordering::SeqCst) == 0;
-        if !self.frames.values().any(unpinned) {
-            return Err(StorageError::AllPagesPinned);
-        }
-        let frames = &self.frames;
-        let victim = self
-            .policy
-            .select_victim(ctx, &|id| frames.get(&id).is_some_and(unpinned))
-            .ok_or(StorageError::AllPagesPinned)?;
+        let victim = if self.live_guards() == 0 {
+            self.policy.select_victim_unpinned(ctx)
+        } else if self.frames.values().any(unpinned) {
+            let frames = &self.frames;
+            (self.policy).select_victim(ctx, &|id| frames.get(&id).is_some_and(unpinned))
+        } else {
+            None
+        };
+        let victim = victim.ok_or(StorageError::AllPagesPinned)?;
         debug_assert!(
             self.frames.get(&victim).is_some_and(unpinned),
             "policy returned a non-evictable victim"

@@ -126,6 +126,20 @@ impl<K: Eq + Hash + Copy, V: Copy> LinkedOrder<K, V> {
         Some(&mut self.nodes[slot].value)
     }
 
+    /// The key just behind `key` (one step newer), or `None` if `key` is
+    /// the back or absent.
+    pub fn next_key(&self, key: &K) -> Option<K> {
+        let next = self.nodes[*self.index.get(key)?].next;
+        (next != NIL).then(|| self.nodes[next].key)
+    }
+
+    /// The key just ahead of `key` (one step older), or `None` if `key` is
+    /// the front or absent.
+    pub fn prev_key(&self, key: &K) -> Option<K> {
+        let prev = self.nodes[*self.index.get(key)?].prev;
+        (prev != NIL).then(|| self.nodes[prev].key)
+    }
+
     /// Iterates `(key, value)` from front (oldest) to back (newest).
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter {
@@ -334,6 +348,10 @@ mod tests {
                 }
             }
             assert_eq!(o.len(), model.len());
+            let pos = model.iter().position(|&x| x == k);
+            let at = |p: Option<usize>| p.and_then(|p| model.get(p).copied());
+            assert_eq!(o.next_key(&k), at(pos.map(|p| p + 1)));
+            assert_eq!(o.prev_key(&k), at(pos.and_then(|p| p.checked_sub(1))));
         }
         assert_eq!(keys(&o), model);
     }

@@ -192,11 +192,8 @@ impl Expert {
         }
         self.ghost_misses += 1;
         while self.ghost.len() >= capacity {
-            let ghost = &self.ghost;
-            let victim = self
-                .sim
-                .select_victim(ctx, &|p| ghost.contains(&p))
-                .or_else(|| self.ghost.front());
+            // The sim tracks exactly the ghost set, none of it pinned.
+            let victim = (self.sim.select_victim_unpinned(ctx)).or_else(|| self.ghost.front());
             let Some(victim) = victim else { break };
             self.sim.on_remove(victim);
             self.ghost.remove(&victim);
@@ -342,6 +339,21 @@ impl ArenaPolicy {
         }
     }
 
+    /// Authority belongs to the leader; if its mirror abstains (e.g.
+    /// everything it tracks is pinned), the rest of the roster is polled
+    /// in order. The callers fall back to the arena's own recency order.
+    fn poll_mirrors(
+        &mut self,
+        mut pick: impl FnMut(&mut (dyn ReplacementPolicy + Send)) -> Option<PageId>,
+    ) -> Option<PageId> {
+        let leader = self.leader;
+        pick(&mut *self.experts[leader].mirror).or_else(|| {
+            (self.experts.iter_mut().enumerate())
+                .filter(|&(i, _)| i != leader)
+                .find_map(|(_, expert)| pick(&mut *expert.mirror))
+        })
+    }
+
     fn snapshot(&self) -> ArenaState {
         ArenaState {
             experts: self
@@ -403,22 +415,13 @@ impl ReplacementPolicy for ArenaPolicy {
         ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        // Authority belongs to the leader; if its mirror abstains (e.g.
-        // everything it tracks is pinned), poll the rest of the roster in
-        // order, then fall back to the arena's own recency order.
-        let leader = self.leader;
-        if let Some(victim) = self.experts[leader].mirror.select_victim(ctx, evictable) {
-            return Some(victim);
-        }
-        for (i, expert) in self.experts.iter_mut().enumerate() {
-            if i == leader {
-                continue;
-            }
-            if let Some(victim) = expert.mirror.select_victim(ctx, evictable) {
-                return Some(victim);
-            }
-        }
-        self.resident.keys().find(|&id| evictable(id))
+        (self.poll_mirrors(|mirror| mirror.select_victim(ctx, evictable)))
+            .or_else(|| self.resident.keys().find(|&id| evictable(id)))
+    }
+
+    fn select_victim_unpinned(&mut self, ctx: AccessContext) -> Option<PageId> {
+        (self.poll_mirrors(|mirror| mirror.select_victim_unpinned(ctx)))
+            .or_else(|| self.resident.front())
     }
 
     fn retained_history(&self) -> usize {

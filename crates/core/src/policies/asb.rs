@@ -1,7 +1,7 @@
 //! The adaptable spatial buffer (Section 4.2 of the paper) — the paper's
 //! headline contribution.
 
-use super::slru::spatial_victim;
+use super::slru::{page_criterion, RankedPrefix};
 use crate::order::LinkedOrder;
 use crate::policy::ReplacementPolicy;
 use asb_geom::SpatialCriterion;
@@ -74,8 +74,9 @@ pub(crate) struct AsbPolicy {
     overflow_cap: usize,
     candidate: usize,
     step: usize,
-    /// LRU order of the main part (front = least recently used).
-    main: LinkedOrder<PageId, PageInfo>,
+    /// LRU order of the main part (front = least recently used), its
+    /// first `candidate` pages ranked; the value is the last access.
+    main: RankedPrefix<u64>,
     /// FIFO order of the overflow buffer (front = first in, next victim).
     /// A page's entry moves between the two parts with the page.
     overflow: LinkedOrder<PageId, PageInfo>,
@@ -114,25 +115,20 @@ impl AsbPolicy {
             overflow_cap,
             candidate,
             step,
-            main: LinkedOrder::default(),
+            main: RankedPrefix::new(candidate),
             overflow: LinkedOrder::default(),
         }
     }
 
-    /// The SLRU rule on the main part: the spatially worst of the first
-    /// `candidate` evictable pages in LRU order.
-    fn main_victim(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        spatial_victim(&self.main, |info| info.crit, self.candidate, evictable)
-    }
-
     /// Files `id` at the MRU end of the main part; if that overfills it,
-    /// the main part's victim moves into the overflow buffer.
+    /// the main part's victim (the SLRU rule over the first `candidate`
+    /// pages) moves into the overflow buffer.
     fn enter_main(&mut self, id: PageId, info: PageInfo) {
-        self.main.push_back(id, info);
+        self.main.push_back(id, info.crit, info.last_access);
         if self.main.len() > self.main_cap {
-            if let Some(id) = self.main_victim(&|_| true) {
-                if let Some(info) = self.main.remove(&id) {
-                    self.overflow.push_back(id, info);
+            if let Some(id) = self.main.min() {
+                if let Some((crit, last_access)) = self.main.remove(id) {
+                    self.overflow.push_back(id, PageInfo { crit, last_access });
                 }
             }
         }
@@ -155,13 +151,14 @@ impl AsbPolicy {
             // The spatial strategy seems more suitable: grow it.
             self.candidate = (self.candidate + self.step).min(self.main_cap);
         }
+        self.main.set_limit(self.candidate);
     }
 }
 
 impl ReplacementPolicy for AsbPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, now: u64) {
         let info = PageInfo {
-            crit: page.meta.stats.criterion(self.criterion),
+            crit: page_criterion(page, self.criterion),
             last_access: now,
         };
         self.enter_main(page.id, info);
@@ -169,8 +166,7 @@ impl ReplacementPolicy for AsbPolicy {
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, now: u64) {
         let id = page.id;
-        if let Some(info) = self.main.move_to_back(&id) {
-            info.last_access = now;
+        if self.main.touch(id, |last_access| *last_access = now) {
             return;
         }
         // Self-tuning happens *before* the promotion, while p's recorded
@@ -186,15 +182,17 @@ impl ReplacementPolicy for AsbPolicy {
     }
 
     fn on_update(&mut self, page: &Page) {
-        let info = (self.main.get_mut(&page.id)).or_else(|| self.overflow.get_mut(&page.id));
-        if let Some(info) = info {
-            info.crit = page.meta.stats.criterion(self.criterion);
+        let crit = page_criterion(page, self.criterion);
+        if !self.main.set_crit(page.id, crit) {
+            if let Some(info) = self.overflow.get_mut(&page.id) {
+                info.crit = crit;
+            }
         }
     }
 
     fn on_remove(&mut self, id: PageId) {
         if self.overflow.remove(&id).is_none() {
-            self.main.remove(&id);
+            self.main.remove(id);
         }
     }
 
@@ -206,7 +204,11 @@ impl ReplacementPolicy for AsbPolicy {
         // Regular case: FIFO from the overflow buffer. Degenerate case
         // (overflow empty or fully pinned, e.g. a tiny buffer before
         // warm-up finished): the SLRU rule on the main part.
-        (self.overflow.keys().find(|&id| evictable(id))).or_else(|| self.main_victim(evictable))
+        (self.overflow.keys().find(|&id| evictable(id))).or_else(|| self.main.victim(evictable))
+    }
+
+    fn select_victim_unpinned(&mut self, _ctx: AccessContext) -> Option<PageId> {
+        self.overflow.front().or_else(|| self.main.min())
     }
 
     fn candidate_size(&self) -> Option<usize> {

@@ -5,6 +5,10 @@ use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId, QueryId};
 use std::collections::{BTreeSet, HashMap};
 
+/// A resident page's place in victim order: `HIST(p,K)` (`None`, fewer
+/// than K references, sorts first), then the last access, then the page id.
+type Rank = (Option<u64>, u64, PageId);
+
 /// Reference history of one page: `HIST(p)` of the paper.
 #[derive(Debug, Clone)]
 struct Hist {
@@ -16,6 +20,13 @@ struct Hist {
     /// Tick of the most recent reference (correlated or not); breaks ties
     /// between pages with equal HIST(p,K) by plain LRU.
     last_access: u64,
+}
+
+impl Hist {
+    /// The page's place in victim order under LRU-`k`.
+    fn rank(&self, k: usize, id: PageId) -> Rank {
+        (self.times.get(k - 1).copied(), self.last_access, id)
+    }
 }
 
 /// LRU-K replacement.
@@ -34,11 +45,11 @@ struct Hist {
 pub(crate) struct LruKPolicy {
     k: usize,
     history: HashMap<PageId, Hist>,
-    /// Resident pages in page-id order: the victim scan iterates this set,
-    /// and a canonical order keeps full HIST ties (possible when a batched
-    /// fetch admits several pages at one tick) deterministic across
-    /// processes — hash order would break byte-reproducible benchmarks.
-    resident: BTreeSet<PageId>,
+    /// Resident pages in victim order, oldest `HIST(p,K)` first. The page
+    /// id settles full HIST ties (possible when a batched fetch admits
+    /// several pages at one tick) the same way in every process — hash
+    /// order would break byte-reproducible benchmarks.
+    resident: BTreeSet<Rank>,
 }
 
 impl LruKPolicy {
@@ -56,13 +67,16 @@ impl LruKPolicy {
         }
     }
 
-    fn record(&mut self, id: PageId, ctx: AccessContext, now: u64) {
+    /// Records a reference to `id`, re-filing it in `resident` if it is
+    /// resident or being `admit`ted.
+    fn record(&mut self, id: PageId, ctx: AccessContext, now: u64, admit: bool) {
         let k = self.k;
         let hist = self.history.entry(id).or_insert_with(|| Hist {
             times: Vec::with_capacity(k),
             last_query: ctx.query,
             last_access: 0,
         });
+        let resident = self.resident.remove(&hist.rank(k, id)) || admit;
         if hist.times.is_empty() {
             hist.times.push(now);
         } else if hist.last_query == ctx.query {
@@ -76,6 +90,9 @@ impl LruKPolicy {
         }
         hist.last_query = ctx.query;
         hist.last_access = now;
+        if resident {
+            self.resident.insert(hist.rank(k, id));
+        }
     }
 
     /// Backward K-distance key: the timestamp of `HIST(p,K)`, or `None`
@@ -90,17 +107,18 @@ impl LruKPolicy {
 
 impl ReplacementPolicy for LruKPolicy {
     fn on_insert(&mut self, page: &Page, ctx: AccessContext, now: u64) {
-        self.resident.insert(page.id);
-        self.record(page.id, ctx, now);
+        self.record(page.id, ctx, now, true);
     }
 
     fn on_hit(&mut self, page: &Page, ctx: AccessContext, now: u64) {
-        self.record(page.id, ctx, now);
+        self.record(page.id, ctx, now, false);
     }
 
     fn on_remove(&mut self, id: PageId) {
         // The page leaves the buffer but its history is retained.
-        self.resident.remove(&id);
+        if let Some(hist) = self.history.get(&id) {
+            self.resident.remove(&hist.rank(self.k, id));
+        }
     }
 
     fn select_victim(
@@ -110,42 +128,22 @@ impl ReplacementPolicy for LruKPolicy {
     ) -> Option<PageId> {
         // "Among the pages in the buffer whose most recent reference is not
         // correlated to the access to p, the page q with the oldest value of
-        // HIST(q,k) is determined."
-        let best = |skip_correlated: bool| -> Option<PageId> {
-            let mut victim: Option<(PageId, Option<u64>, u64)> = None;
-            for &id in &self.resident {
-                if !evictable(id) {
-                    continue;
-                }
-                let hist = &self.history[&id];
-                if skip_correlated && hist.last_query == ctx.query {
-                    continue;
-                }
-                let key = hist.times.get(self.k - 1).copied();
-                let last = hist.last_access;
-                let better = match &victim {
-                    None => true,
-                    Some((_, vkey, vlast)) => {
-                        // None (< K references) is older than any timestamp;
-                        // ties fall back to plain LRU on the last access.
-                        match (key, vkey) {
-                            (None, Some(_)) => true,
-                            (Some(_), None) => false,
-                            (None, None) => last < *vlast,
-                            (Some(a), Some(b)) => a < *b || (a == *b && last < *vlast),
-                        }
-                    }
-                };
-                if better {
-                    victim = Some((id, key, last));
-                }
+        // HIST(q,k) is determined." `resident` is in that order, ties
+        // broken by plain LRU on the last access.
+        let mut first_evictable = None;
+        for &(_, _, id) in &self.resident {
+            if !evictable(id) {
+                continue;
             }
-            victim.map(|(id, _, _)| id)
-        };
-        // If every evictable page was touched by the current query, fall
-        // back to ignoring the correlation filter (one of the "special
-        // cases" footnote 2 of the paper waves at).
-        best(true).or_else(|| best(false))
+            if (self.history.get(&id)).is_some_and(|hist| hist.last_query != ctx.query) {
+                return Some(id);
+            }
+            first_evictable.get_or_insert(id);
+        }
+        // Every evictable page was touched by the current query: ignore
+        // the correlation filter (one of the "special cases" footnote 2 of
+        // the paper waves at).
+        first_evictable
     }
 
     fn retained_history(&self) -> usize {
@@ -157,9 +155,9 @@ impl ReplacementPolicy for LruKPolicy {
         // only while the host still considers the page live. This is the
         // hook that lets the arena keep LRU-K's otherwise unbounded HIST
         // within a fixed budget.
-        let resident = &self.resident;
+        let (k, resident) = (self.k, &self.resident);
         self.history
-            .retain(|id, _| resident.contains(id) || live(*id));
+            .retain(|&id, hist| resident.contains(&hist.rank(k, id)) || live(id));
     }
 }
 

@@ -5,31 +5,226 @@ use crate::order::LinkedOrder;
 use crate::policy::ReplacementPolicy;
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId};
+use std::collections::BTreeMap;
 
-/// The one victim rule of every spatial policy: among the first `limit`
-/// evictable pages of `order` (front = least recently used) — the
-/// *candidate set* — the page with the **smallest** criterion. Strict `<`
-/// keeps the earliest page on ties, which is the paper's LRU tie-break:
+/// `page`'s value under `which`. A NaN would have no place in the victim
+/// order, so it is rejected where it enters.
+pub(super) fn page_criterion(page: &Page, which: SpatialCriterion) -> f64 {
+    let crit = page.meta.stats.criterion(which);
+    debug_assert!(!crit.is_nan(), "page {:?} has a NaN criterion", page.id);
+    crit
+}
+
+/// A criterion as an order-preserving integer: for non-NaN `a` and `b`,
+/// `crit_key(a) < crit_key(b)` exactly when `a < b`. That needs `-0.0`
+/// and `0.0`, which compare equal, to share a key.
+fn crit_key(crit: f64) -> u64 {
+    let bits = if crit == 0.0 { 0 } else { crit.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// One page of a [`RankedPrefix`].
+#[derive(Debug, Clone, Copy)]
+struct Slot<V> {
+    crit: f64,
+    /// Recency stamp: increasing from the front of the order to the back,
+    /// renewed on every move to the back.
+    stamp: u64,
+    /// Whether the page lies in the prefix, and so in `rank`.
+    ranked: bool,
+    value: V,
+}
+
+/// The victim rule of every spatial policy, kept ranked. Pages sit in LRU
+/// order (front = least recently used); the first `limit` of them are the
+/// *candidate set*, and are also filed in a map keyed by
+/// `(criterion, recency stamp)`. The map's first entry is the paper's
+/// victim:
 ///
 /// 1. `C := { p | p ∈ candidates ∧ (q ∈ candidates ⇒ spatialCrit(p) ≤ spatialCrit(q)) }`
 /// 2. if `|C| > 1`, the victim is determined from `C` by LRU.
 ///
-/// Pinned pages do not consume candidate slots.
-pub(super) fn spatial_victim<V: Copy>(
-    order: &LinkedOrder<PageId, V>,
-    crit: impl Fn(&V) -> f64,
+/// An insert, hit, update or removal moves at most one page across the
+/// prefix boundary, and a change of `limit` one per unit of change, so
+/// each costs O(log limit); a hit behind the boundary costs one flag check
+/// more than an LRU touch.
+#[derive(Debug)]
+pub(super) struct RankedPrefix<V> {
+    order: LinkedOrder<PageId, Slot<V>>,
+    rank: BTreeMap<(u64, u64), PageId>,
     limit: usize,
-    evictable: &dyn Fn(PageId) -> bool,
-) -> Option<PageId> {
-    let mut victim: Option<(PageId, f64)> = None;
-    let candidates = order.iter().filter(|&(id, _)| evictable(id)).take(limit);
-    for (id, value) in candidates {
-        let c = crit(value);
-        if victim.is_none_or(|(_, best)| c < best) {
-            victim = Some((id, c));
+    /// The last page of the prefix; `None` while the prefix is empty.
+    boundary: Option<PageId>,
+    clock: u64,
+}
+
+impl<V: Copy> RankedPrefix<V> {
+    pub fn new(limit: usize) -> Self {
+        RankedPrefix {
+            order: LinkedOrder::default(),
+            rank: BTreeMap::new(),
+            limit,
+            boundary: None,
+            clock: 0,
         }
     }
-    victim.map(|(id, _)| id)
+
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    #[cfg(test)]
+    pub fn contains(&self, id: &PageId) -> bool {
+        self.order.contains(id)
+    }
+
+    fn key(slot: &Slot<V>) -> (u64, u64) {
+        (crit_key(slot.crit), slot.stamp)
+    }
+
+    fn stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Appends `id` at the most recently used end.
+    pub fn push_back(&mut self, id: PageId, crit: f64, value: V) {
+        let stamp = self.stamp();
+        let slot = Slot {
+            crit,
+            stamp,
+            ranked: false,
+            value,
+        };
+        if self.order.push_back(id, slot) && self.rank.len() < self.limit {
+            self.grow();
+        }
+    }
+
+    /// Moves `id` to the most recently used end and lets `touch` edit its
+    /// value. Returns whether `id` is present.
+    pub fn touch(&mut self, id: PageId, touch: impl FnOnce(&mut V)) -> bool {
+        let boundary_prev = (self.boundary == Some(id)).then(|| self.order.prev_key(&id));
+        let stamp = self.stamp();
+        let Some(slot) = self.order.move_to_back(&id) else {
+            return false;
+        };
+        touch(&mut slot.value);
+        let old_stamp = std::mem::replace(&mut slot.stamp, stamp);
+        if std::mem::take(&mut slot.ranked) {
+            let key = (crit_key(slot.crit), old_stamp);
+            self.leave_prefix(key, boundary_prev);
+        }
+        true
+    }
+
+    /// Removes `id`, returning its criterion and value.
+    pub fn remove(&mut self, id: PageId) -> Option<(f64, V)> {
+        let boundary_prev = (self.boundary == Some(id)).then(|| self.order.prev_key(&id));
+        let slot = self.order.remove(&id)?;
+        if slot.ranked {
+            self.leave_prefix(Self::key(&slot), boundary_prev);
+        }
+        Some((slot.crit, slot.value))
+    }
+
+    /// Unranks a page that left the prefix under `key` and ranks the page
+    /// behind the boundary in its place. `boundary_prev` is `Some(prev)`
+    /// if the page was the boundary, `prev` its predecessor before it left.
+    fn leave_prefix(&mut self, key: (u64, u64), boundary_prev: Option<Option<PageId>>) {
+        self.rank.remove(&key);
+        if let Some(prev) = boundary_prev {
+            self.boundary = prev;
+        }
+        self.grow();
+    }
+
+    /// Replaces `id`'s criterion in place. Returns whether `id` is present.
+    pub fn set_crit(&mut self, id: PageId, crit: f64) -> bool {
+        let Some(slot) = self.order.get_mut(&id) else {
+            return false;
+        };
+        let old = Self::key(slot);
+        slot.crit = crit;
+        if slot.ranked {
+            self.rank.remove(&old);
+            self.rank.insert(Self::key(slot), id);
+        }
+        true
+    }
+
+    /// Makes the first `limit` pages the candidate set.
+    pub fn set_limit(&mut self, limit: usize) {
+        self.limit = limit;
+        while self.rank.len() > limit && self.shrink() {}
+        while self.rank.len() < limit && self.grow() {}
+    }
+
+    /// The victim when every page is evictable.
+    pub fn min(&self) -> Option<PageId> {
+        self.rank.values().next().copied()
+    }
+
+    /// The victim among the `evictable` pages. Pinned pages do not consume
+    /// candidate slots: the candidates are the first `limit` evictable
+    /// pages. While the prefix holds every page, that is the first
+    /// evictable page in rank order; otherwise the candidates are walked.
+    pub fn victim(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        if self.rank.len() == self.order.len() {
+            return self.rank.values().copied().find(|&id| evictable(id));
+        }
+        self.victim_walk(evictable)
+    }
+
+    /// The candidate walk: the smallest criterion among the first `limit`
+    /// evictable pages in LRU order, the earliest on ties.
+    fn victim_walk(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        let mut victim: Option<(PageId, u64)> = None;
+        let candidates = (self.order.iter())
+            .filter(|&(id, _)| evictable(id))
+            .take(self.limit);
+        for (id, slot) in candidates {
+            let c = crit_key(slot.crit);
+            if victim.is_none_or(|(_, best)| c < best) {
+                victim = Some((id, c));
+            }
+        }
+        victim.map(|(id, _)| id)
+    }
+
+    /// Ranks the page behind the boundary. Returns `false` if there is none.
+    fn grow(&mut self) -> bool {
+        let next = match self.boundary {
+            Some(last) => self.order.next_key(&last),
+            None => self.order.front(),
+        };
+        let Some(id) = next else {
+            return false;
+        };
+        if let Some(slot) = self.order.get_mut(&id) {
+            slot.ranked = true;
+            self.rank.insert(Self::key(slot), id);
+        }
+        self.boundary = Some(id);
+        true
+    }
+
+    /// Unranks the boundary page. Returns `false` if the prefix is empty.
+    fn shrink(&mut self) -> bool {
+        let Some(id) = self.boundary else {
+            return false;
+        };
+        if let Some(slot) = self.order.get_mut(&id) {
+            slot.ranked = false;
+            self.rank.remove(&Self::key(slot));
+        }
+        self.boundary = self.order.prev_key(&id);
+        true
+    }
 }
 
 /// **SLRU**: "1.) compute a set of candidates by using LRU and 2.) select
@@ -48,8 +243,8 @@ pub(crate) struct SlruPolicy {
     criterion: SpatialCriterion,
     /// Size of the static candidate set; `None` is the whole buffer.
     candidates: Option<usize>,
-    /// LRU order; each entry carries the page's criterion value.
-    order: LinkedOrder<PageId, f64>,
+    /// LRU order with the candidate set ranked by criterion.
+    order: RankedPrefix<()>,
 }
 
 impl SlruPolicy {
@@ -65,8 +260,9 @@ impl SlruPolicy {
         );
         let count = ((capacity as f64 * candidate_fraction).round() as usize).max(1);
         SlruPolicy {
+            criterion,
             candidates: Some(count),
-            ..SlruPolicy::spatial(criterion)
+            order: RankedPrefix::new(count),
         }
     }
 
@@ -75,29 +271,28 @@ impl SlruPolicy {
         SlruPolicy {
             criterion,
             candidates: None,
-            order: LinkedOrder::default(),
+            order: RankedPrefix::new(usize::MAX),
         }
     }
 }
 
 impl ReplacementPolicy for SlruPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        let crit = page.meta.stats.criterion(self.criterion);
-        self.order.push_back(page.id, crit);
+        let crit = page_criterion(page, self.criterion);
+        self.order.push_back(page.id, crit, ());
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        self.order.move_to_back(&page.id);
+        self.order.touch(page.id, |_| ());
     }
 
     fn on_update(&mut self, page: &Page) {
-        if let Some(crit) = self.order.get_mut(&page.id) {
-            *crit = page.meta.stats.criterion(self.criterion);
-        }
+        let crit = page_criterion(page, self.criterion);
+        self.order.set_crit(page.id, crit);
     }
 
     fn on_remove(&mut self, id: PageId) {
-        self.order.remove(&id);
+        self.order.remove(id);
     }
 
     fn select_victim(
@@ -105,8 +300,11 @@ impl ReplacementPolicy for SlruPolicy {
         _ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        let limit = self.candidates.unwrap_or(usize::MAX);
-        spatial_victim(&self.order, |&crit| crit, limit, evictable)
+        self.order.victim(evictable)
+    }
+
+    fn select_victim_unpinned(&mut self, _ctx: AccessContext) -> Option<PageId> {
+        self.order.min()
     }
 
     fn candidate_size(&self) -> Option<usize> {
@@ -252,6 +450,120 @@ mod tests {
         p.on_insert(&page_rect(2, Rect::new(0.0, 0.0, 5.0, 5.0)), ctx(), 2);
         let v = p.select_victim(ctx(), &|id| id != PageId::new(1));
         assert_eq!(v, Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn crit_key_orders_exactly_like_strict_less_than() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(crit_key(a) < crit_key(b), a < b, "{a:e} vs {b:e}");
+                assert_eq!(crit_key(a) == crit_key(b), a == b, "{a:e} vs {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "NaN criterion")]
+    fn nan_criterion_is_rejected() {
+        let stats = SpatialStats {
+            entry_area_sum: f64::NAN,
+            ..SpatialStats::EMPTY
+        };
+        let page = Page::new(PageId::new(1), PageMeta::data(stats), Bytes::new()).unwrap();
+        spatial(SpatialCriterion::EntryArea).on_insert(&page, ctx(), 1);
+    }
+
+    #[test]
+    fn ties_inside_the_candidate_set_break_by_lru() {
+        let mut p = SlruPolicy::new(8, 0.5, SpatialCriterion::Area); // 4 candidates
+        for raw in 1..=6 {
+            p.on_insert(&page_area(raw, 2.0), ctx(), raw);
+        }
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(1)));
+        // Page 1 leaves the candidates, page 5 enters behind 2, 3, 4.
+        p.on_hit(&page_area(1, 2.0), ctx(), 7);
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(2)));
+        // A smaller page inside the set wins over the LRU tie.
+        p.on_update(&page_area(4, 1.0));
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(4)));
+        // Growing it back restores the LRU tie-break.
+        p.on_update(&page_area(4, 2.0));
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn zero_area_pages_tie_at_the_minimum() {
+        let point = Rect::new(3.0, 3.0, 3.0, 3.0);
+        let segment = Rect::new(0.0, 0.0, 4.0, 0.0);
+        let mut p = spatial(SpatialCriterion::Area);
+        p.on_insert(&page_rect(1, Rect::new(0.0, 0.0, 1.0, 1.0)), ctx(), 1);
+        p.on_insert(&page_rect(2, segment), ctx(), 2);
+        p.on_insert(&page_rect(3, point), ctx(), 3);
+        // Both have area 0: the less recently used one goes first.
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(2)));
+        p.on_hit(&page_rect(2, segment), ctx(), 4);
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(3)));
+        // Under the margin criterion the point is alone at the minimum.
+        let mut p = spatial(SpatialCriterion::Margin);
+        p.on_insert(&page_rect(1, point), ctx(), 1);
+        p.on_insert(&page_rect(2, segment), ctx(), 2);
+        p.on_hit(&page_rect(1, point), ctx(), 3);
+        assert_eq!(p.select_victim_unpinned(ctx()), Some(PageId::new(1)));
+    }
+
+    /// The prefix invariant after every operation: exactly the first
+    /// `min(limit, len)` pages are ranked, each under its current key, the
+    /// boundary is the last of them, and stamps rise from front to back.
+    fn assert_exact(prefix: &RankedPrefix<u64>) {
+        let ranked = prefix.rank.len();
+        assert_eq!(ranked, prefix.limit.min(prefix.len()));
+        let stamps: Vec<u64> = prefix.order.iter().map(|(_, slot)| slot.stamp).collect();
+        assert!(stamps.windows(2).all(|w| w[0] < w[1]));
+        for (i, (id, slot)) in prefix.order.iter().enumerate() {
+            assert_eq!(slot.ranked, i < ranked, "page {id:?} at {i}");
+            if slot.ranked {
+                assert_eq!(prefix.rank.get(&RankedPrefix::key(slot)), Some(&id));
+            }
+        }
+        let last = prefix.order.keys().take(ranked).last();
+        assert_eq!(prefix.boundary, last);
+    }
+
+    #[test]
+    fn prefix_stays_exact_under_random_operations() {
+        let mut prefix = RankedPrefix::new(3);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let id = PageId::new(state % 16);
+            let crit = ((state >> 8) % 4) as f64;
+            match (state >> 16) % 6 {
+                0 | 1 => prefix.push_back(id, crit, 0),
+                2 => _ = prefix.touch(id, |v| *v += 1),
+                3 => _ = prefix.remove(id),
+                4 => _ = prefix.set_crit(id, crit),
+                _ => prefix.set_limit(((state >> 24) % 8) as usize),
+            }
+            assert_exact(&prefix);
+            assert_eq!(prefix.min(), prefix.victim_walk(&|_| true));
+        }
     }
 
     #[test]

@@ -67,6 +67,14 @@ pub trait ReplacementPolicy: Send {
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId>;
 
+    /// [`select_victim`](ReplacementPolicy::select_victim) when every
+    /// tracked page is evictable: the buffer calls it while no guard is
+    /// alive, the arena for its simulated buffers. Policies that keep their
+    /// victim ranked answer it without visiting a page.
+    fn select_victim_unpinned(&mut self, ctx: AccessContext) -> Option<PageId> {
+        self.select_victim(ctx, &|_| true)
+    }
+
     /// For SLRU and the adaptable spatial buffer: the current candidate-set
     /// size. `None` for policies without that notion.
     fn candidate_size(&self) -> Option<usize> {

@@ -18,7 +18,7 @@
 //! failure printed by CI is reproducible locally, and the failing pick
 //! sequence is written to `target/schedule-artifacts/`.
 
-use asb::buffer::{PolicyKind, ShardedBuffer};
+use asb::buffer::{PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb::geom::SpatialStats;
 use asb::serve::{BreakerConfig, BreakerState, CircuitBreaker};
 use asb::storage::{
@@ -252,6 +252,56 @@ fn read_guards_pin_frames_against_concurrent_eviction() {
         0x4755_5244_5f45_5649,
         guard_eviction_scenario,
     );
+}
+
+/// A holder pins pages of a 2-shard, 4-frame SLRU 25 % pool (two frames
+/// and one candidate per shard) and drops each guard while a churner fills
+/// both shards, so guard drops race evictions. An eviction that reads a
+/// live-guard count of zero names its victim without checking pins; that
+/// is sound only because a guard releases its pin before its live-guard
+/// tick. `evict_one` debug-asserts that its victim is unpinned, so a drop
+/// in the other order fails here, and a held page must stay resident.
+fn guard_drop_scenario() {
+    let (disk, ids) = disk_with_pages(10);
+    let slru = PolicyKind::Slru {
+        candidate_fraction: 0.25,
+        criterion: SpatialCriterion::Area,
+    };
+    let pool = ShardedBuffer::new(disk, slru, 4, 2);
+
+    let holder = pool.clone();
+    let held = ids[..4].to_vec();
+    let th = thread::spawn(move || {
+        for (i, &id) in held.iter().enumerate() {
+            let ctx = AccessContext::query(QueryId::new(i as u64));
+            let guard = holder.fetch(id, ctx).unwrap();
+            assert!(holder.contains(id), "a pinned frame was evicted");
+            assert_eq!(guard.payload.as_ref(), &[i as u8]);
+            drop(guard);
+        }
+    });
+    let churn = pool.clone();
+    let cids = ids[4..].to_vec();
+    let tc = thread::spawn(move || {
+        for (i, &id) in cids.iter().enumerate() {
+            churn
+                .fetch(id, AccessContext::query(QueryId::new(100 + i as u64)))
+                .unwrap();
+        }
+    });
+    th.join();
+    tc.join();
+
+    let stats = pool.stats();
+    assert_eq!(stats.logical_reads, 10, "a read was lost");
+    assert_eq!(pool.io_stats().reads, stats.misses);
+    assert!(pool.resident() <= pool.capacity());
+    assert_eq!(pool.live_guards(), 0);
+}
+
+#[test]
+fn guard_drops_racing_evictions_never_free_a_pinned_frame() {
+    explore_scenario("guard-drop", 0x4452_4f50_5f45_5649, guard_drop_scenario);
 }
 
 // ---------------------------------------------------------------------------
