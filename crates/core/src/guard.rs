@@ -27,7 +27,7 @@
 //! — `thread::spawn`, a scoped thread, a channel, a `JoinHandle` — is a
 //! compile error (see [`PageReadGuard`]).
 
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::Counter;
 use asb_storage::{Page, Result};
 use bytes::Bytes;
 use std::marker::PhantomData;
@@ -40,8 +40,8 @@ use std::sync::Arc;
 /// shared, so the decrement is never lost and never misdirected.
 #[derive(Debug)]
 pub(crate) struct PinToken {
-    pins: Arc<AtomicU64>,
-    live: Arc<AtomicU64>,
+    pins: Arc<Counter>,
+    live: Arc<Counter>,
     /// Zero-sized `!Send + !Sync` marker: the pin stays on its thread.
     _local: PhantomData<*const ()>,
 }
@@ -50,9 +50,9 @@ impl PinToken {
     /// Pins: increments both counters. Called while the owning buffer is
     /// mutably borrowed (i.e. under the shard lock), which is what makes
     /// the eviction scan's unpinned-check race-free.
-    pub(crate) fn new(pins: Arc<AtomicU64>, live: Arc<AtomicU64>) -> Self {
-        pins.fetch_add(1, Ordering::SeqCst);
-        live.fetch_add(1, Ordering::SeqCst);
+    pub(crate) fn new(pins: Arc<Counter>, live: Arc<Counter>) -> Self {
+        pins.incr();
+        live.incr();
         PinToken {
             pins,
             live,
@@ -67,8 +67,8 @@ impl Drop for PinToken {
         // of zero under the shard lock skips the per-frame pin check, which
         // is sound only if every pin is already gone by then; the reverse
         // order would open a window where a pinned frame looks free.
-        self.pins.fetch_sub(1, Ordering::SeqCst);
-        self.live.fetch_sub(1, Ordering::SeqCst);
+        self.pins.decr();
+        self.live.decr();
     }
 }
 
@@ -164,7 +164,7 @@ pub struct PageWriteGuard {
     touched: bool,
     committed: bool,
     sink: Box<dyn WriteSink>,
-    drop_failures: Arc<AtomicU64>,
+    drop_failures: Arc<Counter>,
     _token: PinToken,
 }
 
@@ -173,7 +173,7 @@ impl PageWriteGuard {
         page: Page,
         token: PinToken,
         sink: Box<dyn WriteSink>,
-        drop_failures: Arc<AtomicU64>,
+        drop_failures: Arc<Counter>,
     ) -> Self {
         PageWriteGuard {
             page,
@@ -224,9 +224,7 @@ impl std::ops::Deref for PageWriteGuard {
 impl Drop for PageWriteGuard {
     fn drop(&mut self) {
         if self.touched && !self.committed && self.sink.commit(self.page.clone()).is_err() {
-            // relaxed-ok: monotonic failure telemetry; readers only poll
-            // it after quiescing their writers.
-            self.drop_failures.fetch_add(1, Ordering::Relaxed);
+            self.drop_failures.incr();
         }
     }
 }
@@ -255,8 +253,8 @@ mod tests {
         .expect("page")
     }
 
-    fn counters() -> (Arc<AtomicU64>, Arc<AtomicU64>) {
-        (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)))
+    fn counters() -> (Arc<Counter>, Arc<Counter>) {
+        (Arc::default(), Arc::default())
     }
 
     #[test]
@@ -265,11 +263,11 @@ mod tests {
         {
             let _a = PinToken::new(Arc::clone(&pins), Arc::clone(&live));
             let _b = PinToken::new(Arc::clone(&pins), Arc::clone(&live));
-            assert_eq!(pins.load(Ordering::SeqCst), 2);
-            assert_eq!(live.load(Ordering::SeqCst), 2);
+            assert_eq!(pins.get(), 2);
+            assert_eq!(live.get(), 2);
         }
-        assert_eq!(pins.load(Ordering::SeqCst), 0);
-        assert_eq!(live.load(Ordering::SeqCst), 0);
+        assert_eq!(pins.get(), 0);
+        assert_eq!(live.get(), 0);
     }
 
     #[test]
@@ -281,7 +279,7 @@ mod tests {
         assert_eq!(g.page().id, PageId::new(3));
         let p = g.into_page();
         assert_eq!(p.payload.as_ref(), &[7]);
-        assert_eq!(live.load(Ordering::SeqCst), 0);
+        assert_eq!(live.get(), 0);
     }
 
     struct Recording(Arc<crate::sync::Mutex<Vec<Page>>>);
@@ -298,7 +296,7 @@ mod tests {
             page(5, 1),
             PinToken::new(pins, live),
             Box::new(Recording(Arc::clone(sink_log))),
-            Arc::new(AtomicU64::new(0)),
+            Arc::default(),
         )
     }
 

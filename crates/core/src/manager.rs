@@ -1,7 +1,7 @@
 use crate::guard::{PageReadGuard, PinToken};
 use crate::policies::ArenaState;
 use crate::policy::{PolicyKind, ReplacementPolicy};
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::Counter;
 use asb_storage::{
     page_checksum, AccessContext, Lsn, Page, PageId, PageMeta, PageStore, Result, RetryPolicy,
     SharedWal, StorageError,
@@ -159,7 +159,7 @@ struct Frame {
     /// shard lock in a pool); decrements are lock-free guard drops. The
     /// eviction scan also runs under the mutable borrow, so a frame it
     /// observes unpinned cannot gain a pin before the eviction completes.
-    pins: Arc<AtomicU64>,
+    pins: Arc<Counter>,
     /// The frame holds changes not yet written to the backing store.
     dirty: bool,
     /// LSN of the oldest WAL image covering unwritten changes of this
@@ -227,7 +227,7 @@ pub struct BufferManager {
     /// Guards handed out by this buffer that are still alive. Shared with
     /// every [`PinToken`], which decrements it lock-free on drop; pools
     /// sum this across shards to gate their escape hatches.
-    live_guards: Arc<AtomicU64>,
+    live_guards: Arc<Counter>,
 }
 
 impl std::fmt::Debug for BufferManager {
@@ -261,14 +261,14 @@ impl BufferManager {
             wal: None,
             checkpoint_interval: None,
             appends_since_checkpoint: 0,
-            live_guards: Arc::new(AtomicU64::new(0)),
+            live_guards: Arc::default(),
         }
     }
 
     /// Number of [`PageReadGuard`]s (and write guards derived from them)
     /// handed out by this buffer that have not been dropped yet.
     pub fn live_guards(&self) -> u64 {
-        self.live_guards.load(Ordering::SeqCst)
+        self.live_guards.get()
     }
 
     /// The policy this buffer was built with.
@@ -641,7 +641,7 @@ impl BufferManager {
     fn unbuffered_guard(&mut self, page: Page) -> PageReadGuard {
         PageReadGuard::new(
             page,
-            PinToken::new(Arc::new(AtomicU64::new(0)), Arc::clone(&self.live_guards)),
+            PinToken::new(Arc::default(), Arc::clone(&self.live_guards)),
         )
     }
 
@@ -654,7 +654,7 @@ impl BufferManager {
             .map(|f| Arc::clone(&f.pins))
             // invariant: every caller admits or verifies residency first;
             // an orphan token (counting against nothing) is still sound.
-            .unwrap_or_else(|| Arc::new(AtomicU64::new(0)));
+            .unwrap_or_default();
         PageReadGuard::new(page, PinToken::new(pins, Arc::clone(&self.live_guards)))
     }
 
@@ -936,7 +936,7 @@ impl BufferManager {
             page.id,
             Frame {
                 page,
-                pins: Arc::new(AtomicU64::new(0)),
+                pins: Arc::default(),
                 dirty,
                 rec_lsn,
             },
@@ -954,7 +954,7 @@ impl BufferManager {
         // only ever *decrease* a count — a frame observed unpinned stays
         // evictable. For the same reason no live guard means no pinned
         // frame: a guard releases its pin before its live-guard tick.
-        let unpinned = |f: &Frame| f.pins.load(Ordering::SeqCst) == 0;
+        let unpinned = |f: &Frame| f.pins.get() == 0;
         let victim = if self.live_guards() == 0 {
             self.policy.select_victim_unpinned(ctx)
         } else if self.frames.values().any(unpinned) {

@@ -45,7 +45,7 @@ use crate::guard::{PageReadGuard, PageWriteGuard, WriteSink};
 use crate::manager::{BufferManager, BufferStats, StoreIo};
 use crate::policies::ArenaState;
 use crate::policy::PolicyKind;
-use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
+use crate::sync::{Counter, Mutex, RwLock};
 use asb_storage::{
     splitmix64, AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId,
     PageMeta, PageStore, Result, RetryPolicy, SharedWal, StorageError,
@@ -59,7 +59,7 @@ struct Inner<S> {
     /// Commits that failed inside a [`PageWriteGuard`] drop (where no
     /// error can be returned); see
     /// [`write_drop_failures`](ShardedBuffer::write_drop_failures).
-    write_drop_failures: Arc<AtomicU64>,
+    write_drop_failures: Arc<Counter>,
 }
 
 /// Per-operation [`StoreIo`] over the pool's store lock: fetches take the
@@ -175,7 +175,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             inner: Arc::new(Inner {
                 store: RwLock::new(store),
                 shards,
-                write_drop_failures: Arc::new(AtomicU64::new(0)),
+                write_drop_failures: Arc::default(),
             }),
         }
     }
@@ -437,8 +437,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// explicit [`PageWriteGuard::commit`] on paths that must observe
     /// failures.
     pub fn write_drop_failures(&self) -> u64 {
-        // relaxed-ok: monotonic telemetry, polled after writers quiesce.
-        self.inner.write_drop_failures.load(Ordering::Relaxed)
+        self.inner.write_drop_failures.get()
     }
 
     /// Sets the retry policy applied to transient store faults in every
@@ -457,8 +456,8 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     pub fn allocate(&self, meta: PageMeta, payload: Bytes) -> Result<PageId> {
         let id = self.inner.store.write().allocate(meta, payload.clone())?;
         let page = Page::new(id, meta, payload)?;
-        // lock-order-ok: the store write lock is a temporary released at
-        // the end of the allocate statement; see the two-phase doc above.
+        // The store write lock above was a temporary, released at the end
+        // of its statement, so taking the shard lock now keeps the order.
         let mut shard = self.inner.shards[self.shard_of(id)].lock();
         shard.admit_new(page, &mut PoolIo(&self.inner.store))?;
         Ok(id)

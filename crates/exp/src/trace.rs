@@ -39,7 +39,7 @@
 use asb_core::{BufferManager, BufferStats, PolicyKind, ShardedBuffer};
 use asb_geom::{Query, Rect, SpatialStats};
 use asb_rtree::RTree;
-use asb_storage::sync::{AtomicUsize, Mutex, Ordering};
+use asb_storage::sync::{Counter, Mutex};
 use asb_storage::{
     AccessContext, DiskManager, FaultConfig, FaultStats, FaultyStore, IoStats, PageId, PageMeta,
     PageStore, PageType, QueryId, RecordingStore, Result, RetryPolicy, StorageError,
@@ -316,13 +316,11 @@ impl Trace {
     where
         T: std::ops::Deref<Target = Trace> + Sync,
     {
-        let next = AtomicUsize::new(0);
+        let next = Counter::default();
         let slots: Vec<Mutex<Option<Result<ReplayOutcome>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
         let work = || loop {
-            // relaxed-ok: the cursor only hands out unique indices; the
-            // scope join (not the counter) publishes results.
-            let i = next.fetch_add(1, Ordering::Relaxed);
+            let i = next.incr() as usize;
             let Some((trace, policy, capacity)) = jobs.get(i) else {
                 break;
             };

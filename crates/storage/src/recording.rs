@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 
-use crate::sync::{AtomicBool, Mutex, Ordering};
+use crate::sync::{Flag, Mutex};
 
 use crate::page::{Page, PageId};
 use crate::store::{AccessContext, ConcurrentPageStore, PageStore, QueryId};
@@ -22,7 +22,7 @@ use crate::{IoStats, PageMeta};
 pub struct RecordingStore<S> {
     inner: S,
     log: Mutex<Vec<(PageId, QueryId)>>,
-    enabled: AtomicBool,
+    enabled: Flag,
 }
 
 impl<S> RecordingStore<S> {
@@ -31,22 +31,19 @@ impl<S> RecordingStore<S> {
         RecordingStore {
             inner,
             log: Mutex::new(Vec::new()),
-            enabled: AtomicBool::new(true),
+            enabled: Flag::new(true),
         }
     }
 
     /// Turn recording on or off (e.g. off while bulk-loading, on for the
     /// workload of interest).
     pub fn set_recording(&self, on: bool) {
-        // relaxed-ok: a lone on/off flag with no data published under it;
-        // a racing read seeing the stale value only mislogs that access.
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled.set(on);
     }
 
     /// Whether reads are currently being logged.
     pub fn is_recording(&self) -> bool {
-        // relaxed-ok: see `set_recording` — independent flag, no ordering.
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled.get()
     }
 
     /// Drain the log, leaving it empty.
@@ -70,8 +67,7 @@ impl<S> RecordingStore<S> {
     }
 
     fn record(&self, id: PageId, ctx: AccessContext) {
-        // relaxed-ok: see `set_recording` — independent flag, no ordering.
-        if self.enabled.load(Ordering::Relaxed) {
+        if self.enabled.get() {
             self.log.lock().push((id, ctx.query));
         }
     }

@@ -5,6 +5,8 @@
 //! than propagated, matching parking_lot's no-poisoning semantics).
 
 #![forbid(unsafe_code)]
+// The shim wraps the std locks the workspace bans everywhere else.
+#![allow(clippy::disallowed_types)]
 
 use std::sync::PoisonError;
 

@@ -54,6 +54,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The scheduler is built from the std primitives the workspace bans.
+#![allow(clippy::disallowed_types)]
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -994,7 +996,6 @@ pub mod sync {
 
     scheduled_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
     scheduled_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-    scheduled_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 
     impl AtomicU64 {
         /// Atomic add returning the previous value (a scheduling point on
@@ -1007,22 +1008,6 @@ pub mod sync {
         /// Atomic subtract returning the previous value (a scheduling
         /// point on controlled threads).
         pub fn fetch_sub(&self, v: u64, order: Ordering) -> u64 {
-            yield_point();
-            self.inner.fetch_sub(v, order)
-        }
-    }
-
-    impl AtomicUsize {
-        /// Atomic add returning the previous value (a scheduling point on
-        /// controlled threads).
-        pub fn fetch_add(&self, v: usize, order: Ordering) -> usize {
-            yield_point();
-            self.inner.fetch_add(v, order)
-        }
-
-        /// Atomic subtract returning the previous value (a scheduling
-        /// point on controlled threads).
-        pub fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
             yield_point();
             self.inner.fetch_sub(v, order)
         }
@@ -1102,7 +1087,7 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::sync::{AtomicUsize, Mutex, Ordering, RwLock};
+    use super::sync::{AtomicU64, Mutex, Ordering, RwLock};
     use super::*;
 
     fn quick(name: &'static str, seed: u64) -> ExploreConfig {
@@ -1141,7 +1126,7 @@ mod tests {
         let l = RwLock::new(vec![1]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
-        let a = AtomicUsize::new(0);
+        let a = AtomicU64::new(0);
         a.fetch_add(3, Ordering::SeqCst);
         assert_eq!(a.load(Ordering::SeqCst), 3);
         let h = thread::spawn(|| 7);
@@ -1273,7 +1258,7 @@ mod tests {
     #[test]
     fn atomics_are_scheduling_points_but_stay_atomic() {
         explore(&quick("atomic", 9), || {
-            let a = Arc::new(AtomicUsize::new(0));
+            let a = Arc::new(AtomicU64::new(0));
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     let a = Arc::clone(&a);

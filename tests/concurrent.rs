@@ -1,6 +1,6 @@
 //! Multi-threaded integration tests for the coarse (one-shard) pool.
 
-use asb::buffer::sync::{AtomicU64, Ordering};
+use asb::buffer::sync::Counter;
 use asb::buffer::{PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
@@ -29,7 +29,7 @@ fn concurrent_readers_see_consistent_pages() {
     // the hit count schedule-dependent: 8 threads striding over 64 pages
     // is a cyclic scan, the classic zero-hit adversary).
     let shared = ShardedBuffer::new(disk, PolicyKind::Asb, 64, 1);
-    let total = Arc::new(AtomicU64::new(0));
+    let total = Arc::new(Counter::default());
 
     std::thread::scope(|scope| {
         for t in 0..8 {
@@ -43,16 +43,13 @@ fn concurrent_readers_see_consistent_pages() {
                         .fetch(ids[slot], AccessContext::query(QueryId::new(t * 1000 + i)))
                         .expect("read");
                     assert_eq!(page.payload.as_ref(), &[slot as u8][..]);
-                    // relaxed-ok: independent success counter; the scope
-                    // join publishes it before the final assertion reads it.
-                    total.fetch_add(1, Ordering::Relaxed);
+                    total.incr();
                 }
             });
         }
     });
 
-    // relaxed-ok: read after the scope join; no concurrent writers remain.
-    assert_eq!(total.load(Ordering::Relaxed), 8 * 250);
+    assert_eq!(total.get(), 8 * 250);
     let stats = shared.stats();
     assert_eq!(stats.logical_reads, 8 * 250);
     assert_eq!(stats.hits + stats.misses, stats.logical_reads);

@@ -546,8 +546,8 @@ fn broken_write_scenario() {
     };
     let broken = page(id, 0xBB);
     let t = thread::spawn(move || {
-        // wal-order-ok: this is the mutation under test — write-back first,
-        // log second — and the probe inside `write` must reject it.
+        // The mutation under test: write-back first, log second. The probe
+        // inside `write` must reject it.
         probe.write(broken.clone()).unwrap();
         wal.lock().append_image(&broken).unwrap();
     });
@@ -1065,8 +1065,7 @@ fn breaker_scenario() {
         let err_slots = err_slots.clone();
         move || {
             for round in 0..5u64 {
-                // relaxed-ok: lone simulated-clock counter, no other memory depends on it
-                let now = clock.fetch_add(7, ssync::Ordering::Relaxed);
+                let now = clock.fetch_add(7, ssync::Ordering::SeqCst);
                 for part in 0..2usize {
                     let pages: Vec<PageId> = ids[part * 4..part * 4 + 4].to_vec();
                     let ctx = AccessContext::query(QueryId::new(t * 100 + round));
@@ -1083,8 +1082,7 @@ fn breaker_scenario() {
                                 Err(e) => {
                                     assert_eq!(e.id, id, "failure typed to the wrong page");
                                     assert!(e.is_give_up(), "dead page must be a give-up");
-                                    // relaxed-ok: lone failure tally read after join
-                                    err_slots.fetch_add(1, ssync::Ordering::Relaxed);
+                                    err_slots.fetch_add(1, ssync::Ordering::SeqCst);
                                     failed = true;
                                 }
                             }
@@ -1140,8 +1138,7 @@ fn breaker_scenario() {
     );
     assert_eq!(
         stats.give_ups,
-        // relaxed-ok: lone failure tally read after join
-        err_slots.load(ssync::Ordering::Relaxed),
+        err_slots.load(ssync::Ordering::SeqCst),
         "give-up accounting must match the failures callers observed"
     );
     assert!(pool.io_stats().reads <= stats.misses);
