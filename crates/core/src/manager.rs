@@ -338,17 +338,6 @@ impl BufferManager {
         self.wal = Some(wal);
     }
 
-    /// Detaches the write-ahead log, returning it. Later writes are no
-    /// longer logged (and thus not crash-durable).
-    pub fn detach_wal(&mut self) -> Option<SharedWal> {
-        self.wal.take()
-    }
-
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<&SharedWal> {
-        self.wal.as_ref()
-    }
-
     /// Appends a checkpoint automatically after every `interval` image
     /// appends (`None` disables). Only for a buffer that owns its WAL
     /// exclusively: a shard of a pool must never checkpoint alone, because
@@ -1091,7 +1080,6 @@ mod tests {
     use super::*;
     use asb_geom::SpatialStats;
     use asb_storage::DiskManager;
-    use std::sync::Arc;
 
     fn meta() -> PageMeta {
         PageMeta::data(SpatialStats::EMPTY)
@@ -1580,24 +1568,5 @@ mod tests {
         assert_eq!(buf.stats().wal_appends, 1);
         assert_eq!(wal.lock().stats().image_appends, 1);
         assert_eq!(disk.peek(ids[0]).unwrap().payload.as_ref(), b"through");
-    }
-
-    #[test]
-    fn detach_wal_stops_logging() {
-        use asb_storage::{Wal, WalConfig};
-        let (mut disk, mut buf, ids) = setup(4, 1);
-        let wal = Wal::shared(WalConfig::default());
-        buf.attach_wal(wal.clone());
-        assert!(buf.wal().is_some());
-        let detached = buf.detach_wal().expect("wal was attached");
-        assert!(Arc::ptr_eq(&detached, &wal));
-        assert!(buf.wal().is_none());
-        buf.write_buffered(
-            &mut disk,
-            Page::new(ids[0], meta(), Bytes::from_static(b"x")).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(buf.stats().wal_appends, 0);
-        assert_eq!(wal.lock().len_bytes(), 0);
     }
 }

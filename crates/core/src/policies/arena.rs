@@ -29,7 +29,7 @@ use crate::order::LinkedOrder;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Weight floor applied after normalization so weights stay strictly
 /// positive even with a zero fixed share (underflow protection).
@@ -40,7 +40,7 @@ const MIN_WEIGHT: f64 = 1e-12;
 /// Rosters are presets (not arbitrary lists) so [`ArenaParams`] stays
 /// `Copy` and trivially serializable in experiment configurations and trace
 /// headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Roster {
     /// The full study roster: LRU, LRU-2, 2Q, SLRU 25 % (A), the five
     /// spatial criteria A/EA/M/EM/EO, and ASB — ten experts.
@@ -87,7 +87,7 @@ impl Roster {
 
 /// Tuning parameters of the expert arena
 /// ([`PolicyKind::ArenaWith`](crate::PolicyKind::ArenaWith)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ArenaParams {
     /// Multiplicative penalty per ghost-cache miss: a charged expert's
     /// weight is scaled by `1 - decay`. Zero freezes the weights (the

@@ -6,7 +6,7 @@ use crate::order::LinkedOrder;
 use crate::policy::ReplacementPolicy;
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tuning parameters of the adaptable spatial buffer
 /// ([`PolicyKind::AsbWith`](crate::PolicyKind::AsbWith)).
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// overflow buffer has been 20 % of the complete buffer. The initial size of
 /// the candidate set has been 25 % of the remaining buffer. The size of the
 /// candidate set has been changed in steps of 1 % of the remaining buffer."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AsbParams {
     /// Fraction of the total buffer reserved for the FIFO overflow buffer.
     pub overflow_fraction: f64,

@@ -4,7 +4,7 @@ use crate::policies::{
 };
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId, PageMeta};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A page-replacement policy: it observes the buffer's event stream and
 /// ranks eviction victims, without owning eviction authority.
@@ -119,7 +119,7 @@ pub trait ReplacementPolicy: Send {
 /// `PolicyKind` is `Copy + Serialize`, so experiment configurations can name
 /// policies declaratively; [`PolicyKind::build`] instantiates the policy for
 /// a concrete buffer capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum PolicyKind {
     /// Least recently used (the paper's baseline).
     Lru,

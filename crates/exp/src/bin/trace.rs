@@ -23,7 +23,8 @@
 //! scoreboard, and `--weights PATH` dumps the full per-access weight
 //! trajectory as CSV (replays are deterministic, so the dump is bit-for-bit
 //! reproducible).
-//! With `--fault-rate` the replay runs against a fault-injecting store
+//! With `--fault-rate R` (a probability in [0, 1]; 0, the default, replays
+//! fault-free) the replay runs against a fault-injecting store
 //! (chaos profile: transient faults, corruption, latency spikes) under
 //! the default retry policy and additionally reports what was injected
 //! and absorbed.
@@ -137,14 +138,19 @@ fn replay(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             }
             "--capacity" => capacity = parse_capacity(&next()?)?,
             "--shards" => {
-                let m: usize = next()?.parse().map_err(|e| format!("bad shards: {e}"))?;
-                shards = m.max(1);
+                shards = next()?.parse().map_err(|e| format!("bad shards: {e}"))?;
+                if shards == 0 {
+                    return Err("--shards must be at least 1".into());
+                }
             }
             "--fault-seed" => {
                 fault_seed = next()?.parse().map_err(|e| format!("bad seed: {e}"))?;
             }
             "--fault-rate" => {
                 fault_rate = next()?.parse().map_err(|e| format!("bad rate: {e}"))?;
+                if !(0.0..=1.0).contains(&fault_rate) {
+                    return Err(format!("--fault-rate must be in [0, 1], got {fault_rate}"));
+                }
             }
             o if path.is_none() && !o.starts_with('-') => path = Some(arg),
             o => return Err(format!("unknown argument {o}")),

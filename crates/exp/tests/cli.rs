@@ -34,12 +34,23 @@ fn trace_refuses_a_zero_capacity() {
 }
 
 #[test]
-fn trace_refuses_more_shards_than_pages() {
+fn trace_refuses_a_shard_count_no_pool_can_have() {
     let trace = golden_trace();
     assert_refused(
         TRACE,
         &["replay", &trace, "--capacity", "3", "--shards", "5"],
     );
+    assert_refused(TRACE, &["replay", &trace, "--shards", "0"]);
+}
+
+/// `FaultConfig` rates are probabilities: NaN used to fail `rate > 0.0` and
+/// replay fault-free, and rates outside [0, 1] were taken as given.
+#[test]
+fn trace_refuses_a_fault_rate_outside_the_unit_interval() {
+    let trace = golden_trace();
+    for rate in ["NaN", "-0.5", "1.5", "inf"] {
+        assert_refused(TRACE, &["replay", &trace, "--fault-rate", rate]);
+    }
 }
 
 #[test]

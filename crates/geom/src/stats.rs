@@ -1,5 +1,5 @@
 use crate::{mbr_of, Rect};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Precomputed spatial criteria of a page, as defined in Section 2.3 of the
 /// EDBT 2002 paper.
@@ -50,7 +50,7 @@ pub struct SpatialStats {
 
 /// The spatial page-replacement criterion selecting which per-page scalar
 /// drives eviction (Section 2.3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SpatialCriterion {
     /// Maximize the area of the page MBR (variant **A**).
     Area,

@@ -84,18 +84,6 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes::from(v.to_vec())
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(s: String) -> Self {
-        Bytes::from(s.into_bytes())
-    }
-}
-
 impl std::ops::Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -127,34 +115,8 @@ impl PartialEq for Bytes {
     }
 }
 
-impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl std::hash::Hash for Bytes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl std::iter::FromIterator<u8> for Bytes {
-    fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
 /// A growable byte buffer for encoding; freeze it into a [`Bytes`].
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Default)]
 pub struct BytesMut {
     vec: Vec<u8>,
 }
@@ -172,32 +134,9 @@ impl BytesMut {
         }
     }
 
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    /// Whether the builder is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
     /// Converts the accumulated bytes into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.vec
     }
 }
 
@@ -279,20 +218,6 @@ impl Buf for Bytes {
     }
 }
 
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-}
-
 /// Write access to a growable byte sink, with little-endian encoders.
 pub trait BufMut {
     /// Appends raw bytes.
@@ -332,12 +257,6 @@ pub trait BufMut {
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.vec.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
     }
 }
 

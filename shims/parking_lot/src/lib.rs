@@ -44,15 +44,9 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A reader-writer lock whose accessors never return poison errors.
-#[derive(Debug, Default)]
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }
@@ -82,11 +76,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

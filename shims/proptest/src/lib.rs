@@ -25,11 +25,6 @@ pub mod test_runner {
                 reason: reason.into(),
             }
         }
-
-        /// Alias of [`TestCaseError::fail`], matching proptest's `Reject`.
-        pub fn reject(reason: impl Into<String>) -> Self {
-            TestCaseError::fail(reason)
-        }
     }
 
     impl std::fmt::Display for TestCaseError {
@@ -37,8 +32,6 @@ pub mod test_runner {
             f.write_str(&self.reason)
         }
     }
-
-    impl std::error::Error for TestCaseError {}
 
     /// Per-test configuration; only `cases` is interpreted.
     #[derive(Debug, Clone)]
@@ -153,22 +146,6 @@ pub mod strategy {
         }
     }
 
-    impl<T> Strategy for Box<dyn Strategy<Value = T>> {
-        type Value = T;
-
-        fn generate(&self, rng: &mut TestRng) -> T {
-            (**self).generate(rng)
-        }
-    }
-
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
-            (**self).generate(rng)
-        }
-    }
-
     /// Boxes a strategy, erasing its concrete type (`prop_oneof!` helper).
     pub fn boxed<S>(strategy: S) -> Box<dyn Strategy<Value = S::Value>>
     where
@@ -178,7 +155,6 @@ pub mod strategy {
     }
 
     /// Strategy returning a fixed value.
-    #[derive(Debug, Clone)]
     pub struct Just<T: Clone>(pub T);
 
     impl<T: Clone> Strategy for Just<T> {
@@ -268,7 +244,7 @@ pub mod strategy {
         )*};
     }
 
-    int_range_strategy!(usize, u64, u32, u16, u8, i64, i32);
+    int_range_strategy!(usize, u64, u32, u8);
 
     impl Strategy for std::ops::Range<f64> {
         type Value = f64;
@@ -295,8 +271,6 @@ pub mod strategy {
         (A: 0, B: 1)
         (A: 0, B: 1, C: 2)
         (A: 0, B: 1, C: 2, D: 3)
-        (A: 0, B: 1, C: 2, D: 3, E: 4)
-        (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
     }
 }
 
@@ -369,7 +343,7 @@ pub mod collection {
 pub mod prelude {
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::{Config as ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 
     /// Module alias mirroring `proptest::prelude::prop`.
     pub mod prop {
@@ -408,19 +382,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)*) => {{
         let (left, right) = (&$left, &$right);
         $crate::prop_assert!(*left == *right, $($fmt)*);
-    }};
-}
-
-/// Fails the current property case if the operands are equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            *left != *right,
-            "assertion failed: `left != right`\n  both: {:?}",
-            left
-        );
     }};
 }
 
@@ -506,7 +467,6 @@ mod tests {
         fn map_and_just(s in Just(7u64), d in (0u64..3).prop_map(|n| n * 2)) {
             prop_assert_eq!(s, 7);
             prop_assert!(d % 2 == 0 && d <= 4);
-            prop_assert_ne!(s, 8);
         }
     }
 

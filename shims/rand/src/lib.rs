@@ -12,11 +12,6 @@
 pub trait RngCore {
     /// The next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// The next 32 random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Types samplable uniformly via [`Rng::gen`].
@@ -32,27 +27,9 @@ impl StandardSample for f64 {
     }
 }
 
-impl StandardSample for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
 impl StandardSample for bool {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl StandardSample for u64 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl StandardSample for u32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
     }
 }
 
@@ -103,7 +80,7 @@ macro_rules! int_sample_range {
     )*};
 }
 
-int_sample_range!(usize, u64, u32, u16, u8, i64, i32);
+int_sample_range!(usize, u64, u32, u8);
 
 impl SampleRange for std::ops::Range<f64> {
     type Output = f64;
@@ -195,16 +172,6 @@ pub mod distributions {
     pub trait Distribution<T> {
         /// Draws one value.
         fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
-    }
-
-    /// The standard uniform distribution (`rng.gen()` equivalent).
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Standard;
-
-    impl<T: crate::StandardSample> Distribution<T> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
-            T::sample_standard(rng)
-        }
     }
 }
 

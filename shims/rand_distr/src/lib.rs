@@ -18,17 +18,6 @@ pub enum NormalError {
     MeanTooSmall,
 }
 
-impl std::fmt::Display for NormalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NormalError::BadVariance => write!(f, "standard deviation must be finite and >= 0"),
-            NormalError::MeanTooSmall => write!(f, "mean must be finite"),
-        }
-    }
-}
-
-impl std::error::Error for NormalError {}
-
 /// The normal (Gaussian) distribution `N(mean, std_dev^2)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Normal {
@@ -47,16 +36,6 @@ impl Normal {
             return Err(NormalError::MeanTooSmall);
         }
         Ok(Normal { mean, std_dev })
-    }
-
-    /// The distribution's mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The distribution's standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
     }
 }
 

@@ -49,8 +49,7 @@
 //! The offending edges, each tagged with the iteration (and derived rng
 //! seed) that first produced it, are written to the artifact directory as
 //! `{name}-seed{seed}-lockcycle.txt`. The per-exploration union is
-//! returned on [`Report::lock_graph`]; [`lock_graph`] exposes the
-//! process-wide union.
+//! returned on [`Report::lock_graph`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -136,21 +135,6 @@ pub struct LockGraph {
 }
 
 impl LockGraph {
-    /// Iterates `(held, acquired, first_iteration)` edges in sorted order.
-    pub fn edges(&self) -> impl Iterator<Item = (LockNode, LockNode, u64)> + '_ {
-        self.edges.iter().map(|(&(a, b), &it)| (a, b, it))
-    }
-
-    /// Number of distinct edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the graph has no edges at all.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
     /// Finds a directed cycle, if one exists. Returns the node sequence
     /// `[n0, n1, ..., n0]` (first node repeated to close the loop), picking
     /// deterministically (DFS in node order) when several cycles exist.
@@ -199,26 +183,6 @@ impl LockGraph {
             }
         }
         None
-    }
-}
-
-/// Process-wide union of every completed exploration's (acyclic) lock
-/// graph, keyed by `LockNode`. Explorations that panicked on a cycle are
-/// *not* merged, so one failing scenario cannot poison the view other
-/// tests see.
-static GLOBAL_GRAPH: StdMutex<BTreeMap<(LockNode, LockNode), u64>> = StdMutex::new(BTreeMap::new());
-
-/// Snapshot of the process-wide union lock graph accumulated by every
-/// [`explore`] call so far. Diagnostic: node indices are per-run, so the
-/// union is only meaningful across scenarios that build their locks in the
-/// same order (as the workspace's pool scenarios do). Per-scenario
-/// acyclicity is what [`explore`] itself enforces.
-pub fn lock_graph() -> LockGraph {
-    LockGraph {
-        edges: GLOBAL_GRAPH
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone(),
     }
 }
 
@@ -652,15 +616,9 @@ where
             cfg.name,
             cfg.seed,
             pretty.join(" -> "),
-            lock_graph.len(),
+            lock_graph.edges.len(),
             runs
         );
-    }
-    {
-        let mut g = GLOBAL_GRAPH.lock().unwrap_or_else(PoisonError::into_inner);
-        for (edge, it) in &lock_graph.edges {
-            g.entry(*edge).or_insert(*it);
-        }
     }
     Report {
         schedules_run: runs,
@@ -684,7 +642,7 @@ fn write_cycle_artifact(cfg: &ExploreConfig, graph: &LockGraph, cycle: &[LockNod
         cfg.seed,
         pretty.join(" -> ")
     );
-    for (a, b, it) in graph.edges() {
+    for (&(a, b), &it) in &graph.edges {
         let mut s = cfg.seed ^ it.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         splitmix64(&mut s);
         body.push_str(&format!("  {a} -> {b}  (iteration {it}, rng seed {s})\n"));
@@ -841,26 +799,13 @@ pub mod sync {
                 },
             }
         }
-
-        /// Mutable access without locking (requires exclusive borrow).
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-        }
     }
 
     /// A reader-writer lock that doubles as a model-checker scheduling
     /// point. Accessors never return poison errors.
-    #[derive(Debug)]
     pub struct RwLock<T: ?Sized> {
         id: u64,
         inner: std::sync::RwLock<T>,
-    }
-
-    // Manual impl for the same reason as `Mutex`: the id must be fresh.
-    impl<T: Default> Default for RwLock<T> {
-        fn default() -> Self {
-            RwLock::new(T::default())
-        }
     }
 
     /// Guard returned by [`RwLock::read`].
@@ -945,11 +890,6 @@ pub mod sync {
                 },
             }
         }
-
-        /// Mutable access without locking (requires exclusive borrow).
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-        }
     }
 
     macro_rules! scheduled_atomic {
@@ -979,16 +919,6 @@ pub mod sync {
                 pub fn store(&self, v: $prim, order: Ordering) {
                     yield_point();
                     self.inner.store(v, order)
-                }
-
-                /// Mutable access without synchronization.
-                pub fn get_mut(&mut self) -> &mut $prim {
-                    self.inner.get_mut()
-                }
-
-                /// Consumes the atomic, returning the value.
-                pub fn into_inner(self) -> $prim {
-                    self.inner.into_inner()
                 }
             }
         };
@@ -1108,7 +1038,7 @@ mod tests {
         let report = explore(&quick("default-lock-ids", 11), || {
             let a: Mutex<u32> = Mutex::default();
             let b: Mutex<u32> = Mutex::default();
-            let l: RwLock<u32> = RwLock::default();
+            let l: RwLock<u32> = RwLock::new(0);
             let ga = a.lock();
             let gb = b.lock();
             let gl = l.read();
@@ -1308,7 +1238,12 @@ mod tests {
         );
         assert!(r1.lock_graph.cycle().is_none());
         if r1.controlled {
-            let edges: Vec<_> = r1.lock_graph.edges().collect();
+            let edges: Vec<_> = r1
+                .lock_graph
+                .edges
+                .into_iter()
+                .map(|((a, b), it)| (a, b, it))
+                .collect();
             assert_eq!(
                 edges,
                 vec![(
@@ -1377,36 +1312,6 @@ mod tests {
             "artifact must list the cycle and per-edge first iterations:\n{body}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn global_lock_graph_unions_completed_explorations() {
-        let report = explore(&quick("global-union", 17), || {
-            let a = Arc::new(Mutex::new(()));
-            let b = Arc::new(Mutex::new(()));
-            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-            thread::spawn(move || {
-                let _ga = a2.lock();
-                let _gb = b2.lock();
-            })
-            .join();
-            let (a3, b3) = (Arc::clone(&a), Arc::clone(&b));
-            thread::spawn(move || {
-                let _ga = a3.lock();
-                let _gb = b3.lock();
-            })
-            .join();
-        });
-        if report.controlled {
-            assert!(!report.lock_graph.is_empty());
-        }
-        let global = lock_graph();
-        for (a, b, _) in report.lock_graph.edges() {
-            assert!(
-                global.edges().any(|(ga, gb, _)| (ga, gb) == (a, b)),
-                "every per-exploration edge must appear in the global union"
-            );
-        }
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Parses the deriving item directly from the token stream (no `syn`/`quote`
-//! available offline) and generates `Serialize`/`Deserialize` impls against
-//! the shim `serde` crate's `Value` data model. Field types never need to be
-//! parsed: generated code relies on inference via
-//! `serde::Deserialize::deserialize`. Supports non-generic structs (named,
-//! tuple, unit) and enums (unit, newtype, tuple, struct variants) with
-//! externally-tagged representation, matching real serde's default.
-//! `Deserialize` is narrower, covering only the shapes the workspace reads
-//! back: named-field structs and enums of unit, newtype and struct
-//! variants. Any other shape is a compile-time error.
+//! available offline) and generates `Serialize` impls against the shim
+//! `serde` crate's `Value` data model. Field types never need to be parsed:
+//! every field goes through `serde::Serialize::serialize`. Supports the
+//! shapes the workspace derives: non-generic named-field and newtype
+//! structs, and enums of unit, newtype, tuple and struct variants with
+//! externally-tagged representation, matching real serde's default. Any
+//! other shape is a compile-time error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -43,17 +41,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     code.parse().expect("generated Serialize impl parses")
 }
 
-/// Derives `serde::Deserialize` for a non-generic struct or enum.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let code = match &item {
-        Item::Struct { name, fields } => deserialize_struct(name, fields),
-        Item::Enum { name, variants } => deserialize_enum(name, variants),
-    };
-    code.parse().expect("generated Deserialize impl parses")
-}
-
 // ---- parsing -------------------------------------------------------------
 
 fn parse_item(input: TokenStream) -> Item {
@@ -82,7 +69,6 @@ fn parse_item(input: TokenStream) -> Item {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                         Fields::Tuple(count_tuple_fields(g.stream()))
                     }
-                    Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
                     other => {
                         panic!("serde shim derive: unexpected token after struct {name}: {other:?}")
                     }
@@ -249,15 +235,9 @@ fn serialize_fields_named(receiver: &str, names: &[String]) -> String {
 
 fn serialize_struct(name: &str, fields: &Fields) -> String {
     let body = match fields {
-        Fields::Unit => "::serde::Value::Null".to_string(),
         Fields::Named(names) => serialize_fields_named("&self.", names),
         Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-        }
+        _ => panic!("serde shim derive: struct {name} is neither named-field nor newtype"),
     };
     format!(
         "#[automatically_derived]\n\
@@ -305,88 +285,5 @@ fn serialize_enum(name: &str, variants: &[(String, Fields)]) -> String {
              }}\n\
          }}",
         arms.join("\n")
-    )
-}
-
-fn deserialize_fields_named(owner: &str, names: &[String]) -> String {
-    let inits: Vec<String> = names
-        .iter()
-        .map(|f| {
-            format!(
-                "{f}: ::serde::Deserialize::deserialize(::serde::field(fields, \"{owner}\", \"{f}\")?)?,"
-            )
-        })
-        .collect();
-    inits.join("\n")
-}
-
-fn deserialize_struct(name: &str, fields: &Fields) -> String {
-    let Fields::Named(names) = fields else {
-        panic!("serde shim derive: Deserialize for unit or tuple struct {name} is not supported");
-    };
-    let inits = deserialize_fields_named(name, names);
-    format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-             fn deserialize(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 let fields = ::serde::expect_object(value, \"{name}\")?;\n\
-                 Ok({name} {{ {inits} }})\n\
-             }}\n\
-         }}"
-    )
-}
-
-fn deserialize_enum(name: &str, variants: &[(String, Fields)]) -> String {
-    let unit_arms: Vec<String> = variants
-        .iter()
-        .filter(|(_, f)| matches!(f, Fields::Unit))
-        .map(|(v, _)| format!("\"{v}\" => Ok({name}::{v}),"))
-        .collect();
-    let tagged_arms: Vec<String> = variants
-        .iter()
-        .filter_map(|(v, fields)| match fields {
-            Fields::Unit => None,
-            Fields::Tuple(1) => Some(format!(
-                "\"{v}\" => Ok({name}::{v}(::serde::Deserialize::deserialize(inner)?)),"
-            )),
-            Fields::Tuple(_) => panic!(
-                "serde shim derive: Deserialize for multi-field tuple variant {name}::{v} \
-                 is not supported"
-            ),
-            Fields::Named(field_names) => {
-                let owner = format!("{name}::{v}");
-                let inits = deserialize_fields_named(&owner, field_names);
-                Some(format!(
-                    "\"{v}\" => {{\n\
-                         let fields = ::serde::expect_object(inner, \"{owner}\")?;\n\
-                         Ok({name}::{v} {{ {inits} }})\n\
-                     }}"
-                ))
-            }
-        })
-        .collect();
-    format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-             fn deserialize(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 match value {{\n\
-                     ::serde::Value::Str(tag) => match tag.as_str() {{\n\
-                         {unit}\n\
-                         other => Err(::serde::DeError::unknown_variant(\"{name}\", other)),\n\
-                     }},\n\
-                     ::serde::Value::Object(pairs) if pairs.len() == 1 => {{\n\
-                         let (tag, inner) = &pairs[0];\n\
-                         let _ = inner;\n\
-                         match tag.as_str() {{\n\
-                             {tagged}\n\
-                             other => Err(::serde::DeError::unknown_variant(\"{name}\", other)),\n\
-                         }}\n\
-                     }}\n\
-                     other => Err(::serde::DeError::invalid_type(\"enum {name}\", other)),\n\
-                 }}\n\
-             }}\n\
-         }}",
-        unit = unit_arms.join("\n"),
-        tagged = tagged_arms.join("\n")
     )
 }

@@ -2,11 +2,11 @@
 //!
 //! Converts between JSON text and the shim `serde` crate's [`Value`] data
 //! model: `to_string` / `to_string_pretty` render a `Serialize` type,
-//! `from_str` parses and rebuilds a `Deserialize` type.
+//! `from_str` parses text into a `Value`.
 
 #![forbid(unsafe_code)]
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Error produced by JSON encoding or decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,12 +30,6 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error::new(e.to_string())
-    }
-}
-
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -50,8 +44,8 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parses JSON text into any `Deserialize` type.
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
+/// Parses JSON text into a [`Value`].
+pub fn from_str(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -65,7 +59,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
             parser.pos
         )));
     }
-    Ok(T::deserialize(&value)?)
+    Ok(value)
 }
 
 // ---- writer --------------------------------------------------------------
@@ -377,14 +371,11 @@ mod tests {
         assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
         assert_eq!(to_string(&true).unwrap(), "true");
         assert_eq!(to_string(&"a\"b\n".to_string()).unwrap(), r#""a\"b\n""#);
-        assert_eq!(from_str::<u64>("42").unwrap(), 42);
-        assert_eq!(from_str::<usize>("7").unwrap(), 7);
-        assert_eq!(from_str::<f64>("1.5e2").unwrap(), 150.0);
-        assert_eq!(from_str::<Value>("-7").unwrap(), Value::I64(-7));
-        assert_eq!(
-            from_str::<Value>(r#""aAb""#).unwrap(),
-            Value::Str("aAb".into())
-        );
+        assert_eq!(from_str("42").unwrap(), Value::U64(42));
+        assert_eq!(from_str("1.5e2").unwrap(), Value::F64(150.0));
+        assert_eq!(from_str("-7").unwrap(), Value::I64(-7));
+        assert_eq!(from_str(r#""a\u0041b""#).unwrap(), Value::Str("aAb".into()));
+        assert!(from_str("1 2").is_err());
     }
 
     #[test]
@@ -392,11 +383,13 @@ mod tests {
         let v: Vec<(String, f64)> = vec![("a".into(), 0.25), ("b".into(), 3.0)];
         let text = to_string(&v).unwrap();
         assert_eq!(text, r#"[["a",0.25],["b",3.0]]"#);
-        assert_eq!(from_str::<Value>(&text).unwrap(), v.serialize());
+        assert_eq!(from_str(&text).unwrap(), v.serialize());
 
         let opt: Option<Vec<u32>> = Some(vec![1, 2]);
-        let back: Value = from_str(&to_string(&opt).unwrap()).unwrap();
-        assert_eq!(back, opt.serialize());
+        assert_eq!(
+            from_str(&to_string(&opt).unwrap()).unwrap(),
+            opt.serialize()
+        );
     }
 
     #[test]
@@ -410,15 +403,13 @@ mod tests {
         ]);
         let text = to_string_pretty(&v).unwrap();
         assert!(text.contains("\n  \"x\": 1"));
-        let back: Value = from_str(&text).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(from_str(&text).unwrap(), v);
     }
 
     #[test]
     fn float_shortest_roundtrip() {
         for &f in &[0.1f64, 1.0, 1e300, -2.5e-9, 0.047] {
-            let back: f64 = from_str(&to_string(&f).unwrap()).unwrap();
-            assert_eq!(back, f);
+            assert_eq!(from_str(&to_string(&f).unwrap()).unwrap(), Value::F64(f));
         }
     }
 }

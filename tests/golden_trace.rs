@@ -269,7 +269,7 @@ fn replays_match_expected_json() {
 const PHASE_QUERIES_PER_PHASE: usize = 80;
 /// Documented regret bound for the committed phase traces: the arena may
 /// trail the best expert in hindsight by at most this many misses
-/// (DESIGN.md §13). CI's arena-matrix job enforces the same bound.
+/// (DESIGN.md §5). CI's arena-matrix job enforces the same bound.
 const PHASE_REGRET_BOUND: i64 = 32;
 
 fn load_phase_trace(name: &str, db: DatasetKind) -> Trace {
@@ -389,6 +389,33 @@ fn assert_committed_is_current(file: &str, bench: &impl Serialize) {
         "{file} is stale; re-bless it with `{BLESS}` and commit it with the reason the \
          numbers moved. A fresh run gives:\n{fresh}"
     );
+}
+
+/// The shim's JSON parser and pretty-printer are inverses on every committed
+/// JSON file: parsing one and printing it again gives back its bytes. The
+/// golden gate above and `benchmark/compare` both read these files through
+/// `serde_json::from_str`, so a parser that dropped or reordered anything
+/// would fail here first. `expected.json` is the one written without a
+/// trailing newline.
+#[test]
+fn committed_json_reprints_byte_for_byte() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (file, newline) in [
+        ("BENCH_serve.json", true),
+        ("BENCH_chaos.json", true),
+        ("BENCH_replacement.json", true),
+        ("tests/golden/expected.json", false),
+        ("BENCHMARK.json", true),
+    ] {
+        let text =
+            std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let value = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let mut reprinted = serde_json::to_string_pretty(&value).expect("serialize");
+        if newline {
+            reprinted.push('\n');
+        }
+        assert!(reprinted == text, "{file} does not reprint byte for byte");
+    }
 }
 
 /// `BENCH_replacement.json` meets its bars — every policy reads the same

@@ -221,12 +221,17 @@ fn policy_kinds_serialize_roundtrip() {
             roster: Roster::Lean,
         }),
     ];
+    let mut seen = Vec::new();
     for kind in kinds {
+        // The JSON text parses back to the kind's own `Value`, and no two
+        // kinds render alike, so a configuration names its policy exactly.
         let json = serde_json::to_string(&kind).expect("serialize");
-        let back: PolicyKind = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, kind);
-        // A deserialized kind still passes its constructor's parameter checks.
-        back.build(64);
+        let value = serde_json::from_str(&json).expect("parse");
+        assert_eq!(value, serde::Serialize::serialize(&kind), "{json}");
+        assert!(!seen.contains(&value), "{json} names two kinds");
+        seen.push(value);
+        // Every listed kind passes its constructor's parameter checks.
+        kind.build(64);
     }
 }
 
