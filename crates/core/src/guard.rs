@@ -10,10 +10,11 @@
 //!
 //! A [`PageWriteGuard`] additionally carries a private working copy of the
 //! page and a commit sink back into the owning pool. Mutations edit the
-//! working copy; [`commit`](PageWriteGuard::commit) (or drop, best-effort)
-//! publishes it through the pool's buffered-write path, which appends the
-//! WAL image first, marks the frame dirty and stamps its `rec_lsn` — the
-//! same WAL-before-dirty protocol as `write_buffered`.
+//! working copy; [`commit`](PageWriteGuard::commit) publishes it through
+//! the pool's buffered-write path, which appends the WAL image first,
+//! marks the frame dirty and stamps its `rec_lsn` — the same
+//! WAL-before-dirty protocol as `write_buffered`. Dropping a guard
+//! without `commit` discards its edits.
 //!
 //! Pin increments happen under the owning shard's lock (guards are only
 //! created by the buffer while it is mutably borrowed); decrements are
@@ -156,31 +157,20 @@ pub(crate) trait WriteSink: Send + Sync {
 /// Mutations edit a private working copy; nothing is visible to other
 /// sessions until [`commit`](PageWriteGuard::commit) publishes it through
 /// the pool (WAL image first, then the frame is dirtied and its `rec_lsn`
-/// stamped). Dropping a guard with unpublished edits commits best-effort:
-/// a failure there cannot be returned, so it is counted in the pool's
-/// `write_drop_failures` instead — call `commit` to observe errors.
+/// stamped). Dropping a guard without `commit` discards its edits.
 pub struct PageWriteGuard {
     page: Page,
     touched: bool,
-    committed: bool,
     sink: Box<dyn WriteSink>,
-    drop_failures: Arc<Counter>,
     _token: PinToken,
 }
 
 impl PageWriteGuard {
-    pub(crate) fn new(
-        page: Page,
-        token: PinToken,
-        sink: Box<dyn WriteSink>,
-        drop_failures: Arc<Counter>,
-    ) -> Self {
+    pub(crate) fn new(page: Page, token: PinToken, sink: Box<dyn WriteSink>) -> Self {
         PageWriteGuard {
             page,
             touched: false,
-            committed: false,
             sink,
-            drop_failures,
             _token: token,
         }
     }
@@ -199,18 +189,12 @@ impl PageWriteGuard {
 
     /// Publishes the edits through the pool's buffered-write path and
     /// releases the guard. No-op (still releasing) if nothing was edited.
-    pub fn commit(mut self) -> Result<()> {
-        self.committed = true;
+    pub fn commit(self) -> Result<()> {
         if self.touched {
-            self.sink.commit(self.page.clone())
+            self.sink.commit(self.page)
         } else {
             Ok(())
         }
-    }
-
-    /// Releases the guard, discarding any uncommitted edits.
-    pub fn discard(mut self) {
-        self.committed = true;
     }
 }
 
@@ -218,14 +202,6 @@ impl std::ops::Deref for PageWriteGuard {
     type Target = Page;
     fn deref(&self) -> &Page {
         &self.page
-    }
-}
-
-impl Drop for PageWriteGuard {
-    fn drop(&mut self) {
-        if self.touched && !self.committed && self.sink.commit(self.page.clone()).is_err() {
-            self.drop_failures.incr();
-        }
     }
 }
 
@@ -296,7 +272,6 @@ mod tests {
             page(5, 1),
             PinToken::new(pins, live),
             Box::new(Recording(Arc::clone(sink_log))),
-            Arc::default(),
         )
     }
 
@@ -309,22 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn edited_write_guard_commits_on_drop() {
+    fn edited_write_guard_publishes_on_commit_only() {
         let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
         let mut g = write_guard(&log);
-        g.set_payload(Bytes::from_static(&[9])).expect("payload");
+        g.set_payload(Bytes::from_static(&[8])).expect("payload");
         drop(g);
+        assert!(log.lock().is_empty(), "drop discards");
+        let mut g = write_guard(&log);
+        g.set_payload(Bytes::from_static(&[9])).expect("payload");
+        g.commit().expect("commit");
         let committed = log.lock();
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].payload.as_ref(), &[9]);
-    }
-
-    #[test]
-    fn discard_drops_edits() {
-        let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
-        let mut g = write_guard(&log);
-        g.set_payload(Bytes::from_static(&[9])).expect("payload");
-        g.discard();
-        assert!(log.lock().is_empty());
     }
 }

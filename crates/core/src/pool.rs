@@ -86,7 +86,7 @@ pub trait BufferPool {
     fn io_stats(&self) -> IoStats;
 
     /// Reads a page for modification. Edits are private to the guard
-    /// until committed (or dropped, best-effort).
+    /// until committed; dropping it uncommitted discards them.
     fn fetch_mut(&self, id: PageId, ctx: AccessContext) -> Result<PageWriteGuard>;
 
     /// Writes every dirty frame back to the backing store.

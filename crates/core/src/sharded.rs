@@ -45,7 +45,7 @@ use crate::guard::{PageReadGuard, PageWriteGuard, WriteSink};
 use crate::manager::{BufferManager, BufferStats, StoreIo};
 use crate::policies::ArenaState;
 use crate::policy::PolicyKind;
-use crate::sync::{Counter, Mutex, RwLock};
+use crate::sync::{Mutex, RwLock};
 use asb_storage::{
     splitmix64, AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId,
     PageMeta, PageStore, Result, RetryPolicy, SharedWal, StorageError,
@@ -56,10 +56,6 @@ use std::sync::Arc;
 struct Inner<S> {
     store: RwLock<S>,
     shards: Vec<Mutex<BufferManager>>,
-    /// Commits that failed inside a [`PageWriteGuard`] drop (where no
-    /// error can be returned); see
-    /// [`write_drop_failures`](ShardedBuffer::write_drop_failures).
-    write_drop_failures: Arc<Counter>,
 }
 
 /// Per-operation [`StoreIo`] over the pool's store lock: fetches take the
@@ -175,7 +171,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             inner: Arc::new(Inner {
                 store: RwLock::new(store),
                 shards,
-                write_drop_failures: Arc::default(),
             }),
         }
     }
@@ -330,10 +325,11 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// Reads a page for modification, returning a [`PageWriteGuard`].
     ///
     /// Edits stay private to the guard until
-    /// [`commit`](PageWriteGuard::commit) (or drop, best-effort) publishes
-    /// them through the shard's buffered-write path — WAL image first,
-    /// then the frame is dirtied and its `rec_lsn` stamped, exactly like
-    /// [`write_buffered`](ShardedBuffer::write_buffered).
+    /// [`commit`](PageWriteGuard::commit) publishes them through the
+    /// shard's buffered-write path — WAL image first, then the frame is
+    /// dirtied and its `rec_lsn` stamped, exactly like
+    /// [`write_buffered`](ShardedBuffer::write_buffered). Dropping the
+    /// guard uncommitted discards them.
     pub fn fetch_mut(&self, id: PageId, ctx: AccessContext) -> Result<PageWriteGuard>
     where
         S: 'static,
@@ -347,7 +343,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
                 inner: Arc::clone(&self.inner),
                 shard,
             }),
-            Arc::clone(&self.inner.write_drop_failures),
         ))
     }
 
@@ -430,14 +425,6 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             .iter()
             .map(|s| s.lock().live_guards())
             .sum()
-    }
-
-    /// Commits that failed inside a [`PageWriteGuard`] drop, where no
-    /// error can be returned. Non-zero means edits were lost — prefer
-    /// explicit [`PageWriteGuard::commit`] on paths that must observe
-    /// failures.
-    pub fn write_drop_failures(&self) -> u64 {
-        self.inner.write_drop_failures.get()
     }
 
     /// Sets the retry policy applied to transient store faults in every
@@ -865,16 +852,15 @@ mod tests {
         drop(read);
         pool.flush().unwrap();
         assert_eq!(pool.dirty_count(), 0);
-        assert_eq!(pool.write_drop_failures(), 0);
     }
 
     #[test]
-    fn discarded_write_guard_changes_nothing() {
+    fn dropped_write_guard_changes_nothing() {
         let (disk, ids) = disk_with_pages(2);
         let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 2, 1);
         let mut guard = pool.fetch_mut(ids[0], AccessContext::default()).unwrap();
         guard.set_payload(Bytes::from_static(b"oops")).unwrap();
-        guard.discard();
+        drop(guard);
         assert_eq!(pool.dirty_count(), 0);
         let read = pool.fetch(ids[0], AccessContext::default()).unwrap();
         assert_eq!(read.payload.as_ref(), &[0]);

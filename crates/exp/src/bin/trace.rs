@@ -289,7 +289,11 @@ fn crash(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             "--capacity" => config.capacity = parse_capacity(&next()?)?,
             "--seed" => config.seed = next()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--update-every" => {
-                config.update_every = next()?.parse().map_err(|e| format!("bad count: {e}"))?;
+                config.update_every = match next()?.parse() {
+                    Ok(0) => return Err("--update-every must be at least 1".into()),
+                    Ok(n) => n,
+                    Err(e) => return Err(format!("bad count: {e}")),
+                };
             }
             "--checkpoint-interval" => {
                 config.checkpoint_interval =

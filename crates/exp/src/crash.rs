@@ -39,6 +39,9 @@ use std::sync::Arc;
 
 use crate::Trace;
 
+/// WAL segment rotation threshold of the workload's log, in bytes.
+const WAL_SEGMENT_BYTES: usize = 16 * 1024;
+
 /// Configuration of a crash-recovery sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashConfig {
@@ -51,8 +54,6 @@ pub struct CrashConfig {
     pub update_every: u64,
     /// Auto-checkpoint the WAL every this many image appends.
     pub checkpoint_interval: u64,
-    /// WAL segment rotation threshold in bytes.
-    pub segment_bytes: usize,
     /// Seed deriving which accesses update and what they write.
     pub seed: u64,
     /// Replay only the first N accesses of the trace (`None` = all) —
@@ -69,7 +70,6 @@ impl Default for CrashConfig {
             capacity: 12,
             update_every: 4,
             checkpoint_interval: 16,
-            segment_bytes: 16 * 1024,
             seed: 1,
             max_accesses: None,
             artifact_dir: None,
@@ -128,7 +128,7 @@ impl CrashSweepReport {
 
 /// Whether access `i` of the workload issues an update.
 fn updates_at(i: u64, config: &CrashConfig) -> bool {
-    splitmix64(i ^ config.seed).is_multiple_of(config.update_every.max(1))
+    splitmix64(i ^ config.seed).is_multiple_of(config.update_every)
 }
 
 /// The deterministic 16-byte payload update `i` writes to page `raw`.
@@ -178,7 +178,7 @@ fn run_workload(
     let mut store = CrashableStore::new(trace.build_disk()?, clock.clone());
     let wal = Wal::shared_with_clock(
         WalConfig {
-            segment_bytes: config.segment_bytes,
+            segment_bytes: WAL_SEGMENT_BYTES,
         },
         clock,
     );

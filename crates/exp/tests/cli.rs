@@ -53,6 +53,12 @@ fn trace_refuses_a_fault_rate_outside_the_unit_interval() {
     }
 }
 
+/// `--update-every 0` used to be clamped to 1 while the summary printed 0.
+#[test]
+fn trace_refuses_a_zero_update_interval() {
+    assert_refused(TRACE, &["crash", &golden_trace(), "--update-every", "0"]);
+}
+
 #[test]
 fn probe_refuses_a_buffer_fraction_outside_the_unit_interval() {
     for frac in ["1e30", "-1", "0", "NaN"] {

@@ -61,42 +61,26 @@ pub const P999_INFLATION_CEILING: f64 = 30.0;
 /// comfortably above fault-free tails so the reference run never does.
 pub const CHAOS_DEADLINE_TICKS: u64 = 400_000;
 
-/// Tunables of one chaos sweep (the matrix axes — seeds and profiles —
-/// are passed to [`chaos_sweep`] separately).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct ChaosConfig {
-    /// Concurrent sessions per cell.
-    pub sessions: usize,
-    /// Requests per session.
-    pub requests_per_session: usize,
-    /// Buffer capacity as a fraction of the tree's page count.
-    pub buffer_frac: f64,
-    /// Pool shard count.
-    pub shards: usize,
-    /// Fault rate handed to every profile constructor.
-    pub fault_rate: f64,
-    /// Replacement policy of the serving pool.
-    pub policy: PolicyKind,
-    /// Pages marked permanently failed before each faulty run — the last
-    /// leaves of the tree's right spine (see [`last_leaf_ids`]), chosen
-    /// so the blast radius is one tile's objects rather than a whole
-    /// subtree — exercising give-up typing and quarantine end to end.
-    pub poisoned_pages: usize,
-}
+/// Concurrent sessions per cell.
+const CHAOS_SESSIONS: usize = 64;
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            sessions: 64,
-            requests_per_session: 6,
-            buffer_frac: SERVE_BENCH_BUFFER_FRAC,
-            shards: 4,
-            fault_rate: 0.08,
-            policy: PolicyKind::Asb,
-            poisoned_pages: 2,
-        }
-    }
-}
+/// Requests per session.
+const CHAOS_REQUESTS_PER_SESSION: usize = 6;
+
+/// Pool shard count.
+const CHAOS_SHARDS: usize = 4;
+
+/// Fault rate handed to every profile constructor.
+const CHAOS_FAULT_RATE: f64 = 0.08;
+
+/// Replacement policy of the serving pool.
+const CHAOS_POLICY: PolicyKind = PolicyKind::Asb;
+
+/// Pages marked permanently failed before each faulty run — the last
+/// leaves of the tree's right spine (see [`last_leaf_ids`]), chosen so
+/// the blast radius is one tile's objects rather than a whole subtree —
+/// exercising give-up typing and quarantine end to end.
+const CHAOS_POISONED_PAGES: usize = 2;
 
 /// One `(database, profile, seed)` cell of the chaos matrix.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -199,25 +183,24 @@ pub fn last_leaf_ids<S: PageStore>(store: &mut S, root: PageId, n: usize) -> Res
 }
 
 /// Runs one serve pass: fresh tree, store wrapped in a [`FaultyStore`]
-/// with `fault` (the reliable schedule for references), the configured
-/// number of leaf pages poisoned permanently, sharded pool on top.
-/// Returns the outcome plus the pool's give-up count.
+/// with `fault` (the reliable schedule for references),
+/// [`CHAOS_POISONED_PAGES`] leaf pages poisoned permanently, sharded pool
+/// on top. Returns the outcome plus the pool's give-up count.
 fn run_once(
     dataset: &Dataset,
     streams: &[Vec<asb_workload::Request>],
     serve_cfg: &ServeConfig,
-    cfg: &ChaosConfig,
     fault: FaultConfig,
     poison: bool,
 ) -> Result<(ServeOutcome, u64)> {
     let tree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
     let tree_pages = tree.page_count();
     let capacity =
-        ((tree_pages as f64 * cfg.buffer_frac).round() as usize).max(2 * cfg.shards.max(1));
+        ((tree_pages as f64 * SERVE_BENCH_BUFFER_FRAC).round() as usize).max(2 * CHAOS_SHARDS);
     let snapshot = tree.snapshot();
     let mut inner = tree.into_store();
     let poison_ids = if poison {
-        last_leaf_ids(&mut inner, snapshot.root(), cfg.poisoned_pages)?
+        last_leaf_ids(&mut inner, snapshot.root(), CHAOS_POISONED_PAGES)?
     } else {
         Vec::new()
     };
@@ -225,7 +208,7 @@ fn run_once(
     for &id in &poison_ids {
         store.mark_permanent(id);
     }
-    let pool = ShardedBuffer::new(store, cfg.policy, capacity, cfg.shards);
+    let pool = ShardedBuffer::new(store, CHAOS_POLICY, capacity, CHAOS_SHARDS);
     pool.reset_io_stats();
     let outcome = serve(&pool, &snapshot, streams, serve_cfg)?;
     let give_ups = pool.stats().give_ups;
@@ -290,13 +273,14 @@ fn audit_responses(
 /// faulty runs (the determinism probe), each audited for wrong answers.
 /// Nothing aborts: a cell's failures surface as counters in its
 /// [`ChaosCell`], which [`check_chaos`] gates.
-pub fn chaos_sweep(seeds: &[u64], profiles: &[&str], cfg: &ChaosConfig) -> Result<ChaosBench> {
+pub fn chaos_sweep(seeds: &[u64], profiles: &[&str]) -> Result<ChaosBench> {
     let mut cells = Vec::new();
     for (name, db) in GOLDEN_DBS {
         let dataset = Dataset::generate(db, Scale::Tiny, SERVE_BENCH_SEED);
         let valid_ids: BTreeSet<u64> = dataset.items().iter().map(|i| i.id).collect();
         for &seed in seeds {
-            let streams = bench_sessions(&dataset, seed, cfg.sessions, cfg.requests_per_session);
+            let streams =
+                bench_sessions(&dataset, seed, CHAOS_SESSIONS, CHAOS_REQUESTS_PER_SESSION);
             let serve_cfg = ServeConfig {
                 seed,
                 deadline_ticks: CHAOS_DEADLINE_TICKS,
@@ -306,19 +290,18 @@ pub fn chaos_sweep(seeds: &[u64], profiles: &[&str], cfg: &ChaosConfig) -> Resul
                 &dataset,
                 &streams,
                 &serve_cfg,
-                cfg,
                 FaultConfig::reliable(),
                 false,
             )?;
             for &profile in profiles {
-                let fault = profile_config(profile, seed, cfg.fault_rate).ok_or_else(|| {
+                let fault = profile_config(profile, seed, CHAOS_FAULT_RATE).ok_or_else(|| {
                     StorageError::Corrupt {
                         id: PageId::new(0),
                         reason: format!("unknown fault profile {profile:?}"),
                     }
                 })?;
-                let (first, give_ups) = run_once(&dataset, &streams, &serve_cfg, cfg, fault, true)?;
-                let (second, _) = run_once(&dataset, &streams, &serve_cfg, cfg, fault, true)?;
+                let (first, give_ups) = run_once(&dataset, &streams, &serve_cfg, fault, true)?;
+                let (second, _) = run_once(&dataset, &streams, &serve_cfg, fault, true)?;
                 let deterministic = first == second;
                 let wrong_answers = audit_responses(&first, &reference, &valid_ids);
                 let r = &first.report;
@@ -345,14 +328,14 @@ pub fn chaos_sweep(seeds: &[u64], profiles: &[&str], cfg: &ChaosConfig) -> Resul
         }
     }
     Ok(ChaosBench {
-        sessions: cfg.sessions,
-        requests_per_session: cfg.requests_per_session,
-        buffer_frac: cfg.buffer_frac,
-        shards: cfg.shards,
-        fault_rate: cfg.fault_rate,
-        policy: cfg.policy.label().to_string(),
+        sessions: CHAOS_SESSIONS,
+        requests_per_session: CHAOS_REQUESTS_PER_SESSION,
+        buffer_frac: SERVE_BENCH_BUFFER_FRAC,
+        shards: CHAOS_SHARDS,
+        fault_rate: CHAOS_FAULT_RATE,
+        policy: CHAOS_POLICY.label().to_string(),
         deadline_ticks: CHAOS_DEADLINE_TICKS,
-        poisoned_pages: cfg.poisoned_pages,
+        poisoned_pages: CHAOS_POISONED_PAGES,
         cells,
     })
 }
@@ -360,12 +343,14 @@ pub fn chaos_sweep(seeds: &[u64], profiles: &[&str], cfg: &ChaosConfig) -> Resul
 /// Runs [`chaos_sweep`] with the committed `BENCH_chaos.json` matrix:
 /// [`CHAOS_SEEDS`] × [`CHAOS_FAULT_PROFILES`] on both golden databases.
 pub fn default_chaos_bench() -> Result<ChaosBench> {
-    chaos_sweep(&CHAOS_SEEDS, &CHAOS_FAULT_PROFILES, &ChaosConfig::default())
+    chaos_sweep(&CHAOS_SEEDS, &CHAOS_FAULT_PROFILES)
 }
 
 /// The sweep's own invariants. Returns one human-readable violation per
 /// failed check (empty = green), for every cell:
 ///
+/// * every request completes (`sessions × requests_per_session` of the
+///   header), and exact + degraded + deadline-exceeded partition them;
 /// * zero wrong answers and bit-for-bit determinism;
 /// * non-exact rate (degraded + deadline-exceeded) at most
 ///   [`DEGRADED_RATE_CEILING`];
@@ -373,8 +358,21 @@ pub fn default_chaos_bench() -> Result<ChaosBench> {
 ///   reference p999.
 pub fn check_chaos(sweep: &ChaosBench) -> Vec<String> {
     let mut violations = Vec::new();
+    let issued = (sweep.sessions * sweep.requests_per_session) as u64;
     for c in &sweep.cells {
         let key = format!("{}/{}/seed={}", c.db, c.profile, c.seed);
+        if c.requests != issued {
+            violations.push(format!(
+                "{key}: {} of {issued} requests completed",
+                c.requests
+            ));
+        }
+        if c.exact + c.degraded + c.deadline_exceeded != c.requests {
+            violations.push(format!(
+                "{key}: exact {} + degraded {} + deadline {} do not partition {} requests",
+                c.exact, c.degraded, c.deadline_exceeded, c.requests
+            ));
+        }
         if c.wrong_answers != 0 {
             violations.push(format!(
                 "{key}: {} wrong answer(s) — degraded is allowed, incorrect is not",
@@ -408,13 +406,15 @@ pub fn check_chaos(sweep: &ChaosBench) -> Vec<String> {
 mod tests {
     use super::*;
 
+    const ISSUED: u64 = (CHAOS_SESSIONS * CHAOS_REQUESTS_PER_SESSION) as u64;
+
     fn cell(db: &str, profile: &str, seed: u64) -> ChaosCell {
         ChaosCell {
             db: db.into(),
             profile: profile.into(),
             seed,
-            requests: 100,
-            exact: 90,
+            requests: ISSUED,
+            exact: ISSUED - 10,
             degraded: 8,
             deadline_exceeded: 2,
             breaker_opens: 1,
@@ -430,56 +430,52 @@ mod tests {
 
     fn bench_with(cells: Vec<ChaosCell>) -> ChaosBench {
         ChaosBench {
-            sessions: 64,
-            requests_per_session: 6,
-            buffer_frac: 0.85,
-            shards: 4,
-            fault_rate: 0.08,
-            policy: "ASB".into(),
+            sessions: CHAOS_SESSIONS,
+            requests_per_session: CHAOS_REQUESTS_PER_SESSION,
+            buffer_frac: SERVE_BENCH_BUFFER_FRAC,
+            shards: CHAOS_SHARDS,
+            fault_rate: CHAOS_FAULT_RATE,
+            policy: CHAOS_POLICY.label(),
             deadline_ticks: CHAOS_DEADLINE_TICKS,
-            poisoned_pages: 2,
+            poisoned_pages: CHAOS_POISONED_PAGES,
             cells,
         }
     }
 
     #[test]
     fn gate_passes_clean_cells_and_flags_each_failure_mode() {
-        let mut cur = bench_with(vec![cell("mainland", "chaos", 7)]);
-        assert!(check_chaos(&cur).is_empty());
-
-        cur.cells[0].wrong_answers = 3;
-        let v = check_chaos(&cur);
-        assert!(v.iter().any(|m| m.contains("wrong answer")), "{v:?}");
-
-        cur.cells[0].wrong_answers = 0;
-        cur.cells[0].deterministic = false;
-        let v = check_chaos(&cur);
-        assert!(v.iter().any(|m| m.contains("bit-for-bit")), "{v:?}");
-
-        cur.cells[0].deterministic = true;
-        cur.cells[0].degraded = 60;
-        let v = check_chaos(&cur);
-        assert!(v.iter().any(|m| m.contains("non-exact rate")), "{v:?}");
-
-        cur.cells[0].degraded = 8;
-        cur.cells[0].p999_ticks = 150_000 * 31;
-        let v = check_chaos(&cur);
-        assert!(v.iter().any(|m| m.contains("p999")), "{v:?}");
+        let clean = cell("mainland", "chaos", 7);
+        assert!(check_chaos(&bench_with(vec![clean.clone()])).is_empty());
+        let flags = |edit: &dyn Fn(&mut ChaosCell), needle: &str| {
+            let mut c = clean.clone();
+            edit(&mut c);
+            let v = check_chaos(&bench_with(vec![c]));
+            assert!(v.iter().any(|m| m.contains(needle)), "{needle}: {v:?}");
+        };
+        flags(
+            &|c| {
+                c.requests -= 1;
+                c.exact -= 1;
+            },
+            "requests completed",
+        );
+        flags(&|c| c.exact -= 1, "do not partition");
+        flags(&|c| c.wrong_answers = 3, "wrong answer");
+        flags(&|c| c.deterministic = false, "bit-for-bit");
+        flags(
+            &|c| {
+                c.degraded = ISSUED / 2 + 1;
+                c.exact = ISSUED - c.degraded - c.deadline_exceeded;
+            },
+            "non-exact rate",
+        );
+        flags(&|c| c.p999_ticks = 150_000 * 31, "p999");
     }
 
     #[test]
     fn single_cell_sweep_is_green_and_deterministic() {
-        let cfg = ChaosConfig {
-            sessions: 12,
-            requests_per_session: 3,
-            ..ChaosConfig::default()
-        };
-        let sweep = chaos_sweep(&[7], &["chaos"], &cfg).unwrap();
+        let sweep = chaos_sweep(&[7], &["chaos"]).unwrap();
         assert_eq!(sweep.cells.len(), 2, "one cell per golden database");
-        for c in &sweep.cells {
-            assert_eq!(c.requests, 36, "{}: every request completes", c.db);
-            assert_eq!(c.wrong_answers, 0, "{}: degraded != incorrect", c.db);
-            assert!(c.deterministic, "{}: same-seed runs must agree", c.db);
-        }
+        assert_eq!(check_chaos(&sweep), Vec::<String>::new());
     }
 }

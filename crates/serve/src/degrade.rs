@@ -39,29 +39,22 @@ impl Outcome {
     }
 }
 
-/// Tunables of a per-shard [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct BreakerConfig {
-    /// Consecutive failed batches that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Ticks an open breaker waits before letting one probe batch
-    /// through (half-open).
-    pub cooldown_ticks: u64,
-}
+/// Consecutive failed batches that trip a [`CircuitBreaker`] open.
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ticks: 200_000,
-        }
-    }
-}
+/// Ticks an open [`CircuitBreaker`] waits before letting one probe batch
+/// through (half-open).
+pub const BREAKER_COOLDOWN_TICKS: u64 = 200_000;
+
+/// Ticks a [`Quarantine`]d (permanently failing) page waits before it is
+/// eligible for a heal probe.
+pub const QUARANTINE_HEAL_TICKS: u64 = 500_000;
 
 /// The observable state of a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum BreakerState {
     /// Healthy: batches flow to the store normally.
+    #[default]
     Closed,
     /// Tripped: the store is presumed down; reads are served from
     /// buffer-resident state only until the cooldown elapses.
@@ -74,17 +67,16 @@ pub enum BreakerState {
 /// A deterministic circuit breaker guarding one shard's store traffic.
 ///
 /// Classic three-state machine on the simulated clock: `Closed` counts
-/// consecutive batch failures and trips to `Open` at the configured
-/// threshold; `Open` rejects store traffic until `cooldown_ticks` have
-/// elapsed, then [`allows`](CircuitBreaker::allows) moves it to
+/// consecutive batch failures and trips to `Open` at
+/// [`BREAKER_FAILURE_THRESHOLD`]; `Open` rejects store traffic until
+/// [`BREAKER_COOLDOWN_TICKS`] have elapsed, then [`allows`](CircuitBreaker::allows) moves it to
 /// `HalfOpen` and admits one probe; a successful probe closes it, a
 /// failed one re-opens it (restarting the cooldown). All transitions are
 /// pure functions of the call sequence and the tick values passed in —
 /// no wall time, no randomness — which is what lets the chaos harness
-/// replay a schedule bit-for-bit.
-#[derive(Debug)]
+/// replay a schedule bit-for-bit. `CircuitBreaker::default()` is closed.
+#[derive(Debug, Default)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: u64,
@@ -92,22 +84,11 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        CircuitBreaker {
-            cfg,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            opened_at: 0,
-            opens: 0,
-        }
-    }
-
     /// Current state, *after* applying any cooldown expiry at `now` (an
     /// open breaker whose cooldown has elapsed reports `HalfOpen`).
     pub fn state(&mut self, now: u64) -> BreakerState {
         if self.state == BreakerState::Open
-            && now >= self.opened_at.saturating_add(self.cfg.cooldown_ticks)
+            && now >= self.opened_at.saturating_add(BREAKER_COOLDOWN_TICKS)
         {
             self.state = BreakerState::HalfOpen;
         }
@@ -135,7 +116,7 @@ impl CircuitBreaker {
         match self.state(now) {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.cfg.failure_threshold.max(1) {
+                if self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD {
                     self.trip(now);
                 }
             }
@@ -166,12 +147,11 @@ impl CircuitBreaker {
 /// ([`asb_storage::PageError::is_give_up`]) is quarantined: the serve
 /// loop stops asking the store for it and answers requests that want it
 /// as degraded instead of burning retry budget every round. After
-/// `heal_ticks`, the page becomes eligible for one heal probe — the next
+/// [`QUARANTINE_HEAL_TICKS`], the page becomes eligible for one heal probe — the next
 /// batch that wants it includes it again; success releases it, another
-/// give-up re-arms the timer.
-#[derive(Debug)]
+/// give-up re-arms the timer. `Quarantine::default()` is empty.
+#[derive(Debug, Default)]
 pub struct Quarantine {
-    heal_ticks: u64,
     /// page id → tick at which the next heal probe is allowed.
     until: std::collections::BTreeMap<asb_storage::PageId, u64>,
     /// Distinct pages ever quarantined in this run.
@@ -179,15 +159,6 @@ pub struct Quarantine {
 }
 
 impl Quarantine {
-    /// An empty quarantine whose entries heal-probe after `heal_ticks`.
-    pub fn new(heal_ticks: u64) -> Self {
-        Quarantine {
-            heal_ticks,
-            until: std::collections::BTreeMap::new(),
-            ever: std::collections::BTreeSet::new(),
-        }
-    }
-
     /// Whether the store may be asked for `id` at `now`. `true` for
     /// unquarantined pages and for quarantined pages whose heal timer
     /// has expired (the heal probe).
@@ -202,7 +173,7 @@ impl Quarantine {
     /// heal probe).
     pub fn put(&mut self, id: asb_storage::PageId, now: u64) {
         self.until
-            .insert(id, now.saturating_add(self.heal_ticks.max(1)));
+            .insert(id, now.saturating_add(QUARANTINE_HEAL_TICKS));
         self.ever.insert(id);
     }
 
@@ -228,57 +199,62 @@ mod tests {
     use super::*;
     use asb_storage::PageId;
 
+    const COOLDOWN: u64 = BREAKER_COOLDOWN_TICKS;
+    const HEAL: u64 = QUARANTINE_HEAL_TICKS;
+
+    /// Feeds `n` failures at ticks `from, from + 1, …`; returns the last.
+    fn fail(b: &mut CircuitBreaker, from: u64, n: u32) -> u64 {
+        let last = from + u64::from(n) - 1;
+        for t in from..=last {
+            b.on_failure(t);
+        }
+        last
+    }
+
     #[test]
     fn breaker_trips_after_consecutive_failures_only() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ticks: 100,
-        });
-        b.on_failure(0);
-        b.on_failure(1);
+        let mut b = CircuitBreaker::default();
+        fail(&mut b, 0, BREAKER_FAILURE_THRESHOLD - 1);
         b.on_success(); // streak broken
-        b.on_failure(2);
-        b.on_failure(3);
-        assert_eq!(b.state(3), BreakerState::Closed);
-        b.on_failure(4);
-        assert_eq!(b.state(4), BreakerState::Open);
+        let t = fail(&mut b, 10, BREAKER_FAILURE_THRESHOLD - 1);
+        assert_eq!(b.state(t), BreakerState::Closed);
+        b.on_failure(t + 1);
+        assert_eq!(b.state(t + 1), BreakerState::Open);
         assert_eq!(b.opens(), 1);
-        assert!(!b.allows(5));
+        assert!(!b.allows(t + 2));
     }
 
     #[test]
     fn open_breaker_half_opens_after_cooldown_and_probe_decides() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown_ticks: 100,
-        });
-        b.on_failure(10);
-        assert!(!b.allows(109));
-        assert!(b.allows(110), "cooldown elapsed: probe admitted");
-        assert_eq!(b.state(110), BreakerState::HalfOpen);
+        let mut b = CircuitBreaker::default();
+        let opened = fail(&mut b, 0, BREAKER_FAILURE_THRESHOLD);
+        let probe = opened + COOLDOWN;
+        assert!(!b.allows(probe - 1));
+        assert!(b.allows(probe), "cooldown elapsed: probe admitted");
+        assert_eq!(b.state(probe), BreakerState::HalfOpen);
         // Failed probe re-opens and restarts the cooldown from now.
-        b.on_failure(110);
+        b.on_failure(probe);
         assert_eq!(b.opens(), 2);
-        assert!(!b.allows(209));
-        assert!(b.allows(210));
+        assert!(!b.allows(probe + COOLDOWN - 1));
+        assert!(b.allows(probe + COOLDOWN));
         b.on_success();
-        assert_eq!(b.state(210), BreakerState::Closed);
+        assert_eq!(b.state(probe + COOLDOWN), BreakerState::Closed);
     }
 
     #[test]
     fn quarantine_blocks_until_heal_probe_window() {
-        let mut q = Quarantine::new(500);
+        let mut q = Quarantine::default();
         let id = PageId::new(7);
         assert!(q.allows(id, 0));
         q.put(id, 100);
         assert!(q.contains(id));
-        assert!(!q.allows(id, 599));
-        assert!(q.allows(id, 600), "heal probe due");
+        assert!(!q.allows(id, 100 + HEAL - 1));
+        assert!(q.allows(id, 100 + HEAL), "heal probe due");
         // Failed probe re-arms; successful probe releases.
-        q.put(id, 600);
-        assert!(!q.allows(id, 1099));
+        q.put(id, 100 + HEAL);
+        assert!(!q.allows(id, 100 + 2 * HEAL - 1));
         q.release(id);
-        assert!(q.allows(id, 700));
+        assert!(q.allows(id, 200 + HEAL));
         assert!(!q.contains(id));
         assert_eq!(q.ever_quarantined(), 1, "re-arms count one page once");
     }

@@ -6,10 +6,10 @@
 //! them in *rounds*. The engine walks no tree itself: every request is an
 //! [`asb_rtree::Search`] — the traversal `RTree::execute` runs a page at a
 //! time — and a round asks each active search for its next slice of pages
-//! ([`ServeConfig::frontier_limit`]), dedupes them, groups them by
-//! buffer-pool shard ([`BufferPool::shard_of`]), fetches each shard's
-//! group as one batch ([`BufferPool::fetch_batch`]) and feeds the searches
-//! what arrived. Shards are modelled as parallel I/O channels: the round
+//! (at most [`FRONTIER_LIMIT`]), dedupes them, groups them by buffer-pool
+//! shard ([`BufferPool::shard_of`]), fetches each shard's group as one
+//! batch ([`BufferPool::fetch_batch`]) and feeds the searches what
+//! arrived. Shards are modelled as parallel I/O channels: the round
 //! costs the *maximum* shard service time, where a shard's time is the
 //! store's simulated clock advance ([`BufferPool::io_stats`]) plus a fixed
 //! in-memory cost per page served.
@@ -22,7 +22,7 @@
 //! time is read anywhere. Equal inputs produce bit-for-bit equal
 //! [`ServeOutcome`]s, which `tests/serve.rs` pins down.
 
-use crate::degrade::{BreakerConfig, CircuitBreaker, Outcome, Quarantine};
+use crate::degrade::{CircuitBreaker, Outcome, Quarantine};
 use crate::histogram::LatencyHistogram;
 use asb_core::BufferPool;
 use asb_geom::Query;
@@ -41,6 +41,10 @@ pub const HIT_TICKS: u64 = 20;
 /// Fixed per-round dispatch overhead (batch assembly, response fan-out).
 pub const ROUND_OVERHEAD_TICKS: u64 = 50;
 
+/// Maximum pages one request may ask for per round (the `limit` of
+/// [`Search::wants`]).
+pub const FRONTIER_LIMIT: usize = 8;
+
 /// Converts the store's simulated milliseconds into engine ticks (µs).
 fn ms_to_ticks(ms: f64) -> u64 {
     (ms * 1000.0).round() as u64
@@ -55,9 +59,6 @@ pub struct ServeConfig {
     /// Mean think time between a session's requests, in ticks; each gap
     /// is drawn uniformly from `[think/2, 3·think/2]`.
     pub think_ticks: u64,
-    /// Maximum pages one request may ask for per round (the `limit` of
-    /// [`Search::wants`]).
-    pub frontier_limit: usize,
     /// Per-request tick budget. A request still incomplete when a round
     /// ends past `arrival + deadline_ticks` is force-completed as
     /// [`Outcome::DeadlineExceeded`] with its partial answer. Deadline
@@ -66,11 +67,6 @@ pub struct ServeConfig {
     /// (2,000,000 ticks = 2 simulated seconds) sits far above fault-free
     /// tail latencies, so healthy runs never see it fire.
     pub deadline_ticks: u64,
-    /// Per-shard circuit-breaker thresholds guarding store batches.
-    pub breaker: BreakerConfig,
-    /// Ticks a quarantined (permanently failing) page waits before it is
-    /// eligible for a heal probe.
-    pub quarantine_heal_ticks: u64,
 }
 
 impl Default for ServeConfig {
@@ -78,10 +74,7 @@ impl Default for ServeConfig {
         ServeConfig {
             seed: 42,
             think_ticks: 20_000,
-            frontier_limit: 8,
             deadline_ticks: 2_000_000,
-            breaker: BreakerConfig::default(),
-            quarantine_heal_ticks: 500_000,
         }
     }
 }
@@ -289,9 +282,9 @@ pub fn serve(
     let mut rounds = 0u64;
     let mut batched_pages = 0u64;
     let mut breakers: Vec<CircuitBreaker> = (0..pool.shard_count().max(1))
-        .map(|_| CircuitBreaker::new(cfg.breaker))
+        .map(|_| CircuitBreaker::default())
         .collect();
-    let mut quarantine = Quarantine::new(cfg.quarantine_heal_ticks);
+    let mut quarantine = Quarantine::default();
     let mut degraded_requests = 0u64;
     let mut deadline_exceeded = 0u64;
 
@@ -330,7 +323,7 @@ pub fn serve(
         rounds += 1;
         let mut wanted: BTreeMap<PageId, Vec<usize>> = BTreeMap::new();
         for (idx, a) in active.iter_mut().enumerate() {
-            for &id in a.search.wants(cfg.frontier_limit) {
+            for &id in a.search.wants(FRONTIER_LIMIT) {
                 wanted.entry(id).or_default().push(idx);
             }
         }

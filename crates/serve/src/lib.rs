@@ -44,12 +44,15 @@ pub use bench::{
 };
 pub use chaos::{
     chaos_sweep, check_chaos, default_chaos_bench, last_leaf_ids, ChaosBench, ChaosCell,
-    ChaosConfig, CHAOS_DEADLINE_TICKS, CHAOS_FAULT_PROFILES, CHAOS_SEEDS, DEGRADED_RATE_CEILING,
+    CHAOS_DEADLINE_TICKS, CHAOS_FAULT_PROFILES, CHAOS_SEEDS, DEGRADED_RATE_CEILING,
     P999_INFLATION_CEILING,
 };
-pub use degrade::{BreakerConfig, BreakerState, CircuitBreaker, Outcome, Quarantine};
+pub use degrade::{
+    BreakerState, CircuitBreaker, Outcome, Quarantine, BREAKER_COOLDOWN_TICKS,
+    BREAKER_FAILURE_THRESHOLD, QUARANTINE_HEAL_TICKS,
+};
 pub use engine::{
-    serve, Response, ServeConfig, ServeOutcome, ServeReport, SessionStats, HIT_TICKS,
-    ROUND_OVERHEAD_TICKS,
+    serve, Response, ServeConfig, ServeOutcome, ServeReport, SessionStats, FRONTIER_LIMIT,
+    HIT_TICKS, ROUND_OVERHEAD_TICKS,
 };
 pub use histogram::{LatencyHistogram, BUCKET_COUNT, RELATIVE_ERROR, SUB_BUCKETS};

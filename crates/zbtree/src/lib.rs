@@ -33,4 +33,4 @@ mod tree;
 
 pub use node::{Key, ZLeafEntry};
 pub use ranges::z_ranges;
-pub use tree::{ZBTree, ZBTreeStats, ZConfig};
+pub use tree::{ZBTree, ZBTreeStats};

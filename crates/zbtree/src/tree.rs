@@ -9,48 +9,19 @@ use asb_storage::{
     AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
 };
 
-/// Configuration of a [`ZBTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZConfig {
-    /// Quantization grid resolution in bits per dimension.
-    pub grid_bits: u32,
-    /// Split-depth budget of the window-query range decomposition.
-    pub split_depth: u32,
-    /// Target leaf fill during bulk loading.
-    pub bulk_leaf_fill: usize,
-    /// Target inner fill during bulk loading.
-    pub bulk_inner_fill: usize,
-}
+/// Quantization grid resolution in bits per dimension.
+const GRID_BITS: u32 = 16;
+/// Split-depth budget of the window-query range decomposition.
+const SPLIT_DEPTH: u32 = 10;
+/// Target leaf fill during bulk loading (70 % of a page).
+const BULK_LEAF_FILL: usize = LEAF_CAPACITY * 7 / 10;
+/// Target inner fill during bulk loading (70 % of a page).
+const BULK_INNER_FILL: usize = INNER_CAPACITY * 7 / 10;
 
-impl Default for ZConfig {
-    fn default() -> Self {
-        ZConfig {
-            grid_bits: 16,
-            split_depth: 10,
-            bulk_leaf_fill: (LEAF_CAPACITY as f64 * 0.7) as usize,
-            bulk_inner_fill: (INNER_CAPACITY as f64 * 0.7) as usize,
-        }
-    }
-}
-
-impl ZConfig {
-    /// Validates the configuration.
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.grid_bits == 0 || self.grid_bits > 32 {
-            return Err("grid_bits must be in 1..=32".into());
-        }
-        if self.split_depth == 0 || self.split_depth > 2 * self.grid_bits {
-            return Err("split_depth must be in 1..=2*grid_bits".into());
-        }
-        if self.bulk_leaf_fill < 2 || self.bulk_leaf_fill > LEAF_CAPACITY {
-            return Err("bulk_leaf_fill out of range".into());
-        }
-        if self.bulk_inner_fill < 2 || self.bulk_inner_fill > INNER_CAPACITY {
-            return Err("bulk_inner_fill out of range".into());
-        }
-        Ok(())
-    }
-}
+const _: () = assert!(GRID_BITS >= 1 && GRID_BITS <= 32);
+const _: () = assert!(SPLIT_DEPTH >= 1 && SPLIT_DEPTH <= 2 * GRID_BITS);
+const _: () = assert!(BULK_LEAF_FILL >= 2 && BULK_LEAF_FILL <= LEAF_CAPACITY);
+const _: () = assert!(BULK_INNER_FILL >= 2 && BULK_INNER_FILL <= INNER_CAPACITY);
 
 /// Structural statistics of a [`ZBTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +77,6 @@ enum DeleteOutcome {
 /// ```
 pub struct ZBTree<S: PageStore = DiskManager> {
     file: PageFile<S>,
-    config: ZConfig,
     grid: CurveGrid,
     root: PageId,
     height: u8,
@@ -126,17 +96,8 @@ impl<S: PageStore> std::fmt::Debug for ZBTree<S> {
 
 impl<S: PageStore> ZBTree<S> {
     /// Creates an empty tree over the data space `bounds`.
-    pub fn new(store: S, bounds: Rect) -> Result<Self> {
-        Self::with_config(store, bounds, ZConfig::default())
-    }
-
-    /// Creates an empty tree with a custom configuration.
-    pub fn with_config(mut store: S, bounds: Rect, config: ZConfig) -> Result<Self> {
-        config.validate().map_err(|reason| StorageError::Corrupt {
-            id: PageId::new(0),
-            reason,
-        })?;
-        let grid = CurveGrid::new(bounds, config.grid_bits);
+    pub fn new(mut store: S, bounds: Rect) -> Result<Self> {
+        let grid = CurveGrid::new(bounds, GRID_BITS);
         let root_node = ZNode::Leaf {
             next: None,
             entries: Vec::new(),
@@ -144,7 +105,6 @@ impl<S: PageStore> ZBTree<S> {
         let root = store.allocate(root_node.page_meta(&[]), root_node.encode())?;
         Ok(ZBTree {
             file: PageFile::new(store),
-            config,
             grid,
             root,
             height: 1,
@@ -155,17 +115,7 @@ impl<S: PageStore> ZBTree<S> {
 
     /// Bulk-loads from `(id, location)` pairs (sorted internally).
     pub fn bulk_load(store: S, bounds: Rect, points: &[(u64, Point)]) -> Result<Self> {
-        Self::bulk_load_with(store, bounds, ZConfig::default(), points)
-    }
-
-    /// Bulk-loads with a custom configuration.
-    pub fn bulk_load_with(
-        store: S,
-        bounds: Rect,
-        config: ZConfig,
-        points: &[(u64, Point)],
-    ) -> Result<Self> {
-        let mut tree = Self::with_config(store, bounds, config)?;
+        let mut tree = Self::new(store, bounds)?;
         if points.is_empty() {
             return Ok(tree);
         }
@@ -185,7 +135,7 @@ impl<S: PageStore> ZBTree<S> {
         tree.free_node(tree.root)?;
         let leaf_chunks = even_chunks(
             entries.len(),
-            config.bulk_leaf_fill,
+            BULK_LEAF_FILL,
             LEAF_CAPACITY / 2,
             LEAF_CAPACITY,
         );
@@ -224,7 +174,7 @@ impl<S: PageStore> ZBTree<S> {
             level += 1;
             let sizes = even_chunks(
                 level_entries.len(),
-                config.bulk_inner_fill,
+                BULK_INNER_FILL,
                 INNER_CAPACITY / 2,
                 INNER_CAPACITY,
             );
@@ -318,7 +268,7 @@ impl<S: PageStore> ZBTree<S> {
         let gx = (x32 >> shift) as f64;
         let gy = (y32 >> shift) as f64;
         let bounds = self.grid.bounds();
-        let cells = (1u64 << self.config.grid_bits) as f64;
+        let cells = (1u64 << GRID_BITS) as f64;
         let cw = bounds.width() / cells;
         let ch = bounds.height() / cells;
         Rect::new(
@@ -809,7 +759,7 @@ impl<S: PageStore> ZBTree<S> {
                 out.extend(hits.iter().filter(|e| e.location == *p).map(|e| e.key.id));
             }
             Query::Window(w) => {
-                let ranges = z_ranges(&self.grid, w, self.config.split_depth);
+                let ranges = z_ranges(&self.grid, w, SPLIT_DEPTH);
                 let mut hits = Vec::new();
                 for (lo, hi) in ranges {
                     hits.clear();

@@ -63,7 +63,6 @@ fn sweep_database(name: &str) {
         seed: crash_seed(),
         max_accesses: access_limit(),
         artifact_dir: Some(artifact_dir()),
-        ..CrashConfig::default()
     };
     let report = crash_sweep(&trace, &config).expect("golden run");
     assert!(report.updates > 0, "{name}: workload must issue updates");

@@ -20,7 +20,7 @@
 //! A benchmark that fails its bars is never written.
 
 use asb::buffer::{ArenaState, BufferManager, PolicyKind, ShardedBuffer};
-use asb::exp::{replacement_bench, ReplayOutcome, Trace};
+use asb::exp::{replacement_bench, ReplayOutcome, Trace, GOLDEN_DBS};
 use asb::geom::Point;
 use asb::quadtree::QuadTree;
 use asb::rtree::RTree;
@@ -46,13 +46,6 @@ const QUERIES: usize = 120;
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-fn databases() -> [(&'static str, DatasetKind); 2] {
-    [
-        ("mainland", DatasetKind::Mainland),
-        ("world", DatasetKind::World),
-    ]
 }
 
 /// One expected replay outcome, flattened for stable JSON.
@@ -198,7 +191,7 @@ fn recording_reproduces_the_committed_traces() {
     if blessing() {
         return; // load_trace rewrites the files in the other tests
     }
-    for (name, db) in databases() {
+    for (name, db) in GOLDEN_DBS {
         let committed = load_trace(name, db);
         let fresh = Trace::record(
             db,
@@ -219,9 +212,8 @@ fn recording_reproduces_the_committed_traces() {
 fn replays_match_expected_json() {
     let expected_path = golden_dir().join("expected.json");
     let mut actual = Vec::new();
-    let uniform = databases().map(|(name, db)| (name.to_string(), load_trace(name, db)));
-    let phased =
-        databases().map(|(name, db)| (format!("phase_{name}"), load_phase_trace(name, db)));
+    let uniform = GOLDEN_DBS.map(|(name, db)| (name.to_string(), load_trace(name, db)));
+    let phased = GOLDEN_DBS.map(|(name, db)| (format!("phase_{name}"), load_phase_trace(name, db)));
     for (name, trace) in uniform.iter().chain(&phased) {
         for (pname, policy) in policies() {
             let seq = trace.replay(policy, CAPACITY).expect("replay");
@@ -292,7 +284,7 @@ fn phase_recording_reproduces_the_committed_traces() {
         return; // load_phase_trace rewrites the files in the other tests
     }
     let w = PhasedWorkload::adversarial(PHASE_QUERIES_PER_PHASE);
-    for (name, db) in databases() {
+    for (name, db) in GOLDEN_DBS {
         let committed = load_phase_trace(name, db);
         let fresh = Trace::record_phased(db, Scale::Tiny, SEED, &w).expect("record");
         assert_eq!(fresh, committed, "phase_{name}: recording drifted");
@@ -306,7 +298,7 @@ fn phase_recording_reproduces_the_committed_traces() {
 /// and through a one-shard pool (trajectories sampled by the test).
 #[test]
 fn arena_beats_asb_on_the_committed_phase_traces() {
-    for (name, db) in databases() {
+    for (name, db) in GOLDEN_DBS {
         let trace = load_phase_trace(name, db);
         let asb = trace.replay(PolicyKind::Asb, CAPACITY).expect("asb replay");
         let (arena, sampled) = sampled_replay(&trace, PolicyKind::Arena);
@@ -353,7 +345,7 @@ fn arena_matrix_holds_at_the_env_seed() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(SEED);
     let w = PhasedWorkload::adversarial(PHASE_QUERIES_PER_PHASE);
-    for (name, db) in databases() {
+    for (name, db) in GOLDEN_DBS {
         let trace = Trace::record_phased(db, Scale::Tiny, seed, &w).expect("record");
         let asb = trace.replay(PolicyKind::Asb, CAPACITY).expect("asb replay");
         let (arena, sampled) = sampled_replay(&trace, PolicyKind::Arena);
@@ -426,7 +418,7 @@ fn committed_json_reprints_byte_for_byte() {
 fn committed_replacement_bench_is_current() {
     let bench = replacement_bench().expect("replacement bench");
     assert_eq!(bench.entries.len(), 6);
-    for (db, _) in databases() {
+    for (db, _) in GOLDEN_DBS {
         let row = |policy: &str| {
             let found = bench
                 .entries
@@ -465,7 +457,7 @@ fn committed_serve_bench_is_current() {
     let bench = serve_bench().expect("serve bench");
     assert_eq!(bench.entries.len(), 6);
     let requests = (SERVE_BENCH_SESSIONS * SERVE_BENCH_REQUESTS) as u64;
-    for (db, _) in databases() {
+    for (db, _) in GOLDEN_DBS {
         let row = |policy: &str| {
             let found = bench
                 .entries
@@ -500,7 +492,8 @@ fn committed_serve_bench_is_current() {
 }
 
 /// So is `BENCH_chaos.json` — and the sweep it holds is green by its own
-/// rules: zero wrong answers, same-seed determinism, non-exact rate and
+/// rules: every request completed and counted once as exact, degraded or
+/// deadline, zero wrong answers, same-seed determinism, non-exact rate and
 /// p999 inflation under their ceilings.
 #[test]
 fn committed_chaos_bench_is_current() {
@@ -513,7 +506,7 @@ fn committed_chaos_bench_is_current() {
 /// global state in the buffer stack).
 #[test]
 fn replay_is_idempotent() {
-    let (name, db) = databases()[0];
+    let (name, db) = GOLDEN_DBS[0];
     let trace = load_trace(name, db);
     for (_, policy) in policies() {
         let a = sampled_replay(&trace, policy);

@@ -20,7 +20,7 @@
 
 use asb::buffer::{PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb::geom::SpatialStats;
-use asb::serve::{BreakerConfig, BreakerState, CircuitBreaker};
+use asb::serve::{BreakerState, CircuitBreaker, BREAKER_COOLDOWN_TICKS};
 use asb::storage::{
     AccessContext, ConcurrentPageStore, DiskManager, FaultConfig, FaultyStore, IoStats, Page,
     PageId, PageMeta, PageStore, QueryId, Result, SharedWal, StorageError, Wal, WalConfig,
@@ -1033,25 +1033,23 @@ fn legal_breaker_transition(before: BreakerState, event: char, after: BreakerSta
 /// pool: per-partition [`CircuitBreaker`]s behind the sync facade's mutex
 /// (consult + batched fetch + feed as one atomic section, so the
 /// concatenated log is the breaker's linearized history), a shared
-/// simulated clock, one permanently dead page in partition 0. In every
-/// interleaving: every logged transition is lawful, the healthy
-/// partition's breaker never opens, the dead partition's breaker does,
-/// failed slots are typed per page, and pool give-up accounting matches
-/// the failures callers observed.
+/// simulated clock, one permanently dead page in partition 0. Each round
+/// advances the clock by half the production cooldown, so an open breaker
+/// both denies a round and, later, half-opens. In every interleaving:
+/// every logged transition is lawful, the healthy partition's breaker
+/// never opens, the dead partition's breaker does and later probes from
+/// `HalfOpen`, failed slots are typed per page, and pool give-up
+/// accounting matches the failures callers observed.
 fn breaker_scenario() {
     let (disk, ids) = disk_with_pages(8);
     let store = FaultyStore::new(disk, FaultConfig::reliable());
     store.mark_permanent(ids[1]);
     let pool = ShardedBuffer::new(store, PolicyKind::Lru, 8, 2);
-    let cfg = BreakerConfig {
-        failure_threshold: 2,
-        cooldown_ticks: 25,
-    };
     type BreakerLog = Vec<(BreakerState, char, BreakerState)>;
     let breakers: std::sync::Arc<Vec<ssync::Mutex<(CircuitBreaker, BreakerLog)>>> =
         std::sync::Arc::new(
             (0..2)
-                .map(|_| ssync::Mutex::new((CircuitBreaker::new(cfg), Vec::new())))
+                .map(|_| ssync::Mutex::new((CircuitBreaker::default(), Vec::new())))
                 .collect(),
         );
     let clock = std::sync::Arc::new(ssync::AtomicU64::new(0));
@@ -1065,7 +1063,7 @@ fn breaker_scenario() {
         let err_slots = err_slots.clone();
         move || {
             for round in 0..5u64 {
-                let now = clock.fetch_add(7, ssync::Ordering::SeqCst);
+                let now = clock.fetch_add(BREAKER_COOLDOWN_TICKS / 2, ssync::Ordering::SeqCst);
                 for part in 0..2usize {
                     let pages: Vec<PageId> = ids[part * 4..part * 4 + 4].to_vec();
                     let ctx = AccessContext::query(QueryId::new(t * 100 + round));
@@ -1125,6 +1123,11 @@ fn breaker_scenario() {
         if part == 0 {
             assert!(log.iter().all(|&(_, e, _)| e == 'f'));
             assert!(breaker.opens() >= 1, "a permanently dead page must trip");
+            assert!(
+                log.iter()
+                    .any(|&(before, _, _)| before == BreakerState::HalfOpen),
+                "the cooldown must elapse and admit a probe: {log:?}"
+            );
         } else {
             assert!(log.iter().all(|&(_, e, _)| e == 's'));
             assert_eq!(breaker.opens(), 0, "healthy partition must stay closed");

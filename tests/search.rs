@@ -1,6 +1,6 @@
 //! Properties of `asb_rtree::Search`, the one R\*-tree query traversal,
 //! driven from outside the way its two real drivers do it: `RTree` one
-//! page at a time, `asb-serve` in slices of `frontier_limit`.
+//! page at a time, `asb-serve` in slices of `FRONTIER_LIMIT`.
 //!
 //! * the answer does not depend on the slice width (window result set,
 //!   k-NN list including the order of equidistant neighbours, join count);
