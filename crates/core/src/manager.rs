@@ -1,4 +1,5 @@
 use crate::guard::{PageReadGuard, PinToken};
+use crate::order::IdMap;
 use crate::policies::ArenaState;
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::sync::Counter;
@@ -8,7 +9,6 @@ use asb_storage::{
 };
 use bytes::Bytes;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Logical access statistics of a [`BufferManager`].
@@ -210,7 +210,7 @@ pub struct BufferManager {
     policy: Box<dyn ReplacementPolicy + Send>,
     kind: PolicyKind,
     capacity: usize,
-    frames: HashMap<PageId, Frame>,
+    frames: IdMap<PageId, Frame>,
     stats: BufferStats,
     tick: u64,
     retry: RetryPolicy,
@@ -253,7 +253,7 @@ impl BufferManager {
             policy: kind.build(capacity),
             kind,
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             stats: BufferStats::default(),
             tick: 0,
             retry: RetryPolicy::default(),
@@ -874,9 +874,12 @@ impl BufferManager {
     /// Drops every buffered page and resets statistics — the paper clears
     /// the buffer before each query set. Dirty frames are discarded without
     /// a write-back; call [`flush`](BufferManager::flush) first to keep
-    /// deferred writes.
+    /// deferred writes. The policy hears the removals in page-id order,
+    /// as `flush` writes: a policy that remembers evicted pages (2Q's
+    /// ghost queue) keeps them in that order.
     pub fn clear(&mut self) {
-        let ids: Vec<PageId> = self.frames.keys().copied().collect();
+        let mut ids: Vec<PageId> = self.frames.keys().copied().collect();
+        ids.sort_unstable();
         for id in ids {
             self.frames.remove(&id);
             self.policy.on_remove(id);
@@ -1207,6 +1210,40 @@ mod tests {
         // Pages must be re-fetched afterwards.
         buf.fetch(&mut disk, ids[0], ctx()).unwrap();
         assert_eq!(buf.stats().misses, 1);
+    }
+
+    /// Sends the `on_remove` calls it hears, in order.
+    struct RemovalLog(std::sync::mpsc::Sender<PageId>);
+
+    impl ReplacementPolicy for RemovalLog {
+        fn on_insert(&mut self, _: &Page, _: AccessContext, _: u64) {}
+        fn on_hit(&mut self, _: &Page, _: AccessContext, _: u64) {}
+        fn on_remove(&mut self, id: PageId) {
+            self.0.send(id).unwrap();
+        }
+        fn select_victim(
+            &mut self,
+            _: AccessContext,
+            _: &dyn Fn(PageId) -> bool,
+        ) -> Option<PageId> {
+            None
+        }
+    }
+
+    #[test]
+    fn clear_removes_in_page_id_order() {
+        let (mut disk, mut buf, ids) = setup(64, 64);
+        // Admit in a scrambled order so neither admission nor hash order
+        // is ascending by accident.
+        for i in 0..64 {
+            buf.fetch(&mut disk, ids[(i * 37) % 64], ctx()).unwrap();
+        }
+        let (log, removed) = std::sync::mpsc::channel();
+        buf.policy = Box::new(RemovalLog(log));
+        buf.clear();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(removed.try_iter().collect::<Vec<_>>(), sorted);
     }
 
     #[test]

@@ -5,13 +5,50 @@
 //! with whatever the policy remembers per page (a reference bit, a
 //! criterion value) stored in the entry itself. `LinkedOrder` implements it
 //! as an intrusive doubly-linked list over a slab (`Vec` of nodes with a
-//! free list) plus a `HashMap<K, slot>` index — no per-operation allocation
+//! free list) plus an [`IdMap<K, slot>`] index — no per-operation allocation
 //! after warm-up, and one hash lookup reaches both position and value.
 
+use asb_storage::splitmix64;
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const NIL: usize = usize::MAX;
+
+/// The hasher of every page-keyed map in this crate: each `u64` written
+/// (a [`PageId`](asb_storage::PageId) writes one) is folded into the state
+/// through the SplitMix64 finalizer.
+///
+/// Page ids are small dense integers, often visited at a stride, and the
+/// map indexes its buckets by the hash's low bits, so the hasher must
+/// carry high input bits down. std's SipHash does, at several
+/// times the cost; a multiply-only hasher is cheaper still but keeps a
+/// stride's trailing zero bits and crowds strided ids into a few buckets
+/// (the `strided_ids_spread_over_the_buckets` test). The hash is
+/// unseeded, so a map's iteration order is the same in every process —
+/// yet still arbitrary: no decision may follow it. Nor does it resist
+/// crafted collisions: its keys are page ids the store allocated, or a
+/// trace recorded.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+}
+
+/// A hash map keyed through [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[derive(Debug, Clone)]
 struct Node<K, V> {
@@ -27,7 +64,7 @@ struct Node<K, V> {
 #[derive(Debug, Clone)]
 pub(crate) struct LinkedOrder<K, V = ()> {
     nodes: Vec<Node<K, V>>,
-    index: HashMap<K, usize>,
+    index: IdMap<K, usize>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
@@ -37,7 +74,7 @@ impl<K, V> Default for LinkedOrder<K, V> {
     fn default() -> Self {
         LinkedOrder {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -303,6 +340,35 @@ mod tests {
             o.push_back(k, ());
         }
         assert_eq!(o.nodes.len(), slab_size, "free slots must be reused");
+    }
+
+    /// The share of 1 024 buckets that the low 10 bits of `hash` fill over
+    /// 1 024 ids spaced `stride` apart.
+    fn bucket_fill(stride: u64, hash: impl Fn(u64) -> u64) -> f64 {
+        let mut filled = [false; 1024];
+        for i in 0..1024u64 {
+            filled[(hash(1 + i * stride) & 1023) as usize] = true;
+        }
+        filled.iter().filter(|&&f| f).count() as f64 / 1024.0
+    }
+
+    #[test]
+    fn strided_ids_spread_over_the_buckets() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // Random placement fills 1 - 1/e ≈ 63 % of the buckets.
+        for stride in [1, 4, 64, 4096] {
+            let fill = bucket_fill(stride, |raw| build.hash_one(asb_storage::PageId::new(raw)));
+            assert!(
+                fill >= 0.55,
+                "stride {stride}: {:.0} % filled",
+                fill * 100.0
+            );
+        }
+        // Why the finalizer: a multiply-only (Fx-style) hasher keeps the
+        // stride's six trailing zero bits and fills 1/64 of the buckets.
+        let multiply = |raw: u64| raw.wrapping_mul(0x517c_c1b7_2722_0a95);
+        assert!(bucket_fill(64, multiply) < 0.55);
     }
 
     #[test]

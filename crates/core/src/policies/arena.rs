@@ -7,15 +7,20 @@
 //! *expert* that sees the full event stream and is asked which victim it
 //! would select, without owning eviction authority.
 //!
-//! Each expert is instantiated twice:
+//! Each expert has up to two instances:
 //!
 //! * a **mirror** tracks the *real* buffer (it receives every
 //!   `on_insert`/`on_hit`/`on_update`/`on_remove` the manager issues), so
-//!   the expert can nominate victims among actually-resident pages;
+//!   the expert can nominate victims among actually-resident pages. A
+//!   *recency-derived* expert (LRU, SLRU, the pure spatial policies) ranks
+//!   by nothing but the residents' recency order and metadata, which the
+//!   arena keeps itself; its mirror exists only while it leads, built on
+//!   promotion by replaying `on_insert` over the residents, oldest first.
+//!   The history-keeping experts (LRU-2, 2Q, ASB) keep theirs throughout;
 //! * a **sim** plus a bounded **ghost cache** simulate "what would this
 //!   expert's buffer hold if it had been in charge all along?". A request
 //!   absent from the ghost cache is a *counterfactual miss* charged to the
-//!   expert.
+//!   expert. One map holds every expert's ghost membership as a bit mask.
 //!
 //! A multiplicative-weights mixer decays each expert's weight by its
 //! ghost-cache misses (an exponential sliding window over recent losses),
@@ -25,11 +30,13 @@
 //! regret versus the best expert in hindsight and the number of authority
 //! switches are reported through [`ArenaState`].
 
-use crate::order::LinkedOrder;
+use crate::order::{IdMap, LinkedOrder};
 use crate::policy::{PolicyKind, ReplacementPolicy};
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId};
+use asb_storage::{AccessContext, Page, PageId, PageMeta};
+use bytes::Bytes;
 use serde::Serialize;
+use std::collections::hash_map::Entry;
 
 /// Weight floor applied after normalization so weights stay strictly
 /// positive even with a zero fixed share (underflow protection).
@@ -166,42 +173,60 @@ impl ArenaState {
     }
 }
 
-/// One roster slot: mirror (tracks the real buffer), sim + ghost cache
-/// (tracks the counterfactual buffer), and mixer bookkeeping.
-struct Expert {
-    label: String,
-    mirror: Box<dyn ReplacementPolicy + Send>,
-    sim: Box<dyn ReplacementPolicy + Send>,
-    /// Membership of the simulated buffer. A `LinkedOrder` (not a hash
-    /// set) so the deterministic-replay guarantee never depends on hash
-    /// iteration order.
-    ghost: LinkedOrder<PageId>,
-    ghost_misses: u64,
-    weight: f64,
+/// Bit `i` is set while the page is in expert `i`'s ghost cache; a roster
+/// holds at most `GhostMask::BITS` experts.
+type GhostMask = u16;
+
+type Policy = Box<dyn ReplacementPolicy + Send>;
+
+/// Whether `kind` names its victim from the residents' recency order and
+/// metadata alone, so that replaying `on_insert` over the residents,
+/// oldest first, rebuilds a mirror that decides like the live-fed one (the
+/// rebuild law of `tests/victim_index.rs`). LRU-K, 2Q and ASB also rank by
+/// history the residents do not carry.
+fn recency_derived(kind: PolicyKind) -> bool {
+    matches!(
+        kind,
+        PolicyKind::Lru | PolicyKind::Slru { .. } | PolicyKind::Spatial(_)
+    )
 }
 
-impl Expert {
-    /// Feeds one access into the simulated buffer. Returns `true` when the
-    /// ghost cache missed (the expert is charged a loss).
-    fn simulate(&mut self, page: &Page, ctx: AccessContext, now: u64, capacity: usize) -> bool {
-        let id = page.id;
-        if self.ghost.contains(&id) {
-            self.sim.on_hit(page, ctx, now);
-            self.ghost.move_to_back(&id);
-            return false;
+/// A fresh mirror of the recency-derived `kind` over the real residents.
+fn rebuild(kind: PolicyKind, capacity: usize, resident: &LinkedOrder<PageId, PageMeta>) -> Policy {
+    let mut mirror = kind.build(capacity);
+    let payload = Bytes::new();
+    for (id, &meta) in resident.iter() {
+        // An empty payload always fits, so every resident is replayed.
+        if let Ok(page) = Page::new(id, meta, payload.clone()) {
+            mirror.on_insert(&page, AccessContext::default(), 0);
         }
-        self.ghost_misses += 1;
-        while self.ghost.len() >= capacity {
-            // The sim tracks exactly the ghost set, none of it pinned.
-            let victim = (self.sim.select_victim_unpinned(ctx)).or_else(|| self.ghost.front());
-            let Some(victim) = victim else { break };
-            self.sim.on_remove(victim);
-            self.ghost.remove(&victim);
-        }
-        self.sim.on_insert(page, ctx, now);
-        self.ghost.push_back(id, ());
-        true
     }
+    mirror
+}
+
+/// Clears `bit` from `id`'s ghost mask, dropping the entry once no expert
+/// holds the page.
+fn forget(ghosts: &mut IdMap<PageId, GhostMask>, id: PageId, bit: GhostMask) {
+    if let Entry::Occupied(mut entry) = ghosts.entry(id) {
+        *entry.get_mut() &= !bit;
+        if *entry.get() == 0 {
+            entry.remove();
+        }
+    }
+}
+
+/// One roster slot: mirror (tracks the real buffer), sim (tracks the
+/// counterfactual buffer, whose membership is the expert's bit in the
+/// arena's ghost map), and mixer bookkeeping.
+struct Expert {
+    kind: PolicyKind,
+    label: String,
+    /// `None` while a recency-derived expert does not lead.
+    mirror: Option<Policy>,
+    sim: Policy,
+    ghost_len: usize,
+    ghost_misses: u64,
+    weight: f64,
 }
 
 /// The expert arena (`PolicyKind::Arena`).
@@ -218,8 +243,13 @@ pub(crate) struct ArenaPolicy {
     switches: u64,
     accesses: u64,
     misses: u64,
-    /// Pages currently resident in the *real* buffer, in recency order.
-    resident: LinkedOrder<PageId>,
+    /// Pages currently resident in the *real* buffer, in recency order,
+    /// with their current metadata: all a recency-derived mirror is built
+    /// from.
+    resident: LinkedOrder<PageId, PageMeta>,
+    /// Every page in some expert's ghost cache, with the experts that hold
+    /// it. Only looked up and counted, never iterated in order.
+    ghosts: IdMap<PageId, GhostMask>,
     /// The last ≤ `capacity` distinct accessed pages; the liveness horizon
     /// for pruning expert history (LRU-K HIST) beyond residents and ghosts.
     recent: LinkedOrder<PageId>,
@@ -244,13 +274,14 @@ impl ArenaPolicy {
         );
         let kinds = params.roster.kinds();
         let uniform = 1.0 / kinds.len() as f64;
-        let experts = kinds
-            .iter()
-            .map(|kind| Expert {
+        let experts = (kinds.into_iter().enumerate())
+            .map(|(i, kind)| Expert {
+                kind,
                 label: kind.label(),
-                mirror: kind.build(capacity),
+                // Expert 0 leads first.
+                mirror: (i == 0 || !recency_derived(kind)).then(|| kind.build(capacity)),
                 sim: kind.build(capacity),
-                ghost: LinkedOrder::default(),
+                ghost_len: 0,
                 ghost_misses: 0,
                 weight: uniform,
             })
@@ -264,8 +295,13 @@ impl ArenaPolicy {
             accesses: 0,
             misses: 0,
             resident: LinkedOrder::default(),
+            ghosts: IdMap::default(),
             recent: LinkedOrder::default(),
         }
+    }
+
+    fn mirrors(&mut self) -> impl Iterator<Item = &mut Policy> {
+        self.experts.iter_mut().filter_map(|e| e.mirror.as_mut())
     }
 
     /// One access (insert or hit): run every ghost simulation, update the
@@ -280,12 +316,33 @@ impl ArenaPolicy {
         }
 
         let n = self.experts.len() as f64;
-        for expert in &mut self.experts {
-            let missed = expert.simulate(page, ctx, now, self.capacity);
-            if missed && self.params.decay > 0.0 {
+        let held = self.ghosts.get(&page.id).copied().unwrap_or(0);
+        for (i, expert) in self.experts.iter_mut().enumerate() {
+            let bit = 1 << i;
+            if held & bit != 0 {
+                expert.sim.on_hit(page, ctx, now);
+                continue;
+            }
+            expert.ghost_misses += 1;
+            while expert.ghost_len >= self.capacity {
+                // The sim tracks exactly the ghost set, none of it pinned,
+                // so it names a victim while the set is non-empty.
+                let Some(victim) = expert.sim.select_victim_unpinned(ctx) else {
+                    break;
+                };
+                expert.sim.on_remove(victim);
+                forget(&mut self.ghosts, victim, bit);
+                expert.ghost_len -= 1;
+            }
+            expert.sim.on_insert(page, ctx, now);
+            expert.ghost_len += 1;
+            if self.params.decay > 0.0 {
                 expert.weight *= 1.0 - self.params.decay;
             }
         }
+        // Every expert now holds the page.
+        let all = GhostMask::MAX >> (GhostMask::BITS as usize - self.experts.len());
+        self.ghosts.insert(page.id, all);
 
         // Normalize, floor, and mix in the fixed share of the uniform
         // distribution.
@@ -312,7 +369,7 @@ impl ArenaPolicy {
             }
         }
         if leader != self.leader {
-            self.leader = leader;
+            self.promote(leader);
             self.switches += 1;
         }
 
@@ -323,34 +380,52 @@ impl ArenaPolicy {
         }
     }
 
+    /// Hands authority to `leader`: the outgoing leader's mirror goes if it
+    /// is recency-derived, and the incoming one's is built if absent.
+    fn promote(&mut self, leader: usize) {
+        let old = std::mem::replace(&mut self.leader, leader);
+        if recency_derived(self.experts[old].kind) {
+            self.experts[old].mirror = None;
+        }
+        if self.experts[leader].mirror.is_none() {
+            let kind = self.experts[leader].kind;
+            self.experts[leader].mirror = Some(rebuild(kind, self.capacity, &self.resident));
+        }
+    }
+
     /// Drops expert history for pages outside the liveness horizon
     /// (real residents, the expert's own ghosts, and the recency window).
     fn prune(&mut self) {
-        let resident = &self.resident;
-        let recent = &self.recent;
-        for expert in &mut self.experts {
-            expert
-                .mirror
-                .retain_history(&|p| resident.contains(&p) || recent.contains(&p));
-            let ghost = &expert.ghost;
+        let (resident, recent, ghosts) = (&self.resident, &self.recent, &self.ghosts);
+        for (i, expert) in self.experts.iter_mut().enumerate() {
+            if let Some(mirror) = &mut expert.mirror {
+                mirror.retain_history(&|p| resident.contains(&p) || recent.contains(&p));
+            }
+            let bit: GhostMask = 1 << i;
+            let own = |p| ghosts.get(&p).is_some_and(|&held| held & bit != 0);
             expert
                 .sim
-                .retain_history(&|p| ghost.contains(&p) || recent.contains(&p));
+                .retain_history(&|p| own(p) || recent.contains(&p));
         }
     }
 
     /// Authority belongs to the leader; if its mirror abstains (e.g.
     /// everything it tracks is pinned), the rest of the roster is polled
-    /// in order. The callers fall back to the arena's own recency order.
+    /// in order, a recency-derived expert through a mirror built for the
+    /// question. The callers fall back to the arena's own recency order.
     fn poll_mirrors(
         &mut self,
         mut pick: impl FnMut(&mut (dyn ReplacementPolicy + Send)) -> Option<PageId>,
     ) -> Option<PageId> {
-        let leader = self.leader;
-        pick(&mut *self.experts[leader].mirror).or_else(|| {
+        let (leader, capacity, resident) = (self.leader, self.capacity, &self.resident);
+        let mut ask = |expert: &mut Expert| match &mut expert.mirror {
+            Some(mirror) => pick(&mut **mirror),
+            None => pick(&mut *rebuild(expert.kind, capacity, resident)),
+        };
+        ask(&mut self.experts[leader]).or_else(|| {
             (self.experts.iter_mut().enumerate())
                 .filter(|&(i, _)| i != leader)
-                .find_map(|(_, expert)| pick(&mut *expert.mirror))
+                .find_map(|(_, expert)| ask(expert))
         })
     }
 
@@ -363,7 +438,7 @@ impl ArenaPolicy {
                     label: e.label.clone(),
                     weight: e.weight,
                     ghost_misses: e.ghost_misses,
-                    ghost_len: e.ghost.len(),
+                    ghost_len: e.ghost_len,
                 })
                 .collect(),
             leader: self.leader,
@@ -377,25 +452,31 @@ impl ArenaPolicy {
 impl ReplacementPolicy for ArenaPolicy {
     fn on_insert(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.misses += 1;
-        self.resident.push_back(page.id, ());
-        for expert in &mut self.experts {
-            expert.mirror.on_insert(page, ctx, now);
+        self.resident.push_back(page.id, page.meta);
+        for mirror in self.mirrors() {
+            mirror.on_insert(page, ctx, now);
         }
         self.observe(page, ctx, now);
     }
 
     fn on_hit(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.resident.move_to_back(&page.id);
-        for expert in &mut self.experts {
-            expert.mirror.on_hit(page, ctx, now);
+        for mirror in self.mirrors() {
+            mirror.on_hit(page, ctx, now);
         }
         self.observe(page, ctx, now);
     }
 
     fn on_update(&mut self, page: &Page) {
-        for expert in &mut self.experts {
-            expert.mirror.on_update(page);
-            if expert.ghost.contains(&page.id) {
+        if let Some(meta) = self.resident.get_mut(&page.id) {
+            *meta = page.meta;
+        }
+        for mirror in self.mirrors() {
+            mirror.on_update(page);
+        }
+        let held = self.ghosts.get(&page.id).copied().unwrap_or(0);
+        for (i, expert) in self.experts.iter_mut().enumerate() {
+            if held & 1 << i != 0 {
                 expert.sim.on_update(page);
             }
         }
@@ -405,8 +486,8 @@ impl ReplacementPolicy for ArenaPolicy {
         // Only the real buffer shrinks; the ghost caches keep simulating
         // what each expert would have retained.
         self.resident.remove(&id);
-        for expert in &mut self.experts {
-            expert.mirror.on_remove(id);
+        for mirror in self.mirrors() {
+            mirror.on_remove(id);
         }
     }
 
@@ -428,14 +509,19 @@ impl ReplacementPolicy for ArenaPolicy {
         // One consistent definition: records kept for pages outside the
         // *real* buffer — ghost-cache entries plus whatever history the
         // mirrors and sims retain internally (2Q A1out, pruned LRU-K HIST).
+        // A recency-derived mirror retains none, present or not.
         let resident = &self.resident;
-        self.experts
-            .iter()
+        let ghosts: u32 = (self.ghosts.iter())
+            .filter(|(p, _)| !resident.contains(p))
+            .map(|(_, held)| held.count_ones())
+            .sum();
+        let kept: usize = (self.experts.iter())
             .map(|e| {
-                let ghosts = e.ghost.keys().filter(|p| !resident.contains(p)).count();
-                ghosts + e.mirror.retained_history() + e.sim.retained_history()
+                let mirror = e.mirror.as_ref().map_or(0, |m| m.retained_history());
+                mirror + e.sim.retained_history()
             })
-            .sum()
+            .sum();
+        ghosts as usize + kept
     }
 
     fn retain_history(&mut self, live: &dyn Fn(PageId) -> bool) {
@@ -608,6 +694,54 @@ mod tests {
         // With all experts losing on a pure scan the leader may stay put;
         // just assert the counter is consistent with the leader history.
         assert!(state.switches < state.accesses);
+    }
+
+    #[test]
+    fn every_roster_fits_the_ghost_mask() {
+        for roster in [Roster::Full, Roster::Lean] {
+            assert!(
+                roster.kinds().len() <= GhostMask::BITS as usize,
+                "{roster:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn recency_derived_mirrors_exist_only_while_they_lead() {
+        let params = ArenaParams {
+            decay: 0.3,
+            ..ArenaParams::default()
+        };
+        let mut arena = ArenaPolicy::new(6, params);
+        let trace: Vec<u64> = (0..600u64)
+            .map(|i| (i * 7 + i / 9) % (11 + i / 150 * 9))
+            .collect();
+        let mut leaders = std::collections::BTreeSet::new();
+        let mut resident = Vec::new();
+        for (now, &raw) in trace.iter().enumerate() {
+            let now = now as u64 + 1;
+            let p = page(raw);
+            if resident.contains(&p.id) {
+                arena.on_hit(&p, q(now), now);
+            } else {
+                if resident.len() >= 6 {
+                    let victim = arena.select_victim_unpinned(q(now)).unwrap();
+                    resident.retain(|&id| id != victim);
+                    arena.on_remove(victim);
+                }
+                resident.push(p.id);
+                arena.on_insert(&p, q(now), now);
+            }
+            leaders.insert(arena.leader);
+            for (i, expert) in arena.experts.iter().enumerate() {
+                let eager = !recency_derived(expert.kind);
+                assert_eq!(expert.mirror.is_some(), eager || i == arena.leader);
+            }
+        }
+        assert!(arena.switches > 0, "the trace must move authority");
+        assert!(leaders
+            .iter()
+            .any(|&i| recency_derived(arena.experts[i].kind) && i > 0));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Classic history-only baselines: LRU, FIFO, CLOCK and RANDOM.
 
-use crate::order::LinkedOrder;
+use crate::order::{IdMap, LinkedOrder};
 use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId};
-use std::collections::HashMap;
 
 /// Least-recently-used replacement — the paper's baseline against which all
 /// gains are reported.
@@ -110,7 +109,7 @@ impl ReplacementPolicy for ClockPolicy {
 #[derive(Debug)]
 pub(crate) struct RandomPolicy {
     pages: Vec<PageId>,
-    index: HashMap<PageId, usize>,
+    index: IdMap<PageId, usize>,
     state: u64,
 }
 
@@ -119,7 +118,7 @@ impl RandomPolicy {
     pub fn new(seed: u64) -> Self {
         RandomPolicy {
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             // xorshift must not start at zero.
             state: seed | 1,
         }

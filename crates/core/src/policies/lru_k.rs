@@ -1,9 +1,10 @@
 //! The LRU-K page-replacement algorithm of O'Neil, O'Neil and Weikum
 //! (SIGMOD 1993), as recapped in Section 2.2 of the EDBT 2002 paper.
 
+use crate::order::IdMap;
 use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId, QueryId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A resident page's place in victim order: `HIST(p,K)` (`None`, fewer
 /// than K references, sorts first), then the last access, then the page id.
@@ -44,7 +45,7 @@ impl Hist {
 #[derive(Debug)]
 pub(crate) struct LruKPolicy {
     k: usize,
-    history: HashMap<PageId, Hist>,
+    history: IdMap<PageId, Hist>,
     /// Resident pages in victim order, oldest `HIST(p,K)` first. The page
     /// id settles full HIST ties (possible when a batched fetch admits
     /// several pages at one tick) the same way in every process — hash
@@ -62,7 +63,7 @@ impl LruKPolicy {
         assert!(k >= 1, "LRU-K requires K >= 1");
         LruKPolicy {
             k,
-            history: HashMap::new(),
+            history: IdMap::default(),
             resident: BTreeSet::new(),
         }
     }

@@ -29,8 +29,9 @@ use serde::Serialize;
 ///
 /// Because observing commits to nothing, policies double as *experts*: the
 /// arena ([`PolicyKind::Arena`]) feeds the same event stream to a whole
-/// roster of policies and asks each for the victim it *would* choose; only
-/// the current leader's choice is carried out. `select_victim` therefore
+/// roster of policies (or rebuilds one from the residents when its victim
+/// depends on nothing else) and asks each for the victim it *would*
+/// choose; only the current leader's choice is carried out. `select_victim` therefore
 /// does not imply that the page leaves the buffer — that is what
 /// `on_remove` announces.
 ///

@@ -230,7 +230,11 @@ fn guard_eviction_scenario() {
     let th = thread::spawn(move || {
         let guard = holder.fetch(pinned, AccessContext::default()).unwrap();
         assert_eq!(guard.payload.as_ref(), &[0u8]);
-        assert!(holder.contains(pinned), "a pinned frame was evicted");
+        // Probe while the churn runs: each probe takes the shard lock, so
+        // the schedules interleave it with the churn's evictions.
+        for _ in 0..3 {
+            assert!(holder.contains(pinned), "a pinned frame was evicted");
+        }
         tc.join();
         assert!(holder.contains(pinned), "a pinned frame was evicted");
         assert_eq!(

@@ -8,6 +8,11 @@
 //! prune, the policy and its oracle must name the same victim with every
 //! page evictable, through `select_victim_unpinned`, and under a random
 //! pinned set.
+//!
+//! The same file holds the *rebuild law* the expert arena relies on: an
+//! LRU, SLRU or pure spatial policy rebuilt by replaying `on_insert` over
+//! the residents in recency order names the same victims as the one fed
+//! live, while LRU-2, 2Q and ASB do not obey it.
 
 use asb::buffer::{AsbParams, PolicyKind, ReplacementPolicy, SpatialCriterion};
 use asb::geom::{Rect, SpatialStats};
@@ -518,4 +523,133 @@ fn overflow_hits_move_the_candidate_set_both_ways() {
         grew && shrank,
         "overflow hits must move the candidate set both ways"
     );
+}
+
+/// A policy rebuilt from the residents alone, the way the arena builds a
+/// recency-derived mirror on promotion: `on_insert` replayed over `order`,
+/// oldest first, with the metadata each page carries now.
+fn rebuilt(kind: PolicyKind, capacity: usize, order: &[(PageId, PageMeta)]) -> Policy {
+    let mut policy = kind.build(capacity);
+    for &(id, meta) in order {
+        let page = Page::new(id, meta, Bytes::new()).expect("page");
+        policy.on_insert(&page, AccessContext::default(), 0);
+    }
+    policy
+}
+
+/// Drives `kind` live through `events` as a buffer of `capacity` pages
+/// would and, after every event, compares its victims with those of the
+/// policy [`rebuilt`] from the residents: every page evictable, through
+/// `select_victim_unpinned`, and under a random pinned set. Returns the
+/// first disagreement.
+fn rebuild_divergence(kind: PolicyKind, capacity: usize, events: &[Event]) -> Option<String> {
+    let mut live = kind.build(capacity);
+    let mut order: Vec<(PageId, PageMeta)> = Vec::new();
+    let mut now = 0u64;
+    for (step, &(op, raw, seed, query)) in events.iter().enumerate() {
+        now += seed & 1;
+        let ctx = AccessContext::query(QueryId::new(query));
+        let id = PageId::new(raw);
+        let page = page(raw, seed);
+        let resident = position(&order, id).is_some();
+        match op {
+            0..=2 if resident => {
+                live.on_hit(&page, ctx, now);
+                touch(&mut order, id);
+            }
+            0..=2 => {
+                if order.len() >= capacity {
+                    let victim = live.select_victim_unpinned(ctx).expect("victim");
+                    take(&mut order, victim).expect("a resident victim");
+                    live.on_remove(victim);
+                }
+                live.on_insert(&page, ctx, now);
+                order.push((id, page.meta));
+            }
+            3 if resident => {
+                live.on_update(&page);
+                *value_mut(&mut order, id).expect("resident") = page.meta;
+            }
+            4 if resident => {
+                take(&mut order, id);
+                live.on_remove(id);
+            }
+            _ => {}
+        }
+        let mut fresh = rebuilt(kind, capacity, &order);
+        let pinned = |p: PageId| (p.raw().wrapping_mul(seed | 1) >> 4).is_multiple_of(4);
+        let evictable = |p: PageId| position(&order, p).is_some() && !pinned(p);
+        let victims = |policy: &mut Policy| {
+            let unpinned = policy.select_victim_unpinned(ctx);
+            (unpinned, policy.select_victim(ctx, &evictable))
+        };
+        let (a, b) = (victims(&mut live), victims(&mut fresh));
+        if a != b {
+            return Some(format!(
+                "{kind:?} @ {capacity}, event {step}: live {a:?}, rebuilt {b:?}"
+            ));
+        }
+    }
+    None
+}
+
+/// The kinds the arena may rebuild instead of feeding: LRU, SLRU 25 % and
+/// 50 % and the five pure spatial policies.
+fn recency_derived() -> Vec<PolicyKind> {
+    let mut kinds = vec![PolicyKind::Lru];
+    for candidate_fraction in [0.25, 0.5] {
+        kinds.push(PolicyKind::Slru {
+            candidate_fraction,
+            criterion: SpatialCriterion::Area,
+        });
+    }
+    kinds.extend(SpatialCriterion::ALL.map(PolicyKind::Spatial));
+    kinds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn recency_derived_policies_rebuild_from_their_residents(
+        events in prop::collection::vec((0u8..6, 0u64..24, 0u64..1 << 16, 0u64..4), 1..200),
+        capacity in 1usize..16,
+    ) {
+        for kind in recency_derived() {
+            prop_assert_eq!(rebuild_divergence(kind, capacity, &events), None);
+        }
+    }
+}
+
+/// The witness that keeps LRU-2, 2Q and ASB out of the rebuilt set: one
+/// trace on which each of them, rebuilt from its residents, names another
+/// victim than when fed live — their victims depend on history (HIST
+/// times and query correlation, the FIFO probation queue, overflow order
+/// and the tuned candidate set) that the residents do not carry.
+#[test]
+fn history_keeping_policies_break_the_rebuild_law() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let witness: Vec<Event> = (0..400)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (
+                (state % 6) as u8,
+                (state >> 8) % 24,
+                state >> 16,
+                (state >> 40) % 4,
+            )
+        })
+        .collect();
+    let capacity = 10;
+    for kind in recency_derived() {
+        assert_eq!(rebuild_divergence(kind, capacity, &witness), None);
+    }
+    for kind in [PolicyKind::LruK { k: 2 }, PolicyKind::TwoQ, PolicyKind::Asb] {
+        assert!(
+            rebuild_divergence(kind, capacity, &witness).is_some(),
+            "{kind:?} obeys the rebuild law on the witness"
+        );
+    }
 }
