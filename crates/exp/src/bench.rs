@@ -1,7 +1,8 @@
 //! The replacement benchmark behind `BENCH_replacement.json`.
 //!
 //! One deterministic phase-change workload per golden database, replayed
-//! through LRU, ASB and the expert arena at a fixed capacity. Everything
+//! through LRU, ASB and the expert arena at a fixed capacity, each row
+//! measured against Belady's OPT on the same reference string. Everything
 //! is a pure function of the configuration constants, so the file is a
 //! reviewable benchmark result, not a snapshot of one developer's run.
 //! Its one writer is the tier-1 test `committed_replacement_bench_is_current`,
@@ -41,6 +42,9 @@ pub struct BenchEntry {
     pub logical_reads: u64,
     /// Buffer misses (physical reads on a fault-free store).
     pub misses: u64,
+    /// Misses above Belady's OPT on the same reference string
+    /// ([`Trace::opt_misses`]): what the policy leaves on the table.
+    pub vs_opt: i64,
     /// Hit rate in `[0, 1]`.
     pub hit_rate: f64,
     /// Cumulative regret versus the best expert in hindsight (misses
@@ -78,6 +82,7 @@ pub fn replacement_bench() -> Result<ReplacementBench> {
     for (name, db) in GOLDEN_DBS {
         let trace = Trace::record_phased(db, Scale::Tiny, BENCH_SEED, &workload)?;
         let outcomes = Trace::replay_all(&policies.map(|policy| (&trace, policy, BENCH_CAPACITY)))?;
+        let opt = trace.opt_misses(BENCH_CAPACITY) as i64;
         for (policy, out) in policies.into_iter().zip(outcomes) {
             // `BufferStats` carries the arena's two counters (zero for every
             // other policy): the switches, and the ghost misses of the best
@@ -91,6 +96,7 @@ pub fn replacement_bench() -> Result<ReplacementBench> {
                 policy: policy.label(),
                 logical_reads: out.stats.logical_reads,
                 misses: out.stats.misses,
+                vs_opt: out.stats.misses as i64 - opt,
                 hit_rate: out.stats.hit_ratio(),
                 regret,
                 authority_switches: out.stats.authority_switches,

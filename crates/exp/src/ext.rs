@@ -56,7 +56,7 @@ const OBJECT_PAGE_POLICIES: [PolicyKind; 6] = [
 ];
 
 /// The paper's gain of a run over LRU's, from their disk reads, in percent.
-fn gain_vs_lru(lru_reads: u64, reads: u64) -> f64 {
+pub(crate) fn gain_vs_lru(lru_reads: u64, reads: u64) -> f64 {
     (lru_reads as f64 / reads as f64 - 1.0) * 100.0
 }
 

@@ -1,5 +1,6 @@
 //! One function per data figure of the paper.
 
+use crate::ext::gain_vs_lru;
 use crate::lab::{ExperimentCell, Lab, RunResult, BUFFER_FRACS};
 use crate::report::{FigureTable, Series};
 use asb_core::{PolicyKind, SpatialCriterion};
@@ -258,7 +259,28 @@ pub fn fig12(lab: &mut Lab) -> Result<Vec<FigureTable>> {
     gain_tables(lab, "fig12", title, &DB_BOTH[..1], &policies, &mixed_sets())
 }
 
-/// Figure 13: A, SLRU 25 %, ASB and LRU-2 against LRU on both databases.
+/// Belady's OPT's gain over LRU on `sets`: the ceiling over every other
+/// series of a gain table.
+fn opt_series(lab: &mut Lab, db: DatasetKind, frac: f64, sets: &[QuerySetSpec]) -> Result<Series> {
+    let frames = lab.buffer_pages(db, frac)?;
+    let lru_cells: Vec<_> = sets
+        .iter()
+        .map(|&s| ExperimentCell::new(db, PolicyKind::Lru, frac, s))
+        .collect();
+    let lru = lab.eval(&lru_cells)?;
+    let mut points = Vec::with_capacity(sets.len());
+    for (&s, lru) in sets.iter().zip(lru) {
+        let opt = lab.recording(db, s)?.opt_misses(frames);
+        points.push((s.name(), gain_vs_lru(lru.disk_accesses, opt)));
+    }
+    Ok(Series {
+        name: "OPT".into(),
+        points,
+    })
+}
+
+/// Figure 13: A, SLRU 25 %, ASB and LRU-2 against LRU on both databases,
+/// with Belady's OPT as the ceiling.
 pub fn fig13(lab: &mut Lab) -> Result<Vec<FigureTable>> {
     let policies = [
         (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
@@ -273,7 +295,17 @@ pub fn fig13(lab: &mut Lab) -> Result<Vec<FigureTable>> {
         (PolicyKind::LruK { k: 2 }, "LRU-2"),
     ];
     let title = "A, SLRU, ASB, LRU-2 vs LRU";
-    gain_tables(lab, "fig13", title, &DB_BOTH, &policies, &mixed_sets())
+    let sets = mixed_sets();
+    let mut tables = Vec::new();
+    // One database at a time, while the lab still holds its recordings.
+    for db in DB_BOTH {
+        let mut pair = gain_tables(lab, "fig13", title, &[db], &policies, &sets)?;
+        for (table, (frac, _)) in pair.iter_mut().zip(SMALL_LARGE) {
+            table.series.push(opt_series(lab, db.0, frac, &sets)?);
+        }
+        tables.extend(pair);
+    }
+    Ok(tables)
 }
 
 /// Figure 14: candidate-set size over a concatenated INT-W-33 ∥ U-W-33 ∥
@@ -365,6 +397,22 @@ mod tests {
                 .expect("A series present");
             for (x, v) in &a.points {
                 assert!((v - 100.0).abs() < 1e-9, "{x}: A must be its own baseline");
+            }
+        }
+    }
+
+    #[test]
+    fn fig13_opt_gains_at_least_every_policy() {
+        let mut lab = Lab::new(Scale::Tiny, 7);
+        let tables = fig13(&mut lab).unwrap();
+        assert_eq!(tables.len(), 4);
+        for t in &tables {
+            let (opt, policies) = t.series.split_last().expect("series");
+            assert_eq!(opt.name, "OPT");
+            for s in policies {
+                for ((x, gain), (_, ceiling)) in s.points.iter().zip(&opt.points) {
+                    assert!(gain <= ceiling, "{}: {} {x} above OPT", t.title, s.name);
+                }
             }
         }
     }

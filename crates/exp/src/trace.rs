@@ -46,6 +46,7 @@ use asb_storage::{
 };
 use asb_workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use bytes::Bytes;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A recorded access trace: page catalogue plus logical read sequence.
@@ -229,6 +230,47 @@ impl Trace {
             stats: mgr.stats(),
             io: disk.stats(),
         })
+    }
+
+    /// Misses of Belady's OPT on the trace at `capacity` frames: on a miss
+    /// with every frame taken, the resident page whose next use lies
+    /// farthest ahead is evicted; pages never used again go first, ties
+    /// broken by page id. No replacement policy misses less, so
+    /// `replay(policy, capacity).stats.misses - opt_misses(capacity)` is
+    /// what `policy` leaves on the table.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn opt_misses(&self, capacity: usize) -> u64 {
+        assert!(capacity > 0, "OPT needs at least one frame");
+        // One backward pass: the index of the next access to each access's
+        // page, `usize::MAX` for never.
+        let mut next_use = vec![usize::MAX; self.accesses.len()];
+        let mut later: HashMap<u64, usize> = HashMap::new();
+        for (i, &(page, _)) in self.accesses.iter().enumerate().rev() {
+            next_use[i] = later.insert(page, i).unwrap_or(usize::MAX);
+        }
+        // Residents keyed by (next use, page): the last one is the victim.
+        let mut by_next_use: BTreeSet<(usize, u64)> = BTreeSet::new();
+        let mut resident: HashMap<u64, usize> = HashMap::new();
+        let mut misses = 0;
+        for (i, &(page, _)) in self.accesses.iter().enumerate() {
+            match resident.insert(page, next_use[i]) {
+                Some(was) => {
+                    by_next_use.remove(&(was, page));
+                }
+                None => {
+                    misses += 1;
+                    if resident.len() > capacity {
+                        if let Some((_, victim)) = by_next_use.pop_last() {
+                            resident.remove(&victim);
+                        }
+                    }
+                }
+            }
+            by_next_use.insert((next_use[i], page));
+        }
+        misses
     }
 
     /// Replays the trace through a [`ShardedBuffer`] pool (single-threaded,

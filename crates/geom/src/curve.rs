@@ -1,16 +1,8 @@
-//! Space-filling curves.
-//!
-//! Two curves are provided:
-//!
-//! * [`z_order`] — Morton/Z-order interleaving, the "z-values stored in a
-//!   B-tree" of Orenstein/Manola that the paper cites as one source of page
-//!   entries, and
-//! * [`hilbert`] — the Hilbert curve, used by the R\*-tree bulk loader in
-//!   `asb-rtree` because it preserves locality better than Z-order.
-//!
-//! Both map a pair of `u32` grid coordinates to a `u64` key and back.
-//! Continuous coordinates are mapped onto the grid with
-//! [`quantize`]/[`CurveGrid`].
+//! The Z-order (Morton) curve: [`z_order`] interleaves a pair of `u32`
+//! grid coordinates into a `u64` key and [`z_order_inverse`] takes it
+//! apart again. These are the "z-values stored in a B-tree" of
+//! Orenstein/Manola that the paper cites as one source of page entries.
+//! [`CurveGrid`] maps continuous points onto the grid.
 
 use crate::{Point, Rect};
 
@@ -56,57 +48,6 @@ fn compact(v: u64) -> u32 {
     v as u32
 }
 
-/// Maps grid coordinates to their index along a Hilbert curve of order
-/// [`CURVE_BITS`].
-///
-/// Uses the classic rotate-and-reflect iteration (Warren, *Hacker's
-/// Delight*-style), O(bits).
-pub fn hilbert(x: u32, y: u32) -> u64 {
-    let n: u64 = 1 << CURVE_BITS;
-    let (mut x, mut y) = (x as u64, y as u64);
-    let mut d: u64 = 0;
-    let mut s: u64 = n >> 1;
-    while s > 0 {
-        let rx = u64::from((x & s) > 0);
-        let ry = u64::from((y & s) > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        // NB: the forward transform rotates within the FULL grid (side n),
-        // the inverse within the current sub-square (side s).
-        rotate(n, &mut x, &mut y, rx, ry);
-        s >>= 1;
-    }
-    d
-}
-
-/// Inverse of [`hilbert`]: maps a curve index back to grid coordinates.
-pub fn hilbert_inverse(d: u64) -> (u32, u32) {
-    let mut t = d;
-    let (mut x, mut y): (u64, u64) = (0, 0);
-    let mut s: u64 = 1;
-    while s < (1u64 << CURVE_BITS) {
-        let rx = 1 & (t / 2);
-        let ry = 1 & (t ^ rx);
-        rotate(s, &mut x, &mut y, rx, ry);
-        x += s * rx;
-        y += s * ry;
-        t /= 4;
-        s <<= 1;
-    }
-    (x as u32, y as u32)
-}
-
-/// Rotates/reflects a quadrant of side `s` (the Hilbert-curve base motif).
-#[inline]
-fn rotate(s: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
-    if ry == 0 {
-        if rx == 1 {
-            *x = s - 1 - *x;
-            *y = s - 1 - *y;
-        }
-        std::mem::swap(x, y);
-    }
-}
-
 /// A uniform grid over a bounding rectangle, quantizing continuous points to
 /// curve coordinates.
 #[derive(Debug, Clone, Copy)]
@@ -136,13 +77,8 @@ impl CurveGrid {
         self.bounds
     }
 
-    /// Grid resolution in bits per dimension.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Shift that scales grid coordinates up to [`CURVE_BITS`] resolution
-    /// (the resolution of [`CurveGrid::z_key`] / [`CurveGrid::hilbert_key`]).
+    /// (the resolution of [`CurveGrid::z_key`]).
     pub fn shift(&self) -> u32 {
         CURVE_BITS - self.bits
     }
@@ -157,30 +93,11 @@ impl CurveGrid {
         (qx, qy)
     }
 
-    /// Hilbert key of a point (shifted to use the grid's resolution).
-    pub fn hilbert_key(&self, p: &Point) -> u64 {
-        let (x, y) = self.quantize(p);
-        // Scale coordinates up to CURVE_BITS so keys from different grids
-        // with the same bounds are comparable.
-        let shift = CURVE_BITS - self.bits;
-        hilbert(x << shift, y << shift)
-    }
-
     /// Z-order key of a point.
     pub fn z_key(&self, p: &Point) -> u64 {
         let (x, y) = self.quantize(p);
-        let shift = CURVE_BITS - self.bits;
-        z_order(x << shift, y << shift)
+        z_order(x << self.shift(), y << self.shift())
     }
-}
-
-/// Quantizes `v ∈ [lo, hi]` onto `1 << bits` cells (helper for callers that
-/// roll their own grids).
-pub fn quantize(v: f64, lo: f64, hi: f64, bits: u32) -> u32 {
-    debug_assert!(hi > lo);
-    let cells = (1u64 << bits) as f64;
-    let f = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
-    ((f * cells) as u64).min((1u64 << bits) - 1) as u32
 }
 
 #[cfg(test)]
@@ -211,30 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn hilbert_roundtrip_exhaustive_small() {
-        // Verify bijectivity on the low corner of the grid by round-tripping
-        // through the inverse.
-        for x in 0..32u32 {
-            for y in 0..32u32 {
-                let d = hilbert(x, y);
-                assert_eq!(hilbert_inverse(d), (x, y), "x={x} y={y} d={d}");
-            }
-        }
-    }
-
-    #[test]
-    fn hilbert_neighbors_are_adjacent() {
-        // Consecutive curve indices map to grid cells at L1 distance 1 —
-        // the defining locality property of the Hilbert curve.
-        for d in 0..4096u64 {
-            let (x0, y0) = hilbert_inverse(d);
-            let (x1, y1) = hilbert_inverse(d + 1);
-            let dist = (x0 as i64 - x1 as i64).abs() + (y0 as i64 - y1 as i64).abs();
-            assert_eq!(dist, 1, "d={d}");
-        }
-    }
-
-    #[test]
     fn grid_quantize_corners() {
         let g = CurveGrid::new(Rect::new(0.0, 0.0, 10.0, 10.0), 8);
         assert_eq!(g.quantize(&Point::new(0.0, 0.0)), (0, 0));
@@ -246,9 +139,9 @@ mod tests {
     #[test]
     fn grid_keys_are_monotone_in_locality() {
         let g = CurveGrid::new(Rect::new(0.0, 0.0, 1.0, 1.0), 16);
-        let a = g.hilbert_key(&Point::new(0.1, 0.1));
-        let b = g.hilbert_key(&Point::new(0.100001, 0.1));
-        let c = g.hilbert_key(&Point::new(0.9, 0.9));
+        let a = g.z_key(&Point::new(0.1, 0.1));
+        let b = g.z_key(&Point::new(0.100001, 0.1));
+        let c = g.z_key(&Point::new(0.9, 0.9));
         // Nearby points have much closer keys than distant ones.
         assert!(a.abs_diff(b) < a.abs_diff(c));
     }
@@ -257,12 +150,5 @@ mod tests {
     #[should_panic(expected = "bits")]
     fn grid_rejects_zero_bits() {
         let _ = CurveGrid::new(Rect::new(0.0, 0.0, 1.0, 1.0), 0);
-    }
-
-    #[test]
-    fn quantize_helper_bounds() {
-        assert_eq!(quantize(0.0, 0.0, 1.0, 4), 0);
-        assert_eq!(quantize(1.0, 0.0, 1.0, 4), 15);
-        assert_eq!(quantize(0.5, 0.0, 1.0, 4), 8);
     }
 }

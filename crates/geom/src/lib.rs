@@ -10,9 +10,8 @@
 //!   entry-margin sums, pairwise entry overlap). Pages carry these so the
 //!   buffer manager can apply a spatial replacement criterion without
 //!   knowing how index pages are encoded.
-//! * Space-filling curves ([`curve::z_order`], [`curve::hilbert`]) used by
-//!   bulk loading and as the "z-values in a B-tree" example of page entries
-//!   mentioned in the paper.
+//! * The Z-order curve ([`curve::z_order`]) behind `asb-zbtree`'s keys:
+//!   the "z-values in a B-tree" example of page entries the paper mentions.
 //!
 //! All coordinates are `f64`. The library never panics on degenerate
 //! rectangles (zero width/height are legal MBRs of points and horizontal or

@@ -361,14 +361,11 @@ impl<S: PageStore> QuadTree<S> {
                     }
                 }
             } else {
-                // Leaf: append; split on overflow.
                 let (_, mut entries, chain) = self.read_chain(node_id, depth)?;
                 entries.push(entry);
-                if entries.len() > self.config.bucket_capacity && depth < self.config.max_depth {
-                    self.split(node_id, cell, depth, entries, &chain)?;
-                } else {
-                    self.write_chain(node_id, depth, [None; CHILDREN], &entries, &chain)?;
-                }
+                // Leaf: append; split on overflow, keeping the straddlers.
+                let (children, local) = self.partition(cell, depth, entries)?;
+                self.write_chain(node_id, depth, children, &local, &chain)?;
                 break;
             }
         }
@@ -376,16 +373,21 @@ impl<S: PageStore> QuadTree<S> {
         Ok(())
     }
 
-    /// Splits an overfull leaf: entries fitting entirely in a quadrant move
-    /// into (recursively built) child subtrees; straddlers stay local.
-    fn split(
+    /// Lays out `entries` on the node at `depth` covering `cell`: returns
+    /// its children and the entries it keeps. Entries that fit one bucket,
+    /// or a node at `max_depth`, all stay: a leaf. Otherwise they are sorted
+    /// into the quadrants of `cell`, one child subtree is built per
+    /// non-empty quadrant, and only the straddlers stay. Children are
+    /// allocated before the node that names them.
+    fn partition(
         &mut self,
-        node_id: PageId,
         cell: Rect,
         depth: u8,
         entries: Vec<QuadEntry>,
-        old_chain: &[PageId],
-    ) -> Result<()> {
+    ) -> Result<([Option<PageId>; CHILDREN], Vec<QuadEntry>)> {
+        if entries.len() <= self.config.bucket_capacity || depth >= self.config.max_depth {
+            return Ok(([None; CHILDREN], entries));
+        }
         let quads = quadrants(&cell);
         let mut groups: [Vec<QuadEntry>; CHILDREN] = Default::default();
         let mut local = Vec::new();
@@ -397,48 +399,16 @@ impl<S: PageStore> QuadTree<S> {
         }
         let mut children = [None; CHILDREN];
         for (q, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+            if !group.is_empty() {
+                children[q] = Some(self.build_subtree(quads[q], depth + 1, group)?);
             }
-            children[q] = Some(self.build_subtree(quads[q], depth + 1, group)?);
         }
-        if children.iter().all(|c| c.is_none()) {
-            // Every entry straddles: splitting gains nothing; keep the node
-            // a (chained) leaf to avoid an internal node without children.
-            self.write_chain(node_id, depth, [None; CHILDREN], &local, old_chain)?;
-            return Ok(());
-        }
-        self.write_chain(node_id, depth, children, &local, old_chain)?;
-        Ok(())
+        Ok((children, local))
     }
 
     /// Builds a fresh subtree for `entries` within `cell`.
     fn build_subtree(&mut self, cell: Rect, depth: u8, entries: Vec<QuadEntry>) -> Result<PageId> {
-        if entries.len() <= self.config.bucket_capacity || depth >= self.config.max_depth {
-            let node_id = self.alloc_node(&QuadNode::new_leaf(depth))?;
-            self.write_chain(node_id, depth, [None; CHILDREN], &entries, &[])?;
-            return Ok(node_id);
-        }
-        let quads = quadrants(&cell);
-        let mut groups: [Vec<QuadEntry>; CHILDREN] = Default::default();
-        let mut local = Vec::new();
-        for e in entries {
-            match containing_quadrant(&cell, &e.mbr) {
-                Some(q) => groups[q].push(e),
-                None => local.push(e),
-            }
-        }
-        let mut children = [None; CHILDREN];
-        for (q, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // A quadrant absorbing everything recurses only until
-            // max_depth, which the base case above handles.
-            children[q] = Some(self.build_subtree(quads[q], depth + 1, group)?);
-        }
-        // If every entry straddles the center lines, `children` stays empty
-        // and the node is simply a (possibly chained) leaf.
+        let (children, local) = self.partition(cell, depth, entries)?;
         let node_id = self.alloc_node(&QuadNode::new_leaf(depth))?;
         self.write_chain(node_id, depth, children, &local, &[])?;
         Ok(node_id)

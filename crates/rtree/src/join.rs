@@ -9,7 +9,7 @@
 
 use crate::node::NodeKind;
 use crate::tree::RTree;
-use asb_storage::{PageStore, Result};
+use asb_storage::{PageStore, Result, StorageError};
 
 /// Computes all pairs `(id_a, id_b)` of objects from `a` and `b` whose MBRs
 /// intersect.
@@ -48,8 +48,16 @@ pub fn spatial_join<S: PageStore, T: PageStore>(
     // Pairs of (page, the level its parent or its tree's height implies).
     let mut stack = vec![((a.root_id(), a.height()), (b.root_id(), b.height()))];
     while let Some(((pa, la), (pb, lb))) = stack.pop() {
-        let na = a.read_node_for_join(pa, la)?;
-        let nb = b.read_node_for_join(pb, lb)?;
+        let na = a.read_node_at(pa, la)?;
+        let nb = b.read_node_at(pb, lb)?;
+        for (node, id) in [(&na, pa), (&nb, pb)] {
+            if node.is_empty() {
+                return Err(StorageError::Corrupt {
+                    id,
+                    reason: "node without entries in a spatial join".into(),
+                });
+            }
+        }
         match (&na.kind, &nb.kind) {
             (NodeKind::Leaf(ea), NodeKind::Leaf(eb)) => {
                 // A nested loop is fine at page granularity (≤ 42 × 42).

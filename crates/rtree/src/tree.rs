@@ -378,6 +378,20 @@ impl<S: PageStore> RTree<S> {
         self.file.read(id, ctx, Node::decode)
     }
 
+    /// Reads the node its parent (a root: the tree's height) places at
+    /// `level`; a node at another level is corrupt, so every descent moves
+    /// one level down and ends at a leaf.
+    pub(crate) fn read_node_at(&mut self, id: PageId, level: u8) -> Result<Node> {
+        let node = self.read_node(id)?;
+        if node.level != level {
+            return Err(corrupt(
+                id,
+                format!("expected level {level}, found {}", node.level),
+            ));
+        }
+        Ok(node)
+    }
+
     fn write_node(&mut self, id: PageId, node: &Node) -> Result<()> {
         self.file
             .write(Page::new(id, node.page_meta(), node.encode())?)
@@ -462,7 +476,8 @@ impl<S: PageStore> RTree<S> {
         pending: &mut Vec<(AnyEntry, u8)>,
     ) -> Result<()> {
         let root = self.root;
-        let (_, split) = self.insert_rec(root, entry, target_level, reinserted, pending)?;
+        let (_, split) =
+            self.insert_rec(root, self.height, entry, target_level, reinserted, pending)?;
         if let Some(sibling) = split {
             // Grow a new root above the old one.
             let old_root_node = self.read_node(root)?;
@@ -480,19 +495,21 @@ impl<S: PageStore> RTree<S> {
         Ok(())
     }
 
-    /// Recursive insertion; returns the subtree's new MBR and, if the node
-    /// split, the directory entry for the new sibling.
+    /// Recursive insertion below the node at `node_id`, which sits at
+    /// `level`; returns the subtree's new MBR and, if the node split, the
+    /// directory entry for the new sibling.
     fn insert_rec(
         &mut self,
         node_id: PageId,
+        level: u8,
         entry: AnyEntry,
         target_level: u8,
         reinserted: &mut u64,
         pending: &mut Vec<(AnyEntry, u8)>,
     ) -> Result<(Rect, Option<DirEntry>)> {
-        let mut node = self.read_node(node_id)?;
-        debug_assert!(node.level >= target_level);
-        if node.level == target_level {
+        let mut node = self.read_node_at(node_id, level)?;
+        debug_assert!(level >= target_level);
+        if level == target_level {
             match (entry, &mut node.kind) {
                 (AnyEntry::Leaf(e), NodeKind::Leaf(v)) => v.push(e),
                 (AnyEntry::Dir(e), NodeKind::Dir(v)) => v.push(e),
@@ -510,7 +527,7 @@ impl<S: PageStore> RTree<S> {
             };
             let child = entries[idx].child;
             let (child_mbr, split) =
-                self.insert_rec(child, entry, target_level, reinserted, pending)?;
+                self.insert_rec(child, level - 1, entry, target_level, reinserted, pending)?;
             node.dir_entries_mut()[idx].mbr = child_mbr;
             if let Some(sibling) = split {
                 node.dir_entries_mut().push(sibling);
@@ -615,7 +632,9 @@ impl<S: PageStore> RTree<S> {
         self.next_query += 1;
         let mut orphans: Vec<(AnyEntry, u8)> = Vec::new();
         let root = self.root;
-        let found = self.delete_rec(root, id, mbr, &mut orphans)?.is_some();
+        let found = self
+            .delete_rec(root, self.height, id, mbr, &mut orphans)?
+            .is_some();
         if !found {
             debug_assert!(orphans.is_empty());
             return Ok(false);
@@ -632,7 +651,7 @@ impl<S: PageStore> RTree<S> {
 
         // Shrink the root while it is a directory with a single child.
         loop {
-            let node = self.read_node(self.root)?;
+            let node = self.read_node_at(self.root, self.height)?;
             match &node.kind {
                 NodeKind::Dir(entries) if entries.len() == 1 => {
                     let old_root = self.root;
@@ -646,18 +665,20 @@ impl<S: PageStore> RTree<S> {
         Ok(true)
     }
 
-    /// Returns `Some(new_mbr)` if the entry was deleted inside this subtree
-    /// (`None` for the MBR when the subtree became empty — only possible at
-    /// the root).
+    /// Deletes below the node at `node_id`, which sits at `level`. Returns
+    /// `Some(new_mbr)` if the entry was deleted inside this subtree (`None`
+    /// for the MBR when the subtree became empty — only possible at the
+    /// root).
     #[allow(clippy::type_complexity)]
     fn delete_rec(
         &mut self,
         node_id: PageId,
+        level: u8,
         id: u64,
         mbr: &Rect,
         orphans: &mut Vec<(AnyEntry, u8)>,
     ) -> Result<Option<Option<Rect>>> {
-        let mut node = self.read_node(node_id)?;
+        let mut node = self.read_node_at(node_id, level)?;
         if let NodeKind::Leaf(entries) = &mut node.kind {
             let Some(pos) = entries
                 .iter()
@@ -681,7 +702,7 @@ impl<S: PageStore> RTree<S> {
             .collect();
         let mut hit: Option<(usize, PageId, Option<Rect>)> = None;
         for (i, child) in candidates {
-            if let Some(child_mbr) = self.delete_rec(child, id, mbr, orphans)? {
+            if let Some(child_mbr) = self.delete_rec(child, level - 1, id, mbr, orphans)? {
                 hit = Some((i, child, child_mbr));
                 break;
             }
@@ -690,18 +711,18 @@ impl<S: PageStore> RTree<S> {
             return Ok(None);
         };
 
-        let mut node = self.read_node(node_id)?;
-        let child_node = self.read_node(child)?;
-        if child_node.len() < self.config.min_for(child_node.level) {
+        let mut node = self.read_node_at(node_id, level)?;
+        let child_level = level - 1;
+        let child_node = self.read_node_at(child, child_level)?;
+        if child_node.len() < self.config.min_for(child_level) {
             // CondenseTree: dissolve the underfull child, orphan its
             // entries for reinsertion at their original level.
-            let level = child_node.level;
             match child_node.kind {
                 NodeKind::Leaf(es) => {
-                    orphans.extend(es.into_iter().map(|e| (AnyEntry::Leaf(e), level)));
+                    orphans.extend(es.into_iter().map(|e| (AnyEntry::Leaf(e), child_level)));
                 }
                 NodeKind::Dir(es) => {
-                    orphans.extend(es.into_iter().map(|e| (AnyEntry::Dir(e), level)));
+                    orphans.extend(es.into_iter().map(|e| (AnyEntry::Dir(e), child_level)));
                 }
             }
             self.free_node(child)?;
@@ -722,11 +743,11 @@ impl<S: PageStore> RTree<S> {
         mut visit: impl FnMut(&mut Self, PageId, Node) -> Result<()>,
     ) -> Result<()> {
         self.next_query += 1;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.read_node(id)?;
+        let mut stack = vec![(self.root, self.height)];
+        while let Some((id, level)) = stack.pop() {
+            let node = self.read_node_at(id, level)?;
             if let NodeKind::Dir(entries) = &node.kind {
-                stack.extend(entries.iter().map(|e| e.child));
+                stack.extend(entries.iter().map(|e| (e.child, level - 1)));
             }
             visit(self, id, node)?;
         }
@@ -771,10 +792,7 @@ impl<S: PageStore> RTree<S> {
     pub fn validate(&mut self) -> Result<()> {
         self.next_query += 1;
         let root = self.root;
-        let root_node = self.read_node(root)?;
-        if root_node.level != self.height {
-            return Err(corrupt(root, "root level != recorded height"));
-        }
+        let root_node = self.read_node_at(root, self.height)?;
         if self.height > 1 && root_node.len() < 2 {
             return Err(corrupt(root, "directory root with fewer than 2 entries"));
         }
@@ -782,13 +800,7 @@ impl<S: PageStore> RTree<S> {
         // (page, expected level, expected exact MBR or None for the root)
         let mut stack: Vec<(PageId, u8, Option<Rect>)> = vec![(root, self.height, None)];
         while let Some((id, level, expected_mbr)) = stack.pop() {
-            let node = self.read_node(id)?;
-            if node.level != level {
-                return Err(corrupt(
-                    id,
-                    format!("expected level {level}, found {}", node.level),
-                ));
-            }
+            let node = self.read_node_at(id, level)?;
             if id != root {
                 let min = self.config.min_for(level);
                 if node.len() < min {
@@ -811,17 +823,11 @@ impl<S: PageStore> RTree<S> {
             }
             match &node.kind {
                 NodeKind::Dir(entries) => {
-                    if level < 2 {
-                        return Err(corrupt(id, "directory node below level 2"));
-                    }
                     for e in entries {
                         stack.push((e.child, level - 1, Some(e.mbr)));
                     }
                 }
                 NodeKind::Leaf(entries) => {
-                    if level != 1 {
-                        return Err(corrupt(id, "leaf node not at level 1"));
-                    }
                     objects += entries.len();
                 }
             }
@@ -883,16 +889,6 @@ impl<S: PageStore> RTree<S> {
     /// The root page id (used by the spatial join).
     pub(crate) fn root_id(&self) -> PageId {
         self.root
-    }
-
-    /// Reads a node for the spatial join (advances no query id); one not
-    /// at `level`, or without entries, is corrupt.
-    pub(crate) fn read_node_for_join(&mut self, id: PageId, level: u8) -> Result<Node> {
-        let node = self.read_node(id)?;
-        if node.level != level || node.is_empty() {
-            return Err(corrupt(id, format!("empty, or not at level {level}")));
-        }
-        Ok(node)
     }
 
     /// Starts a new query scope (used by multi-tree operations).

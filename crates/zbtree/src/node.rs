@@ -83,6 +83,30 @@ impl ZNode {
         }
     }
 
+    /// Maximum entries a node of this kind holds.
+    pub fn capacity(&self) -> usize {
+        match self {
+            ZNode::Leaf { .. } => LEAF_CAPACITY,
+            ZNode::Inner { .. } => INNER_CAPACITY,
+        }
+    }
+
+    /// Moves the upper half of the entries into a new node of the same
+    /// kind and level, which inherits a leaf's `next` link (the caller
+    /// links this leaf to the new one once it has a page).
+    pub fn split_off_upper_half(&mut self) -> ZNode {
+        match self {
+            ZNode::Leaf { next, entries } => ZNode::Leaf {
+                next: *next,
+                entries: entries.split_off(entries.len() / 2),
+            },
+            ZNode::Inner { level, entries } => ZNode::Inner {
+                level: *level,
+                entries: entries.split_off(entries.len() / 2),
+            },
+        }
+    }
+
     /// Smallest key in the subtree rooted here (nodes are never empty
     /// except an empty tree's root leaf).
     pub fn min_key(&self) -> Option<Key> {

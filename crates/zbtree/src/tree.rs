@@ -36,17 +36,6 @@ pub struct ZBTreeStats {
     pub entries: usize,
 }
 
-enum InsertOutcome {
-    /// Subtree absorbed the entry; `(min_key, mbr)` after the insert.
-    Ok(Key, Rect),
-    /// Subtree split; the original node kept `(min_key, mbr)` and a new
-    /// right sibling `(min_key, page, mbr)` must be added to the parent.
-    Split {
-        left: (Key, Rect),
-        right: (Key, PageId, Rect),
-    },
-}
-
 enum DeleteOutcome {
     NotFound,
     /// Entry removed; `(min_key, mbr, len)` of the child after removal (the
@@ -290,6 +279,36 @@ impl<S: PageStore> ZBTree<S> {
         self.file.read(id, ctx, ZNode::decode)
     }
 
+    /// Reads the node its parent (a root: the tree's height) places at
+    /// `level`. A node at another level, or an inner node without entries,
+    /// is corrupt, so every descent moves one level down and ends at a leaf.
+    fn read_node_at(&mut self, id: PageId, level: u8) -> Result<ZNode> {
+        let node = self.read_node(id)?;
+        if node.level() != level {
+            return Err(corrupt(
+                id,
+                format!(
+                    "node at level {} where its parent puts level {level}",
+                    node.level()
+                ),
+            ));
+        }
+        if matches!(&node, ZNode::Inner { entries, .. } if entries.is_empty()) {
+            return Err(corrupt(id, "inner node without entries"));
+        }
+        Ok(node)
+    }
+
+    /// The entry naming the non-empty node `node` at page `id` in its
+    /// parent: its smallest key and its MBR.
+    fn entry_of(&self, id: PageId, node: &ZNode) -> InnerEntry {
+        InnerEntry {
+            min_key: node.min_key().expect("non-empty node"),
+            child: id,
+            mbr: self.node_mbr(node).expect("non-empty node"),
+        }
+    }
+
     fn entry_rects(&self, node: &ZNode) -> Vec<Rect> {
         match node {
             ZNode::Leaf { entries, .. } => entries.iter().map(|e| self.cell_of(e.key.z)).collect(),
@@ -332,128 +351,62 @@ impl<S: PageStore> ZBTree<S> {
             location,
         };
         let root = self.root;
-        match self.insert_rec(root, entry)? {
-            InsertOutcome::Ok(..) => {}
-            InsertOutcome::Split { left, right } => {
-                let new_root = ZNode::Inner {
-                    level: self.height + 1,
-                    entries: vec![
-                        InnerEntry {
-                            min_key: left.0,
-                            child: root,
-                            mbr: left.1,
-                        },
-                        InnerEntry {
-                            min_key: right.0,
-                            child: right.1,
-                            mbr: right.2,
-                        },
-                    ],
-                };
-                self.root = self.alloc_node(&new_root)?;
-                self.height += 1;
-            }
+        let (left, split) = self.insert_rec(root, self.height, entry)?;
+        if let Some(right) = split {
+            let new_root = ZNode::Inner {
+                level: self.height + 1,
+                entries: vec![left, right],
+            };
+            self.root = self.alloc_node(&new_root)?;
+            self.height += 1;
         }
         Ok(())
     }
 
-    fn insert_rec(&mut self, node_id: PageId, entry: ZLeafEntry) -> Result<InsertOutcome> {
-        match self.read_node(node_id)? {
-            ZNode::Leaf { next, mut entries } => {
+    /// Inserts `entry` below the node at `node_id`, which sits at `level`.
+    /// Returns the node's entry for its parent and, if it split, the entry
+    /// of its new right sibling.
+    fn insert_rec(
+        &mut self,
+        node_id: PageId,
+        level: u8,
+        entry: ZLeafEntry,
+    ) -> Result<(InnerEntry, Option<InnerEntry>)> {
+        let mut node = self.read_node_at(node_id, level)?;
+        match &mut node {
+            ZNode::Leaf { entries, .. } => {
                 match entries.binary_search_by_key(&entry.key, |e| e.key) {
-                    Ok(pos) => {
-                        // Upsert: same (z, id) key.
-                        entries[pos] = entry;
-                    }
+                    // Upsert: same (z, id) key.
+                    Ok(pos) => entries[pos] = entry,
                     Err(pos) => {
                         entries.insert(pos, entry);
                         self.len += 1;
                     }
                 }
-                if entries.len() <= LEAF_CAPACITY {
-                    let node = ZNode::Leaf { next, entries };
-                    let mbr = self.node_mbr(&node).expect("non-empty leaf");
-                    let min = node.min_key().expect("non-empty leaf");
-                    self.write_node(node_id, &node)?;
-                    return Ok(InsertOutcome::Ok(min, mbr));
-                }
-                // Split.
-                let right_entries = entries.split_off(entries.len() / 2);
-                let right = ZNode::Leaf {
-                    next,
-                    entries: right_entries,
-                };
-                let right_id = self.alloc_node(&right)?;
-                let left = ZNode::Leaf {
-                    next: Some(right_id),
-                    entries,
-                };
-                self.write_node(node_id, &left)?;
-                Ok(InsertOutcome::Split {
-                    left: (
-                        left.min_key().expect("non-empty"),
-                        self.node_mbr(&left).expect("non-empty"),
-                    ),
-                    right: (
-                        right.min_key().expect("non-empty"),
-                        right_id,
-                        self.node_mbr(&right).expect("non-empty"),
-                    ),
-                })
             }
-            ZNode::Inner { level, mut entries } => {
-                let idx = match entries.binary_search_by_key(&entry.key, |e| e.min_key) {
-                    Ok(i) => i,
-                    Err(0) => 0, // key below every min: descend leftmost
-                    Err(i) => i - 1,
-                };
-                let child = entries[idx].child;
-                match self.insert_rec(child, entry)? {
-                    InsertOutcome::Ok(min, mbr) => {
-                        entries[idx].min_key = min;
-                        entries[idx].mbr = mbr;
-                    }
-                    InsertOutcome::Split { left, right } => {
-                        entries[idx].min_key = left.0;
-                        entries[idx].mbr = left.1;
-                        entries.insert(
-                            idx + 1,
-                            InnerEntry {
-                                min_key: right.0,
-                                child: right.1,
-                                mbr: right.2,
-                            },
-                        );
-                    }
+            ZNode::Inner { entries, .. } => {
+                let idx = child_index(entries, entry.key);
+                let (child, split) = self.insert_rec(entries[idx].child, level - 1, entry)?;
+                entries[idx] = child;
+                if let Some(sibling) = split {
+                    entries.insert(idx + 1, sibling);
                 }
-                if entries.len() <= INNER_CAPACITY {
-                    let node = ZNode::Inner { level, entries };
-                    let min = node.min_key().expect("non-empty inner");
-                    let mbr = self.node_mbr(&node).expect("non-empty inner");
-                    self.write_node(node_id, &node)?;
-                    return Ok(InsertOutcome::Ok(min, mbr));
-                }
-                let right_entries = entries.split_off(entries.len() / 2);
-                let right = ZNode::Inner {
-                    level,
-                    entries: right_entries,
-                };
-                let right_id = self.alloc_node(&right)?;
-                let left = ZNode::Inner { level, entries };
-                self.write_node(node_id, &left)?;
-                Ok(InsertOutcome::Split {
-                    left: (
-                        left.min_key().expect("non-empty"),
-                        self.node_mbr(&left).expect("non-empty"),
-                    ),
-                    right: (
-                        right.min_key().expect("non-empty"),
-                        right_id,
-                        self.node_mbr(&right).expect("non-empty"),
-                    ),
-                })
             }
         }
+        if node.len() <= node.capacity() {
+            self.write_node(node_id, &node)?;
+            return Ok((self.entry_of(node_id, &node), None));
+        }
+        let right = node.split_off_upper_half();
+        let right_id = self.alloc_node(&right)?;
+        if let ZNode::Leaf { next, .. } = &mut node {
+            *next = Some(right_id);
+        }
+        self.write_node(node_id, &node)?;
+        Ok((
+            self.entry_of(node_id, &node),
+            Some(self.entry_of(right_id, &right)),
+        ))
     }
 
     // ---- deletion --------------------------------------------------------
@@ -463,12 +416,13 @@ impl<S: PageStore> ZBTree<S> {
         self.next_query += 1;
         let key = self.key_of(id, location);
         let root = self.root;
-        let found = matches!(self.delete_rec(root, key)?, DeleteOutcome::Removed { .. });
+        let outcome = self.delete_rec(root, self.height, key)?;
+        let found = matches!(outcome, DeleteOutcome::Removed { .. });
         if found {
             self.len -= 1;
             // Collapse the root while it is an inner node with one child.
             loop {
-                match self.read_node(self.root)? {
+                match self.read_node_at(self.root, self.height)? {
                     ZNode::Inner { entries, .. } if entries.len() == 1 => {
                         let old = self.root;
                         self.root = entries[0].child;
@@ -482,30 +436,25 @@ impl<S: PageStore> ZBTree<S> {
         Ok(found)
     }
 
-    fn delete_rec(&mut self, node_id: PageId, key: Key) -> Result<DeleteOutcome> {
-        match self.read_node(node_id)? {
-            ZNode::Leaf { next, mut entries } => {
+    /// Removes `key` below the node at `node_id`, which sits at `level`.
+    fn delete_rec(&mut self, node_id: PageId, level: u8, key: Key) -> Result<DeleteOutcome> {
+        let mut node = self.read_node_at(node_id, level)?;
+        match &mut node {
+            ZNode::Leaf { entries, .. } => {
                 let Ok(pos) = entries.binary_search_by_key(&key, |e| e.key) else {
                     return Ok(DeleteOutcome::NotFound);
                 };
                 entries.remove(pos);
-                let node = ZNode::Leaf { next, entries };
-                let outcome = DeleteOutcome::Removed {
-                    min_key: node.min_key(),
-                    mbr: self.node_mbr(&node),
-                    len: node.len(),
-                };
-                self.write_node(node_id, &node)?;
-                Ok(outcome)
             }
-            ZNode::Inner { level, mut entries } => {
+            ZNode::Inner { entries, .. } => {
                 let idx = match entries.binary_search_by_key(&key, |e| e.min_key) {
                     Ok(i) => i,
                     Err(0) => return Ok(DeleteOutcome::NotFound),
                     Err(i) => i - 1,
                 };
                 let child = entries[idx].child;
-                let DeleteOutcome::Removed { min_key, mbr, len } = self.delete_rec(child, key)?
+                let DeleteOutcome::Removed { min_key, mbr, len } =
+                    self.delete_rec(child, level - 1, key)?
                 else {
                     return Ok(DeleteOutcome::NotFound);
                 };
@@ -513,6 +462,10 @@ impl<S: PageStore> ZBTree<S> {
                     (Some(min), Some(m)) => {
                         entries[idx].min_key = min;
                         entries[idx].mbr = m;
+                        // Rebalance an underfull (non-empty) child.
+                        if len < min_fill(level - 1) {
+                            self.rebalance(entries, idx, level - 1)?;
+                        }
                     }
                     _ => {
                         // Child is empty: drop it entirely.
@@ -520,34 +473,21 @@ impl<S: PageStore> ZBTree<S> {
                         entries.remove(idx);
                     }
                 }
-                // Rebalance an underfull (non-empty) child.
-                let child_present = min_key.is_some();
-                if child_present && len < self.min_fill_of_child(level) {
-                    self.rebalance(&mut entries, idx)?;
-                }
-                let node = ZNode::Inner { level, entries };
-                let outcome = DeleteOutcome::Removed {
-                    min_key: node.min_key(),
-                    mbr: self.node_mbr(&node),
-                    len: node.len(),
-                };
-                self.write_node(node_id, &node)?;
-                Ok(outcome)
             }
         }
+        let outcome = DeleteOutcome::Removed {
+            min_key: node.min_key(),
+            mbr: self.node_mbr(&node),
+            len: node.len(),
+        };
+        self.write_node(node_id, &node)?;
+        Ok(outcome)
     }
 
-    fn min_fill_of_child(&self, parent_level: u8) -> usize {
-        if parent_level == 2 {
-            LEAF_CAPACITY / 2
-        } else {
-            INNER_CAPACITY / 2
-        }
-    }
-
-    /// Borrows from or merges with a sibling of the underfull child at
-    /// `entries[idx]`, updating `entries` in place.
-    fn rebalance(&mut self, entries: &mut Vec<InnerEntry>, idx: usize) -> Result<()> {
+    /// Merges the underfull child at `entries[idx]`, which sits at `level`,
+    /// with a sibling, or moves one entry across when the two do not fit
+    /// one page; updates `entries` in place. Each sibling is read once.
+    fn rebalance(&mut self, entries: &mut Vec<InnerEntry>, idx: usize, level: u8) -> Result<()> {
         if entries.len() < 2 {
             return Ok(()); // only child: nothing to rebalance with (root path)
         }
@@ -557,159 +497,55 @@ impl<S: PageStore> ZBTree<S> {
         } else {
             (idx - 1, idx)
         };
-        let left_id = entries[left_idx].child;
-        let right_id = entries[right_idx].child;
-        let left_node = self.read_node(left_id)?;
-        let right_node = self.read_node(right_id)?;
-
-        match (left_node, right_node) {
+        let (left_id, right_id) = (entries[left_idx].child, entries[right_idx].child);
+        let mut left = self.read_node_at(left_id, level)?;
+        let mut right = self.read_node_at(right_id, level)?;
+        let capacity = left.capacity();
+        let merged = match (&mut left, &mut right) {
             (
+                ZNode::Leaf { next, entries: le },
                 ZNode::Leaf {
-                    next: lnext,
-                    entries: mut le,
-                },
-                ZNode::Leaf {
-                    entries: mut re, ..
+                    next: rnext,
+                    entries: re,
                 },
             ) => {
-                if le.len() + re.len() <= LEAF_CAPACITY {
-                    // Merge right into left; left inherits right's chain link.
-                    let rnext = {
-                        // lnext currently points at right; right.next is what
-                        // we need. Re-read is avoided: decode again above
-                        // moved it, so re-fetch right's next from the page.
-                        match self.read_node(right_id)? {
-                            ZNode::Leaf { next, .. } => next,
-                            _ => unreachable!("sibling levels match"),
-                        }
-                    };
-                    le.append(&mut re);
-                    let merged = ZNode::Leaf {
-                        next: rnext,
-                        entries: le,
-                    };
-                    entries[left_idx].min_key = merged.min_key().expect("non-empty merge");
-                    entries[left_idx].mbr = self.node_mbr(&merged).expect("non-empty merge");
-                    self.write_node(left_id, &merged)?;
-                    self.free_node(right_id)?;
-                    entries.remove(right_idx);
-                } else if le.len() < re.len() {
-                    // Borrow the first entry of the right sibling.
-                    le.push(re.remove(0));
-                    let l = ZNode::Leaf {
-                        next: lnext,
-                        entries: le,
-                    };
-                    let rnext = match self.read_node(right_id)? {
-                        ZNode::Leaf { next, .. } => next,
-                        _ => unreachable!(),
-                    };
-                    let r = ZNode::Leaf {
-                        next: rnext,
-                        entries: re,
-                    };
-                    self.update_pair(entries, left_idx, right_idx, &l, &r)?;
-                    self.write_node(left_id, &l)?;
-                    self.write_node(right_id, &r)?;
-                } else {
-                    // Borrow the last entry of the left sibling.
-                    re.insert(0, le.pop().expect("left sibling non-empty"));
-                    let l = ZNode::Leaf {
-                        next: lnext,
-                        entries: le,
-                    };
-                    let rnext = match self.read_node(right_id)? {
-                        ZNode::Leaf { next, .. } => next,
-                        _ => unreachable!(),
-                    };
-                    let r = ZNode::Leaf {
-                        next: rnext,
-                        entries: re,
-                    };
-                    self.update_pair(entries, left_idx, right_idx, &l, &r)?;
-                    self.write_node(left_id, &l)?;
-                    self.write_node(right_id, &r)?;
+                let merged = redistribute(le, re, capacity);
+                if merged {
+                    // Left inherits right's chain link.
+                    *next = *rnext;
                 }
+                merged
             }
-            (
-                ZNode::Inner {
-                    level,
-                    entries: mut le,
-                },
-                ZNode::Inner {
-                    entries: mut re, ..
-                },
-            ) => {
-                if le.len() + re.len() <= INNER_CAPACITY {
-                    le.append(&mut re);
-                    let merged = ZNode::Inner { level, entries: le };
-                    entries[left_idx].min_key = merged.min_key().expect("non-empty merge");
-                    entries[left_idx].mbr = self.node_mbr(&merged).expect("non-empty merge");
-                    self.write_node(left_id, &merged)?;
-                    self.free_node(right_id)?;
-                    entries.remove(right_idx);
-                } else if le.len() < re.len() {
-                    le.push(re.remove(0));
-                    let l = ZNode::Inner { level, entries: le };
-                    let r = ZNode::Inner { level, entries: re };
-                    self.update_pair(entries, left_idx, right_idx, &l, &r)?;
-                    self.write_node(left_id, &l)?;
-                    self.write_node(right_id, &r)?;
-                } else {
-                    re.insert(0, le.pop().expect("left sibling non-empty"));
-                    let l = ZNode::Inner { level, entries: le };
-                    let r = ZNode::Inner { level, entries: re };
-                    self.update_pair(entries, left_idx, right_idx, &l, &r)?;
-                    self.write_node(left_id, &l)?;
-                    self.write_node(right_id, &r)?;
-                }
+            (ZNode::Inner { entries: le, .. }, ZNode::Inner { entries: re, .. }) => {
+                redistribute(le, re, capacity)
             }
-            _ => unreachable!("siblings are on the same level"),
+            _ => return Err(corrupt(right_id, "siblings of different kinds")),
+        };
+        entries[left_idx] = self.entry_of(left_id, &left);
+        self.write_node(left_id, &left)?;
+        if merged {
+            self.free_node(right_id)?;
+            entries.remove(right_idx);
+        } else {
+            entries[right_idx] = self.entry_of(right_id, &right);
+            self.write_node(right_id, &right)?;
         }
-        Ok(())
-    }
-
-    fn update_pair(
-        &self,
-        entries: &mut [InnerEntry],
-        left_idx: usize,
-        right_idx: usize,
-        l: &ZNode,
-        r: &ZNode,
-    ) -> Result<()> {
-        entries[left_idx].min_key = l.min_key().expect("non-empty");
-        entries[left_idx].mbr = self.node_mbr(l).expect("non-empty");
-        entries[right_idx].min_key = r.min_key().expect("non-empty");
-        entries[right_idx].mbr = self.node_mbr(r).expect("non-empty");
         Ok(())
     }
 
     // ---- queries ---------------------------------------------------------
 
     /// Finds the leaf that would hold `key` and returns its page id. Every
-    /// step descends at least one level, so a hostile child pointer ends
-    /// the walk as [`StorageError::Corrupt`] instead of a loop.
+    /// step descends one level ([`Self::read_node_at`]), so a hostile child
+    /// pointer ends the walk as [`StorageError::Corrupt`] instead of a loop.
     fn find_leaf(&mut self, key: Key) -> Result<PageId> {
-        let mut node_id = self.root;
-        let mut parent_level = None;
+        let (mut node_id, mut level) = (self.root, self.height);
         loop {
-            let node = self.read_node(node_id)?;
-            if parent_level.is_some_and(|above| node.level() >= above) {
-                return Err(corrupt(node_id, "child level not below its parent's"));
-            }
-            match node {
+            match self.read_node_at(node_id, level)? {
                 ZNode::Leaf { .. } => return Ok(node_id),
-                ZNode::Inner { level, entries } => {
-                    let idx = match entries.binary_search_by_key(&key, |e| e.min_key) {
-                        Ok(i) => i,
-                        Err(0) => 0,
-                        Err(i) => i - 1,
-                    };
-                    let Some(entry) = entries.get(idx) else {
-                        return Err(corrupt(node_id, "inner node without entries"));
-                    };
-                    parent_level = Some(level);
-                    node_id = entry.child;
+                ZNode::Inner { entries, .. } => {
+                    node_id = entries[child_index(&entries, key)].child;
+                    level -= 1;
                 }
             }
         }
@@ -793,16 +629,16 @@ impl<S: PageStore> ZBTree<S> {
         let mut inner_pages = 0usize;
         let mut leaf_pages = 0usize;
         let mut entries_total = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+        let mut stack = vec![(self.root, self.height)];
+        while let Some((id, level)) = stack.pop() {
+            match self.read_node_at(id, level)? {
                 ZNode::Leaf { entries, .. } => {
                     leaf_pages += 1;
                     entries_total += entries.len();
                 }
                 ZNode::Inner { entries, .. } => {
                     inner_pages += 1;
-                    stack.extend(entries.iter().map(|e| e.child));
+                    stack.extend(entries.iter().map(|e| (e.child, level - 1)));
                 }
             }
         }
@@ -823,10 +659,6 @@ impl<S: PageStore> ZBTree<S> {
         let mut leaves_in_order = Vec::new();
         let mut total = 0usize;
         let root = self.root;
-        let root_node = self.read_node(root)?;
-        if root_node.level() != self.height {
-            return Err(corrupt(root, "root level != height"));
-        }
         self.validate_rec(
             root,
             self.height,
@@ -873,10 +705,7 @@ impl<S: PageStore> ZBTree<S> {
         leaves: &mut Vec<PageId>,
         total: &mut usize,
     ) -> Result<Option<Rect>> {
-        let node = self.read_node(node_id)?;
-        if node.level() != expected_level {
-            return Err(corrupt(node_id, "level mismatch"));
-        }
+        let node = self.read_node_at(node_id, expected_level)?;
         if let (Some(expected), Some(actual)) = (expected_min, node.min_key()) {
             if expected != actual {
                 return Err(corrupt(node_id, "min_key annotation mismatch"));
@@ -951,6 +780,41 @@ fn corrupt(id: PageId, reason: impl Into<String>) -> StorageError {
         id,
         reason: reason.into(),
     }
+}
+
+/// The child of an inner node whose subtree would hold `key`: the last
+/// entry whose minimum is at most `key`, the leftmost for a key below all.
+fn child_index(entries: &[InnerEntry], key: Key) -> usize {
+    match entries.binary_search_by_key(&key, |e| e.min_key) {
+        Ok(i) => i,
+        Err(i) => i.saturating_sub(1),
+    }
+}
+
+/// The fewest entries a non-root node at `level` may hold.
+fn min_fill(level: u8) -> usize {
+    if level == 1 {
+        LEAF_CAPACITY / 2
+    } else {
+        INNER_CAPACITY / 2
+    }
+}
+
+/// Evens out the entries of two siblings, `left` before `right`, whose
+/// nodes hold `capacity` entries. If both fit one node, `right` is appended
+/// to `left` and `true` (merged) returned; otherwise the longer list gives
+/// its entry nearest the boundary to the shorter one.
+fn redistribute<T>(left: &mut Vec<T>, right: &mut Vec<T>, capacity: usize) -> bool {
+    if left.len() + right.len() <= capacity {
+        left.append(right);
+        return true;
+    }
+    if left.len() < right.len() {
+        left.push(right.remove(0));
+    } else if let Some(last) = left.pop() {
+        right.insert(0, last);
+    }
+    false
 }
 
 /// Splits `len` elements into chunks of roughly `target` while keeping
@@ -1081,6 +945,30 @@ mod tests {
         assert_eq!(t.len(), 500);
         let w = Rect::new(0.0, 0.0, 1.0, 1.0);
         assert_eq!(t.window_query(w).unwrap().len(), 500);
+    }
+
+    /// A delete on a height-3 tree reads the root-to-leaf path and then the
+    /// root once more (4 pages); one that rebalances the leaf also reads its
+    /// two siblings, each once: 6 pages.
+    #[test]
+    fn leaf_rebalance_reads_each_sibling_once() {
+        let points = scatter(2000);
+        let mut t = ZBTree::bulk_load(DiskManager::new(), bounds(), &points).unwrap();
+        assert_eq!(t.height(), 3);
+        let mut reads = Vec::new();
+        for &(id, p) in &points {
+            let before = t.store().stats().reads;
+            assert!(t.delete(id, &p).unwrap());
+            reads.push(t.store().stats().reads - before);
+            if reads.last() != Some(&4) {
+                break;
+            }
+        }
+        // The first delete that did more than walk the path rebalanced a
+        // leaf; the tree is still three levels tall.
+        assert_eq!(reads.last(), Some(&6), "delete {} of the run", reads.len());
+        assert_eq!(t.height(), 3);
+        t.validate().unwrap();
     }
 
     #[test]

@@ -411,9 +411,9 @@ fn committed_json_reprints_byte_for_byte() {
 }
 
 /// `BENCH_replacement.json` meets its bars — every policy reads the same
-/// pages, and the arena strictly beats plain ASB on both phase-change
-/// workloads within the documented regret bound — and is what the code
-/// produces today, byte for byte.
+/// pages and misses no less than OPT, and the arena strictly beats plain
+/// ASB on both phase-change workloads within the documented regret bound —
+/// and is what the code produces today, byte for byte.
 #[test]
 fn committed_replacement_bench_is_current() {
     let bench = replacement_bench().expect("replacement bench");
@@ -445,6 +445,9 @@ fn committed_replacement_bench_is_current() {
             "{db}: the arena never switched"
         );
         assert_eq!((lru.regret, asb.authority_switches), (0, 0), "{db}");
+        for row in [lru, asb, arena] {
+            assert!(row.vs_opt >= 0, "{db}/{}: below OPT", row.policy);
+        }
     }
     assert_committed_is_current("BENCH_replacement.json", &bench);
 }

@@ -354,6 +354,65 @@ fn zbtree_leaf_chain_cycle_is_corrupt() {
     assert_corrupt("validate", validate);
 }
 
+/// Overwrites every page of `store` whose metadata puts it at `level` with
+/// `forge(root)`, where `root` is the one page at the top level.
+fn forge_level(store: &mut DiskManager, level: u8, forge: impl Fn(PageId) -> Vec<u8>) {
+    let top = store
+        .iter_pages()
+        .map(|p| p.meta.level)
+        .max()
+        .expect("pages");
+    assert!(top > level, "the tree must stand above level {level}");
+    let root = store.iter_pages().find(|p| p.meta.level == top);
+    let root = root.expect("a root").id;
+    let victims: Vec<PageId> = store
+        .iter_pages()
+        .filter(|p| p.meta.level == level)
+        .map(|p| p.id)
+        .collect();
+    for id in victims {
+        store
+            .write(page_at(id, &forge(root)))
+            .expect("forge a page");
+    }
+}
+
+/// A root that names itself as its child, and a three-level tree whose
+/// level-2 pages name the root: both are refused by every write path and
+/// whole-tree walk, where a descent that does not check levels recurses
+/// until the stack overflows.
+#[test]
+fn zbtree_writes_refuse_a_child_at_the_wrong_level() {
+    let self_named = || forged_zbtree(|root, _| [zinner(2, &[root]), zleaf(None)]);
+    let tall = || {
+        let points: Vec<(u64, Point)> = (0..2000u64)
+            .map(|i| {
+                (
+                    i,
+                    Point::new((i % 50) as f64 / 50.0, (i / 50) as f64 / 40.0),
+                )
+            })
+            .collect();
+        let mut tree = ZBTree::bulk_load(DiskManager::new(), unit(), &points).expect("bulk load");
+        assert_eq!(tree.height(), 3);
+        forge_level(tree.store_mut(), 2, |root| zinner(2, &[root]));
+        tree
+    };
+    for forged in [self_named as fn() -> ZBTree, tall] {
+        let results = terminates(move || {
+            let at = Point::new(0.0, 0.0);
+            [
+                ("insert", forged().insert(0, at)),
+                ("delete", forged().delete(0, &at).map(drop)),
+                ("stats", forged().stats().map(drop)),
+            ]
+        });
+        for (what, got) in results {
+            assert_corrupt(what, got);
+        }
+    }
+}
+
 /// An R\*-tree directory page at `level` over `children`, each entry with
 /// the unit square as its MBR.
 fn rdir(level: u8, children: &[PageId]) -> Vec<u8> {
@@ -454,6 +513,37 @@ fn rtree_empty_node_in_a_spatial_join_is_corrupt() {
         spatial_join(&mut tall, &mut emptied)
     });
     assert_corrupt("spatial join", got);
+}
+
+/// The R\*-tree twin of `zbtree_writes_refuse_a_child_at_the_wrong_level`,
+/// with `assign_object_pages` beside `stats` as the second whole-tree walk.
+#[test]
+fn rtree_writes_refuse_a_child_at_the_wrong_level() {
+    let self_named = || forged_rtree(|[root]| [rdir(2, &[root])]);
+    let tall = || {
+        let items: Vec<SpatialItem> = (0..100).map(|i| SpatialItem::new(i, unit())).collect();
+        let mut tree = RTree::bulk_load_with(DiskManager::new(), RTreeConfig::small(), &items)
+            .expect("bulk load");
+        assert_eq!(tree.height(), 3);
+        forge_level(tree.store_mut(), 2, |root| rdir(2, &[root]));
+        tree
+    };
+    for forged in [self_named as fn() -> RTree, tall] {
+        let results = terminates(move || {
+            [
+                ("insert", forged().insert(SpatialItem::new(500, unit()))),
+                ("delete", forged().delete(1, &unit()).map(drop)),
+                ("stats", forged().stats().map(drop)),
+                (
+                    "assign object pages",
+                    forged().assign_object_pages(|_| None),
+                ),
+            ]
+        });
+        for (what, got) in results {
+            assert_corrupt(what, got);
+        }
+    }
 }
 
 /// An empty quadtree page at `depth` with these `children` and `next`

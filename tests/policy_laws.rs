@@ -2,10 +2,16 @@
 //! implementation must respect.
 
 use asb::buffer::{ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, SpatialCriterion};
+use asb::exp::Trace;
 use asb::geom::{Rect, SpatialStats};
 use asb::storage::{AccessContext, DiskManager, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::path::Path;
+
+mod common;
+use common::policies;
 
 fn build_disk(pages: u64) -> (DiskManager, Vec<PageId>) {
     let mut disk = DiskManager::new();
@@ -472,5 +478,100 @@ proptest! {
             retained <= bound,
             "retained history {retained} exceeds bound {bound}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Belady's OPT: the floor under every policy.
+// ---------------------------------------------------------------------------
+
+/// A trace of `accesses` alone: OPT reads no page metadata.
+fn bare_trace(accesses: Vec<(u64, u64)>) -> Trace {
+    Trace {
+        label: String::new(),
+        pages: Vec::new().into(),
+        accesses,
+    }
+}
+
+fn distinct_pages(trace: &Trace) -> u64 {
+    let pages: HashSet<u64> = trace.accesses.iter().map(|&(p, _)| p).collect();
+    pages.len() as u64
+}
+
+/// The four committed traces, by file stem.
+fn golden_traces() -> Vec<(&'static str, Trace)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    ["mainland", "world", "phase_mainland", "phase_world"]
+        .into_iter()
+        .map(|name| {
+            let trace = Trace::load(dir.join(format!("{name}.trace")));
+            (name, trace.unwrap_or_else(|e| panic!("{name}: {e}")))
+        })
+        .collect()
+}
+
+/// Bélády's own example: the reference string whose FIFO misses grow with
+/// the buffer (9 at 3 frames, 10 at 4) costs OPT 7 and 6.
+#[test]
+fn opt_on_beladys_string() {
+    let string = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5];
+    let trace = bare_trace(string.iter().map(|&p| (p, 0)).collect());
+    assert_eq!(trace.opt_misses(3), 7);
+    assert_eq!(trace.opt_misses(4), 6);
+}
+
+/// No policy misses less than OPT on the committed traces, and a buffer
+/// that holds every page leaves OPT only the compulsory misses. The counts
+/// agree with an independent model of Belady's algorithm run over the
+/// same files.
+#[test]
+fn opt_is_a_floor_on_the_committed_traces() {
+    let expected = [
+        ("mainland", 56, 49),
+        ("world", 25, 22),
+        ("phase_mainland", 149, 72),
+        ("phase_world", 113, 26),
+    ];
+    for ((name, trace), (want_name, at_12, compulsory)) in golden_traces().into_iter().zip(expected)
+    {
+        assert_eq!(name, want_name);
+        assert_eq!(trace.opt_misses(12), at_12, "{name}: OPT at 12 frames");
+        let distinct = distinct_pages(&trace);
+        assert_eq!(distinct, compulsory, "{name}: distinct pages");
+        for capacity in [distinct as usize, distinct as usize + 5] {
+            assert_eq!(trace.opt_misses(capacity), distinct, "{name} at {capacity}");
+        }
+        for capacity in [4, 12] {
+            let opt = trace.opt_misses(capacity);
+            for (label, policy) in policies() {
+                let misses = trace.replay(policy, capacity).expect("replay").stats.misses;
+                assert!(
+                    opt <= misses,
+                    "{name}: {label} missed {misses} < OPT {opt} at {capacity} frames"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// OPT is a floor under every policy on arbitrary traces too, and
+    /// never below the compulsory misses.
+    #[test]
+    fn opt_is_a_floor_on_random_traces(
+        trace in prop::collection::vec((0usize..40, 0u64..10), 1..300),
+        capacity in 1usize..30,
+    ) {
+        let (_, ids) = build_disk(40);
+        let bare = bare_trace(trace.iter().map(|&(slot, q)| (slot as u64, q)).collect());
+        let opt = bare.opt_misses(capacity);
+        prop_assert!(opt >= distinct_pages(&bare));
+        for (label, policy) in policies() {
+            let m = misses(policy, capacity, &trace, &ids);
+            prop_assert!(opt <= m, "{}: {} misses < OPT {}", label, m, opt);
+        }
     }
 }
