@@ -8,31 +8,32 @@
 //! Without `--figure`, every data figure (4–9, 12–14) is produced. Text
 //! tables go to stdout; `--json` additionally writes the structured tables.
 
+use asb_exp::cli::{self, Args};
 use asb_exp::{extension, figure, Lab, EXTENSIONS, FIGURE_IDS};
 use asb_workload::Scale;
 use std::process::ExitCode;
 
-struct Args {
-    figures: Vec<u8>,
-    extensions: Vec<String>,
-    scale: Scale,
-    seed: u64,
-    json: Option<String>,
+/// One requested table set.
+enum Job {
+    Figure(u8),
+    Extension(String),
 }
 
-fn parse_args() -> Result<Args, String> {
+fn main() -> ExitCode {
+    cli::main(repro)
+}
+
+fn repro(mut args: Args) -> Result<(), String> {
     let mut figures = Vec::new();
     let mut extensions = Vec::new();
     let mut scale = Scale::Medium;
     let mut seed = 42u64;
     let mut json = None;
     let ext_names: Vec<&str> = EXTENSIONS.iter().map(|(name, _)| *name).collect();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--figure" | "-f" => {
-                let v = it.next().ok_or("--figure needs a number")?;
-                let id: u8 = v.parse().map_err(|_| format!("bad figure id: {v}"))?;
+                let id: u8 = args.parse(&arg)?;
                 if !FIGURE_IDS.contains(&id) {
                     return Err(format!(
                         "figure {id} has no data; available: {FIGURE_IDS:?} \
@@ -42,7 +43,7 @@ fn parse_args() -> Result<Args, String> {
                 figures.push(id);
             }
             "--ext" | "-e" => {
-                let v = it.next().ok_or("--ext needs a name")?;
+                let v = args.value(&arg)?;
                 if v != "all" && !ext_names.contains(&v.as_str()) {
                     return Err(format!(
                         "unknown extension {v}; available: {ext_names:?} or 'all'"
@@ -50,17 +51,9 @@ fn parse_args() -> Result<Args, String> {
                 }
                 extensions.push(v);
             }
-            "--scale" | "-s" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = Scale::from_name(&v).ok_or(format!("unknown scale: {v}"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
-            }
-            "--json" => {
-                json = Some(it.next().ok_or("--json needs a path")?);
-            }
+            "--scale" | "-s" => scale = args.scale(&arg)?,
+            "--seed" => seed = args.parse(&arg)?,
+            "--json" => json = Some(args.value(&arg)?),
             "--help" | "-h" => {
                 println!(
                     "repro — regenerate the figures of Brinkhoff, EDBT 2002\n\n\
@@ -69,50 +62,33 @@ fn parse_args() -> Result<Args, String> {
                      Data figures: {FIGURE_IDS:?}\n\
                      Extensions: {ext_names:?} or 'all'"
                 );
-                std::process::exit(0);
+                return Ok(());
             }
-            other => return Err(format!("unknown argument: {other}")),
+            other => return Err(cli::unknown(other)),
         }
     }
     if figures.is_empty() && extensions.is_empty() {
         figures = FIGURE_IDS.to_vec();
     }
-    Ok(Args {
-        figures,
-        extensions,
-        scale,
-        seed,
-        json,
-    })
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "# reproducing figures {:?} at scale {:?} (seed {})",
-        args.figures, args.scale, args.seed
-    );
-    let mut lab = Lab::new(args.scale, args.seed);
+    eprintln!("# reproducing figures {figures:?} at scale {scale:?} (seed {seed})");
+    let mut lab = Lab::new(scale, seed);
+    let jobs = figures.into_iter().map(Job::Figure);
     let mut all = Vec::new();
-    for &id in &args.figures {
+    for job in jobs.chain(extensions.into_iter().map(Job::Extension)) {
         // Real elapsed time is reported next to simulated time by design.
         #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
-        let tables = match figure(id, &mut lab) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: figure {id} failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        let (what, tables) = match job {
+            Job::Figure(id) => (format!("figure {id}"), figure(id, &mut lab)),
+            Job::Extension(name) => (
+                format!("extension {name}"),
+                extension(&name, scale, seed)
+                    .map(|t| t.expect("extension names validated during parsing")),
+            ),
         };
+        let tables = tables.map_err(|e| format!("{what} failed: {e}"))?;
         eprintln!(
-            "# figure {id}: {} table(s) in {:.1?}",
+            "# {what}: {} table(s) in {:.1?}",
             tables.len(),
             started.elapsed()
         );
@@ -121,38 +97,12 @@ fn main() -> ExitCode {
         }
         all.extend(tables);
     }
-    for name in &args.extensions {
-        // Real elapsed time is reported next to simulated time by design.
-        #[allow(clippy::disallowed_methods)]
-        let started = std::time::Instant::now();
-        let tables = match extension(name, args.scale, args.seed) {
-            Ok(t) => t.expect("extension names validated during parsing"),
-            Err(e) => {
-                eprintln!("error: extension {name} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        eprintln!(
-            "# extension {name}: {} table(s) in {:.1?}",
-            tables.len(),
-            started.elapsed()
-        );
-        for t in &tables {
-            println!("{}", t.render_text());
-        }
-        all.extend(tables);
-    }
-    if let Some(path) = args.json {
-        match serde_json::to_string_pretty(&all)
+    if let Some(path) = json {
+        serde_json::to_string_pretty(&all)
             .map_err(|e| e.to_string())
             .and_then(|s| std::fs::write(&path, s).map_err(|e| e.to_string()))
-        {
-            Ok(()) => eprintln!("# wrote {} tables to {path}", all.len()),
-            Err(e) => {
-                eprintln!("error writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("# wrote {} tables to {path}", all.len());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

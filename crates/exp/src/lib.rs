@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 mod bench;
+pub mod cli;
 mod crash;
 mod ext;
 mod figures;
