@@ -1,13 +1,18 @@
 //! Reference-model differential test for the buffer.
 //!
-//! A deliberately naive LRU write-back cache — a `HashMap` of frames, a
-//! `Vec` for recency, a `HashMap` standing in for the disk; no guards, no
-//! shards, no WAL, no retries — is driven in lockstep with a
+//! A deliberately naive write-back cache — a `HashMap` of frames, a `Vec`
+//! for the replacement order, a `HashMap` standing in for the disk; no
+//! guards, no shards, no WAL, no retries — is driven in lockstep with a
 //! [`BufferManager`] and a one-shard [`ShardedBuffer`] under random
 //! fetch / write-through / write-buffered / flush / free / poison
 //! sequences. After every step the three must agree on what a read
 //! returned (or how it failed) and whether it hit, on the resident set and
 //! dirty count, on the counters, and on the contents of the backing store.
+//!
+//! The model knows three victim rules: LRU, FIFO and CLOCK (a hand sweeping
+//! the order, clearing reference bits). Every case runs `Lru`, `Fifo`,
+//! `Clock`, `LruT` and `LruP`; with one page type and one level, LRU-T and
+//! LRU-P must decide like LRU.
 //!
 //! `Poison` is in-memory rot (`poison_frame`). The model's rule for it: a
 //! rotten *clean* frame is as good as absent — the next read of it misses
@@ -60,14 +65,34 @@ impl Frame {
     }
 }
 
-/// The reference: LRU replacement over a write-back cache, nothing else.
+/// How the model picks a victim.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Rule {
+    #[default]
+    Lru,
+    Fifo,
+    Clock,
+}
+
+/// Each policy under test and the rule it must follow here.
+const POLICIES: [(PolicyKind, Rule); 5] = [
+    (PolicyKind::Lru, Rule::Lru),
+    (PolicyKind::Fifo, Rule::Fifo),
+    (PolicyKind::Clock, Rule::Clock),
+    (PolicyKind::LruT, Rule::Lru),
+    (PolicyKind::LruP, Rule::Lru),
+];
+
+/// The reference: one victim rule over a write-back cache, nothing else.
 #[derive(Default)]
 struct Model {
+    rule: Rule,
     capacity: usize,
     /// Resident frames by slot.
     frames: HashMap<usize, Frame>,
-    /// Resident slots, least recently used first.
-    lru: Vec<usize>,
+    /// Resident slots with their reference bits, next victim first: least
+    /// recently used (LRU), first admitted (FIFO), under the hand (CLOCK).
+    order: Vec<(usize, bool)>,
     /// The backing store: live slots → payload byte.
     disk: HashMap<usize, u8>,
     hits: u64,
@@ -80,9 +105,23 @@ struct Model {
 }
 
 impl Model {
+    /// The next victim. CLOCK's hand passes referenced slots, clearing
+    /// their bits, and the sweep stands even if the eviction then fails.
+    fn victim(&mut self) -> usize {
+        while self.rule == Rule::Clock && self.order[0].1 {
+            let (slot, _) = self.order.remove(0);
+            self.order.push((slot, false));
+        }
+        self.order[0].0
+    }
+
+    fn forget(&mut self, slot: usize) {
+        self.order.retain(|&(s, _)| s != slot);
+    }
+
     fn admit(&mut self, slot: usize, byte: u8, dirty: bool) -> Result<(), Fault> {
         if self.frames.len() >= self.capacity {
-            let victim = self.lru[0];
+            let victim = self.victim();
             let frame = self.frames[&victim];
             if frame.dirty && frame.rotten {
                 self.corruptions += 1;
@@ -94,11 +133,11 @@ impl Model {
                 self.writebacks += 1;
             }
             self.frames.remove(&victim);
-            self.lru.remove(0);
+            self.order.remove(0);
             self.evicted += 1;
         }
         self.frames.insert(slot, Frame::written(byte, dirty));
-        self.lru.push(slot);
+        self.order.push((slot, false));
         Ok(())
     }
 
@@ -107,8 +146,15 @@ impl Model {
         match self.frames.get(&slot).copied() {
             Some(frame) if !frame.rotten => {
                 self.hits += 1;
-                self.lru.retain(|&s| s != slot);
-                self.lru.push(slot);
+                let at = self.order.iter().position(|&(s, _)| s == slot).unwrap();
+                match self.rule {
+                    Rule::Lru => {
+                        let entry = self.order.remove(at);
+                        self.order.push(entry);
+                    }
+                    Rule::Fifo => {}
+                    Rule::Clock => self.order[at].1 = true,
+                }
                 return Ok((frame.byte, true));
             }
             Some(frame) => {
@@ -119,7 +165,7 @@ impl Model {
                     return Err(Fault::DirtyRot(slot));
                 }
                 self.frames.remove(&slot);
-                self.lru.retain(|&s| s != slot);
+                self.forget(slot);
             }
             None => {}
         }
@@ -169,7 +215,7 @@ impl Model {
     fn free(&mut self, slot: usize) {
         self.disk.remove(&slot);
         self.frames.remove(&slot);
-        self.lru.retain(|&s| s != slot);
+        self.forget(slot);
     }
 
     /// Whether a frame was there to poison. `poison_frame` flips the
@@ -247,89 +293,122 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..250),
         capacity in 1usize..9,
     ) {
-        let ctx = AccessContext::default();
-        let (mut disk, ids) = build_disk();
-        let mut manager = BufferManager::with_policy(PolicyKind::Lru, capacity);
-        let pool = ShardedBuffer::new(build_disk().0, PolicyKind::Lru, capacity, 1);
-        let mut model = Model {
-            capacity,
-            disk: (0..SLOTS).map(|i| (i, i as u8)).collect(),
-            ..Model::default()
-        };
-
-        for (step, &op) in ops.iter().enumerate() {
-            match op {
-                Op::Fetch(slot) => {
-                    let id = ids[slot];
-                    let hits_before = manager.stats().hits;
-                    let seq = manager
-                        .fetch(&mut disk, id, ctx)
-                        .map(|g| (g.payload[0], manager.stats().hits > hits_before))
-                        .map_err(|e| fault(&ids, e));
-                    let pooled = pool
-                        .fetch_classified(id, ctx)
-                        .map(|(g, hit)| (g.payload[0], hit))
-                        .map_err(|e| fault(&ids, e));
-                    let expected = model.fetch(slot);
-                    prop_assert_eq!(&seq, &expected, "step {}: {:?}", step, op);
-                    prop_assert_eq!(&pooled, &expected, "step {}: {:?}", step, op);
-                }
-                // Writes to a freed page are not part of the model.
-                Op::WriteThrough(slot, _) | Op::WriteBuffered(slot, _)
-                    if !model.disk.contains_key(&slot) => {}
-                Op::WriteThrough(slot, byte) => {
-                    manager.write_through(&mut disk, page(ids[slot], byte)).unwrap();
-                    pool.write(page(ids[slot], byte)).unwrap();
-                    model.write_through(slot, byte);
-                }
-                Op::WriteBuffered(slot, byte) => {
-                    let seq = manager.write_buffered(&mut disk, page(ids[slot], byte));
-                    let pooled = pool.write_buffered(page(ids[slot], byte));
-                    let expected = model.write_buffered(slot, byte);
-                    prop_assert_eq!(&seq.map_err(|e| fault(&ids, e)), &expected, "step {}", step);
-                    prop_assert_eq!(&pooled.map_err(|e| fault(&ids, e)), &expected, "step {}", step);
-                }
-                Op::Flush => {
-                    let expected = model.flush();
-                    prop_assert_eq!(stuck(&ids, manager.flush(&mut disk)), &expected[..]);
-                    prop_assert_eq!(stuck(&ids, pool.flush()), &expected[..], "step {}", step);
-                }
-                Op::Free(slot) if !model.disk.contains_key(&slot) => {}
-                Op::Free(slot) => {
-                    manager.free_through(&mut disk, ids[slot]).unwrap();
-                    pool.free(ids[slot]).unwrap();
-                    model.free(slot);
-                }
-                Op::Poison(slot) => {
-                    let expected = model.poison(slot);
-                    prop_assert_eq!(manager.poison_frame(ids[slot]), expected, "step {}", step);
-                    prop_assert_eq!(pool.poison_frame(ids[slot]), expected, "step {}", step);
-                }
-            }
-
-            for (slot, &id) in ids.iter().enumerate() {
-                let resident = model.frames.contains_key(&slot);
-                prop_assert_eq!(manager.contains(id), resident, "step {}: slot {}", step, slot);
-                prop_assert_eq!(pool.contains(id), resident, "step {}: slot {}", step, slot);
-                let stored = model.disk.get(&slot).copied();
-                prop_assert_eq!(disk.peek(id).ok().map(|p| p.payload[0]), stored);
-                let pooled = pool.with_store(|s| s.peek(id).ok().map(|p| p.payload[0]));
-                prop_assert_eq!(pooled.unwrap(), stored, "step {}: slot {}", step, slot);
-            }
-            prop_assert_eq!(manager.dirty_count(), model.dirty(), "step {}", step);
-            prop_assert_eq!(pool.dirty_count(), model.dirty(), "step {}", step);
-            let stats = manager.stats();
-            prop_assert_eq!(stats, pool.stats(), "step {}", step);
-            prop_assert_eq!(
-                (stats.hits, stats.misses, stats.evictions, stats.writebacks),
-                (model.hits, model.misses, model.evicted, model.writebacks),
-                "step {}: {:?}", step, op
-            );
-            prop_assert_eq!(
-                (stats.corruptions, stats.failed_evictions, stats.give_ups),
-                (model.corruptions, model.failed_evictions, model.give_ups),
-                "step {}: {:?}", step, op
-            );
+        for (kind, rule) in POLICIES {
+            lockstep(kind, rule, &ops, capacity)
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
         }
     }
+}
+
+/// Drives `kind` in a manager and a one-shard pool beside the model
+/// following `rule`, checking agreement after every operation.
+fn lockstep(
+    kind: PolicyKind,
+    rule: Rule,
+    ops: &[Op],
+    capacity: usize,
+) -> Result<(), TestCaseError> {
+    let ctx = AccessContext::default();
+    let (mut disk, ids) = build_disk();
+    let mut manager = BufferManager::with_policy(kind, capacity);
+    let pool = ShardedBuffer::new(build_disk().0, kind, capacity, 1);
+    let mut model = Model {
+        rule,
+        capacity,
+        disk: (0..SLOTS).map(|i| (i, i as u8)).collect(),
+        ..Model::default()
+    };
+
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Fetch(slot) => {
+                let id = ids[slot];
+                let hits_before = manager.stats().hits;
+                let seq = manager
+                    .fetch(&mut disk, id, ctx)
+                    .map(|g| (g.payload[0], manager.stats().hits > hits_before))
+                    .map_err(|e| fault(&ids, e));
+                let pooled = pool
+                    .fetch_classified(id, ctx)
+                    .map(|(g, hit)| (g.payload[0], hit))
+                    .map_err(|e| fault(&ids, e));
+                let expected = model.fetch(slot);
+                prop_assert_eq!(&seq, &expected, "step {}: {:?}", step, op);
+                prop_assert_eq!(&pooled, &expected, "step {}: {:?}", step, op);
+            }
+            // Writes to a freed page are not part of the model.
+            Op::WriteThrough(slot, _) | Op::WriteBuffered(slot, _)
+                if !model.disk.contains_key(&slot) => {}
+            Op::WriteThrough(slot, byte) => {
+                manager
+                    .write_through(&mut disk, page(ids[slot], byte))
+                    .unwrap();
+                pool.write(page(ids[slot], byte)).unwrap();
+                model.write_through(slot, byte);
+            }
+            Op::WriteBuffered(slot, byte) => {
+                let seq = manager.write_buffered(&mut disk, page(ids[slot], byte));
+                let pooled = pool.write_buffered(page(ids[slot], byte));
+                let expected = model.write_buffered(slot, byte);
+                prop_assert_eq!(&seq.map_err(|e| fault(&ids, e)), &expected, "step {}", step);
+                prop_assert_eq!(
+                    &pooled.map_err(|e| fault(&ids, e)),
+                    &expected,
+                    "step {}",
+                    step
+                );
+            }
+            Op::Flush => {
+                let expected = model.flush();
+                prop_assert_eq!(stuck(&ids, manager.flush(&mut disk)), &expected[..]);
+                prop_assert_eq!(stuck(&ids, pool.flush()), &expected[..], "step {}", step);
+            }
+            Op::Free(slot) if !model.disk.contains_key(&slot) => {}
+            Op::Free(slot) => {
+                manager.free_through(&mut disk, ids[slot]).unwrap();
+                pool.free(ids[slot]).unwrap();
+                model.free(slot);
+            }
+            Op::Poison(slot) => {
+                let expected = model.poison(slot);
+                prop_assert_eq!(manager.poison_frame(ids[slot]), expected, "step {}", step);
+                prop_assert_eq!(pool.poison_frame(ids[slot]), expected, "step {}", step);
+            }
+        }
+
+        for (slot, &id) in ids.iter().enumerate() {
+            let resident = model.frames.contains_key(&slot);
+            prop_assert_eq!(
+                manager.contains(id),
+                resident,
+                "step {}: slot {}",
+                step,
+                slot
+            );
+            prop_assert_eq!(pool.contains(id), resident, "step {}: slot {}", step, slot);
+            let stored = model.disk.get(&slot).copied();
+            prop_assert_eq!(disk.peek(id).ok().map(|p| p.payload[0]), stored);
+            let pooled = pool.with_store(|s| s.peek(id).ok().map(|p| p.payload[0]));
+            prop_assert_eq!(pooled.unwrap(), stored, "step {}: slot {}", step, slot);
+        }
+        prop_assert_eq!(manager.dirty_count(), model.dirty(), "step {}", step);
+        prop_assert_eq!(pool.dirty_count(), model.dirty(), "step {}", step);
+        let stats = manager.stats();
+        prop_assert_eq!(stats, pool.stats(), "step {}", step);
+        prop_assert_eq!(
+            (stats.hits, stats.misses, stats.evictions, stats.writebacks),
+            (model.hits, model.misses, model.evicted, model.writebacks),
+            "step {}: {:?}",
+            step,
+            op
+        );
+        prop_assert_eq!(
+            (stats.corruptions, stats.failed_evictions, stats.give_ups),
+            (model.corruptions, model.failed_evictions, model.give_ups),
+            "step {}: {:?}",
+            step,
+            op
+        );
+    }
+    Ok(())
 }
