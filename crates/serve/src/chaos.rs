@@ -25,6 +25,7 @@
 //! byte. That test is the file's only writer, under `ASB_BLESS_GOLDEN=1`.
 
 use crate::bench::{bench_sessions, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_SEED};
+use crate::degrade::Outcome;
 use crate::engine::{serve, ServeConfig, ServeOutcome};
 use asb_core::{PolicyKind, ShardedBuffer};
 use asb_exp::GOLDEN_DBS;
@@ -93,7 +94,9 @@ pub struct ChaosCell {
     pub seed: u64,
     /// Requests completed (every request completes — nothing aborts).
     pub requests: u64,
-    /// Responses that matched the fault-free reference exactly.
+    /// Responses that completed [`Outcome::Exact`] (every wanted page
+    /// served; whether they match the fault-free reference is
+    /// [`wrong_answers`](Self::wrong_answers)' audit).
     pub exact: u64,
     /// Responses explicitly marked degraded.
     pub degraded: u64,
@@ -238,8 +241,8 @@ fn audit_responses(
             continue;
         };
         let ok = match r.outcome {
-            crate::degrade::Outcome::Exact => r.results == reference.results,
-            crate::degrade::Outcome::Degraded | crate::degrade::Outcome::DeadlineExceeded => {
+            Outcome::Exact => r.results == reference.results,
+            Outcome::Degraded | Outcome::DeadlineExceeded => {
                 match r.kind {
                     // Both sides sorted: two-pointer multiset inclusion.
                     "window" => {
@@ -310,9 +313,11 @@ pub fn chaos_sweep(seeds: &[u64], profiles: &[&str]) -> Result<ChaosBench> {
                     profile: profile.to_string(),
                     seed,
                     requests: r.requests,
-                    exact: r
-                        .requests
-                        .saturating_sub(r.degraded_requests + r.deadline_exceeded),
+                    exact: first
+                        .responses
+                        .iter()
+                        .filter(|x| x.outcome == Outcome::Exact)
+                        .count() as u64,
                     degraded: r.degraded_requests,
                     deadline_exceeded: r.deadline_exceeded,
                     breaker_opens: r.breaker_opens,

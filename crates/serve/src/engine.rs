@@ -23,7 +23,7 @@
 //! [`ServeOutcome`]s, which `tests/serve.rs` pins down.
 
 use crate::degrade::{CircuitBreaker, Outcome, Quarantine};
-use crate::histogram::LatencyHistogram;
+use crate::percentile::percentile;
 use asb_core::BufferPool;
 use asb_geom::Query;
 use asb_rtree::{NodeView, Search, TreeSnapshot};
@@ -111,29 +111,6 @@ pub struct Response {
     pub results: Vec<u64>,
 }
 
-/// Per-session aggregate statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct SessionStats {
-    /// Requests completed.
-    pub requests: u64,
-    /// Page accesses served from the buffer.
-    pub hits: u64,
-    /// Page accesses that read the store.
-    pub misses: u64,
-}
-
-impl SessionStats {
-    /// Buffer hit rate of this session's page accesses, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Aggregate result of a serve run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
@@ -145,7 +122,8 @@ pub struct ServeReport {
     pub batched_pages: u64,
     /// Simulated duration of the whole run, in ticks.
     pub duration_ticks: u64,
-    /// Median request latency in ticks.
+    /// Median request latency in ticks, rounded up to the top of its
+    /// log bucket like every percentile here ([`percentile()`]).
     pub p50_ticks: u64,
     /// 99th-percentile request latency in ticks.
     pub p99_ticks: u64,
@@ -164,11 +142,6 @@ pub struct ServeReport {
     pub breaker_opens: u64,
     /// Distinct pages quarantined at least once during the run.
     pub quarantined_pages: u64,
-    /// The full latency histogram (merge per-shard copies with
-    /// [`LatencyHistogram::merge`] when aggregating runs).
-    pub histogram: LatencyHistogram,
-    /// Per-session statistics, indexed like the input sessions.
-    pub sessions: Vec<SessionStats>,
 }
 
 /// Everything a serve run produced: the aggregate report plus every
@@ -276,8 +249,6 @@ pub fn serve(
     let mut now = 0u64;
     let mut next_qid = 1u64;
     let mut active: Vec<Active> = Vec::new();
-    let mut histogram = LatencyHistogram::new();
-    let mut session_stats = vec![SessionStats::default(); sessions.len()];
     let mut responses = Vec::new();
     let mut rounds = 0u64;
     let mut batched_pages = 0u64;
@@ -285,8 +256,6 @@ pub fn serve(
         .map(|_| CircuitBreaker::default())
         .collect();
     let mut quarantine = Quarantine::default();
-    let mut degraded_requests = 0u64;
-    let mut deadline_exceeded = 0u64;
 
     loop {
         // Admit every request that has arrived by now, in session order.
@@ -442,20 +411,12 @@ pub fn serve(
                 continue;
             }
             let outcome = if timed_out {
-                deadline_exceeded += 1;
                 Outcome::DeadlineExceeded
             } else if a.search.pruned() {
-                degraded_requests += 1;
                 Outcome::Degraded
             } else {
                 Outcome::Exact
             };
-            let latency = now - a.arrival;
-            histogram.record(latency);
-            let stats = &mut session_stats[a.session];
-            stats.requests += 1;
-            stats.hits += a.hits;
-            stats.misses += a.misses;
             if a.seq + 1 < sessions[a.session].len() {
                 let think = cfg.think_ticks / 2 + rngs[a.session].gen_range(0..=cfg.think_ticks);
                 pending[a.session] = Some((now + think, a.seq + 1));
@@ -466,7 +427,7 @@ pub fn serve(
                 kind: a.kind,
                 arrival: a.arrival,
                 completion: now,
-                latency,
+                latency: now - a.arrival,
                 hits: a.hits,
                 misses: a.misses,
                 outcome,
@@ -476,30 +437,33 @@ pub fn serve(
         active = still;
     }
 
-    let requests: u64 = session_stats.iter().map(|s| s.requests).sum();
-    let hits: u64 = session_stats.iter().map(|s| s.hits).sum();
-    let misses: u64 = session_stats.iter().map(|s| s.misses).sum();
+    // The report is a fold over the responses; only the round count,
+    // the clock and the degradation machinery live outside them.
     let duration_ticks = now.max(1);
+    let requests = responses.len() as u64;
+    let hits: u64 = responses.iter().map(|r| r.hits).sum();
+    let misses: u64 = responses.iter().map(|r| r.misses).sum();
+    let count = |o: Outcome| responses.iter().filter(|r| r.outcome == o).count() as u64;
+    let mut latencies: Vec<u64> = responses.iter().map(|r| r.latency).collect();
+    latencies.sort_unstable();
     let report = ServeReport {
         requests,
         rounds,
         batched_pages,
         duration_ticks,
-        p50_ticks: histogram.p50(),
-        p99_ticks: histogram.p99(),
-        p999_ticks: histogram.p999(),
+        p50_ticks: percentile(&latencies, 0.50),
+        p99_ticks: percentile(&latencies, 0.99),
+        p999_ticks: percentile(&latencies, 0.999),
         throughput_rps: requests as f64 * 1_000_000.0 / duration_ticks as f64,
         hit_rate: if hits + misses == 0 {
             0.0
         } else {
             hits as f64 / (hits + misses) as f64
         },
-        degraded_requests,
-        deadline_exceeded,
+        degraded_requests: count(Outcome::Degraded),
+        deadline_exceeded: count(Outcome::DeadlineExceeded),
         breaker_opens: breakers.iter().map(CircuitBreaker::opens).sum(),
         quarantined_pages: quarantine.ever_quarantined(),
-        histogram,
-        sessions: session_stats,
     };
     Ok(ServeOutcome { report, responses })
 }

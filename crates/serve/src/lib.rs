@@ -11,12 +11,12 @@
 //! is the slowest shard's simulated store time plus fixed per-page and
 //! per-round overheads, and a request's latency is completion tick minus
 //! arrival tick — queueing delay included. No wall time is read anywhere,
-//! so a run is a pure function of its seeds: the latency percentiles in
-//! [`ServeReport`] (p50/p99/p999 out of a fixed-bucket log-scale
-//! [`LatencyHistogram`]) are bit-for-bit reproducible on any machine,
-//! which is what lets `BENCH_serve.json` live in the repository as a
-//! reviewable benchmark result that a tier-1 test regenerates and compares
-//! byte for byte.
+//! so a run is a pure function of its seeds: [`ServeReport`] is a fold over
+//! the run's [`Response`]s, and its latency percentiles (p50/p99/p999, each
+//! rounded up to a log-scale bucket by [`percentile()`]) are bit-for-bit
+//! reproducible on any machine, which is what lets `BENCH_serve.json` live
+//! in the repository as a reviewable benchmark result that a tier-1 test
+//! regenerates and compares byte for byte.
 //!
 //! ```text
 //! cargo run --release -p asb-serve --bin serve -- run
@@ -35,7 +35,7 @@ mod bench;
 mod chaos;
 mod degrade;
 mod engine;
-mod histogram;
+mod percentile;
 
 pub use bench::{
     bench_sessions, serve_bench, ServeBench, ServeBenchEntry, SERVE_BENCH_BUFFER_FRAC,
@@ -52,7 +52,7 @@ pub use degrade::{
     BREAKER_FAILURE_THRESHOLD, QUARANTINE_HEAL_TICKS,
 };
 pub use engine::{
-    serve, Response, ServeConfig, ServeOutcome, ServeReport, SessionStats, FRONTIER_LIMIT,
-    HIT_TICKS, ROUND_OVERHEAD_TICKS,
+    serve, Response, ServeConfig, ServeOutcome, ServeReport, FRONTIER_LIMIT, HIT_TICKS,
+    ROUND_OVERHEAD_TICKS,
 };
-pub use histogram::{LatencyHistogram, BUCKET_COUNT, RELATIVE_ERROR, SUB_BUCKETS};
+pub use percentile::{percentile, RELATIVE_ERROR, SUB_BUCKETS};

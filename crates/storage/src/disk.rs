@@ -35,19 +35,6 @@ pub struct IoStats {
     pub simulated_ms: f64,
 }
 
-impl IoStats {
-    /// Difference `self - earlier`, for measuring an experiment window.
-    pub fn since(&self, earlier: &IoStats) -> IoStats {
-        IoStats {
-            reads: self.reads - earlier.reads,
-            sequential_reads: self.sequential_reads - earlier.sequential_reads,
-            random_reads: self.random_reads - earlier.random_reads,
-            writes: self.writes - earlier.writes,
-            simulated_ms: self.simulated_ms - earlier.simulated_ms,
-        }
-    }
-}
-
 /// Access counters of a [`DiskManager`], updated on every physical access.
 ///
 /// Kept behind a mutex (not alongside the slot vector) so that the *read*
@@ -293,18 +280,6 @@ mod tests {
         d.read(ids[0], ctx).unwrap(); // random: 10 ms
         d.read(ids[1], ctx).unwrap(); // sequential: 0.5 ms
         assert_eq!(d.stats().simulated_ms, 10.5);
-    }
-
-    #[test]
-    fn stats_since_subtracts() {
-        let (mut d, ids) = disk_with_pages(2);
-        let ctx = AccessContext::default();
-        d.read(ids[0], ctx).unwrap();
-        let checkpoint = d.stats();
-        d.read(ids[1], ctx).unwrap();
-        d.read(ids[0], ctx).unwrap();
-        let delta = d.stats().since(&checkpoint);
-        assert_eq!(delta.reads, 2);
     }
 
     #[test]

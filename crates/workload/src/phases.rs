@@ -52,27 +52,6 @@ impl PhasedWorkload {
         }
     }
 
-    /// A two-regime thrash workload: skewed points, then uniform windows,
-    /// then the skewed phase again — the classic loop that punishes
-    /// policies which forget (pure recency) *and* policies which never
-    /// forget (pure frequency/spatial bias).
-    pub fn thrash(queries_per_phase: usize) -> Self {
-        PhasedWorkload {
-            name: "thrash".into(),
-            phases: vec![
-                (
-                    QuerySetSpec::intensified(QueryKind::Point),
-                    queries_per_phase,
-                ),
-                (QuerySetSpec::uniform_windows(33), queries_per_phase),
-                (
-                    QuerySetSpec::intensified(QueryKind::Point),
-                    queries_per_phase,
-                ),
-            ],
-        }
-    }
-
     /// Total query count across all phases.
     pub fn total_queries(&self) -> usize {
         self.phases.iter().map(|&(_, n)| n).sum()
@@ -134,16 +113,20 @@ mod tests {
             PhasedWorkload::adversarial(10).label(),
             "phase-change[U-W-33+INT-P+ID-W+IND-W-100+U-P]"
         );
-        assert_eq!(
-            PhasedWorkload::thrash(10).label(),
-            "thrash[INT-P+U-W-33+INT-P]"
-        );
     }
 
     #[test]
     fn repeated_phases_draw_distinct_queries() {
         let d = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, 42);
-        let w = PhasedWorkload::thrash(30);
+        let skewed = QuerySetSpec::intensified(QueryKind::Point);
+        let w = PhasedWorkload {
+            name: "thrash".into(),
+            phases: vec![
+                (skewed, 30),
+                (QuerySetSpec::uniform_windows(33), 30),
+                (skewed, 30),
+            ],
+        };
         let qs = w.generate(&d, 3);
         // Phase 0 and phase 2 share a spec but not a derived seed.
         assert_ne!(qs[0..30], qs[60..90]);

@@ -62,15 +62,6 @@ impl RequestMix {
         }
     }
 
-    /// Windows only (the trajectory of [`session`](crate::session) verbatim).
-    pub fn windows_only() -> Self {
-        RequestMix {
-            window: 1,
-            nearest: 0,
-            join: 0,
-        }
-    }
-
     fn total(&self) -> u32 {
         self.window + self.nearest + self.join
     }
@@ -167,7 +158,12 @@ mod tests {
     fn windows_only_mix_matches_the_raw_trajectory() {
         let d = dataset();
         let spec = SessionSpec::default();
-        let reqs = session_requests(&d, spec, RequestMix::windows_only(), 100, 5);
+        let windows_only = RequestMix {
+            window: 1,
+            nearest: 0,
+            join: 0,
+        };
+        let reqs = session_requests(&d, spec, windows_only, 100, 5);
         let windows = session(&d, spec, 100, 5);
         for (r, q) in reqs.iter().zip(&windows) {
             assert_eq!(*r, Request::Window(q.region()));

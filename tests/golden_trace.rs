@@ -469,7 +469,7 @@ fn committed_serve_bench_is_current() {
             found.unwrap_or_else(|| panic!("{db}/{policy}: no row"))
         };
         let (lru, arena) = (row("LRU"), row("ARENA"));
-        // Both p99s are histogram bucket bounds, each up to
+        // Both p99s are log-bucket tops, each up to
         // `RELATIVE_ERROR` above its value: compare at that resolution.
         assert!(
             arena.p99_ticks as f64 <= lru.p99_ticks as f64 * (1.0 + RELATIVE_ERROR),
