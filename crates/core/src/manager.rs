@@ -1,7 +1,7 @@
 use crate::guard::{PageReadGuard, PinToken};
 use crate::order::IdMap;
-use crate::policies::ArenaState;
 use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::pool::FetchOutcome;
 use crate::sync::Counter;
 use asb_storage::{
     page_checksum, AccessContext, Lsn, Page, PageId, PageMeta, PageStore, Result, RetryPolicy,
@@ -276,9 +276,10 @@ impl BufferManager {
         self.kind
     }
 
-    /// The policy's display name (e.g. `"ASB"`).
-    pub fn policy_name(&self) -> String {
-        self.kind.label()
+    /// The replacement policy, for its introspection: ASB's candidate set,
+    /// retained history, the arena's state.
+    pub fn policy(&self) -> &dyn ReplacementPolicy {
+        &*self.policy
     }
 
     /// Buffer capacity in pages.
@@ -415,12 +416,6 @@ impl BufferManager {
         self.frames.values().filter(|f| f.dirty).count()
     }
 
-    /// For the adaptable spatial buffer: the overflow-buffer page ids in
-    /// FIFO order plus its capacity. `None` for policies without one.
-    pub fn overflow_state(&self) -> Option<(Vec<PageId>, usize)> {
-        self.policy.overflow_state()
-    }
-
     /// Damages the resident copy of `id` (payload altered, recorded checksum
     /// preserved), returning whether a frame was poisoned. Test support for
     /// the fault-injection suite: a poisoned frame must be detected on its
@@ -449,26 +444,6 @@ impl BufferManager {
         }
     }
 
-    /// For the adaptable spatial buffer: current candidate-set size.
-    pub fn candidate_size(&self) -> Option<usize> {
-        self.policy.candidate_size()
-    }
-
-    /// History records the policy retains for non-resident pages under the
-    /// unified definition of
-    /// [`ReplacementPolicy::retained_history`]: LRU-K HIST entries, 2Q
-    /// ghost-queue entries and the arena's per-expert ghost caches.
-    pub fn retained_history(&self) -> usize {
-        self.policy.retained_history()
-    }
-
-    /// For the expert arena: the per-expert weights, ghost-miss counts,
-    /// current leader and authority-switch count. `None` for every other
-    /// policy.
-    pub fn arena_state(&self) -> Option<ArenaState> {
-        self.policy.arena_state()
-    }
-
     /// Reads a page through the buffer, fetching from `io` on a miss, and
     /// returns an RAII [`PageReadGuard`]: the frame stays pinned (excluded
     /// from eviction) until the guard drops, and the guard derefs to the
@@ -492,7 +467,7 @@ impl BufferManager {
         id: PageId,
         ctx: AccessContext,
     ) -> Result<PageReadGuard> {
-        self.fetch_classified(io, id, ctx).map(|(guard, _)| guard)
+        self.fetch_classified(io, id, ctx).map(|out| out.guard)
     }
 
     /// [`fetch`](BufferManager::fetch), additionally reporting whether the
@@ -503,11 +478,12 @@ impl BufferManager {
         io: &mut IO,
         id: PageId,
         ctx: AccessContext,
-    ) -> Result<(PageReadGuard, bool)> {
+    ) -> Result<FetchOutcome> {
         if let Some(guard) = self.probe(id, ctx)? {
-            return Ok((guard, true));
+            return Ok(FetchOutcome { guard, hit: true });
         }
-        self.read_miss(io, id, ctx).map(|guard| (guard, false))
+        let guard = self.read_miss(io, id, ctx)?;
+        Ok(FetchOutcome { guard, hit: false })
     }
 
     /// First half of a read: records the access and serves a hit from the

@@ -120,14 +120,10 @@ impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::Sharde
 
     fn fetch_classified(&self, id: PageId, ctx: AccessContext) -> Result<FetchOutcome> {
         crate::ShardedBuffer::fetch_classified(self, id, ctx)
-            .map(|(guard, hit)| FetchOutcome { guard, hit })
     }
 
     fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
         crate::ShardedBuffer::fetch_batch(self, ids, ctx)
-            .into_iter()
-            .map(|slot| slot.map(|(guard, hit)| FetchOutcome { guard, hit }))
-            .collect()
     }
 
     fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard> {
@@ -175,7 +171,7 @@ impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::Sharde
     }
 
     fn arena_states(&self) -> Vec<Option<ArenaState>> {
-        crate::ShardedBuffer::shard_arena_states(self)
+        self.per_shard(|shard| shard.policy().arena_state())
     }
 }
 
@@ -263,7 +259,7 @@ mod tests {
             outcomes[i]
                 .as_ref()
                 .expect("healthy store: no slot may fail")
-                .1
+                .hit
         };
         assert!(!hit(0), "cold id must classify as a miss");
         assert!(!hit(1), "cold id must classify as a miss");

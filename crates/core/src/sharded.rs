@@ -43,8 +43,8 @@
 
 use crate::guard::{PageReadGuard, PageWriteGuard, WriteSink};
 use crate::manager::{BufferManager, BufferStats, StoreIo};
-use crate::policies::ArenaState;
 use crate::policy::PolicyKind;
+use crate::pool::{FetchOutcome, PageFetchResult};
 use crate::sync::{Mutex, RwLock};
 use asb_storage::{
     splitmix64, AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId,
@@ -189,7 +189,19 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Total pool capacity in pages (sum over shards).
     pub fn capacity(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock().capacity()).sum()
+        self.per_shard(BufferManager::capacity).into_iter().sum()
+    }
+
+    /// Runs `f` on every shard's buffer, in shard order, and returns the
+    /// results: the one read of per-shard state (statistics, the policy's
+    /// introspection through [`BufferManager::policy`], …).
+    ///
+    /// Each shard is locked for its own call only, in ascending index
+    /// order, so the pool's lock order is unchanged. Under concurrent load
+    /// the shards are therefore seen at different instants. `f` must not
+    /// call back into the pool.
+    pub fn per_shard<R>(&self, mut f: impl FnMut(&BufferManager) -> R) -> Vec<R> {
+        self.inner.shards.iter().map(|s| f(&s.lock())).collect()
     }
 
     /// Reads a page, returning a pinned [`PageReadGuard`]; the shard lock
@@ -205,7 +217,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// re-fetched, a dirty one fails the read (see
     /// [`BufferManager::fetch`]).
     pub fn fetch(&self, id: PageId, ctx: AccessContext) -> Result<PageReadGuard> {
-        self.fetch_classified(id, ctx).map(|(guard, _)| guard)
+        self.fetch_classified(id, ctx).map(|out| out.guard)
     }
 
     /// [`fetch`](ShardedBuffer::fetch), additionally reporting whether the
@@ -213,11 +225,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// statistics recorded for this request: `true` when the page was
     /// served from a resident frame, `false` when this request's own fetch
     /// brought the page in (or failed to).
-    pub fn fetch_classified(
-        &self,
-        id: PageId,
-        ctx: AccessContext,
-    ) -> Result<(PageReadGuard, bool)> {
+    pub fn fetch_classified(&self, id: PageId, ctx: AccessContext) -> Result<FetchOutcome> {
         let mut buf = self.inner.shards[self.shard_of(id)].lock();
         buf.fetch_classified(&mut PoolIo(&self.inner.store), id, ctx)
     }
@@ -250,13 +258,8 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// before the first miss is admitted, so a policy that ranks by
     /// timestamp (LRU-K, ASB's overflow comparison) sees the batch's
     /// admissions tie where one-at-a-time fetches would order them.
-    pub fn fetch_batch(
-        &self,
-        ids: &[PageId],
-        ctx: AccessContext,
-    ) -> Vec<std::result::Result<(PageReadGuard, bool), PageError>> {
-        type Slot = std::result::Result<(PageReadGuard, bool), PageError>;
-        let mut out: Vec<Option<Slot>> = (0..ids.len()).map(|_| None).collect();
+    pub fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
+        let mut out: Vec<Option<PageFetchResult>> = (0..ids.len()).map(|_| None).collect();
         // First occurrences probe in the batched phase; repeats resolve
         // afterwards through the sequential path so their probe sees the
         // first occurrence's admission.
@@ -277,7 +280,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             let mut buf = self.inner.shards[shard].lock();
             for &i in idxs {
                 match buf.probe(ids[i], ctx) {
-                    Ok(Some(guard)) => out[i] = Some(Ok((guard, true))),
+                    Ok(Some(guard)) => out[i] = Some(Ok(FetchOutcome { guard, hit: true })),
                     Ok(None) => {}
                     Err(e) => out[i] = Some(Err(PageError::new(ids[i], e))),
                 }
@@ -292,10 +295,10 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
             } else {
                 let mut buf = self.inner.shards[self.shard_of(id)].lock();
                 match buf.pin_resident(id, ctx) {
-                    Ok(Some(guard)) => Ok((guard, true)),
+                    Ok(Some(guard)) => Ok(FetchOutcome { guard, hit: true }),
                     Ok(None) => buf
                         .read_miss(&mut PoolIo(&self.inner.store), id, ctx)
-                        .map(|guard| (guard, false)),
+                        .map(|guard| FetchOutcome { guard, hit: false }),
                     Err(e) => Err(e),
                 }
             };
@@ -411,20 +414,12 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Number of dirty frames across all shards.
     pub fn dirty_count(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().dirty_count())
-            .sum()
+        self.per_shard(BufferManager::dirty_count).into_iter().sum()
     }
 
     /// Number of page guards currently alive against this pool.
     pub fn live_guards(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().live_guards())
-            .sum()
+        self.per_shard(BufferManager::live_guards).into_iter().sum()
     }
 
     /// Sets the retry policy applied to transient store faults in every
@@ -471,7 +466,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Number of currently resident pages across all shards.
     pub fn resident(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock().resident()).sum()
+        self.per_shard(BufferManager::resident).into_iter().sum()
     }
 
     /// Pool-wide statistics: the sum of every shard's snapshot.
@@ -479,44 +474,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// Shards are snapshotted one at a time, so under concurrent load the
     /// sum is a consistent total only once the pool is quiescent.
     pub fn stats(&self) -> BufferStats {
-        self.shard_stats().into_iter().sum()
-    }
-
-    /// Per-shard statistics snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<BufferStats> {
-        self.inner.shards.iter().map(|s| s.lock().stats()).collect()
-    }
-
-    /// Current ASB candidate-set size per shard (`None` entries for
-    /// policies without that notion).
-    pub fn shard_candidate_sizes(&self) -> Vec<Option<usize>> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().candidate_size())
-            .collect()
-    }
-
-    /// Expert-arena snapshot per shard (`None` entries for non-arena
-    /// policies). Each shard runs its own independent arena, so weights
-    /// and leaders can differ across shards.
-    pub fn shard_arena_states(&self) -> Vec<Option<ArenaState>> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().arena_state())
-            .collect()
-    }
-
-    /// History records retained for non-resident pages, summed across
-    /// shards (unified definition: LRU-K HIST, 2Q ghosts, arena ghost
-    /// caches).
-    pub fn retained_history(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().retained_history())
-            .sum()
+        self.per_shard(BufferManager::stats).into_iter().sum()
     }
 
     /// Drops every buffered page and resets buffer statistics in all
@@ -663,13 +621,7 @@ mod tests {
     fn capacity_splits_evenly_with_remainder_first() {
         let (disk, _) = disk_with_pages(1);
         let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 10, 4);
-        let caps: Vec<usize> = pool
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.lock().capacity())
-            .collect();
-        assert_eq!(caps, vec![3, 3, 2, 2]);
+        assert_eq!(pool.per_shard(BufferManager::capacity), vec![3, 3, 2, 2]);
         assert_eq!(pool.capacity(), 10);
     }
 
@@ -737,7 +689,7 @@ mod tests {
                     }
                 }
                 let served = pool.fetch_batch(&batch, ctx);
-                let flags: Vec<bool> = served.iter().map(|s| s.as_ref().unwrap().1).collect();
+                let flags: Vec<bool> = served.iter().map(|s| s.as_ref().unwrap().hit).collect();
                 assert_eq!(flags, hits, "{kind:?}: hit flags of batch {b}");
                 drop((slots, served));
                 assert_eq!(pool.stats(), seq.stats(), "{kind:?}: after batch {b}");
@@ -883,9 +835,9 @@ mod tests {
             let batch = order.map(|i| ids[i]);
             let hits: Vec<bool> = if batched {
                 let slots = pool.fetch_batch(&batch, ctx);
-                slots.into_iter().map(|slot| slot.unwrap().1).collect()
+                slots.into_iter().map(|slot| slot.unwrap().hit).collect()
             } else {
-                let one = |&id| pool.fetch_classified(id, ctx).unwrap().1;
+                let one = |&id| pool.fetch_classified(id, ctx).unwrap().hit;
                 batch.iter().map(one).collect()
             };
             let after = pool.stats();

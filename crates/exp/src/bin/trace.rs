@@ -25,11 +25,11 @@
 //! against OPT), and `--weights PATH` dumps the full per-access weight
 //! trajectory as CSV (replays are deterministic, so the dump is bit-for-bit
 //! reproducible).
-//! With `--fault-rate R` (a probability in [0, 1]; 0, the default, replays
-//! fault-free) the replay runs against a fault-injecting store
-//! (chaos profile: transient faults, corruption, latency spikes) under
-//! the default retry policy and additionally reports what was injected
-//! and absorbed.
+//! `--fault-rate R` (a probability in [0, 1]; 0, the default, is
+//! fault-free) injects chaos faults (transient faults, corruption, latency
+//! spikes) below the same pool, under the default retry policy, and adds
+//! one line of what was injected and absorbed. Every served page is checked
+//! against the trace's disk image; a wrong payload exits non-zero.
 //!
 //! `crash` turns the trace into a deterministic read/update workload
 //! (seed-derived update selection) on a WAL-attached write-back buffer,
@@ -41,7 +41,7 @@
 use asb_core::{PolicyKind, ShardedBuffer};
 use asb_exp::cli::{self, Args};
 use asb_exp::{crash_sweep, CrashConfig, Trace};
-use asb_storage::{FaultConfig, RetryPolicy};
+use asb_storage::{FaultConfig, FaultyStore, StorageError};
 use asb_workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use std::process::ExitCode;
 
@@ -77,12 +77,12 @@ fn record(mut args: Args) -> Result<(), String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out = Some(args.value(&arg)?),
-            "--phased" => phased = Some(args.parse(&arg)?),
+            "--phased" => phased = Some(args.positive(&arg)?),
             "--db" => db = args.db(&arg)?,
             "--scale" => scale = args.scale(&arg)?,
             "--seed" => seed = args.parse(&arg)?,
             "--set" => set = args.value(&arg)?,
-            "--queries" => queries = args.parse(&arg)?,
+            "--queries" => queries = args.positive(&arg)?,
             o => return Err(cli::unknown(o)),
         }
     }
@@ -131,52 +131,38 @@ fn replay(mut args: Args) -> Result<(), String> {
     }
     cli::check_shards(shards, capacity)?;
     let trace = load(path, "replay")?;
-    if fault_rate > 0.0 {
-        let out = trace
-            .replay_with_faults(
-                policy,
-                capacity,
-                FaultConfig::chaos(fault_seed, fault_rate),
-                RetryPolicy::default(),
-            )
-            .map_err(|e| e.to_string())?;
-        println!(
-            "policy={policy:?} capacity={capacity} faults=chaos(seed={fault_seed}, rate={fault_rate})\n\
-             logical={} hits={} misses={} retries={} corruptions={} give_ups={} wrong_payloads={}\n\
-             injected: read_faults={} write_faults={} corruptions={} spikes={}",
-            out.stats.logical_reads,
-            out.stats.hits,
-            out.stats.misses,
-            out.stats.retries,
-            out.stats.corruptions,
-            out.give_ups,
-            out.wrong_payloads,
-            out.fault_stats.read_faults,
-            out.fault_stats.write_faults,
-            out.fault_stats.corruptions,
-            out.fault_stats.latency_spikes,
-        );
-        return Ok(());
-    }
-    // One shard is the sequential buffer, bit for bit (`tests/golden_trace.rs`),
-    // and the only pool with *a* trajectory: several shards adapt and mix
-    // each on its own. The trajectories are sampled here, from the replay's
-    // own pool: the candidate-set size after every access, the arena weights
-    // only when a dump was asked for.
-    let disk = trace.build_disk().map_err(|e| e.to_string())?;
-    let pool = ShardedBuffer::new(disk, policy, capacity, shards);
+    let (faults, chaos) = if fault_rate > 0.0 {
+        let chaos = format!(" faults=chaos(seed={fault_seed}, rate={fault_rate})");
+        (FaultConfig::chaos(fault_seed, fault_rate), chaos)
+    } else {
+        (FaultConfig::reliable(), String::new())
+    };
+    // One pool for every replay. A reliable store passes the disk through
+    // unchanged; one shard is the sequential buffer, bit for bit
+    // (`tests/golden_trace.rs`), and the only pool with *a* trajectory,
+    // sampled from the pool itself. Every served page is checked against a
+    // pristine copy of the disk.
+    let build = || trace.build_disk().map_err(|e| e.to_string());
+    let pristine = build()?;
+    let pool = ShardedBuffer::new(FaultyStore::new(build()?, faults), policy, capacity, shards);
     let sole_arena = || {
-        pool.shard_arena_states()
+        pool.per_shard(|shard| shard.policy().arena_state())
             .pop()
             .filter(|_| shards == 1)
             .flatten()
     };
     let mut candidates: Vec<usize> = Vec::new();
     let mut weights: Vec<Vec<f64>> = Vec::new();
+    let mut wrong_payloads = 0u64;
     let step = |_, id, ctx| {
-        drop(pool.fetch(id, ctx)?);
+        match pool.fetch(id, ctx) {
+            Ok(page) => wrong_payloads += u64::from(page.payload != pristine.peek(id)?.payload),
+            // A give-up: counted in the pool's statistics, the replay goes on.
+            Err(StorageError::RetriesExhausted { .. } | StorageError::DeviceFailed(_)) => {}
+            Err(other) => return Err(other),
+        }
         if shards == 1 {
-            candidates.extend(pool.shard_candidate_sizes()[0]);
+            candidates.extend(pool.per_shard(|shard| shard.policy().candidate_size())[0]);
         }
         if weights_out.is_some() {
             weights.extend(sole_arena().map(|a| a.weights()));
@@ -186,9 +172,8 @@ fn replay(mut args: Args) -> Result<(), String> {
     trace.drive(step).map_err(|e| e.to_string())?;
     let (stats, io, arena) = (pool.stats(), pool.io_stats(), sole_arena());
     println!(
-        "policy={policy:?} capacity={capacity} shards={}\n\
+        "policy={policy:?} capacity={capacity} shards={shards}{chaos}\n\
          logical={} hits={} misses={} hit%={:.2} physical_reads={} random={} sequential={} sim_ms={:.1}",
-        shards,
         stats.logical_reads,
         stats.hits,
         stats.misses,
@@ -198,6 +183,22 @@ fn replay(mut args: Args) -> Result<(), String> {
         io.sequential_reads,
         io.simulated_ms,
     );
+    if fault_rate > 0.0 {
+        let injected = pool
+            .with_store(|s| s.fault_stats())
+            .map_err(|e| e.to_string())?;
+        println!(
+            "retries={} corruptions={} give_ups={} wrong_payloads={wrong_payloads} \
+             injected: read_faults={} write_faults={} corruptions={} spikes={}",
+            stats.retries,
+            stats.corruptions,
+            stats.give_ups,
+            injected.read_faults,
+            injected.write_faults,
+            injected.corruptions,
+            injected.latency_spikes,
+        );
+    }
     let opt = trace.opt_misses(capacity) as i64;
     println!("opt_misses={opt} vs_opt={}", stats.misses as i64 - opt);
     if let Some(&last) = candidates.last() {
@@ -238,6 +239,9 @@ fn replay(mut args: Args) -> Result<(), String> {
             labels.len()
         );
     }
+    if wrong_payloads > 0 {
+        return Err(format!("{wrong_payloads} wrong payload(s) served"));
+    }
     Ok(())
 }
 
@@ -251,7 +255,7 @@ fn crash(mut args: Args) -> Result<(), String> {
             "--seed" => config.seed = args.parse(&arg)?,
             "--update-every" => config.update_every = args.positive(&arg)? as u64,
             "--checkpoint-interval" => config.checkpoint_interval = args.parse(&arg)?,
-            "--max-accesses" => config.max_accesses = Some(args.parse(&arg)?),
+            "--max-accesses" => config.max_accesses = Some(args.positive(&arg)?),
             "--artifacts" => config.artifact_dir = Some(args.value(&arg)?.into()),
             o if path.is_none() && !o.starts_with('-') => path = Some(arg),
             o => return Err(cli::unknown(o)),

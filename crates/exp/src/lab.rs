@@ -313,8 +313,8 @@ impl Lab {
             // A query ends where the next access carries another query id.
             let next = phases.accesses.get(i + 1).map(|&(_, q)| q);
             if next != Some(ctx.query.raw()) {
-                let size = mgr.candidate_size().expect("ASB has a candidate set");
-                samples.push((samples.len(), size));
+                let size = mgr.policy().candidate_size();
+                samples.push((samples.len(), size.expect("ASB has a candidate set")));
             }
             Ok(())
         })?;

@@ -43,4 +43,4 @@ pub use ext::{extension, EXTENSIONS};
 pub use figures::{figure, FIGURE_IDS};
 pub use lab::{ExperimentCell, Lab, RunResult, BUFFER_FRACS, LARGEST_BUFFER_FRAC};
 pub use report::{FigureTable, Series};
-pub use trace::{FaultReplayOutcome, ReplayOutcome, Trace};
+pub use trace::{ReplayOutcome, Trace};

@@ -36,13 +36,13 @@
 //! Floats are written with Rust's shortest-roundtrip formatting, so a
 //! parse–print cycle is lossless.
 
-use asb_core::{BufferManager, BufferStats, PolicyKind, ShardedBuffer};
+use asb_core::{BufferManager, BufferStats, PolicyKind};
 use asb_geom::{Query, Rect, SpatialStats};
 use asb_rtree::RTree;
 use asb_storage::sync::{Counter, Mutex};
 use asb_storage::{
-    AccessContext, DiskManager, FaultConfig, FaultStats, FaultyStore, IoStats, PageId, PageMeta,
-    PageStore, PageType, QueryId, RecordingStore, Result, RetryPolicy, StorageError,
+    AccessContext, DiskManager, IoStats, PageId, PageMeta, PageStore, PageType, QueryId,
+    RecordingStore, Result,
 };
 use asb_workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use bytes::Bytes;
@@ -69,20 +69,6 @@ pub struct ReplayOutcome {
     /// Physical I/O the simulated disk observed; `io.reads` is the paper's
     /// "disk accesses".
     pub io: IoStats,
-}
-
-/// Outcome of replaying a trace against a fault-injecting store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultReplayOutcome {
-    /// Buffer statistics of the replay (retries/corruptions included).
-    pub stats: BufferStats,
-    /// What the fault layer injected.
-    pub fault_stats: FaultStats,
-    /// Accesses that exhausted their retry budget or hit a dead page.
-    pub give_ups: u64,
-    /// Successful accesses whose payload did not match the disk image
-    /// (must stay zero: corruption may cost retries, never correctness).
-    pub wrong_payloads: u64,
 }
 
 /// Replay threads of [`Trace::replay_all`]: what the machine offers.
@@ -271,61 +257,6 @@ impl Trace {
             by_next_use.insert((next_use[i], page));
         }
         misses
-    }
-
-    /// Replays the trace through a [`ShardedBuffer`] pool (single-threaded,
-    /// so the outcome is deterministic; with one shard it must equal
-    /// [`Trace::replay`] exactly).
-    pub fn replay_sharded(
-        &self,
-        policy: PolicyKind,
-        capacity: usize,
-        shards: usize,
-    ) -> Result<ReplayOutcome> {
-        let pool = ShardedBuffer::new(self.build_disk()?, policy, capacity, shards);
-        self.drive(|_, id, ctx| pool.fetch(id, ctx).map(drop))?;
-        Ok(ReplayOutcome {
-            stats: pool.stats(),
-            io: pool.io_stats(),
-        })
-    }
-
-    /// Replays the trace against a fault-injecting store under a retry
-    /// policy. Transient faults must be absorbed (at worst surfacing as a
-    /// typed give-up); every successfully returned page is checked against
-    /// the pristine disk image.
-    pub fn replay_with_faults(
-        &self,
-        policy: PolicyKind,
-        capacity: usize,
-        fault: FaultConfig,
-        retry: RetryPolicy,
-    ) -> Result<FaultReplayOutcome> {
-        let mut store = FaultyStore::new(self.build_disk()?, fault);
-        let mut mgr = BufferManager::with_policy(policy, capacity);
-        mgr.set_retry_policy(retry);
-        let mut give_ups = 0u64;
-        let mut wrong_payloads = 0u64;
-        self.drive(|_, id, ctx| {
-            match mgr.fetch(&mut store, id, ctx) {
-                Ok(page) => {
-                    if page.payload != store.inner().peek(id)?.payload {
-                        wrong_payloads += 1;
-                    }
-                }
-                Err(StorageError::RetriesExhausted { .. } | StorageError::DeviceFailed(_)) => {
-                    give_ups += 1
-                }
-                Err(other) => return Err(other),
-            }
-            Ok(())
-        })?;
-        Ok(FaultReplayOutcome {
-            stats: mgr.stats(),
-            fault_stats: store.fault_stats(),
-            give_ups,
-            wrong_payloads,
-        })
     }
 
     /// The one evaluator: [`Trace::replay`] of every `(trace, policy,
@@ -546,6 +477,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asb_storage::StorageError;
     use asb_workload::QueryKind;
 
     fn tiny_trace() -> Trace {
@@ -662,7 +594,8 @@ mod tests {
         let mut mgr = BufferManager::with_policy(PolicyKind::Arena, 8);
         t.drive(|_, id, ctx| mgr.fetch(&mut disk, id, ctx).map(drop))
             .unwrap();
-        let (stats, arena) = (mgr.stats(), mgr.arena_state().expect("arena snapshot"));
+        let stats = mgr.stats();
+        let arena = mgr.policy().arena_state().expect("arena snapshot");
         assert_eq!(stats, t.replay(PolicyKind::Arena, 8).unwrap().stats);
         assert!(arena.accesses > 0);
         assert_eq!(stats.authority_switches, arena.switches);
@@ -693,23 +626,5 @@ mod tests {
         }
         assert_eq!(Trace::replay_all(&jobs).unwrap(), alone);
         assert!(Trace::replay_all(&jobs[..0]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn faulty_replay_stays_correct() {
-        let t = point_trace();
-        let out = t
-            .replay_with_faults(
-                PolicyKind::Asb,
-                8,
-                FaultConfig::chaos(99, 0.05),
-                RetryPolicy::default(),
-            )
-            .unwrap();
-        assert_eq!(out.wrong_payloads, 0, "corruption must never be served");
-        assert!(out.stats.retries > 0 || out.fault_stats.read_faults == 0);
-        // The clean outcome is unchanged by the detour through faults.
-        let clean = t.replay(PolicyKind::Asb, 8).unwrap();
-        assert_eq!(out.stats.logical_reads, clean.stats.logical_reads);
     }
 }

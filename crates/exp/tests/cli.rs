@@ -86,6 +86,22 @@ fn trace_refuses_a_zero_update_interval() {
     assert_refused(TRACE, &args, "--update-every must be at least 1");
 }
 
+/// A zero count used to run an empty workload and exit 0: `record` wrote
+/// an empty trace, `crash` swept no crash point and reported OK.
+#[test]
+fn trace_refuses_a_zero_workload() {
+    let trace = golden("mainland");
+    let flags: [&[&str]; 3] = [
+        &["record", "--queries"],
+        &["record", "--phased"],
+        &["crash", &trace, "--max-accesses"],
+    ];
+    for args in flags {
+        let says = format!("{} must be at least 1", args[args.len() - 1]);
+        assert_refused(TRACE, &[args, &["0"]].concat(), &says);
+    }
+}
+
 #[test]
 fn probe_refuses_a_buffer_fraction_outside_the_unit_interval() {
     for frac in ["1e30", "-1", "0", "NaN"] {
@@ -132,4 +148,43 @@ fn replay_prints_the_benchmarks_distance_to_opt() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains(line), "{line:?} in {stdout}");
     }
+}
+
+/// A fault replay runs on the same pool as every other replay: it prints
+/// what the store injected and the buffer absorbed, and honours `--shards`
+/// and `--weights`, which it used to ignore.
+#[test]
+fn faulty_replay_reports_faults_on_the_one_replay_pool() {
+    let trace = golden("mainland");
+    let replay = |extra: &[&str]| {
+        let out = Command::new(TRACE)
+            .args(["replay", &trace, "--fault-rate", "0.05"])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let stdout = replay(&[]);
+    for line in [
+        "logical=274 hits=219 misses=55 ",
+        "retries=11 corruptions=3 give_ups=0 wrong_payloads=0 ",
+        "injected: read_faults=8 write_faults=0 corruptions=3 spikes=4\n",
+    ] {
+        assert!(stdout.contains(line), "{line:?} in {stdout}");
+    }
+    let stdout = replay(&["--shards", "4"]);
+    assert!(
+        stdout.starts_with("policy=Asb capacity=32 shards=4 "),
+        "{stdout}"
+    );
+    assert!(stdout.contains(" wrong_payloads=0 "), "{stdout}");
+
+    let csv = format!("{}/faulty_arena_weights.csv", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_file(&csv);
+    replay(&["--policy", "arena", "--capacity", "12", "--weights", &csv]);
+    let weights = std::fs::read_to_string(&csv).expect("weights CSV under faults");
+    assert!(weights.starts_with("access,"), "{weights}");
+    assert_eq!(weights.lines().count(), 1 + 274, "one row per access");
 }

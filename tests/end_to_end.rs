@@ -226,7 +226,7 @@ fn memory_overhead_matches_the_papers_argument() {
             tree.execute(q).expect("query");
         }
         let buf = tree.take_buffer().expect("buffer");
-        retained.insert(policy.label(), buf.retained_history());
+        retained.insert(policy.label(), buf.policy().retained_history());
     }
     assert!(retained["LRU-2"] > 0, "LRU-2 must retain ghost history");
     assert_eq!(

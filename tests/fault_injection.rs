@@ -141,7 +141,7 @@ impl FrontEnd {
             FrontEnd::Pool(pool) if batched => pool
                 .fetch_batch(ids, ctx(0))
                 .iter()
-                .map(|slot| intact(&slot.as_ref().expect("slot").0))
+                .map(|slot| intact(&slot.as_ref().expect("slot").guard))
                 .collect(),
             FrontEnd::Pool(pool) => ids
                 .iter()
@@ -583,22 +583,36 @@ fn replayed_workload_survives_chaos() {
         },
         PolicyKind::Asb,
     ] {
-        let out = trace
-            .replay_with_faults(
-                policy,
-                8,
-                FaultConfig::chaos(fault_seed(), 0.1),
-                RetryPolicy {
-                    max_attempts: 10,
-                    ..RetryPolicy::default()
-                },
-            )
+        let disk = trace.build_disk().expect("disk");
+        let mut store = FaultyStore::new(disk, FaultConfig::chaos(fault_seed(), 0.1));
+        let mut buf = BufferManager::with_policy(policy, 8);
+        buf.set_retry_policy(RetryPolicy {
+            max_attempts: 10,
+            ..RetryPolicy::default()
+        });
+        trace
+            .drive(|_, id, ctx| match buf.fetch(&mut store, id, ctx) {
+                Ok(page) => {
+                    let pristine = store.inner().peek(id)?;
+                    assert_eq!(
+                        page.payload, pristine.payload,
+                        "{policy:?}: corruption served"
+                    );
+                    Ok(())
+                }
+                Err(StorageError::RetriesExhausted { .. }) => Ok(()),
+                Err(other) => Err(other),
+            })
             .expect("fault replay");
-        assert_eq!(out.wrong_payloads, 0, "{policy:?}: corruption served");
+        let stats = buf.stats();
         assert_eq!(
-            out.stats.logical_reads,
+            stats.logical_reads,
             trace.accesses.len() as u64,
             "{policy:?}: accesses lost"
+        );
+        assert!(
+            stats.retries > 0 || store.fault_stats().read_faults == 0,
+            "{policy:?}: injected faults went unretried"
         );
     }
 }
@@ -706,9 +720,10 @@ fn batched_fetch_retries_transients_per_page() {
         let outcomes = pool.fetch_batch(&ids, ctx(round));
         assert_eq!(outcomes.len(), ids.len());
         for (slot, &id) in outcomes.iter().zip(&ids) {
-            let (guard, _hit) = slot
+            let guard = &slot
                 .as_ref()
-                .expect("transient faults must be absorbed by per-page retries");
+                .expect("transient faults must be absorbed by per-page retries")
+                .guard;
             assert_eq!(guard.id, id);
             assert!(guard.verify_checksum());
         }
@@ -751,12 +766,12 @@ fn batched_fetch_fails_per_slot_not_per_batch() {
             );
             assert!(!err.is_transient());
         } else {
-            let (guard, hit) = slot
+            let served = slot
                 .as_ref()
                 .expect("healthy sibling slots must not be poisoned by a failing page");
-            assert_eq!(guard.id, id);
-            assert!(!hit, "cold pool: every delivered slot is a miss");
-            assert!(guard.verify_checksum());
+            assert_eq!(served.guard.id, id);
+            assert!(!served.hit, "cold pool: every delivered slot is a miss");
+            assert!(served.guard.verify_checksum());
         }
     }
     drop(outcomes);

@@ -101,12 +101,12 @@ fn sampled_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome, Trajecto
     let (mut candidates, mut weights) = (Vec::new(), Vec::new());
     let step = |_, id, ctx| {
         drop(mgr.fetch(&mut disk, id, ctx)?);
-        candidates.extend(mgr.candidate_size());
-        weights.extend(mgr.arena_state().map(|a| a.weights()));
+        candidates.extend(mgr.policy().candidate_size());
+        weights.extend(mgr.policy().arena_state().map(|a| a.weights()));
         Ok(())
     };
     trace.drive(step).expect("replay");
-    let (stats, io, arena) = (mgr.stats(), disk.stats(), mgr.arena_state());
+    let (stats, io, arena) = (mgr.stats(), disk.stats(), mgr.policy().arena_state());
     let sampled = Trajectories {
         candidates,
         weights,
@@ -115,16 +115,20 @@ fn sampled_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome, Trajecto
     (ReplayOutcome { stats, io }, sampled)
 }
 
-/// [`Trace::replay_sharded`] on one shard, sampled like [`sampled_replay`].
+/// A one-shard [`ShardedBuffer`] replay, sampled like [`sampled_replay`].
 fn sampled_one_shard_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome, Trajectories) {
     let disk = trace.build_disk().expect("golden disk");
     let pool = ShardedBuffer::new(disk, policy, CAPACITY, 1);
+    let sole_arena = || {
+        pool.per_shard(|shard| shard.policy().arena_state())
+            .pop()
+            .flatten()
+    };
     let (mut candidates, mut weights) = (Vec::new(), Vec::new());
     let step = |_, id, ctx| {
         drop(pool.fetch(id, ctx)?);
-        candidates.extend(pool.shard_candidate_sizes()[0]);
-        let arena = pool.shard_arena_states().pop().flatten();
-        weights.extend(arena.map(|a| a.weights()));
+        candidates.extend(pool.per_shard(|shard| shard.policy().candidate_size())[0]);
+        weights.extend(sole_arena().map(|a| a.weights()));
         Ok(())
     };
     trace.drive(step).expect("replay");
@@ -132,7 +136,7 @@ fn sampled_one_shard_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome
     let sampled = Trajectories {
         candidates,
         weights,
-        arena: pool.shard_arena_states().pop().flatten(),
+        arena: sole_arena(),
     };
     (ReplayOutcome { stats, io }, sampled)
 }
@@ -228,11 +232,9 @@ fn replays_match_expected_json() {
             // Sequential and one-shard sharded replays must agree exactly:
             // every counter, the physical I/O, and what the pool shows
             // after every access.
-            let sharded = trace.replay_sharded(policy, CAPACITY, 1).expect("replay");
+            let (sharded, one_shard) = sampled_one_shard_replay(trace, policy);
             assert_eq!(sharded.stats, seq.stats, "{name}/{pname}: shard drift");
             assert_eq!(sharded.io, seq.io, "{name}/{pname}: shard I/O drift");
-            let (sampled_sharded, one_shard) = sampled_one_shard_replay(trace, policy);
-            assert_eq!(sampled_sharded, sharded, "{name}/{pname}: sampled shard");
             assert_eq!(one_shard, sampled, "{name}/{pname}: trajectory drift");
 
             actual.push(rec);

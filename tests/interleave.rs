@@ -18,7 +18,7 @@
 //! failure printed by CI is reproducible locally, and the failing pick
 //! sequence is written to `target/schedule-artifacts/`.
 
-use asb::buffer::{PolicyKind, ShardedBuffer, SpatialCriterion};
+use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer, SpatialCriterion};
 use asb::geom::SpatialStats;
 use asb::serve::{BreakerState, CircuitBreaker, BREAKER_COOLDOWN_TICKS};
 use asb::storage::{
@@ -829,13 +829,13 @@ fn page_id_routing_matches_between_runs() {
     for &id in &ids {
         pool.fetch(id, AccessContext::default()).unwrap();
     }
-    let first = pool.shard_stats();
+    let first = pool.per_shard(BufferManager::stats);
     let (disk, _) = disk_with_pages(16);
     let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 16, 2);
     for &id in &ids {
         pool.fetch(id, AccessContext::default()).unwrap();
     }
-    assert_eq!(first, pool.shard_stats());
+    assert_eq!(first, pool.per_shard(BufferManager::stats));
 }
 
 // ---------------------------------------------------------------------------
@@ -880,7 +880,7 @@ fn arena_scenario() {
     assert_eq!(pool.live_guards(), 0, "every guard must have been dropped");
 
     let shard_caps: Vec<usize> = vec![4, 4]; // 8 frames split over 2 shards
-    let states = pool.shard_arena_states();
+    let states = pool.per_shard(|shard| shard.policy().arena_state());
     assert_eq!(states.len(), 2);
     let mut roster_len = 0;
     for (shard, (state, cap)) in states.iter().zip(&shard_caps).enumerate() {
@@ -917,10 +917,13 @@ fn arena_scenario() {
             );
         }
     }
+    let retained: usize = pool
+        .per_shard(|shard| shard.policy().retained_history())
+        .into_iter()
+        .sum();
     assert!(
-        pool.retained_history() <= 3 * roster_len * pool.capacity(),
-        "retained history {} exceeds the documented 3*roster*capacity bound",
-        pool.retained_history()
+        retained <= 3 * roster_len * pool.capacity(),
+        "retained history {retained} exceeds the documented 3*roster*capacity bound"
     );
 }
 
@@ -958,9 +961,10 @@ fn batch_scenario() {
             let outcomes = a.fetch_batch(&batch, AccessContext::query(QueryId::new(q as u64)));
             assert_eq!(outcomes.len(), batch.len(), "a response was lost");
             for (slot_result, &slot) in outcomes.iter().zip(&slots) {
-                let (guard, _hit) = slot_result
+                let guard = &slot_result
                     .as_ref()
-                    .expect("healthy store: no slot may fail");
+                    .expect("healthy store: no slot may fail")
+                    .guard;
                 assert_eq!(guard.id, ids_a[slot], "responses must stay in input order");
                 assert_eq!(guard.payload.as_ref(), &[slot as u8]);
             }
@@ -976,9 +980,10 @@ fn batch_scenario() {
                 b.fetch_batch(&batch, AccessContext::query(QueryId::new(100 + q as u64)));
             assert_eq!(outcomes.len(), batch.len(), "a response was lost");
             for (slot_result, &id) in outcomes.iter().zip(&batch) {
-                let (guard, _hit) = slot_result
+                let guard = &slot_result
                     .as_ref()
-                    .expect("healthy store: no slot may fail");
+                    .expect("healthy store: no slot may fail")
+                    .guard;
                 assert_eq!(guard.id, id, "responses must stay in input order");
             }
         }
@@ -1080,7 +1085,7 @@ fn breaker_scenario() {
                         let mut failed = false;
                         for (slot, &id) in outcomes.iter().zip(&pages) {
                             match slot {
-                                Ok((guard, _hit)) => assert_eq!(guard.id, id),
+                                Ok(served) => assert_eq!(served.guard.id, id),
                                 Err(e) => {
                                     assert_eq!(e.id, id, "failure typed to the wrong page");
                                     assert!(e.is_give_up(), "dead page must be a give-up");

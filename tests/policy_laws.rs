@@ -305,8 +305,8 @@ proptest! {
 fn spatial_policies_report_their_criterion_and_no_candidate_set() {
     for criterion in SpatialCriterion::ALL {
         let buf = BufferManager::with_policy(PolicyKind::Spatial(criterion), 8);
-        assert_eq!(buf.policy_name(), criterion.short_name());
-        assert_eq!(buf.candidate_size(), None);
+        assert_eq!(buf.kind().label(), criterion.short_name());
+        assert_eq!(buf.policy().candidate_size(), None);
     }
 }
 
@@ -393,7 +393,8 @@ fn check_asb_invariants(
     prev_overflow: &mut Vec<PageId>,
 ) -> Result<(), TestCaseError> {
     let (main_cap, overflow_cap, step) = asb_bounds(capacity);
-    let c = buf.candidate_size().expect("ASB exposes a candidate size");
+    let asb = buf.policy();
+    let c = asb.candidate_size().expect("ASB exposes a candidate size");
     prop_assert!(
         (1..=main_cap).contains(&c),
         "candidate size {c} outside [1, {main_cap}]"
@@ -407,7 +408,7 @@ fn check_asb_invariants(
     }
     *prev = Some(c);
 
-    let (overflow, cap) = buf.overflow_state().expect("ASB exposes its overflow");
+    let (overflow, cap) = asb.overflow_state().expect("ASB exposes its overflow");
     prop_assert_eq!(cap, overflow_cap, "overflow capacity drifted");
     prop_assert!(
         overflow.len() <= overflow_cap,
@@ -523,6 +524,7 @@ proptest! {
             ..ArenaParams::default()
         };
         let state = arena_run(params, capacity, &trace, &ids)
+            .policy()
             .arena_state()
             .expect("arena exposes its state");
         let weights = state.weights();
@@ -550,7 +552,7 @@ proptest! {
         let (_, ids) = build_disk(40);
         let params = ArenaParams { decay: 0.0, share: 0.0, roster: Roster::Lean };
         let buf = arena_run(params, capacity, &trace, &ids);
-        let state = buf.arena_state().expect("arena state");
+        let state = buf.policy().arena_state().expect("arena state");
         prop_assert_eq!(state.leader, 0, "zero-decay leader moved");
         prop_assert_eq!(state.switches, 0, "zero-decay arena switched authority");
         let lru = misses(PolicyKind::Lru, capacity, &trace, &ids);
@@ -572,7 +574,7 @@ proptest! {
         let roster = if lean == 1 { Roster::Lean } else { Roster::Full };
         let params = ArenaParams { roster, ..ArenaParams::default() };
         let buf = arena_run(params, capacity, &trace, &ids);
-        let state = buf.arena_state().expect("arena state");
+        let state = buf.policy().arena_state().expect("arena state");
         for e in &state.experts {
             prop_assert!(
                 e.ghost_len <= capacity,
@@ -582,7 +584,7 @@ proptest! {
             );
         }
         let bound = 3 * roster.kinds().len() * capacity;
-        let retained = buf.retained_history();
+        let retained = buf.policy().retained_history();
         prop_assert!(
             retained <= bound,
             "retained history {retained} exceeds bound {bound}"

@@ -330,7 +330,7 @@ fn lockstep(
                     .map_err(|e| fault(&ids, e));
                 let pooled = pool
                     .fetch_classified(id, ctx)
-                    .map(|(g, hit)| (g.payload[0], hit))
+                    .map(|out| (out.guard.payload[0], out.hit))
                     .map_err(|e| fault(&ids, e));
                 let expected = model.fetch(slot);
                 prop_assert_eq!(&seq, &expected, "step {}: {:?}", step, op);

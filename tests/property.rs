@@ -276,9 +276,9 @@ proptest! {
         for &(slot, query) in &accesses {
             buf.fetch(&mut disk, ids[slot], AccessContext::query(QueryId::new(query)))
                 .unwrap();
-            let c = buf.candidate_size().unwrap();
+            let c = buf.policy().candidate_size().unwrap();
             prop_assert!(c >= 1 && c <= main_cap, "candidate {c} vs main {main_cap}");
-            prop_assert_eq!(buf.retained_history(), 0);
+            prop_assert_eq!(buf.policy().retained_history(), 0);
         }
     }
 

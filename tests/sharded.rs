@@ -236,11 +236,11 @@ fn single_shard_batches_replay_identically_to_the_written_out_contract() {
             let served = pool.fetch_batch(&batch, ctx);
             let flags: Vec<Option<bool>> = served
                 .iter()
-                .map(|slot| slot.as_ref().ok().map(|(_, hit)| *hit))
+                .map(|slot| slot.as_ref().ok().map(|out| out.hit))
                 .collect();
             assert_eq!(flags, expected, "{policy:?}: hit flags of batch {b}");
             for (slot, &id) in served.iter().zip(&batch) {
-                assert_eq!(slot.as_ref().expect("read").0.id, id);
+                assert_eq!(slot.as_ref().expect("read").guard.id, id);
             }
             drop((guards, served));
             assert_eq!(
