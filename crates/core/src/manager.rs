@@ -424,24 +424,8 @@ impl BufferManager {
         let Some(frame) = self.frames.get_mut(&id) else {
             return false;
         };
-        let mut payload = frame.page.payload.to_vec();
-        if payload.is_empty() {
-            payload.push(0xee);
-        } else {
-            payload[0] ^= 0xff;
-        }
-        match Page::with_checksum(
-            frame.page.id,
-            frame.page.meta,
-            Bytes::from(payload),
-            frame.page.checksum(),
-        ) {
-            Ok(poisoned) => {
-                frame.page = poisoned;
-                true
-            }
-            Err(_) => false,
-        }
+        frame.page = frame.page.damaged();
+        true
     }
 
     /// Reads a page through the buffer, fetching from `io` on a miss, and

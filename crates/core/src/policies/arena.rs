@@ -61,17 +61,13 @@ impl Roster {
     /// The policy kinds in this roster, in fixed order (index 0 is the
     /// initial leader).
     pub fn kinds(&self) -> Vec<PolicyKind> {
-        let slru = PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        };
         match self {
             Roster::Full => {
                 let mut kinds = vec![
                     PolicyKind::Lru,
                     PolicyKind::LruK { k: 2 },
                     PolicyKind::TwoQ,
-                    slru,
+                    PolicyKind::PAPER_SLRU,
                 ];
                 kinds.extend(
                     SpatialCriterion::ALL
@@ -85,7 +81,7 @@ impl Roster {
                 PolicyKind::Lru,
                 PolicyKind::LruK { k: 2 },
                 PolicyKind::TwoQ,
-                slru,
+                PolicyKind::PAPER_SLRU,
                 PolicyKind::Asb,
             ],
         }

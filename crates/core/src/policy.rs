@@ -171,6 +171,13 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// The paper's SLRU (Figs. 12–13): an LRU candidate set of 25 % of the
+    /// buffer, criterion A.
+    pub const PAPER_SLRU: PolicyKind = PolicyKind::Slru {
+        candidate_fraction: 0.25,
+        criterion: SpatialCriterion::Area,
+    };
+
     /// Instantiates the policy for a buffer of `capacity` pages.
     ///
     /// The paper's reductions are taken literally: the pure spatial policy
@@ -229,10 +236,7 @@ impl PolicyKind {
     pub fn from_name(name: &str) -> Option<Self> {
         let name = name.to_ascii_uppercase();
         if name == "SLRU" {
-            return Some(PolicyKind::Slru {
-                candidate_fraction: 0.25,
-                criterion: SpatialCriterion::Area,
-            });
+            return Some(PolicyKind::PAPER_SLRU);
         }
         let fixed = [
             PolicyKind::Lru,
@@ -273,14 +277,7 @@ mod tests {
         assert_eq!(PolicyKind::Lru.label(), "LRU");
         assert_eq!(PolicyKind::LruK { k: 2 }.label(), "LRU-2");
         assert_eq!(PolicyKind::Spatial(SpatialCriterion::Area).label(), "A");
-        assert_eq!(
-            PolicyKind::Slru {
-                candidate_fraction: 0.25,
-                criterion: SpatialCriterion::Area
-            }
-            .label(),
-            "SLRU 25%"
-        );
+        assert_eq!(PolicyKind::PAPER_SLRU.label(), "SLRU 25%");
         assert_eq!(PolicyKind::Asb.label(), "ASB");
         assert_eq!(PolicyKind::Arena.label(), "ARENA");
     }

@@ -17,7 +17,7 @@
 use asb_core::{PolicyKind, SpatialCriterion};
 use asb_exp::cli::{self, Args};
 use asb_exp::{ExperimentCell, Lab};
-use asb_workload::{DatasetKind, QuerySetSpec, Scale};
+use asb_workload::{DatasetKind, QueryKind, QuerySetSpec, Scale};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -29,7 +29,7 @@ fn probe(mut args: Args) -> Result<(), String> {
     let mut seed = 42u64;
     let mut db = DatasetKind::Mainland;
     let mut frac = 0.047f64;
-    let mut set = "INT-P".to_string();
+    let mut set = QuerySetSpec::intensified(QueryKind::Point);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => scale = args.scale(&arg)?,
@@ -41,11 +41,10 @@ fn probe(mut args: Args) -> Result<(), String> {
                     return Err(format!("--frac must be in (0, 1], got {frac}"));
                 }
             }
-            "--set" => set = args.value(&arg)?,
+            "--set" => set = args.set(&arg)?,
             o => return Err(cli::unknown(o)),
         }
     }
-    let spec = QuerySetSpec::from_name(&set).ok_or(format!("unknown query set {set}"))?;
 
     let mut lab = Lab::new(scale, seed);
     let (pages, buffer_pages) = lab
@@ -54,7 +53,8 @@ fn probe(mut args: Args) -> Result<(), String> {
         .map_err(|e| format!("bulk load failed: {e}"))?;
     println!(
         "# db={db:?} scale={scale:?} pages={pages} buffer={frac} (= {buffer_pages} pages) \
-         set={set}"
+         set={}",
+        set.name()
     );
     let policies = [
         PolicyKind::Lru,
@@ -65,10 +65,7 @@ fn probe(mut args: Args) -> Result<(), String> {
         PolicyKind::TwoQ,
         PolicyKind::LruK { k: 2 },
         PolicyKind::Spatial(SpatialCriterion::Area),
-        PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        },
+        PolicyKind::PAPER_SLRU,
         PolicyKind::Asb,
         PolicyKind::Arena,
     ];
@@ -76,10 +73,10 @@ fn probe(mut args: Args) -> Result<(), String> {
         "{:<10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8} {:>7}",
         "policy", "accesses", "logical", "hit%", "random", "seq", "sim[ms]", "gain%", "vs_opt"
     );
-    let cells = policies.map(|policy| ExperimentCell::new(db, policy, frac, spec));
+    let cells = policies.map(|policy| ExperimentCell::new(db, policy, frac, set));
     let (results, opt) = lab
         .eval(&cells)
-        .and_then(|r| Ok((r, lab.recording(db, spec)?.opt_misses(buffer_pages))))
+        .and_then(|r| Ok((r, lab.recording(db, set)?.opt_misses(buffer_pages))))
         .map_err(|e| format!("experiment failed: {e}"))?;
     let base = results[0]; // cells[0] is LRU, the paper's baseline
     for (p, r) in policies.iter().zip(&results) {

@@ -71,7 +71,7 @@ fn record(mut args: Args) -> Result<(), String> {
     let mut db = DatasetKind::Mainland;
     let mut scale = Scale::Tiny;
     let mut seed = 42u64;
-    let mut set = "U-W-33".to_string();
+    let mut set = QuerySetSpec::uniform_windows(33);
     let mut queries = 200usize;
     let mut phased = None;
     while let Some(arg) = args.next() {
@@ -81,7 +81,7 @@ fn record(mut args: Args) -> Result<(), String> {
             "--db" => db = args.db(&arg)?,
             "--scale" => scale = args.scale(&arg)?,
             "--seed" => seed = args.parse(&arg)?,
-            "--set" => set = args.value(&arg)?,
+            "--set" => set = args.set(&arg)?,
             "--queries" => queries = args.positive(&arg)?,
             o => return Err(cli::unknown(o)),
         }
@@ -91,8 +91,7 @@ fn record(mut args: Args) -> Result<(), String> {
         let workload = PhasedWorkload::adversarial(per_phase);
         Trace::record_phased(db, scale, seed, &workload).map_err(|e| e.to_string())?
     } else {
-        let spec = QuerySetSpec::from_name(&set).ok_or(format!("unknown query set {set}"))?;
-        Trace::record(db, scale, seed, spec, queries).map_err(|e| e.to_string())?
+        Trace::record(db, scale, seed, set, queries).map_err(|e| e.to_string())?
     };
     trace.save(&out).map_err(|e| format!("{out}: {e}"))?;
     eprintln!(

@@ -3,7 +3,7 @@
 //! hands it, and every refusal is one `error: …` line and exit status 1.
 
 use asb_core::PolicyKind;
-use asb_workload::{DatasetKind, Scale};
+use asb_workload::{DatasetKind, QuerySetSpec, Scale};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -65,6 +65,12 @@ impl Args {
             "2" => Ok(DatasetKind::World),
             o => Err(format!("unknown db {o}")),
         }
+    }
+
+    /// A query-set name, anything [`QuerySetSpec::from_name`] accepts.
+    pub fn set(&mut self, flag: &str) -> Result<QuerySetSpec, String> {
+        let v = self.value(flag)?;
+        QuerySetSpec::from_name(&v).ok_or(format!("unknown query set {v}"))
     }
 
     /// Anything [`PolicyKind::from_name`] accepts.

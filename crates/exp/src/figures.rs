@@ -247,13 +247,7 @@ pub fn fig12(lab: &mut Lab) -> Result<Vec<FigureTable>> {
             },
             "SLRU 50%",
         ),
-        (
-            PolicyKind::Slru {
-                candidate_fraction: 0.25,
-                criterion: SpatialCriterion::Area,
-            },
-            "SLRU 25%",
-        ),
+        (PolicyKind::PAPER_SLRU, "SLRU 25%"),
     ];
     let title = "Static candidate sets";
     gain_tables(lab, "fig12", title, &DB_BOTH[..1], &policies, &mixed_sets())
@@ -284,13 +278,7 @@ fn opt_series(lab: &mut Lab, db: DatasetKind, frac: f64, sets: &[QuerySetSpec]) 
 pub fn fig13(lab: &mut Lab) -> Result<Vec<FigureTable>> {
     let policies = [
         (PolicyKind::Spatial(SpatialCriterion::Area), "A"),
-        (
-            PolicyKind::Slru {
-                candidate_fraction: 0.25,
-                criterion: SpatialCriterion::Area,
-            },
-            "SLRU",
-        ),
+        (PolicyKind::PAPER_SLRU, "SLRU"),
         (PolicyKind::Asb, "ASB"),
         (PolicyKind::LruK { k: 2 }, "LRU-2"),
     ];

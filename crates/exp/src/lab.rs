@@ -5,6 +5,7 @@
 //! [`Lab::eval`] is the one way a cell is computed: recordings are made on
 //! the calling thread, the replays fan out over [`Trace::replay_all`].
 
+use crate::ext::gain_vs_lru;
 use crate::trace::Trace;
 use asb_core::{BufferManager, PolicyKind};
 use asb_geom::Query;
@@ -71,7 +72,7 @@ impl RunResult {
     /// The paper's performance gain of this run over a baseline:
     /// `|accesses(base)| / |accesses(self)| − 1`, in percent.
     pub fn gain_over(&self, base: &RunResult) -> f64 {
-        (base.disk_accesses as f64 / self.disk_accesses as f64 - 1.0) * 100.0
+        gain_vs_lru(base.disk_accesses, self.disk_accesses)
     }
 
     /// Accesses relative to a baseline, in percent (`base` = 100 %).
@@ -156,11 +157,16 @@ impl Lab {
             return Ok(q.clone());
         }
         let count = self.calibrate_count(kind, spec)?;
-        let seed = self.seed;
+        let seed = self.query_seed();
         let h = self.harness(kind)?;
-        let queries = spec.generate(&h.dataset, count, seed ^ 0x0051_5e75);
+        let queries = spec.generate(&h.dataset, count, seed);
         self.query_sets.insert(key, queries.clone());
         Ok(queries)
+    }
+
+    /// The seed the lab's query sets are drawn from.
+    fn query_seed(&self) -> u64 {
+        self.seed ^ 0x0051_5e75
     }
 
     /// Implements the paper's sizing rule: enough queries that the largest
@@ -197,21 +203,33 @@ impl Lab {
             return Ok(Arc::clone(r));
         }
         let queries = self.queries(kind, spec)?;
-        let label = format!(
-            "{kind:?} {:?} seed={} set={} queries={}",
-            self.scale,
-            self.seed,
-            key.1,
-            queries.len()
-        );
+        let trace = Arc::new(self.record(kind, &key.1, |_, _| queries)?);
+        self.recordings.retain(|(db, _), _| *db == kind);
+        self.recordings.insert(key, Arc::clone(&trace));
+        Ok(trace)
+    }
+
+    /// The one recorder: walks the queries `make` draws from `kind`'s
+    /// dataset and the lab's query seed once over the unbuffered tree, and
+    /// returns the reference string, labelled with the lab's coordinates
+    /// and `set`. [`Trace::record`] and [`Trace::record_phased`] record
+    /// through it too.
+    pub(crate) fn record(
+        &mut self,
+        kind: DatasetKind,
+        set: &str,
+        make: impl FnOnce(&Dataset, u64) -> Vec<Query>,
+    ) -> Result<Trace> {
+        let (scale, seed) = (self.scale, self.seed);
+        let query_seed = self.query_seed();
         let h = self.harness(kind)?;
+        let queries = make(&h.dataset, query_seed);
+        let n = queries.len();
+        let label = format!("{kind:?} {scale:?} seed={seed} set={set} queries={n}");
         let mut trace =
             Trace::record_on(label, &mut h.tree, RTree::store, RTree::execute, &queries)?;
         debug_assert_eq!(trace.pages, h.catalogue, "the lab's trees are read-only");
         trace.pages = Arc::clone(&h.catalogue);
-        let trace = Arc::new(trace);
-        self.recordings.retain(|(db, _), _| *db == kind);
-        self.recordings.insert(key, Arc::clone(&trace));
         Ok(trace)
     }
 

@@ -36,15 +36,15 @@
 //! Floats are written with Rust's shortest-roundtrip formatting, so a
 //! parse–print cycle is lossless.
 
+use crate::lab::Lab;
 use asb_core::{BufferManager, BufferStats, PolicyKind};
 use asb_geom::{Query, Rect, SpatialStats};
-use asb_rtree::RTree;
 use asb_storage::sync::{Counter, Mutex};
 use asb_storage::{
     AccessContext, DiskManager, IoStats, PageId, PageMeta, PageStore, PageType, QueryId,
     RecordingStore, Result,
 };
-use asb_workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
+use asb_workload::{DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -77,10 +77,10 @@ pub(crate) fn workers() -> usize {
 }
 
 impl Trace {
-    /// Records the logical access sequence of one workload: builds the
-    /// R\*-tree for `db` at `scale`, generates `queries` queries from
-    /// `spec` (with the lab's query-seed derivation) and executes them
-    /// unbuffered, logging every page read.
+    /// Records the logical access sequence of one workload: `queries`
+    /// queries from `spec`, walked once over the unbuffered R\*-tree of a
+    /// fresh [`Lab`] for `(scale, seed)`, so the queries and the label are
+    /// the lab's own.
     pub fn record(
         db: DatasetKind,
         scale: Scale,
@@ -88,7 +88,7 @@ impl Trace {
         spec: QuerySetSpec,
         queries: usize,
     ) -> Result<Trace> {
-        Trace::record_with(db, scale, seed, &spec.name(), |dataset, qseed| {
+        Lab::new(scale, seed).record(db, &spec.name(), |dataset, qseed| {
             spec.generate(dataset, queries, qseed)
         })
     }
@@ -103,7 +103,7 @@ impl Trace {
         seed: u64,
         workload: &PhasedWorkload,
     ) -> Result<Trace> {
-        Trace::record_with(db, scale, seed, &workload.label(), |dataset, qseed| {
+        Lab::new(scale, seed).record(db, &workload.label(), |dataset, qseed| {
             workload.generate(dataset, qseed)
         })
     }
@@ -116,8 +116,8 @@ impl Trace {
         store
     }
 
-    /// The one recorder: drains the reads `store` has logged into a trace
-    /// over the page catalogue of the disk below it.
+    /// Drains the reads `store` has logged into a trace over the page
+    /// catalogue of the disk below it.
     pub fn capture(label: String, store: &RecordingStore<DiskManager>) -> Trace {
         let mut pages: Vec<(u64, PageMeta)> = store
             .inner()
@@ -149,25 +149,6 @@ impl Trace {
         }
         store(index).set_recording(false);
         Ok(Trace::capture(label, store(index)))
-    }
-
-    /// Behind both `record` entry points: `queries` turns the dataset and
-    /// the derived query seed into the query list, `set` names it.
-    fn record_with(
-        db: DatasetKind,
-        scale: Scale,
-        seed: u64,
-        set: &str,
-        queries: impl FnOnce(&Dataset, u64) -> Vec<Query>,
-    ) -> Result<Trace> {
-        let dataset = Dataset::generate(db, scale, seed);
-        let mut tree = RTree::bulk_load(Trace::recorder(DiskManager::new()), dataset.items())?;
-        let qs = queries(&dataset, seed ^ 0x0051_5e75);
-        let label = format!(
-            "{db:?} {scale:?} seed={seed} set={set} queries={}",
-            qs.len()
-        );
-        Trace::record_on(label, &mut tree, RTree::store, RTree::execute, &qs)
     }
 
     /// Rebuilds a simulated disk holding exactly the traced pages (same

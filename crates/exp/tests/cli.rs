@@ -25,12 +25,14 @@ fn assert_refused(bin: &str, args: &[&str], says: &str) {
 }
 
 /// The refusals of the shared flag reader, in every binary that takes the
-/// flag: a missing value, an unparsable number, a third database.
+/// flag: a missing value, an unparsable number, a third database, and an
+/// object-window query set other than `ID-W` (`U-W` used to run U-P's
+/// point queries under its own name).
 #[test]
 fn every_front_end_refuses_an_unreadable_flag() {
     let t = &golden("mainland");
     let missing = "needs a value";
-    let cases: [(&str, &[&str], &str); 14] = [
+    let cases: [(&str, &[&str], &str); 16] = [
         (REPRO, &["--seed"], missing),
         (PROBE, &["--seed"], missing),
         (TRACE, &["record", "--out"], missing),
@@ -45,6 +47,8 @@ fn every_front_end_refuses_an_unreadable_flag() {
         (TRACE, &["crash", t, "--seed", "x"], "bad --seed"),
         (PROBE, &["--db", "3"], "unknown db 3"),
         (TRACE, &["record", "--db", "3"], "unknown db 3"),
+        (PROBE, &["--set", "U-W"], "unknown query set U-W"),
+        (TRACE, &["record", "--set", "S-W"], "unknown query set S-W"),
     ];
     for (bin, args, says) in cases {
         assert_refused(bin, args, says);

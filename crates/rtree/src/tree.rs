@@ -8,7 +8,9 @@ use crate::split::{
 };
 use asb_core::{BufferManager, BufferStats, PageFile};
 use asb_geom::{HasMbr, Point, Query, Rect};
-use asb_storage::{AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result};
+use asb_storage::{
+    even_chunks, AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result,
+};
 
 impl HasMbr for DirEntry {
     fn mbr(&self) -> Rect {
@@ -846,6 +848,32 @@ impl<S: PageStore> RTree<S> {
         Ok(())
     }
 
+    /// The page ids of the last `n` leaves under the right spine, last
+    /// first: the chaos harness's deterministic poison targets. STR bulk
+    /// loading tiles space in sort order, so these are the *last* tiles, and
+    /// poisoning them prunes one tile's objects rather than a subtree (the
+    /// first tiles sit in the workload's hottest region and would degrade
+    /// most requests). Fewer than `n` when the last parent of leaves has
+    /// fewer children; empty for a root-only tree. The walk reads through
+    /// `read_node_at`, so a spine that loops or holds an empty directory is
+    /// `Corrupt`.
+    pub fn last_leaf_ids(&mut self, n: usize) -> Result<Vec<PageId>> {
+        self.next_query += 1;
+        let (mut id, mut level) = (self.root, self.height);
+        loop {
+            let NodeKind::Dir(entries) = self.read_node_at(id, level)?.kind else {
+                return Ok(Vec::new());
+            };
+            if level == 2 {
+                return Ok(entries.iter().rev().take(n).map(|e| e.child).collect());
+            }
+            let last = entries
+                .last()
+                .ok_or_else(|| corrupt(id, "directory without entries"))?;
+            (id, level) = (last.child, level - 1);
+        }
+    }
+
     /// Rewrites the `object_page` pointer of every leaf entry using
     /// `resolver` (typically [`ObjectStore::page_of`]), connecting the
     /// index to the object pages of the paper's storage architecture.
@@ -899,22 +927,6 @@ impl<S: PageStore> RTree<S> {
     }
 }
 
-/// Splits `len` elements into chunks of roughly `target` elements while
-/// keeping every chunk within `[min, max]` where arithmetically possible
-/// (a single chunk below `min` remains only when `len < min`, which is the
-/// root-only case).
-fn even_chunk_sizes(len: usize, target: usize, min: usize, max: usize) -> Vec<usize> {
-    debug_assert!(len > 0 && min <= target && target <= max);
-    let mut k = len.div_ceil(target);
-    if len >= min {
-        k = k.min(len / min); // floor(len/k) >= min
-    }
-    k = k.max(len.div_ceil(max)).max(1); // ceil(len/k) <= max
-    let base = len / k;
-    let extra = len % k;
-    (0..k).map(|i| base + usize::from(i < extra)).collect()
-}
-
 /// Sort-tile-recursive partitioning: returns chunks of ~`fill` entries
 /// (never fewer than `min`, never more than `max`), tiled by x then y.
 fn str_tiles<E: HasMbr>(mut entries: Vec<E>, fill: usize, min: usize, max: usize) -> Vec<Vec<E>> {
@@ -933,13 +945,13 @@ fn str_tiles<E: HasMbr>(mut entries: Vec<E>, fill: usize, min: usize, max: usize
     let mut rest = entries;
     // Distribute entries evenly over the vertical slices, then evenly over
     // the tiles within each slice, so no tile ends up underfull.
-    for slice_len in even_chunk_sizes(n, slice_size, min, usize::MAX / 2) {
+    for slice_len in even_chunks(n, slice_size, min, usize::MAX / 2) {
         let mut slice: Vec<E> = rest.drain(..slice_len).collect();
         slice.sort_by(|a, b| {
             let (ca, cb) = (a.mbr().center(), b.mbr().center());
             ca.y.partial_cmp(&cb.y).expect("finite coordinates")
         });
-        for tile_len in even_chunk_sizes(slice.len(), fill, min, max) {
+        for tile_len in even_chunks(slice.len(), fill, min, max) {
             tiles.push(slice.drain(..tile_len).collect());
         }
     }

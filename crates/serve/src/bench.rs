@@ -35,6 +35,12 @@ pub const SERVE_BENCH_SHARDS: usize = 4;
 pub const SERVE_BENCH_POLICIES: [PolicyKind; 3] =
     [PolicyKind::Lru, PolicyKind::Asb, PolicyKind::Arena];
 
+/// Frames of a serving pool of `shards` shards over a tree of `tree_pages`
+/// pages: [`SERVE_BENCH_BUFFER_FRAC`] of the tree, at least two per shard.
+pub fn serve_capacity(tree_pages: usize, shards: usize) -> usize {
+    ((tree_pages as f64 * SERVE_BENCH_BUFFER_FRAC).round() as usize).max(2 * shards)
+}
+
 /// One `(database, policy)` serving-benchmark row.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeBenchEntry {
@@ -127,8 +133,7 @@ pub fn serve_bench() -> Result<ServeBench> {
         for policy in SERVE_BENCH_POLICIES {
             let tree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
             let tree_pages = tree.page_count();
-            let capacity =
-                ((tree_pages as f64 * SERVE_BENCH_BUFFER_FRAC).round() as usize).max(2 * shards);
+            let capacity = serve_capacity(tree_pages, shards);
             let snapshot = tree.snapshot();
             let pool = ShardedBuffer::new(tree.into_store(), policy, capacity, shards);
             pool.reset_io_stats();

@@ -20,8 +20,8 @@ use asb_core::{PolicyKind, ShardedBuffer};
 use asb_exp::cli::{self, Args};
 use asb_rtree::RTree;
 use asb_serve::{
-    bench_sessions, serve, ServeConfig, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_REQUESTS,
-    SERVE_BENCH_SEED, SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
+    bench_sessions, serve, serve_capacity, ServeConfig, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED,
+    SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
 };
 use asb_storage::DiskManager;
 use asb_workload::{Dataset, DatasetKind, Scale};
@@ -62,9 +62,7 @@ fn run(mut args: Args) -> Result<(), String> {
     let tree = RTree::bulk_load(DiskManager::new(), dataset.items())
         .map_err(|e| format!("bulk load failed: {e}"))?;
     let pages = tree.page_count();
-    let capacity = capacity.unwrap_or_else(|| {
-        ((pages as f64 * SERVE_BENCH_BUFFER_FRAC).round() as usize).max(2 * shards)
-    });
+    let capacity = capacity.unwrap_or_else(|| serve_capacity(pages, shards));
     cli::check_shards(shards, capacity)?;
     let snapshot = tree.snapshot();
     let pool = ShardedBuffer::new(tree.into_store(), policy, capacity, shards);

@@ -24,15 +24,13 @@
 //! guarantees ([`check_chaos`]) and compares it with the file byte for
 //! byte. That test is the file's only writer, under `ASB_BLESS_GOLDEN=1`.
 
-use crate::bench::{bench_sessions, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_SEED};
+use crate::bench::{bench_sessions, serve_capacity, SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_SEED};
 use crate::degrade::Outcome;
 use crate::engine::{serve, ServeConfig, ServeOutcome};
 use asb_core::{PolicyKind, ShardedBuffer};
 use asb_exp::GOLDEN_DBS;
-use asb_rtree::{NodeView, RTree, ViewEntries};
-use asb_storage::{
-    AccessContext, DiskManager, FaultConfig, FaultyStore, PageId, PageStore, Result, StorageError,
-};
+use asb_rtree::RTree;
+use asb_storage::{DiskManager, FaultConfig, FaultyStore, Result};
 use asb_workload::{Dataset, Scale};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,8 +38,16 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Seeds of the committed chaos matrix (one column per seed).
 pub const CHAOS_SEEDS: [u64; 4] = [1, 7, 1337, 424242];
 
+/// A named fault profile: its fault schedule for a `(seed, rate)`.
+pub type FaultProfile = (&'static str, fn(u64, f64) -> FaultConfig);
+
 /// Fault profiles of the committed chaos matrix (one row per profile).
-pub const CHAOS_FAULT_PROFILES: [&str; 4] = ["transient", "corrupting", "chaos", "brownout"];
+pub const CHAOS_FAULT_PROFILES: [FaultProfile; 4] = [
+    ("transient", FaultConfig::transient),
+    ("corrupting", FaultConfig::corrupting),
+    ("chaos", FaultConfig::chaos),
+    ("brownout", FaultConfig::brownout),
+];
 
 /// Gate: at most this fraction of a cell's requests may complete
 /// non-exact (degraded + deadline-exceeded). Generous on purpose — the
@@ -78,7 +84,7 @@ const CHAOS_FAULT_RATE: f64 = 0.08;
 const CHAOS_POLICY: PolicyKind = PolicyKind::Asb;
 
 /// Pages marked permanently failed before each faulty run — the last
-/// leaves of the tree's right spine (see [`last_leaf_ids`]), chosen so
+/// leaves of the tree's right spine (see [`RTree::last_leaf_ids`]), chosen so
 /// the blast radius is one tile's objects rather than a whole subtree —
 /// exercising give-up typing and quarantine end to end.
 const CHAOS_POISONED_PAGES: usize = 2;
@@ -147,44 +153,6 @@ pub struct ChaosBench {
     pub cells: Vec<ChaosCell>,
 }
 
-/// The fault schedule of a named profile (see [`CHAOS_FAULT_PROFILES`]).
-/// Unknown names fail with [`StorageError::Corrupt`]-free path — they
-/// return the reliable schedule, which the sweep rejects upfront.
-fn profile_config(profile: &str, seed: u64, rate: f64) -> Option<FaultConfig> {
-    match profile {
-        "transient" => Some(FaultConfig::transient(seed, rate)),
-        "corrupting" => Some(FaultConfig::corrupting(seed, rate)),
-        "chaos" => Some(FaultConfig::chaos(seed, rate)),
-        "brownout" => Some(FaultConfig::brownout(seed, rate)),
-        _ => None,
-    }
-}
-
-/// The page ids of the last `n` leaves under the tree's right spine —
-/// the chaos harness's deterministic poison targets. STR bulk loading
-/// tiles space in sort order, so these are the *last* tiles: poisoning
-/// them prunes one tile's objects, not a whole subtree (the first tiles
-/// sit in the workload's hottest region and would degrade most requests).
-/// Returns fewer than `n` ids when the last directory node has fewer
-/// children; an empty vector for a single-page (root-only) tree.
-pub fn last_leaf_ids<S: PageStore>(store: &mut S, root: PageId, n: usize) -> Result<Vec<PageId>> {
-    let ctx = AccessContext::default();
-    let mut id = root;
-    loop {
-        let page = store.read(id, ctx)?;
-        let view = NodeView::parse(&page)?;
-        // A root that is itself a leaf: nothing below it to poison.
-        let ViewEntries::Dir(entries) = view.entries() else {
-            return Ok(Vec::new());
-        };
-        let children: Vec<PageId> = entries.map(|e| e.child).collect();
-        if view.level() == 2 {
-            return Ok(children.into_iter().rev().take(n).collect());
-        }
-        id = *children.last().expect("directory nodes are never empty");
-    }
-}
-
 /// Runs one serve pass: fresh tree, store wrapped in a [`FaultyStore`]
 /// with `fault` (the reliable schedule for references),
 /// [`CHAOS_POISONED_PAGES`] leaf pages poisoned permanently, sharded pool
@@ -196,18 +164,15 @@ fn run_once(
     fault: FaultConfig,
     poison: bool,
 ) -> Result<(ServeOutcome, u64)> {
-    let tree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
-    let tree_pages = tree.page_count();
-    let capacity =
-        ((tree_pages as f64 * SERVE_BENCH_BUFFER_FRAC).round() as usize).max(2 * CHAOS_SHARDS);
-    let snapshot = tree.snapshot();
-    let mut inner = tree.into_store();
+    let mut tree = RTree::bulk_load(DiskManager::new(), dataset.items())?;
+    let capacity = serve_capacity(tree.page_count(), CHAOS_SHARDS);
     let poison_ids = if poison {
-        last_leaf_ids(&mut inner, snapshot.root(), CHAOS_POISONED_PAGES)?
+        tree.last_leaf_ids(CHAOS_POISONED_PAGES)?
     } else {
         Vec::new()
     };
-    let store = FaultyStore::new(inner, fault);
+    let snapshot = tree.snapshot();
+    let store = FaultyStore::new(tree.into_store(), fault);
     for &id in &poison_ids {
         store.mark_permanent(id);
     }
@@ -276,7 +241,7 @@ fn audit_responses(
 /// faulty runs (the determinism probe), each audited for wrong answers.
 /// Nothing aborts: a cell's failures surface as counters in its
 /// [`ChaosCell`], which [`check_chaos`] gates.
-pub fn chaos_sweep(seeds: &[u64], profiles: &[&str]) -> Result<ChaosBench> {
+pub fn chaos_sweep(seeds: &[u64], profiles: &[FaultProfile]) -> Result<ChaosBench> {
     let mut cells = Vec::new();
     for (name, db) in GOLDEN_DBS {
         let dataset = Dataset::generate(db, Scale::Tiny, SERVE_BENCH_SEED);
@@ -296,13 +261,8 @@ pub fn chaos_sweep(seeds: &[u64], profiles: &[&str]) -> Result<ChaosBench> {
                 FaultConfig::reliable(),
                 false,
             )?;
-            for &profile in profiles {
-                let fault = profile_config(profile, seed, CHAOS_FAULT_RATE).ok_or_else(|| {
-                    StorageError::Corrupt {
-                        id: PageId::new(0),
-                        reason: format!("unknown fault profile {profile:?}"),
-                    }
-                })?;
+            for &(profile, schedule) in profiles {
+                let fault = schedule(seed, CHAOS_FAULT_RATE);
                 let (first, give_ups) = run_once(&dataset, &streams, &serve_cfg, fault, true)?;
                 let (second, _) = run_once(&dataset, &streams, &serve_cfg, fault, true)?;
                 let deterministic = first == second;
@@ -479,7 +439,7 @@ mod tests {
 
     #[test]
     fn single_cell_sweep_is_green_and_deterministic() {
-        let sweep = chaos_sweep(&[7], &["chaos"]).unwrap();
+        let sweep = chaos_sweep(&[7], &[("chaos", FaultConfig::chaos)]).unwrap();
         assert_eq!(sweep.cells.len(), 2, "one cell per golden database");
         assert_eq!(check_chaos(&sweep), Vec::<String>::new());
     }

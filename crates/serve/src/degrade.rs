@@ -27,18 +27,6 @@ pub enum Outcome {
     DeadlineExceeded,
 }
 
-impl Outcome {
-    /// Short lowercase label (`"exact"` / `"degraded"` / `"deadline"`)
-    /// for CLI and JSON summaries.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Outcome::Exact => "exact",
-            Outcome::Degraded => "degraded",
-            Outcome::DeadlineExceeded => "deadline",
-        }
-    }
-}
-
 /// Consecutive failed batches that trip a [`CircuitBreaker`] open.
 pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
 

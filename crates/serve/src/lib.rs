@@ -38,12 +38,12 @@ mod engine;
 mod percentile;
 
 pub use bench::{
-    bench_sessions, serve_bench, ServeBench, ServeBenchEntry, SERVE_BENCH_BUFFER_FRAC,
-    SERVE_BENCH_POLICIES, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED, SERVE_BENCH_SESSIONS,
-    SERVE_BENCH_SHARDS,
+    bench_sessions, serve_bench, serve_capacity, ServeBench, ServeBenchEntry,
+    SERVE_BENCH_BUFFER_FRAC, SERVE_BENCH_POLICIES, SERVE_BENCH_REQUESTS, SERVE_BENCH_SEED,
+    SERVE_BENCH_SESSIONS, SERVE_BENCH_SHARDS,
 };
 pub use chaos::{
-    chaos_sweep, check_chaos, default_chaos_bench, last_leaf_ids, ChaosBench, ChaosCell,
+    chaos_sweep, check_chaos, default_chaos_bench, ChaosBench, ChaosCell, FaultProfile,
     CHAOS_DEADLINE_TICKS, CHAOS_FAULT_PROFILES, CHAOS_SEEDS, DEGRADED_RATE_CEILING,
     P999_INFLATION_CEILING,
 };

@@ -140,11 +140,6 @@ impl CrashClock {
         self.state.lock().dead
     }
 
-    /// Number of durable events observed so far.
-    pub fn ops(&self) -> u64 {
-        self.state.lock().next
-    }
-
     /// The events a recording clock has logged (empty for armed clocks).
     pub fn events(&self) -> Vec<CrashEvent> {
         self.state.lock().log.clone().unwrap_or_default()

@@ -219,11 +219,6 @@ impl<S> FaultyStore<S> {
         self.config = config;
     }
 
-    /// The active fault schedule.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
-
     /// Counters of all faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.state.lock().stats
@@ -289,30 +284,13 @@ impl<S> FaultyStore<S> {
         Ok(op)
     }
 
-    /// Damage a delivered copy of `page` while keeping its recorded
-    /// checksum, so the corruption is silent but detectable.
-    fn corrupt_copy(page: &Page) -> Page {
-        let mut payload = page.payload.to_vec();
-        if payload.is_empty() {
-            payload.push(0xee);
-        } else {
-            payload[0] ^= 0xff;
-        }
-        // invariant: the copy is the original payload with one byte flipped
-        // (or a single byte where it was empty), so it cannot exceed the
-        // page size the original already satisfied.
-        #[allow(clippy::expect_used)]
-        Page::with_checksum(page.id, page.meta, Bytes::from(payload), page.checksum())
-            .expect("flipping a byte never grows a page past the page size")
-    }
-
     /// Post-read step: possibly replace the delivered page with a corrupted
     /// copy, using the corruption coin of operation `op`.
     fn deliver(&self, op: u64, page: Page) -> Page {
         if self.draw(op, SALT_CORRUPT, self.config.corrupt) {
             let mut st = self.state.lock();
             st.stats.corruptions += 1;
-            Self::corrupt_copy(&page)
+            page.damaged()
         } else {
             page
         }

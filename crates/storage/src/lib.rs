@@ -56,7 +56,9 @@ pub use disk::{DiskManager, IoStats};
 pub use error::{PageError, StorageError};
 pub use fault::{splitmix64, FaultConfig, FaultStats, FaultyStore};
 pub use objects::{decode_object_page, ObjectRecord, ObjectStore};
-pub use page::{page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE};
+pub use page::{
+    even_chunks, page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE,
+};
 pub use recording::RecordingStore;
 pub use retry::RetryPolicy;
 pub use store::{AccessContext, ConcurrentPageStore, PageStore, QueryId};

@@ -278,9 +278,9 @@ impl Page {
     /// Creates a page with an explicit checksum instead of computing one.
     ///
     /// This exists for layers that *transport* pages rather than create
-    /// them: deserializers carrying a stored checksum forward, and the
-    /// fault-injection store, which damages a payload while preserving the
-    /// original checksum so the corruption stays detectable downstream.
+    /// them: deserializers carrying a stored checksum forward, and the crash
+    /// store's torn writes, which keep the original checksum so the damage
+    /// stays detectable downstream.
     pub fn with_checksum(
         id: PageId,
         meta: PageMeta,
@@ -313,12 +313,45 @@ impl Page {
         page_checksum(&self.payload) == self.checksum
     }
 
+    /// A copy whose payload is damaged while the recorded checksum is kept:
+    /// the first byte flipped, or one byte where the payload was empty. The
+    /// damage is silent, and [`Page::verify_checksum`] detects it.
+    pub fn damaged(&self) -> Page {
+        let mut payload = self.payload.to_vec();
+        match payload.first_mut() {
+            Some(byte) => *byte ^= 0xff,
+            None => payload.push(0xee),
+        }
+        Page {
+            id: self.id,
+            meta: self.meta,
+            payload: Bytes::from(payload),
+            checksum: self.checksum,
+        }
+    }
+
     /// Maximum number of fixed-size entries a page payload can hold after
     /// the header.
     #[inline]
     pub const fn capacity_for(entry_size: usize) -> usize {
         (PAGE_SIZE - PAGE_HEADER_SIZE) / entry_size
     }
+}
+
+/// How a bulk load fills pages: splits `len` elements into chunks of
+/// roughly `target` while keeping every chunk within `[min, max]` where
+/// arithmetically possible (a single chunk below `min` remains only for
+/// `len < min`, the root-only case).
+pub fn even_chunks(len: usize, target: usize, min: usize, max: usize) -> Vec<usize> {
+    debug_assert!(len > 0 && min <= target && target <= max);
+    let mut k = len.div_ceil(target);
+    if len >= min {
+        k = k.min(len / min); // floor(len/k) >= min
+    }
+    k = k.max(len.div_ceil(max)).max(1); // ceil(len/k) <= max
+    let base = len / k;
+    let extra = len % k;
+    (0..k).map(|i| base + usize::from(i < extra)).collect()
 }
 
 #[cfg(test)]
@@ -333,6 +366,20 @@ mod tests {
         assert_eq!(Page::capacity_for(40), 51);
         // Data entry: MBR + object id + object-page pointer = 48 bytes.
         assert_eq!(Page::capacity_for(48), 42);
+    }
+
+    #[test]
+    fn even_chunks_respect_bounds() {
+        for len in 1..500usize {
+            let sizes = even_chunks(len, 44, 31, 63);
+            assert_eq!(sizes.iter().sum::<usize>(), len);
+            for &s in &sizes {
+                assert!(s <= 63, "len={len}: chunk {s} too big");
+                if len >= 31 {
+                    assert!(s >= 31, "len={len}: chunk {s} too small");
+                }
+            }
+        }
     }
 
     #[test]
@@ -610,6 +657,13 @@ mod tests {
         // An honestly rebuilt page verifies again.
         let rebuilt = Page::new(p.id, p.meta, Bytes::from_static(b"grabled")).unwrap();
         assert!(rebuilt.verify_checksum());
+        for len in [0, 7, PAGE_SIZE] {
+            let p = Page::new(PageId::new(3), meta, Bytes::from(vec![1u8; len])).unwrap();
+            let damaged = p.damaged();
+            assert!(!damaged.verify_checksum(), "{len} bytes");
+            assert_eq!(damaged.checksum(), p.checksum());
+            assert_eq!(damaged.payload.len(), len.max(1));
+        }
     }
 
     #[test]

@@ -133,7 +133,8 @@ impl QuerySetSpec {
     }
 
     /// Parses a paper name back into its spec: the inverse of
-    /// [`name`](QuerySetSpec::name).
+    /// [`name`](QuerySetSpec::name). Only `ID-W` names object windows, so
+    /// `U-W`, `S-W`, `INT-W` and `IND-W` are refused.
     pub fn from_name(name: &str) -> Option<Self> {
         let (prefix, rest) = name.split_once('-')?;
         let dist = [
@@ -147,7 +148,7 @@ impl QuerySetSpec {
         .find(|d| d.prefix() == prefix)?;
         let kind = match rest {
             "P" => QueryKind::Point,
-            "W" => QueryKind::ObjectWindow,
+            "W" if dist == Distribution::Identical => QueryKind::ObjectWindow,
             w => QueryKind::Window {
                 ex: w.strip_prefix("W-")?.parse().ok()?,
             },
@@ -255,7 +256,7 @@ mod tests {
     fn names_parse_back_to_their_spec() {
         // Every distribution x every kind the figures, benches and phase
         // workloads draw from (a superset of the sets they actually use).
-        let kinds = [QueryKind::Point, QueryKind::ObjectWindow]
+        let kinds = [QueryKind::Point]
             .into_iter()
             .chain([1000, 333, 100, 33].map(|ex| QueryKind::Window { ex }));
         for kind in kinds {
@@ -272,7 +273,12 @@ mod tests {
                 assert_eq!(QuerySetSpec::from_name(&s.name()), Some(s));
             }
         }
-        for bad in ["", "U", "X-P", "U-Q", "U-W-", "U-W-x", "INT-W33"] {
+        let s = QuerySetSpec::identical_windows();
+        assert_eq!(QuerySetSpec::from_name(&s.name()), Some(s));
+        // Only the identical distribution has object windows.
+        for bad in [
+            "", "U", "X-P", "U-Q", "U-W-", "U-W-x", "INT-W33", "U-W", "S-W", "INT-W", "IND-W",
+        ] {
             assert_eq!(QuerySetSpec::from_name(bad), None, "{bad:?}");
         }
     }

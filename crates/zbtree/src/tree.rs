@@ -6,7 +6,7 @@ use asb_core::{BufferManager, BufferStats, PageFile};
 use asb_geom::curve::{z_order_inverse, CurveGrid};
 use asb_geom::{mbr_of, Point, Query, Rect};
 use asb_storage::{
-    AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
+    even_chunks, AccessContext, DiskManager, Page, PageId, PageStore, QueryId, Result, StorageError,
 };
 
 /// Quantization grid resolution in bits per dimension.
@@ -817,21 +817,6 @@ fn redistribute<T>(left: &mut Vec<T>, right: &mut Vec<T>, capacity: usize) -> bo
     false
 }
 
-/// Splits `len` elements into chunks of roughly `target` while keeping
-/// every chunk within `[min, max]` where arithmetically possible (a single
-/// chunk below `min` remains only for `len < min`, the root-only case).
-fn even_chunks(len: usize, target: usize, min: usize, max: usize) -> Vec<usize> {
-    debug_assert!(len > 0 && min <= target && target <= max);
-    let mut k = len.div_ceil(target);
-    if len >= min {
-        k = k.min(len / min);
-    }
-    k = k.max(len.div_ceil(max)).max(1);
-    let base = len / k;
-    let extra = len % k;
-    (0..k).map(|i| base + usize::from(i < extra)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,20 +845,6 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    #[test]
-    fn even_chunks_respect_bounds() {
-        for len in 1..500usize {
-            let sizes = even_chunks(len, 44, 31, 63);
-            assert_eq!(sizes.iter().sum::<usize>(), len);
-            for &s in &sizes {
-                assert!(s <= 63, "len={len}: chunk {s} too big");
-                if len >= 31 {
-                    assert!(s >= 31, "len={len}: chunk {s} too small");
-                }
-            }
-        }
     }
 
     #[test]

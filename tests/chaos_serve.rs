@@ -9,7 +9,7 @@
 
 use asb::buffer::{PolicyKind, ShardedBuffer};
 use asb::rtree::RTree;
-use asb::serve::{bench_sessions, last_leaf_ids, serve, Outcome, ServeConfig};
+use asb::serve::{bench_sessions, serve, serve_capacity, Outcome, ServeConfig};
 use asb::storage::{DiskManager, FaultConfig, FaultyStore, PageId};
 use asb::workload::{Dataset, DatasetKind, Request, Scale};
 
@@ -34,7 +34,7 @@ fn poisoned_fixture() -> (Dataset, Vec<Vec<Request>>) {
 /// Builds a serving pool over a [`FaultyStore`] wrapping the dataset's
 /// R-tree, optionally poisoning the `poison` last leaves of the tree's
 /// right spine — the same deterministic choice the chaos harness makes
-/// ([`last_leaf_ids`]). Returns the pool, the tree snapshot, and the
+/// ([`RTree::last_leaf_ids`]). Returns the pool, the tree snapshot, and the
 /// poisoned ids.
 fn build_pool(
     dataset: &Dataset,
@@ -45,16 +45,14 @@ fn build_pool(
     asb::rtree::TreeSnapshot,
     Vec<PageId>,
 ) {
-    let tree = RTree::bulk_load(DiskManager::new(), dataset.items()).expect("bulk load");
-    let pages = tree.page_count() as u64;
+    let mut tree = RTree::bulk_load(DiskManager::new(), dataset.items()).expect("bulk load");
+    let capacity = serve_capacity(tree.page_count(), 4);
+    let poisoned = tree.last_leaf_ids(poison).expect("leaf walk");
     let snapshot = tree.snapshot();
-    let mut inner = tree.into_store();
-    let poisoned = last_leaf_ids(&mut inner, snapshot.root(), poison).expect("leaf walk");
-    let store = FaultyStore::new(inner, fault);
+    let store = FaultyStore::new(tree.into_store(), fault);
     for &id in &poisoned {
         store.mark_permanent(id);
     }
-    let capacity = ((pages as f64 * 0.85).round() as usize).max(8);
     (
         ShardedBuffer::new(store, PolicyKind::Asb, capacity, 4),
         snapshot,

@@ -9,13 +9,7 @@ pub fn policies() -> Vec<(&'static str, PolicyKind)> {
     let mut rows = vec![
         ("lru", PolicyKind::Lru),
         ("lru-2", PolicyKind::LruK { k: 2 }),
-        (
-            "slru",
-            PolicyKind::Slru {
-                candidate_fraction: 0.25,
-                criterion: SpatialCriterion::Area,
-            },
-        ),
+        ("slru", PolicyKind::PAPER_SLRU),
         ("asb", PolicyKind::Asb),
         ("arena", PolicyKind::Arena),
         ("fifo", PolicyKind::Fifo),

@@ -23,10 +23,7 @@ fn all_policies() -> Vec<PolicyKind> {
         PolicyKind::Spatial(SpatialCriterion::Margin),
         PolicyKind::Spatial(SpatialCriterion::EntryMargin),
         PolicyKind::Spatial(SpatialCriterion::EntryOverlap),
-        PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        },
+        PolicyKind::PAPER_SLRU,
         PolicyKind::Slru {
             candidate_fraction: 0.5,
             criterion: SpatialCriterion::Area,

@@ -7,7 +7,7 @@
 //! test writes the offending trace to `target/fault-artifacts/` so the
 //! run can be replayed offline (`trace replay <file> --fault-rate ...`).
 
-use asb::buffer::{BufferManager, BufferStats, PolicyKind, ShardedBuffer, SpatialCriterion};
+use asb::buffer::{BufferManager, BufferStats, PolicyKind, ShardedBuffer};
 use asb::exp::Trace;
 use asb::geom::{Rect, SpatialStats};
 use asb::storage::{
@@ -577,10 +577,7 @@ fn replayed_workload_survives_chaos() {
     for policy in [
         PolicyKind::Lru,
         PolicyKind::LruK { k: 2 },
-        PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        },
+        PolicyKind::PAPER_SLRU,
         PolicyKind::Asb,
     ] {
         let disk = trace.build_disk().expect("disk");

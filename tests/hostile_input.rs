@@ -546,6 +546,33 @@ fn rtree_writes_refuse_a_child_at_the_wrong_level() {
     }
 }
 
+/// The chaos harness's poison targets come from a walk down the right
+/// spine. A root that names itself and a root without entries are both
+/// `Corrupt` there: an unchecked walk loops on the first and panics on the
+/// second.
+#[test]
+fn rtree_forged_spine_is_corrupt_for_the_last_leaf_walk() {
+    let forgeries: [fn(PageId, u8) -> Vec<u8>; 2] = [
+        |root, height| rdir(height, &[root]),
+        |_, height| rdir(height, &[]),
+    ];
+    for forge in forgeries {
+        let (intact, forged) = terminates(move || {
+            let items: Vec<SpatialItem> = (0..100).map(|i| SpatialItem::new(i, unit())).collect();
+            let mut tree = RTree::bulk_load_with(DiskManager::new(), RTreeConfig::small(), &items)
+                .expect("bulk load");
+            assert!(tree.height() >= 3);
+            let intact = tree.last_leaf_ids(2);
+            let root = tree.snapshot().root();
+            let page = page_at(root, &forge(root, tree.height()));
+            tree.store_mut().write(page).expect("forge the root");
+            (intact, tree.last_leaf_ids(2))
+        });
+        assert_eq!(intact.expect("an intact spine").len(), 2);
+        assert_corrupt("last leaf ids", forged);
+    }
+}
+
 /// An empty quadtree page at `depth` with these `children` and `next`
 /// continuation pointer.
 fn qnode(depth: u8, children: [Option<PageId>; 4], next: Option<PageId>) -> QuadNode {

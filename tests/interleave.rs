@@ -18,7 +18,7 @@
 //! failure printed by CI is reproducible locally, and the failing pick
 //! sequence is written to `target/schedule-artifacts/`.
 
-use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer, SpatialCriterion};
+use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
 use asb::serve::{BreakerState, CircuitBreaker, BREAKER_COOLDOWN_TICKS};
 use asb::storage::{
@@ -267,11 +267,7 @@ fn read_guards_pin_frames_against_concurrent_eviction() {
 /// in the other order fails here, and a held page must stay resident.
 fn guard_drop_scenario() {
     let (disk, ids) = disk_with_pages(10);
-    let slru = PolicyKind::Slru {
-        candidate_fraction: 0.25,
-        criterion: SpatialCriterion::Area,
-    };
-    let pool = ShardedBuffer::new(disk, slru, 4, 2);
+    let pool = ShardedBuffer::new(disk, PolicyKind::PAPER_SLRU, 4, 2);
 
     let holder = pool.clone();
     let held = ids[..4].to_vec();

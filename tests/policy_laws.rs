@@ -195,15 +195,11 @@ proptest! {
 /// capacity anomaly (Bélády's, for FIFO) that the paper does not state.
 #[test]
 fn non_stack_policies_break_inclusion() {
-    let slru = PolicyKind::Slru {
-        candidate_fraction: 0.25,
-        criterion: SpatialCriterion::Area,
-    };
     let witnesses: [(PolicyKind, usize, &[usize]); 5] = [
         (PolicyKind::Fifo, 2, &[4, 5, 8, 4, 7]),
         (PolicyKind::Clock, 2, &[5, 2, 2, 5, 1, 4]),
         (PolicyKind::TwoQ, 2, &[4, 5, 8, 4, 7]),
-        (slru, 6, &[3, 8, 5, 0, 1, 9, 4, 8, 6]),
+        (PolicyKind::PAPER_SLRU, 6, &[3, 8, 5, 0, 1, 9, 4, 8, 6]),
         (
             PolicyKind::Asb,
             7,
@@ -284,6 +280,29 @@ proptest! {
         }
     }
 
+    /// ASB's reduction law (§4.2): without an overflow buffer there are no
+    /// overflow hits, so the candidate set never adapts, and with one
+    /// candidate ASB evicts the LRU page and is LRU, for every criterion.
+    #[test]
+    fn asb_without_overflow_and_with_one_candidate_is_lru(
+        trace in prop::collection::vec((0usize..40, 0u64..10), 1..400),
+        capacity in 1usize..30,
+    ) {
+        let (disk, ids) = build_disk(40);
+        let lru = miss_sequence(PolicyKind::Lru, capacity, &trace, disk, &ids);
+        for criterion in SpatialCriterion::ALL {
+            let (disk, ids) = build_disk(40);
+            let asb = PolicyKind::AsbWith(AsbParams {
+                overflow_fraction: 0.0,
+                initial_candidate_fraction: 0.01,
+                criterion,
+                ..AsbParams::default()
+            });
+            let asb = miss_sequence(asb, capacity, &trace, disk, &ids);
+            prop_assert_eq!(&lru, &asb, "criterion {}", criterion);
+        }
+    }
+
     /// §2.1: LRU-P generalises LRU-T — where priorities equal type ranks
     /// the two make the same decisions.
     #[test]
@@ -318,10 +337,7 @@ fn policy_kinds_serialize_roundtrip() {
         PolicyKind::TwoQ,
         PolicyKind::LruK { k: 5 },
         PolicyKind::Spatial(SpatialCriterion::EntryOverlap),
-        PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        },
+        PolicyKind::PAPER_SLRU,
         PolicyKind::Asb,
         PolicyKind::AsbWith(AsbParams {
             overflow_fraction: 0.3,

@@ -33,10 +33,7 @@ fn all_policies() -> Vec<PolicyKind> {
         PolicyKind::TwoQ,
         PolicyKind::LruK { k: 2 },
         PolicyKind::Spatial(SpatialCriterion::Area),
-        PolicyKind::Slru {
-            candidate_fraction: 0.25,
-            criterion: SpatialCriterion::Area,
-        },
+        PolicyKind::PAPER_SLRU,
         PolicyKind::Asb,
     ]
 }
