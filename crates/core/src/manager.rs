@@ -4,8 +4,8 @@ use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::pool::FetchOutcome;
 use crate::sync::Counter;
 use asb_storage::{
-    page_checksum, AccessContext, Lsn, Page, PageId, PageMeta, PageStore, Result, RetryPolicy,
-    SharedWal, StorageError,
+    page_checksum, AccessContext, Lsn, Page, PageId, PageMeta, PageStore, Result, SharedWal,
+    StorageError,
 };
 use bytes::Bytes;
 use serde::Serialize;
@@ -213,9 +213,8 @@ pub struct BufferManager {
     frames: IdMap<PageId, Frame>,
     stats: BufferStats,
     tick: u64,
-    retry: RetryPolicy,
-    /// Simulated milliseconds spent backing off before retries.
-    backoff_ms: f64,
+    /// Tries a transient store fault gets, the first included (≥ 1).
+    retry_attempts: u32,
     /// Optional write-ahead log making buffered writes durable.
     wal: Option<SharedWal>,
     /// Append a checkpoint automatically every N image appends (`None`
@@ -256,8 +255,7 @@ impl BufferManager {
             frames: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             stats: BufferStats::default(),
             tick: 0,
-            retry: RetryPolicy::default(),
-            backoff_ms: 0.0,
+            retry_attempts: Self::RETRY_ATTEMPTS,
             wal: None,
             checkpoint_interval: None,
             appends_since_checkpoint: 0,
@@ -310,22 +308,15 @@ impl BufferManager {
         stats
     }
 
-    /// Resets the access statistics and the accrued backoff time (pages
-    /// stay resident).
+    /// Resets the access statistics (pages stay resident).
     pub fn reset_stats(&mut self) {
         self.stats = BufferStats::default();
-        self.backoff_ms = 0.0;
     }
 
-    /// Replaces the retry policy applied to transient store faults.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Simulated milliseconds this buffer has spent backing off before
-    /// retries (the disk's own timing model does not include these).
-    pub fn simulated_backoff_ms(&self) -> f64 {
-        self.backoff_ms
+    /// Sets how many tries a transient store fault gets, the first
+    /// included (four by default); `0` means one, as does `1`.
+    pub fn set_retry_attempts(&mut self, attempts: u32) {
+        self.retry_attempts = attempts.max(1);
     }
 
     /// Attaches a write-ahead log: from now on every write (buffered or
@@ -443,7 +434,7 @@ impl BufferManager {
     ///   (the only copy of its changes) stays put and the read fails with
     ///   [`StorageError::DirtyFrameCorrupt`],
     /// * a fetched copy failing its checksum, and any transient store
-    ///   error, is retried under the buffer's [`RetryPolicy`]; an exhausted
+    ///   error, is retried up to the buffer's attempt budget; an exhausted
     ///   budget surfaces as [`StorageError::RetriesExhausted`].
     pub fn fetch<IO: StoreIo + ?Sized>(
         &mut self,
@@ -519,7 +510,7 @@ impl BufferManager {
     }
 
     /// Second half of a read whose access [`probe`](BufferManager::probe)
-    /// counted as a miss: fetches the page under the retry policy and
+    /// counted as a miss: fetches the page, retrying transient faults, and
     /// admits it.
     pub(crate) fn read_miss<IO: StoreIo + ?Sized>(
         &mut self,
@@ -607,7 +598,7 @@ impl BufferManager {
         PageReadGuard::new(page, PinToken::new(pins, Arc::clone(&self.live_guards)))
     }
 
-    /// Fetches `id`, retrying transient failures under the retry policy. A
+    /// Fetches `id`, retrying transient failures up to the attempt budget. A
     /// delivered copy that fails its checksum counts a corruption and is
     /// retried like a transient fault; a fetch that fails for good counts
     /// a give-up (see [`BufferStats::give_ups`]).
@@ -635,23 +626,27 @@ impl BufferManager {
         fetched
     }
 
-    /// Writes `page` back, retrying transient failures under the retry
-    /// policy.
+    /// Writes `page` back, retrying transient failures up to the attempt
+    /// budget.
     fn store_with_retry<IO: StoreIo + ?Sized>(&mut self, io: &mut IO, page: &Page) -> Result<()> {
         self.with_retry(page.id, |_| io.store(page))
     }
 
+    /// Default attempt budget: one try plus up to three retries.
+    const RETRY_ATTEMPTS: u32 = 4;
+
     /// The one bounded-retry loop of the buffer: runs `op` (handed the
     /// statistics, to count what it detects) until it succeeds or fails
     /// non-transiently. Every transient failure but the last of the
-    /// [`RetryPolicy`] budget adds to `retries` and the simulated backoff;
-    /// the last one surfaces as [`StorageError::RetriesExhausted`].
+    /// attempt budget adds to `retries`; the last one surfaces as
+    /// [`StorageError::RetriesExhausted`]. The store is simulated, so a
+    /// retry waits for nothing and is charged nothing beyond its I/O.
     fn with_retry<T>(
         &mut self,
         id: PageId,
         mut op: impl FnMut(&mut BufferStats) -> Result<T>,
     ) -> Result<T> {
-        let budget = self.retry.attempts();
+        let budget = self.retry_attempts;
         let mut failed = 0u32;
         loop {
             let err = match op(&mut self.stats) {
@@ -670,7 +665,6 @@ impl BufferManager {
                 });
             }
             self.stats.retries += 1;
-            self.backoff_ms += self.retry.backoff_ms(failed);
         }
     }
 
@@ -1405,6 +1399,21 @@ mod tests {
             "the permanent failure passes through unwrapped and unretried"
         );
         assert_eq!(buf.stats().retries, 0);
+    }
+
+    #[test]
+    fn default_retry_budget_is_four_attempts() {
+        use asb_storage::{FaultConfig, FaultyStore};
+        let (disk, mut buf, ids) = setup(2, 1);
+        let mut store = FaultyStore::new(disk, FaultConfig::transient(1, 1.0));
+        let err = buf.fetch(&mut store, ids[0], ctx()).unwrap_err();
+        let StorageError::RetriesExhausted { id, attempts, last } = err else {
+            panic!("expected RetriesExhausted, got {err:?}");
+        };
+        assert_eq!((id, attempts), (ids[0], 4));
+        assert!(last.is_transient());
+        assert_eq!(buf.stats().retries, 3, "one try plus three retries");
+        assert_eq!(store.fault_stats().read_faults, 4);
     }
 
     #[test]

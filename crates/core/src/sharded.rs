@@ -48,7 +48,7 @@ use crate::pool::{FetchOutcome, PageFetchResult};
 use crate::sync::{Mutex, RwLock};
 use asb_storage::{
     splitmix64, AccessContext, ConcurrentPageStore, IoStats, Lsn, Page, PageError, PageId,
-    PageMeta, PageStore, Result, RetryPolicy, SharedWal, StorageError,
+    PageMeta, PageStore, Result, SharedWal, StorageError,
 };
 use bytes::Bytes;
 use std::sync::Arc;
@@ -212,7 +212,7 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// *shared* store lock, so misses in different shards overlap) and the
     /// admission — runs under the shard lock, so N simultaneous misses on
     /// one page cost exactly one physical read. Transient store faults are
-    /// retried under each shard's [`RetryPolicy`], and a frame that fails
+    /// retried up to each shard's attempt budget, and a frame that fails
     /// its checksum is never served: a clean one is discarded and
     /// re-fetched, a dirty one fails the read (see
     /// [`BufferManager::fetch`]).
@@ -422,11 +422,11 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         self.per_shard(BufferManager::live_guards).into_iter().sum()
     }
 
-    /// Sets the retry policy applied to transient store faults in every
-    /// shard.
-    pub fn set_retry_policy(&self, retry: RetryPolicy) {
+    /// Sets every shard's attempt budget for transient store faults (see
+    /// [`BufferManager::set_retry_attempts`]).
+    pub fn set_retry_attempts(&self, attempts: u32) {
         for shard in &self.inner.shards {
-            shard.lock().set_retry_policy(retry);
+            shard.lock().set_retry_attempts(attempts);
         }
     }
 

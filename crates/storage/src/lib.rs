@@ -44,7 +44,6 @@ mod fault;
 mod objects;
 mod page;
 mod recording;
-mod retry;
 mod store;
 pub mod sync;
 mod wal;
@@ -60,7 +59,6 @@ pub use page::{
     even_chunks, page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
 pub use recording::RecordingStore;
-pub use retry::RetryPolicy;
 pub use store::{AccessContext, ConcurrentPageStore, PageStore, QueryId};
 pub use wal::{Lsn, RecoveryReport, SharedWal, Wal, WalConfig, WalRecord, WalStats};
 

@@ -12,7 +12,7 @@ use asb::exp::Trace;
 use asb::geom::{Rect, SpatialStats};
 use asb::storage::{
     AccessContext, DiskManager, FaultConfig, FaultyStore, Page, PageId, PageMeta, PageStore,
-    QueryId, RetryPolicy, StorageError,
+    QueryId, StorageError,
 };
 use asb::workload::{DatasetKind, QuerySetSpec, Scale};
 use bytes::Bytes;
@@ -55,11 +55,7 @@ fn transient_faults_are_transparent_to_readers() {
     let (disk, ids) = build_disk(16);
     let mut store = FaultyStore::new(disk, FaultConfig::transient(fault_seed(), 0.3));
     let mut buf = BufferManager::with_policy(PolicyKind::Lru, 4);
-    buf.set_retry_policy(RetryPolicy {
-        max_attempts: 12,
-        base_backoff_ms: 0.1,
-        backoff_multiplier: 2.0,
-    });
+    buf.set_retry_attempts(12);
     for (i, &id) in ids.iter().enumerate().cycle().take(200) {
         let page = buf.fetch(&mut store, id, ctx(i as u64)).expect("read");
         assert_eq!(page.id, id);
@@ -71,7 +67,6 @@ fn transient_faults_are_transparent_to_readers() {
         stats.retries > 0,
         "a 30% fault rate over 200 reads must trigger retries"
     );
-    assert!(buf.simulated_backoff_ms() > 0.0, "retries accrue backoff");
     assert!(store.fault_stats().read_faults > 0);
 }
 
@@ -82,10 +77,7 @@ fn corruption_is_detected_and_refetched() {
     let (disk, ids) = build_disk(16);
     let mut store = FaultyStore::new(disk, FaultConfig::corrupting(fault_seed(), 0.3));
     let mut buf = BufferManager::with_policy(PolicyKind::Lru, 4);
-    buf.set_retry_policy(RetryPolicy {
-        max_attempts: 12,
-        ..RetryPolicy::default()
-    });
+    buf.set_retry_attempts(12);
     for (i, &id) in ids.iter().enumerate().cycle().take(200) {
         let page = buf.fetch(&mut store, id, ctx(i as u64)).expect("read");
         assert!(
@@ -427,11 +419,7 @@ fn hopeless_faults_surface_a_typed_give_up() {
     let (disk, ids) = build_disk(4);
     let mut store = FaultyStore::new(disk, FaultConfig::transient(fault_seed(), 1.0));
     let mut buf = BufferManager::with_policy(PolicyKind::Lru, 2);
-    buf.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_backoff_ms: 0.5,
-        backoff_multiplier: 2.0,
-    });
+    buf.set_retry_attempts(3);
     let err = buf.fetch(&mut store, ids[0], ctx(0)).unwrap_err();
     match err {
         StorageError::RetriesExhausted { id, attempts, last } => {
@@ -448,11 +436,7 @@ fn hopeless_faults_surface_a_typed_give_up() {
     );
 
     // A budget of zero still makes the one attempt, and never a retry.
-    buf.set_retry_policy(RetryPolicy {
-        max_attempts: 0,
-        base_backoff_ms: 1.0,
-        backoff_multiplier: 2.0,
-    });
+    buf.set_retry_attempts(0);
     let reads_before = store.fault_stats().read_faults;
     let err = buf.fetch(&mut store, ids[1], ctx(1)).unwrap_err();
     assert!(matches!(
@@ -487,7 +471,7 @@ fn failed_writeback_keeps_victim_resident_and_uncounted() {
     let (disk, ids) = build_disk(8);
     let mut store = FaultyStore::new(disk, FaultConfig::reliable());
     let mut buf = BufferManager::with_policy(PolicyKind::Lru, 2);
-    buf.set_retry_policy(RetryPolicy::none());
+    buf.set_retry_attempts(1);
 
     // Make page A resident and dirty via a buffered write.
     let dirty = asb::storage::Page::new(
@@ -545,10 +529,7 @@ fn fault_schedules_are_seed_deterministic() {
         let (disk, ids) = build_disk(8);
         let mut store = FaultyStore::new(disk, FaultConfig::chaos(seed, 0.25));
         let mut buf = BufferManager::with_policy(PolicyKind::Lru, 4);
-        buf.set_retry_policy(RetryPolicy {
-            max_attempts: 16,
-            ..RetryPolicy::default()
-        });
+        buf.set_retry_attempts(16);
         for (i, &id) in ids.iter().enumerate().cycle().take(120) {
             let _ = buf.fetch(&mut store, id, ctx(i as u64));
         }
@@ -583,10 +564,7 @@ fn replayed_workload_survives_chaos() {
         let disk = trace.build_disk().expect("disk");
         let mut store = FaultyStore::new(disk, FaultConfig::chaos(fault_seed(), 0.1));
         let mut buf = BufferManager::with_policy(policy, 8);
-        buf.set_retry_policy(RetryPolicy {
-            max_attempts: 10,
-            ..RetryPolicy::default()
-        });
+        buf.set_retry_attempts(10);
         trace
             .drive(|_, id, ctx| match buf.fetch(&mut store, id, ctx) {
                 Ok(page) => {
@@ -631,11 +609,7 @@ fn sharded_pool_survives_multithreaded_chaos() {
     let disk = trace.build_disk().expect("disk");
     let store = FaultyStore::new(disk, FaultConfig::chaos(seed, 0.08));
     let pool = ShardedBuffer::new(store, PolicyKind::Asb, 16, 4);
-    pool.set_retry_policy(RetryPolicy {
-        max_attempts: 16,
-        base_backoff_ms: 0.1,
-        backoff_multiplier: 2.0,
-    });
+    pool.set_retry_attempts(16);
 
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         std::thread::scope(|s| {
@@ -708,11 +682,7 @@ fn batched_fetch_retries_transients_per_page() {
     let (disk, ids) = build_disk(12);
     let store = FaultyStore::new(disk, FaultConfig::transient(fault_seed(), 0.3));
     let pool = ShardedBuffer::new(store, PolicyKind::Lru, 8, 2);
-    pool.set_retry_policy(RetryPolicy {
-        max_attempts: 12,
-        base_backoff_ms: 0.1,
-        backoff_multiplier: 2.0,
-    });
+    pool.set_retry_attempts(12);
     for round in 0..40u64 {
         let outcomes = pool.fetch_batch(&ids, ctx(round));
         assert_eq!(outcomes.len(), ids.len());

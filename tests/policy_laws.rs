@@ -478,15 +478,11 @@ proptest! {
         capacity in 5usize..30,
         fault_seed in 0u64..1000,
     ) {
-        use asb::storage::{FaultConfig, FaultyStore, RetryPolicy, StorageError};
+        use asb::storage::{FaultConfig, FaultyStore, StorageError};
         let (disk, ids) = build_disk(40);
         let mut store = FaultyStore::new(disk, FaultConfig::chaos(fault_seed, 0.1));
         let mut buf = BufferManager::with_policy(PolicyKind::Asb, capacity);
-        buf.set_retry_policy(RetryPolicy {
-            max_attempts: 6,
-            base_backoff_ms: 0.1,
-            backoff_multiplier: 2.0,
-        });
+        buf.set_retry_attempts(6);
         let mut prev = None;
         let mut prev_overflow = Vec::new();
         for &(slot, q) in &trace {

@@ -9,10 +9,14 @@
 //! returned (or how it failed) and whether it hit, on the resident set and
 //! dirty count, on the counters, and on the contents of the backing store.
 //!
-//! The model knows three victim rules: LRU, FIFO and CLOCK (a hand sweeping
-//! the order, clearing reference bits). Every case runs `Lru`, `Fifo`,
-//! `Clock`, `LruT` and `LruP`; with one page type and one level, LRU-T and
-//! LRU-P must decide like LRU.
+//! The model knows four victim rules: LRU, FIFO, CLOCK (a hand sweeping
+//! the order, clearing reference bits) and the smallest area among the
+//! first pages of the LRU order, the earliest on ties. Every case runs
+//! `Lru`, `Fifo`, `Clock`, `LruT` and `LruP`; with one page type and one
+//! level, LRU-T and LRU-P must decide like LRU. Every slot has a fixed
+//! area, shared by several slots, and the area rule holds SLRU (the first
+//! 25 % of the frames are candidates) and `Spatial(A)` (every frame is),
+//! at capacities where SLRU has at least two candidates.
 //!
 //! `Poison` is in-memory rot (`poison_frame`). The model's rule for it: a
 //! rotten *clean* frame is as good as absent — the next read of it misses
@@ -21,7 +25,7 @@
 //! typed failure) until the page is rewritten or freed.
 
 use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer};
-use asb::geom::SpatialStats;
+use asb::geom::{Rect, SpatialCriterion, SpatialStats};
 use asb::storage::{AccessContext, DiskManager, Page, PageId, PageMeta, PageStore, StorageError};
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -72,6 +76,11 @@ enum Rule {
     Lru,
     Fifo,
     Clock,
+    /// The smallest area among the first `round(capacity / 4).max(1)`
+    /// slots of the LRU order, as `SlruPolicy::new` sizes its candidates.
+    Slru,
+    /// The smallest area among all resident slots.
+    Spatial,
 }
 
 /// Each policy under test and the rule it must follow here.
@@ -83,6 +92,12 @@ const POLICIES: [(PolicyKind, Rule); 5] = [
     (PolicyKind::LruP, Rule::Lru),
 ];
 
+/// The area-aware policies and their rule.
+const AREA_POLICIES: [(PolicyKind, Rule); 2] = [
+    (PolicyKind::PAPER_SLRU, Rule::Slru),
+    (PolicyKind::Spatial(SpatialCriterion::Area), Rule::Spatial),
+];
+
 /// The reference: one victim rule over a write-back cache, nothing else.
 #[derive(Default)]
 struct Model {
@@ -90,8 +105,9 @@ struct Model {
     capacity: usize,
     /// Resident frames by slot.
     frames: HashMap<usize, Frame>,
-    /// Resident slots with their reference bits, next victim first: least
-    /// recently used (LRU), first admitted (FIFO), under the hand (CLOCK).
+    /// Resident slots with their reference bits: least recently used first
+    /// (LRU and the area rules), first admitted first (FIFO), the slot
+    /// under the hand first (CLOCK).
     order: Vec<(usize, bool)>,
     /// The backing store: live slots → payload byte.
     disk: HashMap<usize, u8>,
@@ -108,11 +124,20 @@ impl Model {
     /// The next victim. CLOCK's hand passes referenced slots, clearing
     /// their bits, and the sweep stands even if the eviction then fails.
     fn victim(&mut self) -> usize {
+        let candidates = match self.rule {
+            Rule::Slru => ((self.capacity as f64 * 0.25).round() as usize).max(1),
+            Rule::Spatial => usize::MAX,
+            Rule::Lru | Rule::Fifo | Rule::Clock => 1,
+        };
         while self.rule == Rule::Clock && self.order[0].1 {
             let (slot, _) = self.order.remove(0);
             self.order.push((slot, false));
         }
-        self.order[0].0
+        // `min_by` keeps the first of equal elements: the earliest slot.
+        let (slot, _) = (self.order.iter().take(candidates))
+            .min_by(|a, b| area(a.0).total_cmp(&area(b.0)))
+            .expect("a full buffer has a victim");
+        *slot
     }
 
     fn forget(&mut self, slot: usize) {
@@ -133,7 +158,7 @@ impl Model {
                 self.writebacks += 1;
             }
             self.frames.remove(&victim);
-            self.order.remove(0);
+            self.forget(victim);
             self.evicted += 1;
         }
         self.frames.insert(slot, Frame::written(byte, dirty));
@@ -148,7 +173,7 @@ impl Model {
                 self.hits += 1;
                 let at = self.order.iter().position(|&(s, _)| s == slot).unwrap();
                 match self.rule {
-                    Rule::Lru => {
+                    Rule::Lru | Rule::Slru | Rule::Spatial => {
                         let entry = self.order.remove(at);
                         self.order.push(entry);
                     }
@@ -257,18 +282,24 @@ fn stuck(ids: &[PageId], flushed: Result<(), StorageError>) -> Vec<usize> {
     }
 }
 
-fn meta() -> PageMeta {
-    PageMeta::data(SpatialStats::EMPTY)
+/// The area of `slot`'s page: 1 to 5, each shared by three or four slots.
+fn area(slot: usize) -> f64 {
+    (slot % 5 + 1) as f64
 }
 
-fn page(id: PageId, byte: u8) -> Page {
-    Page::new(id, meta(), Bytes::from(vec![byte])).expect("page")
+fn meta(slot: usize) -> PageMeta {
+    let mbr = Rect::new(0.0, 0.0, area(slot), 1.0);
+    PageMeta::data(SpatialStats::from_rects(&[mbr]))
+}
+
+fn page(ids: &[PageId], slot: usize, byte: u8) -> Page {
+    Page::new(ids[slot], meta(slot), Bytes::from(vec![byte])).expect("page")
 }
 
 fn build_disk() -> (DiskManager, Vec<PageId>) {
     let mut disk = DiskManager::new();
     let ids = (0..SLOTS)
-        .map(|i| disk.allocate(meta(), Bytes::from(vec![i as u8])).unwrap())
+        .map(|i| disk.allocate(meta(i), Bytes::from(vec![i as u8])).unwrap())
         .collect();
     (disk, ids)
 }
@@ -294,6 +325,17 @@ proptest! {
         capacity in 1usize..9,
     ) {
         for (kind, rule) in POLICIES {
+            lockstep(kind, rule, &ops, capacity)
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+        }
+    }
+
+    #[test]
+    fn area_policies_match_the_reference_model(
+        ops in prop::collection::vec(op_strategy(), 1..250),
+        capacity in 6usize..13,
+    ) {
+        for (kind, rule) in AREA_POLICIES {
             lockstep(kind, rule, &ops, capacity)
                 .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
         }
@@ -341,14 +383,14 @@ fn lockstep(
                 if !model.disk.contains_key(&slot) => {}
             Op::WriteThrough(slot, byte) => {
                 manager
-                    .write_through(&mut disk, page(ids[slot], byte))
+                    .write_through(&mut disk, page(&ids, slot, byte))
                     .unwrap();
-                pool.write(page(ids[slot], byte)).unwrap();
+                pool.write(page(&ids, slot, byte)).unwrap();
                 model.write_through(slot, byte);
             }
             Op::WriteBuffered(slot, byte) => {
-                let seq = manager.write_buffered(&mut disk, page(ids[slot], byte));
-                let pooled = pool.write_buffered(page(ids[slot], byte));
+                let seq = manager.write_buffered(&mut disk, page(&ids, slot, byte));
+                let pooled = pool.write_buffered(page(&ids, slot, byte));
                 let expected = model.write_buffered(slot, byte);
                 prop_assert_eq!(&seq.map_err(|e| fault(&ids, e)), &expected, "step {}", step);
                 prop_assert_eq!(
