@@ -10,7 +10,7 @@
 //! | [`PolicyKind`] | Paper section | Idea |
 //! |---|---|---|
 //! | [`Lru`](PolicyKind::Lru) | baseline | evict the least-recently-used page |
-//! | [`Fifo`](PolicyKind::Fifo), [`Clock`](PolicyKind::Clock), [`Random`](PolicyKind::Random) | — | classic baselines for sanity checks |
+//! | [`Fifo`](PolicyKind::Fifo), [`Clock`](PolicyKind::Clock) | — | classic baselines for sanity checks |
 //! | [`LruT`](PolicyKind::LruT) | §2.1 | evict object pages first, then data, then directory pages; LRU within a category |
 //! | [`LruP`](PolicyKind::LruP) | §2.1 | generalization: evict the lowest-priority page (priority = level in the tree); LRU within a priority |
 //! | [`LruK`](PolicyKind::LruK) | §2.2 | evict the page with the oldest K-th most recent *uncorrelated* reference (O'Neil et al.); history is retained for evicted pages |
@@ -22,7 +22,7 @@
 //! Every policy implements the one trait [`ReplacementPolicy`] — four
 //! event callbacks plus `select_victim` — and is named from outside only by
 //! its [`PolicyKind`]. The paper defines its policies by reduction, and so
-//! does the code; three shared mechanisms carry all of them:
+//! does the code; two shared mechanisms carry all of them:
 //!
 //! * one ordered page table (`order::LinkedOrder<K, V>`): recency/FIFO
 //!   order and the per-page value (a reference bit, a criterion) behind a
@@ -32,9 +32,9 @@
 //!   first `c` of them also filed by `(criterion, recency)`, so the
 //!   smallest criterion among them, LRU on ties, is the first entry and no
 //!   eviction walks the set. `c` fixed is SLRU, `c` unbounded is the pure
-//!   spatial policy (§4.1), `c` self-tuned is ASB's main part (§4.2);
-//! * one class-ordered LRU: LRU-T and LRU-P differ only in the function
-//!   that maps a page's metadata to its class (§2.1).
+//!   spatial policy (§4.1), `c` self-tuned is ASB's main part (§4.2), and
+//!   `c` unbounded with a page class (type rank or priority) in place of
+//!   the criterion is LRU-T or LRU-P (§2.1).
 //!
 //! ## Architecture
 //!

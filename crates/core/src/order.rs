@@ -88,11 +88,6 @@ impl<K: Eq + Hash + Copy, V: Copy> LinkedOrder<K, V> {
         self.index.len()
     }
 
-    /// Whether the order is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
         self.index.contains_key(key)
@@ -294,7 +289,7 @@ mod tests {
         assert_eq!(o.pop_front(), Some(2));
         assert_eq!(o.pop_front(), Some(3));
         assert_eq!(o.pop_front(), None);
-        assert!(o.is_empty());
+        assert_eq!(o.len(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Classic history-only baselines: LRU, FIFO, CLOCK and RANDOM.
+//! Classic history-only baselines: LRU, FIFO and CLOCK.
 
-use crate::order::{IdMap, LinkedOrder};
+use crate::order::LinkedOrder;
 use crate::policy::ReplacementPolicy;
 use asb_storage::{AccessContext, Page, PageId};
 
@@ -104,73 +104,6 @@ impl ReplacementPolicy for ClockPolicy {
     }
 }
 
-/// Uniformly random replacement, driven by a deterministic xorshift64* RNG
-/// so experiments stay reproducible.
-#[derive(Debug)]
-pub(crate) struct RandomPolicy {
-    pages: Vec<PageId>,
-    index: IdMap<PageId, usize>,
-    state: u64,
-}
-
-impl RandomPolicy {
-    /// Creates a RANDOM policy seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        RandomPolicy {
-            pages: Vec::new(),
-            index: IdMap::default(),
-            // xorshift must not start at zero.
-            state: seed | 1,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        if self.index.contains_key(&page.id) {
-            return;
-        }
-        self.index.insert(page.id, self.pages.len());
-        self.pages.push(page.id);
-    }
-
-    fn on_hit(&mut self, _page: &Page, _ctx: AccessContext, _now: u64) {}
-
-    fn on_remove(&mut self, id: PageId) {
-        if let Some(pos) = self.index.remove(&id) {
-            self.pages.swap_remove(pos);
-            if pos < self.pages.len() {
-                self.index.insert(self.pages[pos], pos);
-            }
-        }
-    }
-
-    fn select_victim(
-        &mut self,
-        _ctx: AccessContext,
-        evictable: &dyn Fn(PageId) -> bool,
-    ) -> Option<PageId> {
-        if self.pages.is_empty() {
-            return None;
-        }
-        let start = (self.next_u64() % self.pages.len() as u64) as usize;
-        // Linear probe from a random start so a few pinned pages cannot
-        // starve the search.
-        (0..self.pages.len())
-            .map(|i| self.pages[(start + i) % self.pages.len()])
-            .find(|&id| evictable(id))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,37 +173,6 @@ mod tests {
         assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
         p.on_remove(PageId::new(2));
         assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(0)));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let run = |seed| {
-            let mut p = RandomPolicy::new(seed);
-            for i in 0..10 {
-                p.on_insert(&page(i), ctx(), i);
-            }
-            let mut victims = Vec::new();
-            for _ in 0..5 {
-                let v = p.select_victim(ctx(), &all).unwrap();
-                victims.push(v);
-                p.on_remove(v);
-            }
-            victims
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8), "different seeds should diverge (w.h.p.)");
-    }
-
-    #[test]
-    fn random_respects_evictable_filter() {
-        let mut p = RandomPolicy::new(3);
-        for i in 0..10 {
-            p.on_insert(&page(i), ctx(), i);
-        }
-        for _ in 0..20 {
-            let v = p.select_victim(ctx(), &|id| id.raw() == 4).unwrap();
-            assert_eq!(v, PageId::new(4));
-        }
     }
 
     #[test]

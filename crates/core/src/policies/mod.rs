@@ -8,7 +8,6 @@ mod arena;
 mod asb;
 mod basic;
 mod lru_k;
-mod priority;
 mod slru;
 mod two_q;
 
@@ -17,8 +16,7 @@ pub use asb::AsbParams;
 
 pub(crate) use arena::ArenaPolicy;
 pub(crate) use asb::AsbPolicy;
-pub(crate) use basic::{ClockPolicy, FifoPolicy, LruPolicy, RandomPolicy};
+pub(crate) use basic::{ClockPolicy, FifoPolicy, LruPolicy};
 pub(crate) use lru_k::LruKPolicy;
-pub(crate) use priority::ClassLru;
-pub(crate) use slru::SlruPolicy;
+pub(crate) use slru::{Rank, SlruPolicy};
 pub(crate) use two_q::TwoQPolicy;

@@ -1,10 +1,11 @@
-//! Spatial page replacement (Section 2.3 of the paper) and its static
-//! combination with LRU (Section 4.1).
+//! Spatial page replacement (Section 2.3 of the paper), its static
+//! combination with LRU (Section 4.1), and the class-ordered LRU-T and
+//! LRU-P (Section 2.1) under the same victim rule.
 
 use crate::order::LinkedOrder;
 use crate::policy::ReplacementPolicy;
 use asb_geom::SpatialCriterion;
-use asb_storage::{AccessContext, Page, PageId};
+use asb_storage::{AccessContext, Page, PageId, PageMeta};
 use std::collections::BTreeMap;
 
 /// `page`'s value under `which`. A NaN would have no place in the victim
@@ -39,11 +40,11 @@ struct Slot<V> {
     value: V,
 }
 
-/// The victim rule of every spatial policy, kept ranked. Pages sit in LRU
-/// order (front = least recently used); the first `limit` of them are the
-/// *candidate set*, and are also filed in a map keyed by
-/// `(criterion, recency stamp)`. The map's first entry is the paper's
-/// victim:
+/// The victim rule of every spatial and class-ordered policy, kept ranked.
+/// Pages sit in LRU order (front = least recently used); the first `limit`
+/// of them are the *candidate set*, and are also filed in a map keyed by
+/// `(criterion, recency stamp)`, where a class counts as the criterion.
+/// The map's first entry is the paper's victim:
 ///
 /// 1. `C := { p | p ∈ candidates ∧ (q ∈ candidates ⇒ spatialCrit(p) ≤ spatialCrit(q)) }`
 /// 2. if `|C| > 1`, the victim is determined from `C` by LRU.
@@ -227,6 +228,16 @@ impl<V: Copy> RankedPrefix<V> {
     }
 }
 
+/// What a [`SlruPolicy`] ranks its candidates by; the smallest goes first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rank {
+    /// A spatial criterion (§2.3).
+    Criterion(SpatialCriterion),
+    /// A page class (§2.1): the type rank for LRU-T, the priority for
+    /// LRU-P.
+    Class(fn(&PageMeta) -> u8),
+}
+
 /// **SLRU**: "1.) compute a set of candidates by using LRU and 2.) select
 /// the page to be dropped out of the buffer from the candidate set by using
 /// a spatial page-replacement algorithm."
@@ -238,12 +249,19 @@ impl<V: Copy> RankedPrefix<V> {
 /// algorithm": a fraction of ~0 is plain LRU, and with *every* page a
 /// candidate this is the pure spatial policy of §2.3 — which is how
 /// [`PolicyKind::Spatial`](crate::PolicyKind::Spatial) is built.
+///
+/// Ranked by a page class instead of a criterion, with every page a
+/// candidate, it is "lowest class first, LRU within a class": the paper's
+/// LRU-T and LRU-P (§2.1), as [`PolicyKind::LruT`](crate::PolicyKind::LruT)
+/// and [`PolicyKind::LruP`](crate::PolicyKind::LruP) are built. A rewrite
+/// re-ranks a page under its fresh metadata and keeps its place in the
+/// LRU order: an update is not a reference.
 #[derive(Debug)]
 pub(crate) struct SlruPolicy {
-    criterion: SpatialCriterion,
+    rank: Rank,
     /// Size of the static candidate set; `None` is the whole buffer.
     candidates: Option<usize>,
-    /// LRU order with the candidate set ranked by criterion.
+    /// LRU order with the candidate set ranked.
     order: RankedPrefix<()>,
 }
 
@@ -260,26 +278,33 @@ impl SlruPolicy {
         );
         let count = ((capacity as f64 * candidate_fraction).round() as usize).max(1);
         SlruPolicy {
-            criterion,
+            rank: Rank::Criterion(criterion),
             candidates: Some(count),
             order: RankedPrefix::new(count),
         }
     }
 
-    /// Creates the pure spatial policy: every page is a candidate.
-    pub fn spatial(criterion: SpatialCriterion) -> Self {
+    /// Creates the policy in which every page is a candidate: the pure
+    /// spatial policy under a criterion, LRU-T or LRU-P under a class.
+    pub fn unbounded(rank: Rank) -> Self {
         SlruPolicy {
-            criterion,
+            rank,
             candidates: None,
             order: RankedPrefix::new(usize::MAX),
+        }
+    }
+
+    fn rank(&self, page: &Page) -> f64 {
+        match self.rank {
+            Rank::Criterion(criterion) => page_criterion(page, criterion),
+            Rank::Class(class_of) => f64::from(class_of(&page.meta)),
         }
     }
 }
 
 impl ReplacementPolicy for SlruPolicy {
     fn on_insert(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
-        let crit = page_criterion(page, self.criterion);
-        self.order.push_back(page.id, crit, ());
+        self.order.push_back(page.id, self.rank(page), ());
     }
 
     fn on_hit(&mut self, page: &Page, _ctx: AccessContext, _now: u64) {
@@ -287,8 +312,7 @@ impl ReplacementPolicy for SlruPolicy {
     }
 
     fn on_update(&mut self, page: &Page) {
-        let crit = page_criterion(page, self.criterion);
-        self.order.set_crit(page.id, crit);
+        self.order.set_crit(page.id, self.rank(page));
     }
 
     fn on_remove(&mut self, id: PageId) {
@@ -317,7 +341,6 @@ mod tests {
     use super::*;
     use crate::PolicyKind;
     use asb_geom::{Rect, SpatialStats};
-    use asb_storage::PageMeta;
     use bytes::Bytes;
 
     fn page_area(raw: u64, side: f64) -> Page {
@@ -579,6 +602,115 @@ mod tests {
         let mut p = spatial(SpatialCriterion::Area);
         p.on_insert(&page_rect(1, thin), ctx(), 1);
         p.on_insert(&page_rect(2, square), ctx(), 2);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));
+    }
+
+    // LRU-T and LRU-P (§2.1), as `PolicyKind::LruT` and `PolicyKind::LruP`
+    // build them.
+
+    fn page_with(raw: u64, meta: PageMeta) -> Page {
+        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
+    }
+
+    fn obj(raw: u64) -> Page {
+        page_with(raw, PageMeta::object(SpatialStats::EMPTY))
+    }
+
+    fn data(raw: u64) -> Page {
+        page_with(raw, PageMeta::data(SpatialStats::EMPTY))
+    }
+
+    fn dir(raw: u64, level: u8) -> Page {
+        page_with(raw, PageMeta::directory(level, SpatialStats::EMPTY))
+    }
+
+    fn lru_t() -> Box<dyn ReplacementPolicy + Send> {
+        PolicyKind::LruT.build(8)
+    }
+
+    fn lru_p() -> Box<dyn ReplacementPolicy + Send> {
+        PolicyKind::LruP.build(8)
+    }
+
+    #[test]
+    fn lru_t_drops_object_pages_first() {
+        let mut p = lru_t();
+        p.on_insert(&dir(1, 2), ctx(), 1);
+        p.on_insert(&data(2), ctx(), 2);
+        p.on_insert(&obj(3), ctx(), 3);
+        // Insertion order would favor the directory page under plain LRU,
+        // but LRU-T picks the object page.
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(3)));
+        p.on_remove(PageId::new(3));
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+        p.on_remove(PageId::new(2));
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));
+    }
+
+    #[test]
+    fn lru_t_uses_lru_within_category() {
+        let mut p = lru_t();
+        p.on_insert(&data(1), ctx(), 1);
+        p.on_insert(&data(2), ctx(), 2);
+        p.on_hit(&data(1), ctx(), 3);
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn lru_p_evicts_lowest_level_first() {
+        let mut p = lru_p();
+        p.on_insert(&dir(1, 4), ctx(), 1); // root
+        p.on_insert(&dir(2, 3), ctx(), 2);
+        p.on_insert(&dir(3, 2), ctx(), 3);
+        p.on_insert(&data(4), ctx(), 4); // leaf, priority 1
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(4)));
+        p.on_remove(PageId::new(4));
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(3)));
+        p.on_remove(PageId::new(3));
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn lru_p_effectively_pins_the_root_under_pressure() {
+        // With data pages always available, the root is never selected —
+        // the generalization of level pinning.
+        let mut p = lru_p();
+        p.on_insert(&dir(0, 3), ctx(), 0);
+        for i in 1..=5 {
+            p.on_insert(&data(i), ctx(), i);
+        }
+        for expected in 1..=5u64 {
+            let v = p.select_victim(ctx(), &all).unwrap();
+            assert_eq!(v, PageId::new(expected));
+            p.on_remove(v);
+        }
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(0)));
+        p.on_remove(PageId::new(0));
+        assert_eq!(p.select_victim(ctx(), &all), None);
+    }
+
+    #[test]
+    fn lru_p_skips_unevictable() {
+        let mut p = lru_p();
+        p.on_insert(&data(1), ctx(), 1);
+        p.on_insert(&dir(2, 2), ctx(), 2);
+        let v = p.select_victim(ctx(), &|id| id != PageId::new(1));
+        assert_eq!(v, Some(PageId::new(2)));
+    }
+
+    #[test]
+    fn an_update_re_ranks_a_page_but_is_not_a_reference() {
+        // A rewrite may change a page's class (a quadtree leaf that splits
+        // in place becomes a directory page), but it is no request for it.
+        let mut p = lru_p();
+        for raw in 1..=3 {
+            p.on_insert(&data(raw), ctx(), raw);
+        }
+        p.on_update(&dir(1, 2));
+        assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(2)));
+        p.on_update(&data(1));
+        // Back among the data pages, page 1 is still the least recently
+        // referenced of them.
         assert_eq!(p.select_victim(ctx(), &all), Some(PageId::new(1)));
     }
 }

@@ -1,6 +1,6 @@
 use crate::policies::{
-    ArenaParams, ArenaPolicy, ArenaState, AsbParams, AsbPolicy, ClassLru, ClockPolicy, FifoPolicy,
-    LruKPolicy, LruPolicy, RandomPolicy, SlruPolicy, TwoQPolicy,
+    ArenaParams, ArenaPolicy, ArenaState, AsbParams, AsbPolicy, ClockPolicy, FifoPolicy,
+    LruKPolicy, LruPolicy, Rank, SlruPolicy, TwoQPolicy,
 };
 use asb_geom::SpatialCriterion;
 use asb_storage::{AccessContext, Page, PageId, PageMeta};
@@ -128,11 +128,6 @@ pub enum PolicyKind {
     Fifo,
     /// Second-chance clock.
     Clock,
-    /// Uniformly random victim (seeded, deterministic).
-    Random {
-        /// RNG seed.
-        seed: u64,
-    },
     /// Type-based LRU: object pages drop first, then data, then directory.
     LruT,
     /// Priority-based LRU: priority = level in the tree, root highest.
@@ -182,18 +177,23 @@ impl PolicyKind {
     ///
     /// The paper's reductions are taken literally: the pure spatial policy
     /// is SLRU with an unbounded candidate set (§4.1), and LRU-T and LRU-P
-    /// are one class-ordered LRU under two class functions (§2.1).
+    /// are the same victim rule — smallest rank first, LRU on ties — with
+    /// a page class (type rank or priority) as the rank (§2.1).
     pub fn build(&self, capacity: usize) -> Box<dyn ReplacementPolicy + Send> {
         match *self {
             PolicyKind::Lru => Box::new(LruPolicy::default()),
             PolicyKind::Fifo => Box::new(FifoPolicy::default()),
             PolicyKind::Clock => Box::new(ClockPolicy::default()),
-            PolicyKind::Random { seed } => Box::new(RandomPolicy::new(seed)),
-            PolicyKind::LruT => Box::new(ClassLru::new(|meta| meta.page_type.type_rank())),
-            PolicyKind::LruP => Box::new(ClassLru::new(PageMeta::priority)),
+            PolicyKind::LruT => {
+                let type_rank = |meta: &PageMeta| meta.page_type.type_rank();
+                Box::new(SlruPolicy::unbounded(Rank::Class(type_rank)))
+            }
+            PolicyKind::LruP => Box::new(SlruPolicy::unbounded(Rank::Class(PageMeta::priority))),
             PolicyKind::TwoQ => Box::new(TwoQPolicy::new(capacity)),
             PolicyKind::LruK { k } => Box::new(LruKPolicy::new(k)),
-            PolicyKind::Spatial(criterion) => Box::new(SlruPolicy::spatial(criterion)),
+            PolicyKind::Spatial(criterion) => {
+                Box::new(SlruPolicy::unbounded(Rank::Criterion(criterion)))
+            }
             PolicyKind::Slru {
                 candidate_fraction,
                 criterion,
@@ -211,7 +211,6 @@ impl PolicyKind {
             PolicyKind::Lru => "LRU".into(),
             PolicyKind::Fifo => "FIFO".into(),
             PolicyKind::Clock => "CLOCK".into(),
-            PolicyKind::Random { .. } => "RANDOM".into(),
             PolicyKind::LruT => "LRU-T".into(),
             PolicyKind::LruP => "LRU-P".into(),
             PolicyKind::TwoQ => "2Q".into(),
@@ -329,7 +328,6 @@ mod tests {
             PolicyKind::Lru,
             PolicyKind::Fifo,
             PolicyKind::Clock,
-            PolicyKind::Random { seed: 1 },
             PolicyKind::LruT,
             PolicyKind::LruP,
             PolicyKind::TwoQ,

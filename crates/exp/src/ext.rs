@@ -44,8 +44,10 @@ const CONTENDERS: [PolicyKind; 4] = [
     PolicyKind::Asb,
 ];
 
-/// [`CONTENDERS`] plus the two structural LRUs, which differ from each
-/// other only once object pages are in the access stream.
+/// [`CONTENDERS`] plus the two structural LRUs. They order only directory
+/// levels differently (LRU-T files every directory page in one class), so
+/// they differ only where a directory page is evicted; see
+/// [`ext_object_pages`] for why none is here.
 const OBJECT_PAGE_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Lru,
     PolicyKind::LruT,
@@ -82,8 +84,11 @@ fn query_sets() -> Vec<QuerySetSpec> {
 /// results — the paper's full storage architecture (Fig. 1) in action.
 ///
 /// With object pages in the access stream, LRU-T's "drop object pages
-/// first" rule becomes observable (in the tree-only figures LRU-T degrades
-/// to LRU-P).
+/// first" rule becomes observable. Its column still equals LRU-P's: at
+/// tiny, small and medium scale neither evicts a single directory page on
+/// any of the four query sets (there is always an object or data page to
+/// drop first), and directory levels are the only pages the two rank
+/// differently.
 fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
     // Build object pages in item (≈ spatial) order, then the tree on top of

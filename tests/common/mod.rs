@@ -14,7 +14,6 @@ pub fn policies() -> Vec<(&'static str, PolicyKind)> {
         ("arena", PolicyKind::Arena),
         ("fifo", PolicyKind::Fifo),
         ("clock", PolicyKind::Clock),
-        ("random", PolicyKind::Random { seed: 7 }),
         ("lru-t", PolicyKind::LruT),
         ("lru-p", PolicyKind::LruP),
         ("2q", PolicyKind::TwoQ),

@@ -11,7 +11,6 @@ fn all_policies() -> Vec<PolicyKind> {
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Clock,
-        PolicyKind::Random { seed: 9 },
         PolicyKind::LruT,
         PolicyKind::LruP,
         PolicyKind::TwoQ,

@@ -333,7 +333,6 @@ fn spatial_policies_report_their_criterion_and_no_candidate_set() {
 fn policy_kinds_serialize_roundtrip() {
     let kinds = [
         PolicyKind::Lru,
-        PolicyKind::Random { seed: 99 },
         PolicyKind::TwoQ,
         PolicyKind::LruK { k: 5 },
         PolicyKind::Spatial(SpatialCriterion::EntryOverlap),
@@ -375,7 +374,6 @@ fn runs_are_deterministic() {
         .map(|i| (((i * 31 + i * i % 7) % 50) as usize, i / 9))
         .collect();
     for policy in [
-        PolicyKind::Random { seed: 5 },
         PolicyKind::Asb,
         PolicyKind::LruK { k: 2 },
         PolicyKind::TwoQ,

@@ -10,13 +10,18 @@
 //! dirty count, on the counters, and on the contents of the backing store.
 //!
 //! The model knows four victim rules: LRU, FIFO, CLOCK (a hand sweeping
-//! the order, clearing reference bits) and the smallest area among the
-//! first pages of the LRU order, the earliest on ties. Every case runs
-//! `Lru`, `Fifo`, `Clock`, `LruT` and `LruP`; with one page type and one
-//! level, LRU-T and LRU-P must decide like LRU. Every slot has a fixed
-//! area, shared by several slots, and the area rule holds SLRU (the first
-//! 25 % of the frames are candidates) and `Spatial(A)` (every frame is),
-//! at capacities where SLRU has at least two candidates.
+//! the order, clearing reference bits) and the ranked rule: the smallest
+//! key among the first pages of the LRU order, the earliest on ties. The
+//! first proptest runs `Lru`, `Fifo`, `Clock`, `LruT` and `LruP`; the two
+//! class policies follow the ranked rule over every page, keyed by type
+//! rank or priority ("lowest class first, LRU within a class"). Every slot
+//! has a fixed page kind (object, data, or a directory page at level 2 or
+//! 3) and two fixed entry rectangles, chosen so that the area, entry-area,
+//! margin, entry-margin and entry-overlap orders of the slots all differ
+//! and each holds ties. The second proptest holds SLRU 25 % and 50 % (the
+//! row's fraction of the frames are candidates) and `Spatial` under all
+//! five criteria (every frame is) to the ranked rule, at capacities where
+//! SLRU 25 % has at least two candidates.
 //!
 //! `Poison` is in-memory rot (`poison_frame`). The model's rule for it: a
 //! rotten *clean* frame is as good as absent — the next read of it misses
@@ -69,6 +74,17 @@ impl Frame {
     }
 }
 
+/// What the ranked rule orders slots by.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Key {
+    /// A spatial criterion of the slot's page.
+    Crit(SpatialCriterion),
+    /// Object 0, data 1, directory 2.
+    TypeRank,
+    /// Object 0, otherwise the level (data 1, directories 2 and 3).
+    Priority,
+}
+
 /// How the model picks a victim.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 enum Rule {
@@ -76,11 +92,18 @@ enum Rule {
     Lru,
     Fifo,
     Clock,
-    /// The smallest area among the first `round(capacity / 4).max(1)`
-    /// slots of the LRU order, as `SlruPolicy::new` sizes its candidates.
-    Slru,
-    /// The smallest area among all resident slots.
-    Spatial,
+    /// The smallest `key` among the first `fraction` of the frames' worth
+    /// of slots in LRU order (rounded, at least one), as `SlruPolicy::new`
+    /// sizes its candidates; a fraction of 1 makes every slot a candidate.
+    Ranked {
+        key: Key,
+        fraction: f64,
+    },
+}
+
+/// The ranked rule over every resident slot.
+const fn lowest(key: Key) -> Rule {
+    Rule::Ranked { key, fraction: 1.0 }
 }
 
 /// Each policy under test and the rule it must follow here.
@@ -88,14 +111,49 @@ const POLICIES: [(PolicyKind, Rule); 5] = [
     (PolicyKind::Lru, Rule::Lru),
     (PolicyKind::Fifo, Rule::Fifo),
     (PolicyKind::Clock, Rule::Clock),
-    (PolicyKind::LruT, Rule::Lru),
-    (PolicyKind::LruP, Rule::Lru),
+    (PolicyKind::LruT, lowest(Key::TypeRank)),
+    (PolicyKind::LruP, lowest(Key::Priority)),
 ];
 
-/// The area-aware policies and their rule.
-const AREA_POLICIES: [(PolicyKind, Rule); 2] = [
-    (PolicyKind::PAPER_SLRU, Rule::Slru),
-    (PolicyKind::Spatial(SpatialCriterion::Area), Rule::Spatial),
+/// The spatial policies and their rule.
+const SPATIAL_POLICIES: [(PolicyKind, Rule); 7] = [
+    (
+        PolicyKind::PAPER_SLRU,
+        Rule::Ranked {
+            key: Key::Crit(SpatialCriterion::Area),
+            fraction: 0.25,
+        },
+    ),
+    (
+        PolicyKind::Slru {
+            candidate_fraction: 0.5,
+            criterion: SpatialCriterion::Area,
+        },
+        Rule::Ranked {
+            key: Key::Crit(SpatialCriterion::Area),
+            fraction: 0.5,
+        },
+    ),
+    (
+        PolicyKind::Spatial(SpatialCriterion::Area),
+        lowest(Key::Crit(SpatialCriterion::Area)),
+    ),
+    (
+        PolicyKind::Spatial(SpatialCriterion::EntryArea),
+        lowest(Key::Crit(SpatialCriterion::EntryArea)),
+    ),
+    (
+        PolicyKind::Spatial(SpatialCriterion::Margin),
+        lowest(Key::Crit(SpatialCriterion::Margin)),
+    ),
+    (
+        PolicyKind::Spatial(SpatialCriterion::EntryMargin),
+        lowest(Key::Crit(SpatialCriterion::EntryMargin)),
+    ),
+    (
+        PolicyKind::Spatial(SpatialCriterion::EntryOverlap),
+        lowest(Key::Crit(SpatialCriterion::EntryOverlap)),
+    ),
 ];
 
 /// The reference: one victim rule over a write-back cache, nothing else.
@@ -106,7 +164,7 @@ struct Model {
     /// Resident frames by slot.
     frames: HashMap<usize, Frame>,
     /// Resident slots with their reference bits: least recently used first
-    /// (LRU and the area rules), first admitted first (FIFO), the slot
+    /// (LRU and the ranked rule), first admitted first (FIFO), the slot
     /// under the hand first (CLOCK).
     order: Vec<(usize, bool)>,
     /// The backing store: live slots → payload byte.
@@ -124,18 +182,21 @@ impl Model {
     /// The next victim. CLOCK's hand passes referenced slots, clearing
     /// their bits, and the sweep stands even if the eviction then fails.
     fn victim(&mut self) -> usize {
-        let candidates = match self.rule {
-            Rule::Slru => ((self.capacity as f64 * 0.25).round() as usize).max(1),
-            Rule::Spatial => usize::MAX,
-            Rule::Lru | Rule::Fifo | Rule::Clock => 1,
+        let (key, candidates) = match self.rule {
+            Rule::Ranked { key, fraction } => (
+                Some(key),
+                ((self.capacity as f64 * fraction).round() as usize).max(1),
+            ),
+            Rule::Lru | Rule::Fifo | Rule::Clock => (None, 1),
         };
         while self.rule == Rule::Clock && self.order[0].1 {
             let (slot, _) = self.order.remove(0);
             self.order.push((slot, false));
         }
+        let rank = |slot: usize| key.map_or(0.0, |key| rank(key, slot));
         // `min_by` keeps the first of equal elements: the earliest slot.
         let (slot, _) = (self.order.iter().take(candidates))
-            .min_by(|a, b| area(a.0).total_cmp(&area(b.0)))
+            .min_by(|a, b| rank(a.0).total_cmp(&rank(b.0)))
             .expect("a full buffer has a victim");
         *slot
     }
@@ -173,7 +234,7 @@ impl Model {
                 self.hits += 1;
                 let at = self.order.iter().position(|&(s, _)| s == slot).unwrap();
                 match self.rule {
-                    Rule::Lru | Rule::Slru | Rule::Spatial => {
+                    Rule::Lru | Rule::Ranked { .. } => {
                         let entry = self.order.remove(at);
                         self.order.push(entry);
                     }
@@ -282,14 +343,54 @@ fn stuck(ids: &[PageId], flushed: Result<(), StorageError>) -> Vec<usize> {
     }
 }
 
-/// The area of `slot`'s page: 1 to 5, each shared by three or four slots.
-fn area(slot: usize) -> f64 {
-    (slot % 5 + 1) as f64
+/// The kind of `slot`'s page. Each kind is held by four slots, spread
+/// so that no kind lines up with a geometry parameter.
+#[derive(Clone, Copy)]
+enum Kind {
+    Object,
+    Data,
+    Directory(u8),
+}
+
+fn kind(slot: usize) -> Kind {
+    [
+        Kind::Object,
+        Kind::Data,
+        Kind::Directory(2),
+        Kind::Directory(3),
+    ][(slot + slot / 4) % 4]
+}
+
+/// The two entries of `slot`'s page: `[0, a] × [0, 1]` and
+/// `[0, c] × [0, b]`. Area `max(a, c)·b`, entry area `a + c·b`, margin
+/// `2(max(a, c) + b)`, entry margin `2(a + 1 + c + b)`, entry overlap
+/// `min(a, c)`: small integers, so every criterion is exact and tied
+/// between slots, and `slot_orders_differ_between_criteria` holds.
+fn entries(slot: usize) -> [Rect; 2] {
+    let a = (1 + slot % 4) as f64;
+    let b = (1 + slot / 4 % 3) as f64;
+    let c = (1 + slot * 3 % 5) as f64;
+    [Rect::new(0.0, 0.0, a, 1.0), Rect::new(0.0, 0.0, c, b)]
+}
+
+/// `slot`'s value under `key`: smaller is evicted first.
+fn rank(key: Key, slot: usize) -> f64 {
+    match (key, kind(slot)) {
+        (Key::Crit(c), _) => meta(slot).stats.criterion(c),
+        (Key::TypeRank | Key::Priority, Kind::Object) => 0.0,
+        (Key::TypeRank | Key::Priority, Kind::Data) => 1.0,
+        (Key::TypeRank, Kind::Directory(_)) => 2.0,
+        (Key::Priority, Kind::Directory(level)) => f64::from(level),
+    }
 }
 
 fn meta(slot: usize) -> PageMeta {
-    let mbr = Rect::new(0.0, 0.0, area(slot), 1.0);
-    PageMeta::data(SpatialStats::from_rects(&[mbr]))
+    let stats = SpatialStats::from_rects(&entries(slot));
+    match kind(slot) {
+        Kind::Object => PageMeta::object(stats),
+        Kind::Data => PageMeta::data(stats),
+        Kind::Directory(level) => PageMeta::directory(level, stats),
+    }
 }
 
 fn page(ids: &[PageId], slot: usize, byte: u8) -> Page {
@@ -331,13 +432,28 @@ proptest! {
     }
 
     #[test]
-    fn area_policies_match_the_reference_model(
+    fn spatial_policies_match_the_reference_model(
         ops in prop::collection::vec(op_strategy(), 1..250),
         capacity in 6usize..13,
     ) {
-        for (kind, rule) in AREA_POLICIES {
+        for (kind, rule) in SPATIAL_POLICIES {
             lockstep(kind, rule, &ops, capacity)
                 .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+        }
+    }
+}
+
+/// Two criteria that ordered the slots alike would pick the same victims,
+/// and a mix-up between them would pass unseen: every pair of criteria
+/// orders some two slots oppositely.
+#[test]
+fn slot_orders_differ_between_criteria() {
+    for (i, &c) in SpatialCriterion::ALL.iter().enumerate() {
+        for &d in &SpatialCriterion::ALL[i + 1..] {
+            let (c, d) = (Key::Crit(c), Key::Crit(d));
+            let opposed = (0..SLOTS)
+                .any(|s| (0..SLOTS).any(|t| rank(c, s) < rank(c, t) && rank(d, s) > rank(d, t)));
+            assert!(opposed, "{c:?} and {d:?} order the slots alike");
         }
     }
 }

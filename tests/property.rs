@@ -208,7 +208,6 @@ fn fuzz_policies() -> Vec<PolicyKind> {
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Clock,
-        PolicyKind::Random { seed: 3 },
         PolicyKind::LruT,
         PolicyKind::LruP,
         PolicyKind::LruK { k: 2 },

@@ -27,7 +27,6 @@ fn all_policies() -> Vec<PolicyKind> {
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Clock,
-        PolicyKind::Random { seed: 7 },
         PolicyKind::LruT,
         PolicyKind::LruP,
         PolicyKind::TwoQ,
