@@ -75,13 +75,12 @@ fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
     trace
         .drive(|_, id, ctx| mgr.fetch(&mut store, id, ctx).map(drop))
         .expect("golden replay");
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for (id, _) in store.take_log() {
-        for byte in id.raw().to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    store
+        .take_log()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, (id, _)| {
+            fnv(h, &id.raw().to_le_bytes())
+        })
 }
 
 /// What a replay's own pool shows after every access, sampled through the
@@ -607,4 +606,96 @@ fn replay_equals_a_live_buffered_run_on_every_access_method() {
     assert_replay_equals_live!("zbtree", zb, |t: &mut ZBTree<_>| for q in &queries {
         t.execute(q).unwrap();
     });
+}
+
+/// FNV-1a of `bytes` folded into `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The R\*-tree write path, pinned: a seeded insert/delete stream on
+/// `RTreeConfig::small()` that grows the tree to four levels (splits, and
+/// forced reinsertion on every first overflow of a level), deletes until
+/// nodes dissolve (condense) and the root shrinks, then inserts again.
+/// Two digests hold it: the page-reference string (page and query of every
+/// read, in order) and every final page's payload plus the bits of its
+/// `SpatialStats`. A change to ChooseSubtree, the split, reinsertion,
+/// delete's search, the codec or the statistics moves one of them.
+#[test]
+fn rtree_write_path_is_pinned() {
+    use asb::geom::{Rect, SpatialItem};
+    use asb::rtree::RTreeConfig;
+    use asb::storage::PageStore;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut item = |id: u64| {
+        let (x, y) = (rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
+        let (w, h) = (rng.gen_range(0.0..30.0), rng.gen_range(0.0..30.0));
+        SpatialItem::new(id, Rect::new(x, y, x + w, y + h))
+    };
+    let mut tree = RTree::with_config(
+        RecordingStore::new(DiskManager::new()),
+        RTreeConfig::small(),
+    )
+    .unwrap();
+    let mut live: Vec<SpatialItem> = (0..600).map(&mut item).collect();
+    for it in &live {
+        tree.insert(*it).unwrap();
+    }
+    let tall = tree.height();
+    let mut pages_freed = false;
+    for (n, id) in (600..900u64).enumerate() {
+        let victim = live.swap_remove((n * 7919) % live.len());
+        let pages = tree.store().page_count();
+        assert!(tree.delete(victim.id, &victim.mbr).unwrap());
+        pages_freed |= tree.store().page_count() < pages;
+        if n % 3 == 0 {
+            let it = item(id);
+            tree.insert(it).unwrap();
+            live.push(it);
+        }
+    }
+    while live.len() > 40 {
+        let victim = live.swap_remove(live.len() / 2);
+        assert!(tree.delete(victim.id, &victim.mbr).unwrap());
+    }
+    let short = tree.height();
+    for id in 900..1000 {
+        tree.insert(item(id)).unwrap();
+    }
+    tree.validate().unwrap();
+    assert!(tall >= 4 && short < tall && pages_freed, "{tall} {short}");
+
+    let reads = tree.store().take_log();
+    let read_digest = reads.iter().fold(0xcbf2_9ce4_8422_2325, |h, (id, q)| {
+        fnv(fnv(h, &id.raw().to_le_bytes()), &q.raw().to_le_bytes())
+    });
+    let mut page_digest = 0xcbf2_9ce4_8422_2325;
+    for page in tree.store().inner().iter_pages() {
+        let s = page.meta.stats;
+        let corners = s
+            .mbr
+            .map_or([f64::NAN; 4], |r| [r.min.x, r.min.y, r.max.x, r.max.y]);
+        page_digest = fnv(page_digest, &page.id.raw().to_le_bytes());
+        page_digest = fnv(page_digest, &page.payload);
+        page_digest = fnv(page_digest, &s.entry_count.to_le_bytes());
+        for x in corners
+            .into_iter()
+            .chain([s.entry_area_sum, s.entry_margin_sum, s.entry_overlap])
+        {
+            page_digest = fnv(page_digest, &x.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        (reads.len(), read_digest, page_digest),
+        (
+            11_908,
+            7_658_062_945_543_268_640,
+            15_442_488_977_516_258_423
+        ),
+        "the write path moved"
+    );
 }
