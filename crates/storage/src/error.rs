@@ -19,6 +19,13 @@ pub enum StorageError {
         /// Human-readable description of the decode failure.
         reason: String,
     },
+    /// The caller handed an index something it cannot hold (an invalid
+    /// configuration, or an item with a non-finite coordinate). Nothing
+    /// was written.
+    InvalidInput {
+        /// Human-readable description of what was refused.
+        reason: String,
+    },
     /// An eviction was required but every buffered page is pinned.
     AllPagesPinned,
     /// A read failed transiently (e.g. a simulated device timeout). The
@@ -111,6 +118,7 @@ impl std::fmt::Display for StorageError {
             StorageError::Corrupt { id, reason } => {
                 write!(f, "page {id} is corrupt: {reason}")
             }
+            StorageError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
             StorageError::AllPagesPinned => {
                 write!(f, "cannot evict: all buffered pages are pinned")
             }
@@ -240,6 +248,13 @@ mod tests {
         }
         .to_string()
         .contains("bad magic"));
+        assert_eq!(
+            StorageError::InvalidInput {
+                reason: "item 3 has a non-finite coordinate".into()
+            }
+            .to_string(),
+            "invalid input: item 3 has a non-finite coordinate"
+        );
     }
 
     #[test]
@@ -280,6 +295,7 @@ mod tests {
         }
         .is_transient());
         assert!(!StorageError::GuardsOutstanding(2).is_transient());
+        assert!(!StorageError::InvalidInput { reason: "x".into() }.is_transient());
     }
 
     #[test]
