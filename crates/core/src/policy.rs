@@ -19,11 +19,9 @@ use serde::Serialize;
 /// 2. [`on_hit`](ReplacementPolicy::on_hit) is only called for resident
 ///    pages;
 /// 3. `now` ticks are **non-decreasing** across calls, not strictly
-///    increasing. Both sources of ties are batched fetches: a batch probes
-///    every page before it admits the first miss, so all admissions of
-///    one batch carry the tick of the batch's last probe, and a batch
-///    member that a concurrent request admitted between the batch's two
-///    phases reports its `on_hit` without advancing the tick. A policy that
+///    increasing. The one source of ties is a batched fetch: a batch
+///    probes every page before it admits the first miss, so all admissions
+///    of one batch carry the tick of the batch's last probe. A policy that
 ///    orders by time stamp must break such ties deterministically (LRU-K
 ///    falls back to page-id order).
 ///

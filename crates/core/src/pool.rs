@@ -55,12 +55,14 @@ pub trait BufferPool {
     ///
     /// The batch probes the first occurrence of every id (pinning the
     /// resident ones as hits), then resolves the misses and the repeated
-    /// ids in input order. Per-request accounting equals issuing the same
-    /// `fetch_classified` calls in input order whenever no admission in
-    /// the batch evicts a later batch member; under eviction pressure a
-    /// probe-phase hit is pinned before an earlier sibling's admission
-    /// could have evicted it, so the batch can count a hit where the
-    /// sequential order counts a miss (see
+    /// ids in input order, holding every shard it touches throughout: no
+    /// other request runs on those shards between the two phases, so each
+    /// miss the batch counts is read by the batch. Per-request accounting
+    /// equals issuing the same `fetch_classified` calls in input order
+    /// whenever no admission in the batch evicts a later batch member;
+    /// under eviction pressure a probe-phase hit is pinned before an
+    /// earlier sibling's admission could have evicted it, so the batch can
+    /// count a hit where the sequential order counts a miss (see
     /// [`ShardedBuffer::fetch_batch`](crate::ShardedBuffer::fetch_batch)).
     fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult>;
 

@@ -32,10 +32,12 @@
 //!
 //! # Lock order
 //!
-//! `shard mutex → store lock`, everywhere. A thread never holds two shard
-//! locks — with one exception: [`ShardedBuffer::checkpoint`] and the
-//! guard-gated [`ShardedBuffer::with_store`] lock *all* shards in
-//! ascending index order (a fixed total order, so no cycle). Allocation
+//! `shard mutex → store lock`, everywhere. A thread holds more than one
+//! shard lock only in ascending index order (a fixed total order, so no
+//! cycle): [`ShardedBuffer::checkpoint`] and the guard-gated
+//! [`ShardedBuffer::with_store`] and [`ShardedBuffer::try_into_store`]
+//! lock *all* shards, and [`ShardedBuffer::fetch_batch`] locks the shards
+//! its ids route to, from its first probe until it returns. Allocation
 //! is two-phase (store write lock to obtain the id, release, then shard
 //! lock to admit), so no cycle exists. The shared WAL mutex is only ever
 //! taken while holding a shard lock and is never held across a store
@@ -235,18 +237,18 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// [`PageError`] and never aborts its siblings (the partial-failure
     /// contract the serving layer's graceful degradation is built on).
     ///
-    /// The batch runs in two phases. *Probe:* the first occurrence of every
-    /// id is probed, shard by shard under a single shard-lock acquisition
-    /// each; a resident page is pinned and classified a hit there and
+    /// Every shard the batch touches is locked, in ascending index order,
+    /// from the first probe until the call returns, so a batch is atomic
+    /// with respect to its shards: no other request runs on them between
+    /// its two phases, and a miss it counts is always read by this batch.
+    /// *Probe:* the first occurrence of every id is probed, shard by
+    /// shard; a resident page is pinned and classified a hit there and
     /// then. *Resolve:* the remaining slots are served in input order — a
-    /// first occurrence that missed is completed under its shard lock
-    /// (served as a hit if a concurrent request admitted the page since
-    /// the probe, else read and admitted), and an id repeated within the
-    /// batch runs a full
-    /// [`fetch_classified`](ShardedBuffer::fetch_classified) after its
-    /// first occurrence has resolved (so the repeat classifies as the hit
-    /// it would have been sequentially; a repeat of a failed id
-    /// re-attempts and accrues its own accounting).
+    /// first occurrence that missed is read and admitted, and an id
+    /// repeated within the batch runs a full fetch after its first
+    /// occurrence has resolved (so the repeat classifies as the hit it
+    /// would have been sequentially; a repeat of a failed id re-attempts
+    /// and accrues its own accounting).
     ///
     /// Accounting equals issuing the same `fetch_classified` calls in
     /// input order **whenever no admission in the batch evicts a later
@@ -259,56 +261,54 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// timestamp (LRU-K, ASB's overflow comparison) sees the batch's
     /// admissions tie where one-at-a-time fetches would order them.
     pub fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
-        let mut out: Vec<Option<PageFetchResult>> = (0..ids.len()).map(|_| None).collect();
+        let mut probed: Vec<Option<PageFetchResult>> = (0..ids.len()).map(|_| None).collect();
         // First occurrences probe in the batched phase; repeats resolve
-        // afterwards through the sequential path so their probe sees the
-        // first occurrence's admission.
+        // afterwards with a full fetch, so their probe sees the first
+        // occurrence's admission.
         let mut seen = std::collections::HashSet::new();
-        let mut deferred = vec![false; ids.len()];
+        let mut repeat = vec![false; ids.len()];
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.inner.shards.len()];
         for (i, &id) in ids.iter().enumerate() {
             if seen.insert(id) {
                 by_shard[self.shard_of(id)].push(i);
             } else {
-                deferred[i] = true;
+                repeat[i] = true;
             }
         }
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut buf = self.inner.shards[shard].lock();
+        // Ascending index order, as in `checkpoint` and `with_store`; the
+        // guards are held until return. The shard mutex is not reentrant,
+        // so the resolve pass below runs on these guards, never through
+        // `self.fetch_classified`.
+        let mut held: Vec<_> = (self.inner.shards.iter().zip(&by_shard))
+            .map(|(shard, idxs)| (!idxs.is_empty()).then(|| shard.lock()))
+            .collect();
+        for (buf, idxs) in held.iter_mut().zip(&by_shard) {
+            let Some(buf) = buf else { continue };
             for &i in idxs {
                 match buf.probe(ids[i], ctx) {
-                    Ok(Some(guard)) => out[i] = Some(Ok(FetchOutcome { guard, hit: true })),
+                    Ok(Some(guard)) => probed[i] = Some(Ok(FetchOutcome { guard, hit: true })),
                     Ok(None) => {}
-                    Err(e) => out[i] = Some(Err(PageError::new(ids[i], e))),
+                    Err(e) => probed[i] = Some(Err(PageError::new(ids[i], e))),
                 }
             }
         }
-        for (i, &id) in ids.iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            let slot = if deferred[i] {
-                self.fetch_classified(id, ctx)
-            } else {
-                let mut buf = self.inner.shards[self.shard_of(id)].lock();
-                match buf.pin_resident(id, ctx) {
-                    Ok(Some(guard)) => Ok(FetchOutcome { guard, hit: true }),
-                    Ok(None) => buf
-                        .read_miss(&mut PoolIo(&self.inner.store), id, ctx)
-                        .map(|guard| FetchOutcome { guard, hit: false }),
-                    Err(e) => Err(e),
-                }
-            };
-            out[i] = Some(slot.map_err(|e| PageError::new(id, e)));
-        }
-        // invariant: the resolve loop above fills every slot the probe
-        // pass left empty, so no `None` survives to this point.
-        #[allow(clippy::expect_used)]
-        out.into_iter()
-            .map(|o| o.expect("outcome filled"))
+        let mut io = PoolIo(&self.inner.store);
+        (ids.iter().zip(probed).zip(repeat))
+            .map(|((&id, probed), repeat)| {
+                probed.unwrap_or_else(|| {
+                    // invariant: every id routes to a shard that has a first
+                    // occurrence in the batch, and that shard is held.
+                    #[allow(clippy::expect_used)]
+                    let buf = held[self.shard_of(id)].as_mut().expect("shard held");
+                    let slot = if repeat {
+                        buf.fetch_classified(&mut io, id, ctx)
+                    } else {
+                        let guard = buf.read_miss(&mut io, id, ctx);
+                        guard.map(|guard| FetchOutcome { guard, hit: false })
+                    };
+                    slot.map_err(|e| PageError::new(id, e))
+                })
+            })
             .collect()
     }
 
@@ -400,12 +400,11 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
 
     /// Appends one pool-wide fuzzy checkpoint to the shared WAL.
     ///
-    /// All shard locks are taken in ascending index order (one of the two
-    /// places the pool holds more than one shard lock — a fixed total
-    /// order, so deadlock-free) to compute the minimum `rec_lsn` over
-    /// *every* dirty frame in the pool; the checkpoint record is appended
-    /// through shard 0 while the snapshot is still held, so no write can
-    /// slip under the recorded horizon.
+    /// All shard locks are taken in ascending index order (the pool's one
+    /// order for holding several, so deadlock-free) to compute the minimum
+    /// `rec_lsn` over *every* dirty frame in the pool; the checkpoint
+    /// record is appended through shard 0 while the snapshot is still
+    /// held, so no write can slip under the recorded horizon.
     pub fn checkpoint(&self) -> Result<Lsn> {
         let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         let redo = guards.iter().filter_map(|g| g.min_rec_lsn()).min();

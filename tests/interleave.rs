@@ -938,9 +938,11 @@ fn arena_mixer_state_is_lawful_under_concurrency() {
 /// sequential one in every interleaving: every id gets its response (one
 /// outcome per id, in input order), every guard is returned and dropped
 /// (pin balance restored), and no accounting is lost (hits + misses equals
-/// logical reads; each counted miss is exactly one physical read, a miss
-/// whose page a concurrent request admitted between the batch's two phases
-/// being recounted as a hit).
+/// logical reads; each counted miss is exactly one physical read, because
+/// a batch holds its shards from its first probe until it returns).
+/// Between its batches thread b also calls `with_store`, which locks every
+/// shard in ascending order, so the union lock graph holds both multi-shard
+/// acquisitions: a batch taking its shards in any other order is a cycle.
 fn batch_scenario() {
     let (disk, ids) = disk_with_pages(10);
     let pool = ShardedBuffer::new(disk, PolicyKind::Lru, 6, 2);
@@ -972,6 +974,10 @@ fn batch_scenario() {
         let first: Vec<PageId> = ids_b[3..9].to_vec();
         let second = vec![ids_b[9], ids_b[0], ids_b[9]];
         for (q, batch) in [first, second].into_iter().enumerate() {
+            if q > 0 {
+                // Refused while thread a holds a guard; only its locks matter.
+                let _ = b.with_store(|_| ());
+            }
             let outcomes =
                 b.fetch_batch(&batch, AccessContext::query(QueryId::new(100 + q as u64)));
             assert_eq!(outcomes.len(), batch.len(), "a response was lost");

@@ -168,12 +168,16 @@ fn single_shard_replays_identically_to_sequential_buffer() {
     }
 }
 
-/// With one shard, `fetch_batch` is its documented contract and nothing
-/// more. The contract is written out here over a bare [`BufferManager`]
+/// On four shards, `fetch_batch` is its documented contract and nothing
+/// more. The contract is written out here over one bare [`BufferManager`]
+/// per shard, split like the pool's capacity and all over one disk,
 /// through public API only: first occurrences that `contains()` reports
 /// resident are fetched first and their guards held, then the remaining
-/// ids are fetched in input order. Hit flags, statistics and store reads
-/// must agree batch by batch on a trace with repeats and evictions.
+/// ids are fetched in input order. Hit flags, every shard's statistics
+/// and the disk's `IoStats` must agree batch by batch on a trace with
+/// repeats and evictions. Each batch holds a pair of consecutive pages, so
+/// the random/sequential split of the reads pins their input order: a
+/// pool that resolved shard by shard would read the pair out of order.
 ///
 /// LRU-K and ASB are left out: they rank by the buffer's logical clock,
 /// which the pool advances once per probe before admitting any miss, so a
@@ -182,13 +186,17 @@ fn single_shard_replays_identically_to_sequential_buffer() {
 /// clock-exactly by a unit test next to the pool, where the manager's
 /// probe/admit primitives are reachable.
 #[test]
-fn single_shard_batches_replay_identically_to_the_written_out_contract() {
+fn four_shard_batches_replay_identically_to_the_written_out_contract() {
     let by_arrival = |p: &PolicyKind| !matches!(p, PolicyKind::LruK { .. } | PolicyKind::Asb);
     for policy in all_policies().into_iter().filter(by_arrival) {
         let (mut disk, ids) = build_disk();
-        let mut seq = BufferManager::with_policy(policy, CAPACITY);
         let (pool_disk, _) = build_disk();
-        let pool = ShardedBuffer::new(pool_disk, policy, CAPACITY, 1);
+        let pool = ShardedBuffer::new(pool_disk, policy, CAPACITY, SHARDS);
+        let mut shards: Vec<BufferManager> = pool
+            .per_shard(BufferManager::capacity)
+            .into_iter()
+            .map(|frames| BufferManager::with_policy(policy, frames))
+            .collect();
 
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |span: u64| {
@@ -199,22 +207,24 @@ fn single_shard_batches_replay_identically_to_the_written_out_contract() {
         };
         let mut repeat_hits = 0u64;
         for b in 0..300u64 {
-            // Eight skewed picks (a hot eighth of the pages gets 70 % of
-            // them) plus two forced repeats of earlier slots.
-            let mut batch: Vec<PageId> = (0..8)
+            // Six skewed picks (a hot eighth of the pages gets 70 % of
+            // them), two consecutive pages anywhere, and two forced repeats
+            // of earlier slots.
+            let mut batch: Vec<PageId> = (0..6)
                 .map(|_| {
                     let span = if next(10) < 7 { PAGES / 8 } else { PAGES };
                     ids[next(span)]
                 })
                 .collect();
-            batch.push(batch[0]);
-            batch.push(batch[3]);
+            let pair = next(PAGES - 1);
+            batch.extend([ids[pair], ids[pair + 1], batch[0], batch[3]]);
             let ctx = AccessContext::query(QueryId::new(b));
 
             let mut expected: Vec<Option<bool>> = vec![None; batch.len()];
             let mut guards = Vec::with_capacity(batch.len());
             let mut seen = std::collections::HashSet::new();
             for (i, &id) in batch.iter().enumerate() {
+                let seq = &mut shards[pool.shard_of(id)];
                 if seen.insert(id) && seq.contains(id) {
                     guards.push(seq.fetch(&mut disk, id, ctx).expect("read"));
                     expected[i] = Some(true);
@@ -222,6 +232,7 @@ fn single_shard_batches_replay_identically_to_the_written_out_contract() {
             }
             for (i, &id) in batch.iter().enumerate() {
                 if expected[i].is_none() {
+                    let seq = &mut shards[pool.shard_of(id)];
                     let hits = seq.stats().hits;
                     guards.push(seq.fetch(&mut disk, id, ctx).expect("read"));
                     expected[i] = Some(seq.stats().hits > hits);
@@ -239,18 +250,24 @@ fn single_shard_batches_replay_identically_to_the_written_out_contract() {
                 assert_eq!(slot.as_ref().expect("read").guard.id, id);
             }
             drop((guards, served));
+            let model: Vec<_> = shards.iter().map(BufferManager::stats).collect();
             assert_eq!(
-                pool.stats(),
-                seq.stats(),
-                "{policy:?}: buffer statistics after batch {b}"
+                pool.per_shard(BufferManager::stats),
+                model,
+                "{policy:?}: shard statistics after batch {b}"
+            );
+            assert_eq!(
+                pool.io_stats(),
+                disk.stats(),
+                "{policy:?}: store reads after batch {b}"
             );
         }
-        assert_eq!(
-            pool.io_stats().reads,
-            disk.stats().reads,
-            "{policy:?}: physical reads must match"
+        let io = disk.stats();
+        assert!(
+            io.sequential_reads > 0 && io.random_reads > 0,
+            "{policy:?}: {io:?}"
         );
-        let stats = seq.stats();
+        let stats = pool.stats();
         assert!(stats.evictions > 0, "{policy:?}: the trace must evict");
         assert!(repeat_hits > 0, "{policy:?}: repeats must classify as hits");
         assert_eq!(stats.pin_overflows, 0, "{policy:?}: batches fit the pool");
