@@ -27,10 +27,12 @@ use crate::lab::{Lab, LARGEST_BUFFER_FRAC};
 use crate::report::{FigureTable, Series};
 use crate::trace::Trace;
 use asb_core::{AsbParams, BufferManager, PolicyKind, SpatialCriterion};
-use asb_geom::{Point, Query, SpatialItem};
+use asb_geom::{Point, Query, Rect, SpatialItem};
 use asb_quadtree::QuadTree;
 use asb_rtree::{spatial_join, RTree};
-use asb_storage::{DiskManager, ObjectRecord, ObjectStore, PageStore, RecordingStore, Result};
+use asb_storage::{
+    DiskManager, ObjectRecord, ObjectStore, PageStore, RecordingStore, Result, StorageError,
+};
 use asb_workload::{Dataset, DatasetKind, QueryKind, QuerySetSpec, Scale};
 use asb_zbtree::ZBTree;
 use bytes::Bytes;
@@ -44,14 +46,13 @@ const CONTENDERS: [PolicyKind; 4] = [
     PolicyKind::Asb,
 ];
 
-/// [`CONTENDERS`] plus the two structural LRUs. They order only directory
-/// levels differently (LRU-T files every directory page in one class), so
-/// they differ only where a directory page is evicted; see
-/// [`ext_object_pages`] for why none is here.
-const OBJECT_PAGE_POLICIES: [PolicyKind; 6] = [
+/// [`CONTENDERS`] plus LRU-T, whose "drop object pages first" rule object
+/// pages make observable. LRU-P is left out: it ranks only directory
+/// levels differently from LRU-T, and no replay here evicts a directory
+/// page (see [`ext_object_pages`]), so its column would repeat LRU-T's.
+const OBJECT_PAGE_POLICIES: [PolicyKind; 5] = [
     PolicyKind::Lru,
     PolicyKind::LruT,
-    PolicyKind::LruP,
     PolicyKind::LruK { k: 2 },
     PolicyKind::Spatial(SpatialCriterion::Area),
     PolicyKind::Asb,
@@ -84,11 +85,11 @@ fn query_sets() -> Vec<QuerySetSpec> {
 /// results — the paper's full storage architecture (Fig. 1) in action.
 ///
 /// With object pages in the access stream, LRU-T's "drop object pages
-/// first" rule becomes observable. Its column still equals LRU-P's: at
-/// tiny, small and medium scale neither evicts a single directory page on
+/// first" rule becomes observable. LRU-P would add nothing: at tiny, small
+/// and medium scale neither it nor LRU-T evicts a single directory page on
 /// any of the four query sets (there is always an object or data page to
 /// drop first), and directory levels are the only pages the two rank
-/// differently.
+/// differently, so their columns were equal.
 fn ext_object_pages(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
     // Build object pages in item (≈ spatial) order, then the tree on top of
@@ -204,43 +205,12 @@ fn ext_cross_sam(scale: Scale, seed: u64) -> Result<FigureTable> {
 /// page catalogue mid-stream, which a [`Trace`] does not model.
 fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
     let dataset = Dataset::generate(DatasetKind::Mainland, scale, seed);
-    let items = dataset.items();
     let queries = QuerySetSpec::uniform_windows(100).generate(&dataset, 400, seed ^ 0x30B1);
 
     let mut series = Vec::new();
     let mut lru_reads = None;
     for policy in CONTENDERS {
-        let mut tree = RTree::bulk_load(DiskManager::new(), items)?;
-        let buffer_pages = ((tree.page_count() as f64) * 0.047).round().max(8.0) as usize;
-        tree.set_buffer(BufferManager::with_policy(policy, buffer_pages));
-        tree.store_mut().reset_stats();
-
-        // Deterministic movement: object i drifts by a seed-derived delta,
-        // wrapping inside the unit square.
-        let mut mover = 0usize;
-        for (round, q) in queries.iter().enumerate() {
-            // Move a handful of objects per query round.
-            for k in 0..8usize {
-                let idx = (mover + k * 131) % items.len();
-                let it = items[idx];
-                let step = 0.002 + 0.004 * ((round + k) % 7) as f64;
-                let moved = it.mbr.flip_x(0.0, 1.0); // deterministic "jump"
-                let moved = asb_geom::Rect::new(
-                    (moved.min.x + step).min(0.999),
-                    moved.min.y,
-                    (moved.max.x + step).min(1.0),
-                    moved.max.y,
-                );
-                // Delete wherever the object currently is; tolerate the
-                // object having been moved before (delete by both shapes).
-                let deleted = tree.delete(it.id, &it.mbr)? || tree.delete(it.id, &moved)?;
-                if deleted {
-                    tree.insert(asb_geom::SpatialItem::new(it.id, moved))?;
-                }
-            }
-            mover = (mover + 1009) % items.len();
-            tree.execute(q)?;
-        }
+        let (tree, _) = moving_churn(dataset.items(), &queries, policy)?;
         let reads = tree.store().stats().reads;
         let gain = gain_vs_lru(*lru_reads.get_or_insert(reads), reads);
         series.push(Series {
@@ -257,6 +227,50 @@ fn ext_moving_objects(scale: Scale, seed: u64) -> Result<FigureTable> {
         y_label: "gain vs LRU [%] / raw reads".into(),
         series,
     })
+}
+
+/// The workload of [`ext_moving_objects`]: a tree over all of `items`
+/// behind a 4.7 % `policy` buffer, and per query eight objects moved before
+/// the query runs. A move deletes the object where it currently is (an
+/// object missing there is an error) and re-inserts it at the mirror image
+/// of that place, shifted right by one of seven steps. Returns the tree and
+/// the number of moves that relocated their object.
+fn moving_churn(
+    items: &[SpatialItem],
+    queries: &[Query],
+    policy: PolicyKind,
+) -> Result<(RTree<DiskManager>, usize)> {
+    let mut tree = RTree::bulk_load(DiskManager::new(), items)?;
+    let buffer_pages = ((tree.page_count() as f64) * 0.047).round().max(8.0) as usize;
+    tree.set_buffer(BufferManager::with_policy(policy, buffer_pages));
+    tree.store_mut().reset_stats();
+    let mut current: Vec<Rect> = items.iter().map(|it| it.mbr).collect();
+    let (mut mover, mut moves) = (0usize, 0usize);
+    for (round, q) in queries.iter().enumerate() {
+        for k in 0..8usize {
+            let idx = (mover + k * 131) % items.len();
+            let (id, at) = (items[idx].id, current[idx]);
+            let step = 0.002 + 0.004 * ((round + k) % 7) as f64;
+            let mirror = at.flip_x(0.0, 1.0);
+            let moved = Rect::new(
+                (mirror.min.x + step).min(0.999),
+                mirror.min.y,
+                (mirror.max.x + step).min(1.0),
+                mirror.max.y,
+            );
+            if !tree.delete(id, &at)? {
+                return Err(StorageError::InvalidInput {
+                    reason: format!("moving object {id} is not at {at:?}"),
+                });
+            }
+            tree.insert(SpatialItem::new(id, moved))?;
+            moves += usize::from(moved != at);
+            current[idx] = moved;
+        }
+        mover = (mover + 1009) % items.len();
+        tree.execute(q)?;
+    }
+    Ok((tree, moves))
 }
 
 /// Gain of ASB over LRU on database 1 at the 4.7 % buffer: one row per
@@ -546,7 +560,7 @@ mod tests {
     #[test]
     fn object_pages_experiment_runs() {
         let table = ext_object_pages(Scale::Tiny, 5).unwrap();
-        assert_eq!(table.series.len(), 6);
+        assert_eq!(table.series.len(), 5);
         // LRU baseline is zero by construction.
         for (_, v) in &table.series[0].points {
             assert_eq!(*v, 0.0);
@@ -563,6 +577,14 @@ mod tests {
     fn moving_objects_experiment_runs() {
         let table = ext_moving_objects(Scale::Tiny, 5).unwrap();
         assert_shape(&table, 2, 4);
+
+        let dataset = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, 5);
+        let queries = QuerySetSpec::uniform_windows(100).generate(&dataset, 400, 5 ^ 0x30B1);
+        let (mut tree, moves) = moving_churn(dataset.items(), &queries, PolicyKind::Asb).unwrap();
+        assert_eq!(moves, 8 * 400, "every scheduled move relocates its object");
+        assert_eq!(tree.store().stats().reads as f64, row(&table, "reads")[3]);
+        tree.validate().unwrap();
+        assert_eq!(tree.len(), dataset.items().len(), "moves keep every object");
     }
 
     #[test]
