@@ -82,7 +82,7 @@ pub fn replacement_bench() -> Result<ReplacementBench> {
     for (name, db) in GOLDEN_DBS {
         let trace = Trace::record_phased(db, Scale::Tiny, BENCH_SEED, &workload)?;
         let outcomes = Trace::replay_all(&policies.map(|policy| (&trace, policy, BENCH_CAPACITY)))?;
-        let opt = trace.opt_misses(BENCH_CAPACITY) as i64;
+        let opt = trace.opt_misses(BENCH_CAPACITY)? as i64;
         for (policy, out) in policies.into_iter().zip(outcomes) {
             // `BufferStats` carries the arena's two counters (zero for every
             // other policy): the switches, and the ghost misses of the best

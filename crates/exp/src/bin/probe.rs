@@ -76,7 +76,7 @@ fn probe(mut args: Args) -> Result<(), String> {
     let cells = policies.map(|policy| ExperimentCell::new(db, policy, frac, set));
     let (results, opt) = lab
         .eval(&cells)
-        .and_then(|r| Ok((r, lab.recording(db, set)?.opt_misses(buffer_pages))))
+        .and_then(|r| Ok((r, lab.recording(db, set)?.opt_misses(buffer_pages)?)))
         .map_err(|e| format!("experiment failed: {e}"))?;
     let base = results[0]; // cells[0] is LRU, the paper's baseline
     for (p, r) in policies.iter().zip(&results) {

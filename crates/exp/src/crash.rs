@@ -187,7 +187,7 @@ fn run_workload(
     mgr.set_checkpoint_interval(Some(config.checkpoint_interval));
     let mut updates = Vec::new();
     let limit = config.max_accesses.unwrap_or(usize::MAX);
-    let workload = trace.drive(|i, id, ctx| {
+    let workload = trace.drive_reads(|i, id, ctx| {
         if i >= limit {
             return Ok(());
         }
@@ -236,7 +236,7 @@ fn expected_state(
     let mut state: HashMap<u64, Bytes> = trace
         .pages
         .iter()
-        .map(|&(raw, _)| (raw, Bytes::from(raw.to_le_bytes().to_vec())))
+        .map(|&(raw, _)| (raw, Trace::payload(raw)))
         .collect();
     let committed = events
         .iter()

@@ -264,7 +264,7 @@ fn opt_series(lab: &mut Lab, db: DatasetKind, frac: f64, sets: &[QuerySetSpec]) 
     let lru = lab.eval(&lru_cells)?;
     let mut points = Vec::with_capacity(sets.len());
     for (&s, lru) in sets.iter().zip(lru) {
-        let opt = lab.recording(db, s)?.opt_misses(frames);
+        let opt = lab.recording(db, s)?.opt_misses(frames)?;
         points.push((s.name(), gain_vs_lru(lru.disk_accesses, opt)));
     }
     Ok(Series {

@@ -58,7 +58,7 @@ pub use objects::{decode_object_page, ObjectRecord, ObjectStore};
 pub use page::{
     even_chunks, page_checksum, Page, PageId, PageMeta, PageType, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
-pub use recording::RecordingStore;
+pub use recording::{PageOp, RecordingLog, RecordingStore};
 pub use store::{AccessContext, ConcurrentPageStore, PageStore, QueryId};
 pub use wal::{Lsn, RecoveryReport, SharedWal, Wal, WalConfig, WalRecord, WalStats};
 

@@ -566,7 +566,7 @@ fn replayed_workload_survives_chaos() {
         let mut buf = BufferManager::with_policy(policy, 8);
         buf.set_retry_attempts(10);
         trace
-            .drive(|_, id, ctx| match buf.fetch(&mut store, id, ctx) {
+            .drive_reads(|_, id, ctx| match buf.fetch(&mut store, id, ctx) {
                 Ok(page) => {
                     let pristine = store.inner().peek(id)?;
                     assert_eq!(

@@ -20,7 +20,7 @@
 //! A benchmark that fails its bars is never written.
 
 use asb::buffer::{ArenaState, BufferManager, PolicyKind, ShardedBuffer};
-use asb::exp::{replacement_bench, ReplayOutcome, Trace, GOLDEN_DBS};
+use asb::exp::{moving_churn, replacement_bench, update_churn, ReplayOutcome, Trace, GOLDEN_DBS};
 use asb::geom::Point;
 use asb::quadtree::QuadTree;
 use asb::rtree::RTree;
@@ -28,7 +28,7 @@ use asb::serve::{
     check_chaos, default_chaos_bench, serve_bench, RELATIVE_ERROR, SERVE_BENCH_REQUESTS,
     SERVE_BENCH_SESSIONS,
 };
-use asb::storage::{DiskManager, ObjectRecord, ObjectStore, RecordingStore};
+use asb::storage::{DiskManager, ObjectRecord, ObjectStore, PageOp, RecordingStore};
 use asb::workload::{Dataset, DatasetKind, PhasedWorkload, QuerySetSpec, Scale};
 use asb::zbtree::ZBTree;
 use bytes::Bytes;
@@ -73,7 +73,7 @@ fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
     let mut store = RecordingStore::new(trace.build_disk().expect("golden disk"));
     let mut mgr = BufferManager::with_policy(policy, CAPACITY);
     trace
-        .drive(|_, id, ctx| mgr.fetch(&mut store, id, ctx).map(drop))
+        .drive_reads(|_, id, ctx| mgr.fetch(&mut store, id, ctx).map(drop))
         .expect("golden replay");
     store
         .take_log()
@@ -84,7 +84,7 @@ fn read_digest(trace: &Trace, policy: PolicyKind) -> u64 {
 }
 
 /// What a replay's own pool shows after every access, sampled through the
-/// step closure of [`Trace::drive`]: ASB's candidate-set size, the arena's
+/// step closure of [`Trace::drive_reads`]: ASB's candidate-set size, the arena's
 /// expert weights — and the arena's final state.
 #[derive(Debug, PartialEq)]
 struct Trajectories {
@@ -104,7 +104,7 @@ fn sampled_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome, Trajecto
         weights.extend(mgr.policy().arena_state().map(|a| a.weights()));
         Ok(())
     };
-    trace.drive(step).expect("replay");
+    trace.drive_reads(step).expect("replay");
     let (stats, io, arena) = (mgr.stats(), disk.stats(), mgr.policy().arena_state());
     let sampled = Trajectories {
         candidates,
@@ -130,7 +130,7 @@ fn sampled_one_shard_replay(trace: &Trace, policy: PolicyKind) -> (ReplayOutcome
         weights.extend(sole_arena().map(|a| a.weights()));
         Ok(())
     };
-    trace.drive(step).expect("replay");
+    trace.drive_reads(step).expect("replay");
     let (stats, io) = (pool.stats(), pool.io_stats());
     let sampled = Trajectories {
         candidates,
@@ -519,51 +519,71 @@ fn replay_is_idempotent() {
     }
 }
 
-/// Records `$run` once against `$tree` (an index over a
-/// [`Trace::recorder`]), then asserts for every policy that
-/// replaying the recording yields the complete `BufferStats` and `IoStats`
-/// of running `$run` again on the live tree behind a buffer of that policy.
+/// Records `$run` once on `$tree` (an index over a [`Trace::recorder`],
+/// which `$store` names), then asserts for every policy that replaying the
+/// recording — directly, and after a trip through the text format — yields
+/// the complete `BufferStats` and `IoStats` of running `$run` again on the
+/// live tree behind a buffer of that policy. A workload that writes passes
+/// `$reset`, which puts the tree back where the recording started before
+/// each live run. Returns the recording.
 macro_rules! assert_replay_equals_live {
-    ($name:expr, $tree:expr, $run:expr) => {{
-        let (name, tree, run) = ($name, &mut $tree, $run);
-        tree.store().set_recording(true);
-        run(&mut *tree);
-        let trace = Trace::capture(name.to_string(), tree.store());
-        tree.store().set_recording(false);
+    ($name:expr, $tree:expr, $store:expr, $run:expr) => {
+        assert_replay_equals_live!($name, $tree, $store, $run, |_: &mut _| {})
+    };
+    ($name:expr, $tree:expr, $store:expr, $run:expr, $reset:expr) => {{
+        let (name, tree, run, reset) = ($name, &mut $tree, $run, $reset);
+        let trace = Trace::record_on(name.to_string(), tree, $store, |t| {
+            run(t);
+            Ok(())
+        })
+        .expect("recording");
         assert!(!trace.accesses.is_empty(), "{name}: nothing recorded");
+        let reparsed = Trace::from_text(&trace.to_text()).expect("text round trip");
+        assert_eq!(reparsed, trace, "{name}: text round trip");
         for (pname, policy) in policies() {
+            reset(&mut *tree);
             tree.set_buffer(BufferManager::with_policy(policy, CAPACITY));
             tree.store().inner().reset_stats();
             run(&mut *tree);
             let live_io = tree.store().inner().stats();
             let live_stats = tree.take_buffer().expect("buffer attached").stats();
-
-            let replay = trace.replay(policy, CAPACITY).expect("replay");
-            assert_eq!(replay.stats, live_stats, "{name}/{pname}: buffer stats");
-            assert_eq!(replay.io, live_io, "{name}/{pname}: physical I/O");
+            for (how, trace) in [("replay", &trace), ("text replay", &reparsed)] {
+                let replay = trace.replay(policy, CAPACITY).expect("replay");
+                assert_eq!(
+                    replay.stats, live_stats,
+                    "{name}/{pname}: {how} buffer stats"
+                );
+                assert_eq!(replay.io, live_io, "{name}/{pname}: {how} physical I/O");
+            }
         }
+        trace
     }};
 }
 
-/// The law every read-only experiment rests on: an index's page-reference
-/// string does not depend on the buffer above it, so one recording replayed
-/// through a policy *is* the live buffered run — same hits, misses and
-/// evictions, same random/sequential split, same simulated disk time. Held
-/// for every golden policy on all three access methods and on the R\*-tree's
-/// full access path down to the object pages.
+/// The law every experiment rests on: an index's page-reference string —
+/// its reads and its writes — does not depend on the buffer above it, so
+/// one recording replayed through a policy *is* the live buffered run:
+/// same hits, misses and evictions, same random/sequential split, same
+/// simulated disk time, same writes. Held for every golden policy on all
+/// three access methods, on the R\*-tree's full access path down to the
+/// object pages, and on the update churns of `repro --ext moving` and
+/// `ablate-updates`.
 #[test]
 fn replay_equals_a_live_buffered_run_on_every_access_method() {
     let dataset = Dataset::generate(DatasetKind::Mainland, Scale::Tiny, SEED);
     let queries = QuerySetSpec::uniform_windows(33).generate(&dataset, QUERIES, SEED);
+    let items = dataset.items();
+    let rtree = |items| RTree::bulk_load(Trace::recorder(DiskManager::new()), items).unwrap();
 
-    let mut rtree = RTree::bulk_load(Trace::recorder(DiskManager::new()), dataset.items()).unwrap();
-    assert_replay_equals_live!("rtree", rtree, |t: &mut RTree<_>| for q in &queries {
-        t.execute(q).unwrap();
+    let mut tree = rtree(items);
+    assert_replay_equals_live!("rtree", tree, RTree::store, |t: &mut RTree<_>| {
+        for q in &queries {
+            t.execute(q).unwrap();
+        }
     });
 
     let mut disk = DiskManager::new();
-    let records: Vec<ObjectRecord> = dataset
-        .items()
+    let records: Vec<ObjectRecord> = items
         .iter()
         .map(|it| ObjectRecord {
             id: it.id,
@@ -572,40 +592,55 @@ fn replay_equals_a_live_buffered_run_on_every_access_method() {
         })
         .collect();
     let objects = ObjectStore::build(&mut disk, &records).unwrap();
-    let mut with_objects = RTree::bulk_load(Trace::recorder(disk), dataset.items()).unwrap();
+    let mut with_objects = RTree::bulk_load(Trace::recorder(disk), items).unwrap();
     with_objects
         .assign_object_pages(|id| objects.page_of(id))
         .unwrap();
-    assert_replay_equals_live!("rtree+objects", with_objects, |t: &mut RTree<_>| {
+    let run = |t: &mut RTree<_>| {
         for q in &queries {
             t.execute_fetching_objects(q).unwrap();
         }
+    };
+    assert_replay_equals_live!("rtree+objects", with_objects, RTree::store, run);
+
+    let mut quad =
+        QuadTree::build(Trace::recorder(DiskManager::new()), dataset.bounds(), items).unwrap();
+    assert_replay_equals_live!("quadtree", quad, QuadTree::store, |t: &mut QuadTree<_>| {
+        for q in &queries {
+            t.execute(q).unwrap();
+        }
     });
 
-    let mut quad = QuadTree::build(
-        Trace::recorder(DiskManager::new()),
-        dataset.bounds(),
-        dataset.items(),
-    )
-    .unwrap();
-    assert_replay_equals_live!("quadtree", quad, |t: &mut QuadTree<_>| for q in &queries {
-        t.execute(q).unwrap();
-    });
-
-    let centers: Vec<(u64, Point)> = dataset
-        .items()
-        .iter()
-        .map(|it| (it.id, it.mbr.center()))
-        .collect();
+    let centers: Vec<(u64, Point)> = items.iter().map(|it| (it.id, it.mbr.center())).collect();
     let mut zb = ZBTree::bulk_load(
         Trace::recorder(DiskManager::new()),
         dataset.bounds(),
         &centers,
     )
     .unwrap();
-    assert_replay_equals_live!("zbtree", zb, |t: &mut ZBTree<_>| for q in &queries {
-        t.execute(q).unwrap();
+    assert_replay_equals_live!("zbtree", zb, ZBTree::store, |t: &mut ZBTree<_>| {
+        for q in &queries {
+            t.execute(q).unwrap();
+        }
     });
+
+    let mut tree = rtree(items);
+    let run = |t: &mut RTree<_>| assert!(moving_churn(t, items, &queries).unwrap() > 0);
+    let reset = |t: &mut RTree<_>| *t = rtree(items);
+    let moving = assert_replay_equals_live!("moving", tree, RTree::store, run, reset);
+    let half = &items[..items.len() / 2];
+    let mut tree = rtree(half);
+    let run = |t: &mut RTree<_>| update_churn(t, items, &queries).unwrap();
+    let reset = |t: &mut RTree<_>| *t = rtree(half);
+    let updates = assert_replay_equals_live!("ablate-updates", tree, RTree::store, run, reset);
+    // Between them the two churns write, allocate and free.
+    let ops: Vec<PageOp> = [moving, updates]
+        .iter()
+        .flat_map(|t| t.updates.iter().map(|&(_, op)| op))
+        .collect();
+    assert!(ops.iter().any(|op| matches!(op, PageOp::Write(..))));
+    assert!(ops.iter().any(|op| matches!(op, PageOp::Alloc(..))));
+    assert!(ops.iter().any(|op| matches!(op, PageOp::Free(..))));
 }
 
 /// FNV-1a of `bytes` folded into `hash`.

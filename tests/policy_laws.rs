@@ -612,6 +612,7 @@ fn bare_trace(accesses: Vec<(u64, u64)>) -> Trace {
         label: String::new(),
         pages: Vec::new().into(),
         accesses,
+        updates: Vec::new(),
     }
 }
 
@@ -638,8 +639,8 @@ fn golden_traces() -> Vec<(&'static str, Trace)> {
 fn opt_on_beladys_string() {
     let string = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5];
     let trace = bare_trace(string.iter().map(|&p| (p, 0)).collect());
-    assert_eq!(trace.opt_misses(3), 7);
-    assert_eq!(trace.opt_misses(4), 6);
+    assert_eq!(trace.opt_misses(3).unwrap(), 7);
+    assert_eq!(trace.opt_misses(4).unwrap(), 6);
 }
 
 /// No policy misses less than OPT on the committed traces, and a buffer
@@ -657,14 +658,22 @@ fn opt_is_a_floor_on_the_committed_traces() {
     for ((name, trace), (want_name, at_12, compulsory)) in golden_traces().into_iter().zip(expected)
     {
         assert_eq!(name, want_name);
-        assert_eq!(trace.opt_misses(12), at_12, "{name}: OPT at 12 frames");
+        assert_eq!(
+            trace.opt_misses(12).unwrap(),
+            at_12,
+            "{name}: OPT at 12 frames"
+        );
         let distinct = distinct_pages(&trace);
         assert_eq!(distinct, compulsory, "{name}: distinct pages");
         for capacity in [distinct as usize, distinct as usize + 5] {
-            assert_eq!(trace.opt_misses(capacity), distinct, "{name} at {capacity}");
+            assert_eq!(
+                trace.opt_misses(capacity).unwrap(),
+                distinct,
+                "{name} at {capacity}"
+            );
         }
         for capacity in [4, 12] {
-            let opt = trace.opt_misses(capacity);
+            let opt = trace.opt_misses(capacity).unwrap();
             for (label, policy) in policies() {
                 let misses = trace.replay(policy, capacity).expect("replay").stats.misses;
                 assert!(
@@ -688,7 +697,7 @@ proptest! {
     ) {
         let (_, ids) = build_disk(40);
         let bare = bare_trace(trace.iter().map(|&(slot, q)| (slot as u64, q)).collect());
-        let opt = bare.opt_misses(capacity);
+        let opt = bare.opt_misses(capacity).unwrap();
         prop_assert!(opt >= distinct_pages(&bare));
         for (label, policy) in policies() {
             let m = misses(policy, capacity, &trace, &ids);
