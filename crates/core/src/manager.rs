@@ -998,6 +998,18 @@ impl<S: PageStore> PageFile<S> {
     }
 }
 
+/// Test fixture: a fresh disk of `n` data pages of the one byte `i`.
+#[cfg(test)]
+pub(crate) fn disk_with_pages(n: usize) -> (asb_storage::DiskManager, Vec<PageId>) {
+    let mut disk = asb_storage::DiskManager::new();
+    let meta = PageMeta::data(asb_geom::SpatialStats::EMPTY);
+    let ids = (0..n)
+        .map(|i| disk.allocate(meta, Bytes::from(vec![i as u8])).unwrap())
+        .collect();
+    disk.reset_stats();
+    (disk, ids)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1009,16 +1021,9 @@ mod tests {
     }
 
     fn setup(capacity: usize, pages: usize) -> (DiskManager, BufferManager, Vec<PageId>) {
-        let mut disk = DiskManager::new();
-        let ids: Vec<PageId> = (0..pages)
-            .map(|i| disk.allocate(meta(), Bytes::from(vec![i as u8])).unwrap())
-            .collect();
-        disk.reset_stats();
-        (
-            disk,
-            BufferManager::with_policy(PolicyKind::Lru, capacity),
-            ids,
-        )
+        let (disk, ids) = disk_with_pages(pages);
+        let buffer = BufferManager::with_policy(PolicyKind::Lru, capacity);
+        (disk, buffer, ids)
     }
 
     fn ctx() -> AccessContext {

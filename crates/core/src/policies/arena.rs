@@ -533,22 +533,10 @@ impl ReplacementPolicy for ArenaPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_geom::{Rect, SpatialStats};
-    use asb_storage::{PageMeta, QueryId};
-    use bytes::Bytes;
+    use crate::policies::fixtures::{all, page_area, q};
 
     fn page(raw: u64) -> Page {
-        let side = (raw % 7) as f64 + 0.5;
-        let meta = PageMeta::data(SpatialStats::from_rects(&[Rect::new(0.0, 0.0, side, side)]));
-        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
-    }
-
-    fn q(n: u64) -> AccessContext {
-        AccessContext::query(QueryId::new(n))
-    }
-
-    fn all(_: PageId) -> bool {
-        true
+        page_area(raw, (raw % 7) as f64 + 0.5)
     }
 
     /// Drives `arena` like a buffer manager over `trace` with the given

@@ -223,22 +223,7 @@ impl ReplacementPolicy for AsbPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_geom::{Rect, SpatialStats};
-    use asb_storage::PageMeta;
-    use bytes::Bytes;
-
-    fn page_area(raw: u64, side: f64) -> Page {
-        let meta = PageMeta::data(SpatialStats::from_rects(&[Rect::new(0.0, 0.0, side, side)]));
-        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
-    }
-
-    fn ctx() -> AccessContext {
-        AccessContext::default()
-    }
-
-    fn all(_: PageId) -> bool {
-        true
-    }
+    use crate::policies::fixtures::{all, ctx, page_area};
 
     fn asb(capacity: usize) -> AsbPolicy {
         AsbPolicy::new(capacity, AsbParams::default())

@@ -107,26 +107,7 @@ impl ReplacementPolicy for ClockPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_geom::SpatialStats;
-    use asb_storage::PageMeta;
-    use bytes::Bytes;
-
-    fn page(raw: u64) -> Page {
-        Page::new(
-            PageId::new(raw),
-            PageMeta::data(SpatialStats::EMPTY),
-            Bytes::new(),
-        )
-        .unwrap()
-    }
-
-    fn ctx() -> AccessContext {
-        AccessContext::default()
-    }
-
-    fn all(_: PageId) -> bool {
-        true
-    }
+    use crate::policies::fixtures::{all, ctx, page};
 
     #[test]
     fn lru_victim_is_least_recent() {

@@ -165,26 +165,7 @@ impl ReplacementPolicy for LruKPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_geom::SpatialStats;
-    use asb_storage::PageMeta;
-    use bytes::Bytes;
-
-    fn page(raw: u64) -> Page {
-        Page::new(
-            PageId::new(raw),
-            PageMeta::data(SpatialStats::EMPTY),
-            Bytes::new(),
-        )
-        .unwrap()
-    }
-
-    fn q(n: u64) -> AccessContext {
-        AccessContext::query(QueryId::new(n))
-    }
-
-    fn all(_: PageId) -> bool {
-        true
-    }
+    use crate::policies::fixtures::{all, page, q};
 
     #[test]
     #[should_panic(expected = "K >= 1")]

@@ -20,3 +20,33 @@ pub(crate) use basic::{ClockPolicy, FifoPolicy, LruPolicy};
 pub(crate) use lru_k::LruKPolicy;
 pub(crate) use slru::{Rank, SlruPolicy};
 pub(crate) use two_q::TwoQPolicy;
+
+/// Fixtures of the policies' unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use asb_geom::{Rect, SpatialStats};
+    use asb_storage::{AccessContext, Page, PageId, PageMeta, QueryId};
+    use bytes::Bytes;
+
+    pub fn page(raw: u64) -> Page {
+        let meta = PageMeta::data(SpatialStats::EMPTY);
+        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
+    }
+
+    pub fn page_area(raw: u64, side: f64) -> Page {
+        let meta = PageMeta::data(SpatialStats::from_rects(&[Rect::new(0.0, 0.0, side, side)]));
+        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
+    }
+
+    pub fn ctx() -> AccessContext {
+        AccessContext::default()
+    }
+
+    pub fn q(n: u64) -> AccessContext {
+        AccessContext::query(QueryId::new(n))
+    }
+
+    pub fn all(_: PageId) -> bool {
+        true
+    }
+}

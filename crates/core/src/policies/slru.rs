@@ -339,22 +339,10 @@ impl ReplacementPolicy for SlruPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::fixtures::{all, ctx, page_area};
     use crate::PolicyKind;
     use asb_geom::{Rect, SpatialStats};
     use bytes::Bytes;
-
-    fn page_area(raw: u64, side: f64) -> Page {
-        let meta = PageMeta::data(SpatialStats::from_rects(&[Rect::new(0.0, 0.0, side, side)]));
-        Page::new(PageId::new(raw), meta, Bytes::new()).unwrap()
-    }
-
-    fn ctx() -> AccessContext {
-        AccessContext::default()
-    }
-
-    fn all(_: PageId) -> bool {
-        true
-    }
 
     #[test]
     fn candidate_count_is_rounded_and_clamped() {

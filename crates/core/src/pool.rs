@@ -180,10 +180,9 @@ impl<S: asb_storage::ConcurrentPageStore + 'static> BufferPool for crate::Sharde
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::disk_with_pages;
     use crate::policy::PolicyKind;
     use crate::ShardedBuffer;
-    use asb_geom::SpatialStats;
-    use asb_storage::{DiskManager, PageMeta, PageStore};
     use bytes::Bytes;
 
     /// A driver written once against the trait, exercised over the coarse
@@ -235,20 +234,6 @@ mod tests {
         assert!(pool.arena_states().iter().all(|s| s.is_none()));
         pool.clear();
         assert_eq!(pool.stats().logical_reads, 0);
-    }
-
-    fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
-        let mut d = DiskManager::new();
-        let ids = (0..n)
-            .map(|i| {
-                d.allocate(
-                    PageMeta::data(SpatialStats::EMPTY),
-                    Bytes::from(vec![i as u8]),
-                )
-                .unwrap()
-            })
-            .collect();
-        (d, ids)
     }
 
     #[test]

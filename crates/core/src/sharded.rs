@@ -566,21 +566,13 @@ impl<S: ConcurrentPageStore> PageStore for ShardedBuffer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::disk_with_pages;
     use asb_geom::SpatialStats;
-    use asb_storage::{DiskManager, QueryId, StorageError};
+    use asb_storage::{QueryId, StorageError};
     use std::thread;
 
     fn meta() -> PageMeta {
         PageMeta::data(SpatialStats::EMPTY)
-    }
-
-    fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
-        let mut d = DiskManager::new();
-        let ids = (0..n)
-            .map(|i| d.allocate(meta(), Bytes::from(vec![i as u8])).unwrap())
-            .collect();
-        d.reset_stats();
-        (d, ids)
     }
 
     /// A deterministic page-access trace with skewed locality.

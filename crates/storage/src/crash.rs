@@ -288,31 +288,7 @@ impl<S: ConcurrentPageStore> ConcurrentPageStore for CrashableStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskManager;
-    use asb_geom::SpatialStats;
-
-    fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
-        let mut disk = DiskManager::new();
-        let ids = (0..n)
-            .map(|i| {
-                disk.allocate(
-                    PageMeta::data(SpatialStats::EMPTY),
-                    Bytes::from(vec![i as u8; 16]),
-                )
-                .expect("allocate")
-            })
-            .collect();
-        (disk, ids)
-    }
-
-    fn page(id: PageId, byte: u8) -> Page {
-        Page::new(
-            id,
-            PageMeta::data(SpatialStats::EMPTY),
-            Bytes::from(vec![byte; 16]),
-        )
-        .expect("page")
-    }
+    use crate::disk::{disk_with_pages, meta, page};
 
     #[test]
     fn recording_clock_logs_events_in_order() {
@@ -380,12 +356,7 @@ mod tests {
 
     #[test]
     fn torn_page_of_empty_payload_equals_the_complete_write() {
-        let p = Page::new(
-            PageId::new(0),
-            PageMeta::data(SpatialStats::EMPTY),
-            Bytes::new(),
-        )
-        .expect("page");
+        let p = Page::new(PageId::new(0), meta(), Bytes::new()).expect("page");
         let t = torn_page(&p);
         assert_eq!(t, p);
         assert!(t.verify_checksum());

@@ -92,6 +92,11 @@ impl DiskManager {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
+    /// Freed slots, which allocations reuse (last freed first) before growing.
+    pub fn free_slots(&self) -> usize {
+        self.free.len()
+    }
+
     fn record_read(&self, id: PageId) {
         let mut io = self.io.lock();
         io.stats.reads += 1;
@@ -186,30 +191,37 @@ impl ConcurrentPageStore for DiskManager {
     }
 }
 
+/// Test fixture: a fresh disk of `n` data pages of sixteen bytes `i`.
+#[cfg(test)]
+pub(crate) fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
+    let mut d = DiskManager::new();
+    let ids = (0..n)
+        .map(|i| d.allocate(meta(), Bytes::from(vec![i as u8; 16])).unwrap())
+        .collect();
+    d.reset_stats();
+    (d, ids)
+}
+
+#[cfg(test)]
+pub(crate) fn page(id: PageId, byte: u8) -> Page {
+    Page::new(id, meta(), Bytes::from(vec![byte; 16])).unwrap()
+}
+
+#[cfg(test)]
+pub(crate) fn meta() -> PageMeta {
+    PageMeta::data(asb_geom::SpatialStats::EMPTY)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asb_geom::SpatialStats;
-
-    fn meta() -> PageMeta {
-        PageMeta::data(SpatialStats::EMPTY)
-    }
-
-    fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
-        let mut d = DiskManager::new();
-        let ids = (0..n)
-            .map(|i| d.allocate(meta(), Bytes::from(vec![i as u8])).unwrap())
-            .collect();
-        d.reset_stats();
-        (d, ids)
-    }
 
     #[test]
     fn allocate_read_roundtrip() {
         let (mut d, ids) = disk_with_pages(3);
         let p = d.read(ids[1], AccessContext::default()).unwrap();
         assert_eq!(p.id, ids[1]);
-        assert_eq!(p.payload.as_ref(), &[1u8]);
+        assert_eq!(p.payload.as_ref(), &[1u8; 16]);
         assert_eq!(d.stats().reads, 1);
     }
 

@@ -350,22 +350,8 @@ impl<S: ConcurrentPageStore> ConcurrentPageStore for FaultyStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::disk_with_pages;
     use crate::DiskManager;
-    use asb_geom::SpatialStats;
-
-    fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
-        let mut disk = DiskManager::new();
-        let ids = (0..n)
-            .map(|i| {
-                disk.allocate(
-                    PageMeta::data(SpatialStats::EMPTY),
-                    Bytes::from(vec![i as u8; 16]),
-                )
-                .expect("allocate")
-            })
-            .collect();
-        (disk, ids)
-    }
 
     #[test]
     fn reliable_schedule_is_transparent() {

@@ -599,25 +599,10 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
 mod tests {
     use super::*;
     use crate::crash::{CrashMode, CrashPlan, CrashableStore};
-    use crate::DiskManager;
+    use crate::disk::meta;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn meta() -> PageMeta {
-        PageMeta::data(SpatialStats::EMPTY)
-    }
-
-    fn disk_with_pages(n: usize) -> (DiskManager, Vec<PageId>) {
-        let mut d = DiskManager::new();
-        let ids = (0..n)
-            .map(|i| d.allocate(meta(), Bytes::from(vec![i as u8; 16])).unwrap())
-            .collect();
-        d.reset_stats();
-        (d, ids)
-    }
-
-    fn page(id: PageId, byte: u8) -> Page {
-        Page::new(id, meta(), Bytes::from(vec![byte; 16])).unwrap()
-    }
+    use crate::disk::{disk_with_pages, page};
 
     #[test]
     fn image_record_roundtrips_bit_for_bit() {
