@@ -261,46 +261,47 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
     /// timestamp (LRU-K, ASB's overflow comparison) sees the batch's
     /// admissions tie where one-at-a-time fetches would order them.
     pub fn fetch_batch(&self, ids: &[PageId], ctx: AccessContext) -> Vec<PageFetchResult> {
-        let mut probed: Vec<Option<PageFetchResult>> = (0..ids.len()).map(|_| None).collect();
+        let shards = &self.inner.shards;
         // First occurrences probe in the batched phase; repeats resolve
         // afterwards with a full fetch, so their probe sees the first
-        // occurrence's admission.
-        let mut seen = std::collections::HashSet::new();
-        let mut repeat = vec![false; ids.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.inner.shards.len()];
-        for (i, &id) in ids.iter().enumerate() {
-            if seen.insert(id) {
-                by_shard[self.shard_of(id)].push(i);
-            } else {
-                repeat[i] = true;
-            }
+        // occurrence's admission. `shard[i]` is `None` for a repeat: sorted
+        // by (id, position), it follows an earlier occurrence.
+        let mut order: Vec<usize> = (0..ids.len()).collect();
+        order.sort_unstable_by_key(|&i| (ids[i], i));
+        let mut shard: Vec<_> = ids.iter().map(|&id| Some(self.shard_of(id))).collect();
+        for pair in order.windows(2).filter(|p| ids[p[0]] == ids[p[1]]) {
+            shard[pair[1]] = None;
         }
-        // Ascending index order, as in `checkpoint` and `with_store`; the
-        // guards are held until return. The shard mutex is not reentrant,
-        // so the resolve pass below runs on these guards, never through
-        // `self.fetch_classified`.
-        let mut held: Vec<_> = (self.inner.shards.iter().zip(&by_shard))
-            .map(|(shard, idxs)| (!idxs.is_empty()).then(|| shard.lock()))
-            .collect();
-        for (buf, idxs) in held.iter_mut().zip(&by_shard) {
-            let Some(buf) = buf else { continue };
-            for &i in idxs {
-                match buf.probe(ids[i], ctx) {
-                    Ok(Some(guard)) => probed[i] = Some(Ok(FetchOutcome { guard, hit: true })),
-                    Ok(None) => {}
-                    Err(e) => probed[i] = Some(Err(PageError::new(ids[i], e))),
-                }
+        // Probes go by shard, then by position. Their shards are locked in
+        // that order, ascending as in `checkpoint` and `with_store`, before
+        // the first probe, and held until return. The shard mutex is not
+        // reentrant, so the resolve pass below runs on these guards, never
+        // through `self.fetch_classified`.
+        order.sort_unstable_by_key(|&i| (shard[i], i));
+        let mut held: Vec<_> = shards.iter().map(|_| None).collect();
+        for s in order.iter().filter_map(|&i| shard[i]) {
+            held[s].get_or_insert_with(|| shards[s].lock());
+        }
+        let mut probed: Vec<Option<PageFetchResult>> = ids.iter().map(|_| None).collect();
+        for &i in &order {
+            let Some(buf) = shard[i].and_then(|s| held[s].as_mut()) else {
+                continue;
+            };
+            match buf.probe(ids[i], ctx) {
+                Ok(Some(guard)) => probed[i] = Some(Ok(FetchOutcome { guard, hit: true })),
+                Ok(None) => {}
+                Err(e) => probed[i] = Some(Err(PageError::new(ids[i], e))),
             }
         }
         let mut io = PoolIo(&self.inner.store);
-        (ids.iter().zip(probed).zip(repeat))
-            .map(|((&id, probed), repeat)| {
+        (probed.into_iter().zip(ids).zip(shard))
+            .map(|((probed, &id), shard)| {
                 probed.unwrap_or_else(|| {
                     // invariant: every id routes to a shard that has a first
                     // occurrence in the batch, and that shard is held.
                     #[allow(clippy::expect_used)]
                     let buf = held[self.shard_of(id)].as_mut().expect("shard held");
-                    let slot = if repeat {
+                    let slot = if shard.is_none() {
                         buf.fetch_classified(&mut io, id, ctx)
                     } else {
                         let guard = buf.read_miss(&mut io, id, ctx);

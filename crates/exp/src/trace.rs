@@ -180,21 +180,16 @@ impl Trace {
     /// Rebuilds a simulated disk holding exactly the catalogued pages (same
     /// ids — physical adjacency, and hence the sequential-read split, is
     /// preserved), with synthetic payloads.
+    ///
+    /// # Errors
+    /// [`StorageError::AllocationMismatch`] for a catalogue that is not the
+    /// ids `0..n` in order: a disk without freed slots, which every
+    /// recording starts from and [`Trace::from_text`] checks.
     pub fn build_disk(&self) -> Result<DiskManager> {
         let mut disk = DiskManager::new();
-        let mut next = 0u64;
-        let mut gaps = Vec::new();
         for &(raw, meta) in self.pages.iter() {
-            while next < raw {
-                gaps.push(disk.allocate(PageMeta::data(SpatialStats::EMPTY), Bytes::new())?);
-                next += 1;
-            }
             let id = disk.allocate(meta, Trace::payload(raw))?;
-            debug_assert_eq!(id.raw(), raw, "trace page ids must rebuild densely");
-            next = raw + 1;
-        }
-        for id in gaps {
-            disk.free(id)?;
+            Trace::check_alloc(PageId::new(raw), id)?;
         }
         disk.reset_stats();
         Ok(disk)
@@ -439,9 +434,12 @@ impl Trace {
             match tok[0] {
                 "p" => {
                     let (raw, meta) = parse_page(&tok[1..]).map_err(bad)?;
-                    // `build_disk` rebuilds ids densely in this order.
+                    // `build_disk` rebuilds the ids `0..pages` in this order.
                     if pages.last().is_some_and(|&(prev, _)| raw <= prev) {
                         return Err(bad("page ids must be strictly increasing"));
+                    }
+                    if raw >= n_pages as u64 {
+                        return Err(bad("page id not below the header's page count"));
                     }
                     pages.push((raw, meta));
                 }

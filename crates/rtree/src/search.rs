@@ -18,7 +18,7 @@
 use crate::node::{NodeView, ViewEntries};
 use asb_geom::{Point, Query, Rect};
 use asb_storage::PageId;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The expected level of a root, whose level nothing names.
 const ANY_LEVEL: u8 = 0;
@@ -69,11 +69,11 @@ enum State {
         heap: BinaryHeap<Candidate>,
         best: Vec<(u64, f64)>,
     },
-    /// Window-restricted self-join over a queue of node pairs, each with
+    /// Window-restricted self-join over a FIFO of node pairs, each with
     /// the expected level of both its nodes.
     Join {
         region: Rect,
-        pairs: Vec<(PageId, PageId, u8)>,
+        pairs: VecDeque<(PageId, PageId, u8)>,
         asked: Vec<PageId>,
         count: u64,
     },
@@ -122,7 +122,7 @@ impl Search {
     pub fn join(root: PageId, region: Rect) -> Search {
         Search::start(State::Join {
             region,
-            pairs: vec![(root, root, ANY_LEVEL)],
+            pairs: VecDeque::from([(root, root, ANY_LEVEL)]),
             asked: Vec::new(),
             count: 0,
         })
@@ -303,7 +303,7 @@ impl Search {
                                         } else {
                                             (y.child, x.child)
                                         };
-                                        pairs.push((lo, hi, na.level() - 1));
+                                        pairs.push_back((lo, hi, na.level() - 1));
                                     }
                                 }
                             }

@@ -32,7 +32,6 @@ use asb_workload::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Simulated in-memory service cost per page delivered from the buffer,
 /// in ticks (1 tick = 1 simulated microsecond).
@@ -256,6 +255,13 @@ pub fn serve(
         .map(|_| CircuitBreaker::default())
         .collect();
     let mut quarantine = Quarantine::default();
+    // Round buffers, cleared and refilled every round, so that a round
+    // allocates only what `fetch_batch` returns.
+    let mut wants: Vec<(PageId, usize)> = Vec::new();
+    let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); pool.shard_count().max(1)];
+    let mut askable: Vec<PageId> = Vec::new();
+    let mut delivered: Vec<(PageId, Page)> = Vec::new();
+    let mut still: Vec<Active> = Vec::new();
 
     loop {
         // Admit every request that has arrived by now, in session order.
@@ -290,15 +296,16 @@ pub fn serve(
         // One batched round: gather every active request's frontier,
         // dedupe, group by shard, fetch shard groups as batches.
         rounds += 1;
-        let mut wanted: BTreeMap<PageId, Vec<usize>> = BTreeMap::new();
+        wants.clear();
         for (idx, a) in active.iter_mut().enumerate() {
-            for &id in a.search.wants(FRONTIER_LIMIT) {
-                wanted.entry(id).or_default().push(idx);
-            }
+            wants.extend(a.search.wants(FRONTIER_LIMIT).iter().map(|&id| (id, idx)));
         }
-        let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); pool.shard_count().max(1)];
-        for &id in wanted.keys() {
-            by_shard[pool.shard_of(id)].push(id);
+        // Pages go out in ascending id order, each page's wanters in
+        // ascending request order.
+        wants.sort_unstable();
+        by_shard.iter_mut().for_each(Vec::clear);
+        for same in wants.chunk_by(|x, y| x.0 == y.0) {
+            by_shard[pool.shard_of(same[0].0)].push(same[0].0);
         }
         // The whole round is stamped with the oldest active request's
         // query id (group-commit semantics).
@@ -317,19 +324,25 @@ pub fn serve(
         // a *give-up* failure additionally quarantines the page so later
         // rounds stop asking for it until its heal probe is due.
         let mut round_cost = 0u64;
-        // Delivered pages are kept whole (a clone is one reference-count
-        // bump) and read through a `NodeView` when fed.
-        let mut delivered: BTreeMap<PageId, Page> = BTreeMap::new();
+        // A delivered page is a hit or a miss for every request that wants
+        // it, and is kept as a clone (a reference-count bump) until fed.
+        delivered.clear();
+        let mut deliver = |id, page: &Page, hit: bool| {
+            let from = wants.partition_point(|&(p, _)| p < id);
+            for &(_, idx) in wants[from..].iter().take_while(|&&(p, _)| p == id) {
+                active[idx].hits += u64::from(hit);
+                active[idx].misses += u64::from(!hit);
+            }
+            delivered.push((id, page.clone()));
+            batched_pages += 1;
+        };
         for (shard, pages) in by_shard.iter().enumerate() {
             if pages.is_empty() {
                 continue;
             }
             let shard_cost = if breakers[shard].allows(now) {
-                let askable: Vec<PageId> = pages
-                    .iter()
-                    .copied()
-                    .filter(|&id| quarantine.allows(id, now))
-                    .collect();
+                askable.clear();
+                askable.extend(pages.iter().filter(|&&id| quarantine.allows(id, now)));
                 let before = pool.io_stats().simulated_ms;
                 let outcomes = pool.fetch_batch(&askable, ctx);
                 let store_ms = pool.io_stats().simulated_ms - before;
@@ -337,16 +350,8 @@ pub fn serve(
                 for (slot, &id) in outcomes.iter().zip(&askable) {
                     match slot {
                         Ok(outcome) if NodeView::parse(outcome.guard.page()).is_ok() => {
-                            for &idx in &wanted[&id] {
-                                if outcome.hit {
-                                    active[idx].hits += 1;
-                                } else {
-                                    active[idx].misses += 1;
-                                }
-                            }
                             quarantine.release(id);
-                            delivered.insert(id, outcome.guard.page().clone());
-                            batched_pages += 1;
+                            deliver(id, outcome.guard.page(), outcome.hit);
                         }
                         // A page that fetched but will not parse is as
                         // unusable as a failed slot: undelivered.
@@ -375,23 +380,18 @@ pub fn serve(
                 // costs its in-memory probe; nothing touches the store,
                 // so no retry budget burns while the shard is down.
                 for &id in pages.iter() {
-                    let Some(guard) = pool.fetch_resident(id, ctx) else {
-                        continue;
-                    };
-                    if NodeView::parse(guard.page()).is_err() {
-                        continue;
+                    let resident = pool.fetch_resident(id, ctx);
+                    if let Some(guard) = resident.filter(|g| NodeView::parse(g.page()).is_ok()) {
+                        deliver(id, guard.page(), true);
                     }
-                    for &idx in &wanted[&id] {
-                        active[idx].hits += 1;
-                    }
-                    delivered.insert(id, guard.page().clone());
-                    batched_pages += 1;
                 }
                 HIT_TICKS * pages.len() as u64
             };
             round_cost = round_cost.max(shard_cost);
         }
         now += round_cost + ROUND_OVERHEAD_TICKS;
+        delivered.sort_unstable_by_key(|&(id, _)| id);
+        let page = |id| Some(&delivered[delivered.binary_search_by_key(&id, |&(p, _)| p).ok()?].1);
 
         // Feed every active request its round; completed ones respond and
         // their session starts thinking about its next request. An asked
@@ -401,10 +401,8 @@ pub fn serve(
         // fabrication. A request still incomplete past its deadline is
         // force-completed with its partial answer (round-granularity
         // deadline enforcement).
-        let mut still = Vec::new();
-        for mut a in std::mem::take(&mut active) {
-            a.search
-                .feed(|id| NodeView::parse(delivered.get(&id)?).ok());
+        for mut a in active.drain(..) {
+            a.search.feed(|id| NodeView::parse(page(id)?).ok());
             let timed_out = !a.search.done() && now >= a.deadline;
             if !a.search.done() && !timed_out {
                 still.push(a);
@@ -434,7 +432,7 @@ pub fn serve(
                 results: a.into_results(),
             });
         }
-        active = still;
+        std::mem::swap(&mut active, &mut still);
     }
 
     // The report is a fold over the responses; only the round count,

@@ -159,6 +159,29 @@ fn trace_text_is_parsed_or_refused() {
     assault("Trace::from_text", 1, &valid, 4 * PAGE_SIZE, &parse);
 }
 
+/// A page id is bounded by the header's page count: a lone `p 1000000`
+/// line used to make the rebuilt disk allocate a million gap slots, and an
+/// id near 2^40 exhausted memory. A catalogue with a gap that did not come
+/// from a file is refused by the rebuild, at the first page off `0..n`.
+#[test]
+fn trace_page_ids_are_bounded_by_the_header() {
+    let text =
+        |raw: u64| format!("asb-trace v1\nlabel x\npages 1\naccesses 0\np {raw} 1 0 3 0.5 1 0\n");
+    for raw in [1, 1_000_000, (1 << 40) - 1] {
+        let err = Trace::from_text(&text(raw)).unwrap_err();
+        let says = "line 5: page id not below the header's page count";
+        assert!(err.starts_with(says), "{raw}: {err}");
+    }
+    let mut trace = Trace::from_text(&text(0)).expect("well-formed");
+    let meta = trace.pages[0].1;
+    trace.pages = vec![(0, meta), (1 << 40, meta)].into();
+    let mismatch = StorageError::AllocationMismatch {
+        recorded: PageId::new(1 << 40),
+        replayed: PageId::new(1),
+    };
+    assert_eq!(trace.replay(PolicyKind::Lru, 2).map(drop), Err(mismatch));
+}
+
 /// A small recording that writes, allocates and frees: splits and
 /// condensing on `RTreeConfig::small()`.
 fn written_trace() -> Trace {

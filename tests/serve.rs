@@ -12,14 +12,19 @@
 //! * **shard independence** — request results do not depend on the shard
 //!   count (the one-shard batched path itself is pinned against its
 //!   written-out contract in `tests/sharded.rs`).
+//!
+//! A fourth test pins the join's page-reference string on a tree large
+//! enough for its pair queue to grow past a thousand pairs.
 
 use asb::buffer::{PolicyKind, ShardedBuffer};
-use asb::rtree::RTree;
-use asb::serve::{serve, ServeConfig, ServeOutcome};
-use asb::storage::DiskManager;
+use asb::geom::{Point, Rect};
+use asb::rtree::{NodeView, RTree, Search};
+use asb::serve::{serve, ServeConfig, ServeOutcome, FRONTIER_LIMIT};
+use asb::storage::{DiskManager, PageId};
 use asb::workload::{
     session_requests, Dataset, DatasetKind, Request, RequestMix, Scale, SessionSpec,
 };
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const SEED: u64 = 7;
 const CAPACITY: usize = 24;
@@ -143,4 +148,50 @@ fn served_answers_match_direct_queries() {
         kinds_seen.into_iter().collect::<Vec<_>>(),
         vec!["join", "nearest", "window"]
     );
+}
+
+/// Drives a join the way the engine does, `wants(FRONTIER_LIMIT)` then
+/// `feed`, straight over the disk: an FNV-1a hash of every `wants` answer
+/// (its length, then its ids) in order, and the pair count.
+fn drive_join(disk: &DiskManager, root: PageId, region: Rect) -> (u64, u64) {
+    let mut search = Search::join(root, region);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |x: u64| hash = (hash ^ x).wrapping_mul(0x0100_0000_01b3);
+    while !search.done() {
+        let wants = search.wants(FRONTIER_LIMIT);
+        mix(wants.len() as u64);
+        wants.iter().for_each(|id| mix(id.raw()));
+        search.feed(|id| NodeView::parse(disk.peek(id).ok()?).ok());
+    }
+    assert!(!search.pruned());
+    (hash, search.into_results()[0])
+}
+
+/// The join's page-reference string where its pair queue is long: on a
+/// `Scale::Small` tree these seeded regions queue up to 1 031 – 1 431
+/// pairs at once, which `BENCH_serve.json`'s 75-page tree never does. The constants
+/// were taken before the queue became a FIFO with O(1) pops.
+#[test]
+fn long_join_queues_keep_their_page_reference_string() {
+    let dataset = Dataset::generate(DatasetKind::Mainland, Scale::Small, SEED);
+    let tree = RTree::bulk_load(DiskManager::new(), dataset.items()).expect("bulk load");
+    let bounds = dataset.bounds();
+    let (w, h) = (bounds.max.x - bounds.min.x, bounds.max.y - bounds.min.y);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let got: Vec<(u64, u64)> = (0..3)
+        .map(|_| {
+            let center = Point::new(
+                bounds.min.x + w * rng.gen_range(0.3..0.7),
+                bounds.min.y + h * rng.gen_range(0.3..0.7),
+            );
+            let region = Rect::centered_square(center, w.min(h) * rng.gen_range(0.25..0.45));
+            drive_join(tree.store(), tree.snapshot().root(), region)
+        })
+        .collect();
+    let pinned = [
+        (451_822_791_554_005_980, 3_657),
+        (10_412_584_488_194_686_015, 2_934),
+        (13_782_563_008_281_194_820, 4_234),
+    ];
+    assert_eq!(got, pinned);
 }

@@ -274,3 +274,53 @@ fn four_shard_batches_replay_identically_to_the_written_out_contract() {
         assert_eq!(pool.live_guards(), 0);
     }
 }
+
+/// A batch of 4 096 ids over 200 pages, so mostly repeats, on a pool large
+/// enough that no admission evicts: `fetch_batch` must then be exactly the
+/// same `fetch_classified` calls in input order. Each repeat classifies as
+/// the hit it is sequentially, and the pool's `BufferStats` and the
+/// store's reads equal those of a twin pool fed one id at a time.
+#[test]
+fn large_batches_classify_every_repeat_as_its_sequential_hit() {
+    for policy in [PolicyKind::Lru, PolicyKind::Asb] {
+        for shards in [1, SHARDS] {
+            let twin = || ShardedBuffer::new(build_disk().0, policy, 2 * PAGES as usize, shards);
+            let (pool, seq) = (twin(), twin());
+            let ids = build_disk().1;
+            let ctx = AccessContext::query(QueryId::new(1));
+            // A warm quarter, so first occurrences both hit and miss.
+            for &id in ids.iter().step_by(4) {
+                pool.fetch(id, ctx).expect("read");
+                seq.fetch(id, ctx).expect("read");
+            }
+            let batch: Vec<PageId> = (0..4_096u64)
+                .map(|i| ids[((i * 7_919 + i * i) % PAGES) as usize])
+                .collect();
+            let expected: Vec<bool> = batch
+                .iter()
+                .map(|&id| seq.fetch_classified(id, ctx).expect("read").hit)
+                .collect();
+            let served = pool.fetch_batch(&batch, ctx);
+            let flags: Vec<bool> = served
+                .iter()
+                .map(|s| s.as_ref().expect("read").hit)
+                .collect();
+            assert_eq!(flags, expected, "{policy:?} on {shards} shards: hit flags");
+            drop(served);
+            assert_eq!(pool.stats(), seq.stats(), "{policy:?} on {shards} shards");
+            assert_eq!(
+                pool.io_stats(),
+                seq.io_stats(),
+                "{policy:?} on {shards} shards"
+            );
+            // Every repeat hits; first occurrences both hit and miss.
+            let distinct = batch
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len();
+            let hits = flags.iter().filter(|&&hit| hit).count();
+            assert!(batch.len() - distinct < hits && hits < batch.len());
+            assert_eq!((pool.stats().evictions, pool.live_guards()), (0, 0));
+        }
+    }
+}
