@@ -475,9 +475,10 @@ impl BufferManager {
         if let Some(frame) = self.frames.get(&id) {
             if frame.page.verify_checksum() {
                 self.stats.hits += 1;
-                let page = frame.page.clone();
-                self.policy.on_hit(&page, ctx, self.tick);
-                return Ok(Some(self.guard_for(id, page)));
+                self.policy.on_hit(&frame.page, ctx, self.tick);
+                return Ok(Some(
+                    self.guard(frame.page.clone(), Arc::clone(&frame.pins)),
+                ));
             }
             // The resident copy rotted in memory: a counted miss, which
             // re-fetches a clean copy unless the frame has to stay.
@@ -533,34 +534,19 @@ impl BufferManager {
         ctx: AccessContext,
         io: &mut IO,
     ) -> Result<PageReadGuard> {
-        let id = page.id;
-        if self.admit_or_overflow(page.clone(), ctx, false, None, io)? {
-            Ok(self.guard_for(id, page))
-        } else {
-            Ok(self.unbuffered_guard(page))
-        }
+        let admitted = self.admit_or_overflow(page.clone(), ctx, false, None, io)?;
+        debug_assert!(!admitted || self.frames.contains_key(&page.id));
+        // Served unbuffered, the token counts toward `live_guards` but pins
+        // no frame, so the buffer's eviction is unaffected by the guard.
+        let pins = match self.frames.get(&page.id) {
+            Some(frame) if admitted => Arc::clone(&frame.pins),
+            _ => Arc::default(),
+        };
+        Ok(self.guard(page, pins))
     }
 
-    /// A guard over a page served without admission (every frame pinned):
-    /// the token counts toward `live_guards` but pins no frame, so the
-    /// buffer's eviction behaviour is unaffected by the guard's lifetime.
-    fn unbuffered_guard(&mut self, page: Page) -> PageReadGuard {
-        PageReadGuard::new(
-            page,
-            PinToken::new(Arc::default(), Arc::clone(&self.live_guards)),
-        )
-    }
-
-    /// Builds a read guard over the frame of `id`, which must be resident.
-    fn guard_for(&mut self, id: PageId, page: Page) -> PageReadGuard {
-        debug_assert!(self.frames.contains_key(&id), "guard over absent frame");
-        let pins = self
-            .frames
-            .get(&id)
-            .map(|f| Arc::clone(&f.pins))
-            // invariant: every caller admits or verifies residency first;
-            // an orphan token (counting against nothing) is still sound.
-            .unwrap_or_default();
+    /// A read guard over `page` holding `pins`, its frame's pin count.
+    fn guard(&self, page: Page, pins: Arc<Counter>) -> PageReadGuard {
         PageReadGuard::new(page, PinToken::new(pins, Arc::clone(&self.live_guards)))
     }
 

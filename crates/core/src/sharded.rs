@@ -649,12 +649,13 @@ mod tests {
     /// The clock-exact form of the `fetch_batch` contract, over the
     /// manager's own primitives: probe every first occurrence, then per
     /// remaining slot read + admit (a first-occurrence miss) or fetch (a
-    /// repeat). The timestamp-ranking policies (ASB, LRU-K) cannot be
-    /// pinned through `BufferManager`'s public API — `tests/sharded.rs`
-    /// covers the others that way — so they are pinned here.
+    /// repeat). The timestamp-ranking policies (ASB, LRU-K, the arena of
+    /// both) cannot be pinned through `BufferManager`'s public API —
+    /// `tests/sharded.rs` covers the others that way — so they are here.
     #[test]
     fn single_shard_batches_match_probe_then_resolve_exactly() {
-        for kind in [PolicyKind::Asb, PolicyKind::LruK { k: 2 }] {
+        use PolicyKind::{Arena, Asb, LruK};
+        for kind in [Asb, LruK { k: 2 }, Arena] {
             let (mut disk, ids) = disk_with_pages(128);
             let mut seq = BufferManager::with_policy(kind, 24);
             let (pool_disk, _) = disk_with_pages(128);

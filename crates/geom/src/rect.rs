@@ -99,13 +99,14 @@ impl Rect {
     }
 
     /// Returns `true` if `self` and `other` share at least one point
-    /// (closed-rectangle semantics: touching boundaries intersect).
+    /// (closed-rectangle semantics: touching boundaries intersect). No
+    /// branch between the four tests: scans and join loops do not mispredict.
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
+        (self.min.x <= other.max.x)
+            & (other.min.x <= self.max.x)
+            & (self.min.y <= other.max.y)
+            & (other.min.y <= self.max.y)
     }
 
     /// Returns `true` if `p` lies inside or on the boundary of `self`.

@@ -15,10 +15,12 @@
 //! [`Search::pruned`] says so. So does a node that is not exactly one
 //! level below the node that named it: a forged page cannot loop a search.
 
-use crate::node::{NodeView, ViewEntries};
+use crate::node::NodeView;
+use crate::node::ViewEntries::{Dir, Leaf};
 use asb_geom::{Point, Query, Rect};
 use asb_storage::PageId;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 /// The expected level of a root, whose level nothing names.
 const ANY_LEVEL: u8 = 0;
@@ -70,11 +72,17 @@ enum State {
         best: Vec<(u64, f64)>,
     },
     /// Window-restricted self-join over a FIFO of node pairs, each with
-    /// the expected level of both its nodes.
+    /// the expected level of both its nodes. `nodes` and `kept` hold the
+    /// round's asked nodes, each read once per round: per page of `asked`,
+    /// its level and the range of `kept` holding its entries that meet
+    /// `region`, as `(mbr, child)` in entry order (a leaf entry's child is
+    /// its own node's page; `None`: undelivered).
     Join {
         region: Rect,
         pairs: VecDeque<(PageId, PageId, u8)>,
         asked: Vec<PageId>,
+        nodes: Vec<Option<(u8, Range<usize>)>>,
+        kept: Vec<(Rect, PageId)>,
         count: u64,
     },
 }
@@ -124,6 +132,8 @@ impl Search {
             region,
             pairs: VecDeque::from([(root, root, ANY_LEVEL)]),
             asked: Vec::new(),
+            nodes: Vec::new(),
+            kept: Vec::new(),
             count: 0,
         })
     }
@@ -172,7 +182,8 @@ impl Search {
     /// `delivered` maps each to a view of its node, or to `None` when the
     /// page could not be had — its subtree is then skipped and the search
     /// is marked [`pruned`](Search::pruned). So is a node that is not one
-    /// level below the node that named it.
+    /// level below the node that named it. `delivered` is called once per
+    /// asked page.
     pub fn feed<'n>(&mut self, mut delivered: impl FnMut(PageId) -> Option<NodeView<'n>>) {
         let mut delivered = |id, level| {
             delivered(id).filter(|v: &NodeView| level == ANY_LEVEL || v.level() == level)
@@ -193,7 +204,7 @@ impl Search {
                 for i in (base..base + *asked).rev() {
                     match delivered(stack[i], levels[i]).map(|v| (v.level(), v.entries())) {
                         None => self.pruned = true,
-                        Some((level, ViewEntries::Dir(entries))) => {
+                        Some((level, Dir(entries))) => {
                             for e in entries {
                                 if e.mbr.intersects(&region) {
                                     stack.push(e.child);
@@ -201,7 +212,7 @@ impl Search {
                                 }
                             }
                         }
-                        Some((_, ViewEntries::Leaf(entries))) => {
+                        Some((_, Leaf(entries))) => {
                             for e in entries {
                                 if query.matches(&e.mbr) {
                                     results.push(e.object_id);
@@ -239,7 +250,7 @@ impl Search {
                     // The best candidate's page is unreachable: abandon
                     // that subtree, stay best-first over the rest.
                     None => self.pruned = true,
-                    Some((level, ViewEntries::Dir(entries))) => {
+                    Some((level, Dir(entries))) => {
                         for e in entries {
                             heap.push(Candidate {
                                 dist: e.mbr.min_dist(point),
@@ -247,7 +258,7 @@ impl Search {
                             });
                         }
                     }
-                    Some((_, ViewEntries::Leaf(entries))) => {
+                    Some((_, Leaf(entries))) => {
                         for e in entries {
                             heap.push(Candidate {
                                 dist: e.mbr.min_dist(point),
@@ -274,59 +285,59 @@ impl Search {
                 region,
                 pairs,
                 asked,
+                nodes,
+                kept,
                 count,
             } => {
                 let take = pairs
                     .iter()
                     .take_while(|(a, b, _)| asked.contains(a) && asked.contains(b))
                     .count();
-                asked.clear();
+                // Each asked node is read once, keeping only the entries
+                // that meet the region, in entry order.
+                nodes.clear();
+                kept.clear();
+                let meets = |e: &(Rect, PageId)| e.0.intersects(region);
+                for &id in asked.iter() {
+                    nodes.push(delivered(id, ANY_LEVEL).map(|v| {
+                        let start = kept.len();
+                        match v.entries() {
+                            Dir(es) => kept.extend(es.map(|e| (e.mbr, e.child)).filter(meets)),
+                            Leaf(es) => kept.extend(es.map(|e| (e.mbr, id)).filter(meets)),
+                        }
+                        (v.level(), start..kept.len())
+                    }));
+                }
                 // The taken pairs leave the front of the queue only after
                 // their children joined its back (no second pair list).
                 for p in 0..take {
                     let (a, b, level) = pairs[p];
-                    let (Some(na), Some(nb)) = (delivered(a, level), delivered(b, level)) else {
+                    let node = |id| {
+                        let fed = nodes[asked.iter().position(|&q| q == id)?].clone();
+                        fed.filter(|(l, _)| level == ANY_LEVEL || *l == level)
+                    };
+                    // Both nodes sit at `level`, or the pair is the root's
+                    // self-pair: one node, one level.
+                    let (Some((level, xs)), Some((_, ys))) = (node(a), node(b)) else {
                         self.pruned = true;
                         continue;
                     };
-                    match (na.entries(), nb.entries()) {
-                        (ViewEntries::Dir(ea), ViewEntries::Dir(eb)) => {
-                            for (i, x) in ea.enumerate() {
-                                if !x.mbr.intersects(region) {
-                                    continue;
-                                }
-                                let j0 = if a == b { i } else { 0 };
-                                for y in eb.clone().skip(j0) {
-                                    if y.mbr.intersects(region) && x.mbr.intersects(&y.mbr) {
-                                        let (lo, hi) = if x.child.raw() <= y.child.raw() {
-                                            (x.child, y.child)
-                                        } else {
-                                            (y.child, x.child)
-                                        };
-                                        pairs.push_back((lo, hi, na.level() - 1));
-                                    }
-                                }
-                            }
+                    // A self-pair meets each unordered pair once: from
+                    // `x` itself in a directory, past it in a leaf.
+                    let (leaf, skip) = (level == 1, usize::from(level == 1));
+                    for i in xs {
+                        let (x, xc) = kept[i];
+                        let from = if a == b { i + skip } else { ys.start };
+                        let meets = kept[from..ys.end].iter().filter(|y| x.intersects(&y.0));
+                        if leaf {
+                            *count += meets.count() as u64;
+                        } else {
+                            pairs.extend(meets.map(|&(_, y)| (xc.min(y), xc.max(y), level - 1)));
                         }
-                        (ViewEntries::Leaf(ea), ViewEntries::Leaf(eb)) => {
-                            for (i, x) in ea.enumerate() {
-                                if !x.mbr.intersects(region) {
-                                    continue;
-                                }
-                                let j0 = if a == b { i + 1 } else { 0 };
-                                for y in eb.clone().skip(j0) {
-                                    if y.mbr.intersects(region) && x.mbr.intersects(&y.mbr) {
-                                        *count += 1;
-                                    }
-                                }
-                            }
-                        }
-                        // Levels were checked, so only a root delivered as
-                        // two different nodes gets here: undelivered.
-                        _ => self.pruned = true,
                     }
                 }
                 pairs.drain(..take);
+                asked.clear();
             }
         }
     }

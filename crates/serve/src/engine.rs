@@ -153,6 +153,13 @@ pub struct ServeOutcome {
     pub responses: Vec<Response>,
 }
 
+/// Empties `buf` for the views of another round's pages, keeping its
+/// allocation.
+fn recycle<'b>(mut buf: Vec<Option<NodeView<'_>>>) -> Vec<Option<NodeView<'b>>> {
+    buf.clear();
+    buf.into_iter().map(|_| None).collect()
+}
+
 /// One in-flight request: the client-side bookkeeping around its
 /// [`Search`], which owns the whole traversal.
 struct Active {
@@ -170,34 +177,6 @@ struct Active {
 }
 
 impl Active {
-    fn new(
-        session: usize,
-        seq: usize,
-        arrival: u64,
-        deadline_ticks: u64,
-        qid: u64,
-        request: &Request,
-        snapshot: &TreeSnapshot,
-    ) -> Active {
-        let root = snapshot.root();
-        let search = match *request {
-            Request::Window(region) => Search::window(root, Query::Window(region)),
-            Request::Nearest(point, k) => Search::nearest(root, point, k.max(1)),
-            Request::Join(region) => Search::join(root, region),
-        };
-        Active {
-            session,
-            seq,
-            kind: request.kind(),
-            arrival,
-            deadline: arrival.saturating_add(deadline_ticks.max(1)),
-            ctx: AccessContext::query(QueryId::new(qid)),
-            hits: 0,
-            misses: 0,
-            search,
-        }
-    }
-
     /// The response payload: window matches sorted, k-NN neighbours by
     /// ascending distance, the join's single pair count.
     fn into_results(self) -> Vec<u64> {
@@ -233,16 +212,8 @@ pub fn serve(
         .collect();
     // Per session: the arrival tick and stream position of its next
     // request; `None` while a request is in flight or the stream is done.
-    let mut pending: Vec<Option<(u64, usize)>> = rngs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, rng)| {
-            if sessions[i].is_empty() {
-                None
-            } else {
-                Some((rng.gen_range(0..=cfg.think_ticks), 0))
-            }
-        })
+    let mut pending: Vec<Option<(u64, usize)>> = (rngs.iter_mut().zip(sessions))
+        .map(|(rng, stream)| (!stream.is_empty()).then(|| (rng.gen_range(0..=cfg.think_ticks), 0)))
         .collect();
 
     let mut now = 0u64;
@@ -251,46 +222,51 @@ pub fn serve(
     let mut responses = Vec::new();
     let mut rounds = 0u64;
     let mut batched_pages = 0u64;
-    let mut breakers: Vec<CircuitBreaker> = (0..pool.shard_count().max(1))
-        .map(|_| CircuitBreaker::default())
-        .collect();
+    let shards = pool.shard_count().max(1);
+    let mut breakers: Vec<_> = (0..shards).map(|_| CircuitBreaker::default()).collect();
     let mut quarantine = Quarantine::default();
     // Round buffers, cleared and refilled every round, so that a round
-    // allocates only what `fetch_batch` returns.
+    // allocates only what `fetch_batch` returns. `pages` holds the round's
+    // distinct pages in ascending order, and `views` their parsed nodes.
     let mut wants: Vec<(PageId, usize)> = Vec::new();
-    let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); pool.shard_count().max(1)];
+    let mut pages: Vec<PageId> = Vec::new();
+    let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); shards];
     let mut askable: Vec<PageId> = Vec::new();
-    let mut delivered: Vec<(PageId, Page)> = Vec::new();
-    let mut still: Vec<Active> = Vec::new();
+    // Per shard, the pages it delivered this round and whether each hit.
+    let mut delivered: Vec<Vec<(PageId, Page, bool)>> = vec![Vec::new(); shards];
+    let mut views_buf: Vec<Option<NodeView>> = Vec::new();
 
     loop {
         // Admit every request that has arrived by now, in session order.
-        for s in 0..sessions.len() {
-            if let Some((t, seq)) = pending[s] {
-                if t <= now {
-                    pending[s] = None;
-                    active.push(Active::new(
-                        s,
-                        seq,
-                        t,
-                        cfg.deadline_ticks,
-                        next_qid,
-                        &sessions[s][seq],
-                        snapshot,
-                    ));
-                    next_qid += 1;
-                }
-            }
+        for (session, next) in pending.iter_mut().enumerate() {
+            let Some((arrival, seq)) = next.take_if(|&mut (t, _)| t <= now) else {
+                continue;
+            };
+            let (request, root) = (&sessions[session][seq], snapshot.root());
+            active.push(Active {
+                session,
+                seq,
+                kind: request.kind(),
+                arrival,
+                deadline: arrival.saturating_add(cfg.deadline_ticks.max(1)),
+                ctx: AccessContext::query(QueryId::new(next_qid)),
+                hits: 0,
+                misses: 0,
+                search: match *request {
+                    Request::Window(region) => Search::window(root, Query::Window(region)),
+                    Request::Nearest(point, k) => Search::nearest(root, point, k.max(1)),
+                    Request::Join(region) => Search::join(root, region),
+                },
+            });
+            next_qid += 1;
         }
         if active.is_empty() {
             // Idle: jump the clock to the next arrival, or finish.
-            match pending.iter().flatten().map(|&(t, _)| t).min() {
-                Some(t) => {
-                    now = now.max(t);
-                    continue;
-                }
-                None => break,
-            }
+            let Some(t) = pending.iter().flatten().map(|&(t, _)| t).min() else {
+                break;
+            };
+            now = now.max(t);
+            continue;
         }
 
         // One batched round: gather every active request's frontier,
@@ -303,9 +279,11 @@ pub fn serve(
         // Pages go out in ascending id order, each page's wanters in
         // ascending request order.
         wants.sort_unstable();
+        pages.clear();
+        pages.extend(wants.chunk_by(|x, y| x.0 == y.0).map(|same| same[0].0));
         by_shard.iter_mut().for_each(Vec::clear);
-        for same in wants.chunk_by(|x, y| x.0 == y.0) {
-            by_shard[pool.shard_of(same[0].0)].push(same[0].0);
+        for &id in &pages {
+            by_shard[pool.shard_of(id)].push(id);
         }
         // The whole round is stamped with the oldest active request's
         // query id (group-commit semantics).
@@ -324,38 +302,27 @@ pub fn serve(
         // a *give-up* failure additionally quarantines the page so later
         // rounds stop asking for it until its heal probe is due.
         let mut round_cost = 0u64;
-        // A delivered page is a hit or a miss for every request that wants
-        // it, and is kept as a clone (a reference-count bump) until fed.
-        delivered.clear();
-        let mut deliver = |id, page: &Page, hit: bool| {
-            let from = wants.partition_point(|&(p, _)| p < id);
-            for &(_, idx) in wants[from..].iter().take_while(|&&(p, _)| p == id) {
-                active[idx].hits += u64::from(hit);
-                active[idx].misses += u64::from(!hit);
-            }
-            delivered.push((id, page.clone()));
-            batched_pages += 1;
-        };
-        for (shard, pages) in by_shard.iter().enumerate() {
-            if pages.is_empty() {
+        // The store's clock, read when the round first reaches the store
+        // and again only after a batch that was not all hits: a hit never
+        // touches the store, and nothing else runs on this thread between
+        // two batches, so every batch's difference is exact.
+        let mut clock: Option<f64> = None;
+        let mut views = recycle(std::mem::take(&mut views_buf));
+        views.resize(pages.len(), None);
+        for ((shard, ids), got) in by_shard.iter().enumerate().zip(delivered.iter_mut()) {
+            got.clear();
+            if ids.is_empty() {
                 continue;
             }
-            let shard_cost = if breakers[shard].allows(now) {
+            let via_store = breakers[shard].allows(now);
+            let mut any_failed = false;
+            let shard_cost = if via_store {
                 askable.clear();
-                askable.extend(pages.iter().filter(|&&id| quarantine.allows(id, now)));
-                let before = pool.io_stats().simulated_ms;
-                let outcomes = pool.fetch_batch(&askable, ctx);
-                let store_ms = pool.io_stats().simulated_ms - before;
-                let mut any_failed = false;
-                for (slot, &id) in outcomes.iter().zip(&askable) {
+                askable.extend(ids.iter().filter(|&&id| quarantine.allows(id, now)));
+                let before = *clock.get_or_insert_with(|| pool.io_stats().simulated_ms);
+                for (slot, &id) in pool.fetch_batch(&askable, ctx).into_iter().zip(&askable) {
                     match slot {
-                        Ok(outcome) if NodeView::parse(outcome.guard.page()).is_ok() => {
-                            quarantine.release(id);
-                            deliver(id, outcome.guard.page(), outcome.hit);
-                        }
-                        // A page that fetched but will not parse is as
-                        // unusable as a failed slot: undelivered.
-                        Ok(_) => any_failed = true,
+                        Ok(outcome) => got.push((id, outcome.guard.into_page(), outcome.hit)),
                         Err(err) => {
                             any_failed = true;
                             if err.is_give_up() {
@@ -364,34 +331,61 @@ pub fn serve(
                         }
                     }
                 }
-                // Only batches that actually reached the store are
-                // breaker evidence; an all-quarantined batch is neither
-                // a success nor a failure.
-                if !askable.is_empty() {
-                    if any_failed {
-                        breakers[shard].on_failure(now);
-                    } else {
-                        breakers[shard].on_success();
-                    }
-                }
+                let store_ms = if !any_failed && got.iter().all(|&(.., hit)| hit) {
+                    0.0
+                } else {
+                    let after = pool.io_stats().simulated_ms;
+                    clock = Some(after);
+                    after - before
+                };
                 ms_to_ticks(store_ms) + HIT_TICKS * askable.len() as u64
             } else {
                 // Open breaker: degraded resident-only reads. Every page
                 // costs its in-memory probe; nothing touches the store,
                 // so no retry budget burns while the shard is down.
-                for &id in pages.iter() {
-                    let resident = pool.fetch_resident(id, ctx);
-                    if let Some(guard) = resident.filter(|g| NodeView::parse(g.page()).is_ok()) {
-                        deliver(id, guard.page(), true);
+                for &id in ids {
+                    if let Some(guard) = pool.fetch_resident(id, ctx) {
+                        got.push((id, guard.into_page(), true));
                     }
                 }
-                HIT_TICKS * pages.len() as u64
+                HIT_TICKS * ids.len() as u64
             };
             round_cost = round_cost.max(shard_cost);
+            // Each delivered page is parsed once, into the view every
+            // request that wants it is fed (the views borrow the shard's
+            // pages for the rest of the round), and is a hit or a miss for
+            // each of them. One that will not parse is as unusable as a
+            // failed slot: undelivered.
+            let got: &Vec<_> = got;
+            for (id, page, hit) in got {
+                let Ok(view) = NodeView::parse(page) else {
+                    any_failed = true;
+                    continue;
+                };
+                if via_store {
+                    quarantine.release(*id);
+                }
+                let from = wants.partition_point(|&(p, _)| p < *id);
+                for &(_, idx) in wants[from..].iter().take_while(|&&(p, _)| p == *id) {
+                    active[idx].hits += u64::from(*hit);
+                    active[idx].misses += u64::from(!*hit);
+                }
+                views[pages.partition_point(|&p| p < *id)] = Some(view);
+                batched_pages += 1;
+            }
+            // Only batches that actually reached the store are breaker
+            // evidence; an all-quarantined batch is neither a success nor
+            // a failure.
+            if via_store && !askable.is_empty() {
+                if any_failed {
+                    breakers[shard].on_failure(now);
+                } else {
+                    breakers[shard].on_success();
+                }
+            }
         }
         now += round_cost + ROUND_OVERHEAD_TICKS;
-        delivered.sort_unstable_by_key(|&(id, _)| id);
-        let page = |id| Some(&delivered[delivered.binary_search_by_key(&id, |&(p, _)| p).ok()?].1);
+        let view = |id| views[pages.binary_search(&id).ok()?];
 
         // Feed every active request its round; completed ones respond and
         // their session starts thinking about its next request. An asked
@@ -401,13 +395,17 @@ pub fn serve(
         // fabrication. A request still incomplete past its deadline is
         // force-completed with its partial answer (round-granularity
         // deadline enforcement).
-        for mut a in active.drain(..) {
-            a.search.feed(|id| NodeView::parse(page(id)?).ok());
+        // A finished request leaves the list; the others stay, unmoved.
+        let mut i = 0;
+        while i < active.len() {
+            let a = &mut active[i];
+            a.search.feed(view);
             let timed_out = !a.search.done() && now >= a.deadline;
             if !a.search.done() && !timed_out {
-                still.push(a);
+                i += 1;
                 continue;
             }
+            let a = active.remove(i);
             let outcome = if timed_out {
                 Outcome::DeadlineExceeded
             } else if a.search.pruned() {
@@ -432,7 +430,7 @@ pub fn serve(
                 results: a.into_results(),
             });
         }
-        std::mem::swap(&mut active, &mut still);
+        views_buf = recycle(views);
     }
 
     // The report is a fold over the responses; only the round count,

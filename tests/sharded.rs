@@ -10,7 +10,9 @@
 //!   the sequential [`BufferManager`]'s counts bit for bit, request by
 //!   request and batch by batch.
 
-use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer, SpatialCriterion};
+use asb::buffer::{
+    ArenaParams, AsbParams, BufferManager, PolicyKind, Roster, ShardedBuffer, SpatialCriterion,
+};
 use asb::geom::{Rect, SpatialStats};
 use asb::storage::{AccessContext, DiskManager, Page, PageId, PageMeta, PageStore, QueryId};
 use bytes::Bytes;
@@ -20,10 +22,11 @@ const CAPACITY: usize = 32;
 const SHARDS: usize = 4;
 const THREADS: usize = 4;
 
-/// Every policy the buffer core offers, in one place so a new variant
-/// fails this test's exhaustiveness rather than silently going untested.
+/// Every policy the buffer core offers, one of each `PolicyKind` variant,
+/// in one place: the match below stops compiling when a variant is added
+/// without a row here, rather than letting it go untested.
 fn all_policies() -> Vec<PolicyKind> {
-    vec![
+    let policies = vec![
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Clock,
@@ -34,7 +37,34 @@ fn all_policies() -> Vec<PolicyKind> {
         PolicyKind::Spatial(SpatialCriterion::Area),
         PolicyKind::PAPER_SLRU,
         PolicyKind::Asb,
-    ]
+        PolicyKind::AsbWith(AsbParams {
+            criterion: SpatialCriterion::Margin,
+            ..AsbParams::default()
+        }),
+        PolicyKind::Arena,
+        PolicyKind::ArenaWith(ArenaParams {
+            roster: Roster::Lean,
+            ..ArenaParams::default()
+        }),
+    ];
+    for policy in &policies {
+        match policy {
+            PolicyKind::Lru
+            | PolicyKind::Fifo
+            | PolicyKind::Clock
+            | PolicyKind::LruT
+            | PolicyKind::LruP
+            | PolicyKind::TwoQ
+            | PolicyKind::LruK { .. }
+            | PolicyKind::Spatial(_)
+            | PolicyKind::Slru { .. }
+            | PolicyKind::Asb
+            | PolicyKind::AsbWith(_)
+            | PolicyKind::Arena
+            | PolicyKind::ArenaWith(_) => {}
+        }
+    }
+    policies
 }
 
 fn build_disk() -> (DiskManager, Vec<PageId>) {
@@ -169,33 +199,51 @@ fn single_shard_replays_identically_to_sequential_buffer() {
 }
 
 /// On four shards, `fetch_batch` is its documented contract and nothing
-/// more. The contract is written out here over one bare [`BufferManager`]
-/// per shard, split like the pool's capacity and all over one disk,
-/// through public API only: first occurrences that `contains()` reports
-/// resident are fetched first and their guards held, then the remaining
-/// ids are fetched in input order. Hit flags, every shard's statistics
-/// and the disk's `IoStats` must agree batch by batch on a trace with
-/// repeats and evictions. Each batch holds a pair of consecutive pages, so
-/// the random/sequential split of the reads pins their input order: a
-/// pool that resolved shard by shard would read the pair out of order.
+/// more, for every policy. Two models run beside the pool, batch by batch,
+/// on a trace with repeats and evictions:
 ///
-/// LRU-K and ASB are left out: they rank by the buffer's logical clock,
-/// which the pool advances once per probe before admitting any miss, so a
-/// batch's admissions tie where the one-at-a-time fetches below order them
-/// (the caveat `fetch_batch` documents). Their batched path is pinned
-/// clock-exactly by a unit test next to the pool, where the manager's
-/// probe/admit primitives are reachable.
+/// * **The written-out contract**, over one bare [`BufferManager`] per
+///   shard, split like the pool's capacity and all over one disk, through
+///   public API only: first occurrences that `contains()` reports resident
+///   are fetched first and their guards held, then the remaining ids are
+///   fetched in input order. Hit flags, every shard's statistics and the
+///   disk's `IoStats` must agree. Each batch holds a pair of consecutive
+///   pages, so the random/sequential split of the reads pins their input
+///   order: a pool that resolved shard by shard would read the pair out of
+///   order. LRU-K, ASB and the arena (whose experts include both) are left
+///   out of this one: they rank by the buffer's logical clock, which the
+///   pool advances once per probe before admitting any miss, so a batch's
+///   admissions tie where the one-at-a-time fetches order them (the caveat
+///   `fetch_batch` documents).
+/// * **The shard split**, for every policy: one one-shard pool per shard,
+///   each fed its shard's ids of the batch in input order. Hit flags and
+///   every shard's statistics must agree, and the reads must add up. The
+///   one-shard batch is pinned clock-exactly to the manager's probe and
+///   admit primitives by a unit test next to the pool, which is what
+///   holds the clock-ranking policies here.
 #[test]
 fn four_shard_batches_replay_identically_to_the_written_out_contract() {
-    let by_arrival = |p: &PolicyKind| !matches!(p, PolicyKind::LruK { .. } | PolicyKind::Asb);
-    for policy in all_policies().into_iter().filter(by_arrival) {
+    let by_arrival = |p: &PolicyKind| {
+        !matches!(
+            p,
+            PolicyKind::LruK { .. }
+                | PolicyKind::Asb
+                | PolicyKind::AsbWith(_)
+                | PolicyKind::Arena
+                | PolicyKind::ArenaWith(_)
+        )
+    };
+    for policy in all_policies() {
         let (mut disk, ids) = build_disk();
         let (pool_disk, _) = build_disk();
         let pool = ShardedBuffer::new(pool_disk, policy, CAPACITY, SHARDS);
-        let mut shards: Vec<BufferManager> = pool
-            .per_shard(BufferManager::capacity)
-            .into_iter()
-            .map(|frames| BufferManager::with_policy(policy, frames))
+        let capacities = pool.per_shard(BufferManager::capacity);
+        let written_out = by_arrival(&policy);
+        let mut shards: Vec<BufferManager> = (capacities.iter())
+            .map(|&frames| BufferManager::with_policy(policy, frames))
+            .collect();
+        let split: Vec<ShardedBuffer<DiskManager>> = (capacities.iter())
+            .map(|&frames| ShardedBuffer::new(build_disk().0, policy, frames, 1))
             .collect();
 
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -225,18 +273,34 @@ fn four_shard_batches_replay_identically_to_the_written_out_contract() {
             let mut seen = std::collections::HashSet::new();
             for (i, &id) in batch.iter().enumerate() {
                 let seq = &mut shards[pool.shard_of(id)];
-                if seen.insert(id) && seq.contains(id) {
+                if written_out && seen.insert(id) && seq.contains(id) {
                     guards.push(seq.fetch(&mut disk, id, ctx).expect("read"));
                     expected[i] = Some(true);
                 }
             }
             for (i, &id) in batch.iter().enumerate() {
-                if expected[i].is_none() {
+                if written_out && expected[i].is_none() {
                     let seq = &mut shards[pool.shard_of(id)];
                     let hits = seq.stats().hits;
                     guards.push(seq.fetch(&mut disk, id, ctx).expect("read"));
                     expected[i] = Some(seq.stats().hits > hits);
                 }
+            }
+
+            let mut split_flags: Vec<Option<bool>> = vec![None; batch.len()];
+            let mut split_served = Vec::new();
+            for (s, twin) in split.iter().enumerate() {
+                let mine: Vec<usize> = (0..batch.len())
+                    .filter(|&i| pool.shard_of(batch[i]) == s)
+                    .collect();
+                let sub: Vec<PageId> = mine.iter().map(|&i| batch[i]).collect();
+                for (&i, slot) in mine.iter().zip(twin.fetch_batch(&sub, ctx)) {
+                    split_flags[i] = slot.as_ref().ok().map(|out| out.hit);
+                    split_served.push(slot);
+                }
+            }
+            if !written_out {
+                expected = split_flags.clone();
             }
             repeat_hits += u64::from(expected[8] == Some(true));
 
@@ -246,23 +310,33 @@ fn four_shard_batches_replay_identically_to_the_written_out_contract() {
                 .map(|slot| slot.as_ref().ok().map(|out| out.hit))
                 .collect();
             assert_eq!(flags, expected, "{policy:?}: hit flags of batch {b}");
+            assert_eq!(flags, split_flags, "{policy:?}: shard split of batch {b}");
             for (slot, &id) in served.iter().zip(&batch) {
                 assert_eq!(slot.as_ref().expect("read").guard.id, id);
             }
-            drop((guards, served));
-            let model: Vec<_> = shards.iter().map(BufferManager::stats).collect();
+            drop((guards, served, split_served));
+            let by_shard = pool.per_shard(BufferManager::stats);
+            let split_stats: Vec<_> = split.iter().map(ShardedBuffer::stats).collect();
             assert_eq!(
-                pool.per_shard(BufferManager::stats),
-                model,
-                "{policy:?}: shard statistics after batch {b}"
+                by_shard, split_stats,
+                "{policy:?}: shard split statistics after batch {b}"
             );
-            assert_eq!(
-                pool.io_stats(),
-                disk.stats(),
-                "{policy:?}: store reads after batch {b}"
-            );
+            let split_reads: u64 = split.iter().map(|twin| twin.io_stats().reads).sum();
+            assert_eq!(pool.io_stats().reads, split_reads, "{policy:?}: batch {b}");
+            if written_out {
+                let model: Vec<_> = shards.iter().map(BufferManager::stats).collect();
+                assert_eq!(
+                    by_shard, model,
+                    "{policy:?}: shard statistics after batch {b}"
+                );
+                assert_eq!(
+                    pool.io_stats(),
+                    disk.stats(),
+                    "{policy:?}: store reads after batch {b}"
+                );
+            }
         }
-        let io = disk.stats();
+        let io = pool.io_stats();
         assert!(
             io.sequential_reads > 0 && io.random_reads > 0,
             "{policy:?}: {io:?}"
