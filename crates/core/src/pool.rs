@@ -68,9 +68,9 @@ pub trait BufferPool {
 
     /// Serves `id` from buffer-resident state only: a hit pins and
     /// returns the frame; a miss is counted in the pool's statistics and
-    /// returns `None` without touching the backing store. This is the
-    /// degraded read path a serving front end falls back to when a
-    /// circuit breaker has declared the backing store unhealthy.
+    /// returns `None` without touching the backing store. It is the read
+    /// for a caller that must not wait on the store, where a miss degrades
+    /// instead of burning retry budget.
     fn fetch_resident(&self, id: PageId, ctx: AccessContext) -> Option<PageReadGuard>;
 
     /// Number of independently locked shards.

@@ -76,6 +76,18 @@ impl<S: ConcurrentPageStore> StoreIo for PoolIo<'_, S> {
     }
 }
 
+/// A [`ShardedBuffer::fetch_batch`] slot between the probe and the
+/// resolve pass.
+enum Slot {
+    /// A repeat of an earlier id in the batch: a full fetch once that
+    /// occurrence has resolved.
+    Repeat,
+    /// A first occurrence the probe did not serve: read and admitted.
+    Miss,
+    /// A first occurrence the probe served: a pinned hit, or a typed error.
+    Served(PageFetchResult),
+}
+
 /// [`WriteSink`] half of a [`PageWriteGuard`]: commits publish through the
 /// owning shard's buffered-write path (WAL image first, frame dirtied,
 /// `rec_lsn` stamped).
@@ -264,60 +276,63 @@ impl<S: ConcurrentPageStore> ShardedBuffer<S> {
         let shards = &self.inner.shards;
         // First occurrences probe in the batched phase; repeats resolve
         // afterwards with a full fetch, so their probe sees the first
-        // occurrence's admission. `shard[i]` is `None` for a repeat: sorted
-        // by (id, position), it follows an earlier occurrence.
+        // occurrence's admission. Sorted by (id, position), a repeat
+        // follows an earlier occurrence.
         let mut order: Vec<usize> = (0..ids.len()).collect();
         order.sort_unstable_by_key(|&i| (ids[i], i));
-        let mut shard: Vec<_> = ids.iter().map(|&id| Some(self.shard_of(id))).collect();
+        let mut slots: Vec<Slot> = ids.iter().map(|_| Slot::Miss).collect();
         for pair in order.windows(2).filter(|p| ids[p[0]] == ids[p[1]]) {
-            shard[pair[1]] = None;
+            slots[pair[1]] = Slot::Repeat;
         }
         // Probes go by shard, then by position. Their shards are locked in
         // that order, ascending as in `checkpoint` and `with_store`, before
         // the first probe, and held until return. The shard mutex is not
         // reentrant, so the resolve pass below runs on these guards, never
         // through `self.fetch_classified`.
-        order.sort_unstable_by_key(|&i| (shard[i], i));
+        order.retain(|&i| !matches!(slots[i], Slot::Repeat));
+        order.sort_unstable_by_key(|&i| (self.shard_of(ids[i]), i));
         let mut held: Vec<_> = shards.iter().map(|_| None).collect();
-        for s in order.iter().filter_map(|&i| shard[i]) {
+        for &i in &order {
+            let s = self.shard_of(ids[i]);
             held[s].get_or_insert_with(|| shards[s].lock());
         }
-        let mut probed: Vec<Option<PageFetchResult>> = ids.iter().map(|_| None).collect();
         for &i in &order {
-            let Some(buf) = shard[i].and_then(|s| held[s].as_mut()) else {
+            let Some(buf) = held[self.shard_of(ids[i])].as_mut() else {
                 continue;
             };
             match buf.probe(ids[i], ctx) {
-                Ok(Some(guard)) => probed[i] = Some(Ok(FetchOutcome { guard, hit: true })),
+                Ok(Some(guard)) => slots[i] = Slot::Served(Ok(FetchOutcome { guard, hit: true })),
                 Ok(None) => {}
-                Err(e) => probed[i] = Some(Err(PageError::new(ids[i], e))),
+                Err(e) => slots[i] = Slot::Served(Err(PageError::new(ids[i], e))),
             }
         }
         let mut io = PoolIo(&self.inner.store);
-        (probed.into_iter().zip(ids).zip(shard))
-            .map(|((probed, &id), shard)| {
-                probed.unwrap_or_else(|| {
-                    // invariant: every id routes to a shard that has a first
-                    // occurrence in the batch, and that shard is held.
-                    #[allow(clippy::expect_used)]
-                    let buf = held[self.shard_of(id)].as_mut().expect("shard held");
-                    let slot = if shard.is_none() {
-                        buf.fetch_classified(&mut io, id, ctx)
-                    } else {
-                        let guard = buf.read_miss(&mut io, id, ctx);
-                        guard.map(|guard| FetchOutcome { guard, hit: false })
-                    };
-                    slot.map_err(|e| PageError::new(id, e))
-                })
+        (slots.into_iter().zip(ids))
+            .map(|(slot, &id)| {
+                let repeat = match slot {
+                    Slot::Served(served) => return served,
+                    Slot::Miss => false,
+                    Slot::Repeat => true,
+                };
+                // invariant: every id routes to a shard that has a first
+                // occurrence in the batch, and that shard is held.
+                #[allow(clippy::expect_used)]
+                let buf = held[self.shard_of(id)].as_mut().expect("shard held");
+                let slot = if repeat {
+                    buf.fetch_classified(&mut io, id, ctx)
+                } else {
+                    let guard = buf.read_miss(&mut io, id, ctx);
+                    guard.map(|guard| FetchOutcome { guard, hit: false })
+                };
+                slot.map_err(|e| PageError::new(id, e))
             })
             .collect()
     }
 
     /// Serves `id` from buffer-resident state only: a hit pins and returns
     /// the frame; a miss is counted in the shard's statistics and returns
-    /// `None` **without touching the backing store** (no retry). The
-    /// serving layer uses this behind an open circuit
-    /// breaker, where the store is presumed down and a miss must degrade
+    /// `None` **without touching the backing store** (no retry): the read
+    /// for a caller that must not wait on the store, where a miss degrades
     /// instead of burning retry budget. A resident frame that fails its
     /// checksum is a miss here too: it is never served, whether the probe
     /// could discard it (clean) or had to keep it (dirty).

@@ -70,8 +70,6 @@ pub struct ServeBenchEntry {
     pub degraded_requests: u64,
     /// Requests force-completed past their deadline (0 when fault-free).
     pub deadline_exceeded: u64,
-    /// Circuit-breaker open transitions across shards (0 when fault-free).
-    pub breaker_opens: u64,
     /// Distinct pages quarantined during the run (0 when fault-free).
     pub quarantined_pages: u64,
 }
@@ -153,7 +151,6 @@ pub fn serve_bench() -> Result<ServeBench> {
                 hit_rate: r.hit_rate,
                 degraded_requests: r.degraded_requests,
                 deadline_exceeded: r.deadline_exceeded,
-                breaker_opens: r.breaker_opens,
                 quarantined_pages: r.quarantined_pages,
             });
         }

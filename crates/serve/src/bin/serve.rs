@@ -96,8 +96,8 @@ fn run(mut args: Args) -> Result<(), String> {
         100.0 * r.hit_rate
     );
     println!(
-        "degraded={} deadline_exceeded={} breaker_opens={} quarantined_pages={}",
-        r.degraded_requests, r.deadline_exceeded, r.breaker_opens, r.quarantined_pages
+        "degraded={} deadline_exceeded={} quarantined_pages={}",
+        r.degraded_requests, r.deadline_exceeded, r.quarantined_pages
     );
     Ok(())
 }

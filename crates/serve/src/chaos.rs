@@ -51,9 +51,9 @@ pub const CHAOS_FAULT_PROFILES: [FaultProfile; 4] = [
 
 /// Gate: at most this fraction of a cell's requests may complete
 /// non-exact (degraded + deadline-exceeded). Generous on purpose — the
-/// gate exists to catch a *collapse* of the serving path (e.g. a breaker
-/// that never closes again), not to pin exact degradation counts, which
-/// the byte-for-byte baseline diff already does.
+/// gate exists to catch a *collapse* of the serving path (e.g. a
+/// quarantine that never releases a healed page), not to pin exact
+/// degradation counts, which the byte-for-byte baseline diff already does.
 pub const DEGRADED_RATE_CEILING: f64 = 0.5;
 
 /// Gate: a cell's p999 may not exceed its fault-free reference p999 by
@@ -108,8 +108,6 @@ pub struct ChaosCell {
     pub degraded: u64,
     /// Responses force-completed past their deadline.
     pub deadline_exceeded: u64,
-    /// Circuit-breaker open transitions across shards.
-    pub breaker_opens: u64,
     /// Distinct pages quarantined during the run.
     pub quarantined_pages: u64,
     /// Typed fetch give-ups recorded by the buffer pool.
@@ -280,7 +278,6 @@ pub fn chaos_sweep(seeds: &[u64], profiles: &[FaultProfile]) -> Result<ChaosBenc
                         .count() as u64,
                     degraded: r.degraded_requests,
                     deadline_exceeded: r.deadline_exceeded,
-                    breaker_opens: r.breaker_opens,
                     quarantined_pages: r.quarantined_pages,
                     give_ups,
                     p50_ticks: r.p50_ticks,
@@ -382,7 +379,6 @@ mod tests {
             exact: ISSUED - 10,
             degraded: 8,
             deadline_exceeded: 2,
-            breaker_opens: 1,
             quarantined_pages: 2,
             give_ups: 5,
             p50_ticks: 50_000,

@@ -1,6 +1,6 @@
-//! Graceful-degradation machinery for the serve loop: per-shard circuit
-//! breakers and per-page quarantine, both driven purely by the simulated
-//! clock so chaos runs stay bit-for-bit deterministic.
+//! Graceful-degradation machinery for the serve loop: the [`Outcome`] a
+//! response carries, and per-page quarantine driven purely by the
+//! simulated clock, so chaos runs stay bit-for-bit deterministic.
 //!
 //! The degradation contract is: **degraded ≠ incorrect**. A request that
 //! cannot reach every page it wants still completes — with a *subset* of
@@ -8,6 +8,14 @@
 //! [`Outcome`] that tells the client exactly how much to trust it. The
 //! serving layer never blocks on a failing store and never returns a
 //! fabricated result.
+//!
+//! Quarantine is the only mechanism that stops the loop asking a failing
+//! store, and it works per page. A give-up is the pool's verdict after its
+//! own retries, and a permanent failure is refused at once, without a
+//! retry and without simulated time; quarantine then skips that page for a
+//! whole heal window. A shard whose every page is dead therefore costs at
+//! most one cheap refusal per dead page per window, which is why the loop
+//! has no per-shard breaker on top (DESIGN §9).
 
 use serde::Serialize;
 
@@ -16,7 +24,7 @@ use serde::Serialize;
 pub enum Outcome {
     /// Every page the request wanted was served: the answer is exact.
     Exact,
-    /// At least one page was unreachable (failed slot, open breaker or
+    /// At least one page was unreachable (a failed slot, or a page in
     /// quarantine); the affected subtrees were pruned. Window results are
     /// a subset of the exact answer, join counts a lower bound, k-NN
     /// results best-effort over the reachable index.
@@ -27,107 +35,9 @@ pub enum Outcome {
     DeadlineExceeded,
 }
 
-/// Consecutive failed batches that trip a [`CircuitBreaker`] open.
-pub const BREAKER_FAILURE_THRESHOLD: u32 = 3;
-
-/// Ticks an open [`CircuitBreaker`] waits before letting one probe batch
-/// through (half-open).
-pub const BREAKER_COOLDOWN_TICKS: u64 = 200_000;
-
-/// Ticks a [`Quarantine`]d (permanently failing) page waits before it is
+/// Ticks a quarantined (permanently failing) page waits before it is
 /// eligible for a heal probe.
 pub const QUARANTINE_HEAL_TICKS: u64 = 500_000;
-
-/// The observable state of a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum BreakerState {
-    /// Healthy: batches flow to the store normally.
-    #[default]
-    Closed,
-    /// Tripped: the store is presumed down; reads are served from
-    /// buffer-resident state only until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: exactly one probe batch is allowed through; its
-    /// result decides between [`BreakerState::Closed`] and re-opening.
-    HalfOpen,
-}
-
-/// A deterministic circuit breaker guarding one shard's store traffic.
-///
-/// Classic three-state machine on the simulated clock: `Closed` counts
-/// consecutive batch failures and trips to `Open` at
-/// [`BREAKER_FAILURE_THRESHOLD`]; `Open` rejects store traffic until
-/// [`BREAKER_COOLDOWN_TICKS`] have elapsed, then [`allows`](CircuitBreaker::allows) moves it to
-/// `HalfOpen` and admits one probe; a successful probe closes it, a
-/// failed one re-opens it (restarting the cooldown). All transitions are
-/// pure functions of the call sequence and the tick values passed in —
-/// no wall time, no randomness — which is what lets the chaos harness
-/// replay a schedule bit-for-bit. `CircuitBreaker::default()` is closed.
-#[derive(Debug, Default)]
-pub struct CircuitBreaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at: u64,
-    opens: u64,
-}
-
-impl CircuitBreaker {
-    /// Current state, *after* applying any cooldown expiry at `now` (an
-    /// open breaker whose cooldown has elapsed reports `HalfOpen`).
-    pub fn state(&mut self, now: u64) -> BreakerState {
-        if self.state == BreakerState::Open
-            && now >= self.opened_at.saturating_add(BREAKER_COOLDOWN_TICKS)
-        {
-            self.state = BreakerState::HalfOpen;
-        }
-        self.state
-    }
-
-    /// Whether a store batch may be issued at `now`. `Closed` and
-    /// `HalfOpen` allow (half-open traffic is the probe); `Open` denies
-    /// until the cooldown expires.
-    pub fn allows(&mut self, now: u64) -> bool {
-        self.state(now) != BreakerState::Open
-    }
-
-    /// Records a successful batch: closes the breaker (from any state)
-    /// and resets the failure streak.
-    pub fn on_success(&mut self) {
-        self.state = BreakerState::Closed;
-        self.consecutive_failures = 0;
-    }
-
-    /// Records a failed batch at `now`. In `Closed`, extends the streak
-    /// and trips to `Open` at the threshold; in `HalfOpen`, the probe
-    /// failed, so the breaker re-opens and the cooldown restarts.
-    pub fn on_failure(&mut self, now: u64) {
-        match self.state(now) {
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD {
-                    self.trip(now);
-                }
-            }
-            BreakerState::HalfOpen => self.trip(now),
-            // invariant: callers only report batch results for batches
-            // `allows` admitted, and `Open` admits none — but tolerate
-            // the call (re-arm the cooldown) instead of panicking.
-            BreakerState::Open => self.opened_at = now,
-        }
-    }
-
-    fn trip(&mut self, now: u64) {
-        self.state = BreakerState::Open;
-        self.opened_at = now;
-        self.consecutive_failures = 0;
-        self.opens += 1;
-    }
-
-    /// Number of `→ Open` transitions so far (trips and failed probes).
-    pub fn opens(&self) -> u64 {
-        self.opens
-    }
-}
 
 /// Per-page quarantine for permanently failing pages.
 ///
@@ -139,7 +49,7 @@ impl CircuitBreaker {
 /// batch that wants it includes it again; success releases it, another
 /// give-up re-arms the timer. `Quarantine::default()` is empty.
 #[derive(Debug, Default)]
-pub struct Quarantine {
+pub(crate) struct Quarantine {
     /// page id → tick at which the next heal probe is allowed.
     until: std::collections::BTreeMap<asb_storage::PageId, u64>,
     /// Distinct pages ever quarantined in this run.
@@ -171,11 +81,6 @@ impl Quarantine {
         self.until.remove(&id);
     }
 
-    /// Whether `id` is currently quarantined (timer expired or not).
-    pub fn contains(&self, id: asb_storage::PageId) -> bool {
-        self.until.contains_key(&id)
-    }
-
     /// Distinct pages quarantined at least once during the run.
     pub fn ever_quarantined(&self) -> u64 {
         self.ever.len() as u64
@@ -187,47 +92,7 @@ mod tests {
     use super::*;
     use asb_storage::PageId;
 
-    const COOLDOWN: u64 = BREAKER_COOLDOWN_TICKS;
     const HEAL: u64 = QUARANTINE_HEAL_TICKS;
-
-    /// Feeds `n` failures at ticks `from, from + 1, …`; returns the last.
-    fn fail(b: &mut CircuitBreaker, from: u64, n: u32) -> u64 {
-        let last = from + u64::from(n) - 1;
-        for t in from..=last {
-            b.on_failure(t);
-        }
-        last
-    }
-
-    #[test]
-    fn breaker_trips_after_consecutive_failures_only() {
-        let mut b = CircuitBreaker::default();
-        fail(&mut b, 0, BREAKER_FAILURE_THRESHOLD - 1);
-        b.on_success(); // streak broken
-        let t = fail(&mut b, 10, BREAKER_FAILURE_THRESHOLD - 1);
-        assert_eq!(b.state(t), BreakerState::Closed);
-        b.on_failure(t + 1);
-        assert_eq!(b.state(t + 1), BreakerState::Open);
-        assert_eq!(b.opens(), 1);
-        assert!(!b.allows(t + 2));
-    }
-
-    #[test]
-    fn open_breaker_half_opens_after_cooldown_and_probe_decides() {
-        let mut b = CircuitBreaker::default();
-        let opened = fail(&mut b, 0, BREAKER_FAILURE_THRESHOLD);
-        let probe = opened + COOLDOWN;
-        assert!(!b.allows(probe - 1));
-        assert!(b.allows(probe), "cooldown elapsed: probe admitted");
-        assert_eq!(b.state(probe), BreakerState::HalfOpen);
-        // Failed probe re-opens and restarts the cooldown from now.
-        b.on_failure(probe);
-        assert_eq!(b.opens(), 2);
-        assert!(!b.allows(probe + COOLDOWN - 1));
-        assert!(b.allows(probe + COOLDOWN));
-        b.on_success();
-        assert_eq!(b.state(probe + COOLDOWN), BreakerState::Closed);
-    }
 
     #[test]
     fn quarantine_blocks_until_heal_probe_window() {
@@ -235,15 +100,13 @@ mod tests {
         let id = PageId::new(7);
         assert!(q.allows(id, 0));
         q.put(id, 100);
-        assert!(q.contains(id));
         assert!(!q.allows(id, 100 + HEAL - 1));
         assert!(q.allows(id, 100 + HEAL), "heal probe due");
         // Failed probe re-arms; successful probe releases.
         q.put(id, 100 + HEAL);
         assert!(!q.allows(id, 100 + 2 * HEAL - 1));
         q.release(id);
-        assert!(q.allows(id, 200 + HEAL));
-        assert!(!q.contains(id));
+        assert!(q.allows(id, 200 + HEAL), "released before its timer");
         assert_eq!(q.ever_quarantined(), 1, "re-arms count one page once");
     }
 }

@@ -22,7 +22,7 @@
 //! time is read anywhere. Equal inputs produce bit-for-bit equal
 //! [`ServeOutcome`]s, which `tests/serve.rs` pins down.
 
-use crate::degrade::{CircuitBreaker, Outcome, Quarantine};
+use crate::degrade::{Outcome, Quarantine};
 use crate::percentile::percentile;
 use asb_core::BufferPool;
 use asb_geom::Query;
@@ -133,12 +133,10 @@ pub struct ServeReport {
     /// Pool-wide hit rate of the run's page accesses, in `[0, 1]`.
     pub hit_rate: f64,
     /// Requests that completed [`Outcome::Degraded`] (some subtree was
-    /// pruned by a failed slot, an open breaker or a quarantine).
+    /// pruned by a failed slot or a quarantine).
     pub degraded_requests: u64,
     /// Requests force-completed as [`Outcome::DeadlineExceeded`].
     pub deadline_exceeded: u64,
-    /// Circuit-breaker `→ Open` transitions, summed over shards.
-    pub breaker_opens: u64,
     /// Distinct pages quarantined at least once during the run.
     pub quarantined_pages: u64,
 }
@@ -223,7 +221,6 @@ pub fn serve(
     let mut rounds = 0u64;
     let mut batched_pages = 0u64;
     let shards = pool.shard_count().max(1);
-    let mut breakers: Vec<_> = (0..shards).map(|_| CircuitBreaker::default()).collect();
     let mut quarantine = Quarantine::default();
     // Round buffers, cleared and refilled every round, so that a round
     // allocates only what `fetch_batch` returns. `pages` holds the round's
@@ -294,13 +291,12 @@ pub fn serve(
             .ctx;
 
         // Shards are parallel I/O channels: the round costs the slowest
-        // shard's service time plus the fixed dispatch overhead. A shard
-        // whose breaker is open never touches the store: its pages are
-        // answered from buffer-resident state only, and whatever is not
-        // resident simply goes undelivered (the wanting searches prune
-        // it when fed). A page's failed slot feeds its shard's breaker;
-        // a *give-up* failure additionally quarantines the page so later
-        // rounds stop asking for it until its heal probe is due.
+        // shard's service time plus the fixed dispatch overhead. Each
+        // shard's batch asks the store for its pages that are not in
+        // quarantine. A slot that fails goes undelivered (the wanting
+        // searches prune it when fed); a *give-up* failure also
+        // quarantines the page, so later rounds stop asking for it until
+        // its heal probe is due, and a delivered page leaves quarantine.
         let mut round_cost = 0u64;
         // The store's clock, read when the round first reaches the store
         // and again only after a batch that was not all hits: a hit never
@@ -309,47 +305,34 @@ pub fn serve(
         let mut clock: Option<f64> = None;
         let mut views = recycle(std::mem::take(&mut views_buf));
         views.resize(pages.len(), None);
-        for ((shard, ids), got) in by_shard.iter().enumerate().zip(delivered.iter_mut()) {
+        for (ids, got) in by_shard.iter().zip(delivered.iter_mut()) {
             got.clear();
             if ids.is_empty() {
                 continue;
             }
-            let via_store = breakers[shard].allows(now);
+            askable.clear();
+            askable.extend(ids.iter().filter(|&&id| quarantine.allows(id, now)));
+            let before = *clock.get_or_insert_with(|| pool.io_stats().simulated_ms);
             let mut any_failed = false;
-            let shard_cost = if via_store {
-                askable.clear();
-                askable.extend(ids.iter().filter(|&&id| quarantine.allows(id, now)));
-                let before = *clock.get_or_insert_with(|| pool.io_stats().simulated_ms);
-                for (slot, &id) in pool.fetch_batch(&askable, ctx).into_iter().zip(&askable) {
-                    match slot {
-                        Ok(outcome) => got.push((id, outcome.guard.into_page(), outcome.hit)),
-                        Err(err) => {
-                            any_failed = true;
-                            if err.is_give_up() {
-                                quarantine.put(id, now);
-                            }
+            for (slot, &id) in pool.fetch_batch(&askable, ctx).into_iter().zip(&askable) {
+                match slot {
+                    Ok(outcome) => got.push((id, outcome.guard.into_page(), outcome.hit)),
+                    Err(err) => {
+                        any_failed = true;
+                        if err.is_give_up() {
+                            quarantine.put(id, now);
                         }
                     }
                 }
-                let store_ms = if !any_failed && got.iter().all(|&(.., hit)| hit) {
-                    0.0
-                } else {
-                    let after = pool.io_stats().simulated_ms;
-                    clock = Some(after);
-                    after - before
-                };
-                ms_to_ticks(store_ms) + HIT_TICKS * askable.len() as u64
+            }
+            let store_ms = if !any_failed && got.iter().all(|&(.., hit)| hit) {
+                0.0
             } else {
-                // Open breaker: degraded resident-only reads. Every page
-                // costs its in-memory probe; nothing touches the store,
-                // so no retry budget burns while the shard is down.
-                for &id in ids {
-                    if let Some(guard) = pool.fetch_resident(id, ctx) {
-                        got.push((id, guard.into_page(), true));
-                    }
-                }
-                HIT_TICKS * ids.len() as u64
+                let after = pool.io_stats().simulated_ms;
+                clock = Some(after);
+                after - before
             };
+            let shard_cost = ms_to_ticks(store_ms) + HIT_TICKS * askable.len() as u64;
             round_cost = round_cost.max(shard_cost);
             // Each delivered page is parsed once, into the view every
             // request that wants it is fed (the views borrow the shard's
@@ -359,12 +342,9 @@ pub fn serve(
             let got: &Vec<_> = got;
             for (id, page, hit) in got {
                 let Ok(view) = NodeView::parse(page) else {
-                    any_failed = true;
                     continue;
                 };
-                if via_store {
-                    quarantine.release(*id);
-                }
+                quarantine.release(*id);
                 let from = wants.partition_point(|&(p, _)| p < *id);
                 for &(_, idx) in wants[from..].iter().take_while(|&&(p, _)| p == *id) {
                     active[idx].hits += u64::from(*hit);
@@ -373,26 +353,15 @@ pub fn serve(
                 views[pages.partition_point(|&p| p < *id)] = Some(view);
                 batched_pages += 1;
             }
-            // Only batches that actually reached the store are breaker
-            // evidence; an all-quarantined batch is neither a success nor
-            // a failure.
-            if via_store && !askable.is_empty() {
-                if any_failed {
-                    breakers[shard].on_failure(now);
-                } else {
-                    breakers[shard].on_success();
-                }
-            }
         }
         now += round_cost + ROUND_OVERHEAD_TICKS;
         let view = |id| views[pages.binary_search(&id).ok()?];
 
         // Feed every active request its round; completed ones respond and
         // their session starts thinking about its next request. An asked
-        // page that went undelivered (failed slot, open breaker,
-        // quarantine) prunes its subtree: the traversal keeps making
-        // progress and the answer stays a subset of the exact one, never a
-        // fabrication. A request still incomplete past its deadline is
+        // page that went undelivered (failed slot, quarantine) prunes its
+        // subtree: the traversal keeps making progress and the answer stays
+        // a subset of the exact one, never a fabrication. A request still incomplete past its deadline is
         // force-completed with its partial answer (round-granularity
         // deadline enforcement).
         // A finished request leaves the list; the others stay, unmoved.
@@ -434,7 +403,7 @@ pub fn serve(
     }
 
     // The report is a fold over the responses; only the round count,
-    // the clock and the degradation machinery live outside them.
+    // the clock and the quarantine live outside them.
     let duration_ticks = now.max(1);
     let requests = responses.len() as u64;
     let hits: u64 = responses.iter().map(|r| r.hits).sum();
@@ -458,7 +427,6 @@ pub fn serve(
         },
         degraded_requests: count(Outcome::Degraded),
         deadline_exceeded: count(Outcome::DeadlineExceeded),
-        breaker_opens: breakers.iter().map(CircuitBreaker::opens).sum(),
         quarantined_pages: quarantine.ever_quarantined(),
     };
     Ok(ServeOutcome { report, responses })

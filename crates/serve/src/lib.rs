@@ -47,10 +47,7 @@ pub use chaos::{
     CHAOS_DEADLINE_TICKS, CHAOS_FAULT_PROFILES, CHAOS_SEEDS, DEGRADED_RATE_CEILING,
     P999_INFLATION_CEILING,
 };
-pub use degrade::{
-    BreakerState, CircuitBreaker, Outcome, Quarantine, BREAKER_COOLDOWN_TICKS,
-    BREAKER_FAILURE_THRESHOLD, QUARANTINE_HEAL_TICKS,
-};
+pub use degrade::{Outcome, QUARANTINE_HEAL_TICKS};
 pub use engine::{
     serve, Response, ServeConfig, ServeOutcome, ServeReport, FRONTIER_LIMIT, HIT_TICKS,
     ROUND_OVERHEAD_TICKS,

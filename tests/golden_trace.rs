@@ -25,7 +25,7 @@ use asb::geom::Point;
 use asb::quadtree::QuadTree;
 use asb::rtree::RTree;
 use asb::serve::{
-    check_chaos, default_chaos_bench, serve_bench, RELATIVE_ERROR, SERVE_BENCH_REQUESTS,
+    check_chaos, default_chaos_bench, serve_bench, ChaosCell, RELATIVE_ERROR, SERVE_BENCH_REQUESTS,
     SERVE_BENCH_SESSIONS,
 };
 use asb::storage::{DiskManager, ObjectRecord, ObjectStore, PageOp, RecordingStore};
@@ -498,11 +498,22 @@ fn committed_serve_bench_is_current() {
 /// So is `BENCH_chaos.json` — and the sweep it holds is green by its own
 /// rules: every request completed and counted once as exact, degraded or
 /// deadline, zero wrong answers, same-seed determinism, non-exact rate and
-/// p999 inflation under their ceilings.
+/// p999 inflation under their ceilings. Every degradation the serve loop
+/// keeps must also fire somewhere in the matrix: a mechanism no committed
+/// run exercises is not held to anything.
 #[test]
 fn committed_chaos_bench_is_current() {
     let sweep = default_chaos_bench().expect("chaos sweep");
     assert_eq!(check_chaos(&sweep), Vec::<String>::new());
+    let fires = |what: &str, n: fn(&ChaosCell) -> u64| {
+        assert!(
+            sweep.cells.iter().any(|c| n(c) > 0),
+            "no chaos cell exercises {what}"
+        );
+    };
+    fires("quarantine", |c| c.quarantined_pages);
+    fires("deadlines", |c| c.deadline_exceeded);
+    fires("degraded answers", |c| c.degraded);
     assert_committed_is_current("BENCH_chaos.json", &sweep);
 }
 

@@ -20,7 +20,6 @@
 
 use asb::buffer::{BufferManager, PolicyKind, ShardedBuffer};
 use asb::geom::SpatialStats;
-use asb::serve::{BreakerState, CircuitBreaker, BREAKER_COOLDOWN_TICKS};
 use asb::storage::{
     AccessContext, ConcurrentPageStore, DiskManager, FaultConfig, FaultyStore, IoStats, Page,
     PageId, PageMeta, PageStore, QueryId, Result, SharedWal, StorageError, Wal, WalConfig,
@@ -1019,100 +1018,51 @@ fn batched_fetches_preserve_pool_invariants_under_concurrency() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 10: circuit-breaker state machine under concurrent feeding.
+// Scenario 11: the serve loop's reads against a permanently dead page.
 // ---------------------------------------------------------------------------
 
-/// Is `before --event--> after` a lawful breaker transition? Events are
-/// `'s'` (success) and `'f'` (failure); cooldown expiry (`Open -> HalfOpen`)
-/// is applied inside `state(now)` and therefore surfaces as
-/// `before == HalfOpen` on the next record, never as its own event. A
-/// breaker is only fed after `allows` returned true, so `before` is never
-/// `Open`.
-fn legal_breaker_transition(before: BreakerState, event: char, after: BreakerState) -> bool {
-    use BreakerState::*;
-    matches!(
-        (before, event, after),
-        (Closed, 's', Closed)
-            | (HalfOpen, 's', Closed)
-            | (Closed, 'f', Closed)
-            | (Closed, 'f', Open)
-            | (HalfOpen, 'f', Open)
-    )
-}
-
-/// Two threads drive the serving loop's degradation protocol against one
-/// pool: per-partition [`CircuitBreaker`]s behind the sync facade's mutex
-/// (consult + batched fetch + feed as one atomic section, so the
-/// concatenated log is the breaker's linearized history), a shared
-/// simulated clock, one permanently dead page in partition 0. Each round
-/// advances the clock by half the production cooldown, so an open breaker
-/// both denies a round and, later, half-opens. In every interleaving:
-/// every logged transition is lawful, the healthy partition's breaker
-/// never opens, the dead partition's breaker does and later probes from
-/// `HalfOpen`, failed slots are typed per page, and pool give-up
-/// accounting matches the failures callers observed.
-fn breaker_scenario() {
+/// Two threads drive the serve loop's read pattern against one pool with
+/// one permanently dead page: each round, a batched fetch of each of two
+/// four-page partitions (the dead page is in partition 0), then a
+/// resident-only read of every page. In every interleaving: each failed
+/// slot is a give-up typed to its own page, the dead page is never
+/// resident, the pool's give-up count equals the failed slots callers saw,
+/// hit/miss accounting covers every logical read, every store read is a
+/// counted miss, and no pin leaks.
+fn dead_page_scenario() {
     let (disk, ids) = disk_with_pages(8);
     let store = FaultyStore::new(disk, FaultConfig::reliable());
     store.mark_permanent(ids[1]);
     let pool = ShardedBuffer::new(store, PolicyKind::Lru, 8, 2);
-    type BreakerLog = Vec<(BreakerState, char, BreakerState)>;
-    let breakers: std::sync::Arc<Vec<ssync::Mutex<(CircuitBreaker, BreakerLog)>>> =
-        std::sync::Arc::new(
-            (0..2)
-                .map(|_| ssync::Mutex::new((CircuitBreaker::default(), Vec::new())))
-                .collect(),
-        );
-    let clock = std::sync::Arc::new(ssync::AtomicU64::new(0));
     let err_slots = std::sync::Arc::new(ssync::AtomicU64::new(0));
 
     let worker = |t: u64| {
         let pool = pool.clone();
         let ids = ids.clone();
-        let breakers = breakers.clone();
-        let clock = clock.clone();
         let err_slots = err_slots.clone();
         move || {
             for round in 0..5u64 {
-                let now = clock.fetch_add(BREAKER_COOLDOWN_TICKS / 2, ssync::Ordering::SeqCst);
-                for part in 0..2usize {
-                    let pages: Vec<PageId> = ids[part * 4..part * 4 + 4].to_vec();
-                    let ctx = AccessContext::query(QueryId::new(t * 100 + round));
-                    let mut cell = breakers[part].lock();
-                    let (breaker, log) = &mut *cell;
-                    let before = breaker.state(now);
-                    if breaker.allows(now) {
-                        let outcomes = pool.fetch_batch(&pages, ctx);
-                        assert_eq!(outcomes.len(), pages.len(), "a slot was lost");
-                        let mut failed = false;
-                        for (slot, &id) in outcomes.iter().zip(&pages) {
-                            match slot {
-                                Ok(served) => assert_eq!(served.guard.id, id),
-                                Err(e) => {
-                                    assert_eq!(e.id, id, "failure typed to the wrong page");
-                                    assert!(e.is_give_up(), "dead page must be a give-up");
-                                    err_slots.fetch_add(1, ssync::Ordering::SeqCst);
-                                    failed = true;
-                                }
+                let ctx = AccessContext::query(QueryId::new(t * 100 + round));
+                for pages in ids.chunks(4) {
+                    let outcomes = pool.fetch_batch(pages, ctx);
+                    assert_eq!(outcomes.len(), pages.len(), "a slot was lost");
+                    for (slot, &id) in outcomes.iter().zip(pages) {
+                        match slot {
+                            Ok(served) => assert_eq!(served.guard.id, id),
+                            Err(e) => {
+                                assert_eq!(e.id, id, "failure typed to the wrong page");
+                                assert!(e.is_give_up(), "dead page must be a give-up");
+                                err_slots.fetch_add(1, ssync::Ordering::SeqCst);
                             }
                         }
-                        let event = if failed {
-                            breaker.on_failure(now);
-                            'f'
-                        } else {
-                            breaker.on_success();
-                            's'
-                        };
-                        log.push((before, event, breaker.state(now)));
-                    } else {
-                        // Open: buffer-resident state only — the store is
-                        // never consulted, so the dead page yields `None`,
-                        // not an error.
-                        for &id in &pages {
-                            if let Some(guard) = pool.fetch_resident(id, ctx) {
-                                assert_eq!(guard.id, id);
-                            }
-                        }
+                    }
+                }
+                // Resident-only reads never consult the store, so the dead
+                // page yields `None`, not an error.
+                for &id in &ids {
+                    if let Some(guard) = pool.fetch_resident(id, ctx) {
+                        assert_eq!(guard.id, id);
+                        assert_ne!(id, ids[1], "the dead page was admitted");
                     }
                 }
             }
@@ -1123,27 +1073,6 @@ fn breaker_scenario() {
     ta.join();
     tb.join();
 
-    for (part, cell) in breakers.iter().enumerate() {
-        let (breaker, log) = &mut *cell.lock();
-        for &(before, event, after) in log.iter() {
-            assert!(
-                legal_breaker_transition(before, event, after),
-                "partition {part}: illegal transition {before:?} --{event}--> {after:?}"
-            );
-        }
-        if part == 0 {
-            assert!(log.iter().all(|&(_, e, _)| e == 'f'));
-            assert!(breaker.opens() >= 1, "a permanently dead page must trip");
-            assert!(
-                log.iter()
-                    .any(|&(before, _, _)| before == BreakerState::HalfOpen),
-                "the cooldown must elapse and admit a probe: {log:?}"
-            );
-        } else {
-            assert!(log.iter().all(|&(_, e, _)| e == 's'));
-            assert_eq!(breaker.opens(), 0, "healthy partition must stay closed");
-        }
-    }
     let stats = pool.stats();
     assert_eq!(
         stats.hits + stats.misses,
@@ -1160,8 +1089,8 @@ fn breaker_scenario() {
 }
 
 #[test]
-fn breaker_state_machine_is_lawful_under_concurrency() {
-    explore_scenario("breaker-serve", 0x4252_4541_4b45_525f, breaker_scenario);
+fn dead_page_reads_keep_pool_invariants_under_concurrency() {
+    explore_scenario("dead-page-serve", 0x4445_4144_5f50_4147, dead_page_scenario);
 }
 
 // ---------------------------------------------------------------------------
