@@ -17,7 +17,7 @@
 //! | [`Spatial`](PolicyKind::Spatial) | §2.3 | evict the page with the smallest spatial criterion (A, EA, M, EM or EO); LRU breaks ties |
 //! | [`Slru`](PolicyKind::Slru) | §4.1 | LRU proposes a candidate set (a fixed fraction of the buffer), the spatial criterion picks the victim from it |
 //! | [`Asb`](PolicyKind::Asb) | §4.2 | SLRU plus a FIFO *overflow buffer* (20 % of the buffer) whose hits self-tune the candidate-set size |
-//! | [`Arena`](PolicyKind::Arena) | extension | multiplicative-weights mixer over an expert roster; per-expert ghost caches (one shared bit-mask map) count counterfactual misses, the weight leader owns eviction; LRU, SLRU and spatial experts are rebuilt from the residents when they take the lead |
+//! | [`Arena`](PolicyKind::Arena) | extension | multiplicative-weights mixer over LRU, LRU-2 and A ([`Roster::Trio`]); per-expert ghost caches (one shared bit-mask map) count counterfactual misses, the weight leader owns eviction; LRU's victim is the arena's own recency order, and A's mirror is rebuilt from the residents when A takes the lead |
 //!
 //! Every policy implements the one trait [`ReplacementPolicy`] — four
 //! event callbacks plus `select_victim` — and is named from outside only by

@@ -3,9 +3,10 @@
 //! The paper's ASB self-tunes exactly one knob — the LRU candidate-set size
 //! — which adapts slowly when the workload phase-changes. The arena goes
 //! further, in the spirit of expert-based replacement (EEvA) and adaptive
-//! weight ranking (AWRP): every [`ReplacementPolicy`] becomes an observable
-//! *expert* that sees the full event stream and is asked which victim it
-//! would select, without owning eviction authority.
+//! weight ranking (AWRP): a few [`ReplacementPolicy`]s — by default LRU,
+//! LRU-2 and the spatial criterion A ([`Roster::Trio`]) — become
+//! observable *experts* that see the full event stream and are asked which
+//! victim they would select, without owning eviction authority.
 //!
 //! Each expert has up to two instances:
 //!
@@ -14,9 +15,10 @@
 //!   the expert can nominate victims among actually-resident pages. A
 //!   *recency-derived* expert (LRU, SLRU, the pure spatial policies) ranks
 //!   by nothing but the residents' recency order and metadata, which the
-//!   arena keeps itself; its mirror exists only while it leads, built on
-//!   promotion by replaying `on_insert` over the residents, oldest first.
-//!   The history-keeping experts (LRU-2, 2Q, ASB) keep theirs throughout;
+//!   arena keeps itself. LRU's mirror *is* that order; any other one exists
+//!   only while its expert leads, built on promotion by replaying
+//!   `on_insert` over the residents, oldest first. The history-keeping
+//!   experts (LRU-2, 2Q, ASB) keep theirs throughout;
 //! * a **sim** plus a bounded **ghost cache** simulate "what would this
 //!   expert's buffer hold if it had been in charge all along?". A request
 //!   absent from the ghost cache is a *counterfactual miss* charged to the
@@ -49,34 +51,25 @@ const MIN_WEIGHT: f64 = 1e-12;
 /// headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Roster {
-    /// The full study roster: LRU, LRU-2, 2Q, SLRU 25 % (A), the five
-    /// spatial criteria A/EA/M/EM/EO, and ASB — ten experts.
-    Full,
+    /// The three experts that win at the paper's buffer fractions: LRU,
+    /// LRU-2 and the spatial criterion A.
+    Trio,
     /// A lean roster for tight budgets: LRU, LRU-2, 2Q, SLRU 25 % (A) and
     /// ASB — five experts.
     Lean,
 }
 
 impl Roster {
-    /// The policy kinds in this roster, in fixed order (index 0 is the
-    /// initial leader).
+    /// The policy kinds in this roster, in fixed order. Index 0, the
+    /// initial leader, is LRU in every roster: the arena names LRU's victim
+    /// from its own recency order and prunes history to LRU's ghosts.
     pub fn kinds(&self) -> Vec<PolicyKind> {
         match self {
-            Roster::Full => {
-                let mut kinds = vec![
-                    PolicyKind::Lru,
-                    PolicyKind::LruK { k: 2 },
-                    PolicyKind::TwoQ,
-                    PolicyKind::PAPER_SLRU,
-                ];
-                kinds.extend(
-                    SpatialCriterion::ALL
-                        .iter()
-                        .map(|&c| PolicyKind::Spatial(c)),
-                );
-                kinds.push(PolicyKind::Asb);
-                kinds
-            }
+            Roster::Trio => vec![
+                PolicyKind::Lru,
+                PolicyKind::LruK { k: 2 },
+                PolicyKind::Spatial(SpatialCriterion::Area),
+            ],
             Roster::Lean => vec![
                 PolicyKind::Lru,
                 PolicyKind::LruK { k: 2 },
@@ -108,9 +101,9 @@ pub struct ArenaParams {
 impl Default for ArenaParams {
     fn default() -> Self {
         ArenaParams {
-            decay: 0.05,
+            decay: 0.1,
             share: 0.005,
-            roster: Roster::Full,
+            roster: Roster::Trio,
         }
     }
 }
@@ -217,7 +210,8 @@ fn forget(ghosts: &mut IdMap<PageId, GhostMask>, id: PageId, bit: GhostMask) {
 struct Expert {
     kind: PolicyKind,
     label: String,
-    /// `None` while a recency-derived expert does not lead.
+    /// `None` while a recency-derived expert does not lead, and always for
+    /// LRU, whose mirror is the arena's own recency order.
     mirror: Option<Policy>,
     sim: Policy,
     ghost_len: usize,
@@ -244,11 +238,10 @@ pub(crate) struct ArenaPolicy {
     /// from.
     resident: LinkedOrder<PageId, PageMeta>,
     /// Every page in some expert's ghost cache, with the experts that hold
-    /// it. Only looked up and counted, never iterated in order.
+    /// it. Only looked up and counted, never iterated in order. Expert 0's
+    /// cache, LRU's, is the last ≤ `capacity` distinct accessed pages: the
+    /// liveness horizon for pruning expert history (LRU-K HIST).
     ghosts: IdMap<PageId, GhostMask>,
-    /// The last ≤ `capacity` distinct accessed pages; the liveness horizon
-    /// for pruning expert history (LRU-K HIST) beyond residents and ghosts.
-    recent: LinkedOrder<PageId>,
 }
 
 impl ArenaPolicy {
@@ -270,12 +263,12 @@ impl ArenaPolicy {
         );
         let kinds = params.roster.kinds();
         let uniform = 1.0 / kinds.len() as f64;
-        let experts = (kinds.into_iter().enumerate())
-            .map(|(i, kind)| Expert {
+        let experts = (kinds.into_iter())
+            .map(|kind| Expert {
                 kind,
                 label: kind.label(),
-                // Expert 0 leads first.
-                mirror: (i == 0 || !recency_derived(kind)).then(|| kind.build(capacity)),
+                // Expert 0, which leads first, is LRU.
+                mirror: (!recency_derived(kind)).then(|| kind.build(capacity)),
                 sim: kind.build(capacity),
                 ghost_len: 0,
                 ghost_misses: 0,
@@ -292,7 +285,6 @@ impl ArenaPolicy {
             misses: 0,
             resident: LinkedOrder::default(),
             ghosts: IdMap::default(),
-            recent: LinkedOrder::default(),
         }
     }
 
@@ -304,13 +296,6 @@ impl ArenaPolicy {
     /// mixer weights, and re-elect the leader.
     fn observe(&mut self, page: &Page, ctx: AccessContext, now: u64) {
         self.accesses += 1;
-        if self.recent.move_to_back(&page.id).is_none() {
-            self.recent.push_back(page.id, ());
-        }
-        while self.recent.len() > self.capacity {
-            self.recent.pop_front();
-        }
-
         let n = self.experts.len() as f64;
         let held = self.ghosts.get(&page.id).copied().unwrap_or(0);
         for (i, expert) in self.experts.iter_mut().enumerate() {
@@ -377,52 +362,40 @@ impl ArenaPolicy {
     }
 
     /// Hands authority to `leader`: the outgoing leader's mirror goes if it
-    /// is recency-derived, and the incoming one's is built if absent.
+    /// is recency-derived, and the incoming one's is built if absent (LRU
+    /// needs none).
     fn promote(&mut self, leader: usize) {
         let old = std::mem::replace(&mut self.leader, leader);
         if recency_derived(self.experts[old].kind) {
             self.experts[old].mirror = None;
         }
-        if self.experts[leader].mirror.is_none() {
-            let kind = self.experts[leader].kind;
-            self.experts[leader].mirror = Some(rebuild(kind, self.capacity, &self.resident));
+        let expert = &mut self.experts[leader];
+        if expert.mirror.is_none() && expert.kind != PolicyKind::Lru {
+            expert.mirror = Some(rebuild(expert.kind, self.capacity, &self.resident));
         }
     }
 
-    /// Drops expert history for pages outside the liveness horizon
-    /// (real residents, the expert's own ghosts, and the recency window).
+    /// Drops expert history for pages outside the liveness horizon: real
+    /// residents, the expert's own ghosts, and LRU's ghosts (expert 0).
     fn prune(&mut self) {
-        let (resident, recent, ghosts) = (&self.resident, &self.recent, &self.ghosts);
+        let (resident, ghosts) = (&self.resident, &self.ghosts);
+        let held = |p, bits: GhostMask| ghosts.get(&p).is_some_and(|&held| held & bits != 0);
         for (i, expert) in self.experts.iter_mut().enumerate() {
             if let Some(mirror) = &mut expert.mirror {
-                mirror.retain_history(&|p| resident.contains(&p) || recent.contains(&p));
+                mirror.retain_history(&|p| resident.contains(&p) || held(p, 1));
             }
-            let bit: GhostMask = 1 << i;
-            let own = |p| ghosts.get(&p).is_some_and(|&held| held & bit != 0);
-            expert
-                .sim
-                .retain_history(&|p| own(p) || recent.contains(&p));
+            expert.sim.retain_history(&|p| held(p, 1 << i | 1));
         }
     }
 
-    /// Authority belongs to the leader; if its mirror abstains (e.g.
-    /// everything it tracks is pinned), the rest of the roster is polled
-    /// in order, a recency-derived expert through a mirror built for the
-    /// question. The callers fall back to the arena's own recency order.
-    fn poll_mirrors(
-        &mut self,
-        mut pick: impl FnMut(&mut (dyn ReplacementPolicy + Send)) -> Option<PageId>,
-    ) -> Option<PageId> {
-        let (leader, capacity, resident) = (self.leader, self.capacity, &self.resident);
-        let mut ask = |expert: &mut Expert| match &mut expert.mirror {
-            Some(mirror) => pick(&mut **mirror),
-            None => pick(&mut *rebuild(expert.kind, capacity, resident)),
-        };
-        ask(&mut self.experts[leader]).or_else(|| {
-            (self.experts.iter_mut().enumerate())
-                .filter(|&(i, _)| i != leader)
-                .find_map(|(_, expert)| ask(expert))
-        })
+    /// The leader's mirror, which holds authority; `None` while LRU leads.
+    /// The callers then name LRU's victim, the first evictable page of
+    /// `resident`, as they do when the leader abstains (everything it
+    /// tracks is pinned): polling the rest of the roster in order would
+    /// ask LRU, expert 0, next, and LRU answers whenever a page is
+    /// evictable.
+    fn leader_mirror(&mut self) -> Option<&mut Policy> {
+        self.experts[self.leader].mirror.as_mut()
     }
 
     fn snapshot(&self) -> ArenaState {
@@ -492,12 +465,14 @@ impl ReplacementPolicy for ArenaPolicy {
         ctx: AccessContext,
         evictable: &dyn Fn(PageId) -> bool,
     ) -> Option<PageId> {
-        (self.poll_mirrors(|mirror| mirror.select_victim(ctx, evictable)))
+        (self.leader_mirror())
+            .and_then(|mirror| mirror.select_victim(ctx, evictable))
             .or_else(|| self.resident.keys().find(|&id| evictable(id)))
     }
 
     fn select_victim_unpinned(&mut self, ctx: AccessContext) -> Option<PageId> {
-        (self.poll_mirrors(|mirror| mirror.select_victim_unpinned(ctx)))
+        (self.leader_mirror())
+            .and_then(|mirror| mirror.select_victim_unpinned(ctx))
             .or_else(|| self.resident.front())
     }
 
@@ -682,11 +657,18 @@ mod tests {
 
     #[test]
     fn every_roster_fits_the_ghost_mask() {
-        for roster in [Roster::Full, Roster::Lean] {
+        for roster in [Roster::Trio, Roster::Lean] {
             assert!(
                 roster.kinds().len() <= GhostMask::BITS as usize,
                 "{roster:?}"
             );
+        }
+    }
+
+    #[test]
+    fn every_roster_starts_with_lru() {
+        for roster in [Roster::Trio, Roster::Lean] {
+            assert_eq!(roster.kinds()[0], PolicyKind::Lru, "{roster:?}");
         }
     }
 
@@ -719,7 +701,8 @@ mod tests {
             leaders.insert(arena.leader);
             for (i, expert) in arena.experts.iter().enumerate() {
                 let eager = !recency_derived(expert.kind);
-                assert_eq!(expert.mirror.is_some(), eager || i == arena.leader);
+                let leads = i == arena.leader && expert.kind != PolicyKind::Lru;
+                assert_eq!(expert.mirror.is_some(), eager || leads);
             }
         }
         assert!(arena.switches > 0, "the trace must move authority");

@@ -21,6 +21,8 @@ struct Hist {
     /// Tick of the most recent reference (correlated or not); breaks ties
     /// between pages with equal HIST(p,K) by plain LRU.
     last_access: u64,
+    /// Whether the page is resident, and so filed in `resident`.
+    resident: bool,
 }
 
 impl Hist {
@@ -76,8 +78,12 @@ impl LruKPolicy {
             times: Vec::with_capacity(k),
             last_query: ctx.query,
             last_access: 0,
+            resident: false,
         });
-        let resident = self.resident.remove(&hist.rank(k, id)) || admit;
+        if hist.resident {
+            self.resident.remove(&hist.rank(k, id));
+        }
+        hist.resident |= admit;
         if hist.times.is_empty() {
             hist.times.push(now);
         } else if hist.last_query == ctx.query {
@@ -91,7 +97,7 @@ impl LruKPolicy {
         }
         hist.last_query = ctx.query;
         hist.last_access = now;
-        if resident {
+        if hist.resident {
             self.resident.insert(hist.rank(k, id));
         }
     }
@@ -117,8 +123,10 @@ impl ReplacementPolicy for LruKPolicy {
 
     fn on_remove(&mut self, id: PageId) {
         // The page leaves the buffer but its history is retained.
-        if let Some(hist) = self.history.get(&id) {
-            self.resident.remove(&hist.rank(self.k, id));
+        if let Some(hist) = self.history.get_mut(&id) {
+            if std::mem::take(&mut hist.resident) {
+                self.resident.remove(&hist.rank(self.k, id));
+            }
         }
     }
 
@@ -156,9 +164,7 @@ impl ReplacementPolicy for LruKPolicy {
         // only while the host still considers the page live. This is the
         // hook that lets the arena keep LRU-K's otherwise unbounded HIST
         // within a fixed budget.
-        let (k, resident) = (self.k, &self.resident);
-        self.history
-            .retain(|&id, hist| resident.contains(&hist.rank(k, id)) || live(id));
+        self.history.retain(|&id, hist| hist.resident || live(id));
     }
 }
 

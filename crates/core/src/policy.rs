@@ -155,8 +155,9 @@ pub enum PolicyKind {
     /// Adaptable spatial buffer with explicit parameters.
     AsbWith(AsbParams),
     /// Expert arena with default parameters: a multiplicative-weights mixer
-    /// over the full expert roster that delegates eviction to the current
-    /// leader while ghost caches count each expert's counterfactual misses.
+    /// over LRU, LRU-2 and A ([`Roster::Trio`](crate::Roster::Trio)) that
+    /// delegates eviction to the current leader while ghost caches count
+    /// each expert's counterfactual misses.
     Arena,
     /// Expert arena with explicit parameters (decay, fixed-share rate,
     /// roster preset).

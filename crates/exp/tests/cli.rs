@@ -139,9 +139,9 @@ fn probe_has_no_sharded_live_run() {
     );
 }
 
-/// On the committed mainland phase trace at 12 frames, `trace replay` and
-/// the arena scoreboard's ASB row carry `BENCH_replacement.json`'s ASB
-/// `vs_opt`, 74.
+/// On the committed mainland phase trace at 12 frames, `trace replay`
+/// carries `BENCH_replacement.json`'s ASB `vs_opt`, 74, and the arena
+/// scoreboard's LRU row its LRU `vs_opt`, 77.
 #[test]
 fn replay_prints_the_benchmarks_distance_to_opt() {
     let trace = golden("phase_mainland");
@@ -149,7 +149,7 @@ fn replay_prints_the_benchmarks_distance_to_opt() {
         ("asb", "\nopt_misses=149 vs_opt=74\n"),
         (
             "arena",
-            "\n  expert ASB      weight=0.1179 ghost_misses=223 ghost_len=12 vs_opt=74\n",
+            "\n  expert LRU      weight=0.2254 ghost_misses=226 ghost_len=12 vs_opt=77\n",
         ),
     ] {
         let args = ["replay", &trace, "--policy", policy, "--capacity", "12"];

@@ -1,8 +1,8 @@
 //! Differential oracle for the expert arena.
 //!
-//! The arena keeps one ghost map for all experts and builds the mirror of
-//! a recency-derived expert (LRU, SLRU, the pure spatial policies) only
-//! while that expert leads. `before` below is the arena as it stood with
+//! The arena keeps one ghost map for all experts, answers for LRU from its
+//! own recency order, and builds the mirror of another recency-derived
+//! expert (SLRU, the pure spatial policies) only while that expert leads. `before` below is the arena as it stood with
 //! one mirror, one sim and one ghost list per expert, each list behind its
 //! own SipHash map, kept verbatim (with the recency order it used) and
 //! assembled from the public `Roster::kinds()` and `PolicyKind::build`.
@@ -629,7 +629,7 @@ fn drive(params: ArenaParams, capacity: usize, events: &[Event]) -> BTreeSet<Str
 #[test]
 fn arena_decides_like_its_oracle() {
     let mut leaders = BTreeSet::new();
-    for roster in [Roster::Full, Roster::Lean] {
+    for roster in [Roster::Trio, Roster::Lean] {
         for decay in [0.05, 0.0] {
             let params = ArenaParams {
                 decay,
@@ -658,9 +658,13 @@ fn arena_decides_like_its_oracle() {
 
 /// Cost tripwire (release mode, `--ignored`): on one phase-changing trace
 /// of 50 000 accesses at 700 frames — the operating point of the
-/// `arena_phase` benchmark — the arena must take at most 0.75× the wall
-/// time of its oracle (as written: ≈ 0.5×), best of three each. A ratio on
-/// one machine, no absolute time.
+/// `arena_phase` benchmark — the default arena, the trio LRU, LRU-2 and A,
+/// must take at most 0.75× the wall time of its oracle (as written:
+/// ≈ 0.65×), best of three each. Both run the same three sims and feed
+/// LRU-2's mirror on every access; the arena saves the other two mirrors,
+/// for LRU's victim is the head of its own recency order and A's mirror is
+/// built only when A takes authority (a few times per run). A ratio on one
+/// machine, no absolute time; `--nocapture` prints it.
 #[test]
 #[ignore = "timing: run in release mode"]
 fn arena_costs_at_most_three_quarters_of_its_oracle() {
@@ -723,6 +727,7 @@ fn arena_costs_at_most_three_quarters_of_its_oracle() {
         assert_eq!(new_state, old_state, "the two arenas diverged");
     }
     let ratio = new / old;
+    eprintln!("arena {new:.4} s, oracle {old:.4} s, ratio {ratio:.3}");
     assert!(
         ratio <= 0.75,
         "the arena takes {ratio:.2}x its oracle's time (need <= 0.75x): {new:.3} s vs {old:.3} s"

@@ -40,6 +40,7 @@ pub fn policies() -> Vec<(&'static str, PolicyKind)> {
         (
             "arena-lean",
             PolicyKind::ArenaWith(ArenaParams {
+                decay: 0.05,
                 roster: Roster::Lean,
                 ..ArenaParams::default()
             }),

@@ -44,6 +44,8 @@ fn asb_never_loses_to_lru() {
 /// LRU on every set outside the intensified family; inside it, it stays
 /// within 7 % and loses in exactly the [`KNOWN_LOSSES`] — so a fix and a
 /// regression both show here (EXPERIMENTS.md § Paper-scale spot check).
+/// The expert arena, replayed on the same recordings, beats LRU in all 48
+/// cells.
 #[test]
 #[ignore = "paper scale (minutes): cargo test --release --test experiments -- --ignored"]
 fn asb_vs_lru_at_paper_scale() {
@@ -69,12 +71,13 @@ fn asb_vs_lru_at_paper_scale() {
         QuerySetSpec::independent(QueryKind::Point),
         QuerySetSpec::independent(w(33)),
     ];
-    // LRU's cell, then ASB's, per (database, buffer, query set).
+    // LRU's cell, then ASB's and the arena's, per (database, buffer,
+    // query set).
     let mut cells = Vec::new();
     for db in [DatasetKind::Mainland, DatasetKind::World] {
         for frac in [0.006, 0.047] {
             for spec in sets {
-                for policy in [PolicyKind::Lru, PolicyKind::Asb] {
+                for policy in [PolicyKind::Lru, PolicyKind::Asb, PolicyKind::Arena] {
                     cells.push(ExperimentCell::new(db, policy, frac, spec));
                 }
             }
@@ -82,10 +85,12 @@ fn asb_vs_lru_at_paper_scale() {
     }
     let runs = Lab::new(Scale::Paper, 42).eval(&cells).unwrap();
     let mut losses = Vec::new();
-    for (pair, run) in cells.chunks(2).zip(runs.chunks(2)) {
-        let ExperimentCell { db, frac, spec, .. } = pair[1];
-        let gain = run[1].gain_over(&run[0]);
+    for (trio, run) in cells.chunks(3).zip(runs.chunks(3)) {
+        let ExperimentCell { db, frac, spec, .. } = trio[0];
         let cell = format!("{db:?}/{} @ {frac}", spec.name());
+        let arena = run[2].gain_over(&run[0]);
+        assert!(arena > 0.0, "the arena lost to LRU on {cell} ({arena:.1}%)");
+        let gain = run[1].gain_over(&run[0]);
         if spec.dist != Distribution::Intensified {
             assert!(gain > 0.0, "ASB lost to LRU on {cell} ({gain:.1}%)");
             continue;

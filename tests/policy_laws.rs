@@ -530,7 +530,7 @@ proptest! {
     ) {
         let (_, ids) = build_disk(40);
         let params = ArenaParams {
-            roster: if lean == 1 { Roster::Lean } else { Roster::Full },
+            roster: if lean == 1 { Roster::Lean } else { Roster::Trio },
             ..ArenaParams::default()
         };
         let state = arena_run(params, capacity, &trace, &ids)
@@ -581,7 +581,7 @@ proptest! {
         lean in 0u8..2,
     ) {
         let (_, ids) = build_disk(60);
-        let roster = if lean == 1 { Roster::Lean } else { Roster::Full };
+        let roster = if lean == 1 { Roster::Lean } else { Roster::Trio };
         let params = ArenaParams { roster, ..ArenaParams::default() };
         let buf = arena_run(params, capacity, &trace, &ids);
         let state = buf.policy().arena_state().expect("arena state");
